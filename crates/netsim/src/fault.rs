@@ -1,4 +1,4 @@
-//! Deterministic fault injection for both fabrics.
+//! Deterministic fault injection for the virtual and threaded fabrics.
 //!
 //! A [`FaultPlan`] is a *plan*, not a random process: it is built once from
 //! a seed (always through `psa-math`'s splittable [`Rng64`] streams, never
@@ -8,14 +8,15 @@
 //! around the same deterministic run produces byte-identical perturbations.
 //! This is the FoundationDB-style discipline: faults are part of the seed.
 //!
-//! Two adapters apply a plan to the two fabrics:
+//! A plan reaches the two fabrics differently:
 //!
-//! * [`FaultyVirtualNet`] charges fault costs as **virtual time** on the
-//!   deterministic fabric (extra delivery delay, timed-out waits);
+//! * the event-heap fabric in `psa-desim` consults a [`PlanInjector`] on
+//!   every send and charges fault costs as **virtual time** (extra delivery
+//!   delay, timed-out waits), so faulty runs replay bit-identically;
 //! * [`FaultyThreadEndpoint`] injects **real** delays and errors on the
 //!   thread fabric (used by unit tests and the threaded executor's
 //!   hardening tests; real time is inherently non-replayable, so the chaos
-//!   matrix gates on the virtual adapter).
+//!   matrix gates on the virtual path).
 
 // psa-verify: allow(index-panic) — the plan's `ranks` and `links` tables
 // are sized by the constructor from the cluster's rank count, and every
@@ -28,7 +29,6 @@ use psa_math::Rng64;
 use cluster_sim::NetworkModel;
 
 use crate::thread_net::{ThreadEndpoint, TransportError};
-use crate::virtual_net::VirtualNet;
 use crate::WireSize;
 
 /// Stream salt separating fault draws from every simulation stream.
@@ -341,139 +341,6 @@ pub struct FailedSend<M> {
     pub error: TransportError,
 }
 
-/// [`VirtualNet`] with a [`FaultInjector`] in front of every send. Fault
-/// costs are charged as virtual time, keeping faulty runs bit-replayable.
-pub struct FaultyVirtualNet<M, I> {
-    net: VirtualNet<M>,
-    inj: I,
-}
-
-impl<M: WireSize, I: FaultInjector> FaultyVirtualNet<M, I> {
-    pub fn new(net: VirtualNet<M>, inj: I) -> Self {
-        FaultyVirtualNet { net, inj }
-    }
-
-    /// Send through the injector: a transiently-failed send returns the
-    /// message (the sender is *not* charged wire time for it — the failure
-    /// models a NIC/queue rejection before occupancy).
-    pub fn send(&mut self, from: usize, to: usize, msg: M) -> Result<(), FailedSend<M>> {
-        match self.inj.on_send(from, to, msg.wire_bytes()) {
-            SendFate::Deliver { extra_delay } => {
-                self.net.send_delayed(from, to, msg, extra_delay);
-                Ok(())
-            }
-            SendFate::FailTransient => {
-                Err(FailedSend { msg, error: TransportError::SendFailed { rank: from, peer: to } })
-            }
-        }
-    }
-
-    pub fn recv(&mut self, to: usize, from: usize) -> Result<M, TransportError> {
-        // Delegates to the *virtual* fabric's recv: an empty queue is an
-        // immediate `NoMessage`, never a hang; `recv_deadline` below is for
-        // charging bounded waits.
-        // psa-verify: allow(unbounded-recv) — non-blocking virtual recv
-        self.net.recv(to, from)
-    }
-
-    pub fn recv_deadline(
-        &mut self,
-        to: usize,
-        from: usize,
-        wait: f64,
-    ) -> Result<M, TransportError> {
-        self.net.recv_deadline(to, from, wait)
-    }
-
-    pub fn take_queued(&mut self, to: usize, from: usize) -> Vec<M> {
-        self.net.take_queued(to, from)
-    }
-
-    pub fn has_message(&self, to: usize, from: usize) -> bool {
-        self.net.has_message(to, from)
-    }
-
-    /// Senders with traffic queued toward `to` — see
-    /// [`VirtualNet::queued_senders`].
-    pub fn queued_senders(&self, to: usize) -> Vec<usize> {
-        self.net.queued_senders(to)
-    }
-
-    pub fn now(&self, rank: usize) -> f64 {
-        self.net.now(rank)
-    }
-
-    pub fn advance(&mut self, rank: usize, seconds: f64) {
-        self.net.advance(rank, seconds);
-    }
-
-    /// Compute charge for `rank`: `seconds` scaled by the injector's CPU
-    /// throttle for that rank.
-    pub fn advance_compute(&mut self, rank: usize, seconds: f64) {
-        let f = self.inj.compute_factor(rank);
-        self.net.advance(rank, seconds * f);
-    }
-
-    pub fn barrier(&mut self, ranks: &[usize]) {
-        self.net.barrier(ranks);
-    }
-
-    pub fn makespan(&self) -> f64 {
-        self.net.makespan()
-    }
-
-    pub fn ranks(&self) -> usize {
-        self.net.ranks()
-    }
-
-    pub fn stats(&self) -> crate::TrafficStats {
-        self.net.stats()
-    }
-
-    /// One rank's *sent* traffic — see [`VirtualNet::rank_stats`].
-    pub fn rank_stats(&self, rank: usize) -> crate::TrafficStats {
-        self.net.rank_stats(rank)
-    }
-
-    pub fn reset_stats(&mut self) {
-        self.net.reset_stats();
-    }
-
-    pub fn model(&self) -> &NetworkModel {
-        self.net.model()
-    }
-
-    pub fn injector(&self) -> &I {
-        &self.inj
-    }
-
-    pub fn injector_mut(&mut self) -> &mut I {
-        &mut self.inj
-    }
-
-    pub fn inner(&self) -> &VirtualNet<M> {
-        &self.net
-    }
-
-    pub fn inner_mut(&mut self) -> &mut VirtualNet<M> {
-        &mut self.net
-    }
-
-    /// Capture the fabric's mutable state: the wire checkpoint plus the
-    /// injector's draw-stream cursors (see [`VirtualNet::wire_checkpoint`]
-    /// for why message queues are deliberately excluded).
-    pub fn fabric_checkpoint(&self) -> (crate::virtual_net::WireCheckpoint, Vec<u64>) {
-        (self.net.wire_checkpoint(), self.inj.stream_states())
-    }
-
-    /// Rewind wire and injector streams to a captured checkpoint, dropping
-    /// any queued messages.
-    pub fn restore_fabric(&mut self, wire: &crate::virtual_net::WireCheckpoint, streams: &[u64]) {
-        self.net.restore_wire(wire);
-        self.inj.restore_stream_states(streams);
-    }
-}
-
 /// [`ThreadEndpoint`] with a [`FaultInjector`] in front of every send.
 /// Delays here are *real* (the calling thread sleeps), so this adapter is
 /// for hardening tests, not for replay-gated determinism.
@@ -532,15 +399,6 @@ mod tests {
     use super::*;
     use crate::ThreadNet;
     use cluster_sim::NetworkModel;
-
-    #[derive(Debug, PartialEq)]
-    struct Blob(u64);
-
-    impl WireSize for Blob {
-        fn wire_bytes(&self) -> u64 {
-            self.0
-        }
-    }
 
     fn lossy_plan(p: f64) -> FaultPlan {
         let mut plan = FaultPlan::none(7, 2);
@@ -606,41 +464,6 @@ mod tests {
             }
             SendFate::FailTransient => panic!("degraded links do not drop"),
         }
-    }
-
-    #[test]
-    fn faulty_virtual_net_charges_extra_delay() {
-        let mut plan = FaultPlan::none(3, 2);
-        plan.link_mut(0, 1).extra_latency = 0.5;
-        let net: VirtualNet<Blob> = VirtualNet::new(NetworkModel::myrinet(), vec![0, 1], 2);
-        let mut faulty = FaultyVirtualNet::new(net, PlanInjector::new(plan));
-        faulty.send(0, 1, Blob(64)).map_err(|f| f.error).unwrap();
-        faulty.recv(1, 0).unwrap();
-        assert!(faulty.now(1) >= 0.5, "extra latency must reach the receiver clock");
-    }
-
-    #[test]
-    fn faulty_virtual_net_returns_message_on_transient_failure() {
-        let mut plan = FaultPlan::none(11, 2);
-        *plan.link_mut(0, 1) = LinkFault::lossy(0.999_999);
-        let net: VirtualNet<Blob> = VirtualNet::new(NetworkModel::myrinet(), vec![0, 1], 2);
-        let mut faulty = FaultyVirtualNet::new(net, PlanInjector::new(plan));
-        let failed = faulty.send(0, 1, Blob(42)).expect_err("p≈1 must drop");
-        assert_eq!(failed.msg, Blob(42));
-        assert_eq!(failed.error, TransportError::SendFailed { rank: 0, peer: 1 });
-        assert_eq!(faulty.stats().messages, 0, "failed sends put nothing on the wire");
-    }
-
-    #[test]
-    fn compute_factor_scales_advance() {
-        let mut plan = FaultPlan::none(0, 2);
-        plan.rank_mut(1).slowdown = 3.0;
-        let net: VirtualNet<Blob> = VirtualNet::new(NetworkModel::myrinet(), vec![0, 1], 2);
-        let mut faulty = FaultyVirtualNet::new(net, PlanInjector::new(plan));
-        faulty.advance_compute(0, 1.0);
-        faulty.advance_compute(1, 1.0);
-        assert_eq!(faulty.now(0), 1.0);
-        assert_eq!(faulty.now(1), 3.0);
     }
 
     #[test]

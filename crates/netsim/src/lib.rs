@@ -1,33 +1,31 @@
 //! Message-passing transports for the animation model.
 //!
-//! Two fabrics share one message vocabulary:
+//! Two transports share one message vocabulary:
 //!
-//! * [`VirtualNet`] — a deterministic, single-threaded fabric with per-rank
-//!   virtual clocks and a network cost model from `cluster-sim`. The
-//!   virtual-time executor in `psa-runtime` interleaves rank execution
-//!   itself and uses this fabric to account for every byte the paper's
-//!   protocol would put on Myrinet or Fast-Ethernet. Determinism is total:
-//!   same seed, same tables.
+//! * [`WireState`] — the deterministic, single-threaded virtual wire:
+//!   per-rank virtual clocks and a network cost model from `cluster-sim`.
+//!   The event-driven executor in `psa-desim` interleaves rank execution
+//!   itself and builds its fabric on this wire to account for every byte
+//!   the paper's protocol would put on Myrinet or Fast-Ethernet.
+//!   Determinism is total: same seed, same tables.
 //! * [`ThreadNet`] — a channel-per-pair SPMD fabric for running the same
 //!   protocol on real host threads with wall-clock timing (the
 //!   demonstration that the library actually parallelizes, not only
 //!   simulates).
 //!
-//! Messages implement [`WireSize`] so the virtual fabric can charge
+//! Messages implement [`WireSize`] so the virtual wire can charge
 //! occupancy without serializing anything.
 
-pub mod collectives;
 pub mod fault;
 pub mod thread_net;
 pub mod virtual_net;
 
-pub use collectives::{all_to_all, broadcast, gather, reduce};
 pub use fault::{
-    FailedSend, FaultInjector, FaultPlan, FaultPolicy, FaultyThreadEndpoint, FaultyVirtualNet,
-    LinkFault, NoFaults, PlanInjector, RankFault, SendFate,
+    FailedSend, FaultInjector, FaultPlan, FaultPolicy, FaultyThreadEndpoint, LinkFault, NoFaults,
+    PlanInjector, RankFault, SendFate,
 };
 pub use thread_net::{ThreadEndpoint, ThreadNet, TransportError};
-pub use virtual_net::{TrafficStats, VirtualNet, WireCheckpoint, WireState};
+pub use virtual_net::{TrafficStats, WireCheckpoint, WireState};
 
 /// Bytes a message would occupy on the wire.
 ///

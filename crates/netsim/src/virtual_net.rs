@@ -1,4 +1,4 @@
-//! The deterministic virtual fabric.
+//! The deterministic virtual wire.
 //!
 //! Each rank has a virtual clock. Compute advances a clock directly; a send
 //! occupies the sender until the message leaves its NIC (blocking send),
@@ -7,26 +7,23 @@
 //! delivery stamp. A barrier aligns every clock to the maximum plus a
 //! log₂-depth synchronization cost.
 //!
-//! The timing arithmetic lives in [`WireState`] so that every virtual
-//! transport — the per-pair-queue [`VirtualNet`] here and the event-heap
-//! fabric in `psa-desim` — charges byte-for-byte identical costs: one
-//! implementation of clocks, link occupancy, topology-aware latency, and
-//! traffic counters, two message-delivery disciplines on top.
+//! [`WireState`] is that timing arithmetic and nothing else: clocks, link
+//! occupancy, topology-aware latency, and traffic counters. It owns no
+//! messages — the event-heap fabric in `psa-desim` turns its delivery
+//! stamps into deliveries.
 //!
-//! The fabric is intentionally **not** thread-safe: the virtual-time
-//! executor interleaves ranks itself in a fixed order, which is what makes
-//! the reproduction bit-deterministic.
+//! It is intentionally **not** thread-safe: the virtual executor
+//! interleaves ranks itself in a fixed order, which is what makes the
+//! reproduction bit-deterministic.
 
 // psa-verify: allow(index-panic) — fabric hot path: every rank/node index
 // comes from the constructor-validated topology (`new` sizes clocks,
-// rank_stats, node_of, link_free, and queues to `ranks`/`nodes`), and the
+// rank_stats, node_of, and link_free to `ranks`/`nodes`), and the
 // executors address ranks 0..ranks by construction. Out-of-range here is a
 // checker-caught bug upstream, not a runtime input.
-use std::collections::VecDeque;
-
 use cluster_sim::NetworkModel;
 
-use crate::{TransportError, WireSize, FRAME_OVERHEAD_BYTES};
+use crate::FRAME_OVERHEAD_BYTES;
 
 /// Aggregate traffic counters (resettable, e.g. per frame).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -38,8 +35,8 @@ pub struct TrafficStats {
 /// The clock-and-link half of a virtual fabric: per-rank virtual clocks,
 /// per-node NIC occupancy (or a shared medium), topology-aware latency, and
 /// traffic counters. Owns no message queues — callers decide how delivery
-/// stamps turn into deliveries ([`VirtualNet`] uses per-pair FIFO queues;
-/// the event-driven fabric uses a global (time, seq) heap).
+/// stamps turn into deliveries (the event-driven fabric uses a global
+/// (time, seq) heap).
 pub struct WireState {
     net: NetworkModel,
     /// Virtual clock per rank, seconds.
@@ -234,413 +231,173 @@ pub struct WireCheckpoint {
     pub rank_stats: Vec<TrafficStats>,
 }
 
-struct Envelope<M> {
-    deliver_at: f64,
-    msg: M,
-}
-
-/// Deterministic virtual message fabric over `R` ranks placed on nodes.
-pub struct VirtualNet<M> {
-    wire: WireState,
-    /// queues[to * ranks + from]
-    queues: Vec<VecDeque<Envelope<M>>>,
-}
-
-impl<M: WireSize> VirtualNet<M> {
-    /// Create a fabric for ranks living on the given nodes.
-    /// `node_of[rank]` maps each rank to its node index.
-    pub fn new(net: NetworkModel, node_of: Vec<usize>, node_count: usize) -> Self {
-        let ranks = node_of.len();
-        VirtualNet {
-            wire: WireState::new(net, node_of, node_count),
-            queues: (0..ranks * ranks).map(|_| VecDeque::new()).collect(),
-        }
-    }
-
-    pub fn ranks(&self) -> usize {
-        self.wire.ranks()
-    }
-
-    /// Current virtual time of `rank`.
-    pub fn now(&self, rank: usize) -> f64 {
-        self.wire.now(rank)
-    }
-
-    /// Charge `seconds` of local compute to `rank`.
-    pub fn advance(&mut self, rank: usize, seconds: f64) {
-        self.wire.advance(rank, seconds);
-    }
-
-    /// Blocking send of `msg` from `from` to `to`.
-    ///
-    /// Local (same-rank) sends are free of wire costs but still pass
-    /// through the queue, so protocol code does not special-case them.
-    pub fn send(&mut self, from: usize, to: usize, msg: M) {
-        self.send_delayed(from, to, msg, 0.0);
-    }
-
-    /// [`send`](Self::send) with `extra_delay` virtual seconds added to the
-    /// delivery stamp — the hook fault injection uses for message jitter
-    /// and degraded links. The sender is *not* occupied by the extra delay
-    /// (it models in-flight perturbation, not NIC time).
-    pub fn send_delayed(&mut self, from: usize, to: usize, msg: M, extra_delay: f64) {
-        let deliver_at = self.wire.charge_send(from, to, msg.wire_bytes(), extra_delay);
-        let r = self.wire.ranks();
-        self.queues[to * r + from].push_back(Envelope { deliver_at, msg });
-    }
-
-    /// Receive the next message sent from `from` to `to`.
-    ///
-    /// Returns [`TransportError::NoMessage`] if nothing is queued — under
-    /// the deterministic executor a missing message is a protocol bug, not
-    /// a timing race, and the caller decides how to surface it.
-    pub fn recv(&mut self, to: usize, from: usize) -> Result<M, TransportError> {
-        let r = self.wire.ranks();
-        let env = self.queues[to * r + from]
-            .pop_front()
-            .ok_or(TransportError::NoMessage { rank: to, peer: from })?;
-        self.wire.observe_delivery(to, env.deliver_at);
-        Ok(env.msg)
-    }
-
-    /// Receive with a deadline: like [`recv`](Self::recv), but an empty
-    /// queue charges `wait` virtual seconds to `to` and returns
-    /// [`TransportError::Timeout`] instead of `NoMessage`.
-    ///
-    /// Under the deterministic executor every receive happens at a schedule
-    /// point where the message either is queued or never will be, so the
-    /// deadline does not poll — it models the time a real endpoint would
-    /// burn discovering that a peer went silent.
-    pub fn recv_deadline(
-        &mut self,
-        to: usize,
-        from: usize,
-        wait: f64,
-    ) -> Result<M, TransportError> {
-        debug_assert!(wait >= 0.0, "deadline waits cannot be negative ({wait})");
-        if !self.has_message(to, from) {
-            self.wire.advance(to, wait);
-            return Err(TransportError::Timeout { rank: to, peer: from });
-        }
-        self.recv(to, from)
-    }
-
-    /// Drain every queued message from `from` to `to` without touching any
-    /// clock — used to confiscate the in-flight traffic of a rank that has
-    /// been declared dead, so its particles can be counted as lost instead
-    /// of rotting in a queue.
-    pub fn take_queued(&mut self, to: usize, from: usize) -> Vec<M> {
-        let r = self.wire.ranks();
-        self.queues[to * r + from].drain(..).map(|e| e.msg).collect()
-    }
-
-    /// Whether a message from `from` to `to` is queued.
-    pub fn has_message(&self, to: usize, from: usize) -> bool {
-        !self.queues[to * self.wire.ranks() + from].is_empty()
-    }
-
-    /// The senders with at least one message queued toward `to`, in rank
-    /// order — lets a receiver drain exactly the traffic that exists
-    /// instead of polling all `ranks` peers (sparse exchange at scale).
-    pub fn queued_senders(&self, to: usize) -> Vec<usize> {
-        let r = self.wire.ranks();
-        (0..r).filter(|&from| !self.queues[to * r + from].is_empty()).collect()
-    }
-
-    /// Synchronize a set of ranks: all clocks advance to the maximum plus a
-    /// dissemination-barrier cost of `latency × ⌈log₂ n⌉`.
-    pub fn barrier(&mut self, ranks: &[usize]) {
-        self.wire.barrier(ranks);
-    }
-
-    /// Maximum clock across all ranks — the virtual makespan.
-    pub fn makespan(&self) -> f64 {
-        self.wire.makespan()
-    }
-
-    /// Snapshot of traffic counters.
-    pub fn stats(&self) -> TrafficStats {
-        self.wire.stats()
-    }
-
-    /// Snapshot of one rank's *sent* traffic (endpoint-layer attribution:
-    /// a message is charged to the sender that initiated it).
-    pub fn rank_stats(&self, rank: usize) -> TrafficStats {
-        self.wire.rank_stats(rank)
-    }
-
-    /// Reset traffic counters (per-frame accounting).
-    pub fn reset_stats(&mut self) {
-        self.wire.reset_stats();
-    }
-
-    /// The network model in use.
-    pub fn model(&self) -> &NetworkModel {
-        self.wire.model()
-    }
-
-    /// Capture the wire's mutable state (clocks, occupancy, counters).
-    ///
-    /// The fabric's message queues are *not* part of a checkpoint. At a
-    /// frame boundary every healthy link is drained by the protocol's
-    /// lock-step schedule; the one exception is traffic queued toward a
-    /// crashed-but-undeclared rank, and dropping it is *correct* by
-    /// design — a later death declaration would purge those queues, and a
-    /// recovery rolls back to before the sends happened and replays them.
-    /// [`restore_wire`](Self::restore_wire) therefore clears all queues.
-    pub fn wire_checkpoint(&self) -> WireCheckpoint {
-        self.wire.checkpoint()
-    }
-
-    /// Rewind the wire to `ck` and drop any queued messages (replay from a
-    /// frame boundary regenerates all traffic deterministically).
-    pub fn restore_wire(&mut self, ck: &WireCheckpoint) {
-        self.wire.restore_checkpoint(ck);
-        for q in &mut self.queues {
-            q.clear();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[derive(Debug, PartialEq)]
-    struct Blob(u64);
-
-    impl WireSize for Blob {
-        fn wire_bytes(&self) -> u64 {
-            self.0
-        }
+    fn wire(net: NetworkModel, ranks: usize) -> WireState {
+        // one rank per node
+        WireState::new(net, (0..ranks).collect(), ranks)
     }
 
-    fn net2() -> VirtualNet<Blob> {
-        // two ranks on two nodes, Myrinet
-        VirtualNet::new(NetworkModel::myrinet(), vec![0, 1], 2)
+    fn wire2() -> WireState {
+        wire(NetworkModel::myrinet(), 2)
     }
 
-    #[test]
-    fn send_recv_delivers_in_order() {
-        let mut n = net2();
-        n.send(0, 1, Blob(10));
-        n.send(0, 1, Blob(20));
-        assert_eq!(n.recv(1, 0).unwrap(), Blob(10));
-        assert_eq!(n.recv(1, 0).unwrap(), Blob(20));
-    }
-
-    #[test]
-    fn recv_without_send_is_a_typed_error() {
-        let mut n = net2();
-        assert_eq!(n.recv(1, 0), Err(TransportError::NoMessage { rank: 1, peer: 0 }));
+    /// Send `bytes` from `from` to `to` and receive it at once.
+    fn deliver(w: &mut WireState, from: usize, to: usize, bytes: u64) {
+        let stamp = w.charge_send(from, to, bytes, 0.0);
+        w.observe_delivery(to, stamp);
     }
 
     #[test]
     fn receiver_clock_advances_to_delivery() {
-        let mut n = net2();
-        n.advance(0, 1.0);
-        n.send(0, 1, Blob(160_000_000)); // 1s of occupancy on Myrinet
-        assert_eq!(n.now(1), 0.0);
-        n.recv(1, 0).unwrap();
+        let mut w = wire2();
+        w.advance(0, 1.0);
+        let stamp = w.charge_send(0, 1, 160_000_000, 0.0); // 1s of occupancy on Myrinet
+        assert_eq!(w.now(1), 0.0);
+        assert!(w.observe_delivery(1, stamp));
         // ≈ 1.0 (sender clock) + per_message_cpu + 1.0 occupancy + latency
-        assert!(n.now(1) > 2.0 && n.now(1) < 2.1, "got {}", n.now(1));
+        assert!(w.now(1) > 2.0 && w.now(1) < 2.1, "got {}", w.now(1));
+        // A receiver already past the stamp does not move.
+        assert!(!w.observe_delivery(1, stamp));
     }
 
     #[test]
     fn sender_blocks_for_occupancy() {
-        let mut n = net2();
-        n.send(0, 1, Blob(160_000_000));
-        assert!(n.now(0) >= 1.0, "blocking send occupies sender, got {}", n.now(0));
+        let mut w = wire2();
+        w.charge_send(0, 1, 160_000_000, 0.0);
+        assert!(w.now(0) >= 1.0, "blocking send occupies sender, got {}", w.now(0));
     }
 
     #[test]
     fn link_contention_serializes_into_one_node() {
         // three ranks on three nodes; 1 and 2 both ship 1s of data to 0.
-        let mut n: VirtualNet<Blob> = VirtualNet::new(NetworkModel::myrinet(), vec![0, 1, 2], 3);
-        n.send(1, 0, Blob(160_000_000));
-        n.send(2, 0, Blob(160_000_000));
-        n.recv(0, 1).unwrap();
-        n.recv(0, 2).unwrap();
+        let mut w = wire(NetworkModel::myrinet(), 3);
+        let a = w.charge_send(1, 0, 160_000_000, 0.0);
+        let b = w.charge_send(2, 0, 160_000_000, 0.0);
+        w.observe_delivery(0, a);
+        w.observe_delivery(0, b);
         // The second transfer had to wait for rank 0's link.
-        assert!(n.now(0) >= 2.0, "ingress link must serialize, got {}", n.now(0));
+        assert!(w.now(0) >= 2.0, "ingress link must serialize, got {}", w.now(0));
     }
 
     #[test]
     fn switched_fabric_allows_disjoint_pairs_in_parallel() {
         // ranks 0->1 and 2->3 on four nodes can overlap on Myrinet.
-        let mut n: VirtualNet<Blob> = VirtualNet::new(NetworkModel::myrinet(), vec![0, 1, 2, 3], 4);
-        n.send(0, 1, Blob(160_000_000));
-        n.send(2, 3, Blob(160_000_000));
-        n.recv(1, 0).unwrap();
-        n.recv(3, 2).unwrap();
-        assert!(n.now(1) < 1.1 && n.now(3) < 1.1, "disjoint transfers overlap");
+        let mut w = wire(NetworkModel::myrinet(), 4);
+        deliver(&mut w, 0, 1, 160_000_000);
+        deliver(&mut w, 2, 3, 160_000_000);
+        assert!(w.now(1) < 1.1 && w.now(3) < 1.1, "disjoint transfers overlap");
     }
 
     #[test]
     fn shared_medium_serializes_everything() {
-        let mut n: VirtualNet<Blob> =
-            VirtualNet::new(NetworkModel::fast_ethernet_hub(), vec![0, 1, 2, 3], 4);
-        n.send(0, 1, Blob(12_500_000)); // 1s on FE
-        n.send(2, 3, Blob(12_500_000));
-        n.recv(1, 0).unwrap();
-        n.recv(3, 2).unwrap();
-        assert!(n.now(3) >= 2.0, "shared medium must serialize, got {}", n.now(3));
+        let mut w = wire(NetworkModel::fast_ethernet_hub(), 4);
+        deliver(&mut w, 0, 1, 12_500_000); // 1s on FE
+        deliver(&mut w, 2, 3, 12_500_000);
+        assert!(w.now(3) >= 2.0, "shared medium must serialize, got {}", w.now(3));
     }
 
     #[test]
     fn same_rank_send_is_free() {
-        let mut n = net2();
-        n.send(0, 0, Blob(1 << 30));
-        let t = n.now(0);
-        assert_eq!(t, 0.0);
-        n.recv(0, 0).unwrap();
-        assert_eq!(n.now(0), 0.0);
+        let mut w = wire2();
+        let stamp = w.charge_send(0, 0, 1 << 30, 0.0);
+        assert_eq!(w.now(0), 0.0);
+        assert!(!w.observe_delivery(0, stamp));
+        assert_eq!(w.now(0), 0.0);
     }
 
     #[test]
     fn barrier_aligns_clocks() {
-        let mut n: VirtualNet<Blob> = VirtualNet::new(NetworkModel::myrinet(), vec![0, 1, 2], 3);
-        n.advance(0, 5.0);
-        n.advance(1, 1.0);
-        n.barrier(&[0, 1, 2]);
-        let t = n.now(0);
+        let mut w = wire(NetworkModel::myrinet(), 3);
+        w.advance(0, 5.0);
+        w.advance(1, 1.0);
+        w.barrier(&[0, 1, 2]);
+        let t = w.now(0);
         assert!(t >= 5.0);
-        assert_eq!(n.now(1), t);
-        assert_eq!(n.now(2), t);
+        assert_eq!(w.now(1), t);
+        assert_eq!(w.now(2), t);
     }
 
     #[test]
     fn stats_accumulate_and_reset() {
-        let mut n = net2();
-        n.send(0, 1, Blob(100));
-        n.send(0, 1, Blob(50));
-        assert_eq!(n.stats().messages, 2);
-        assert_eq!(n.stats().payload_bytes, 150);
-        n.reset_stats();
-        assert_eq!(n.stats(), TrafficStats::default());
+        let mut w = wire2();
+        w.charge_send(0, 1, 100, 0.0);
+        w.charge_send(0, 1, 50, 0.0);
+        assert_eq!(w.stats().messages, 2);
+        assert_eq!(w.stats().payload_bytes, 150);
+        w.reset_stats();
+        assert_eq!(w.stats(), TrafficStats::default());
     }
 
     #[test]
     fn rank_stats_attribute_traffic_to_the_sender() {
-        let mut n = net2();
-        n.send(0, 1, Blob(100));
-        n.send(1, 0, Blob(7));
-        n.send(0, 1, Blob(50));
-        assert_eq!(n.rank_stats(0), TrafficStats { messages: 2, payload_bytes: 150 });
-        assert_eq!(n.rank_stats(1), TrafficStats { messages: 1, payload_bytes: 7 });
+        let mut w = wire2();
+        w.charge_send(0, 1, 100, 0.0);
+        w.charge_send(1, 0, 7, 0.0);
+        w.charge_send(0, 1, 50, 0.0);
+        assert_eq!(w.rank_stats(0), TrafficStats { messages: 2, payload_bytes: 150 });
+        assert_eq!(w.rank_stats(1), TrafficStats { messages: 1, payload_bytes: 7 });
         // Per-rank counters sum to the aggregate.
-        let total = n.stats();
-        assert_eq!(total.messages, n.rank_stats(0).messages + n.rank_stats(1).messages);
+        let total = w.stats();
+        assert_eq!(total.messages, w.rank_stats(0).messages + w.rank_stats(1).messages);
         assert_eq!(
             total.payload_bytes,
-            n.rank_stats(0).payload_bytes + n.rank_stats(1).payload_bytes
+            w.rank_stats(0).payload_bytes + w.rank_stats(1).payload_bytes
         );
-        n.reset_stats();
-        assert_eq!(n.rank_stats(0), TrafficStats::default());
+        w.reset_stats();
+        assert_eq!(w.rank_stats(0), TrafficStats::default());
     }
 
     #[test]
-    fn send_delayed_postpones_delivery_without_occupying_sender() {
-        let mut plain = net2();
-        plain.send(0, 1, Blob(4096));
-        let mut delayed = net2();
-        delayed.send_delayed(0, 1, Blob(4096), 0.25);
+    fn extra_delay_postpones_delivery_without_occupying_sender() {
+        let mut plain = wire2();
+        let on_time = plain.charge_send(0, 1, 4096, 0.0);
+        let mut delayed = wire2();
+        let late = delayed.charge_send(0, 1, 4096, 0.25);
         // Sender-side cost identical; only the delivery stamp shifts.
         assert_eq!(plain.now(0).to_bits(), delayed.now(0).to_bits());
-        plain.recv(1, 0).unwrap();
-        delayed.recv(1, 0).unwrap();
-        assert!((delayed.now(1) - plain.now(1) - 0.25).abs() < 1e-12);
+        assert!((late - on_time - 0.25).abs() < 1e-12);
+    }
+
+    /// The sequence the checkpoint and determinism tests drive.
+    fn drive(w: &mut WireState) {
+        w.advance(0, 0.123);
+        deliver(w, 0, 1, 4096);
+        w.barrier(&[0, 1]);
     }
 
     #[test]
-    fn recv_deadline_charges_wait_and_times_out() {
-        let mut n = net2();
-        assert_eq!(n.recv_deadline(1, 0, 0.5), Err(TransportError::Timeout { rank: 1, peer: 0 }));
-        assert_eq!(n.now(1), 0.5);
-        n.send(0, 1, Blob(8));
-        assert_eq!(n.recv_deadline(1, 0, 0.5).unwrap(), Blob(8));
-    }
-
-    #[test]
-    fn take_queued_confiscates_in_flight_messages() {
-        let mut n = net2();
-        n.send(0, 1, Blob(1));
-        n.send(0, 1, Blob(2));
-        let before = n.now(1);
-        let taken = n.take_queued(1, 0);
-        assert_eq!(taken, vec![Blob(1), Blob(2)]);
-        assert_eq!(n.now(1), before, "confiscation must not move clocks");
-        assert!(!n.has_message(1, 0));
-    }
-
-    #[test]
-    fn queued_senders_lists_exactly_the_pending_peers() {
-        let mut n: VirtualNet<Blob> = VirtualNet::new(NetworkModel::myrinet(), vec![0, 1, 2], 3);
-        assert!(n.queued_senders(0).is_empty());
-        n.send(1, 0, Blob(8));
-        n.send(2, 0, Blob(8));
-        n.send(1, 0, Blob(8));
-        assert_eq!(n.queued_senders(0), vec![1, 2]);
-        n.recv(0, 2).unwrap();
-        assert_eq!(n.queued_senders(0), vec![1]);
-    }
-
-    #[test]
-    fn wire_state_charge_matches_queue_fabric() {
-        // The extracted WireState must stay bit-identical to the fabric
-        // that drives it (EventFabric parity depends on this).
-        let mut v = net2();
-        let mut w = WireState::new(NetworkModel::myrinet(), vec![0, 1], 2);
-        v.advance(0, 0.5);
-        w.advance(0, 0.5);
-        v.send(0, 1, Blob(4096));
-        let stamp = w.charge_send(0, 1, 4096, 0.0);
-        assert_eq!(v.now(0).to_bits(), w.now(0).to_bits());
-        v.recv(1, 0).unwrap();
-        assert!(w.observe_delivery(1, stamp));
-        assert_eq!(v.now(1).to_bits(), w.now(1).to_bits());
-        assert_eq!(v.stats(), w.stats());
-    }
-
-    #[test]
-    fn wire_checkpoint_rewinds_clocks_and_counters_exactly() {
-        let drive = |n: &mut VirtualNet<Blob>| {
-            n.advance(0, 0.123);
-            n.send(0, 1, Blob(4096));
-            n.recv(1, 0).unwrap();
-            n.barrier(&[0, 1]);
-        };
-        let mut n = net2();
-        drive(&mut n);
-        let ck = n.wire_checkpoint();
-        let (t0, t1, stats) = (n.now(0), n.now(1), n.stats());
+    fn checkpoint_rewinds_clocks_and_counters_exactly() {
+        let mut w = wire2();
+        drive(&mut w);
+        let ck = w.checkpoint();
+        let (t0, t1, stats) = (w.now(0), w.now(1), w.stats());
         // Diverge, then rewind: every observable must come back bit-equal.
-        n.send(1, 0, Blob(65536));
-        n.recv(0, 1).unwrap();
-        n.advance(0, 9.0);
-        n.restore_wire(&ck);
-        assert_eq!(n.now(0).to_bits(), t0.to_bits());
-        assert_eq!(n.now(1).to_bits(), t1.to_bits());
-        assert_eq!(n.stats(), stats);
-        assert!(!n.has_message(0, 1), "restore drops queued messages");
+        deliver(&mut w, 1, 0, 65536);
+        w.advance(0, 9.0);
+        w.restore_checkpoint(&ck);
+        assert_eq!(w.now(0).to_bits(), t0.to_bits());
+        assert_eq!(w.now(1).to_bits(), t1.to_bits());
+        assert_eq!(w.stats(), stats);
+        assert_eq!(w.checkpoint(), ck);
         // Replay after restore charges identical costs.
-        let mut fresh = net2();
+        let mut fresh = wire2();
         drive(&mut fresh);
-        n.send(0, 1, Blob(64));
-        fresh.send(0, 1, Blob(64));
-        assert_eq!(n.now(0).to_bits(), fresh.now(0).to_bits());
-        assert_eq!(n.makespan().to_bits(), fresh.makespan().to_bits());
+        let a = w.charge_send(0, 1, 64, 0.0);
+        let b = fresh.charge_send(0, 1, 64, 0.0);
+        assert_eq!(a.to_bits(), b.to_bits());
+        assert_eq!(w.now(0).to_bits(), fresh.now(0).to_bits());
+        assert_eq!(w.makespan().to_bits(), fresh.makespan().to_bits());
     }
 
     #[test]
     fn determinism() {
         let run = || {
-            let mut n = net2();
-            n.advance(0, 0.123);
-            n.send(0, 1, Blob(4096));
-            n.recv(1, 0).unwrap();
-            n.barrier(&[0, 1]);
-            n.makespan()
+            let mut w = wire2();
+            drive(&mut w);
+            w.makespan()
         };
         assert_eq!(run(), run());
     }

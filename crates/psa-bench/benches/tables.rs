@@ -7,7 +7,8 @@
 
 use cluster_sim::{e800, ClusterSpec, Compiler, NetworkModel};
 use psa_bench::micro::Group;
-use psa_runtime::{BalanceMode, RunConfig, SpaceMode, VirtualSim};
+use psa_desim::EventSim;
+use psa_runtime::{BalanceMode, RunConfig, SpaceMode};
 use psa_workloads::{fountain_scene, myrinet_gcc, paper_run_config, snow_scene, WorkloadSize};
 
 fn size() -> WorkloadSize {
@@ -15,7 +16,7 @@ fn size() -> WorkloadSize {
 }
 
 fn run(scene: psa_runtime::Scene, cfg: RunConfig, cluster: ClusterSpec) -> f64 {
-    let mut sim = VirtualSim::new(scene, cfg, cluster, size().cost_model());
+    let mut sim = EventSim::new(scene, cfg, cluster, size().cost_model());
     sim.run().steady_time()
 }
 

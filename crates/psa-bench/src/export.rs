@@ -55,8 +55,7 @@ pub fn collect(scale: f64, frames: u64) -> BenchExport {
         let base = runner.baseline_gcc(exp);
         // FS-SLB on 8*B/16P is where the paper measures exchange volumes;
         // FS-DLB on the same machines is the headline configuration.
-        for (config, balance) in
-            [("FS-SLB", BalanceMode::Static), ("FS-DLB", BalanceMode::dynamic())]
+        for (config, balance) in [("FS-SLB", BalanceMode::Static), ("FS-DLB", tables::paper_dlb())]
         {
             let out = runner.run_traced(exp, myrinet_gcc(8, 2), SpaceMode::Finite, balance, base);
             let procs = 16usize;

@@ -24,7 +24,8 @@
 //! rejects NaN/empty metrics before anything is written.
 
 use psa_core::kernel;
-use psa_runtime::{ParallelConfig, RunReport, VirtualSim};
+use psa_desim::EventSim;
+use psa_runtime::{ParallelConfig, RunReport};
 use psa_trace::Phase;
 use psa_workloads::{myrinet_gcc, paper_run_config, WorkloadSize};
 
@@ -84,7 +85,7 @@ fn traced_run(exp: Experiment, size: WorkloadSize, frames: u64, workers: usize) 
     let scene = exp.scene(size);
     let mut cfg = paper_run_config(frames, exp.dt());
     cfg.parallel = ParallelConfig { workers, chunk: BENCH4_CHUNK };
-    VirtualSim::new(scene, cfg, myrinet_gcc(8, 2), size.cost_model()).with_phases().run()
+    EventSim::new(scene, cfg, myrinet_gcc(8, 2), size.cost_model()).with_phases().run()
 }
 
 /// Projected compute-phase time at `workers` from the 1-worker trace:

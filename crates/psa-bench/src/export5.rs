@@ -1,9 +1,9 @@
 //! Machine-readable event-driven scaling export (`BENCH_5.json`).
 //!
 //! The paper stops at 8 nodes; BENCH_5 is the extrapolation its model
-//! invites. The sweep drives `psa_desim::EventSim` — the discrete-event
-//! executor that is fingerprint-identical to `VirtualSim` at paper scale —
-//! across rank counts far beyond the queue-stepped core's reach:
+//! invites. The sweep drives `psa_desim::EventSim` — the same executor,
+//! golden-pinned at paper scale, that regenerates tables 1–3 — across rank
+//! counts far beyond the paper's:
 //!
 //! * **Speed-up curves** — virtual makespan and speed-up versus the
 //!   sequential baseline at ranks ∈ {8, 32, 128, 512, 1024}, for snow,

@@ -30,7 +30,8 @@
 use std::time::Instant;
 
 use netsim::FaultPlan;
-use psa_runtime::{CheckpointConfig, RunConfig, RunReport, VirtualSim};
+use psa_desim::EventSim;
+use psa_runtime::{CheckpointConfig, RunConfig, RunReport};
 use psa_workloads::{myrinet_gcc, snow_scene, WorkloadSize};
 
 /// Calculator counts of the full sweep (the CI smoke tier trims this).
@@ -106,7 +107,7 @@ fn run_config(frames: u64, seed: u64) -> RunConfig {
 fn bare_run(calculators: usize, frames: u64, particles: usize, seed: u64) -> RunReport {
     let sz = size(particles);
     let cluster = myrinet_gcc(calculators, 1);
-    VirtualSim::new(snow_scene(sz), run_config(frames, seed), cluster, sz.cost_model()).run()
+    EventSim::new(snow_scene(sz), run_config(frames, seed), cluster, sz.cost_model()).run()
 }
 
 fn run_cell(
@@ -129,7 +130,7 @@ fn run_cell(
 
     let t0 = Instant::now();
     let report =
-        VirtualSim::new(snow_scene(sz), cfg, cluster, sz.cost_model()).with_faults(plan).run();
+        EventSim::new(snow_scene(sz), cfg, cluster, sz.cost_model()).with_faults(plan).run();
     let wall = t0.elapsed().as_secs_f64();
 
     // What restart-from-zero would redo: every bare frame before the crash.

@@ -3,9 +3,8 @@
 //! baseline.
 
 use cluster_sim::{e800, zx2000, ClusterSpec, Compiler, CostModel};
-use psa_runtime::{
-    run_sequential, BalanceMode, RunConfig, RunReport, Scene, SpaceMode, VirtualSim,
-};
+use psa_desim::EventSim;
+use psa_runtime::{run_sequential, BalanceMode, RunConfig, RunReport, Scene, SpaceMode};
 use psa_workloads::{fountain_scene, paper_run_config, snow_scene, WorkloadSize};
 
 /// Which paper workload an experiment runs.
@@ -147,7 +146,7 @@ impl Runner {
         let scene = exp.scene(self.size);
         let cfg = self.run_config(exp, space, balance);
         let cost: CostModel = self.size.cost_model();
-        let mut sim = VirtualSim::new(scene, cfg, cluster, cost);
+        let mut sim = EventSim::new(scene, cfg, cluster, cost);
         if traced {
             sim = sim.with_phases();
         }

@@ -1,6 +1,6 @@
 //! Regeneration of every table and in-text number of the paper.
 
-use psa_runtime::{BalanceMode, SpaceMode};
+use psa_runtime::{BalanceMode, BalancerConfig, SpaceMode};
 use psa_workloads::{myrinet_gcc, table1_rows, table2_rows, WorkloadSize};
 
 use crate::paper;
@@ -24,9 +24,18 @@ pub const CONFIG_COLUMNS: [(&str, SpaceMode, bool); 4] = [
     ("FS-DLB", SpaceMode::Finite, true),
 ];
 
+/// The DLB every paper table and in-text number runs: the paper's own
+/// balancer ([`BalancerConfig::paper`] — fixed 32-particle minimum transfer,
+/// no balance short-circuit), not the adaptive default that later work made
+/// `BalanceMode::dynamic()`. Pinned so `repro` keeps reproducing the
+/// committed `repro_output.txt` whatever the runtime default becomes.
+pub fn paper_dlb() -> BalanceMode {
+    BalanceMode::Dynamic(BalancerConfig::paper())
+}
+
 fn balance_of(dynamic: bool) -> BalanceMode {
     if dynamic {
-        BalanceMode::dynamic()
+        paper_dlb()
     } else {
         BalanceMode::Static
     }
@@ -76,13 +85,7 @@ pub fn table2(size: WorkloadSize, frames: u64) -> Vec<TableRow> {
         .into_iter()
         .zip(paper::TABLE2.iter())
         .map(|((label, cluster), &paper_v)| {
-            let out = runner.run(
-                Experiment::Snow,
-                cluster,
-                SpaceMode::Finite,
-                BalanceMode::dynamic(),
-                base,
-            );
+            let out = runner.run(Experiment::Snow, cluster, SpaceMode::Finite, paper_dlb(), base);
             TableRow { label: label.to_string(), ours: vec![out.speedup], paper: vec![paper_v] }
         })
         .collect()
@@ -142,13 +145,7 @@ pub fn text_numbers(size: WorkloadSize, frames: u64) -> TextNumbers {
         || ClusterSpec::homogeneous(NetworkModel::fast_ethernet(), Compiler::Icc, e800(), 8, 2);
     let base_icc_snow = runner.baseline_icc(Experiment::Snow);
     let snow_fe_dlb = runner
-        .run(
-            Experiment::Snow,
-            fe_cluster(),
-            SpaceMode::Finite,
-            BalanceMode::dynamic(),
-            base_icc_snow,
-        )
+        .run(Experiment::Snow, fe_cluster(), SpaceMode::Finite, paper_dlb(), base_icc_snow)
         .speedup;
     let snow_fe_slb = runner
         .run(Experiment::Snow, fe_cluster(), SpaceMode::Finite, BalanceMode::Static, base_icc_snow)
@@ -161,10 +158,10 @@ pub fn text_numbers(size: WorkloadSize, frames: u64) -> TextNumbers {
             .add_nodes(e60(), 4, ppn)
     };
     let snow_mixed_8 = runner
-        .run(Experiment::Snow, mixed(1), SpaceMode::Finite, BalanceMode::dynamic(), base_gcc_snow)
+        .run(Experiment::Snow, mixed(1), SpaceMode::Finite, paper_dlb(), base_gcc_snow)
         .speedup;
     let snow_mixed_16 = runner
-        .run(Experiment::Snow, mixed(2), SpaceMode::Finite, BalanceMode::dynamic(), base_gcc_snow)
+        .run(Experiment::Snow, mixed(2), SpaceMode::Finite, paper_dlb(), base_gcc_snow)
         .speedup;
 
     // Fountain on 16 nodes (8*B + 8*A), Myrinet + GCC.
@@ -172,13 +169,7 @@ pub fn text_numbers(size: WorkloadSize, frames: u64) -> TextNumbers {
         .add_nodes(e800(), 8, 1)
         .add_nodes(e60(), 8, 1);
     let fountain_16 = runner
-        .run(
-            Experiment::Fountain,
-            sixteen_nodes,
-            SpaceMode::Finite,
-            BalanceMode::dynamic(),
-            base_gcc_fountain,
-        )
+        .run(Experiment::Fountain, sixteen_nodes, SpaceMode::Finite, paper_dlb(), base_gcc_fountain)
         .speedup;
 
     // Fountain best FE: 2*B (4P) + 2*C (2P), FS-DLB vs Itanium ICC.
@@ -191,7 +182,7 @@ pub fn text_numbers(size: WorkloadSize, frames: u64) -> TextNumbers {
             Experiment::Fountain,
             fe_best_cluster,
             SpaceMode::Finite,
-            BalanceMode::dynamic(),
+            paper_dlb(),
             base_icc_fountain,
         )
         .speedup;

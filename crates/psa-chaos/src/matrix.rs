@@ -8,8 +8,9 @@
 //! (the FoundationDB lesson: a failure you cannot replay is a failure you
 //! cannot debug).
 
+use psa_desim::EventSim;
 use psa_runtime::trace::figure2_passes;
-use psa_runtime::{RunConfig, RunReport, Scene, VirtualSim};
+use psa_runtime::{RunConfig, RunReport, Scene};
 use psa_workloads::{fountain_scene, myrinet_gcc, snow_scene, WorkloadSize};
 
 use crate::scenario::Scenario;
@@ -113,7 +114,7 @@ pub fn run_case(workload: Workload, scenario: Scenario, mc: &MatrixConfig) -> Ca
 
     let run = |trace: bool| {
         let mut sim =
-            VirtualSim::new(workload.scene(sz), run_config(mc), cluster.clone(), sz.cost_model())
+            EventSim::new(workload.scene(sz), run_config(mc), cluster.clone(), sz.cost_model())
                 .with_faults(plan.clone());
         if trace {
             // The first run carries both the protocol trace and the
@@ -177,7 +178,7 @@ pub fn run_case(workload: Workload, scenario: Scenario, mc: &MatrixConfig) -> Ca
     // run: the fault layer may not perturb healthy executions.
     if plan.is_quiet() {
         let mut bare =
-            VirtualSim::new(workload.scene(sz), run_config(mc), cluster.clone(), sz.cost_model());
+            EventSim::new(workload.scene(sz), run_config(mc), cluster.clone(), sz.cost_model());
         match bare.try_run() {
             Ok(b) if b.fingerprint() != report.fingerprint() => {
                 failures.push("quiet plan perturbed the run".into());

@@ -20,7 +20,8 @@
 //!    every other chaos cell.
 
 use netsim::FaultPlan;
-use psa_runtime::{CheckpointConfig, RunConfig, VirtualSim};
+use psa_desim::EventSim;
+use psa_runtime::{CheckpointConfig, RunConfig};
 use psa_workloads::myrinet_gcc;
 
 use crate::matrix::{MatrixConfig, Workload};
@@ -95,7 +96,7 @@ pub fn run_recovery_case(
     let cfg =
         RunConfig { checkpoint: CheckpointConfig::recovering(rc.interval), ..mc.run_config() };
     let run = |cfg: RunConfig, plan: FaultPlan| {
-        VirtualSim::new(workload.scene(sz), cfg, cluster.clone(), sz.cost_model())
+        EventSim::new(workload.scene(sz), cfg, cluster.clone(), sz.cost_model())
             .with_faults(plan)
             .try_run()
     };

@@ -1,22 +1,40 @@
-//! The event-driven virtual executor.
+//! The deterministic virtual-time executor.
 //!
-//! [`EventSim`] is the discrete-event counterpart of
-//! `psa_runtime::VirtualSim`: the same shared protocol engine
-//! ([`psa_runtime::protocol::Engine`]) over the [`EventFabric`] instead of
-//! the queue-stepped fabric. Healthy and faulty runs are
-//! fingerprint-identical to `VirtualSim` for any configuration both can
-//! express (the parity suite pins this at 4–16 ranks across the full
-//! scenario matrix); what the event core adds is *scale* — sparse per-link
-//! state instead of `ranks²` queues lets sweeps run 1,024 calculators ×
-//! 100+ particle systems in seconds, which is what the BENCH_5 scaling
-//! tables are built from.
+//! [`EventSim`] runs the paper's full frame protocol (Figure 2) over a
+//! simulated heterogeneous cluster: real particles move through real data
+//! structures, while per-rank virtual clocks and the [`EventFabric`]
+//! account for what the compute and communication would cost on the
+//! modeled hardware. The result is bit-deterministic, so every table in
+//! EXPERIMENTS.md regenerates identically from the seed. The protocol
+//! itself lives in [`psa_runtime::protocol`]: `EventSim` is the thin shell
+//! that builds the fabric from the cluster's network model and hands it to
+//! the shared [`Engine`].
 //!
-//! For 1,000+-rank runs switch the engine to
-//! [`ExchangeMode::Sparse`](psa_runtime::ExchangeMode): the dense Figure-2
-//! exchange is n² messages per system per frame and dominates everything
-//! past a few hundred ranks. Sparse runs are internally consistent but not
+//! Rank layout: `0..n` are calculators (one per domain slice, in slice
+//! order), `n` is the manager, `n + 1` the image generator. The manager and
+//! image generator live on the front-end node (node 0).
+//!
+//! ## Fault model
+//!
+//! The fabric executes a seeded [`FaultPlan`] (see `netsim::fault`): every
+//! perturbation — link delay, transient send failure, calculator slowdown,
+//! stall, fail-stop crash — is charged as *virtual time*, so a faulty run
+//! replays bit-identically from `(seed, plan)`. A quiet plan (the default)
+//! draws no entropy and adds `0.0` everywhere. How the protocol degrades
+//! (retry backoff, bounded receives, death declaration after
+//! [`FaultPolicy::dead_after`] missed load reports, slice collapse) is
+//! DESIGN.md §"Fault model".
+//!
+//! ## Scale
+//!
+//! Per-link state is sparse, so sweeps run 1,024 calculators × 100+
+//! particle systems in seconds (the BENCH_5 scaling tables). For
+//! 1,000+-rank runs use [`ExchangeMode::Sparse`](psa_runtime::ExchangeMode)
+//! (what `Auto` resolves to there): the dense Figure-2 exchange is n²
+//! messages per system per frame and dominates everything past a few
+//! hundred ranks. Sparse runs are internally consistent but not
 //! fingerprint-comparable with dense runs (empty messages carry virtual
-//! cost), so parity tests always compare dense against dense.
+//! cost).
 
 use cluster_sim::{ClusterSpec, CostModel, Placement};
 use netsim::{FaultPlan, FaultPolicy};
@@ -30,8 +48,7 @@ use psa_runtime::trace::Trace;
 use crate::fabric::EventFabric;
 use crate::proc::SimStats;
 
-/// The event-driven virtual executor. API mirrors `VirtualSim` so callers
-/// (benches, chaos matrix, parity tests) can swap executors in one line.
+/// The event-driven virtual-time executor.
 pub struct EventSim {
     scene: Scene,
     cfg: RunConfig,
@@ -47,7 +64,6 @@ pub struct EventSim {
 
 impl EventSim {
     pub fn new(scene: Scene, cfg: RunConfig, cluster: ClusterSpec, cost: CostModel) -> Self {
-        assert!(!scene.systems.is_empty(), "scene needs at least one system");
         let placement = cluster.placement();
         EventSim {
             scene,
@@ -69,8 +85,10 @@ impl EventSim {
         self
     }
 
-    /// Record the per-phase observability trace (off by default); quiet —
-    /// fingerprints are unchanged.
+    /// Record the per-phase observability trace (off by default). The
+    /// recorder only *reads* virtual clocks, so an instrumented run's
+    /// `RunReport::fingerprint()` is byte-identical to a bare run's — the
+    /// trace lands in `RunReport::phases`.
     pub fn with_phases(mut self) -> Self {
         self.instrument = true;
         self

@@ -9,23 +9,17 @@
 //! draining arrivals in global `(time, seq)` order into sparse per-link
 //! inboxes — and then consume the link's FIFO head.
 //!
-//! ## Parity with the queue-stepped fabric
+//! ## Link order
 //!
-//! `VirtualSim` runs the same engine over `FaultyVirtualNet`, which pushes
-//! each message straight into a per-link `VecDeque`. Both fabrics call the
-//! *same* `WireState::charge_send` / `observe_delivery` arithmetic in the
-//! *same* order (the engine's interleaving is fabric-independent), and the
-//! per-link FIFO here is keyed by send sequence — not delivery stamp — so
-//! jittered messages cannot reorder within a link, exactly like the
-//! `VecDeque`. Clocks, traffic counters, and therefore run fingerprints are
-//! bit-identical by construction; the parity suite in `tests/` holds this
-//! across the full scenario matrix.
+//! The per-link FIFO is keyed by send sequence — not delivery stamp — so
+//! jittered messages cannot reorder within a link: each link behaves as a
+//! plain queue, which is the model the golden fingerprints in
+//! `tests/event_parity.rs` were frozen under.
 //!
 //! ## Why it scales
 //!
-//! The queue-stepped fabric allocates `ranks²` queues up front — fine at
-//! the paper's 8 calculators, ~34 MB of empty `VecDeque` headers at 1,024.
-//! Here the inbox map holds only links that have ever carried traffic, and
+//! The inbox map holds only links that have ever carried traffic (a dense
+//! `ranks²` queue table is ~34 MB of empty headers at 1,024 ranks), and
 //! with the engine's sparse exchange mode the active-link set stays
 //! proportional to actual migration, not to `ranks²`.
 
@@ -102,14 +96,15 @@ impl EventFabric {
             self.inboxes.entry((a.to, a.from)).or_default().insert(seq, (time, a.msg));
         }
     }
+}
 
+impl Fabric for EventFabric {
     fn send(&mut self, from: usize, to: usize, msg: Msg) -> Result<(), FailedSend<Msg>> {
         let payload = msg.wire_bytes();
         match self.inj.on_send(from, to, payload) {
             SendFate::Deliver { extra_delay } => {
-                // Identical arithmetic, identical order to the queue-stepped
-                // fabric: counters + sender clock + occupancy, then the
-                // delivery stamp schedules the arrival event.
+                // Counters + sender clock + occupancy, then the delivery
+                // stamp schedules the arrival event.
                 let deliver_at = self.wire.charge_send(from, to, payload, extra_delay);
                 self.stats.sends += 1;
                 self.queue.push(deliver_at, Arrival { from, to, msg });
@@ -168,28 +163,6 @@ impl EventFabric {
             .filter(|(_, q)| !q.is_empty())
             .map(|(&(_, from), _)| from)
             .collect()
-    }
-}
-
-impl Fabric for EventFabric {
-    fn send(&mut self, from: usize, to: usize, msg: Msg) -> Result<(), FailedSend<Msg>> {
-        EventFabric::send(self, from, to, msg)
-    }
-
-    fn recv(&mut self, to: usize, from: usize) -> Result<Msg, TransportError> {
-        EventFabric::recv(self, to, from)
-    }
-
-    fn recv_deadline(&mut self, to: usize, from: usize, wait: f64) -> Result<Msg, TransportError> {
-        EventFabric::recv_deadline(self, to, from, wait)
-    }
-
-    fn take_queued(&mut self, to: usize, from: usize) -> Vec<Msg> {
-        EventFabric::take_queued(self, to, from)
-    }
-
-    fn queued_senders(&mut self, to: usize) -> Vec<usize> {
-        EventFabric::queued_senders(self, to)
     }
 
     fn now(&self, rank: usize) -> f64 {
@@ -265,7 +238,7 @@ impl Fabric for EventFabric {
 mod tests {
     use super::*;
     use cluster_sim::NetworkModel;
-    use netsim::{FaultyVirtualNet, VirtualNet};
+    use netsim::LinkFault;
 
     fn model() -> NetworkModel {
         NetworkModel::myrinet()
@@ -276,34 +249,29 @@ mod tests {
         EventFabric::new(model(), node_of, ranks, FaultPlan::none(1, ranks))
     }
 
-    /// Reference fabric with identical placement for lock-step comparison.
-    fn reference(ranks: usize) -> FaultyVirtualNet<Msg, PlanInjector> {
-        let node_of: Vec<usize> = (0..ranks).collect();
-        FaultyVirtualNet::new(
-            VirtualNet::new(model(), node_of, ranks),
-            PlanInjector::new(FaultPlan::none(1, ranks)),
-        )
+    /// The two-rank fabric executing `plan`, one rank per node.
+    fn faulty(plan: FaultPlan) -> EventFabric {
+        EventFabric::new(model(), vec![0, 1], 2, plan)
     }
 
     #[test]
-    fn send_recv_round_trip_matches_reference_clocks() {
+    fn send_recv_round_trip_reproduces_pinned_clocks() {
         let mut ev = fabric(3);
-        let mut rf = reference(3);
         for (from, to) in [(0, 1), (1, 2), (2, 0), (0, 1)] {
-            let m = Msg::FrameDone { frame: 0 };
-            assert!(EventFabric::send(&mut ev, from, to, m.clone()).is_ok());
-            assert!(rf.send(from, to, m).is_ok());
+            assert!(EventFabric::send(&mut ev, from, to, Msg::FrameDone { frame: 0 }).is_ok());
         }
         for (to, from) in [(1, 0), (2, 1), (0, 2), (1, 0)] {
-            let a = EventFabric::recv(&mut ev, to, from).expect("queued");
-            let b = rf.recv(to, from).expect("queued");
-            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+            let m = EventFabric::recv(&mut ev, to, from).expect("queued");
+            assert!(matches!(m, Msg::FrameDone { frame: 0 }));
         }
-        for r in 0..3 {
-            assert_eq!(Fabric::now(&ev, r), rf.now(r), "clock {r} diverged");
+        // Clock bits the queue-stepped fabric produced for this exchange
+        // before it was retired.
+        let pinned = [0x3ee9_e65b_134c_0d1f_u64, 0x3eed_2681_7408_e658, 0x3ee8_f4c3_8bdb_6af5];
+        for (r, bits) in pinned.into_iter().enumerate() {
+            assert_eq!(Fabric::now(&ev, r).to_bits(), bits, "clock {r} diverged");
         }
-        assert_eq!(ev.makespan(), rf.makespan());
-        assert_eq!(Fabric::stats(&ev).messages, rf.stats().messages);
+        assert_eq!(ev.makespan().to_bits(), pinned[1]);
+        assert_eq!(Fabric::stats(&ev).messages, 4);
     }
 
     #[test]
@@ -342,6 +310,12 @@ mod tests {
         ));
         assert_eq!(Fabric::now(&ev, 0), t0 + 0.25);
         assert_eq!(ev.sim_stats().blocked_recvs, 1);
+        // A deadline receive with traffic queued delivers it instead.
+        EventFabric::send(&mut ev, 1, 0, Msg::FrameDone { frame: 8 }).expect("send");
+        assert!(matches!(
+            EventFabric::recv_deadline(&mut ev, 0, 1, 0.25),
+            Ok(Msg::FrameDone { frame: 8 })
+        ));
     }
 
     #[test]
@@ -354,6 +328,9 @@ mod tests {
         assert_eq!(EventFabric::queued_senders(&mut ev, 0), Vec::<usize>::new());
         // Only touched links occupy inbox memory.
         assert!(ev.inboxes.len() <= 3);
+        // A drained link drops out of the list.
+        EventFabric::recv(&mut ev, 3, 5).expect("queued");
+        assert_eq!(EventFabric::queued_senders(&mut ev, 3), vec![2, 7]);
     }
 
     #[test]
@@ -384,11 +361,9 @@ mod tests {
 
     #[test]
     fn transient_failure_returns_message_uncharged() {
-        use netsim::LinkFault;
         let mut plan = FaultPlan::none(7, 2);
         *plan.link_mut(0, 1) = LinkFault::lossy(0.999_999);
-        let node_of = vec![0, 1];
-        let mut ev = EventFabric::new(model(), node_of, 2, plan);
+        let mut ev = faulty(plan);
         let t0 = Fabric::now(&ev, 0);
         match EventFabric::send(&mut ev, 0, 1, Msg::FrameDone { frame: 0 }) {
             Err(FailedSend { msg: Msg::FrameDone { .. }, error }) => {
@@ -398,5 +373,26 @@ mod tests {
         }
         assert_eq!(Fabric::now(&ev, 0), t0, "failed send must not charge wire time");
         assert_eq!(ev.sim_stats().sends, 0);
+        assert_eq!(Fabric::stats(&ev).messages, 0, "failed sends put nothing on the wire");
+    }
+
+    #[test]
+    fn injected_latency_reaches_the_receiver_clock() {
+        let mut plan = FaultPlan::none(3, 2);
+        plan.link_mut(0, 1).extra_latency = 0.5;
+        let mut ev = faulty(plan);
+        EventFabric::send(&mut ev, 0, 1, Msg::FrameDone { frame: 0 }).expect("send");
+        EventFabric::recv(&mut ev, 1, 0).expect("queued");
+        assert!(Fabric::now(&ev, 1) >= 0.5, "extra latency must reach the receiver clock");
+        assert!(Fabric::now(&ev, 0) < 0.5, "in-flight delay does not occupy the sender");
+    }
+
+    #[test]
+    fn compute_factor_reports_the_planned_slowdown() {
+        let mut plan = FaultPlan::none(0, 2);
+        plan.rank_mut(1).slowdown = 3.0;
+        let ev = faulty(plan);
+        assert_eq!(Fabric::compute_factor(&ev, 0), 1.0);
+        assert_eq!(Fabric::compute_factor(&ev, 1), 3.0);
     }
 }

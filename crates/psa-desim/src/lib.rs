@@ -4,18 +4,19 @@
 //! protocol: a binary-heap event loop over virtual time with stable
 //! `(time, seq)` tie-breaking ([`queue`]), per-rank virtual process states
 //! ([`proc`]), and a message fabric that turns every send into a scheduled
-//! arrival event charged through the same `netsim` cost arithmetic the
-//! queue-stepped fabric uses ([`fabric`]). The executor itself ([`exec`])
-//! drives the one shared protocol engine in `psa_runtime::protocol` — this
-//! crate adds no fourth protocol copy, only a fabric.
+//! arrival event charged through the `netsim::WireState` cost arithmetic
+//! ([`fabric`]). The executor itself ([`exec`]) drives the one shared
+//! protocol engine in `psa_runtime::protocol` — this crate adds no protocol
+//! copy, only a fabric. It is the workspace's only virtual-time executor:
+//! tables 1–3, the chaos matrix and every BENCH artifact run on it.
 //!
 //! Guarantees, in order of importance:
 //!
-//! 1. **Parity** — `EventSim` runs are fingerprint-identical to
-//!    `VirtualSim` runs for every configuration both express (same seed,
-//!    same cluster, dense exchange). Held by construction (same engine,
-//!    same `WireState` arithmetic, per-link FIFO) and pinned by the parity
-//!    suite over the full scenario matrix at 4–16 ranks.
+//! 1. **Pinned results** — `EventSim` reproduces, bit for bit, the
+//!    fingerprints the queue-stepped executor it replaced produced (same
+//!    engine, same `WireState` arithmetic, per-link FIFO).
+//!    `tests/event_parity.rs` pins them as a golden table over the full
+//!    scenario matrix at 4–16 ranks.
 //! 2. **Determinism** — runs are a pure function of `(seed, plan, config)`;
 //!    the event heap's pop order is invariant under insertion order.
 //! 3. **Scale** — per-link state is sparse, so 1,024 calculators × 100+

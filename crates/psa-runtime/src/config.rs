@@ -116,7 +116,8 @@ pub enum SystemSchedule {
 /// received migrating particles get a message, and the receive side drains
 /// exactly the senders with queued traffic. Dense and sparse runs are *not*
 /// fingerprint-comparable (empty messages carry virtual-time cost), which
-/// is why dense stays the default: it reproduces `VirtualSim` exactly.
+/// is why dense stays the default at paper scale: it reproduces the paper's
+/// message pattern (and the golden fingerprints) exactly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExchangeMode {
     /// Figure 2 verbatim: every calculator messages every other calculator
@@ -128,7 +129,7 @@ pub enum ExchangeMode {
     Sparse,
     /// Resolve by rank count when the run starts: [`ExchangeMode::Dense`]
     /// below [`ExchangeMode::AUTO_SPARSE_THRESHOLD`] calculators (paper
-    /// scale — fingerprints reproduce `VirtualSim` exactly),
+    /// scale — Figure 2's message pattern verbatim),
     /// [`ExchangeMode::Sparse`] at or above it (the n² empty-message
     /// pattern would dominate). A run that auto-selects sparse fingerprints
     /// identically to one configured sparse explicitly.

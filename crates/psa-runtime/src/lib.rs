@@ -17,9 +17,9 @@
 //! * [`protocol`] — the single shared implementation of the Figure-2 frame
 //!   protocol: the [`protocol::Engine`] every interleaved executor drives
 //!   (over any [`protocol::Fabric`]) plus the per-role SPMD bodies the
-//!   threaded executor spawns;
-//! * [`virtual_exec`] — the deterministic virtual-time executor that
-//!   reproduces the paper's cluster timing via `cluster-sim` + `netsim`;
+//!   threaded executor spawns. The deterministic virtual-time executor
+//!   that reproduces the paper's cluster timing is `psa-desim`'s
+//!   `EventSim`, which runs this engine over its event-heap fabric;
 //! * [`sequential`] — the sequential baseline the paper computes speed-ups
 //!   against;
 //! * [`threaded`] — an SPMD executor over real host threads (wall-clock
@@ -40,7 +40,6 @@ pub mod scene;
 pub mod sequential;
 pub mod threaded;
 pub mod trace;
-pub mod virtual_exec;
 
 pub use balance::{Balancer, BalancerConfig, LoadInfo, Order, Transfer};
 pub use balancers::strategy_for;
@@ -54,4 +53,3 @@ pub use report::RunReport;
 pub use scene::{CollisionSpec, Scene, SystemSetup};
 pub use sequential::run_sequential;
 pub use threaded::{run_threaded, run_threaded_traced};
-pub use virtual_exec::VirtualSim;

@@ -1,17 +1,15 @@
 //! The shared Figure-2 protocol implementation.
 //!
-//! Every executor in this crate — sequential, threaded, virtual-time, and
-//! the event-driven simulator in `psa-desim` — drives the *same* frame
-//! protocol (creation → addition → calculus → collision → exchange → loads
-//! → balance → ship → render). This module is the single home for that
+//! Every executor — sequential and threaded in this crate, and the
+//! event-driven virtual-time simulator in `psa-desim` — drives the *same*
+//! frame protocol (creation → addition → calculus → collision → exchange →
+//! loads → balance → ship → render). This module is the single home for that
 //! logic; the executors are thin shells that choose a fabric and a clock:
 //!
 //! * [`Engine`] is the protocol state machine, generic over a [`Fabric`].
-//!   `VirtualSim` instantiates it over the queue-backed
-//!   [`FaultyVirtualNet`]; `psa-desim`'s `EventSim` instantiates it over an
-//!   event-heap fabric. Both charge costs through the identical
-//!   `netsim::WireState` arithmetic, which is why their reports are
-//!   fingerprint-identical.
+//!   `psa-desim`'s `EventSim` instantiates it over its event-heap fabric,
+//!   which charges costs through the `netsim::WireState` arithmetic;
+//!   `psa-sessions` steps many engines over the same fabric type.
 //! * `calculator_main` / `manager_main` / `image_generator_main` are
 //!   the SPMD role bodies the threaded executor spawns on real threads.
 //! * `stream` and the RNG tags are the one definition of the seed → RNG
@@ -19,7 +17,7 @@
 //!   fork the particle trajectories).
 //!
 //! The exchange phase supports two fan-outs ([`ExchangeMode`]): the paper's
-//! dense every-pair pattern (bit-identical to the historical executor), and
+//! dense every-pair pattern (Figure 2 verbatim), and
 //! a sparse pattern that only ships non-empty batches and drains exactly
 //! the queued senders — the difference between O(n²) and O(migrants)
 //! messages per frame, which is what lets the event-driven executor sweep
@@ -29,10 +27,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cluster_sim::{CostModel, Placement};
-use netsim::{
-    FailedSend, FaultInjector, FaultPolicy, FaultyVirtualNet, PlanInjector, ThreadEndpoint,
-    TrafficStats, TransportError,
-};
+use netsim::{FailedSend, FaultPolicy, ThreadEndpoint, TrafficStats, TransportError};
 use psa_core::invariants::{self, StateHash};
 use psa_core::kernel;
 use psa_core::{DomainMap, Particle, SubDomainStore, SystemId, WIRE_BYTES};
@@ -78,10 +73,10 @@ pub fn node_layout(placement: &Placement) -> (Vec<usize>, usize) {
 
 /// What the [`Engine`] needs from a simulated message fabric: directed
 /// sends and receives, per-rank virtual clocks, and the fault-injection
-/// queries the degraded-mode protocol consults. Implemented by the
-/// queue-stepped [`FaultyVirtualNet`] and by `psa-desim`'s event-heap
-/// fabric; both charge time through the shared `netsim::WireState`, so an
-/// `Engine` run is bit-identical across conforming fabrics.
+/// queries the degraded-mode protocol consults. Implemented by
+/// `psa-desim`'s event-heap fabric over the `netsim::WireState` timing
+/// arithmetic; the trait is the seam that keeps the protocol crate free of
+/// the simulator crate.
 pub trait Fabric {
     /// Queue a message; the fabric charges occupancy and latency. A
     /// transient injected failure returns the message for retry.
@@ -117,75 +112,6 @@ pub trait Fabric {
     /// queued messages (replay from a frame boundary regenerates traffic
     /// deterministically).
     fn load_fabric(&mut self, ck: &FabricCheckpoint);
-}
-
-impl Fabric for FaultyVirtualNet<Msg, PlanInjector> {
-    // Inherent methods take precedence inside the impl, so each body
-    // delegates to the struct's own method of the same name.
-    fn send(&mut self, from: usize, to: usize, msg: Msg) -> Result<(), FailedSend<Msg>> {
-        self.send(from, to, msg)
-    }
-
-    fn recv(&mut self, to: usize, from: usize) -> Result<Msg, TransportError> {
-        self.recv(to, from)
-    }
-
-    fn recv_deadline(&mut self, to: usize, from: usize, wait: f64) -> Result<Msg, TransportError> {
-        self.recv_deadline(to, from, wait)
-    }
-
-    fn take_queued(&mut self, to: usize, from: usize) -> Vec<Msg> {
-        self.take_queued(to, from)
-    }
-
-    fn queued_senders(&mut self, to: usize) -> Vec<usize> {
-        FaultyVirtualNet::queued_senders(self, to)
-    }
-
-    fn now(&self, rank: usize) -> f64 {
-        self.now(rank)
-    }
-
-    fn advance(&mut self, rank: usize, seconds: f64) {
-        self.advance(rank, seconds);
-    }
-
-    fn barrier(&mut self, ranks: &[usize]) {
-        self.barrier(ranks);
-    }
-
-    fn makespan(&self) -> f64 {
-        self.makespan()
-    }
-
-    fn ranks(&self) -> usize {
-        self.ranks()
-    }
-
-    fn stats(&self) -> TrafficStats {
-        self.stats()
-    }
-
-    fn compute_factor(&self, rank: usize) -> f64 {
-        self.injector().compute_factor(rank)
-    }
-
-    fn stall_seconds(&self, rank: usize, frame: u64) -> f64 {
-        self.injector().stall_seconds(rank, frame)
-    }
-
-    fn crash_frame(&self, rank: usize) -> Option<u64> {
-        self.injector().crash_frame(rank)
-    }
-
-    fn save_fabric(&self) -> FabricCheckpoint {
-        let (wire, injector_streams) = self.fabric_checkpoint();
-        FabricCheckpoint { wire, injector_streams, extra: Vec::new() }
-    }
-
-    fn load_fabric(&mut self, ck: &FabricCheckpoint) {
-        self.restore_fabric(&ck.wire, &ck.injector_streams);
-    }
 }
 
 /// Receive a *required* message (the sender is known to be alive): a
@@ -232,9 +158,8 @@ struct CalcState {
 
 /// The running frame machinery: every rank's state plus the fabric.
 ///
-/// Generic over the [`Fabric`] so the virtual-time executor (queue-stepped)
-/// and the event-driven executor (heap-scheduled) share every line of
-/// protocol logic.
+/// Generic over the [`Fabric`] (implemented in `psa-desim`), so the
+/// protocol logic never names the simulator that schedules it.
 pub struct Engine<F: Fabric> {
     scene: Scene,
     cfg: RunConfig,

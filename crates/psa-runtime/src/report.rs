@@ -64,7 +64,7 @@ pub struct RunReport {
     /// towards it before death was detected).
     pub lost_particles: u64,
     /// Per-phase observability trace, present when the run was instrumented
-    /// (`VirtualSim::with_phases` / `run_threaded_traced`). Covers *every*
+    /// (`EventSim::with_phases` / `run_threaded_traced`). Covers *every*
     /// frame including warm-up (the `frames` field above filters warm-up).
     /// Deliberately **excluded** from [`fingerprint`](Self::fingerprint):
     /// the trace is derived measurement, not run output, and instrumented

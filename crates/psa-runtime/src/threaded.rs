@@ -1,11 +1,11 @@
 //! SPMD executor over real host threads.
 //!
-//! Runs the identical frame protocol as [`crate::virtual_exec`] but with
-//! every role on its own OS thread, one mpsc channel per (sender, receiver)
-//! pair, wall-clock timing, and a real image generator that rasterizes
-//! frames (optionally to PPM files). This is the executable demonstration
-//! that the model parallelizes — the virtual executor is the instrument
-//! that reproduces the paper's cluster numbers.
+//! Runs the identical frame protocol as the virtual executor (`psa-desim`'s
+//! `EventSim`) but with every role on its own OS thread, one mpsc channel
+//! per (sender, receiver) pair, wall-clock timing, and a real image
+//! generator that rasterizes frames (optionally to PPM files). This is the
+//! executable demonstration that the model parallelizes — the virtual
+//! executor is the instrument that reproduces the paper's cluster numbers.
 //!
 //! The role bodies themselves — `crate::protocol::calculator_main`,
 //! `crate::protocol::manager_main`,

@@ -30,7 +30,7 @@ impl ClockKind {
 
 /// A read-only view over an externally advanced virtual clock.
 ///
-/// The deterministic executor snapshots `netsim::VirtualNet::now(rank)`
+/// The deterministic executor snapshots `netsim::WireState::now(rank)`
 /// before and after each phase; this type just carries the snapshot and
 /// produces the delta. It holds no state of its own so it can never drift
 /// from the simulation.

@@ -38,8 +38,8 @@ pub const SIM_ROOTS: &[&str] = &[
 pub const PROTOCOL_ROOTS: &[&str] = &["crates/psa-runtime/src/msg.rs", "crates/netsim/src"];
 
 /// Code that receives over *blocking* channels. Only here is a bare
-/// `.recv(` a hang risk; the virtual fabric's `recv` is non-blocking and
-/// the collective helpers built on it stay out of this list.
+/// `.recv(` a hang risk; the event fabric's `recv` is non-blocking and
+/// stays out of this list.
 pub const BLOCKING_ROOTS: &[&str] = &[
     "crates/psa-runtime/src/threaded.rs",
     "crates/netsim/src/thread_net.rs",
@@ -185,10 +185,10 @@ mod tests {
         assert!(ids("crates/psa-runtime/src/threaded.rs").contains(&"no-unbounded-recv"));
         assert!(ids("crates/netsim/src/thread_net.rs").contains(&"no-unbounded-recv"));
         assert!(ids("crates/netsim/src/fault.rs").contains(&"no-unbounded-recv"));
-        // The virtual fabric's recv is non-blocking: collectives and the
-        // virtual executor must be free to call it bare.
-        assert!(!ids("crates/netsim/src/collectives.rs").contains(&"no-unbounded-recv"));
-        assert!(!ids("crates/psa-runtime/src/virtual_exec.rs").contains(&"no-unbounded-recv"));
+        // The event fabric's recv is non-blocking: the fabric and the
+        // protocol engine must be free to call it bare.
+        assert!(!ids("crates/psa-desim/src/fabric.rs").contains(&"no-unbounded-recv"));
+        assert!(!ids("crates/psa-runtime/src/protocol.rs").contains(&"no-unbounded-recv"));
     }
 
     #[test]

@@ -22,7 +22,7 @@ fn main() {
     let plan = scenario.plan(cfg.seed, 6, &cluster.net);
 
     let run = || {
-        let mut sim = VirtualSim::new(snow_scene(size), cfg.clone(), cluster.clone(), cost.clone())
+        let mut sim = EventSim::new(snow_scene(size), cfg.clone(), cluster.clone(), cost.clone())
             .with_faults(plan.clone());
         sim.try_run().expect("degraded run must still complete")
     };

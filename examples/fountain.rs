@@ -22,7 +22,7 @@ fn main() {
     let mut results = Vec::new();
     for balance in [BalanceMode::Static, BalanceMode::dynamic()] {
         let cfg = RunConfig { balance, ..base_cfg.clone() };
-        let mut sim = VirtualSim::new(scene.clone(), cfg, myrinet_gcc(8, 1), cost.clone());
+        let mut sim = EventSim::new(scene.clone(), cfg, myrinet_gcc(8, 1), cost.clone());
         let rep = sim.run();
         results.push((balance.label(), rep));
     }

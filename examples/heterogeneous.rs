@@ -32,7 +32,7 @@ fn main() {
 
     for (label, balance) in [("SLB", BalanceMode::Static), ("DLB", BalanceMode::dynamic())] {
         let run_cfg = RunConfig { balance, ..cfg.clone() };
-        let mut sim = VirtualSim::new(scene.clone(), run_cfg, cluster.clone(), cost.clone());
+        let mut sim = EventSim::new(scene.clone(), run_cfg, cluster.clone(), cost.clone());
         let rep = sim.run();
         println!(
             "\n{label}: speed-up {:.2} vs sequential Itanium+ICC, mean imbalance {:.3}",

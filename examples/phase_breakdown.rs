@@ -24,7 +24,7 @@ fn main() {
             ..Default::default()
         };
         let mut sim =
-            VirtualSim::new(scene, cfg, myrinet_gcc(8, 2), CostModel::default()).with_phases();
+            EventSim::new(scene, cfg, myrinet_gcc(8, 2), CostModel::default()).with_phases();
         let report = sim.run();
         println!("== {name}: {:.2} virtual s total ==", report.total_time);
         println!("{}", report.phase_table().expect("traced run has a phase table"));

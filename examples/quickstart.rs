@@ -44,7 +44,7 @@ fn main() {
 
     // 3. The virtual cluster: 8 E800 nodes on Myrinet, as in Table 1.
     let cluster = myrinet_gcc(8, 1);
-    let mut sim = VirtualSim::new(scene, cfg, cluster, cost);
+    let mut sim = EventSim::new(scene, cfg, cluster, cost);
     let par = sim.run();
     println!(
         "virtual 8-node cluster: {:.2} virtual s -> speed-up {:.2} vs sequential",

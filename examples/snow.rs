@@ -32,7 +32,7 @@ fn main() {
         ("FS-DLB", SpaceMode::Finite, BalanceMode::dynamic()),
     ] {
         let cfg = RunConfig { space, balance, ..base_cfg.clone() };
-        let mut sim = VirtualSim::new(scene.clone(), cfg, myrinet_gcc(8, 1), cost.clone());
+        let mut sim = EventSim::new(scene.clone(), cfg, myrinet_gcc(8, 1), cost.clone());
         let rep = sim.run();
         println!(
             "{label:<10}{:>10.2}{:>14.3}{:>14.0}",

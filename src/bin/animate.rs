@@ -14,7 +14,11 @@
 //!   --space    fs|is                          (default: fs)
 //!   --render DIR     write PPM frames (threaded executor only)
 //!   --streaks        render orientation streaks instead of dots
+//!                    (threaded executor only)
 //! ```
+//!
+//! `virtual` is the event-driven cluster simulator (`EventSim`): modeled
+//! seconds on a Myrinet cluster of `--procs` calculators, no rasterizer.
 
 use std::path::PathBuf;
 
@@ -87,6 +91,11 @@ fn parse() -> Args {
             _ => usage(),
         }
     }
+    // Only the threaded executor runs an image generator that rasterizes.
+    if a.executor != "threaded" && (a.render.is_some() || a.streaks) {
+        eprintln!("--render/--streaks need --executor threaded (the only one that rasterizes)");
+        usage();
+    }
     a
 }
 
@@ -113,9 +122,7 @@ fn main() {
         "sequential" => run_sequential(&scene, &cfg, &CostModel::default(), 1.0),
         "virtual" => {
             let cluster = myrinet_gcc(args.procs.max(1), 1);
-            let mut sim =
-                VirtualSim::new(scene.clone(), cfg.clone(), cluster, CostModel::default());
-            sim.run()
+            EventSim::new(scene.clone(), cfg.clone(), cluster, CostModel::default()).run()
         }
         "threaded" => {
             let sink = args.render.as_ref().map(|dir| {

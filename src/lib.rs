@@ -56,6 +56,7 @@ pub mod prelude {
     pub use psa_core::actions::*;
     pub use psa_core::objects::ExternalObject;
     pub use psa_core::{DomainMap, Particle, ParticleStore, SubDomainStore, SystemId, SystemSpec};
+    pub use psa_desim::EventSim;
     pub use psa_math::{Aabb, Axis, Interval, Rng64, Vec3};
     pub use psa_render::{
         render_objects, render_particles, render_streaks, Camera, ColorMap, Framebuffer,
@@ -64,7 +65,7 @@ pub mod prelude {
     pub use psa_runtime::threaded::RenderSink;
     pub use psa_runtime::{
         run_sequential, run_threaded, run_threaded_traced, BalanceMode, BalancerConfig,
-        ParallelConfig, RunConfig, RunReport, Scene, SpaceMode, SystemSetup, VirtualSim,
+        ParallelConfig, RunConfig, RunReport, Scene, SpaceMode, SystemSetup,
     };
     pub use psa_trace::{Phase, TraceReport, PHASES};
     pub use psa_workloads::{

@@ -1,0 +1,51 @@
+//! `animate` command-line contract: what it refuses and what it must not
+//! claim.
+
+use std::process::Command;
+
+fn animate(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_animate")).args(args).output().expect("animate runs")
+}
+
+/// Only the threaded executor rasterizes; asking another one for frames is
+/// a usage error, not a run that ends with "frames written to DIR".
+#[test]
+fn render_flags_need_the_threaded_executor() {
+    let dir = std::env::temp_dir().join("animate_cli_never_written");
+    let dir = dir.to_str().expect("utf-8 temp dir");
+    for args in [
+        &["snow", "--executor", "virtual", "--frames", "2", "--render", dir][..],
+        &["snow", "--executor", "sequential", "--frames", "2", "--render", dir],
+        &["snow", "--executor", "virtual", "--frames", "2", "--streaks"],
+    ] {
+        let out = animate(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
+        assert!(out.stdout.is_empty(), "{args:?} must not run: {:?}", out.stdout);
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage: animate"));
+    }
+    assert!(!std::path::Path::new(dir).exists());
+}
+
+/// `--executor` accepts exactly the three executors.
+#[test]
+fn executor_flag_accepts_exactly_three_names() {
+    for executor in ["virtual", "threaded", "sequential"] {
+        let out = animate(&[
+            "snow",
+            "--executor",
+            executor,
+            "--systems",
+            "1",
+            "--particles",
+            "50",
+            "--frames",
+            "2",
+            "--procs",
+            "2",
+        ]);
+        assert!(out.status.success(), "{executor}: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("2 frames"), "{executor}: {stdout}");
+    }
+    assert_eq!(animate(&["snow", "--executor", "queue"]).status.code(), Some(2));
+}

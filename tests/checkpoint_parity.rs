@@ -13,11 +13,10 @@
 //!   *fresh* engine, and run-to-end reproduces the uninterrupted report
 //!   exactly, with the snapshot surviving its byte codec bit-for-bit.
 
-use netsim::{FaultPlan, FaultPolicy, FaultyVirtualNet, PlanInjector, VirtualNet};
+use netsim::{FaultPlan, FaultPolicy};
+use psa_desim::{EventFabric, EventSim};
 use psa_runtime::trace::Trace;
-use psa_runtime::{
-    node_layout, BalanceMode, CheckpointConfig, Engine, EngineSnapshot, RunConfig, VirtualSim,
-};
+use psa_runtime::{node_layout, BalanceMode, CheckpointConfig, Engine, EngineSnapshot, RunConfig};
 use psa_workloads::{fountain_scene, myrinet_gcc, snow_scene, WorkloadSize};
 
 fn size() -> WorkloadSize {
@@ -40,7 +39,7 @@ fn recovered_crash_matches_uninterrupted_run() {
         for (wl, scene) in [("snow", snow_scene(sz)), ("fountain", fountain_scene(sz))] {
             let cfg = RunConfig { balance, ..config(0xC4A5) };
             let bare =
-                VirtualSim::new(scene.clone(), cfg.clone(), cluster.clone(), sz.cost_model()).run();
+                EventSim::new(scene.clone(), cfg.clone(), cluster.clone(), sz.cost_model()).run();
             // Crash frames straddle the interval-2 cadence: 3 and 7 need a
             // one-frame replay, 4 collides with the boundary snapshot taken
             // the same step (zero frames replayed).
@@ -49,7 +48,7 @@ fn recovered_crash_matches_uninterrupted_run() {
                 plan.rank_mut(1).crash_at = Some(crash_frame);
                 let rcfg = RunConfig { checkpoint: CheckpointConfig::recovering(2), ..cfg.clone() };
                 let label = format!("{wl}/{}/crash@{crash_frame}", balance.label());
-                let rec = VirtualSim::new(scene.clone(), rcfg, cluster.clone(), sz.cost_model())
+                let rec = EventSim::new(scene.clone(), rcfg, cluster.clone(), sz.cost_model())
                     .with_faults(plan)
                     .run();
                 assert_eq!(
@@ -83,7 +82,7 @@ fn unrecovered_crash_still_degrades() {
     let mut plan = FaultPlan::none(cfg.seed, 4 + 2);
     plan.rank_mut(1).crash_at = Some(3);
     let r =
-        VirtualSim::new(fountain_scene(sz), cfg, cluster, sz.cost_model()).with_faults(plan).run();
+        EventSim::new(fountain_scene(sz), cfg, cluster, sz.cost_model()).with_faults(plan).run();
     assert!(!r.dead_ranks.is_empty(), "crash without recovery must kill the rank");
     assert!(r.lost_particles > 0, "degraded mode confiscates the dead rank's particles");
     assert!(r.recoveries.is_empty());
@@ -103,9 +102,11 @@ fn mid_run_restore_resumes_byte_identically() {
     let scene = fountain_scene(sz);
     let make_engine = || {
         let (node_of, node_count) = node_layout(&placement);
-        let net = FaultyVirtualNet::new(
-            VirtualNet::new(cluster.net.clone(), node_of, node_count),
-            PlanInjector::new(FaultPlan::none(cfg.seed, n + 2)),
+        let net = EventFabric::new(
+            cluster.net.clone(),
+            node_of,
+            node_count,
+            FaultPlan::none(cfg.seed, n + 2),
         );
         Engine::new(
             scene.clone(),

@@ -40,7 +40,7 @@ fn virtual_executor_conserves_particles() {
         }),
         ..Default::default()
     };
-    let mut sim = VirtualSim::new(scene, cfg, myrinet_gcc(6, 1), CostModel::default());
+    let mut sim = EventSim::new(scene, cfg, myrinet_gcc(6, 1), CostModel::default());
     let rep = sim.run();
     assert!(
         rep.frames.iter().map(|f| f.balanced).sum::<u64>() > 0,
@@ -79,7 +79,7 @@ fn kills_are_the_only_sink() {
     ));
     let cfg = RunConfig { frames: 15, dt: 0.1, ..Default::default() };
     let seq = run_sequential(&scene, &cfg, &CostModel::default(), 1.0);
-    let mut sim = VirtualSim::new(scene, cfg, myrinet_gcc(5, 1), CostModel::default());
+    let mut sim = EventSim::new(scene, cfg, myrinet_gcc(5, 1), CostModel::default());
     let par = sim.run();
     // steady state: 4 frames of life ⇒ 400×5 = 2000 alive (ages 0..0.45 at
     // dt 0.1 survive 5 moves)
@@ -104,7 +104,7 @@ fn balancing_moves_but_never_loses() {
     scene.add_system(SystemSetup::new(spec, ActionList::new().then(MoveParticles)));
     let mk = |balance| {
         let cfg = RunConfig { frames: 12, dt: 0.1, balance, ..Default::default() };
-        let mut sim = VirtualSim::new(scene.clone(), cfg, myrinet_gcc(8, 1), CostModel::default());
+        let mut sim = EventSim::new(scene.clone(), cfg, myrinet_gcc(8, 1), CostModel::default());
         sim.run()
     };
     let slb = mk(BalanceMode::Static);
@@ -117,4 +117,25 @@ fn balancing_moves_but_never_loses() {
     }
     // and it genuinely flattened the imbalance
     assert!(dlb.frames.last().unwrap().imbalance < slb.frames.last().unwrap().imbalance * 0.5);
+}
+
+/// A scene with no systems is a legal (if dull) animation: every executor
+/// renders `cfg.frames` empty frames instead of refusing the run.
+#[test]
+fn empty_scene_yields_empty_frames_on_every_executor() {
+    let scene = Scene::new();
+    let cfg = RunConfig { frames: 5, dt: 0.1, warmup: 0, ..Default::default() };
+    let cost = CostModel::default();
+    let reports = [
+        ("sequential", run_sequential(&scene, &cfg, &cost, 1.0)),
+        ("threaded", run_threaded(&scene, &cfg, 3, None).expect("threaded run failed")),
+        (
+            "virtual",
+            EventSim::new(scene.clone(), cfg.clone(), myrinet_gcc(3, 1), cost.clone()).run(),
+        ),
+    ];
+    for (executor, rep) in reports {
+        assert_eq!(rep.frames.len(), 5, "{executor}: frame count");
+        assert!(rep.frames.iter().all(|f| f.alive == 0), "{executor}: particles from nowhere");
+    }
 }

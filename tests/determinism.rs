@@ -8,7 +8,7 @@ fn run_once(seed: u64) -> RunReport {
     let size = WorkloadSize { systems: 3, particles_per_system: 1200, scale: 25.0 };
     let scene = snow_scene(size);
     let cfg = RunConfig { frames: 8, dt: 0.15, seed, ..Default::default() };
-    let mut sim = VirtualSim::new(scene, cfg, myrinet_gcc(5, 1), size.cost_model());
+    let mut sim = EventSim::new(scene, cfg, myrinet_gcc(5, 1), size.cost_model());
     sim.run()
 }
 
@@ -61,7 +61,7 @@ fn sequential_and_parallel_agree_on_population_without_stochastic_actions() {
     let seq = run_sequential(&scene, &cfg, &cost, 1.0);
     for procs in [2usize, 3, 5] {
         let mut sim =
-            VirtualSim::new(scene.clone(), cfg.clone(), myrinet_gcc(procs, 1), cost.clone());
+            EventSim::new(scene.clone(), cfg.clone(), myrinet_gcc(procs, 1), cost.clone());
         let par = sim.run();
         for (fs, fp) in seq.frames.iter().zip(par.frames.iter()) {
             assert_eq!(fs.alive, fp.alive, "frame {} alive mismatch at P={procs}", fs.frame);
@@ -109,7 +109,7 @@ fn fountain_runs_are_deterministic_too() {
     let mk = || {
         let scene = fountain_scene(size);
         let cfg = RunConfig { frames: 6, dt: 0.04, ..Default::default() };
-        let mut sim = VirtualSim::new(scene, cfg, myrinet_gcc(4, 1), size.cost_model());
+        let mut sim = EventSim::new(scene, cfg, myrinet_gcc(4, 1), size.cost_model());
         sim.run()
     };
     let (a, b) = (mk(), mk());

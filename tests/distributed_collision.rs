@@ -30,7 +30,7 @@ fn cross_boundary_pair_is_not_detected_without_collision() {
     let mut scene = head_on_scene(0.3);
     scene.collision = None;
     let cfg = RunConfig { frames: 4, dt: 0.05, balance: BalanceMode::Static, ..Default::default() };
-    let mut sim = VirtualSim::new(scene, cfg, myrinet_gcc(2, 1), CostModel::default());
+    let mut sim = EventSim::new(scene, cfg, myrinet_gcc(2, 1), CostModel::default());
     let rep = sim.run();
     // particles pass through each other; both still alive
     assert_eq!(rep.frames.last().unwrap().alive, 2);
@@ -65,7 +65,7 @@ fn cross_boundary_collision_reflects_both_sides() {
 
     let cfg = RunConfig { frames: 3, dt: 0.05, balance: BalanceMode::Static, ..Default::default() };
     let mut sim =
-        VirtualSim::new(scene.clone(), cfg.clone(), myrinet_gcc(2, 1), CostModel::default());
+        EventSim::new(scene.clone(), cfg.clone(), myrinet_gcc(2, 1), CostModel::default());
     let rep = sim.run();
     assert_eq!(rep.frames.last().unwrap().alive, 400, "collision must not lose particles");
 
@@ -101,7 +101,7 @@ fn distributed_collision_matches_sequential_population_and_time_structure() {
     let cfg = RunConfig { frames: 6, dt: 0.05, ..Default::default() };
     let run = || {
         let mut sim =
-            VirtualSim::new(scene.clone(), cfg.clone(), myrinet_gcc(4, 1), CostModel::default());
+            EventSim::new(scene.clone(), cfg.clone(), myrinet_gcc(4, 1), CostModel::default());
         sim.run()
     };
     let a = run();
@@ -114,7 +114,7 @@ fn distributed_collision_matches_sequential_population_and_time_structure() {
     // the run cheaper
     let mut free_scene = scene.clone();
     free_scene.collision = None;
-    let mut sim = VirtualSim::new(free_scene, cfg.clone(), myrinet_gcc(4, 1), CostModel::default());
+    let mut sim = EventSim::new(free_scene, cfg.clone(), myrinet_gcc(4, 1), CostModel::default());
     let free = sim.run();
     assert!(
         a.total_time > free.total_time,

@@ -24,7 +24,7 @@ fn run_with(
         balance,
         ..Default::default()
     };
-    let mut sim = VirtualSim::new(scene.clone(), cfg, myrinet_gcc(8, 1), size().cost_model());
+    let mut sim = EventSim::new(scene.clone(), cfg, myrinet_gcc(8, 1), size().cost_model());
     sim.run()
 }
 
@@ -103,7 +103,7 @@ fn decentralized_conserves_particles() {
         }),
         ..Default::default()
     };
-    let mut sim = VirtualSim::new(scene, cfg, myrinet_gcc(6, 1), CostModel::default());
+    let mut sim = EventSim::new(scene, cfg, myrinet_gcc(6, 1), CostModel::default());
     let rep = sim.run();
     assert!(
         rep.frames.iter().map(|f| f.balanced).sum::<u64>() > 0,

@@ -40,7 +40,7 @@ fn frame_events_match_figure2_order() {
     };
     let cluster = myrinet_gcc(4, 1);
     let mut sim =
-        VirtualSim::new(imbalanced_scene(), cfg, cluster, CostModel::default()).with_trace();
+        EventSim::new(imbalanced_scene(), cfg, cluster, CostModel::default()).with_trace();
     let report = sim.run();
     assert!(report.frames.iter().any(|f| f.balanced > 0), "balancer must have acted");
 
@@ -59,7 +59,7 @@ fn static_balancing_skips_balance_events() {
     let cfg = RunConfig { frames: 2, dt: 0.05, balance: BalanceMode::Static, ..Default::default() };
     let cluster = myrinet_gcc(4, 1);
     let mut sim =
-        VirtualSim::new(imbalanced_scene(), cfg, cluster, CostModel::default()).with_trace();
+        EventSim::new(imbalanced_scene(), cfg, cluster, CostModel::default()).with_trace();
     sim.run();
     let events = sim.trace().frame(1);
     assert!(!events.contains(&ProtocolEvent::LoadBalancingEvaluation));

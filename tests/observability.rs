@@ -9,7 +9,7 @@ use particle_cluster_anim::runtime::LoadMetric;
 fn virtual_run(scene_of: fn(WorkloadSize) -> Scene, dt: f32, traced: bool) -> RunReport {
     let size = WorkloadSize { systems: 3, particles_per_system: 1000, scale: 25.0 };
     let cfg = RunConfig { frames: 8, dt, seed: 7, ..Default::default() };
-    let mut sim = VirtualSim::new(scene_of(size), cfg, myrinet_gcc(5, 1), size.cost_model());
+    let mut sim = EventSim::new(scene_of(size), cfg, myrinet_gcc(5, 1), size.cost_model());
     if traced {
         sim = sim.with_phases();
     }
@@ -57,7 +57,7 @@ fn instrumented_virtual_dlb_runs_stay_quiet_too() {
             balance: BalanceMode::dynamic(),
             ..Default::default()
         };
-        let mut sim = VirtualSim::new(snow_scene(size), cfg, myrinet_gcc(4, 1), size.cost_model());
+        let mut sim = EventSim::new(snow_scene(size), cfg, myrinet_gcc(4, 1), size.cost_model());
         if traced {
             sim = sim.with_phases();
         }

@@ -17,7 +17,7 @@ fn speedup(scene: &Scene, dt: f32, procs: usize, space: SpaceMode, balance: Bala
     let cost = size().cost_model();
     let cfg = RunConfig { frames: 18, dt, warmup: 3, space, balance, ..Default::default() };
     let seq = run_sequential(scene, &cfg, &cost, 1.0);
-    let mut sim = VirtualSim::new(scene.clone(), cfg, myrinet_gcc(procs, 1), cost);
+    let mut sim = EventSim::new(scene.clone(), cfg, myrinet_gcc(procs, 1), cost);
     let par = sim.run();
     seq.steady_time() / par.steady_time()
 }
@@ -93,13 +93,13 @@ fn myrinet_beats_fast_ethernet() {
     let cfg = RunConfig { frames: 14, dt: 0.15, warmup: 3, ..Default::default() };
     let seq = run_sequential(&scene, &cfg, &cost, 1.0);
     let myr = {
-        let mut sim = VirtualSim::new(scene.clone(), cfg.clone(), myrinet_gcc(8, 2), cost.clone());
+        let mut sim = EventSim::new(scene.clone(), cfg.clone(), myrinet_gcc(8, 2), cost.clone());
         seq.steady_time() / sim.run().steady_time()
     };
     let fe_cluster =
         ClusterSpec::homogeneous(NetworkModel::fast_ethernet(), Compiler::Gcc, e800(), 8, 2);
     let fe = {
-        let mut sim = VirtualSim::new(scene.clone(), cfg, fe_cluster, cost);
+        let mut sim = EventSim::new(scene.clone(), cfg, fe_cluster, cost);
         seq.steady_time() / sim.run().steady_time()
     };
     assert!(myr > fe * 1.5, "Myrinet {myr} must beat Fast-Ethernet {fe}");
@@ -118,12 +118,12 @@ fn heterogeneous_dlb_beats_heterogeneous_slb() {
     let seq = run_sequential(&scene, &cfg, &cost, 1.0);
     let slb = {
         let c = RunConfig { balance: BalanceMode::Static, ..cfg.clone() };
-        let mut sim = VirtualSim::new(scene.clone(), c, cluster.clone(), cost.clone());
+        let mut sim = EventSim::new(scene.clone(), c, cluster.clone(), cost.clone());
         seq.steady_time() / sim.run().steady_time()
     };
     let dlb = {
         let c = RunConfig { balance: BalanceMode::dynamic(), ..cfg };
-        let mut sim = VirtualSim::new(scene.clone(), c, cluster, cost);
+        let mut sim = EventSim::new(scene.clone(), c, cluster, cost);
         seq.steady_time() / sim.run().steady_time()
     };
     assert!(dlb > slb * 1.15, "hetero DLB must beat SLB: {slb} vs {dlb}");

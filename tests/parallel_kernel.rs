@@ -43,12 +43,8 @@ fn virtual_fingerprint_is_worker_count_invariant() {
                     parallel: ParallelConfig { workers, chunk },
                     ..Default::default()
                 };
-                let mut sim = VirtualSim::new(
-                    scene_for(exp, size),
-                    cfg,
-                    myrinet_gcc(4, 1),
-                    size.cost_model(),
-                );
+                let mut sim =
+                    EventSim::new(scene_for(exp, size), cfg, myrinet_gcc(4, 1), size.cost_model());
                 sim.run()
             };
             let want = run(1).fingerprint();
@@ -105,7 +101,7 @@ fn chunk_zero_with_workers_uses_the_default_chunk() {
     let size = WorkloadSize { systems: 2, particles_per_system: 600, scale: 25.0 };
     let run = |parallel: ParallelConfig| {
         let cfg = RunConfig { frames: 5, dt: 0.15, seed: 9, parallel, ..Default::default() };
-        let mut sim = VirtualSim::new(snow_scene(size), cfg, myrinet_gcc(4, 1), size.cost_model());
+        let mut sim = EventSim::new(snow_scene(size), cfg, myrinet_gcc(4, 1), size.cost_model());
         sim.run().fingerprint()
     };
     let upgraded = run(ParallelConfig { workers: 4, chunk: 0 });
