@@ -2,7 +2,7 @@
 //!
 //! Each target runs a reduced-scale instance of a paper artifact through
 //! the full virtual executor, so `cargo bench` exercises the exact code
-//! paths `repro` uses for EXPERIMENTS.md — plus the network ablation
+//! paths `bench tables` uses for EXPERIMENTS.md — plus the network ablation
 //! (Myrinet vs switched FE vs hub FE) over an identical run.
 
 use cluster_sim::{e800, ClusterSpec, Compiler, NetworkModel};

@@ -1,68 +1,43 @@
-//! `bench` — emit the machine-readable benchmark export.
-//!
-//! ```text
-//! bench [--scale S] [--frames F] [--out PATH]
-//! ```
-//!
-//! Runs Tables 1–3 plus the traced snow/fountain runs and writes
-//! `BENCH_3.json` (default path). Exits non-zero if any metric is NaN,
-//! non-finite, or empty — CI uploads the file as an artifact, so a broken
-//! run must fail loudly rather than publish nulls.
+//! `bench` — the one command that produces every paper-reproduction
+//! number: `bench tables <section|all>` prints tables 1–3 and the in-text
+//! numbers, `bench <3|4|5|6|7|8>` writes `BENCH_<id>.json`. The command
+//! line lives in `psa_bench::cli`; this file only hosts the counting
+//! allocator `bench 4` reads its allocation counts from.
 
-use psa_bench::export;
+// A counting `#[global_allocator]` is the point of this file and
+// `GlobalAlloc` is an unsafe trait; the impl below only delegates to
+// `System`.
+#![allow(unsafe_code)]
 
-struct Args {
-    scale: f64,
-    frames: u64,
-    out: String,
-}
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::Ordering;
 
-fn parse_args() -> Args {
-    let mut args = std::env::args().skip(1);
-    let mut scale = 10.0;
-    let mut frames = 25;
-    let mut out = "BENCH_3.json".to_string();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--scale" => {
-                scale = args.next().and_then(|v| v.parse().ok()).expect("--scale needs a number");
-            }
-            "--frames" => {
-                frames = args.next().and_then(|v| v.parse().ok()).expect("--frames needs a number");
-            }
-            "--out" => {
-                out = args.next().expect("--out needs a path");
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
+use psa_bench::export4::HEAP_ALLOCATIONS;
+
+/// Counts every heap allocation made by this binary.
+struct CountingAlloc;
+
+// SAFETY: delegates verbatim to `System`; the counter is a relaxed atomic
+// with no allocation of its own.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        HEAP_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
     }
-    Args { scale, frames, out }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        HEAP_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
 }
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn main() {
-    let args = parse_args();
-    eprintln!(
-        "collecting BENCH_3 (scale {}, {} frames) — tables 1-3 + traced snow/fountain runs",
-        args.scale, args.frames
-    );
-    let data = export::collect(args.scale, args.frames);
-    if let Err(e) = data.validate() {
-        eprintln!("BENCH_3 validation failed: {e}");
-        std::process::exit(1);
-    }
-    if let Err(e) = std::fs::write(&args.out, data.to_json()) {
-        eprintln!("cannot write {}: {e}", args.out);
-        std::process::exit(1);
-    }
-    // A compact human echo of what was written.
-    for t in &data.traced {
-        eprintln!(
-            "{:<9} {:<7} speedup {:5.2}  {:7.0} migrated/proc/frame  {:7.0} KB/frame",
-            t.experiment, t.config, t.speedup, t.migrated_per_proc_frame, t.migration_kb_per_frame
-        );
-    }
-    println!("wrote {}", args.out);
+    std::process::exit(psa_bench::cli::run(std::env::args().skip(1)));
 }

@@ -15,21 +15,26 @@
 //!   CI machines with one core report the same numbers as a 32-core box);
 //!   real `thread::scope` workers exist for multicore hosts but are never
 //!   what the gate measures.
-//! * **Frame hot-path allocations** — the `bench4` binary counts heap
+//! * **Frame hot-path allocations** — [`measure_allocations`] counts heap
 //!   allocations per frame of exchange staging before (fresh vectors +
 //!   `collect_leavers`) and after (`collect_leavers_into` + reused
-//!   buffers) the allocation-free rework, via a counting global allocator.
+//!   buffers) the allocation-free rework, through the counting global
+//!   allocator the `bench` binary installs.
 //!
-//! Like `BENCH_3`, the JSON is hand-rolled and [`Bench4Export::validate`]
-//! rejects NaN/empty metrics before anything is written.
+//! Like `BENCH_3`, [`Export::checked_json`] rejects NaN/empty metrics
+//! before anything is written.
 
-use psa_core::kernel;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use psa_core::{kernel, Particle, SubDomainStore};
 use psa_desim::EventSim;
+use psa_math::{Axis, Interval, Rng64, Vec3};
 use psa_runtime::{ParallelConfig, RunReport};
 use psa_trace::Phase;
-use psa_workloads::{myrinet_gcc, paper_run_config, WorkloadSize};
+use psa_workloads::{myrinet_gcc, paper_run_config, Workload, WorkloadSize};
 
-use crate::runner::Experiment;
+use crate::json::Json;
+use crate::{fields, json_fields, obj, Export};
 
 /// Chunk size every BENCH_4 run uses (the kernel default).
 pub const BENCH4_CHUNK: usize = kernel::DEFAULT_CHUNK;
@@ -62,8 +67,8 @@ pub struct Bench4Experiment {
     pub scaling: Vec<WorkerScale>,
 }
 
-/// Heap allocations per frame of exchange staging, measured by `bench4`'s
-/// counting allocator.
+/// Heap allocations per frame of exchange staging, measured by
+/// [`measure_allocations`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AllocationCounts {
     /// Seed-style staging: fresh `Vec`s every frame.
@@ -80,8 +85,95 @@ pub struct Bench4Export {
     pub allocations: AllocationCounts,
 }
 
+/// Heap allocations of the process so far. The `bench` binary's counting
+/// `#[global_allocator]` increments it; under any other allocator (the unit
+/// tests) it stays 0 and [`measure_allocations`] measures nothing.
+pub static HEAP_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+fn allocs() -> u64 {
+    HEAP_ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+const STAGE_PARTICLES: usize = 4_000;
+const STAGE_DESTS: usize = 8;
+const STAGE_FRAMES: u64 = 32;
+
+/// A store over [0, 10) with particles spread across it; `drift` moves a
+/// band of them out of the slice each "frame" so the staging loop has real
+/// leavers to route.
+fn staging_store() -> SubDomainStore {
+    let slice = Interval::new(0.0, 10.0);
+    let mut store = SubDomainStore::new(slice, Axis::X, STAGE_DESTS);
+    let mut rng = Rng64::new(0xBE4C);
+    for _ in 0..STAGE_PARTICLES {
+        store.insert(Particle::at(Vec3::new(rng.range(0.0, 10.0), 0.0, 0.0)));
+    }
+    store
+}
+
+fn drift(store: &mut SubDomainStore, frame: u64) {
+    // Alternate direction so the population never leaks away.
+    let dx = if frame.is_multiple_of(2) { 0.6 } else { -0.6 };
+    store.for_each_mut(|p| p.position.x += dx);
+}
+
+fn dest_of(p: &Particle) -> usize {
+    ((p.position.x.abs() as usize) + 1) % STAGE_DESTS
+}
+
+/// Seed-form staging: every frame allocates its leaver vector and a fresh
+/// per-destination spine.
+fn run_naive(store: &mut SubDomainStore) -> u64 {
+    let before = allocs();
+    for frame in 0..STAGE_FRAMES {
+        drift(store, frame);
+        let leavers = store.collect_leavers();
+        let mut per_dest: Vec<Vec<Particle>> = vec![Vec::new(); STAGE_DESTS];
+        for p in leavers {
+            per_dest[dest_of(&p)].push(p);
+        }
+        for batch in per_dest {
+            store.extend(batch);
+        }
+    }
+    (allocs() - before) / STAGE_FRAMES
+}
+
+/// Reworked staging: `collect_leavers_into` plus buffers reused across
+/// frames — the steady state allocates nothing.
+fn run_hot_path(store: &mut SubDomainStore) -> u64 {
+    let mut leavers: Vec<Particle> = Vec::new();
+    let mut per_dest: Vec<Vec<Particle>> = (0..STAGE_DESTS).map(|_| Vec::new()).collect();
+    let mut stage = |store: &mut SubDomainStore, frame: u64| {
+        drift(store, frame);
+        store.collect_leavers_into(&mut leavers);
+        for p in leavers.drain(..) {
+            per_dest[dest_of(&p)].push(p);
+        }
+        for batch in per_dest.iter_mut() {
+            store.extend(batch.drain(..));
+        }
+    };
+    // Warm the buffers so the measured frames see the steady state.
+    stage(store, 0);
+    let before = allocs();
+    for frame in 1..=STAGE_FRAMES {
+        stage(store, frame);
+    }
+    (allocs() - before) / STAGE_FRAMES
+}
+
+/// Drive the same exchange-staging loop once in its seed form and once in
+/// its reworked form, counting each one's [`HEAP_ALLOCATIONS`] per frame.
+pub fn measure_allocations() -> AllocationCounts {
+    AllocationCounts {
+        naive_per_frame: run_naive(&mut staging_store()),
+        hot_path_per_frame: run_hot_path(&mut staging_store()),
+    }
+}
+
 /// One traced virtual run at the given worker count.
-fn traced_run(exp: Experiment, size: WorkloadSize, frames: u64, workers: usize) -> RunReport {
+fn traced_run(exp: Workload, size: WorkloadSize, frames: u64, workers: usize) -> RunReport {
     let scene = exp.scene(size);
     let mut cfg = paper_run_config(frames, exp.dt());
     cfg.parallel = ParallelConfig { workers, chunk: BENCH4_CHUNK };
@@ -103,12 +195,12 @@ fn projected_compute_time(report: &RunReport, workers: usize) -> f64 {
         .sum()
 }
 
-/// Run the sweep and assemble the export. `allocations` comes from the
-/// caller (the `bench4` binary hosts the counting allocator).
+/// Run the sweep and assemble the export. `allocations` comes from
+/// [`measure_allocations`] (tests pass fixed counts).
 pub fn collect4(scale: f64, frames: u64, allocations: AllocationCounts) -> Bench4Export {
     let size = WorkloadSize::paper_scaled(scale);
     let mut experiments = Vec::new();
-    for exp in [Experiment::Snow, Experiment::Fountain] {
+    for exp in [Workload::Snow, Workload::Fountain] {
         let reports: Vec<RunReport> =
             BENCH4_WORKERS.iter().map(|&w| traced_run(exp, size, frames, w)).collect();
         let fp0 = reports[0].fingerprint();
@@ -145,16 +237,19 @@ pub fn collect4(scale: f64, frames: u64, allocations: AllocationCounts) -> Bench
     Bench4Export { scale, frames, experiments, allocations }
 }
 
-impl Bench4Export {
-    /// Reject empty sweeps, non-finite metrics, broken invariance, and a
-    /// hot path that fails to beat the naive staging.
-    pub fn validate(&self) -> Result<(), String> {
+impl Export for Bench4Export {
+    /// Reject empty sweeps, non-finite metrics, broken invariance (the
+    /// flag *and* the fingerprints the scaling rows carry), a 4-worker
+    /// compute speed-up at or below 1.5, and a hot path that fails to beat
+    /// the naive staging.
+    fn validate(&self) -> Result<(), String> {
         if self.experiments.is_empty() {
             return Err("no experiments collected".into());
         }
         for e in &self.experiments {
             let tag = format!("experiment {}", e.experiment);
-            if !e.fingerprint_invariant {
+            let fp0 = e.scaling.first().map(|s| s.fingerprint);
+            if !e.fingerprint_invariant || e.scaling.iter().any(|s| Some(s.fingerprint) != fp0) {
                 return Err(format!("{tag}: fingerprints differ across worker counts"));
             }
             if e.total_chunks == 0 {
@@ -174,6 +269,12 @@ impl Bench4Export {
                     return Err(format!("{tag}: speedup({}) is {}", s.workers, s.speedup));
                 }
             }
+            // The chunked kernel has to pay: four workers on the measured
+            // chunk counts must project past 1.5x.
+            let s4 = e.scaling.iter().find(|s| s.workers == 4).map_or(0.0, |s| s.speedup);
+            if s4 <= 1.5 {
+                return Err(format!("{tag}: 4-worker compute speedup {s4} <= 1.5"));
+            }
         }
         let a = &self.allocations;
         if a.naive_per_frame == 0 {
@@ -188,59 +289,18 @@ impl Bench4Export {
         Ok(())
     }
 
-    /// Serialize to the `BENCH_4.json` schema.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": 4,\n");
-        s.push_str(&format!(
-            "  \"workload\": {{\"scale\": {}, \"frames\": {}}},\n",
-            json_f64(self.scale),
-            self.frames
-        ));
-        s.push_str("  \"experiments\": [\n");
-        for (i, e) in self.experiments.iter().enumerate() {
-            s.push_str("    {\n");
-            s.push_str(&format!("      \"experiment\": \"{}\",\n", e.experiment));
-            s.push_str(&format!("      \"chunk\": {},\n", e.chunk));
-            s.push_str(&format!("      \"total_chunks\": {},\n", e.total_chunks));
-            s.push_str(&format!("      \"fingerprint_invariant\": {},\n", e.fingerprint_invariant));
-            s.push_str("      \"scaling\": [\n");
-            for (j, w) in e.scaling.iter().enumerate() {
-                s.push_str(&format!(
-                    "        {{\"workers\": {}, \"compute_time\": {}, \"speedup\": {}, \"fingerprint\": {}}}{}\n",
-                    w.workers,
-                    json_f64(w.compute_time),
-                    json_f64(w.speedup),
-                    w.fingerprint,
-                    if j + 1 < e.scaling.len() { "," } else { "" }
-                ));
-            }
-            s.push_str("      ]\n");
-            s.push_str(&format!(
-                "    }}{}\n",
-                if i + 1 < self.experiments.len() { "," } else { "" }
-            ));
+    fn to_json(&self) -> Json {
+        obj! {
+            "bench": 4u64,
+            "workload": fields!(self; scale, frames),
+            "experiments": &self.experiments,
+            "allocations": fields!(self.allocations; naive_per_frame, hot_path_per_frame),
         }
-        s.push_str("  ],\n");
-        s.push_str(&format!(
-            "  \"allocations\": {{\"naive_per_frame\": {}, \"hot_path_per_frame\": {}}}\n",
-            self.allocations.naive_per_frame, self.allocations.hot_path_per_frame
-        ));
-        s.push_str("}\n");
-        s
     }
 }
 
-/// JSON-safe float (validation upstream keeps non-finite values out of
-/// written files).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
+json_fields!(WorkerScale; workers, compute_time, speedup, fingerprint);
+json_fields!(Bench4Experiment; experiment, chunk, total_chunks, fingerprint_invariant, scaling);
 
 #[cfg(test)]
 mod tests {
@@ -253,35 +313,9 @@ mod tests {
     #[test]
     fn collect_produces_valid_export() {
         let e = smoke();
-        e.validate().expect("smoke export must validate");
+        let json = e.checked_json().expect("smoke export must validate and render");
+        assert!(json.starts_with("{\n  \"bench\": 4,\n"), "{json}");
         assert_eq!(e.experiments.len(), 2, "snow + fountain");
-        for exp in &e.experiments {
-            assert!(exp.fingerprint_invariant, "{}: fingerprints must match", exp.experiment);
-            let s4 = exp.scaling.iter().find(|s| s.workers == 4).expect("4-worker point");
-            assert!(
-                s4.speedup > 1.5,
-                "{}: 4-worker compute speedup {} <= 1.5",
-                exp.experiment,
-                s4.speedup
-            );
-        }
-    }
-
-    #[test]
-    fn json_is_balanced_and_complete() {
-        let j = smoke().to_json();
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        for key in [
-            "\"bench\": 4",
-            "\"experiments\"",
-            "\"scaling\"",
-            "\"allocations\"",
-            "\"fingerprint_invariant\": true",
-        ] {
-            assert!(j.contains(key), "missing {key}");
-        }
-        assert!(!j.contains("NaN") && !j.contains("inf"));
     }
 
     #[test]
@@ -295,5 +329,11 @@ mod tests {
         let mut e3 = smoke();
         e3.experiments[0].scaling[1].compute_time = f64::NAN;
         assert!(e3.validate().is_err(), "NaN must fail");
+        let mut e4 = smoke();
+        e4.experiments[1].scaling[3].fingerprint ^= 1;
+        assert!(e4.validate().is_err(), "a scaling row with its own fingerprint must fail");
+        let mut e5 = smoke();
+        e5.experiments[0].scaling[2].speedup = 1.5;
+        assert!(e5.validate().is_err(), "a 4-worker speed-up of 1.5 or less must fail");
     }
 }

@@ -29,64 +29,41 @@
 //! exactly what a 1,000-rank run cannot afford; sparse changes virtual
 //! timing but never simulated state (the parity suite pins this).
 //!
-//! Like `BENCH_3`/`BENCH_4`, the JSON is hand-rolled and
-//! [`Bench5Export::validate`] rejects NaN/empty metrics before anything is
-//! written.
+//! Like `BENCH_3`/`BENCH_4`, [`Export::checked_json`] rejects NaN/empty
+//! metrics before anything is written.
 
 use std::time::Instant;
 
 use cluster_sim::{e800, Compiler, Topology};
 use psa_desim::EventSim;
 use psa_runtime::{
-    run_sequential, BalanceMode, BalancerConfig, ExchangeMode, RunConfig, RunReport, Scene,
+    run_sequential, BalanceMode, BalancerConfig, ExchangeMode, RunConfig, RunReport,
 };
-use psa_workloads::{
-    fountain_scene, myrinet_gcc, paper_run_config, snow_scene, vortex_scene, WorkloadSize,
-};
+use psa_workloads::{myrinet_gcc, paper_run_config, Workload, WorkloadSize};
 
-/// Rank counts of the full sweep (the CI smoke tier trims this to 8/64).
-pub const BENCH5_RANKS: &[usize] = &[8, 32, 128, 512, 1024];
+use crate::json::Json;
+use crate::{json_fields, obj, Export};
 
 /// Fat-tree radix used for the topology comparison points.
 pub const BENCH5_FAT_TREE_RADIX: usize = 4;
 
-/// Which workload a BENCH_5 experiment runs. Snow and fountain are the
-/// paper's; vortex is the inhomogeneous workload built to make the DLB
-/// columns move.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Bench5Workload {
-    Snow,
-    Fountain,
-    Vortex,
+/// The workloads BENCH_5 (and BENCH_6) sweep: the paper's two plus vortex,
+/// the inhomogeneous one built to make the DLB columns move.
+pub const BENCH5_WORKLOADS: &[Workload] = Workload::ALL;
+
+/// The `"workload"` header of the rank sweeps (BENCH_5, BENCH_6).
+pub(crate) fn workload_json(size: WorkloadSize, frames: u64) -> Json {
+    obj! {
+        "systems": size.systems,
+        "particles_per_system": size.particles_per_system,
+        "scale": size.scale,
+        "frames": frames,
+    }
 }
 
-impl Bench5Workload {
-    pub const ALL: &'static [Bench5Workload] =
-        &[Bench5Workload::Snow, Bench5Workload::Fountain, Bench5Workload::Vortex];
-
-    pub fn name(&self) -> &'static str {
-        match self {
-            Bench5Workload::Snow => "snow",
-            Bench5Workload::Fountain => "fountain",
-            Bench5Workload::Vortex => "vortex",
-        }
-    }
-
-    pub fn scene(&self, size: WorkloadSize) -> Scene {
-        match self {
-            Bench5Workload::Snow => snow_scene(size),
-            Bench5Workload::Fountain => fountain_scene(size),
-            Bench5Workload::Vortex => vortex_scene(size),
-        }
-    }
-
-    pub fn dt(&self) -> f32 {
-        match self {
-            Bench5Workload::Snow => psa_workloads::snow::SNOW_DT,
-            Bench5Workload::Fountain => psa_workloads::fountain::FOUNTAIN_DT,
-            Bench5Workload::Vortex => psa_workloads::vortex::VORTEX_DT,
-        }
-    }
+/// Are these the names of [`BENCH5_WORKLOADS`], once each, in sweep order?
+pub(crate) fn covers_workloads<'a>(names: impl Iterator<Item = &'a str>) -> bool {
+    names.eq(BENCH5_WORKLOADS.iter().map(|w| w.name()))
 }
 
 /// One (ranks, balance-mode) point of an experiment's curve.
@@ -137,15 +114,15 @@ pub struct TopologyPoint {
 /// Everything `BENCH_5.json` carries.
 pub struct Bench5Export {
     pub frames: u64,
-    pub systems: usize,
-    pub particles_per_system: usize,
-    pub scale: f64,
+    pub size: WorkloadSize,
     pub ranks: Vec<usize>,
     pub experiments: Vec<Bench5Experiment>,
     pub topology: Vec<TopologyPoint>,
 }
 
-fn sweep_config(wl: Bench5Workload, frames: u64, balance: BalanceMode) -> RunConfig {
+/// The run configuration of every rank-sweep cell: sparse exchange (dense is
+/// `ranks²` messages per system per frame).
+pub(crate) fn sweep_config(wl: Workload, frames: u64, balance: BalanceMode) -> RunConfig {
     let mut cfg = paper_run_config(frames, wl.dt());
     cfg.balance = balance;
     cfg.exchange = ExchangeMode::Sparse;
@@ -153,7 +130,7 @@ fn sweep_config(wl: Bench5Workload, frames: u64, balance: BalanceMode) -> RunCon
 }
 
 fn run_cell(
-    wl: Bench5Workload,
+    wl: Workload,
     size: WorkloadSize,
     frames: u64,
     ranks: usize,
@@ -171,20 +148,13 @@ fn run_cell(
 }
 
 /// Run the sweep and assemble the export. `ranks` is the list of rank
-/// counts to cover (the smoke tier passes a short one).
-pub fn collect5(
-    ranks: &[usize],
-    frames: u64,
-    systems: usize,
-    particles_per_system: usize,
-    scale: f64,
-) -> Bench5Export {
-    let size = WorkloadSize { systems, particles_per_system, scale };
+/// counts to cover (the unit tests pass a short one).
+pub fn collect5(ranks: &[usize], frames: u64, size: WorkloadSize) -> Bench5Export {
     let seq_speed = e800().speed(Compiler::Gcc);
     let mut experiments = Vec::new();
     let mut topology = Vec::new();
     let top_ranks = ranks.iter().copied().max().unwrap_or(0);
-    for &wl in Bench5Workload::ALL {
+    for &wl in BENCH5_WORKLOADS {
         let scene = wl.scene(size);
         let seq_cfg = sweep_config(wl, frames, BalanceMode::Static);
         let baseline =
@@ -232,27 +202,20 @@ pub fn collect5(
             });
         }
     }
-    Bench5Export {
-        frames,
-        systems,
-        particles_per_system,
-        scale,
-        ranks: ranks.to_vec(),
-        experiments,
-        topology,
-    }
+    Bench5Export { frames, size, ranks: ranks.to_vec(), experiments, topology }
 }
 
-impl Bench5Export {
-    /// Reject empty sweeps and non-finite metrics; require that the
-    /// balancer demonstrably ran somewhere (a sweep whose DLB columns are
-    /// all zero measured nothing worth publishing).
-    pub fn validate(&self) -> Result<(), String> {
+impl Export for Bench5Export {
+    /// Reject empty or degenerate sweeps (non-finite metrics are the
+    /// writer's rule); require that the balancer demonstrably ran
+    /// somewhere (a sweep whose DLB columns are all zero measured nothing
+    /// worth publishing).
+    fn validate(&self) -> Result<(), String> {
         if self.ranks.is_empty() {
             return Err("no rank counts swept".into());
         }
-        if self.experiments.len() != Bench5Workload::ALL.len() {
-            return Err(format!("expected 3 experiments, got {}", self.experiments.len()));
+        if !covers_workloads(self.experiments.iter().map(|e| e.workload)) {
+            return Err("experiments are not snow, fountain, vortex".into());
         }
         let mut dlb_rounds = 0u64;
         for e in &self.experiments {
@@ -269,17 +232,6 @@ impl Bench5Export {
             }
             for c in &e.cells {
                 let cell = format!("{tag} {}r {}", c.ranks, c.balance);
-                for (name, v) in [
-                    ("makespan", c.makespan),
-                    ("steady_time", c.steady_time),
-                    ("speedup", c.speedup),
-                    ("mean_imbalance", c.mean_imbalance),
-                    ("wall_seconds", c.wall_seconds),
-                ] {
-                    if !v.is_finite() {
-                        return Err(format!("{cell}: {name} is {v}"));
-                    }
-                }
                 if c.makespan <= 0.0 || c.speedup <= 0.0 {
                     return Err(format!(
                         "{cell}: degenerate run (makespan {}, speedup {})",
@@ -289,8 +241,10 @@ impl Bench5Export {
                 if c.events == 0 || c.messages == 0 {
                     return Err(format!("{cell}: the event loop did not run"));
                 }
-                if c.balance == "DLB" {
-                    dlb_rounds += c.balance_rounds;
+                match c.balance {
+                    "SLB" => {}
+                    "DLB" => dlb_rounds += c.balance_rounds,
+                    other => return Err(format!("{cell}: balance label `{other}`")),
                 }
             }
         }
@@ -301,11 +255,7 @@ impl Bench5Export {
             return Err("no topology comparison points".into());
         }
         for t in &self.topology {
-            if !t.flat_makespan.is_finite()
-                || !t.fat_tree_makespan.is_finite()
-                || t.flat_makespan <= 0.0
-                || t.fat_tree_makespan <= 0.0
-            {
+            if t.flat_makespan <= 0.0 || t.fat_tree_makespan <= 0.0 {
                 return Err(format!(
                     "topology {}@{}r: makespans {} / {}",
                     t.workload, t.ranks, t.flat_makespan, t.fat_tree_makespan
@@ -315,96 +265,37 @@ impl Bench5Export {
         Ok(())
     }
 
-    /// Serialize to the `BENCH_5.json` schema.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": 5,\n");
-        s.push_str(&format!(
-            "  \"workload\": {{\"systems\": {}, \"particles_per_system\": {}, \"scale\": {}, \"frames\": {}}},\n",
-            self.systems,
-            self.particles_per_system,
-            json_f64(self.scale),
-            self.frames
-        ));
-        s.push_str("  \"ranks\": [");
-        for (i, r) in self.ranks.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&r.to_string());
+    fn to_json(&self) -> Json {
+        obj! {
+            "bench": 5u64,
+            "workload": workload_json(self.size, self.frames),
+            "ranks": &self.ranks,
+            "experiments": &self.experiments,
+            "topology": &self.topology,
         }
-        s.push_str("],\n");
-        s.push_str("  \"experiments\": [\n");
-        for (i, e) in self.experiments.iter().enumerate() {
-            s.push_str("    {\n");
-            s.push_str(&format!("      \"workload\": \"{}\",\n", e.workload));
-            s.push_str(&format!("      \"baseline_time\": {},\n", json_f64(e.baseline_time)));
-            s.push_str("      \"cells\": [\n");
-            for (j, c) in e.cells.iter().enumerate() {
-                s.push_str(&format!(
-                    "        {{\"ranks\": {}, \"balance\": \"{}\", \"makespan\": {}, \"steady_time\": {}, \"speedup\": {}, \"balance_rounds\": {}, \"balanced_particles\": {}, \"mean_imbalance\": {}, \"messages\": {}, \"events\": {}, \"wall_seconds\": {}}}{}\n",
-                    c.ranks,
-                    c.balance,
-                    json_f64(c.makespan),
-                    json_f64(c.steady_time),
-                    json_f64(c.speedup),
-                    c.balance_rounds,
-                    c.balanced_particles,
-                    json_f64(c.mean_imbalance),
-                    c.messages,
-                    c.events,
-                    json_f64(c.wall_seconds),
-                    if j + 1 < e.cells.len() { "," } else { "" }
-                ));
-            }
-            s.push_str("      ]\n");
-            s.push_str(&format!(
-                "    }}{}\n",
-                if i + 1 < self.experiments.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"topology\": [\n");
-        for (i, t) in self.topology.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"ranks\": {}, \"radix\": {}, \"flat_makespan\": {}, \"fat_tree_makespan\": {}}}{}\n",
-                t.workload,
-                t.ranks,
-                t.radix,
-                json_f64(t.flat_makespan),
-                json_f64(t.fat_tree_makespan),
-                if i + 1 < self.topology.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
     }
 }
 
-/// JSON-safe float (validation upstream keeps non-finite values out of
-/// written files).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
+json_fields!(
+    Bench5Cell; ranks, balance, makespan, steady_time, speedup, balance_rounds,
+    balanced_particles, mean_imbalance, messages, events, wall_seconds
+);
+json_fields!(Bench5Experiment; workload, baseline_time, cells);
+json_fields!(TopologyPoint; workload, ranks, radix, flat_makespan, fat_tree_makespan);
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn smoke() -> Bench5Export {
-        collect5(&[4, 8], 6, 4, 150, 50.0)
+        collect5(&[4, 8], 6, WorkloadSize { systems: 4, particles_per_system: 150, scale: 50.0 })
     }
 
     #[test]
     fn collect_produces_valid_export() {
         let e = smoke();
-        e.validate().expect("smoke export must validate");
+        let json = e.checked_json().expect("smoke export must validate and render");
+        assert!(json.starts_with("{\n  \"bench\": 5,\n"), "{json}");
         assert_eq!(e.experiments.len(), 3, "snow + fountain + vortex");
         for exp in &e.experiments {
             assert_eq!(exp.cells.len(), 4, "{}: 2 ranks x 2 balance modes", exp.workload);
@@ -413,32 +304,19 @@ mod tests {
     }
 
     #[test]
-    fn json_is_balanced_and_complete() {
-        let j = smoke().to_json();
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        for key in [
-            "\"bench\": 5",
-            "\"experiments\"",
-            "\"cells\"",
-            "\"topology\"",
-            "\"vortex\"",
-            "\"balance\": \"DLB\"",
-            "\"wall_seconds\"",
-        ] {
-            assert!(j.contains(key), "missing {key}");
-        }
-        assert!(!j.contains("NaN") && !j.contains("inf"));
-    }
-
-    #[test]
     fn validate_rejects_regressions() {
         let mut e = smoke();
         e.experiments[0].cells[0].makespan = f64::NAN;
-        assert!(e.validate().is_err(), "NaN must fail");
+        assert!(e.checked_json().is_err(), "NaN must fail");
         let mut e2 = smoke();
         e2.experiments.pop();
         assert!(e2.validate().is_err(), "missing experiment must fail");
+        let mut e2b = smoke();
+        e2b.experiments[2].workload = "snow";
+        assert!(e2b.validate().is_err(), "a workload swept twice in place of another must fail");
+        let mut e2c = smoke();
+        e2c.experiments[0].cells[1].balance = "dlb";
+        assert!(e2c.validate().is_err(), "an unknown balance label must fail");
         let mut e3 = smoke();
         for exp in &mut e3.experiments {
             for c in &mut exp.cells {

@@ -27,21 +27,20 @@
 //! ~700 real particles (thin enough that every neighbor-pair excess sits
 //! below the paper's fixed 32), scale 500 (virtual population is real),
 //! and 60 frames (the neighbor-only walks need time to flatten an
-//! orbiting cluster). [`Bench6Export::validate`] gates the acceptance
-//! criteria on the result whenever the sweep reaches 128 ranks; the CI
-//! smoke tier (8/64 ranks) checks structure only.
+//! orbiting cluster). [`Export::validate`] gates the acceptance
+//! criteria on the result whenever the sweep reaches 128 ranks; a sweep
+//! that stays below (the unit tests') is checked for structure only.
 
 use std::time::Instant;
 
 use psa_chaos::Scenario;
 use psa_desim::EventSim;
-use psa_runtime::{BalanceMode, BalancerConfig, ExchangeMode, RunConfig};
+use psa_runtime::{BalanceMode, BalancerConfig};
 use psa_workloads::{myrinet_gcc, paper_run_config, WorkloadSize};
 
-use crate::export5::Bench5Workload;
-
-/// Rank counts of the full sweep (CI's smoke tier trims this to 8/64).
-pub const BENCH6_RANKS: &[usize] = &[8, 32, 128, 512, 1024];
+use crate::export5::{covers_workloads, sweep_config, workload_json, BENCH5_WORKLOADS};
+use crate::json::Json;
+use crate::{json_fields, obj, Export};
 
 /// The rank count from which the dead-zone acceptance gates apply.
 pub const BENCH6_DEAD_ZONE_RANKS: usize = 128;
@@ -112,24 +111,15 @@ pub struct Bench6Experiment {
 /// Everything `BENCH_6.json` carries.
 pub struct Bench6Export {
     pub frames: u64,
-    pub systems: usize,
-    pub particles_per_system: usize,
-    pub scale: f64,
+    pub size: WorkloadSize,
     pub ranks: Vec<usize>,
     pub experiments: Vec<Bench6Experiment>,
 }
 
 /// Run the matrix and assemble the export.
-pub fn collect6(
-    ranks: &[usize],
-    frames: u64,
-    systems: usize,
-    particles_per_system: usize,
-    scale: f64,
-) -> Bench6Export {
-    let size = WorkloadSize { systems, particles_per_system, scale };
+pub fn collect6(ranks: &[usize], frames: u64, size: WorkloadSize) -> Bench6Export {
     let mut experiments = Vec::new();
-    for &wl in Bench5Workload::ALL {
+    for &wl in BENCH5_WORKLOADS {
         let mut cells = Vec::new();
         for &r in ranks {
             let cluster = myrinet_gcc(r, 1);
@@ -140,9 +130,7 @@ pub fn collect6(
                     &cluster.net,
                 );
                 for &strategy in BENCH6_STRATEGIES {
-                    let mut cfg: RunConfig = paper_run_config(frames, wl.dt());
-                    cfg.balance = strategy_mode(strategy);
-                    cfg.exchange = ExchangeMode::Sparse;
+                    let cfg = sweep_config(wl, frames, strategy_mode(strategy));
                     let mut sim =
                         EventSim::new(wl.scene(size), cfg, cluster.clone(), size.cost_model())
                             .with_faults(plan.clone());
@@ -173,14 +161,7 @@ pub fn collect6(
         }
         experiments.push(Bench6Experiment { workload: wl.name(), cells });
     }
-    Bench6Export {
-        frames,
-        systems,
-        particles_per_system,
-        scale,
-        ranks: ranks.to_vec(),
-        experiments,
-    }
+    Bench6Export { frames, size, ranks: ranks.to_vec(), experiments }
 }
 
 impl Bench6Export {
@@ -195,7 +176,9 @@ impl Bench6Export {
             })
             .unwrap_or_else(|| panic!("missing cell {workload}/{ranks}r/{scenario}/{strategy}"))
     }
+}
 
+impl Export for Bench6Export {
     /// Structural validation plus the acceptance gates of the balancer
     /// suite whenever the sweep reaches [`BENCH6_DEAD_ZONE_RANKS`]:
     ///
@@ -208,36 +191,30 @@ impl Bench6Export {
     /// 4. at ≥ 1 dead-zone rank count a decentralized strategy (DEC or
     ///    DIF) beats the centralized DLB-adapt under degraded manager
     ///    links.
-    pub fn validate(&self) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         if self.ranks.is_empty() {
             return Err("no rank counts swept".into());
         }
-        if self.experiments.len() != Bench5Workload::ALL.len() {
-            return Err(format!("expected 3 experiments, got {}", self.experiments.len()));
+        if !covers_workloads(self.experiments.iter().map(|e| e.workload)) {
+            return Err("experiments are not snow, fountain, vortex".into());
         }
-        let cells_per_experiment =
-            self.ranks.len() * BENCH6_SCENARIOS.len() * BENCH6_STRATEGIES.len();
         for e in &self.experiments {
             let tag = format!("experiment {}", e.workload);
-            if e.cells.len() != cells_per_experiment {
+            // Every (ranks, scenario, strategy) cell, once, in sweep order —
+            // which also makes the gate lookups below total.
+            let sweep = self.ranks.iter().flat_map(|&r| {
+                BENCH6_SCENARIOS
+                    .iter()
+                    .flat_map(move |&sc| BENCH6_STRATEGIES.iter().map(move |&st| (r, sc, st)))
+            });
+            if !e.cells.iter().map(|c| (c.ranks, c.scenario, c.strategy)).eq(sweep) {
                 return Err(format!(
-                    "{tag}: {} cells, expected {cells_per_experiment}",
+                    "{tag}: {} cells do not enumerate ranks x scenarios x strategies",
                     e.cells.len()
                 ));
             }
             for c in &e.cells {
                 let cell = format!("{tag} {}r {} {}", c.ranks, c.scenario, c.strategy);
-                for (name, v) in [
-                    ("makespan", c.makespan),
-                    ("steady_time", c.steady_time),
-                    ("mean_imbalance", c.mean_imbalance),
-                    ("final_imbalance", c.final_imbalance),
-                    ("wall_seconds", c.wall_seconds),
-                ] {
-                    if !v.is_finite() {
-                        return Err(format!("{cell}: {name} is {v}"));
-                    }
-                }
                 if c.makespan <= 0.0 {
                     return Err(format!("{cell}: degenerate makespan {}", c.makespan));
                 }
@@ -253,7 +230,7 @@ impl Bench6Export {
         let dead_ranks: Vec<usize> =
             self.ranks.iter().copied().filter(|&r| r >= BENCH6_DEAD_ZONE_RANKS).collect();
         if dead_ranks.is_empty() {
-            return Ok(()); // smoke tier: structure only
+            return Ok(()); // a sweep below the dead zone: structure only
         }
 
         // Gate 1 + 2: dead zone reproduced, suite live.
@@ -308,91 +285,37 @@ impl Bench6Export {
         Ok(())
     }
 
-    /// Serialize to the `BENCH_6.json` schema.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": 6,\n");
-        s.push_str(&format!(
-            "  \"workload\": {{\"systems\": {}, \"particles_per_system\": {}, \"scale\": {}, \"frames\": {}}},\n",
-            self.systems,
-            self.particles_per_system,
-            json_f64(self.scale),
-            self.frames
-        ));
-        s.push_str("  \"ranks\": [");
-        for (i, r) in self.ranks.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&r.to_string());
+    fn to_json(&self) -> Json {
+        obj! {
+            "bench": 6u64,
+            "workload": workload_json(self.size, self.frames),
+            "ranks": &self.ranks,
+            "scenarios": BENCH6_SCENARIOS.to_vec(),
+            "strategies": BENCH6_STRATEGIES.to_vec(),
+            "experiments": &self.experiments,
         }
-        s.push_str("],\n");
-        s.push_str(&format!(
-            "  \"scenarios\": [{}],\n",
-            BENCH6_SCENARIOS.iter().map(|v| format!("\"{v}\"")).collect::<Vec<_>>().join(", ")
-        ));
-        s.push_str(&format!(
-            "  \"strategies\": [{}],\n",
-            BENCH6_STRATEGIES.iter().map(|v| format!("\"{v}\"")).collect::<Vec<_>>().join(", ")
-        ));
-        s.push_str("  \"experiments\": [\n");
-        for (i, e) in self.experiments.iter().enumerate() {
-            s.push_str("    {\n");
-            s.push_str(&format!("      \"workload\": \"{}\",\n", e.workload));
-            s.push_str("      \"cells\": [\n");
-            for (j, c) in e.cells.iter().enumerate() {
-                s.push_str(&format!(
-                    "        {{\"ranks\": {}, \"scenario\": \"{}\", \"strategy\": \"{}\", \"makespan\": {}, \"steady_time\": {}, \"balance_rounds\": {}, \"orders\": {}, \"mean_imbalance\": {}, \"final_imbalance\": {}, \"messages\": {}, \"events\": {}, \"wall_seconds\": {}}}{}\n",
-                    c.ranks,
-                    c.scenario,
-                    c.strategy,
-                    json_f64(c.makespan),
-                    json_f64(c.steady_time),
-                    c.balance_rounds,
-                    c.orders,
-                    json_f64(c.mean_imbalance),
-                    json_f64(c.final_imbalance),
-                    c.messages,
-                    c.events,
-                    json_f64(c.wall_seconds),
-                    if j + 1 < e.cells.len() { "," } else { "" }
-                ));
-            }
-            s.push_str("      ]\n");
-            s.push_str(&format!(
-                "    }}{}\n",
-                if i + 1 < self.experiments.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
     }
 }
 
-/// JSON-safe float (validation upstream keeps non-finite values out of
-/// written files).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
+json_fields!(
+    Bench6Cell; ranks, scenario, strategy, makespan, steady_time, balance_rounds, orders,
+    mean_imbalance, final_imbalance, messages, events, wall_seconds
+);
+json_fields!(Bench6Experiment; workload, cells);
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn smoke() -> Bench6Export {
-        collect6(&[4, 8], 6, 1, 200, 50.0)
+        collect6(&[4, 8], 6, WorkloadSize { systems: 1, particles_per_system: 200, scale: 50.0 })
     }
 
     #[test]
     fn collect_produces_valid_export() {
         let e = smoke();
-        e.validate().expect("smoke export must validate");
+        let json = e.checked_json().expect("smoke export must validate and render");
+        assert!(json.starts_with("{\n  \"bench\": 6,\n"), "{json}");
         assert_eq!(e.experiments.len(), 3, "snow + fountain + vortex");
         for exp in &e.experiments {
             assert_eq!(
@@ -402,25 +325,6 @@ mod tests {
                 exp.workload
             );
         }
-    }
-
-    #[test]
-    fn json_is_balanced_and_complete() {
-        let j = smoke().to_json();
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        for key in [
-            "\"bench\": 6",
-            "\"scenarios\"",
-            "\"strategies\"",
-            "\"degraded-mgr\"",
-            "\"DLB-paper\"",
-            "\"DIF\"",
-            "\"wall_seconds\"",
-        ] {
-            assert!(j.contains(key), "missing {key}");
-        }
-        assert!(!j.contains("NaN") && !j.contains("inf"));
     }
 
     /// A hand-built export exercising the dead-zone gates that the smoke
@@ -463,9 +367,7 @@ mod tests {
         }
         Bench6Export {
             frames: 60,
-            systems: 1,
-            particles_per_system: 700,
-            scale: 500.0,
+            size: WorkloadSize { systems: 1, particles_per_system: 700, scale: 500.0 },
             ranks: vec![8, 128],
             experiments,
         }
@@ -480,11 +382,17 @@ mod tests {
     fn validate_rejects_regressions() {
         let mut e = smoke();
         e.experiments[0].cells[0].makespan = f64::NAN;
-        assert!(e.validate().is_err(), "NaN must fail");
+        assert!(e.checked_json().is_err(), "NaN must fail");
 
         let mut e2 = smoke();
         e2.experiments.pop();
         assert!(e2.validate().is_err(), "missing experiment must fail");
+        let mut e2b = smoke();
+        e2b.experiments[1].cells.swap(0, 1);
+        assert!(e2b.validate().is_err(), "cells out of sweep order must fail");
+        let mut e2c = smoke();
+        e2c.experiments[1].cells[3].strategy = "SLB";
+        assert!(e2c.validate().is_err(), "a strategy missing from the matrix must fail");
 
         // A paper config that came alive in the dead zone is not the
         // defect BENCH_6 exists to document.

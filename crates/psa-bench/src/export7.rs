@@ -7,7 +7,7 @@
 //! what a capacity planner needs:
 //!
 //! * **Throughput** — completed sessions per pool-virtual second at
-//!   session counts ∈ {100, 300, 1000} (the smoke tier trims this), for
+//!   session counts ∈ {100, 300, 1000} (the `bench 7` defaults), for
 //!   snow (domain-stable, §5.1) and vortex (the imbalanced workload);
 //! * **Latency** — p50/p99 frame latency as the viewer sees it (the first
 //!   frame is measured from arrival, so admission-queue wait is in the
@@ -18,22 +18,20 @@
 //!   the fingerprint matches the multiplexed run byte-for-byte; a cell
 //!   that cannot prove parity does not validate.
 //!
-//! Like every other export, the JSON is hand-rolled and
-//! [`Bench7Export::validate`] rejects NaN/degenerate metrics before
-//! anything is written.
+//! Like every other export, [`Export::checked_json`] rejects
+//! NaN/degenerate metrics before anything is written.
 
 use std::time::Instant;
 
 use psa_desim::EventSim;
-use psa_runtime::Scene;
 use psa_sessions::{
     derive_session_seed, AdmissionConfig, PoolConfig, SessionId, SessionManager, SessionSpec,
     TenantId,
 };
-use psa_workloads::{myrinet_gcc, paper_run_config, snow_scene, vortex_scene, WorkloadSize};
+use psa_workloads::{myrinet_gcc, paper_run_config, Workload, WorkloadSize};
 
-/// Session counts of the full sweep (the CI smoke tier trims this).
-pub const BENCH7_SESSIONS: &[usize] = &[100, 300, 1000];
+use crate::json::Json;
+use crate::{fields, json_fields, obj, Export};
 
 /// Worker lanes every BENCH_7 pool runs with.
 pub const BENCH7_WORKERS: usize = 8;
@@ -44,30 +42,9 @@ pub const BENCH7_IN_FLIGHT: usize = 32;
 /// Tenants sessions are spread over (round-robin).
 pub const BENCH7_TENANTS: u32 = 8;
 
-/// Which workload a BENCH_7 cell animates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Bench7Workload {
-    Snow,
-    Vortex,
-}
-
-impl Bench7Workload {
-    pub const ALL: &'static [Bench7Workload] = &[Bench7Workload::Snow, Bench7Workload::Vortex];
-
-    pub fn name(&self) -> &'static str {
-        match self {
-            Bench7Workload::Snow => "snow",
-            Bench7Workload::Vortex => "vortex",
-        }
-    }
-
-    pub fn scene(&self, size: WorkloadSize) -> Scene {
-        match self {
-            Bench7Workload::Snow => snow_scene(size),
-            Bench7Workload::Vortex => vortex_scene(size),
-        }
-    }
-}
+/// The workloads a BENCH_7 cell animates: snow (domain-stable) and vortex
+/// (the imbalanced one).
+pub const BENCH7_WORKLOADS: &[Workload] = &[Workload::Snow, Workload::Vortex];
 
 /// One (sessions, workload) pool run.
 #[derive(Clone, Debug)]
@@ -114,7 +91,7 @@ fn session_size(particles_per_system: usize) -> WorkloadSize {
     WorkloadSize { systems: 2, particles_per_system, scale: 1.0 }
 }
 
-fn session_spec(wl: Bench7Workload, size: WorkloadSize, frames: u64, tenant: u32) -> SessionSpec {
+fn session_spec(wl: Workload, size: WorkloadSize, frames: u64, tenant: u32) -> SessionSpec {
     SessionSpec {
         tenant: TenantId(tenant),
         scene: wl.scene(size),
@@ -126,7 +103,7 @@ fn session_spec(wl: Bench7Workload, size: WorkloadSize, frames: u64, tenant: u32
 }
 
 fn run_cell(
-    wl: Bench7Workload,
+    wl: Workload,
     sessions: usize,
     frames: u64,
     particles_per_system: usize,
@@ -187,7 +164,7 @@ fn run_cell(
 }
 
 /// Run the sweep and assemble the export. `session_counts` is the list of
-/// pool sizes to cover (the smoke tier passes a short one).
+/// pool sizes to cover (the unit tests pass a short one).
 pub fn collect7(
     session_counts: &[usize],
     frames: u64,
@@ -195,7 +172,7 @@ pub fn collect7(
     base_seed: u64,
 ) -> Bench7Export {
     let mut cells = Vec::new();
-    for &wl in Bench7Workload::ALL {
+    for &wl in BENCH7_WORKLOADS {
         for &sessions in session_counts {
             cells.push(run_cell(wl, sessions, frames, particles_per_system, base_seed));
         }
@@ -211,17 +188,29 @@ pub fn collect7(
     }
 }
 
-impl Bench7Export {
-    /// Reject empty sweeps, incomplete pools, non-finite or degenerate
-    /// latency/throughput numbers, and any cell that failed its parity
-    /// spot check.
-    pub fn validate(&self) -> Result<(), String> {
+impl Export for Bench7Export {
+    /// Reject empty sweeps, incomplete pools, degenerate latency or
+    /// throughput numbers (non-finite ones are the writer's rule), and any
+    /// cell that failed its parity spot check.
+    fn validate(&self) -> Result<(), String> {
         if self.session_counts.is_empty() {
             return Err("no session counts swept".into());
         }
-        let expected = self.session_counts.len() * Bench7Workload::ALL.len();
-        if self.cells.len() != expected {
-            return Err(format!("expected {expected} cells, got {}", self.cells.len()));
+        if self.workers == 0 || self.max_in_flight == 0 {
+            return Err(format!(
+                "degenerate pool ({} workers, {} slots)",
+                self.workers, self.max_in_flight
+            ));
+        }
+        // Every (workload, sessions) cell, once, in sweep order.
+        let sweep = BENCH7_WORKLOADS
+            .iter()
+            .flat_map(|w| self.session_counts.iter().map(move |&n| (w.name(), n)));
+        if !self.cells.iter().map(|c| (c.workload, c.sessions)).eq(sweep) {
+            return Err(format!(
+                "{} cells do not enumerate {{snow, vortex}} x session counts",
+                self.cells.len()
+            ));
         }
         for c in &self.cells {
             let cell = format!("cell {} x{}", c.workload, c.sessions);
@@ -230,18 +219,6 @@ impl Bench7Export {
                     "{cell}: only {}/{} sessions completed",
                     c.completed, c.sessions
                 ));
-            }
-            for (name, v) in [
-                ("makespan", c.makespan),
-                ("sessions_per_sec", c.sessions_per_sec),
-                ("p50_latency", c.p50_latency),
-                ("p99_latency", c.p99_latency),
-                ("mean_queue_wait", c.mean_queue_wait),
-                ("wall_seconds", c.wall_seconds),
-            ] {
-                if !v.is_finite() {
-                    return Err(format!("{cell}: {name} is {v}"));
-                }
             }
             if c.sessions_per_sec <= 0.0 {
                 return Err(format!("{cell}: throughput {} is degenerate", c.sessions_per_sec));
@@ -271,58 +248,21 @@ impl Bench7Export {
         Ok(())
     }
 
-    /// Serialize to the `BENCH_7.json` schema.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": 7,\n");
-        s.push_str(&format!(
-            "  \"pool\": {{\"workers\": {}, \"max_in_flight\": {}, \"tenants\": {}, \"frames\": {}, \"particles_per_system\": {}}},\n",
-            self.workers, self.max_in_flight, self.tenants, self.frames, self.particles_per_system
-        ));
-        s.push_str("  \"session_counts\": [");
-        for (i, n) in self.session_counts.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&n.to_string());
+    fn to_json(&self) -> Json {
+        obj! {
+            "bench": 7u64,
+            "pool": fields!(self; workers, max_in_flight, tenants, frames, particles_per_system),
+            "session_counts": &self.session_counts,
+            "cells": &self.cells,
         }
-        s.push_str("],\n");
-        s.push_str("  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"sessions\": {}, \"completed\": {}, \"makespan\": {}, \"sessions_per_sec\": {}, \"p50_latency\": {}, \"p99_latency\": {}, \"mean_queue_wait\": {}, \"dispatches\": {}, \"slot_recycles\": {}, \"slot_high_water\": {}, \"parity_ok\": {}, \"wall_seconds\": {}}}{}\n",
-                c.workload,
-                c.sessions,
-                c.completed,
-                json_f64(c.makespan),
-                json_f64(c.sessions_per_sec),
-                json_f64(c.p50_latency),
-                json_f64(c.p99_latency),
-                json_f64(c.mean_queue_wait),
-                c.dispatches,
-                c.slot_recycles,
-                c.slot_high_water,
-                c.parity_ok,
-                json_f64(c.wall_seconds),
-                if i + 1 < self.cells.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
     }
 }
 
-/// JSON-safe float (validation upstream keeps non-finite values out of
-/// written files).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
+json_fields!(
+    Bench7Cell; workload, sessions, completed, makespan, sessions_per_sec, p50_latency,
+    p99_latency, mean_queue_wait, dispatches, slot_recycles, slot_high_water, parity_ok,
+    wall_seconds
+);
 
 #[cfg(test)]
 mod tests {
@@ -335,7 +275,8 @@ mod tests {
     #[test]
     fn collect_produces_valid_export() {
         let e = smoke();
-        e.validate().expect("smoke export must validate");
+        let json = e.checked_json().expect("smoke export must validate and render");
+        assert!(json.starts_with("{\n  \"bench\": 7,\n"), "{json}");
         assert_eq!(e.cells.len(), 4, "2 session counts x {{snow, vortex}}");
         for c in &e.cells {
             assert!(c.parity_ok, "{}: multiplexed == solo", c.workload);
@@ -344,28 +285,10 @@ mod tests {
     }
 
     #[test]
-    fn json_is_balanced_and_complete() {
-        let j = smoke().to_json();
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        for key in [
-            "\"bench\": 7",
-            "\"session_counts\"",
-            "\"sessions_per_sec\"",
-            "\"p99_latency\"",
-            "\"parity_ok\": true",
-            "\"vortex\"",
-        ] {
-            assert!(j.contains(key), "missing {key}");
-        }
-        assert!(!j.contains("NaN") && !j.contains("inf"));
-    }
-
-    #[test]
     fn validate_rejects_regressions() {
         let mut e = smoke();
         e.cells[0].p99_latency = f64::NAN;
-        assert!(e.validate().is_err(), "NaN must fail");
+        assert!(e.checked_json().is_err(), "NaN must fail");
         let mut e2 = smoke();
         e2.cells[0].completed -= 1;
         assert!(e2.validate().is_err(), "an incomplete pool must fail");
@@ -375,6 +298,12 @@ mod tests {
         let mut e4 = smoke();
         e4.cells[0].p99_latency = e4.cells[0].p50_latency / 2.0;
         assert!(e4.validate().is_err(), "disordered percentiles must fail");
+        let mut e5 = smoke();
+        e5.cells[2].workload = "snow";
+        assert!(e5.validate().is_err(), "a sweep without its vortex cells must fail");
+        let mut e6 = smoke();
+        e6.workers = 0;
+        assert!(e6.validate().is_err(), "a pool without workers must fail");
     }
 
     #[test]

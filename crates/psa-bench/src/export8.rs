@@ -20,7 +20,7 @@
 //! interval`) have nothing to restore and degrade exactly as the
 //! pre-recovery runtime did; they are kept in the export (flagged
 //! `recovered: false`) because they price the boundary the interval knob
-//! buys. For every other cell [`Bench8Export::validate`] enforces the
+//! buys. For every other cell [`Export::validate`] enforces the
 //! headline gate: the recovered run fingerprints byte-identical to the
 //! bare one, loses nothing, and `recovery_cost < restart_cost` strictly.
 //!
@@ -34,16 +34,8 @@ use psa_desim::EventSim;
 use psa_runtime::{CheckpointConfig, RunConfig, RunReport};
 use psa_workloads::{myrinet_gcc, snow_scene, WorkloadSize};
 
-/// Calculator counts of the full sweep (the CI smoke tier trims this).
-pub const BENCH8_CALCULATORS: &[usize] = &[4, 8];
-
-/// Snapshot intervals (frames between engine checkpoints) swept per cell.
-pub const BENCH8_INTERVALS: &[u64] = &[2, 3, 4];
-
-/// Crash frames swept, chosen against the default 12-frame run so they
-/// land before the first snapshot (2 < interval 3 and 4), right on a
-/// cadence boundary (4, 8), and deep into the run (11).
-pub const BENCH8_CRASH_FRAMES: &[u64] = &[2, 4, 5, 8, 11];
+use crate::json::Json;
+use crate::{json_fields, obj, Export};
 
 /// The rank the fault plan kills (always a calculator; rank 0 hosts the
 /// first calculator too, but killing rank 1 keeps the victim unambiguous).
@@ -190,11 +182,12 @@ pub fn collect8(
     }
 }
 
-impl Bench8Export {
-    /// Reject empty sweeps, non-finite costs, and — the headline gate —
-    /// any cell whose crash fell at or past the first snapshot yet failed
-    /// to recover byte-identically for strictly less than a restart.
-    pub fn validate(&self) -> Result<(), String> {
+impl Export for Bench8Export {
+    /// Reject empty sweeps, a sweep that never exercised a recovery
+    /// (non-finite costs are the writer's rule), and — the headline gate — any cell whose crash fell at
+    /// or past the first snapshot yet failed to recover byte-identically
+    /// for strictly less than a restart.
+    fn validate(&self) -> Result<(), String> {
         if self.calculators.is_empty() || self.intervals.is_empty() || self.crash_frames.is_empty()
         {
             return Err("empty sweep axis".into());
@@ -209,19 +202,14 @@ impl Bench8Export {
         if self.cells.len() != expected {
             return Err(format!("expected {expected} cells, got {}", self.cells.len()));
         }
+        if !self.cells.iter().any(|c| c.crash_frame >= c.interval) {
+            return Err(
+                "sweep never exercised a recovery (every crash precedes its first snapshot)".into(),
+            );
+        }
         for c in &self.cells {
             let cell =
                 format!("cell {}c interval {} crash@{}", c.calculators, c.interval, c.crash_frame);
-            for (name, v) in [
-                ("recovery_cost", c.recovery_cost),
-                ("restart_cost", c.restart_cost),
-                ("saved", c.saved),
-                ("wall_seconds", c.wall_seconds),
-            ] {
-                if !v.is_finite() {
-                    return Err(format!("{cell}: {name} is {v}"));
-                }
-            }
             if c.restart_cost <= 0.0 {
                 return Err(format!("{cell}: restart cost {} is degenerate", c.restart_cost));
             }
@@ -277,63 +265,28 @@ impl Bench8Export {
         Ok(())
     }
 
-    /// Serialize to the `BENCH_8.json` schema.
-    pub fn to_json(&self) -> String {
-        fn list<T: std::fmt::Display>(xs: &[T]) -> String {
-            let mut s = String::from("[");
-            for (i, x) in xs.iter().enumerate() {
-                if i > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&x.to_string());
-            }
-            s.push(']');
-            s
+    fn to_json(&self) -> Json {
+        obj! {
+            "bench": 8u64,
+            "run": obj! {
+                "frames": self.frames,
+                "particles_per_system": self.particles_per_system,
+                "seed": self.seed,
+                "victim_rank": BENCH8_VICTIM,
+            },
+            "calculators": &self.calculators,
+            "intervals": &self.intervals,
+            "crash_frames": &self.crash_frames,
+            "cells": &self.cells,
         }
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": 8,\n");
-        s.push_str(&format!(
-            "  \"run\": {{\"frames\": {}, \"particles_per_system\": {}, \"seed\": {}, \"victim_rank\": {}}},\n",
-            self.frames, self.particles_per_system, self.seed, BENCH8_VICTIM
-        ));
-        s.push_str(&format!("  \"calculators\": {},\n", list(&self.calculators)));
-        s.push_str(&format!("  \"intervals\": {},\n", list(&self.intervals)));
-        s.push_str(&format!("  \"crash_frames\": {},\n", list(&self.crash_frames)));
-        s.push_str("  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"calculators\": {}, \"interval\": {}, \"crash_frame\": {}, \"recovered\": {}, \"snapshot_frame\": {}, \"frames_replayed\": {}, \"particles_restored\": {}, \"recovery_cost\": {}, \"restart_cost\": {}, \"saved\": {}, \"fingerprint_ok\": {}, \"lost_particles\": {}, \"dead_ranks\": {}, \"wall_seconds\": {}}}{}\n",
-                c.calculators,
-                c.interval,
-                c.crash_frame,
-                c.recovered,
-                c.snapshot_frame,
-                c.frames_replayed,
-                c.particles_restored,
-                json_f64(c.recovery_cost),
-                json_f64(c.restart_cost),
-                json_f64(c.saved),
-                c.fingerprint_ok,
-                c.lost_particles,
-                c.dead_ranks,
-                json_f64(c.wall_seconds),
-                if i + 1 < self.cells.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
     }
 }
 
-fn json_f64(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{v:.1}")
-    } else {
-        format!("{v}")
-    }
-}
+json_fields!(
+    Bench8Cell; calculators, interval, crash_frame, recovered, snapshot_frame, frames_replayed,
+    particles_restored, recovery_cost, restart_cost, saved, fingerprint_ok, lost_particles,
+    dead_ranks, wall_seconds
+);
 
 #[cfg(test)]
 mod tests {
@@ -359,6 +312,12 @@ mod tests {
             .expect("on-cadence cell");
         assert!(boundary.recovered);
         assert_eq!(boundary.frames_replayed, 0, "crash on the snapshot frame replays nothing");
+        // Every crash before its first snapshot: nothing was priced.
+        let unexercised = collect8(&[4], &[4], &[2], 8, 300, 0xBE7C_0008);
+        assert!(unexercised.validate().is_err(), "a sweep without one recovery must fail");
+        let mut nan = data;
+        nan.cells[0].saved = f64::NAN;
+        assert!(nan.checked_json().is_err(), "NaN must never reach the file");
     }
 
     #[test]
@@ -384,8 +343,8 @@ mod tests {
     #[test]
     fn json_shape_is_stable() {
         let data = collect8(&[4], &[2], &[5], 8, 200, 7);
-        let json = data.to_json();
-        assert!(json.contains("\"bench\": 8"));
+        let json = data.checked_json().expect("smoke export must validate and render");
+        assert!(json.starts_with("{\n  \"bench\": 8,\n"), "{json}");
         assert!(json.contains("\"victim_rank\": 1"));
         assert!(json.contains("\"recovery_cost\""));
         assert!(json.contains("\"restart_cost\""));

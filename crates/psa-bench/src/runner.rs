@@ -4,38 +4,8 @@
 
 use cluster_sim::{e800, zx2000, ClusterSpec, Compiler, CostModel};
 use psa_desim::EventSim;
-use psa_runtime::{run_sequential, BalanceMode, RunConfig, RunReport, Scene, SpaceMode};
-use psa_workloads::{fountain_scene, paper_run_config, snow_scene, WorkloadSize};
-
-/// Which paper workload an experiment runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Experiment {
-    Snow,
-    Fountain,
-}
-
-impl Experiment {
-    pub fn scene(&self, size: WorkloadSize) -> Scene {
-        match self {
-            Experiment::Snow => snow_scene(size),
-            Experiment::Fountain => fountain_scene(size),
-        }
-    }
-
-    pub fn dt(&self) -> f32 {
-        match self {
-            Experiment::Snow => psa_workloads::snow::SNOW_DT,
-            Experiment::Fountain => psa_workloads::fountain::FOUNTAIN_DT,
-        }
-    }
-
-    pub fn name(&self) -> &'static str {
-        match self {
-            Experiment::Snow => "snow",
-            Experiment::Fountain => "fountain",
-        }
-    }
-}
+use psa_runtime::{run_sequential, BalanceMode, RunConfig, RunReport, SpaceMode};
+use psa_workloads::{paper_run_config, Workload, WorkloadSize};
 
 /// One parallel run plus its baseline-relative speed-up.
 #[derive(Clone, Debug)]
@@ -47,7 +17,7 @@ pub struct RunOutcome {
 /// Shared runner state: caches the sequential baselines (they are identical
 /// across the rows of a table).
 ///
-/// The cache is keyed on `(Experiment, speed)` only. That key is complete
+/// The cache is keyed on `(Workload, speed)` only. That key is complete
 /// **because** `size` and `frames` are fixed at construction — they are
 /// private and have no setters, so a cached baseline can never describe a
 /// different workload than the one a later `run` uses. To benchmark another
@@ -55,7 +25,7 @@ pub struct RunOutcome {
 pub struct Runner {
     size: WorkloadSize,
     frames: u64,
-    seq_cache: Vec<(Experiment, f64, f64)>, // (exp, speed, total_time)
+    seq_cache: Vec<(Workload, f64, f64)>, // (exp, speed, total_time)
 }
 
 impl Runner {
@@ -73,7 +43,7 @@ impl Runner {
         self.frames
     }
 
-    fn run_config(&self, exp: Experiment, space: SpaceMode, balance: BalanceMode) -> RunConfig {
+    fn run_config(&self, exp: Workload, space: SpaceMode, balance: BalanceMode) -> RunConfig {
         let mut cfg = paper_run_config(self.frames, exp.dt());
         cfg.space = space;
         cfg.balance = balance;
@@ -82,7 +52,7 @@ impl Runner {
 
     /// Sequential baseline time for `exp` at relative machine `speed`
     /// (cached).
-    pub fn sequential_time(&mut self, exp: Experiment, speed: f64) -> f64 {
+    pub fn sequential_time(&mut self, exp: Workload, speed: f64) -> f64 {
         if let Some((_, _, t)) =
             self.seq_cache.iter().find(|(e, s, _)| *e == exp && (*s - speed).abs() < 1e-12)
         {
@@ -97,12 +67,12 @@ impl Runner {
     }
 
     /// The paper's Myrinet/GCC baseline machine (E800).
-    pub fn baseline_gcc(&mut self, exp: Experiment) -> f64 {
+    pub fn baseline_gcc(&mut self, exp: Workload) -> f64 {
         self.sequential_time(exp, e800().speed(Compiler::Gcc))
     }
 
     /// The paper's Fast-Ethernet/ICC baseline machine (Itanium zx2000).
-    pub fn baseline_icc(&mut self, exp: Experiment) -> f64 {
+    pub fn baseline_icc(&mut self, exp: Workload) -> f64 {
         self.sequential_time(exp, zx2000().speed(Compiler::Icc))
     }
 
@@ -110,7 +80,7 @@ impl Runner {
     /// `baseline_time`.
     pub fn run(
         &mut self,
-        exp: Experiment,
+        exp: Workload,
         cluster: ClusterSpec,
         space: SpaceMode,
         balance: BalanceMode,
@@ -125,7 +95,7 @@ impl Runner {
     /// untraced run.
     pub fn run_traced(
         &mut self,
-        exp: Experiment,
+        exp: Workload,
         cluster: ClusterSpec,
         space: SpaceMode,
         balance: BalanceMode,
@@ -136,7 +106,7 @@ impl Runner {
 
     fn run_inner(
         &mut self,
-        exp: Experiment,
+        exp: Workload,
         cluster: ClusterSpec,
         space: SpaceMode,
         balance: BalanceMode,
@@ -169,15 +139,10 @@ mod tests {
     #[test]
     fn parallel_beats_sequential_for_finite_space() {
         let mut r = Runner::new(tiny(), 10);
-        let base = r.baseline_gcc(Experiment::Snow);
+        let base = r.baseline_gcc(Workload::Snow);
         assert!(base > 0.0);
-        let out = r.run(
-            Experiment::Snow,
-            myrinet_gcc(4, 1),
-            SpaceMode::Finite,
-            BalanceMode::Static,
-            base,
-        );
+        let out =
+            r.run(Workload::Snow, myrinet_gcc(4, 1), SpaceMode::Finite, BalanceMode::Static, base);
         assert!(out.speedup > 1.5, "4 calculators should beat sequential: {}", out.speedup);
         assert!(out.speedup < 4.0, "cannot exceed ideal: {}", out.speedup);
     }
@@ -185,16 +150,16 @@ mod tests {
     #[test]
     fn sequential_cache_hits() {
         let mut r = Runner::new(tiny(), 6);
-        let a = r.baseline_gcc(Experiment::Snow);
-        let b = r.baseline_gcc(Experiment::Snow);
+        let a = r.baseline_gcc(Workload::Snow);
+        let b = r.baseline_gcc(Workload::Snow);
         assert_eq!(a, b);
     }
 
     #[test]
     fn cache_key_distinguishes_speed_and_runner() {
         let mut r = Runner::new(tiny(), 6);
-        let fast = r.sequential_time(Experiment::Snow, 1.0);
-        let slow = r.sequential_time(Experiment::Snow, 0.5);
+        let fast = r.sequential_time(Workload::Snow, 1.0);
+        let slow = r.sequential_time(Workload::Snow, 0.5);
         assert!((slow / fast - 2.0).abs() < 1e-9, "speed must be part of the key");
         // size/frames are fixed per Runner (no setters), so a different
         // workload needs a fresh Runner — and must not share baselines.
@@ -203,7 +168,7 @@ mod tests {
         assert_eq!(r2.size().particles_per_system, 6000);
         assert_eq!(r2.frames(), 6);
         assert!(
-            r2.sequential_time(Experiment::Snow, 1.0) > fast,
+            r2.sequential_time(Workload::Snow, 1.0) > fast,
             "4x particles must cost more than the cached tiny baseline"
         );
     }
@@ -213,16 +178,16 @@ mod tests {
         // The Table 1 IS-SLB effect: odd process counts leave one busy
         // calculator; speed-up collapses below 1.
         let mut r = Runner::new(tiny(), 8);
-        let base = r.baseline_gcc(Experiment::Snow);
+        let base = r.baseline_gcc(Workload::Snow);
         let odd = r.run(
-            Experiment::Snow,
+            Workload::Snow,
             myrinet_gcc(5, 1),
             SpaceMode::Infinite,
             BalanceMode::Static,
             base,
         );
         let even = r.run(
-            Experiment::Snow,
+            Workload::Snow,
             myrinet_gcc(4, 1),
             SpaceMode::Infinite,
             BalanceMode::Static,
@@ -240,16 +205,16 @@ mod tests {
     #[test]
     fn dynamic_balancing_recovers_infinite_space() {
         let mut r = Runner::new(tiny(), 12);
-        let base = r.baseline_gcc(Experiment::Snow);
+        let base = r.baseline_gcc(Workload::Snow);
         let slb = r.run(
-            Experiment::Snow,
+            Workload::Snow,
             myrinet_gcc(5, 1),
             SpaceMode::Infinite,
             BalanceMode::Static,
             base,
         );
         let dlb = r.run(
-            Experiment::Snow,
+            Workload::Snow,
             myrinet_gcc(5, 1),
             SpaceMode::Infinite,
             BalanceMode::dynamic(),

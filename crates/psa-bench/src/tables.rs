@@ -1,10 +1,10 @@
 //! Regeneration of every table and in-text number of the paper.
 
 use psa_runtime::{BalanceMode, BalancerConfig, SpaceMode};
-use psa_workloads::{myrinet_gcc, table1_rows, table2_rows, WorkloadSize};
+use psa_workloads::{myrinet_gcc, table1_rows, table2_rows, Workload, WorkloadSize};
 
 use crate::paper;
-use crate::runner::{Experiment, Runner};
+use crate::runner::Runner;
 
 /// One reproduced table row: measured speed-ups next to the paper's.
 #[derive(Clone, Debug)]
@@ -27,7 +27,7 @@ pub const CONFIG_COLUMNS: [(&str, SpaceMode, bool); 4] = [
 /// The DLB every paper table and in-text number runs: the paper's own
 /// balancer ([`BalancerConfig::paper`] — fixed 32-particle minimum transfer,
 /// no balance short-circuit), not the adaptive default that later work made
-/// `BalanceMode::dynamic()`. Pinned so `repro` keeps reproducing the
+/// `BalanceMode::dynamic()`. Pinned so `bench tables` keeps reproducing the
 /// committed `repro_output.txt` whatever the runtime default becomes.
 pub fn paper_dlb() -> BalanceMode {
     BalanceMode::Dynamic(BalancerConfig::paper())
@@ -42,7 +42,7 @@ fn balance_of(dynamic: bool) -> BalanceMode {
 }
 
 fn myrinet_table(
-    exp: Experiment,
+    exp: Workload,
     paper_vals: &[[f64; 4]; 6],
     size: WorkloadSize,
     frames: u64,
@@ -68,24 +68,24 @@ fn myrinet_table(
 
 /// Table 1: snow on Myrinet + GCC across the IS/FS × SLB/DLB matrix.
 pub fn table1(size: WorkloadSize, frames: u64) -> Vec<TableRow> {
-    myrinet_table(Experiment::Snow, &paper::TABLE1, size, frames)
+    myrinet_table(Workload::Snow, &paper::TABLE1, size, frames)
 }
 
 /// Table 3: fountain on Myrinet + GCC, same matrix.
 pub fn table3(size: WorkloadSize, frames: u64) -> Vec<TableRow> {
-    myrinet_table(Experiment::Fountain, &paper::TABLE3, size, frames)
+    myrinet_table(Workload::Fountain, &paper::TABLE3, size, frames)
 }
 
 /// Table 2: snow on the heterogeneous Fast-Ethernet + ICC mixes, FS-DLB,
 /// against the Itanium ICC sequential baseline.
 pub fn table2(size: WorkloadSize, frames: u64) -> Vec<TableRow> {
     let mut runner = Runner::new(size, frames);
-    let base = runner.baseline_icc(Experiment::Snow);
+    let base = runner.baseline_icc(Workload::Snow);
     table2_rows()
         .into_iter()
         .zip(paper::TABLE2.iter())
         .map(|((label, cluster), &paper_v)| {
-            let out = runner.run(Experiment::Snow, cluster, SpaceMode::Finite, paper_dlb(), base);
+            let out = runner.run(Workload::Snow, cluster, SpaceMode::Finite, paper_dlb(), base);
             TableRow { label: label.to_string(), ours: vec![out.speedup], paper: vec![paper_v] }
         })
         .collect()
@@ -118,9 +118,9 @@ pub fn text_numbers(size: WorkloadSize, frames: u64) -> TextNumbers {
     // Exchange volumes measured on the 8*B/16P Myrinet FS-SLB runs (static
     // domains — with DLB active the cuts crowd into dense regions and
     // boundary-crossing rates rise above what the paper reports).
-    let base_gcc_snow = runner.baseline_gcc(Experiment::Snow);
+    let base_gcc_snow = runner.baseline_gcc(Workload::Snow);
     let snow16 = runner.run(
-        Experiment::Snow,
+        Workload::Snow,
         myrinet_gcc(8, 2),
         SpaceMode::Finite,
         BalanceMode::Static,
@@ -129,9 +129,9 @@ pub fn text_numbers(size: WorkloadSize, frames: u64) -> TextNumbers {
     let procs = 16.0;
     let snow_exchange = (snow16.report.mean_migrated() / procs, snow16.report.mean_migration_kb());
 
-    let base_gcc_fountain = runner.baseline_gcc(Experiment::Fountain);
+    let base_gcc_fountain = runner.baseline_gcc(Workload::Fountain);
     let fountain16 = runner.run(
-        Experiment::Fountain,
+        Workload::Fountain,
         myrinet_gcc(8, 2),
         SpaceMode::Finite,
         BalanceMode::Static,
@@ -143,12 +143,12 @@ pub fn text_numbers(size: WorkloadSize, frames: u64) -> TextNumbers {
     // Snow on Fast-Ethernet + ICC, 8 E800 / 16 P.
     let fe_cluster =
         || ClusterSpec::homogeneous(NetworkModel::fast_ethernet(), Compiler::Icc, e800(), 8, 2);
-    let base_icc_snow = runner.baseline_icc(Experiment::Snow);
+    let base_icc_snow = runner.baseline_icc(Workload::Snow);
     let snow_fe_dlb = runner
-        .run(Experiment::Snow, fe_cluster(), SpaceMode::Finite, paper_dlb(), base_icc_snow)
+        .run(Workload::Snow, fe_cluster(), SpaceMode::Finite, paper_dlb(), base_icc_snow)
         .speedup;
     let snow_fe_slb = runner
-        .run(Experiment::Snow, fe_cluster(), SpaceMode::Finite, BalanceMode::Static, base_icc_snow)
+        .run(Workload::Snow, fe_cluster(), SpaceMode::Finite, BalanceMode::Static, base_icc_snow)
         .speedup;
 
     // Snow mixed 4*B + 4*A on Myrinet + GCC (8 and 16 processes).
@@ -157,34 +157,26 @@ pub fn text_numbers(size: WorkloadSize, frames: u64) -> TextNumbers {
             .add_nodes(e800(), 4, ppn)
             .add_nodes(e60(), 4, ppn)
     };
-    let snow_mixed_8 = runner
-        .run(Experiment::Snow, mixed(1), SpaceMode::Finite, paper_dlb(), base_gcc_snow)
-        .speedup;
-    let snow_mixed_16 = runner
-        .run(Experiment::Snow, mixed(2), SpaceMode::Finite, paper_dlb(), base_gcc_snow)
-        .speedup;
+    let snow_mixed_8 =
+        runner.run(Workload::Snow, mixed(1), SpaceMode::Finite, paper_dlb(), base_gcc_snow).speedup;
+    let snow_mixed_16 =
+        runner.run(Workload::Snow, mixed(2), SpaceMode::Finite, paper_dlb(), base_gcc_snow).speedup;
 
     // Fountain on 16 nodes (8*B + 8*A), Myrinet + GCC.
     let sixteen_nodes = ClusterSpec::new(NetworkModel::myrinet(), Compiler::Gcc)
         .add_nodes(e800(), 8, 1)
         .add_nodes(e60(), 8, 1);
     let fountain_16 = runner
-        .run(Experiment::Fountain, sixteen_nodes, SpaceMode::Finite, paper_dlb(), base_gcc_fountain)
+        .run(Workload::Fountain, sixteen_nodes, SpaceMode::Finite, paper_dlb(), base_gcc_fountain)
         .speedup;
 
     // Fountain best FE: 2*B (4P) + 2*C (2P), FS-DLB vs Itanium ICC.
-    let base_icc_fountain = runner.baseline_icc(Experiment::Fountain);
+    let base_icc_fountain = runner.baseline_icc(Workload::Fountain);
     let fe_best_cluster = ClusterSpec::new(NetworkModel::fast_ethernet(), Compiler::Icc)
         .add_nodes(e800(), 2, 2)
         .add_nodes(zx2000(), 2, 1);
     let fountain_fe = runner
-        .run(
-            Experiment::Fountain,
-            fe_best_cluster,
-            SpaceMode::Finite,
-            paper_dlb(),
-            base_icc_fountain,
-        )
+        .run(Workload::Fountain, fe_best_cluster, SpaceMode::Finite, paper_dlb(), base_icc_fountain)
         .speedup;
 
     TextNumbers {
@@ -239,4 +231,96 @@ pub fn format_table(title: &str, columns: &[&str], rows: &[TableRow]) -> String 
         s.push('\n');
     }
     s
+}
+
+/// The sections of the reproduction transcript, in the order `bench tables
+/// all` prints them (`repro_output.txt` is exactly that).
+pub const SECTIONS: &[&str] =
+    &["table1", "table2", "table3", "text-snow", "text-fountain", "reductions"];
+
+/// Run and print one of [`SECTIONS`] next to the paper's published values.
+pub fn print_section(section: &str, size: WorkloadSize, frames: u64) {
+    let columns = CONFIG_COLUMNS.map(|(c, _, _)| c);
+    let table = |title: &str, columns: &[&str], rows: Vec<TableRow>| {
+        println!("{}", format_table(title, columns, &rows));
+    };
+    let exchange = |ours: (f64, f64), paper_per_proc: f64, paper_kb: f64| {
+        println!(
+            "exchange: {:.0} particles/process/frame (paper ≈ {paper_per_proc:.0}); {:.0} KB/frame total (paper ≈ {paper_kb:.0})",
+            ours.0, ours.1
+        );
+    };
+    match section {
+        "table1" => table(
+            "## Table 1 — Snow, Myrinet + GNU/GCC (speed-up vs sequential E800+GCC)",
+            &columns,
+            table1(size, frames),
+        ),
+        "table2" => table(
+            "## Table 2 — Snow, Fast-Ethernet + ICC, FS-DLB (speed-up vs sequential Itanium+ICC)",
+            &["Speed-Up"],
+            table2(size, frames),
+        ),
+        "table3" => table(
+            "## Table 3 — Fountain, Myrinet + GNU/GCC (speed-up vs sequential E800+GCC)",
+            &columns,
+            table3(size, frames),
+        ),
+        "text-snow" => {
+            let tn = text_numbers(size, frames);
+            println!("## §5.1 in-text numbers — snow");
+            exchange(
+                tn.snow_exchange,
+                paper::SNOW_EXCHANGE_PER_PROC,
+                paper::SNOW_EXCHANGE_TOTAL_KB,
+            );
+            println!(
+                "FE+ICC 8*B/16P: FS-DLB {:.2} (paper {:.2}), FS-SLB {:.2} (paper {:.2})",
+                tn.snow_fe.0,
+                paper::SNOW_FE_DLB,
+                tn.snow_fe.1,
+                paper::SNOW_FE_SLB_FS
+            );
+            println!(
+                "4*B + 4*A Myrinet: 8P {:.2} (paper {:.2}), 16P {:.2} (paper {:.2})\n",
+                tn.snow_mixed.0,
+                paper::SNOW_MIXED_8P,
+                tn.snow_mixed.1,
+                paper::SNOW_MIXED_16P
+            );
+        }
+        "text-fountain" => {
+            let tn = text_numbers(size, frames);
+            println!("## §5.2 in-text numbers — fountain");
+            exchange(
+                tn.fountain_exchange,
+                paper::FOUNTAIN_EXCHANGE_PER_PROC,
+                paper::FOUNTAIN_EXCHANGE_TOTAL_KB,
+            );
+            println!(
+                "16 nodes (8*B + 8*A) Myrinet: {:.2} (paper {:.2})",
+                tn.fountain_16_nodes,
+                paper::FOUNTAIN_16_NODES
+            );
+            println!(
+                "best Fast-Ethernet (2*B(4P)+2*C(2P)): {:.2} (paper {:.2})\n",
+                tn.fountain_fe_best,
+                paper::FOUNTAIN_FE_BEST
+            );
+        }
+        "reductions" => {
+            let r = reductions(size, frames);
+            println!("## §5.3 time reductions");
+            println!(
+                "snow over Myrinet:       {:.0}% (paper {:.0}%)",
+                r.snow_myrinet.0, r.snow_myrinet.1
+            );
+            println!("snow over Fast-Ethernet: {:.0}% (paper {:.0}%)", r.snow_fe.0, r.snow_fe.1);
+            println!(
+                "fountain over Myrinet:   {:.0}% (paper {:.0}%)\n",
+                r.fountain_myrinet.0, r.fountain_myrinet.1
+            );
+        }
+        other => unreachable!("`{other}` is not one of SECTIONS; the command line checks that"),
+    }
 }

@@ -31,7 +31,8 @@ pub mod recovery;
 pub mod scenario;
 pub mod sessions;
 
-pub use matrix::{run_case, run_matrix, CaseOutcome, MatrixConfig, Workload};
+pub use matrix::{run_case, run_matrix, CaseOutcome, MatrixConfig, CHAOS_WORKLOADS};
+pub use psa_workloads::Workload;
 pub use recovery::{run_recovery_case, run_recovery_matrix, RecoveryConfig, RecoveryOutcome};
 pub use scenario::{full_set, smoke_set, Scenario};
 pub use sessions::{run_session_chaos, SessionChaosConfig, SessionChaosOutcome};

@@ -10,36 +10,14 @@
 
 use psa_desim::EventSim;
 use psa_runtime::trace::figure2_passes;
-use psa_runtime::{RunConfig, RunReport, Scene};
-use psa_workloads::{fountain_scene, myrinet_gcc, snow_scene, WorkloadSize};
+use psa_runtime::{RunConfig, RunReport};
+use psa_workloads::{myrinet_gcc, Workload, WorkloadSize};
 
 use crate::scenario::Scenario;
 
-/// Which paper workload a case animates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Workload {
-    /// §5.1 — mostly vertical motion, little migration.
-    Snow,
-    /// §5.2 — constant domain crossings, heavy migration.
-    Fountain,
-}
-
-impl Workload {
-    pub fn label(&self) -> &'static str {
-        match self {
-            Workload::Snow => "snow",
-            Workload::Fountain => "fountain",
-        }
-    }
-
-    /// Build the workload's scene at the given size.
-    pub fn scene(&self, size: WorkloadSize) -> Scene {
-        match self {
-            Workload::Snow => snow_scene(size),
-            Workload::Fountain => fountain_scene(size),
-        }
-    }
-}
+/// The workloads the chaos matrix and the recovery gate animate (the
+/// paper's two experiments).
+pub const CHAOS_WORKLOADS: &[Workload] = &[Workload::Snow, Workload::Fountain];
 
 /// Matrix-wide knobs.
 #[derive(Clone, Copy, Debug)]
@@ -132,7 +110,7 @@ pub fn run_case(workload: Workload, scenario: Scenario, mc: &MatrixConfig) -> Ca
         Ok(r) => r,
         Err(e) => {
             return CaseOutcome {
-                workload: workload.label(),
+                workload: workload.name(),
                 scenario: scenario.label(),
                 fingerprint: 0,
                 frames_rendered: 0,
@@ -198,7 +176,7 @@ pub fn run_case(workload: Workload, scenario: Scenario, mc: &MatrixConfig) -> Ca
     }
 
     CaseOutcome {
-        workload: workload.label(),
+        workload: workload.name(),
         scenario: scenario.label(),
         fingerprint: report.fingerprint(),
         frames_rendered: report.frames.len(),
@@ -213,7 +191,7 @@ pub fn run_case(workload: Workload, scenario: Scenario, mc: &MatrixConfig) -> Ca
 /// Run the whole matrix: every scenario × both workloads.
 pub fn run_matrix(scenarios: &[Scenario], mc: &MatrixConfig) -> Vec<CaseOutcome> {
     let mut out = Vec::new();
-    for &w in &[Workload::Snow, Workload::Fountain] {
+    for &w in CHAOS_WORKLOADS {
         for s in scenarios {
             out.push(run_case(w, *s, mc));
         }

@@ -22,9 +22,9 @@
 use netsim::FaultPlan;
 use psa_desim::EventSim;
 use psa_runtime::{CheckpointConfig, RunConfig};
-use psa_workloads::myrinet_gcc;
+use psa_workloads::{myrinet_gcc, Workload};
 
-use crate::matrix::{MatrixConfig, Workload};
+use crate::matrix::{MatrixConfig, CHAOS_WORKLOADS};
 use crate::scenario::Scenario;
 
 /// Knobs for the recovery gate.
@@ -105,7 +105,7 @@ pub fn run_recovery_case(
         Ok(r) => r,
         Err(e) => {
             return RecoveryOutcome {
-                workload: workload.label(),
+                workload: workload.name(),
                 scenario: scenario.label(),
                 fingerprint: 0,
                 recoveries: 0,
@@ -163,7 +163,7 @@ pub fn run_recovery_case(
     }
 
     RecoveryOutcome {
-        workload: workload.label(),
+        workload: workload.name(),
         scenario: scenario.label(),
         fingerprint: report.fingerprint(),
         recoveries: report.recoveries.len(),
@@ -178,7 +178,7 @@ pub fn run_recovery_case(
 /// recover from).
 pub fn run_recovery_matrix(scenarios: &[Scenario], rc: &RecoveryConfig) -> Vec<RecoveryOutcome> {
     let mut out = Vec::new();
-    for &w in &[Workload::Snow, Workload::Fountain] {
+    for &w in CHAOS_WORKLOADS {
         for s in scenarios.iter().filter(|s| s.kills()) {
             out.push(run_recovery_case(w, *s, rc));
         }

@@ -256,14 +256,9 @@ impl<F: Fabric> Engine<F> {
         let n = placement.calculators();
         let n_sys = scene.systems.len();
         assert_eq!(net.ranks(), n + 2, "fabric must cover calculators + manager + image generator");
-        let space_for = |sys: usize| -> Interval {
-            match cfg.space {
-                SpaceMode::Finite => scene.systems[sys].spec.space,
-                SpaceMode::Infinite => Interval::INFINITE,
-            }
-        };
-        let mgr_domains: Vec<DomainMap> =
-            (0..n_sys).map(|s| DomainMap::split_even(space_for(s), AXIS, n)).collect();
+        let mgr_domains: Vec<DomainMap> = (0..n_sys)
+            .map(|s| DomainMap::split_even(space_for(&scene, &cfg, s), AXIS, n))
+            .collect();
         let shared0: Vec<Arc<DomainMap>> = mgr_domains.iter().cloned().map(Arc::new).collect();
         let calcs: Vec<CalcState> = (0..n)
             .map(|c| CalcState {
@@ -379,13 +374,6 @@ impl<F: Fabric> Engine<F> {
     /// the paper's front-end, assumed reliable).
     fn active_set(&self) -> Vec<usize> {
         (0..self.n).filter(|&c| !self.crashed[c]).chain([self.mgr]).collect()
-    }
-
-    fn space_of(&self, sys: usize) -> Interval {
-        match self.cfg.space {
-            SpaceMode::Finite => self.scene.systems[sys].spec.space,
-            SpaceMode::Infinite => Interval::INFINITE,
-        }
     }
 
     /// Send with the degraded-mode rules: sends to a declared-dead rank are
@@ -529,7 +517,7 @@ impl<F: Fabric> Engine<F> {
                 invariants::check_partition(
                     frame,
                     sys,
-                    self.space_of(sys),
+                    space_for(&self.scene, &self.cfg, sys),
                     &self.mgr_domains[sys],
                 )?;
             }
@@ -1508,32 +1496,14 @@ impl<F: Fabric> Engine<F> {
             let donor = t.donor;
             let receiver = t.receiver;
             let amount = t.amount.min(self.calcs[donor].stores[sys].len());
-            let store = &mut self.calcs[donor].stores[sys];
-            let old_slice = store.slice();
-            let (mut donated, sorted) =
-                if receiver < donor { store.donate_low(amount) } else { store.donate_high(amount) };
+            let step = donor_step(&mut self.calcs[donor].stores[sys], receiver < donor, amount);
             self.net.advance(
                 donor,
-                self.cost.sort_time(sorted, self.speeds[donor])
-                    + self.cost.pack_time(donated.len(), self.speeds[donor]),
+                self.cost.sort_time(step.sorted, self.speeds[donor])
+                    + self.cost.pack_time(step.selected, self.speeds[donor]),
             );
-            let kept = self.calcs[donor].stores[sys].extent();
-            let cut = donation_cut(receiver < donor, &donated, kept, old_slice);
-            // Half-open tie guard: a donated particle exactly at the cut
-            // still belongs to the donor.
-            if receiver < donor {
-                let keep_back: Vec<Particle> =
-                    donated.iter().filter(|p| p.position.along(AXIS) >= cut).copied().collect();
-                donated.retain(|p| p.position.along(AXIS) < cut);
-                self.calcs[donor].stores[sys].extend(keep_back);
-            } else {
-                let keep_back: Vec<Particle> =
-                    donated.iter().filter(|p| p.position.along(AXIS) < cut).copied().collect();
-                donated.retain(|p| p.position.along(AXIS) >= cut);
-                self.calcs[donor].stores[sys].extend(keep_back);
-            }
-            cuts.push((donor, receiver, cut));
-            donations.push((donor, receiver, donated));
+            cuts.push((donor, receiver, step.cut));
+            donations.push((donor, receiver, step.donated));
         }
         if sys == 0 && !transfers.is_empty() {
             self.trace.record(frame, ProtocolEvent::PreparationOfStructures);
@@ -1763,6 +1733,38 @@ fn apply_cut_span(
     } else {
         (receiver..donor).rev().try_for_each(|b| dm.move_cut(b, cut))
     }
+}
+
+/// What one donor hands over for one balance order.
+pub(crate) struct DonorStep {
+    /// The particles that leave, all strictly on the receiver's side of `cut`.
+    pub donated: Vec<Particle>,
+    /// The donor's new boundary toward the receiver.
+    pub cut: Scalar,
+    /// Particles the store had to sort to pick the donation (cost model).
+    pub sorted: usize,
+    /// Particles picked before the tie guard gave any back (what the donor
+    /// packed, cost model).
+    pub selected: usize,
+}
+
+/// The donor side of one balance order, the same for the interleaved
+/// engine and the SPMD calculator: take `amount` particles off the end
+/// facing the receiver (`low_side` = the lower neighbor), place the new
+/// cut with [`donation_cut`], and apply the half-open tie guard — slices
+/// are `[lo, hi)`, so a selected particle that the cut leaves on the
+/// donor's side (one tied exactly at it) goes back into the store.
+pub(crate) fn donor_step(store: &mut SubDomainStore, low_side: bool, amount: usize) -> DonorStep {
+    let old_slice = store.slice();
+    let (mut donated, sorted) =
+        if low_side { store.donate_low(amount) } else { store.donate_high(amount) };
+    let selected = donated.len();
+    let cut = donation_cut(low_side, &donated, store.extent(), old_slice);
+    let leaves = |p: &Particle| (p.position.along(AXIS) < cut) == low_side;
+    let give_back: Vec<Particle> = donated.iter().filter(|p| !leaves(p)).copied().collect();
+    donated.retain(leaves);
+    store.extend(give_back);
+    DonorStep { donated, cut, sorted, selected }
 }
 
 /// Compute the new domain cut after a donation (shared by every executor
@@ -2061,37 +2063,16 @@ pub(crate) fn calculator_main(
                 for o in &orders {
                     match *o {
                         balance::Order::Send { to, amount } => {
-                            let old_slice = stores[sys].slice();
-                            let (mut donated, _sorted) = if to < c {
-                                stores[sys].donate_low(amount)
-                            } else {
-                                stores[sys].donate_high(amount)
-                            };
-                            let kept = stores[sys].extent();
-                            let cut = donation_cut(to < c, &donated, kept, old_slice);
-                            // half-open tie guard
-                            if to < c {
-                                let back: Vec<Particle> = donated
-                                    .iter()
-                                    .filter(|p| p.position.x >= cut)
-                                    .copied()
-                                    .collect();
-                                donated.retain(|p| p.position.x < cut);
-                                stores[sys].extend(back);
-                            } else {
-                                let back: Vec<Particle> = donated
-                                    .iter()
-                                    .filter(|p| p.position.x < cut)
-                                    .copied()
-                                    .collect();
-                                donated.retain(|p| p.position.x >= cut);
-                                stores[sys].extend(back);
-                            }
+                            let step = donor_step(&mut stores[sys], to < c, amount);
                             ep.send(
                                 mgr,
-                                Msg::NewCut { system: setup.spec.id, boundary: c.min(to), cut },
+                                Msg::NewCut {
+                                    system: setup.spec.id,
+                                    boundary: c.min(to),
+                                    cut: step.cut,
+                                },
                             )?;
-                            outgoing.push((to, donated));
+                            outgoing.push((to, step.donated));
                         }
                         balance::Order::Receive { .. } => {}
                     }

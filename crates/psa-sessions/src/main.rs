@@ -15,9 +15,7 @@
 use psa_sessions::{
     AdmissionConfig, AdmissionError, PoolConfig, SessionManager, SessionSpec, TenantId,
 };
-use psa_workloads::{
-    fountain_scene, myrinet_gcc, paper_run_config, snow_scene, vortex_scene, WorkloadSize,
-};
+use psa_workloads::{myrinet_gcc, paper_run_config, Workload, WorkloadSize};
 
 struct Args {
     sessions: usize,
@@ -85,15 +83,11 @@ fn parse_args() -> Args {
 fn main() {
     let args = parse_args();
     let size = WorkloadSize { systems: 2, particles_per_system: args.particles, scale: 1.0 };
-    let scene = match args.scene.as_str() {
-        "snow" => snow_scene(size),
-        "fountain" => fountain_scene(size),
-        "vortex" => vortex_scene(size),
-        other => {
-            eprintln!("unknown scene {other} (expected snow|fountain|vortex)");
-            std::process::exit(2);
-        }
+    let Some(workload) = Workload::from_name(&args.scene) else {
+        eprintln!("unknown scene {} (expected snow|fountain|vortex)", args.scene);
+        std::process::exit(2);
     };
+    let scene = workload.scene(size);
     let admission = AdmissionConfig {
         max_in_flight: args.max_in_flight,
         per_tenant_in_flight: args.per_tenant,

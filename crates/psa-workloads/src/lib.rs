@@ -29,7 +29,58 @@ pub use snow::snow_scene;
 pub use vortex::vortex_scene;
 
 use cluster_sim::CostModel;
-use psa_runtime::RunConfig;
+use psa_runtime::{RunConfig, Scene};
+
+/// The named workloads every harness sweeps: the paper's two experiments
+/// plus vortex, the deliberately imbalanced one. This is the only
+/// name → scene → time-step mapping; consumers (chaos matrix, bench
+/// exports, `sessions --scene`, `animate`) pick their own subset of it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Workload {
+    /// §5.1 — mostly vertical motion, little migration.
+    Snow,
+    /// §5.2 — constant domain crossings, heavy migration.
+    Fountain,
+    /// Orbiting hotspot: per-rank load stays uneven without a balancer.
+    Vortex,
+}
+
+impl Workload {
+    /// Every workload, in sweep order.
+    pub const ALL: &'static [Workload] = &[Workload::Snow, Workload::Fountain, Workload::Vortex];
+
+    /// The name used on command lines and in every export.
+    pub fn name(self) -> &'static str {
+        match self {
+            Workload::Snow => "snow",
+            Workload::Fountain => "fountain",
+            Workload::Vortex => "vortex",
+        }
+    }
+
+    /// Inverse of [`Workload::name`].
+    pub fn from_name(name: &str) -> Option<Workload> {
+        Workload::ALL.iter().copied().find(|w| w.name() == name)
+    }
+
+    /// Build the workload's scene at the given size.
+    pub fn scene(self, size: WorkloadSize) -> Scene {
+        match self {
+            Workload::Snow => snow_scene(size),
+            Workload::Fountain => fountain_scene(size),
+            Workload::Vortex => vortex_scene(size),
+        }
+    }
+
+    /// The workload's own frame time step.
+    pub fn dt(self) -> f32 {
+        match self {
+            Workload::Snow => snow::SNOW_DT,
+            Workload::Fountain => fountain::FOUNTAIN_DT,
+            Workload::Vortex => vortex::VORTEX_DT,
+        }
+    }
+}
 
 /// Parameters shared by the paper workload builders.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -102,6 +153,15 @@ mod tests {
         assert_eq!(scaled.particles_per_system, 40_000);
         assert_eq!(scaled.virtual_per_system(), 400_000.0);
         assert_eq!(scaled.cost_model().scale, 10.0);
+    }
+
+    #[test]
+    fn workload_names_round_trip() {
+        for &w in Workload::ALL {
+            assert_eq!(Workload::from_name(w.name()), Some(w));
+            assert_eq!(w.scene(WorkloadSize::test()).systems.len(), 2);
+        }
+        assert_eq!(Workload::from_name("smoke"), None);
     }
 
     #[test]

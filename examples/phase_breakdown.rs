@@ -13,20 +13,19 @@ use particle_cluster_anim::prelude::*;
 
 fn main() {
     let size = WorkloadSize { systems: 4, particles_per_system: 4_000, scale: 1.0 };
-    for (name, scene, dt) in
-        [("snow", snow_scene(size), 0.15f32), ("fountain", fountain_scene(size), 0.04)]
-    {
+    for workload in [Workload::Snow, Workload::Fountain] {
         let cfg = RunConfig {
             frames: 20,
-            dt,
+            dt: workload.dt(),
             seed: 7,
             balance: BalanceMode::dynamic(),
             ..Default::default()
         };
         let mut sim =
-            EventSim::new(scene, cfg, myrinet_gcc(8, 2), CostModel::default()).with_phases();
+            EventSim::new(workload.scene(size), cfg, myrinet_gcc(8, 2), CostModel::default())
+                .with_phases();
         let report = sim.run();
-        println!("== {name}: {:.2} virtual s total ==", report.total_time);
+        println!("== {}: {:.2} virtual s total ==", workload.name(), report.total_time);
         println!("{}", report.phase_table().expect("traced run has a phase table"));
         let trace = report.phases.as_ref().unwrap();
         let totals = trace.phase_totals();

@@ -24,7 +24,6 @@ use std::path::PathBuf;
 
 use particle_cluster_anim::math::Histogram;
 use particle_cluster_anim::prelude::*;
-use particle_cluster_anim::workloads::{fountain, snow};
 
 struct Args {
     workload: String,
@@ -103,9 +102,10 @@ fn main() {
     let args = parse();
     let size =
         WorkloadSize { systems: args.systems, particles_per_system: args.particles, scale: 1.0 };
+    let paper = |w: Workload, view_top| (w.scene(size), w.dt(), view_top);
     let (scene, dt, view_top) = match args.workload.as_str() {
-        "snow" => (snow_scene(size), snow::SNOW_DT, 36.0),
-        "fountain" => (fountain_scene(size), fountain::FOUNTAIN_DT, 14.0),
+        "snow" => paper(Workload::Snow, 36.0),
+        "fountain" => paper(Workload::Fountain, 14.0),
         "fireworks" => (fireworks_scene(args.systems.max(1), args.particles), 0.05, 30.0),
         "smoke" => (smoke_scene(args.systems.max(1), args.particles), 0.1, 20.0),
         _ => usage(),

@@ -69,6 +69,7 @@ pub mod prelude {
     };
     pub use psa_trace::{Phase, TraceReport, PHASES};
     pub use psa_workloads::{
-        fireworks_scene, fountain_scene, myrinet_gcc, smoke_scene, snow_scene, WorkloadSize,
+        fireworks_scene, fountain_scene, myrinet_gcc, smoke_scene, snow_scene, Workload,
+        WorkloadSize,
     };
 }

@@ -12,20 +12,7 @@ use particle_cluster_anim::runtime::LoadMetric;
 const CHUNKS: [usize; 3] = [64, 1024, 100_000];
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
-fn scene_for(name: &str, size: WorkloadSize) -> Scene {
-    match name {
-        "snow" => snow_scene(size),
-        _ => fountain_scene(size),
-    }
-}
-
-fn dt_for(name: &str) -> f32 {
-    if name == "snow" {
-        0.15
-    } else {
-        0.04
-    }
-}
+const WORKLOADS: [Workload; 2] = [Workload::Snow, Workload::Fountain];
 
 /// Virtual executor: the run fingerprint (every frame's particle checksum,
 /// times, traffic) is a function of (seed, chunk) only — never of the
@@ -33,18 +20,18 @@ fn dt_for(name: &str) -> f32 {
 #[test]
 fn virtual_fingerprint_is_worker_count_invariant() {
     let size = WorkloadSize { systems: 2, particles_per_system: 900, scale: 25.0 };
-    for exp in ["snow", "fountain"] {
+    for exp in WORKLOADS {
         for &chunk in &CHUNKS {
             let run = |workers: usize| {
                 let cfg = RunConfig {
                     frames: 6,
-                    dt: dt_for(exp),
+                    dt: exp.dt(),
                     seed: 42,
                     parallel: ParallelConfig { workers, chunk },
                     ..Default::default()
                 };
                 let mut sim =
-                    EventSim::new(scene_for(exp, size), cfg, myrinet_gcc(4, 1), size.cost_model());
+                    EventSim::new(exp.scene(size), cfg, myrinet_gcc(4, 1), size.cost_model());
                 sim.run()
             };
             let want = run(1).fingerprint();
@@ -52,7 +39,8 @@ fn virtual_fingerprint_is_worker_count_invariant() {
                 assert_eq!(
                     run(w).fingerprint(),
                     want,
-                    "{exp}: chunk {chunk}, {w} workers drifted from the 1-worker run"
+                    "{}: chunk {chunk}, {w} workers drifted from the 1-worker run",
+                    exp.name()
                 );
             }
         }
@@ -64,19 +52,19 @@ fn virtual_fingerprint_is_worker_count_invariant() {
 #[test]
 fn threaded_checksums_are_worker_count_invariant() {
     let size = WorkloadSize { systems: 2, particles_per_system: 500, scale: 25.0 };
-    for exp in ["snow", "fountain"] {
+    for exp in WORKLOADS {
         for &chunk in &CHUNKS {
             let run = |workers: usize| {
                 let cfg = RunConfig {
                     frames: 5,
-                    dt: dt_for(exp),
+                    dt: exp.dt(),
                     seed: 7,
                     load_metric: LoadMetric::CountProportional,
                     parallel: ParallelConfig { workers, chunk },
                     ..Default::default()
                 };
-                let report = run_threaded(&scene_for(exp, size), &cfg, 3, None)
-                    .expect("threaded run failed");
+                let report =
+                    run_threaded(&exp.scene(size), &cfg, 3, None).expect("threaded run failed");
                 report.frames.iter().map(|f| (f.frame, f.alive, f.checksum)).collect::<Vec<_>>()
             };
             let want = run(1);
@@ -84,7 +72,8 @@ fn threaded_checksums_are_worker_count_invariant() {
                 assert_eq!(
                     run(w),
                     want,
-                    "{exp}: chunk {chunk}, {w} workers drifted from the 1-worker run"
+                    "{}: chunk {chunk}, {w} workers drifted from the 1-worker run",
+                    exp.name()
                 );
             }
         }
