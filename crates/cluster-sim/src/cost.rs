@@ -74,12 +74,6 @@ impl CostModel {
         real as f64 * self.scale
     }
 
-    /// Seconds for `n` real particles undergoing actions of summed weight
-    /// `weight` on a node of relative `speed`.
-    pub fn action_time(&self, n: usize, weight: f64, speed: f64) -> f64 {
-        self.virt(n) * weight * self.per_action_unit / speed
-    }
-
     /// Seconds for `weighted` particle·action applications (already summed
     /// as `Σ applied_i × weight_i` by the action list).
     pub fn weighted_work_time(&self, weighted: f64, speed: f64) -> f64 {
@@ -140,8 +134,8 @@ mod tests {
     #[test]
     fn speed_divides_time() {
         let m = CostModel::default();
-        let slow = m.action_time(1000, 6.0, 0.5);
-        let fast = m.action_time(1000, 6.0, 1.0);
+        let slow = m.weighted_work_time(6000.0, 0.5);
+        let fast = m.weighted_work_time(6000.0, 1.0);
         assert!((slow / fast - 2.0).abs() < 1e-12);
     }
 
@@ -149,7 +143,7 @@ mod tests {
     fn scale_multiplies_counts_and_bytes() {
         let m = CostModel::scaled(10.0);
         let base = CostModel::default();
-        assert!((m.action_time(100, 1.0, 1.0) - base.action_time(1000, 1.0, 1.0)).abs() < 1e-15);
+        assert!((m.pack_time(100, 1.0) - base.pack_time(1000, 1.0)).abs() < 1e-15);
         assert_eq!(m.wire_bytes(100, 70), base.wire_bytes(1000, 70));
     }
 
@@ -176,7 +170,7 @@ mod tests {
         // 3.2M particles × ~6 weighted actions at speed 1.0 should be a few
         // seconds — the regime the paper's per-frame times live in.
         let m = CostModel::default();
-        let t = m.action_time(3_200_000, 6.0, 1.0);
+        let t = m.weighted_work_time(3_200_000.0 * 6.0, 1.0);
         assert!(t > 1.0 && t < 10.0, "sequential frame compute {t}s");
     }
 }

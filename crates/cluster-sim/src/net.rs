@@ -126,11 +126,6 @@ impl NetworkModel {
             }
         }
     }
-
-    /// End-to-end uncontended time for one message of `bytes`.
-    pub fn message_time(&self, bytes: u64) -> f64 {
-        self.latency + self.occupancy(bytes)
-    }
 }
 
 #[cfg(test)]
@@ -142,21 +137,21 @@ mod tests {
         let m = NetworkModel::myrinet();
         let fe = NetworkModel::fast_ethernet();
         for bytes in [64u64, 4096, 1 << 20] {
-            assert!(m.message_time(bytes) < fe.message_time(bytes));
+            assert!(m.latency + m.occupancy(bytes) < fe.latency + fe.occupancy(bytes));
         }
     }
 
     #[test]
     fn message_time_composition() {
         let m = NetworkModel::myrinet();
-        let t = m.message_time(160_000_000);
+        let t = m.latency + m.occupancy(160_000_000);
         assert!((t - (9.0e-6 + 1.0)).abs() < 1e-9, "1s of occupancy plus latency");
     }
 
     #[test]
     fn ideal_network_is_free() {
         let n = NetworkModel::ideal();
-        assert_eq!(n.message_time(u64::MAX), 0.0);
+        assert_eq!(n.latency, 0.0);
         assert_eq!(n.occupancy(1 << 30), 0.0);
     }
 

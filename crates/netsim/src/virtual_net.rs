@@ -170,12 +170,6 @@ impl WireState {
         self.rank_stats[rank]
     }
 
-    /// Reset traffic counters (per-frame accounting).
-    pub fn reset_stats(&mut self) {
-        self.stats = TrafficStats::default();
-        self.rank_stats.fill(TrafficStats::default());
-    }
-
     /// The network model in use.
     pub fn model(&self) -> &NetworkModel {
         &self.net
@@ -323,11 +317,13 @@ mod tests {
     #[test]
     fn stats_accumulate_and_reset() {
         let mut w = wire2();
+        let fresh = w.checkpoint();
         w.charge_send(0, 1, 100, 0.0);
         w.charge_send(0, 1, 50, 0.0);
         assert_eq!(w.stats().messages, 2);
         assert_eq!(w.stats().payload_bytes, 150);
-        w.reset_stats();
+        // Rewinding to a checkpoint is the only way counters go back.
+        w.restore_checkpoint(&fresh);
         assert_eq!(w.stats(), TrafficStats::default());
     }
 
@@ -346,8 +342,6 @@ mod tests {
             total.payload_bytes,
             w.rank_stats(0).payload_bytes + w.rank_stats(1).payload_bytes
         );
-        w.reset_stats();
-        assert_eq!(w.rank_stats(0), TrafficStats::default());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! hardening held, and gate on replay determinism.
 //!
 //! Every case runs the virtual executor **twice** with the same seed and
-//! plan; the run is only accepted if both [`RunReport`]s fingerprint
+//! plan; the run is only accepted if both run reports fingerprint
 //! byte-identical. Faulty runs must stay as replayable as healthy ones —
 //! that is the whole point of drawing fault randomness from seeded streams
 //! (the FoundationDB lesson: a failure you cannot replay is a failure you
@@ -10,7 +10,7 @@
 
 use psa_desim::EventSim;
 use psa_runtime::trace::figure2_passes;
-use psa_runtime::{RunConfig, RunReport};
+use psa_runtime::RunConfig;
 use psa_workloads::{myrinet_gcc, Workload, WorkloadSize};
 
 use crate::scenario::Scenario;
@@ -197,11 +197,6 @@ pub fn run_matrix(scenarios: &[Scenario], mc: &MatrixConfig) -> Vec<CaseOutcome>
         }
     }
     out
-}
-
-/// Convenience used by [`RunReport`]-level assertions in tests.
-pub fn replay_fingerprints_match(a: &RunReport, b: &RunReport) -> bool {
-    a.fingerprint() == b.fingerprint()
 }
 
 #[cfg(test)]

@@ -45,8 +45,7 @@ use psa_runtime::report::RunReport;
 use psa_runtime::scene::Scene;
 use psa_runtime::trace::Trace;
 
-use crate::fabric::EventFabric;
-use crate::proc::SimStats;
+use crate::fabric::{EventFabric, SimStats};
 
 /// The event-driven virtual-time executor.
 pub struct EventSim {

@@ -34,8 +34,31 @@ use psa_runtime::checkpoint::FabricCheckpoint;
 use psa_runtime::msg::Msg;
 use psa_runtime::protocol::Fabric;
 
-use crate::proc::{ProcState, ProcTable, SimStats};
 use crate::queue::EventQueue;
+
+/// Counters the event fabric accumulates over a run. Pure observability:
+/// none of these feed back into timing or protocol state, so an
+/// instrumented run is byte-identical to a blind one. This is what turns
+/// the fabric into a legible simulator: how many events the heap processed,
+/// how often a receiver's clock fast-forwarded past idle virtual time, and
+/// how deep the in-flight event set grew — the data the BENCH_5 scaling
+/// sweep aggregates per cell.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SimStats {
+    /// Delivery events popped off the heap.
+    pub events: u64,
+    /// Messages accepted onto the wire (transient injected failures are
+    /// not counted — they never became events).
+    pub sends: u64,
+    /// Receives that fast-forwarded the receiver's clock past idle virtual
+    /// time (the receiver was "ahead of" no one — it slept until delivery).
+    pub fast_forwards: u64,
+    /// Bounded receives that found nothing deliverable and charged the
+    /// wait (the degraded-mode path around crashed peers).
+    pub blocked_recvs: u64,
+    /// High-water mark of in-flight events on the heap.
+    pub max_heap_depth: usize,
+}
 
 /// An in-flight message: scheduled on the heap at its delivery stamp.
 struct Arrival {
@@ -52,7 +75,6 @@ pub struct EventFabric {
     /// sequence: `inboxes[(to, from)][seq] = (deliver_at, msg)`. Sparse on
     /// purpose — only links that carried traffic exist.
     inboxes: BTreeMap<(usize, usize), BTreeMap<u64, (f64, Msg)>>,
-    procs: ProcTable,
     inj: PlanInjector,
     stats: SimStats,
 }
@@ -61,12 +83,10 @@ impl EventFabric {
     /// Build the fabric for ranks living on the given nodes, executing the
     /// given fault plan (pass `FaultPlan::none(..)` for a healthy cluster).
     pub fn new(net: NetworkModel, node_of: Vec<usize>, node_count: usize, plan: FaultPlan) -> Self {
-        let ranks = node_of.len();
         EventFabric {
             wire: WireState::new(net, node_of, node_count),
             queue: EventQueue::new(),
             inboxes: BTreeMap::new(),
-            procs: ProcTable::new(ranks),
             inj: PlanInjector::new(plan),
             stats: SimStats::default(),
         }
@@ -77,22 +97,11 @@ impl EventFabric {
         SimStats { max_heap_depth: self.queue.max_depth(), ..self.stats }
     }
 
-    /// Current scheduling state of one virtual rank.
-    pub fn proc_state(&self, rank: usize) -> Option<ProcState> {
-        self.procs.get(rank)
-    }
-
     /// Drain every pending arrival into its link inbox, in global
-    /// `(time, seq)` order. A blocked receiver whose awaited link just got
-    /// traffic becomes runnable again.
+    /// `(time, seq)` order.
     fn pump(&mut self) {
         while let Some((time, seq, a)) = self.queue.pop() {
             self.stats.events += 1;
-            if let Some(ProcState::BlockedRecv { from }) = self.procs.get(a.to) {
-                if from == a.from {
-                    self.procs.set_ready(a.to);
-                }
-            }
             self.inboxes.entry((a.to, a.from)).or_default().insert(seq, (time, a.msg));
         }
     }
@@ -126,7 +135,6 @@ impl Fabric for EventFabric {
                 if self.wire.observe_delivery(to, deliver_at) {
                     self.stats.fast_forwards += 1;
                 }
-                self.procs.set_ready(to);
                 Ok(msg)
             }
             None => Err(TransportError::NoMessage { rank: to, peer: from }),
@@ -137,12 +145,9 @@ impl Fabric for EventFabric {
         self.pump();
         if self.inboxes.get(&(to, from)).is_none_or(BTreeMap::is_empty) {
             // Nothing in flight can ever satisfy this receive (the heap is
-            // drained): charge the bounded wait and surface the timeout,
-            // recording the park/unpark for the stats.
-            self.procs.block_recv(to, from);
+            // drained): charge the bounded wait and surface the timeout.
             self.stats.blocked_recvs += 1;
             self.wire.advance(to, wait);
-            self.procs.set_ready(to);
             return Err(TransportError::Timeout { rank: to, peer: from });
         }
         self.recv(to, from)
@@ -222,10 +227,9 @@ impl Fabric for EventFabric {
         self.wire.restore_checkpoint(&ck.wire);
         self.inj.restore_stream_states(&ck.injector_streams);
         // Frame-boundary checkpoints never capture in-flight traffic:
-        // drop the heap, the inboxes, and any parked proc state.
+        // drop the heap and the inboxes.
         self.queue = EventQueue::new();
         self.inboxes.clear();
-        self.procs = ProcTable::new(self.wire.ranks());
         let mut extra = ck.extra.iter().copied();
         self.stats.events = extra.next().unwrap_or(0);
         self.stats.sends = extra.next().unwrap_or(0);

@@ -2,10 +2,9 @@
 //!
 //! A deterministic discrete-event simulation core for the paper's frame
 //! protocol: a binary-heap event loop over virtual time with stable
-//! `(time, seq)` tie-breaking ([`queue`]), per-rank virtual process states
-//! ([`proc`]), and a message fabric that turns every send into a scheduled
-//! arrival event charged through the `netsim::WireState` cost arithmetic
-//! ([`fabric`]). The executor itself ([`exec`]) drives the one shared
+//! `(time, seq)` tie-breaking ([`queue`]) and a message fabric that turns
+//! every send into a scheduled arrival event charged through the
+//! `netsim::WireState` cost arithmetic ([`fabric`]). The executor itself ([`exec`]) drives the one shared
 //! protocol engine in `psa_runtime::protocol` — this crate adds no protocol
 //! copy, only a fabric. It is the workspace's only virtual-time executor:
 //! tables 1–3, the chaos matrix and every BENCH artifact run on it.
@@ -24,10 +23,8 @@
 
 pub mod exec;
 pub mod fabric;
-pub mod proc;
 pub mod queue;
 
 pub use exec::EventSim;
-pub use fabric::EventFabric;
-pub use proc::{ProcState, ProcTable, SimStats};
+pub use fabric::{EventFabric, SimStats};
 pub use queue::EventQueue;

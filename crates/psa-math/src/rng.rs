@@ -80,12 +80,6 @@ impl Rng64 {
         ((self.next_u64() as u128 * n as u128) >> 64) as usize
     }
 
-    /// Bernoulli draw with probability `p`.
-    #[inline]
-    pub fn chance(&mut self, p: Scalar) -> bool {
-        self.unit() < p
-    }
-
     /// Standard normal via Box–Muller (both values consumed; simplicity over
     /// caching — this is not the hot path, creation is amortized).
     pub fn gaussian(&mut self) -> Scalar {

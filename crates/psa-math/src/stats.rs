@@ -46,10 +46,6 @@ impl Running {
         }
     }
 
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     pub fn min(&self) -> f64 {
         if self.n == 0 {
             0.0

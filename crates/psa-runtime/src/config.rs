@@ -118,6 +118,10 @@ pub enum SystemSchedule {
 /// fingerprint-comparable (empty messages carry virtual-time cost), which
 /// is why dense stays the default at paper scale: it reproduces the paper's
 /// message pattern (and the golden fingerprints) exactly.
+///
+/// The mode governs the virtual engine only. The threaded executor's
+/// calculators always use the dense pattern (a handful of host threads,
+/// and a blocking receive needs to know its senders), whatever is set here.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExchangeMode {
     /// Figure 2 verbatim: every calculator messages every other calculator
@@ -193,14 +197,6 @@ pub struct ParallelConfig {
 impl Default for ParallelConfig {
     fn default() -> Self {
         ParallelConfig { workers: 1, chunk: 0 }
-    }
-}
-
-impl ParallelConfig {
-    /// Chunked mode with the given worker count and the default chunk size.
-    pub fn with_workers(workers: usize) -> Self {
-        assert!(workers >= 1);
-        ParallelConfig { workers, chunk: psa_core::kernel::DEFAULT_CHUNK }
     }
 }
 

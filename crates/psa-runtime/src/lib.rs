@@ -15,11 +15,13 @@
 //! * [`config`] — run configuration (finite/infinite space, SLB/DLB,
 //!   bucket counts, frame counts);
 //! * [`protocol`] — the single shared implementation of the Figure-2 frame
-//!   protocol: the [`protocol::Engine`] every interleaved executor drives
-//!   (over any [`protocol::Fabric`]) plus the per-role SPMD bodies the
-//!   threaded executor spawns. The deterministic virtual-time executor
-//!   that reproduces the paper's cluster timing is `psa-desim`'s
-//!   `EventSim`, which runs this engine over its event-heap fabric;
+//!   protocol: transport-free calculator and manager cores (state and
+//!   transitions, written once) under two drivers — the
+//!   [`protocol::Engine`] every interleaved executor steps (over any
+//!   [`protocol::Fabric`]) and the per-role SPMD bodies the threaded
+//!   executor spawns. The deterministic virtual-time executor that
+//!   reproduces the paper's cluster timing is `psa-desim`'s `EventSim`,
+//!   which runs this engine over its event-heap fabric;
 //! * [`sequential`] — the sequential baseline the paper computes speed-ups
 //!   against;
 //! * [`threaded`] — an SPMD executor over real host threads (wall-clock

@@ -109,6 +109,9 @@ pub enum ProtocolError {
     Timeout { role: &'static str, rank: usize, frame: u64, peer: usize },
     /// A worker thread panicked (the panic payload is lost to `join`).
     WorkerPanic { role: &'static str },
+    /// The run configuration sets an option this executor cannot honour;
+    /// rejected before the run starts instead of being silently ignored.
+    Unsupported { executor: &'static str, option: &'static str },
 }
 
 impl std::fmt::Display for ProtocolError {
@@ -132,6 +135,9 @@ impl std::fmt::Display for ProtocolError {
                 write!(f, "{role} {rank} frame {frame}: timed out waiting for rank {peer}")
             }
             ProtocolError::WorkerPanic { role } => write!(f, "{role} thread panicked"),
+            ProtocolError::Unsupported { executor, option } => {
+                write!(f, "the {executor} executor does not support {option}")
+            }
         }
     }
 }

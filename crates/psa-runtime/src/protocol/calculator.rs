@@ -1,0 +1,435 @@
+//! The calculator role's core: one rank's particle stores, domain replicas
+//! and balance bookkeeping, and every Figure-2 transition on them.
+//!
+//! Nothing here talks to a transport, reads a clock or records a trace:
+//! the interleaved engine and the threaded calculator body both drive this
+//! one state machine. Each transition returns the counts the engine's cost
+//! model charges; the wall-clock driver ignores them.
+
+use std::sync::Arc;
+
+use psa_core::collide::{colliding_pairs, resolve_elastic_with_ghosts};
+use psa_core::kernel::{self, KernelRun};
+use psa_core::{DomainMap, Particle, SubDomainStore};
+use psa_math::{Interval, Scalar};
+
+use super::{stream, take_batch, SkipStreak, AXIS, TAG_ACTIONS};
+use crate::balance::LoadInfo;
+use crate::checkpoint::{CalcSnapshot, StoreSnapshot};
+use crate::config::{BalanceMode, RunConfig};
+use crate::msg::ProtocolError;
+use crate::scene::{CollisionSpec, SystemSetup};
+
+/// What one balance order cost the donor: its new `cut` toward the
+/// receiver and, for the engine's cost model, how many particles the store
+/// `sorted` and `selected` (before the tie guard gave any back).
+pub(crate) struct Donation {
+    pub cut: Scalar,
+    pub sorted: usize,
+    pub selected: usize,
+}
+
+/// One calculator's state.
+pub(crate) struct Calculator {
+    /// This calculator's rank.
+    c: usize,
+    /// One sub-domain store per system.
+    stores: Vec<SubDomainStore>,
+    /// Local replica of every system's domain map (all processes know all
+    /// domains, paper §3.1.4). `Arc`-shared: after a broadcast the engine
+    /// hands every calculator the same map, and at 1,024 ranks × 100
+    /// systems per-rank copies would dominate memory.
+    domains: Vec<Arc<DomainMap>>,
+    /// This frame's per-system compute time (pre-exchange population).
+    compute_time: Vec<f64>,
+    /// Population the compute time was measured on.
+    pre_count: Vec<usize>,
+    /// Particles the last exchange shipped away, per system.
+    migrated: Vec<usize>,
+    /// Replica of the manager's zero-order streaks.
+    streak: SkipStreak,
+    /// Exchange scratch, reused every frame: the leaver scan's output and
+    /// one staging buffer per destination ever routed to, in rank order
+    /// (sparse — a dense spine per calculator is `ranks²` empty headers).
+    leavers: Vec<Particle>,
+    staged: Vec<(usize, Vec<Particle>)>,
+    /// Balance donations waiting for the new domains to be in force.
+    donations: Vec<(usize, Vec<Particle>)>,
+}
+
+impl Calculator {
+    /// Calculator `c` over the initial `domains` (one map per system).
+    pub(crate) fn new(c: usize, domains: Vec<Arc<DomainMap>>, buckets: usize) -> Self {
+        let n_sys = domains.len();
+        Calculator {
+            c,
+            stores: domains
+                .iter()
+                .map(|d| SubDomainStore::new(d.slice(c), AXIS, buckets))
+                .collect(),
+            domains,
+            compute_time: vec![0.0; n_sys],
+            pre_count: vec![0; n_sys],
+            migrated: vec![0; n_sys],
+            streak: SkipStreak(vec![0; n_sys]),
+            leavers: Vec::new(),
+            staged: Vec::new(),
+            donations: Vec::new(),
+        }
+    }
+
+    /// System `sys`'s store, read-only (counts, shipping, ghost slabs).
+    pub(crate) fn store(&self, sys: usize) -> &SubDomainStore {
+        &self.stores[sys]
+    }
+
+    /// Particles held across every system.
+    pub(crate) fn total(&self) -> usize {
+        self.stores.iter().map(SubDomainStore::len).sum()
+    }
+
+    /// Addition to the local set: newborn, migrating or donated particles.
+    pub(crate) fn add(&mut self, sys: usize, batch: Vec<Particle>) {
+        self.stores[sys].extend(batch);
+    }
+
+    /// Empty system `sys`'s store (a declared-dead rank's particles are
+    /// confiscated and counted lost).
+    pub(crate) fn take_all(&mut self, sys: usize) -> Vec<Particle> {
+        self.stores[sys].take_all()
+    }
+
+    /// The action list ("Calculus" in Figure 2) through the chunked kernel
+    /// (legacy serial stream when `cfg.parallel.chunk == 0`). Restarts the
+    /// compute-time tally; the driver adds what the pass cost on its own
+    /// clock with [`Self::add_compute_time`].
+    pub(crate) fn calculus(
+        &mut self,
+        frame: u64,
+        sys: usize,
+        setup: &SystemSetup,
+        cfg: &RunConfig,
+    ) -> KernelRun {
+        let rng = stream(cfg.seed, TAG_ACTIONS, frame, sys, self.c + 1);
+        let store = &mut self.stores[sys];
+        self.pre_count[sys] = store.len().max(1);
+        self.compute_time[sys] = 0.0;
+        let (chunk, workers) = (cfg.parallel.chunk, cfg.parallel.workers);
+        kernel::run_actions(&setup.actions, cfg.dt, frame, rng, store, chunk, workers)
+    }
+
+    /// Count `seconds` of compute (calculus, then collision) into the load
+    /// this calculator will report.
+    pub(crate) fn add_compute_time(&mut self, sys: usize, seconds: f64) {
+        self.compute_time[sys] += seconds;
+    }
+
+    /// Inter-particle collision among the locals and against the
+    /// neighbors' read-only `ghosts`; returns the particles examined.
+    pub(crate) fn collide(
+        &mut self,
+        sys: usize,
+        ghosts: &[Particle],
+        col: &CollisionSpec,
+    ) -> usize {
+        let mut locals = self.stores[sys].take_all();
+        let pairs = colliding_pairs(&locals, ghosts, col.cell);
+        resolve_elastic_with_ghosts(&mut locals, ghosts, &pairs, col.restitution);
+        let examined = locals.len() + ghosts.len();
+        self.stores[sys].extend(locals);
+        examined
+    }
+
+    /// End-of-frame exchange staging: scan for leavers and route each to
+    /// the owner of its position (all domains are globally known);
+    /// out-of-space strays that route back here (`owner_of` clamps) return
+    /// to the store. Returns how many are staged for other calculators —
+    /// the migration count (§5.1) the load report carries.
+    pub(crate) fn stage_exchange(&mut self, sys: usize) -> usize {
+        self.stores[sys].collect_leavers_into(&mut self.leavers);
+        let dm = &self.domains[sys];
+        for p in self.leavers.drain(..) {
+            let owner = dm.owner_of(p.position.along(AXIS));
+            let i = self.staged.binary_search_by_key(&owner, |s| s.0).unwrap_or_else(|i| {
+                self.staged.insert(i, (owner, Vec::new()));
+                i
+            });
+            self.staged[i].1.push(p);
+        }
+        if let Ok(i) = self.staged.binary_search_by_key(&self.c, |s| s.0) {
+            self.stores[sys].extend(self.staged[i].1.drain(..));
+        }
+        self.migrated[sys] = self.staged.iter().map(|s| s.1.len()).sum();
+        self.migrated[sys]
+    }
+
+    /// The batch staged for destination `d` (empty if none was).
+    pub(crate) fn outgoing(&mut self, d: usize) -> Vec<Particle> {
+        match self.staged.binary_search_by_key(&d, |s| s.0) {
+            Ok(i) => take_batch(&mut self.staged[i].1),
+            Err(_) => Vec::new(),
+        }
+    }
+
+    /// The lowest-ranked destination that still has a staged batch, with
+    /// that batch (the sparse fan-out ships exactly these, ascending).
+    pub(crate) fn next_outgoing(&mut self) -> Option<(usize, Vec<Particle>)> {
+        let (d, staged) = self.staged.iter_mut().find(|s| !s.1.is_empty())?;
+        Some((*d, take_batch(staged)))
+    }
+
+    /// The load report (paper §3.2.4), its time rescaled to the
+    /// post-exchange population, plus the last exchange's migration count.
+    pub(crate) fn load(&self, sys: usize) -> (LoadInfo, usize) {
+        let count = self.stores[sys].len();
+        let time = self.compute_time[sys] * count as f64 / self.pre_count[sys] as f64;
+        (LoadInfo { count, time }, self.migrated[sys])
+    }
+
+    /// Will the manager issue `Orders` for system `sys` this frame? Both
+    /// sides derive the zero-order streak from the same round history, so
+    /// nobody waits for a message the other side never issues.
+    pub(crate) fn expects_orders(&self, sys: usize, frame: u64, mode: &BalanceMode) -> bool {
+        mode.is_dynamic() && !self.streak.skips(sys, frame, mode)
+    }
+
+    /// Record the round total an `Orders` message carried.
+    pub(crate) fn note_round(&mut self, sys: usize, round_orders: u32) {
+        self.streak.note(sys, round_orders);
+    }
+
+    /// The donor side of one balance order: take `amount` particles off the
+    /// end facing rank `to`, place the new cut with [`donation_cut`], and
+    /// apply the half-open tie guard — slices are `[lo, hi)`, so a selected
+    /// particle tied exactly at the cut goes back into the store. The
+    /// donation stays staged until the new domains are in force.
+    pub(crate) fn donate(&mut self, sys: usize, to: usize, amount: usize) -> Donation {
+        let store = &mut self.stores[sys];
+        let low_side = to < self.c;
+        let old_slice = store.slice();
+        let amount = amount.min(store.len());
+        let (mut donated, sorted) =
+            if low_side { store.donate_low(amount) } else { store.donate_high(amount) };
+        let selected = donated.len();
+        let cut = donation_cut(low_side, &donated, store.extent(), old_slice);
+        let leaves = |p: &Particle| (p.position.along(AXIS) < cut) == low_side;
+        let give_back: Vec<Particle> = donated.iter().filter(|p| !leaves(p)).copied().collect();
+        donated.retain(leaves);
+        store.extend(give_back);
+        self.donations.push((to, donated));
+        Donation { cut, sorted, selected }
+    }
+
+    /// The staged donations as `(receiver, particles)`, in order decided.
+    pub(crate) fn take_donations(&mut self) -> Vec<(usize, Vec<Particle>)> {
+        std::mem::take(&mut self.donations)
+    }
+
+    /// Validate a domain broadcast's cuts (the typed error a malformed
+    /// broadcast must produce).
+    pub(crate) fn parse_domains(
+        &self,
+        frame: u64,
+        cuts: Vec<Scalar>,
+    ) -> Result<DomainMap, ProtocolError> {
+        DomainMap::from_cuts(AXIS, cuts).map_err(|e| ProtocolError::Domain {
+            role: "calculator",
+            rank: self.c,
+            frame,
+            detail: format!("broadcast domains invalid: {e}"),
+        })
+    }
+
+    /// Definition of local domains: adopt `dm` for system `sys` and, if
+    /// this calculator's own slice changed, reshape the store to it.
+    /// Returns the population the reshape scanned, `None` if the slice stood.
+    pub(crate) fn install_domains(&mut self, sys: usize, dm: Arc<DomainMap>) -> Option<usize> {
+        let (new_slice, space) = (dm.slice(self.c), dm.space());
+        self.domains[sys] = dm;
+        let store = &mut self.stores[sys];
+        if store.slice() == new_slice {
+            return None;
+        }
+        let scanned = store.len();
+        let stray = store.reshape(new_slice);
+        // Out-of-space particles pool at the edge calculators (owner_of
+        // clamps); they stay here until a kill action removes them.
+        // In-space strays would mean a broken cut.
+        debug_assert!(
+            stray.iter().all(|p| !space.contains(p.position.along(AXIS))),
+            "in-space stray after reshape: rank {} slice {new_slice} strays {:?}",
+            self.c,
+            stray.iter().map(|p| p.position.x).collect::<Vec<_>>(),
+        );
+        store.extend(stray);
+        Some(scanned)
+    }
+
+    /// Frame-boundary state, particles in bucket-major order.
+    pub(crate) fn snapshot(&self) -> CalcSnapshot {
+        let store = |st: &SubDomainStore| StoreSnapshot {
+            slice: st.slice(),
+            buckets: st.bucket_count(),
+            particles: st.iter().copied().collect(),
+        };
+        CalcSnapshot {
+            stores: self.stores.iter().map(store).collect(),
+            cuts: self.domains.iter().map(|d| d.cuts().to_vec()).collect(),
+            compute_time: self.compute_time.clone(),
+            pre_count: self.pre_count.clone(),
+        }
+    }
+
+    /// Rewind to `snap` (shape-checked by the caller, its cuts parsed into
+    /// `domains`). Re-inserting the particles in captured order rebuilds the
+    /// stores byte-identically: bucket assignment is a pure function of
+    /// position and within-bucket order is append order. At a frame boundary
+    /// the streak replica equals the manager's (`streak`).
+    pub(crate) fn restore(
+        &mut self,
+        snap: &CalcSnapshot,
+        domains: Vec<Arc<DomainMap>>,
+        streak: &[u32],
+    ) {
+        for (store, ss) in self.stores.iter_mut().zip(&snap.stores) {
+            *store = SubDomainStore::new(ss.slice, AXIS, ss.buckets.max(1));
+            store.extend(ss.particles.iter().copied());
+        }
+        self.domains = domains;
+        self.compute_time.clone_from(&snap.compute_time);
+        self.pre_count.clone_from(&snap.pre_count);
+        self.streak.0.clone_from_slice(streak);
+        self.leavers.clear();
+        self.staged.iter_mut().for_each(|s| s.1.clear());
+        self.donations.clear();
+    }
+}
+
+/// Compute the new domain cut after a donation (shared by every executor
+/// that rebalances).
+///
+/// `low_side` is true when donating toward the *left* (lower) neighbor.
+/// `kept` is the donor's remaining extent along the axis. The cut is placed
+/// midway between the donated extreme and the kept extreme, falling back to
+/// the old slice edge when one side is empty.
+pub fn donation_cut(
+    low_side: bool,
+    donated: &[Particle],
+    kept: Option<(Scalar, Scalar)>,
+    old_slice: Interval,
+) -> Scalar {
+    let axis = AXIS;
+    if donated.is_empty() {
+        return if low_side { old_slice.lo } else { old_slice.hi };
+    }
+    let cut = if low_side {
+        // Donor keeps [cut, hi): kept_min >= cut always holds for any cut
+        // <= kept_min, and donated particles at exactly `cut` are returned
+        // to the donor by the caller's tie guard.
+        let donated_max =
+            donated.iter().map(|p| p.position.along(axis)).fold(Scalar::NEG_INFINITY, Scalar::max);
+        match kept {
+            Some((kept_min, _)) => 0.5 * (donated_max + kept_min),
+            None => old_slice.hi,
+        }
+    } else {
+        // Donor keeps [lo, cut): the cut must be STRICTLY above kept_max or
+        // kept particles fall outside the half-open slice. When the
+        // midpoint collapses onto kept_max (tied positions — e.g. a whole
+        // emission cohort from a point source), fall back to the smallest
+        // donated coordinate strictly above kept_max; if none exists the
+        // donation degenerates and the boundary stays put (the caller's tie
+        // guard returns every donated particle to the donor).
+        let donated_min =
+            donated.iter().map(|p| p.position.along(axis)).fold(Scalar::INFINITY, Scalar::min);
+        match kept {
+            Some((_, kept_max)) => {
+                let mid = 0.5 * (kept_max + donated_min);
+                if mid > kept_max {
+                    mid
+                } else {
+                    let next = donated
+                        .iter()
+                        .map(|p| p.position.along(axis))
+                        .filter(|v| *v > kept_max)
+                        .fold(Scalar::INFINITY, Scalar::min);
+                    if next.is_finite() {
+                        next
+                    } else {
+                        old_slice.hi
+                    }
+                }
+            }
+            None => old_slice.lo,
+        }
+    };
+    // Stray particles can sit *outside* the donor's slice (finite-space
+    // workloads let positions overshoot the space edge between exchanges),
+    // and a thin donation can then place the midpoint beyond the domain
+    // boundary's legal range — `move_cut` would reject the round. The new
+    // boundary always lies within the donor's old slice (donation only
+    // shrinks the donor), so clamping there is exact, and a no-op for
+    // infinite spaces.
+    cut.clamp(old_slice.lo, old_slice.hi)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use psa_math::{Rng64, Vec3};
+
+    fn at(x: Scalar) -> Particle {
+        Particle::at(Vec3::new(x, 0.0, 0.0))
+    }
+
+    /// Calculator `c` of `n` over an even split of [0, 10), one system.
+    fn calc(c: usize, n: usize) -> Calculator {
+        let dm = DomainMap::split_even(Interval::new(0.0, 10.0), AXIS, n);
+        Calculator::new(c, vec![Arc::new(dm)], 4)
+    }
+
+    #[test]
+    fn stage_exchange_conserves_and_routes_to_owners() {
+        let mut rng = Rng64::new(0xE7C4);
+        let mut k = calc(1, 4); // holds [2.5, 5.0)
+        for round in 0..20 {
+            // Scatter a population over (and a little beyond) the space; the
+            // store clamps out-of-slice inserts into its edge buckets and the
+            // scan is what finds them.
+            let moved: Vec<Particle> = (0..200).map(|_| at(rng.range(-3.0, 13.0))).collect();
+            let owner = |p: &Particle| k.domains[0].owner_of(p.position.x);
+            let away = moved.iter().filter(|p| owner(p) != 1).count();
+            let before = k.store(0).len() + moved.len();
+            k.add(0, moved);
+            assert_eq!(k.stage_exchange(0), away, "round {round}");
+            assert_eq!(k.load(0).1, away);
+            let (mut shipped, mut last) = (0, None);
+            while let Some((d, batch)) = k.next_outgoing() {
+                assert!(last < Some(d) && d != 1, "destinations ascend and skip self");
+                assert!(batch.iter().all(|p| k.domains[0].owner_of(p.position.x) == d));
+                (shipped, last) = (shipped + batch.len(), Some(d));
+            }
+            assert_eq!(k.store(0).len() + shipped, before, "kept + shipped == before");
+            assert_eq!(shipped, away);
+            assert!((0..4).all(|d| k.outgoing(d).is_empty()), "staging drained");
+        }
+        // The dense fan-out takes each destination's batch exactly once.
+        k.add(0, vec![at(1.0), at(9.0), at(9.5)]);
+        assert_eq!(k.stage_exchange(0), 3);
+        assert_eq!((k.outgoing(0).len(), k.outgoing(3).len(), k.outgoing(3).len()), (1, 2, 0));
+    }
+
+    #[test]
+    fn install_domains_reinserts_strays_and_reports_only_real_reshapes() {
+        let mut k = calc(0, 2); // [0, 5)
+        k.add(0, vec![at(1.0), at(-2.0)]);
+        let same = Arc::new(DomainMap::split_even(Interval::new(0.0, 10.0), AXIS, 2));
+        assert_eq!(k.install_domains(0, same), None, "unchanged slice: no reshape");
+        let dm = k.parse_domains(3, vec![0.0, 3.0, 10.0]).expect("valid cuts");
+        assert_eq!(k.install_domains(0, Arc::new(dm)), Some(2));
+        assert_eq!(k.store(0).slice(), Interval::new(0.0, 3.0));
+        assert_eq!(k.store(0).len(), 2, "the out-of-space stray at -2 is back in the store");
+        let err = k.parse_domains(3, vec![0.0, 7.0, 5.0]).expect_err("cuts must ascend");
+        assert!(matches!(err, ProtocolError::Domain { role: "calculator", rank: 0, frame: 3, .. }));
+    }
+}

@@ -1,0 +1,467 @@
+//! The SPMD drivers: the three role bodies the threaded executor spawns on
+//! real threads, one [`ThreadEndpoint`] each.
+//!
+//! Each body owns its role's choreography — blocking sends and deadline
+//! receives in Figure-2 order, wall-clock phase marks, the per-role trace
+//! `strict-invariants` checks — and drives the same role core as the
+//! interleaved engine for every state transition. The image generator has
+//! no shared core: this one rasterizes particles, the engine's counts them.
+
+use std::sync::Arc;
+use std::time::Duration;
+
+use netsim::{ThreadEndpoint, TrafficStats, TransportError};
+use psa_core::invariants::{self, StateHash};
+use psa_core::{DomainMap, Particle};
+use psa_math::stats::imbalance;
+use psa_render::image::{frame_filename, write_ppm};
+use psa_render::{render_objects, render_particles, render_streaks, Framebuffer};
+use psa_trace::{ClockKind, Counter, Phase, Recorder};
+
+use super::calculator::Calculator;
+use super::manager::{Manager, Round};
+use super::{check_exchange, space_for};
+use crate::balance::{self, Order};
+use crate::config::{LoadMetric, RunConfig};
+use crate::msg::{Msg, ProtocolError};
+use crate::report::FrameReport;
+use crate::scene::Scene;
+use crate::threaded::RenderSink;
+use crate::trace::{figure2_passes, ProtocolEvent, Trace};
+
+/// Bounded protocol receive: a silent peer surfaces as a typed
+/// [`ProtocolError::Timeout`] carrying role/rank/frame context instead of
+/// blocking the executor forever on a lost thread.
+pub(crate) fn recv_within(
+    ep: &ThreadEndpoint<Msg>,
+    from: usize,
+    deadline: Duration,
+    role: &'static str,
+    rank: usize,
+    frame: u64,
+) -> Result<Msg, ProtocolError> {
+    match ep.recv_deadline(from, deadline) {
+        Ok(m) => Ok(m),
+        Err(TransportError::Timeout { .. }) => {
+            Err(ProtocolError::Timeout { role, rank, frame, peer: from })
+        }
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// Expect a specific message kind within the deadline; anything else is a
+/// protocol violation.
+macro_rules! expect_msg {
+    ($ep:expr, $deadline:expr, $from:expr, $role:expr, $rank:expr, $frame:expr, $pat:pat => $out:expr, $want:expr) => {
+        match recv_within(&$ep, $from, $deadline, $role, $rank, $frame)? {
+            $pat => $out,
+            other => {
+                return Err(ProtocolError::UnexpectedMessage {
+                    role: $role,
+                    rank: $rank,
+                    frame: $frame,
+                    expected: $want,
+                    got: other.kind(),
+                })
+            }
+        }
+    };
+}
+
+/// Charge the wall-clock interval since `*last` to `phase` and reset the
+/// mark. The single timing primitive all three roles share: it only reads
+/// the endpoint's epoch clock, so instrumentation cannot perturb protocol
+/// state. A disabled recorder skips even the clock read.
+fn mark(
+    rec: &mut Recorder,
+    last: &mut f64,
+    ep: &ThreadEndpoint<Msg>,
+    frame: u64,
+    rank: usize,
+    phase: Phase,
+) {
+    if !rec.is_enabled() {
+        return;
+    }
+    let now = ep.now();
+    rec.phase(frame, rank, phase, (now - *last).max(0.0));
+    *last = now;
+}
+
+/// Flush the endpoint's sent-traffic delta since `mark` into the frame's
+/// message/byte counters; returns the new mark.
+fn flush_traffic(
+    rec: &mut Recorder,
+    ep: &ThreadEndpoint<Msg>,
+    frame: u64,
+    prev: TrafficStats,
+) -> TrafficStats {
+    if !rec.is_enabled() {
+        return prev;
+    }
+    let now = ep.sent_stats();
+    rec.add(frame, Counter::Messages, now.messages - prev.messages);
+    rec.add(frame, Counter::PayloadBytes, now.payload_bytes - prev.payload_bytes);
+    now
+}
+
+/// A role's two instruments: the protocol trace `strict-invariants`
+/// checks against Figure 2, and the wall-clock phase recorder.
+fn instruments(n: usize, instrument: bool) -> (Trace, Recorder) {
+    (
+        if invariants::ENABLED { Trace::enabled() } else { Trace::disabled() },
+        if instrument { Recorder::enabled(n + 2, ClockKind::Wall) } else { Recorder::disabled() },
+    )
+}
+
+/// Under `strict-invariants`, the frame's recorded events must make one
+/// Figure-2 pass per system.
+fn check_figure2(
+    trace: &Trace,
+    frame: u64,
+    n_sys: usize,
+    role: &'static str,
+    rank: usize,
+) -> Result<(), ProtocolError> {
+    if !invariants::ENABLED {
+        return Ok(());
+    }
+    let events = trace.frame(frame);
+    if figure2_passes(&events) != n_sys {
+        return Err(ProtocolError::OrderBroken {
+            role,
+            rank,
+            frame,
+            detail: format!("{events:?}"),
+        });
+    }
+    Ok(())
+}
+
+pub(crate) fn calculator_main(
+    ep: ThreadEndpoint<Msg>,
+    c: usize,
+    n: usize,
+    scene: &Scene,
+    cfg: &RunConfig,
+    domains: Vec<Arc<DomainMap>>,
+    instrument: bool,
+) -> Result<Recorder, ProtocolError> {
+    let mgr = n;
+    let ig = n + 1;
+    let n_sys = scene.systems.len();
+    let deadline = Duration::from_secs_f64(cfg.recv_timeout_secs);
+    let mut calc = Calculator::new(c, domains, cfg.buckets);
+    let (mut trace, mut rec) = instruments(n, instrument);
+    let mut last = ep.now();
+    let mut traffic_mark = ep.sent_stats();
+
+    for frame in 0..cfg.frames {
+        for sys in 0..n_sys {
+            let setup = &scene.systems[sys];
+            let system = setup.spec.id;
+            // Creation: receive batch + EOT.
+            let batch = expect_msg!(ep, deadline, mgr, "calculator", c, frame,
+                Msg::Particles { batch, .. } => batch, "Particles");
+            expect_msg!(ep, deadline, mgr, "calculator", c, frame,
+                Msg::EndOfTransmission { .. } => (), "EndOfTransmission");
+            calc.add(sys, batch);
+            trace.record(frame, ProtocolEvent::AdditionToLocalSet);
+
+            // Calculus; its wall time is the load this calculator reports.
+            let t0 = ep.now();
+            let kr = calc.calculus(frame, sys, setup, cfg);
+            calc.add_compute_time(sys, ep.now() - t0);
+            trace.record(frame, ProtocolEvent::Calculus);
+
+            // Inter-particle collision: ghost slabs to and from the domain
+            // neighbors, then local resolution (counted into the load; the
+            // wait for the neighbors' slabs is not).
+            if let Some(col) = scene.collision {
+                let (low, high) = calc.store(sys).boundary_slabs(col.cell);
+                if c > 0 {
+                    ep.send(c - 1, Msg::Ghosts { system, batch: low, scale: 1.0 })?;
+                }
+                if c + 1 < n {
+                    ep.send(c + 1, Msg::Ghosts { system, batch: high, scale: 1.0 })?;
+                }
+                let mut ghosts = Vec::new();
+                for d in [c.wrapping_sub(1), c + 1] {
+                    if d < n {
+                        ghosts.extend(expect_msg!(ep, deadline, d, "calculator", c, frame,
+                            Msg::Ghosts { batch, .. } => batch, "Ghosts"));
+                    }
+                }
+                let t0 = ep.now();
+                calc.collide(sys, &ghosts, &col);
+                calc.add_compute_time(sys, ep.now() - t0);
+            }
+            mark(&mut rec, &mut last, &ep, frame, c, Phase::Compute);
+            rec.add(frame, Counter::ComputeChunks, kr.chunks);
+
+            // Exchange, always the dense pattern: one message per peer.
+            let before_exchange = calc.store(sys).len();
+            let outgoing = calc.stage_exchange(sys);
+            for d in 0..n {
+                if d != c {
+                    let batch = calc.outgoing(d);
+                    ep.send(d, Msg::Particles { system, batch, scale: 1.0 })?;
+                }
+            }
+            let mut incoming = 0usize;
+            for d in 0..n {
+                if d == c {
+                    continue;
+                }
+                let batch = expect_msg!(ep, deadline, d, "calculator", c, frame,
+                    Msg::Particles { batch, .. } => batch, "Particles");
+                incoming += batch.len();
+                calc.add(sys, batch);
+            }
+            trace.record(frame, ProtocolEvent::ParticleExchange);
+            if invariants::ENABLED {
+                let store = calc.store(sys);
+                check_exchange(frame, sys, c, before_exchange, outgoing, incoming, store)?;
+            }
+            mark(&mut rec, &mut last, &ep, frame, c, Phase::Exchange);
+
+            // Load report (time rescaled to post-exchange count, §3.2.4).
+            let (mut info, migrated) = calc.load(sys);
+            if cfg.load_metric == LoadMetric::CountProportional {
+                info.time = info.count as f64;
+            }
+            ep.send(mgr, Msg::Load { system, info, migrated })?;
+            trace.record(frame, ProtocolEvent::LoadInformation);
+            mark(&mut rec, &mut last, &ep, frame, c, Phase::LoadReport);
+
+            // Balancing; a short-circuited round has no Orders to wait for.
+            if calc.expects_orders(sys, frame, &cfg.balance) {
+                let (orders, round_orders) = expect_msg!(ep, deadline, mgr, "calculator", c, frame,
+                    Msg::Orders { orders, round_orders, .. } => (orders, round_orders), "Orders");
+                calc.note_round(sys, round_orders);
+                // Multi-pair strategies may have one donor serving both
+                // sides; donations stage in order and move only after the
+                // new domains are in force.
+                for o in &orders {
+                    if let Order::Send { to, amount } = *o {
+                        let cut = calc.donate(sys, to, amount).cut;
+                        ep.send(mgr, Msg::NewCut { system, boundary: c.min(to), cut })?;
+                    }
+                }
+                if !orders.is_empty() {
+                    trace.record(frame, ProtocolEvent::PreparationOfStructures);
+                }
+                // Everyone receives the rebroadcast domains.
+                let cuts = expect_msg!(ep, deadline, mgr, "calculator", c, frame,
+                    Msg::Domains { cuts, .. } => cuts, "Domains");
+                let dm = calc.parse_domains(frame, cuts)?;
+                if invariants::ENABLED {
+                    invariants::check_partition(frame, sys, space_for(scene, cfg, sys), &dm)?;
+                }
+                calc.install_domains(sys, Arc::new(dm));
+                trace.record(frame, ProtocolEvent::DefinitionOfLocalDomains);
+                for (to, batch) in calc.take_donations() {
+                    ep.send(to, Msg::Particles { system, batch, scale: 1.0 })?;
+                }
+                for o in &orders {
+                    if let Order::Receive { from } = *o {
+                        let batch = expect_msg!(ep, deadline, from, "calculator", c, frame,
+                            Msg::Particles { batch, .. } => batch, "Particles");
+                        calc.add(sys, batch);
+                    }
+                }
+                if !orders.is_empty() {
+                    trace.record(frame, ProtocolEvent::LoadBalanceBetweenCalculators);
+                }
+            }
+            mark(&mut rec, &mut last, &ep, frame, c, Phase::Balance);
+
+            // Ship the frame to the image generator.
+            let batch: Vec<Particle> = calc.store(sys).iter().copied().collect();
+            ep.send(ig, Msg::RenderParticles { system, batch })?;
+            trace.record(frame, ProtocolEvent::ParticlesToImageGenerator);
+            mark(&mut rec, &mut last, &ep, frame, c, Phase::Ship);
+        }
+        check_figure2(&trace, frame, n_sys, "calculator", c)?;
+        traffic_mark = flush_traffic(&mut rec, &ep, frame, traffic_mark);
+    }
+    Ok(rec)
+}
+
+pub(crate) fn manager_main(
+    ep: ThreadEndpoint<Msg>,
+    n: usize,
+    scene: &Scene,
+    cfg: &RunConfig,
+    domains: Vec<DomainMap>,
+    instrument: bool,
+) -> Result<(Vec<FrameReport>, Recorder), ProtocolError> {
+    let n_sys = scene.systems.len();
+    let deadline = Duration::from_secs_f64(cfg.recv_timeout_secs);
+    let mut manager = Manager::new(domains, n, 1.0);
+    let speeds = vec![1.0; n]; // host threads are homogeneous
+    let mut frames = Vec::with_capacity(cfg.frames as usize);
+    let mut last = ep.now();
+    let (mut trace, mut rec) = instruments(n, instrument);
+    let mut phase_mark = ep.now();
+    let mut traffic_mark = ep.sent_stats();
+
+    for frame in 0..cfg.frames {
+        let mut fr = FrameReport { frame, ..Default::default() };
+        let mut orders_issued = 0u64;
+        let mut skips_issued = 0u64;
+        for sys in 0..n_sys {
+            let spec = &scene.systems[sys].spec;
+            let system = spec.id;
+            // Creation.
+            manager.create(frame, sys, spec, cfg.seed);
+            for c in 0..n {
+                let batch = manager.batch_for(c);
+                ep.send(c, Msg::Particles { system, batch, scale: 1.0 })?;
+                ep.send(c, Msg::EndOfTransmission { system })?;
+            }
+            trace.record(frame, ProtocolEvent::ParticleCreation);
+            mark(&mut rec, &mut phase_mark, &ep, frame, n, Phase::Compute);
+
+            // Load reports.
+            let mut loads = Vec::with_capacity(n);
+            for c in 0..n {
+                let (info, migrated) = expect_msg!(ep, deadline, c, "manager", n, frame,
+                    Msg::Load { info, migrated, .. } => (info, migrated), "Load");
+                manager.note_load(migrated, &mut fr);
+                loads.push(Some(info));
+            }
+            let counts: Vec<f64> = loads.iter().flatten().map(|l| l.count as f64).collect();
+            fr.imbalance = fr.imbalance.max(imbalance(&counts));
+            trace.record(frame, ProtocolEvent::LoadInformation);
+            mark(&mut rec, &mut phase_mark, &ep, frame, n, Phase::LoadReport);
+
+            // Balancing. The threaded executor is manager-mediated for
+            // every strategy: decentralized strategies reuse the same
+            // decision function but their transfers still travel the
+            // Orders/NewCut/Domains round-trip (the host threads share a
+            // process; the decentralized modes' gossip topology is a
+            // virtual-executor concern).
+            match manager.decide_round(sys, frame, &loads, &speeds, &cfg.balance) {
+                Round::Static => {}
+                Round::Skipped => skips_issued += 1,
+                Round::Decided { transfers, .. } => {
+                    orders_issued += transfers.len() as u64;
+                    trace.record(frame, ProtocolEvent::LoadBalancingEvaluation);
+                    let round_orders = transfers.len() as u32;
+                    for c in 0..n {
+                        let orders = balance::orders_for(&transfers, c);
+                        ep.send(c, Msg::Orders { system, orders, round_orders })?;
+                    }
+                    trace.record(frame, ProtocolEvent::LoadBalancingOrders);
+                    for t in &transfers {
+                        let cut = expect_msg!(ep, deadline, t.donor, "manager", n, frame,
+                            Msg::NewCut { cut, .. } => cut, "NewCut");
+                        manager.apply_cut(sys, t.donor, t.receiver, cut).map_err(|e| {
+                            ProtocolError::Domain {
+                                role: "manager",
+                                rank: n,
+                                frame,
+                                detail: format!("applying cut from donor {}: {e}", t.donor),
+                            }
+                        })?;
+                        fr.balanced += t.amount as u64;
+                    }
+                    if invariants::ENABLED {
+                        invariants::check_partition(
+                            frame,
+                            sys,
+                            space_for(scene, cfg, sys),
+                            manager.domains(sys),
+                        )?;
+                    }
+                    if !transfers.is_empty() {
+                        trace.record(frame, ProtocolEvent::NewDimensionsAndDomains);
+                    }
+                    for c in 0..n {
+                        let cuts = manager.domains(sys).cuts().to_vec();
+                        ep.send(c, Msg::Domains { system, cuts })?;
+                    }
+                }
+            }
+            mark(&mut rec, &mut phase_mark, &ep, frame, n, Phase::Balance);
+        }
+        check_figure2(&trace, frame, n_sys, "manager", n)?;
+        let now = ep.now();
+        fr.frame_time = now - last;
+        last = now;
+        if rec.is_enabled() {
+            rec.add(frame, Counter::Migrated, fr.migrated);
+            rec.add(frame, Counter::MigrationBytes, fr.migration_bytes);
+            rec.add(frame, Counter::BalanceOrders, orders_issued);
+            rec.add(frame, Counter::BalanceSkips, skips_issued);
+            traffic_mark = flush_traffic(&mut rec, &ep, frame, traffic_mark);
+        }
+        frames.push(fr);
+    }
+    Ok((frames, rec))
+}
+
+pub(crate) fn image_generator_main(
+    ep: ThreadEndpoint<Msg>,
+    n: usize,
+    scene: &Scene,
+    cfg: &RunConfig,
+    sink: Option<RenderSink>,
+    instrument: bool,
+) -> Result<(Vec<(u64, u64)>, Recorder), ProtocolError> {
+    let n_sys = scene.systems.len();
+    let deadline = Duration::from_secs_f64(cfg.recv_timeout_secs);
+    let mut fb = sink.as_ref().map(|s| {
+        let (w, h) = s.camera.viewport();
+        Framebuffer::new(w, h)
+    });
+    let mut per_frame = Vec::with_capacity(cfg.frames as usize);
+    let (_, mut rec) = instruments(n, instrument);
+    let mut phase_mark = ep.now();
+
+    for frame in 0..cfg.frames {
+        let mut alive = 0u64;
+        let mut hash = StateHash::new();
+        if let (Some(fb), Some(s)) = (fb.as_mut(), sink.as_ref()) {
+            fb.clear(s.background);
+            render_objects(fb, &s.camera, &scene.objects);
+        }
+        for _sys in 0..n_sys {
+            for c in 0..n {
+                let batch = expect_msg!(ep, deadline, c, "image generator", n + 1, frame,
+                    Msg::RenderParticles { batch, .. } => batch, "RenderParticles");
+                alive += batch.len() as u64;
+                hash.extend(batch.iter());
+                if let (Some(fb), Some(s)) = (fb.as_mut(), sink.as_ref()) {
+                    match s.streaks {
+                        Some((len, steps)) => {
+                            render_streaks(fb, &s.camera, &batch, &s.splat, len, steps);
+                        }
+                        None => {
+                            render_particles(fb, &s.camera, &batch, &s.splat);
+                        }
+                    }
+                }
+            }
+        }
+        if let (Some(fb), Some(s)) = (fb.as_ref(), sink.as_ref()) {
+            if let Some(dir) = &s.out_dir {
+                std::fs::create_dir_all(dir).map_err(|e| ProtocolError::Render {
+                    frame,
+                    detail: format!("create {}: {e}", dir.display()),
+                })?;
+                let path = dir.join(frame_filename(&s.prefix, frame));
+                write_ppm(fb, &path).map_err(|e| ProtocolError::Render {
+                    frame,
+                    detail: format!("write {}: {e}", path.display()),
+                })?;
+            }
+        }
+        // The whole IG frame — gathering batches, rasterizing, writing —
+        // is the Render phase; the image generator takes part in no other.
+        mark(&mut rec, &mut phase_mark, &ep, frame, n + 1, Phase::Render);
+        per_frame.push((alive, hash.finish()));
+    }
+    Ok((per_frame, rec))
+}

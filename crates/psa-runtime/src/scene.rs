@@ -79,11 +79,6 @@ impl Scene {
     pub fn system_count(&self) -> usize {
         self.systems.len()
     }
-
-    /// Total particles emitted per frame across systems (manager work).
-    pub fn emission_per_frame(&self) -> usize {
-        self.systems.iter().map(|s| s.spec.emit_per_frame).sum()
-    }
 }
 
 #[cfg(test)]
@@ -120,13 +115,5 @@ mod tests {
             SystemSpec::test_spec(0),
             ActionList::new().then(MoveParticles).then(MoveParticles),
         );
-    }
-
-    #[test]
-    fn emission_sums_systems() {
-        let mut s = Scene::new();
-        s.add_system(setup(0));
-        s.add_system(setup(1));
-        assert_eq!(s.emission_per_frame(), 200);
     }
 }

@@ -7,12 +7,12 @@
 //! executable demonstration that the model parallelizes — the virtual
 //! executor is the instrument that reproduces the paper's cluster numbers.
 //!
-//! The role bodies themselves — `crate::protocol::calculator_main`,
-//! `crate::protocol::manager_main`,
-//! `crate::protocol::image_generator_main` — live in the shared protocol
-//! module next to the virtual engine, so all executors evolve one protocol
-//! implementation. This file owns only what is thread-specific: spawning,
-//! joining, error aggregation, and the render sink.
+//! The role bodies themselves — `calculator_main`, `manager_main`,
+//! `image_generator_main` in `protocol/spmd.rs` — live in the shared
+//! protocol module and drive the same role cores as the virtual engine, so
+//! all executors evolve one protocol implementation. This file owns only
+//! what is thread-specific: spawning, joining, error aggregation, and the
+//! render sink.
 //!
 //! Protocol failures are values, not panics: every role returns
 //! [`ProtocolError`] and [`run_threaded`] surfaces the most specific error
@@ -27,6 +27,7 @@
 // image generator) ARE this executor's architecture; compute-phase worker
 // spawns are confined to psa_core::kernel.
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::thread;
 
 use netsim::ThreadNet;
@@ -35,9 +36,10 @@ use psa_math::Axis;
 use psa_render::{Camera, SplatConfig};
 use psa_trace::{Recorder, TraceReport};
 
-use crate::config::RunConfig;
+use crate::config::{RunConfig, SystemSchedule};
 use crate::msg::ProtocolError;
-use crate::protocol::{calculator_main, image_generator_main, manager_main, space_for};
+use crate::protocol::space_for;
+use crate::protocol::spmd::{calculator_main, image_generator_main, manager_main};
 use crate::report::RunReport;
 use crate::scene::Scene;
 
@@ -74,6 +76,11 @@ impl RenderSink {
 /// Run the scene on `n` calculator threads (+ manager + image generator).
 /// Returns the wall-clock report; `sink` controls real rasterization.
 ///
+/// The calculators always exchange in the dense pattern and every system
+/// runs its full protocol in turn; a configuration this executor cannot
+/// honour (`SystemSchedule::Batched`, checkpointing or recovery) is
+/// rejected with [`ProtocolError::Unsupported`] before any thread starts.
+///
 /// # Panics
 /// Panics if `n == 0` — a run with no calculators is a caller bug. All
 /// runtime failures (dead peers, out-of-order messages, invariant
@@ -102,6 +109,16 @@ pub fn run_threaded_traced(
     instrument: bool,
 ) -> Result<RunReport, ProtocolError> {
     assert!(n >= 1);
+    let unsupported = if cfg.schedule == SystemSchedule::Batched {
+        Some("schedule = Batched")
+    } else if cfg.checkpoint.interval > 0 || cfg.checkpoint.recover {
+        Some("checkpoint")
+    } else {
+        None
+    };
+    if let Some(option) = unsupported {
+        return Err(ProtocolError::Unsupported { executor: "threaded", option });
+    }
     // The threaded executor runs every balancing strategy manager-mediated
     // over the Figure-2 per-system schedule: decentralized strategies make
     // the same per-round decisions, but their transfers still travel the
@@ -113,6 +130,7 @@ pub fn run_threaded_traced(
 
     let initial_domains: Vec<DomainMap> =
         (0..n_sys).map(|s| DomainMap::split_even(space_for(scene, cfg, s), Axis::X, n)).collect();
+    let replicas: Vec<Arc<DomainMap>> = initial_domains.iter().cloned().map(Arc::new).collect();
 
     let mut handles = Vec::new();
     let mut eps = endpoints.into_iter();
@@ -122,7 +140,7 @@ pub fn run_threaded_traced(
         let ep = eps.next().expect("fabric built with n+2 endpoints");
         let scene = scene.clone();
         let cfg = cfg.clone();
-        let domains0 = initial_domains.clone();
+        let domains0 = replicas.clone();
         handles.push(thread::spawn(move || {
             calculator_main(ep, c, n, &scene, &cfg, domains0, instrument)
         }));
@@ -133,8 +151,7 @@ pub fn run_threaded_traced(
         let ep = eps.next().expect("fabric built with n+2 endpoints");
         let scene = scene.clone();
         let cfg = cfg.clone();
-        let domains0 = initial_domains.clone();
-        thread::spawn(move || manager_main(ep, n, &scene, &cfg, domains0, instrument))
+        thread::spawn(move || manager_main(ep, n, &scene, &cfg, initial_domains, instrument))
     };
 
     // ---- Image generator thread ------------------------------------------
@@ -229,7 +246,7 @@ mod tests {
     use super::*;
     use crate::config::{BalanceMode, LoadMetric};
     use crate::msg::Msg;
-    use crate::protocol::recv_within;
+    use crate::protocol::spmd::recv_within;
     use crate::scene::SystemSetup;
     use psa_core::actions::{ActionList, Gravity, KillOld, MoveParticles, RandomAccel};
     use psa_core::SystemSpec;
@@ -298,6 +315,30 @@ mod tests {
             .expect_err("nobody ever sends");
         assert_eq!(err, ProtocolError::Timeout { role: "calculator", rank: 0, frame: 7, peer: 1 });
         assert!(err.to_string().contains("timed out waiting for rank 1"));
+    }
+
+    #[test]
+    fn options_the_threads_cannot_honour_are_rejected_up_front() {
+        use crate::checkpoint::CheckpointConfig;
+        let base = RunConfig { frames: 2, dt: 0.1, ..Default::default() };
+        for (cfg, option) in [
+            (RunConfig { schedule: SystemSchedule::Batched, ..base.clone() }, "schedule = Batched"),
+            (
+                RunConfig {
+                    checkpoint: CheckpointConfig { interval: 1, recover: false },
+                    ..base.clone()
+                },
+                "checkpoint",
+            ),
+            (
+                RunConfig { checkpoint: CheckpointConfig::recovering(0), ..base.clone() },
+                "checkpoint",
+            ),
+        ] {
+            let err = run_threaded_traced(&scene(), &cfg, 2, None, true).expect_err(option);
+            assert_eq!(err, ProtocolError::Unsupported { executor: "threaded", option });
+            assert!(err.to_string().contains("threaded") && err.to_string().contains(option));
+        }
     }
 
     #[test]

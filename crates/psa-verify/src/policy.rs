@@ -77,15 +77,17 @@ pub const PANIC_ROOTS: &[&str] = &[
     "crates/psa-runtime/src/trace.rs",
     "crates/psa-desim/src/fabric.rs",
     "crates/psa-desim/src/queue.rs",
-    "crates/psa-desim/src/proc.rs",
     "crates/psa-sessions/src/admission.rs",
     "crates/psa-sessions/src/session.rs",
     "crates/psa-sessions/src/slot.rs",
 ];
 
 /// Phase entry points of the taint analysis (matched by function name):
-/// anything reachable from the six Figure-2 phases, the executor mains, or
-/// the deterministic compute kernel must be a pure function of the seed.
+/// anything reachable from the six Figure-2 phases, the executor mains, the
+/// role cores' transitions (`protocol/calculator.rs`, `protocol/manager.rs`
+/// — entries in their own right, so the pass reaches them however a driver
+/// is refactored), or the deterministic compute kernel must be a pure
+/// function of the seed.
 pub const PHASE_ENTRIES: &[&str] = &[
     "phase_creation",
     "phase_addition",
@@ -95,7 +97,16 @@ pub const PHASE_ENTRIES: &[&str] = &[
     "phase_loads",
     "phase_balance",
     "phase_ship",
-    "execute_transfers",
+    "execute_orders",
+    "calculus",
+    "collide",
+    "stage_exchange",
+    "donate",
+    "install_domains",
+    "create",
+    "decide_round",
+    "apply_cut",
+    "collapse_dead",
     "calculator_main",
     "manager_main",
     "image_generator_main",
@@ -108,10 +119,10 @@ pub const PHASE_ENTRIES: &[&str] = &[
 /// the Figure-2 conformance pass (fixtures bind via the `protocol-role`
 /// pragma instead).
 pub const ROLE_BINDINGS: &[(&str, &str, &str)] = &[
-    ("crates/psa-runtime/src/protocol.rs", "calculator", "calculator_main"),
-    ("crates/psa-runtime/src/protocol.rs", "manager", "manager_main"),
-    ("crates/psa-runtime/src/protocol.rs", "image-generator", "image_generator_main"),
-    ("crates/psa-runtime/src/protocol.rs", "virtual-engine", "run_frames"),
+    ("crates/psa-runtime/src/protocol/spmd.rs", "calculator", "calculator_main"),
+    ("crates/psa-runtime/src/protocol/spmd.rs", "manager", "manager_main"),
+    ("crates/psa-runtime/src/protocol/spmd.rs", "image-generator", "image_generator_main"),
+    ("crates/psa-runtime/src/protocol/engine.rs", "virtual-engine", "run_frames"),
 ];
 
 /// Units that take part in the call-graph analyses: crate sources, minus
@@ -188,7 +199,7 @@ mod tests {
         // The event fabric's recv is non-blocking: the fabric and the
         // protocol engine must be free to call it bare.
         assert!(!ids("crates/psa-desim/src/fabric.rs").contains(&"no-unbounded-recv"));
-        assert!(!ids("crates/psa-runtime/src/protocol.rs").contains(&"no-unbounded-recv"));
+        assert!(!ids("crates/psa-runtime/src/protocol/engine.rs").contains(&"no-unbounded-recv"));
     }
 
     #[test]
@@ -242,13 +253,9 @@ mod tests {
             assert!(got.contains(&"wall-clock"), "{file}");
             assert!(got.contains(&"thread-confinement"), "{file}");
         }
-        // And the fabric/queue/proc trio are panic roots: every entry the
+        // And the fabric and its queue are panic roots: every entry the
         // engine calls mid-frame must come back as a typed error.
-        for root in [
-            "crates/psa-desim/src/fabric.rs",
-            "crates/psa-desim/src/queue.rs",
-            "crates/psa-desim/src/proc.rs",
-        ] {
+        for root in ["crates/psa-desim/src/fabric.rs", "crates/psa-desim/src/queue.rs"] {
             assert!(PANIC_ROOTS.contains(&root), "{root} must be a panic root");
         }
     }
@@ -271,7 +278,7 @@ mod tests {
         }
         // Admission decisions, seed derivation, and the slot arena are
         // called from inside the dispatch loop: a panic there takes the
-        // whole pool down, so they are panic roots like the fabric trio.
+        // whole pool down, so they are panic roots like the fabric.
         for root in [
             "crates/psa-sessions/src/admission.rs",
             "crates/psa-sessions/src/session.rs",

@@ -16,10 +16,10 @@
 //! Starting from the role's entry function, the checker inlines same-file
 //! callees at their *first* call site (in token order) and concatenates
 //! the `Msg::Kind` send/recv events it meets. First-site-only inlining is
-//! what makes branchy code checkable: `run_frames` calls the same phase
-//! methods from both the `PerSystem` and `Batched` schedules, and
-//! `phase_balance` reaches `execute_transfers` from two branches — the
-//! repeated calls contribute nothing instead of doubling the sequence.
+//! what makes branchy code checkable: a driver that reaches the same
+//! helper from two branches (the engine's dense and sparse exchange both
+//! call `recv_exchange`) contributes its events once — the repeated calls
+//! add nothing instead of doubling the sequence.
 //! Consecutive duplicate events collapse (per-peer send loops).
 //!
 //! ## Matching
@@ -55,11 +55,14 @@ const fn r(kind: &'static str, required: bool) -> Step {
 }
 
 /// A calculator's frame loop (threaded executor, Figure 2 left column):
-/// creation in, compute, exchange, load report, then the dynamic-balance
-/// branch (orders / donor cut / domains / donation), then ship.
+/// creation in, compute (with the optional ghost exchange of inter-particle
+/// collision), exchange, load report, then the dynamic-balance branch
+/// (orders / donor cut / domains / donation), then ship.
 pub const CALCULATOR: &[Step] = &[
     r("Particles", true),
     r("EndOfTransmission", true),
+    s("Ghosts", false),
+    r("Ghosts", false),
     s("Particles", true),
     r("Particles", true),
     s("Load", true),

@@ -123,3 +123,40 @@ fn distributed_collision_matches_sequential_population_and_time_structure() {
         free.total_time
     );
 }
+
+/// The threaded executor runs the same ghost exchange. Two particles of one
+/// system straddle the boundary between calculators 0 and 1 — the initial
+/// one at x = -0.25, the emitted one at x = +0.25, overlapping and pulled
+/// toward each other — so the contact exists only across the process line.
+/// With two calculators each side resolves it against the other's ghost and
+/// must land on exactly the state one calculator reaches resolving the pair
+/// locally (per-frame checksums are bit-exact hashes of every particle);
+/// and that state must differ from the run without collision, where the
+/// pair passes through.
+#[test]
+fn cross_boundary_pair_reflects_on_the_threaded_executor() {
+    use psa_core::system::{EmissionShape, VelocityModel};
+    let mut s = SystemSpec::test_spec(0);
+    s.space = Interval::new(-10.0, 10.0);
+    s.max_age = f32::MAX;
+    s.size = 0.3;
+    s.velocity = VelocityModel::Constant(Vec3::ZERO);
+    s.initial = Some((1, EmissionShape::Point(Vec3::new(-0.25, 0.0, 0.0))));
+    s.emission = EmissionShape::Point(Vec3::new(0.25, 0.0, 0.0));
+    s.emit_per_frame = 1;
+    let mut scene = Scene::new();
+    let pull = OrbitPoint::new(Vec3::ZERO, 4.0);
+    scene.add_system(SystemSetup::new(s, ActionList::new().then(pull).then(MoveParticles)));
+    scene.collision = Some(CollisionSpec { cell: 0.6, restitution: 1.0 });
+
+    let cfg = RunConfig { frames: 1, dt: 0.05, balance: BalanceMode::Static, ..Default::default() };
+    let frame0 = |scene: &Scene, n: usize| {
+        let rep = run_threaded(scene, &cfg, n, None).expect("threaded run failed");
+        (rep.frames[0].alive, rep.frames[0].checksum)
+    };
+    let split = frame0(&scene, 2);
+    assert_eq!(split.0, 2);
+    assert_eq!(split, frame0(&scene, 1), "ghost resolution must equal local resolution");
+    scene.collision = None;
+    assert_ne!(split.1, frame0(&scene, 2).1, "the pair must have collided");
+}
