@@ -20,7 +20,7 @@
 //! executor converts them into its own typed error so a broken invariant
 //! surfaces as a failed run report instead of a poisoned thread.
 
-use psa_math::{Interval, Scalar, Vec3};
+use psa_math::{Interval, Scalar};
 
 use crate::domain::DomainMap;
 use crate::particle::Particle;
@@ -253,49 +253,91 @@ where
     Ok(())
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Multiplier of the ordered fold. Odd, and `≡ 5 (mod 8)`, so its powers
+/// are distinct for every stream length below 2^62 — `pow` encodes length.
+const FOLD_PRIME: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Order-sensitive FNV-1a over the exact bit patterns of a particle stream.
+/// One odd multiplier per 64-bit lane of [`particle_hash`].
+const LANES: [u64; 8] = [
+    0xBF58_476D_1CE4_E5B9,
+    0x94D0_49BB_1331_11EB,
+    0xC2B2_AE3D_27D4_EB4F,
+    0x1656_67B1_9E37_79F9,
+    0x85EB_CA77_C2B2_AE63,
+    0x27D4_EB2F_1656_67C5,
+    0xA076_1D64_78BD_642F,
+    0xE703_7ED1_A0B4_28DB,
+];
+
+/// Hash of one particle's exact bit pattern, independent of every other
+/// particle.
+///
+/// The sixteen `f32::to_bits` words pair into eight 64-bit lanes; each lane
+/// is multiplied by its own odd constant (a bijection per lane, so any
+/// single-bit change moves the sum) and the sum goes through the murmur3
+/// finalizer (also a bijection, and what makes the hash non-linear in the
+/// fields). The eight multiplies are independent, so consecutive particles
+/// pipeline — there is no serial chain across the words.
+///
+/// [`StateHash`] folds this in stream order. Its wrapping *sum* over a
+/// population is the commutative multiset fold a decomposition-invariant
+/// oracle needs (ROADMAP item 2).
+#[inline]
+pub fn particle_hash(p: &Particle) -> u64 {
+    #[inline(always)]
+    fn lane(lo: Scalar, hi: Scalar) -> u64 {
+        u64::from(lo.to_bits()) | u64::from(hi.to_bits()) << 32
+    }
+    let lanes = [
+        lane(p.position.x, p.position.y),
+        lane(p.position.z, p.velocity.x),
+        lane(p.velocity.y, p.velocity.z),
+        lane(p.orientation.x, p.orientation.y),
+        lane(p.orientation.z, p.color.x),
+        lane(p.color.y, p.color.z),
+        lane(p.age, p.size),
+        lane(p.alpha, p.mass),
+    ];
+    // The seed keeps the all-zero particle away from the finalizer's fixed
+    // point at 0.
+    let mut h =
+        lanes.iter().zip(LANES).fold(FOLD_PRIME, |acc, (w, m)| acc.wrapping_add(w.wrapping_mul(m)));
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    h ^ (h >> 33)
+}
+
+/// Ordered, associative checksum over the exact bit patterns of a particle
+/// stream: `h = h·P + particle_hash(p)` per particle, with `P^len` carried
+/// alongside so two partial hashes [`combine`](Self::combine).
 ///
 /// This is the frame checksum the determinism regression tests compare: two
 /// runs with the same seed must produce bit-identical particle states in
 /// the same order, so any drift — a reordered exchange, an extra RNG draw,
-/// a float contraction difference — changes the hash.
+/// a float contraction difference — changes the hash. Because
+/// `H(A ++ B) = H(A).combine(&H(B))`, the value does not depend on where the
+/// stream is cut: every calculator hashes the particles it holds and the
+/// image generator combines the partials in `(system, calculator)` order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StateHash(u64);
+pub struct StateHash {
+    h: u64,
+    /// `FOLD_PRIME` to the power of the stream's length.
+    pow: u64,
+}
 
 impl StateHash {
+    /// The hash of the empty stream — the identity of [`Self::combine`].
     pub fn new() -> Self {
-        StateHash(FNV_OFFSET)
-    }
-
-    #[inline]
-    fn mix(&mut self, word: u32) {
-        for b in word.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    #[inline]
-    fn mix_vec(&mut self, v: Vec3) {
-        self.mix(v.x.to_bits());
-        self.mix(v.y.to_bits());
-        self.mix(v.z.to_bits());
+        StateHash { h: 0, pow: 1 }
     }
 
     /// Fold one particle's full state into the hash.
     #[inline]
     pub fn push(&mut self, p: &Particle) {
-        self.mix_vec(p.position);
-        self.mix_vec(p.velocity);
-        self.mix_vec(p.orientation);
-        self.mix_vec(p.color);
-        self.mix(p.age.to_bits());
-        self.mix(p.size.to_bits());
-        self.mix(p.alpha.to_bits());
-        self.mix(p.mass.to_bits());
+        self.h = self.h.wrapping_mul(FOLD_PRIME).wrapping_add(particle_hash(p));
+        self.pow = self.pow.wrapping_mul(FOLD_PRIME);
     }
 
     pub fn extend<'a, I: IntoIterator<Item = &'a Particle>>(&mut self, it: I) {
@@ -304,8 +346,18 @@ impl StateHash {
         }
     }
 
+    /// The hash of this stream followed by `other`'s.
+    pub fn combine(&self, other: &StateHash) -> StateHash {
+        StateHash {
+            h: self.h.wrapping_mul(other.pow).wrapping_add(other.h),
+            pow: self.pow.wrapping_mul(other.pow),
+        }
+    }
+
+    /// The checksum value. `pow` takes part so that length always shows,
+    /// even for a stream whose fold happens to be 0.
     pub fn finish(&self) -> u64 {
-        self.0
+        self.h ^ self.pow.rotate_left(32)
     }
 }
 
@@ -318,7 +370,7 @@ impl Default for StateHash {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_math::Axis;
+    use psa_math::{Axis, Vec3};
 
     #[test]
     fn conservation_accepts_balanced_exchange() {
@@ -427,5 +479,81 @@ mod tests {
         a2.age = f32::from_bits(a.age.to_bits() ^ 1);
         assert_ne!(hash(&[a, b]), hash(&[a2, b]), "single-bit drift must show");
         assert_ne!(hash(&[a]), hash(&[a, b]), "length must matter");
+    }
+
+    #[test]
+    fn state_hash_composes_at_every_split_and_still_sees_every_change() {
+        use psa_math::Rng64;
+        let hash = |ps: &[Particle]| {
+            let mut h = StateHash::new();
+            h.extend(ps);
+            h
+        };
+        for seed in 0..16u64 {
+            let mut rng = Rng64::new(0x5747_E4A5 ^ seed);
+            let vec3 = |r: &mut Rng64| Vec3::new(r.gaussian(), r.gaussian(), r.gaussian());
+            let ps: Vec<Particle> = (0..1 + rng.below(40))
+                .map(|_| Particle {
+                    position: vec3(&mut rng),
+                    velocity: vec3(&mut rng),
+                    orientation: vec3(&mut rng),
+                    color: vec3(&mut rng),
+                    age: rng.unit(),
+                    size: rng.unit(),
+                    alpha: rng.unit(),
+                    mass: rng.unit(),
+                })
+                .collect();
+            let whole = hash(&ps);
+            assert_eq!(whole.combine(&StateHash::new()), whole, "empty is a right identity");
+            assert_eq!(StateHash::new().combine(&whole), whole, "empty is a left identity");
+            for i in 0..=ps.len() {
+                let (a, b) = ps.split_at(i);
+                assert_eq!(hash(a).combine(&hash(b)), whole, "seed {seed} split {i}");
+                for j in i..=ps.len() {
+                    let (a, b, c) = (hash(&ps[..i]), hash(&ps[i..j]), hash(&ps[j..]));
+                    assert_eq!(a.combine(&b).combine(&c), whole, "seed {seed} ({i}, {j}) left");
+                    assert_eq!(a.combine(&b.combine(&c)), whole, "seed {seed} ({i}, {j}) right");
+                }
+            }
+            // Swap two particles, flip one bit of one word, drop the tail.
+            let (i, j) = (rng.below(ps.len()), rng.below(ps.len()));
+            if ps[i] != ps[j] {
+                let mut swapped = ps.clone();
+                swapped.swap(i, j);
+                assert_ne!(hash(&swapped).finish(), whole.finish(), "seed {seed} swap {i} {j}");
+            }
+            let words: [fn(&mut Particle) -> &mut Scalar; 16] = [
+                |q| &mut q.position.x,
+                |q| &mut q.position.y,
+                |q| &mut q.position.z,
+                |q| &mut q.velocity.x,
+                |q| &mut q.velocity.y,
+                |q| &mut q.velocity.z,
+                |q| &mut q.orientation.x,
+                |q| &mut q.orientation.y,
+                |q| &mut q.orientation.z,
+                |q| &mut q.color.x,
+                |q| &mut q.color.y,
+                |q| &mut q.color.z,
+                |q| &mut q.age,
+                |q| &mut q.size,
+                |q| &mut q.alpha,
+                |q| &mut q.mass,
+            ];
+            for (w, word) in words.iter().enumerate() {
+                let mut flipped = ps.clone();
+                let x = word(&mut flipped[i]);
+                *x = Scalar::from_bits(x.to_bits() ^ 1 << rng.below(32));
+                assert_ne!(hash(&flipped).finish(), whole.finish(), "seed {seed} word {w}");
+            }
+            let short = &ps[..ps.len() - 1];
+            assert_ne!(hash(short).finish(), whole.finish(), "seed {seed}: dropped tail");
+        }
+        // The multiset fold ROADMAP item 2 builds on: a wrapping sum of
+        // `particle_hash` ignores order and placement but not content.
+        let a = Particle::at(Vec3::new(1.0, 2.0, 3.0));
+        let b = Particle::at(Vec3::new(3.0, 2.0, 1.0));
+        assert_ne!(particle_hash(&a), particle_hash(&b), "fields are position-tagged");
     }
 }

@@ -107,6 +107,20 @@ impl SubDomainStore {
         self.buckets.iter_mut().map(ParticleStore::as_mut_slice)
     }
 
+    /// Read-only slice views of the buckets, in the same canonical order.
+    pub fn bucket_slices(&self) -> impl Iterator<Item = &[Particle]> {
+        self.buckets.iter().map(ParticleStore::as_slice)
+    }
+
+    /// A copy of every particle in canonical order, allocated once.
+    pub fn to_vec(&self) -> Vec<Particle> {
+        let mut all = Vec::with_capacity(self.len());
+        for bucket in self.bucket_slices() {
+            all.extend_from_slice(bucket);
+        }
+        all
+    }
+
     /// Iterate all particles immutably.
     pub fn iter(&self) -> impl Iterator<Item = &Particle> {
         self.buckets.iter().flat_map(|b| b.iter())

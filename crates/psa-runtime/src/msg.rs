@@ -6,6 +6,7 @@
 //! orders, new dimensions, and the domain broadcast.
 
 use netsim::{TransportError, WireSize};
+use psa_core::invariants::StateHash;
 use psa_core::{InvariantViolation, Particle, SystemId, WIRE_BYTES};
 use psa_math::Scalar;
 
@@ -18,6 +19,10 @@ use crate::balance::{LoadInfo, Order};
 /// the full 70-byte particle — the paper's Fast-Ethernet results are only
 /// achievable if frame shipping is far lighter than migration traffic.
 pub const RENDER_WIRE_BYTES: usize = 4;
+
+/// Wire size of a [`Msg::FrameDigest`]: the count plus the two words of a
+/// [`StateHash`], whatever the population.
+pub const DIGEST_WIRE_BYTES: u64 = 24;
 
 /// A message of the frame protocol.
 #[derive(Clone, Debug, PartialEq)]
@@ -54,8 +59,13 @@ pub enum Msg {
     /// Quantized render payload for the image generator (count of real
     /// particles; the content travels out-of-band in the virtual executor).
     RenderBatch { system: SystemId, count: usize, scale: f64 },
+    /// A threaded calculator's frame digest of one system: how many
+    /// particles it holds and their ordered checksum, folded where the
+    /// particles live. Sent every frame; the image generator combines the
+    /// partials in `(system, calculator)` order.
+    FrameDigest { system: SystemId, alive: usize, hash: StateHash },
     /// Full particles for the image generator (threaded executor renders
-    /// for real).
+    /// for real). Follows the digest, and only when something rasterizes.
     RenderParticles { system: SystemId, batch: Vec<Particle> },
     /// Frame-complete token.
     FrameDone { frame: u64 },
@@ -73,6 +83,7 @@ impl Msg {
             Msg::Domains { .. } => "Domains",
             Msg::Ghosts { .. } => "Ghosts",
             Msg::RenderBatch { .. } => "RenderBatch",
+            Msg::FrameDigest { .. } => "FrameDigest",
             Msg::RenderParticles { .. } => "RenderParticles",
             Msg::FrameDone { .. } => "FrameDone",
         }
@@ -104,6 +115,9 @@ pub enum ProtocolError {
     OrderBroken { role: &'static str, rank: usize, frame: u64, detail: String },
     /// Rasterizer output could not be written.
     Render { frame: u64, detail: String },
+    /// Calculator `rank` shipped a render batch whose length disagrees with
+    /// the frame digest it sent just before.
+    DigestMismatch { rank: usize, frame: u64, alive: usize, shipped: usize },
     /// A bounded receive gave up on a silent peer, with protocol context a
     /// raw transport error cannot carry.
     Timeout { role: &'static str, rank: usize, frame: u64, peer: usize },
@@ -131,6 +145,11 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::Render { frame, detail } => {
                 write!(f, "image generator frame {frame}: {detail}")
             }
+            ProtocolError::DigestMismatch { rank, frame, alive, shipped } => write!(
+                f,
+                "image generator frame {frame}: calculator {rank} shipped {shipped} particles \
+                 after a digest of {alive}"
+            ),
             ProtocolError::Timeout { role, rank, frame, peer } => {
                 write!(f, "{role} {rank} frame {frame}: timed out waiting for rank {peer}")
             }
@@ -173,6 +192,7 @@ impl WireSize for Msg {
             Msg::RenderBatch { count, scale, .. } => {
                 (*count as f64 * scale * RENDER_WIRE_BYTES as f64).round() as u64
             }
+            Msg::FrameDigest { .. } => DIGEST_WIRE_BYTES,
             Msg::RenderParticles { batch, .. } => (batch.len() * WIRE_BYTES) as u64,
             Msg::FrameDone { .. } => 8,
         }
@@ -213,6 +233,9 @@ mod tests {
     fn control_messages_are_small() {
         assert!(Msg::EndOfTransmission { system: SystemId(1) }.wire_bytes() < 16);
         assert!(Msg::Domains { system: SystemId(1), cuts: vec![0.0; 9] }.wire_bytes() < 64);
+        let digest =
+            Msg::FrameDigest { system: SystemId(1), alive: 50_000, hash: StateHash::new() };
+        assert_eq!(digest.wire_bytes(), DIGEST_WIRE_BYTES);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use std::sync::Arc;
 
 use psa_core::collide::{colliding_pairs, resolve_elastic_with_ghosts};
+use psa_core::invariants::StateHash;
 use psa_core::kernel::{self, KernelRun};
 use psa_core::{DomainMap, Particle, SubDomainStore};
 use psa_math::{Interval, Scalar};
@@ -265,12 +266,25 @@ impl Calculator {
         Some(scanned)
     }
 
+    /// The frame digest of system `sys`: how many particles this
+    /// calculator holds and their checksum in the store's canonical
+    /// (bucket-major) order — folded here, where the particles live, so a
+    /// consumer that only counts and compares never needs the particles.
+    pub(crate) fn digest(&self, sys: usize) -> (usize, StateHash) {
+        let store = &self.stores[sys];
+        let mut hash = StateHash::new();
+        for bucket in store.bucket_slices() {
+            hash.extend(bucket);
+        }
+        (store.len(), hash)
+    }
+
     /// Frame-boundary state, particles in bucket-major order.
     pub(crate) fn snapshot(&self) -> CalcSnapshot {
         let store = |st: &SubDomainStore| StoreSnapshot {
             slice: st.slice(),
             buckets: st.bucket_count(),
-            particles: st.iter().copied().collect(),
+            particles: st.to_vec(),
         };
         CalcSnapshot {
             stores: self.stores.iter().map(store).collect(),

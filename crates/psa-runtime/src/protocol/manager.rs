@@ -39,8 +39,8 @@ pub(crate) struct Manager {
     streak: SkipStreak,
     /// Virtual particles per real particle in the run statistics.
     scale: f64,
-    /// Creation staging, reused every frame: the newborn cohort and one
-    /// batch spine per calculator.
+    /// Creation staging, reused every frame: the emitted cohort waiting to
+    /// be routed, and one batch spine per calculator.
     newborn: Vec<Particle>,
     batches: Vec<Vec<Particle>>,
 }
@@ -70,22 +70,36 @@ impl Manager {
         &self.streak.0
     }
 
-    /// Creation (paper §3.2.1): emit system `sys`'s cohort for `frame` and
-    /// route each newborn to the batch of the calculator that owns its
-    /// position. Returns how many particles were created.
+    /// Creation (paper §3.2.1): [`emit`](Self::emit) system `sys`'s cohort
+    /// for `frame`, then [`route`](Self::route) it. Returns how many
+    /// particles were created.
     pub(crate) fn create(&mut self, frame: u64, sys: usize, spec: &SystemSpec, seed: u64) -> usize {
+        let created = self.emit(frame, sys, spec, seed);
+        self.route(sys);
+        created
+    }
+
+    /// The RNG half of creation: draw system `sys`'s cohort for `frame`
+    /// into the staging buffer. Depends on nothing a balance round can
+    /// change, so a driver may run it a step ahead of the protocol.
+    pub(crate) fn emit(&mut self, frame: u64, sys: usize, spec: &SystemSpec, seed: u64) -> usize {
         let mut rng = stream(seed, TAG_CREATE, frame, sys, 0);
         self.newborn.clear();
         if frame == 0 {
             self.newborn = spec.emit_initial(&mut rng);
         }
         self.newborn.extend((0..spec.emit_per_frame).map(|_| spec.emit_one(&mut rng)));
-        let created = self.newborn.len();
+        self.newborn.len()
+    }
+
+    /// The routing half: move each staged newborn to the batch of the
+    /// calculator that owns its position *now* — at send time, because the
+    /// balance round since [`emit`](Self::emit) may have moved `sys`'s cuts.
+    pub(crate) fn route(&mut self, sys: usize) {
         let dm = &self.domains[sys];
         for p in self.newborn.drain(..) {
             self.batches[dm.owner_of(p.position.along(AXIS))].push(p);
         }
-        created
     }
 
     /// Calculator `c`'s newborn batch.
@@ -262,6 +276,50 @@ mod tests {
         let round =
             manager(n, 1).decide_round(0, 0, &vec![li(1); n], &speeds, &BalanceMode::Static);
         assert!(matches!(round, Round::Static));
+    }
+
+    #[test]
+    fn a_cohort_emitted_a_step_ahead_routes_by_the_cuts_in_force_when_it_is_sent() {
+        use psa_core::system::EmissionShape;
+        use psa_math::Vec3;
+        let mut spec = SystemSpec::test_spec(0);
+        spec.emission = EmissionShape::Box { min: Vec3::ZERO, max: Vec3::splat(10.0) };
+        let (n, seed, mode, speeds) = (4, 0xE317, mode(2, 5), vec![1.0; 4]);
+        let batches = |m: &mut Manager| (0..n).map(|c| m.batch_for(c)).collect::<Vec<_>>();
+
+        // Step k = (frame 3, system 0). The manager sends it, draws step
+        // k+1's cohort (frame 4 of the same system — the worst case, its
+        // cut is about to move), and only then runs step k's balance.
+        let mut ahead = manager(n, 1);
+        ahead.create(3, 0, &spec, seed);
+        let sent = batches(&mut ahead);
+        assert_eq!(ahead.emit(4, 0, &spec, seed), spec.emit_per_frame);
+        let mut inline = manager(n, 1);
+        inline.create(3, 0, &spec, seed);
+        assert_eq!(batches(&mut inline), sent);
+
+        let loads = vec![li(900), li(100), li(100), li(100)];
+        let balance = |m: &mut Manager| {
+            let Round::Decided { transfers, .. } = m.decide_round(0, 3, &loads, &speeds, &mode)
+            else {
+                panic!("first round is evaluated");
+            };
+            m.apply_cut(0, 0, 1, 1.0).expect("cut inside rank 0's slice");
+            transfers
+        };
+        let decided = balance(&mut ahead);
+        assert!(!decided.is_empty());
+        assert_eq!(decided, balance(&mut inline), "the staged cohort is invisible to the round");
+        assert_eq!((ahead.round(), ahead.idle_rounds()), (inline.round(), inline.idle_rounds()));
+        assert_eq!(ahead.domains(0).cuts(), inline.domains(0).cuts());
+
+        ahead.route(0);
+        assert_eq!(inline.create(4, 0, &spec, seed), spec.emit_per_frame);
+        let routed = batches(&mut ahead);
+        assert_eq!(routed, batches(&mut inline), "emit + cut + route == create on the moved map");
+        assert_eq!(routed.iter().map(Vec::len).sum::<usize>(), spec.emit_per_frame);
+        assert!(routed[0].iter().all(|p| p.position.x < 1.0), "rank 0 owns [0, 1) now");
+        assert!(routed[1].iter().any(|p| p.position.x < 2.5), "rank 1 took over [1, 2.5)");
     }
 
     #[test]

@@ -6,13 +6,22 @@
 //! `strict-invariants` checks — and drives the same role core as the
 //! interleaved engine for every state transition. The image generator has
 //! no shared core: this one rasterizes particles, the engine's counts them.
+//!
+//! Two things keep the image generator and the manager off the frame's
+//! critical path. A calculator ships a [`Msg::FrameDigest`] — count and
+//! checksum, folded where the particles live — for every system of every
+//! frame, and the particles themselves only when a [`RenderSink`] will
+//! rasterize them; the image generator combines digests and never hashes.
+//! And the manager draws the *next* (frame, system) cohort right after
+//! sending the current one, while the calculators compute, and routes it
+//! by domain only when its turn to be sent comes.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use netsim::{ThreadEndpoint, TrafficStats, TransportError};
 use psa_core::invariants::{self, StateHash};
-use psa_core::{DomainMap, Particle};
+use psa_core::DomainMap;
 use psa_math::stats::imbalance;
 use psa_render::image::{frame_filename, write_ppm};
 use psa_render::{render_objects, render_particles, render_streaks, Framebuffer};
@@ -145,6 +154,7 @@ pub(crate) fn calculator_main(
     scene: &Scene,
     cfg: &RunConfig,
     domains: Vec<Arc<DomainMap>>,
+    renders: bool,
     instrument: bool,
 ) -> Result<Recorder, ProtocolError> {
     let mgr = n;
@@ -180,10 +190,10 @@ pub(crate) fn calculator_main(
             if let Some(col) = scene.collision {
                 let (low, high) = calc.store(sys).boundary_slabs(col.cell);
                 if c > 0 {
-                    ep.send(c - 1, Msg::Ghosts { system, batch: low, scale: 1.0 })?;
+                    ep.send_sized(c - 1, Msg::Ghosts { system, batch: low, scale: 1.0 })?;
                 }
                 if c + 1 < n {
-                    ep.send(c + 1, Msg::Ghosts { system, batch: high, scale: 1.0 })?;
+                    ep.send_sized(c + 1, Msg::Ghosts { system, batch: high, scale: 1.0 })?;
                 }
                 let mut ghosts = Vec::new();
                 for d in [c.wrapping_sub(1), c + 1] {
@@ -205,7 +215,7 @@ pub(crate) fn calculator_main(
             for d in 0..n {
                 if d != c {
                     let batch = calc.outgoing(d);
-                    ep.send(d, Msg::Particles { system, batch, scale: 1.0 })?;
+                    ep.send_sized(d, Msg::Particles { system, batch, scale: 1.0 })?;
                 }
             }
             let mut incoming = 0usize;
@@ -230,7 +240,7 @@ pub(crate) fn calculator_main(
             if cfg.load_metric == LoadMetric::CountProportional {
                 info.time = info.count as f64;
             }
-            ep.send(mgr, Msg::Load { system, info, migrated })?;
+            ep.send_sized(mgr, Msg::Load { system, info, migrated })?;
             trace.record(frame, ProtocolEvent::LoadInformation);
             mark(&mut rec, &mut last, &ep, frame, c, Phase::LoadReport);
 
@@ -245,7 +255,7 @@ pub(crate) fn calculator_main(
                 for o in &orders {
                     if let Order::Send { to, amount } = *o {
                         let cut = calc.donate(sys, to, amount).cut;
-                        ep.send(mgr, Msg::NewCut { system, boundary: c.min(to), cut })?;
+                        ep.send_sized(mgr, Msg::NewCut { system, boundary: c.min(to), cut })?;
                     }
                 }
                 if !orders.is_empty() {
@@ -261,7 +271,7 @@ pub(crate) fn calculator_main(
                 calc.install_domains(sys, Arc::new(dm));
                 trace.record(frame, ProtocolEvent::DefinitionOfLocalDomains);
                 for (to, batch) in calc.take_donations() {
-                    ep.send(to, Msg::Particles { system, batch, scale: 1.0 })?;
+                    ep.send_sized(to, Msg::Particles { system, batch, scale: 1.0 })?;
                 }
                 for o in &orders {
                     if let Order::Receive { from } = *o {
@@ -276,9 +286,14 @@ pub(crate) fn calculator_main(
             }
             mark(&mut rec, &mut last, &ep, frame, c, Phase::Balance);
 
-            // Ship the frame to the image generator.
-            let batch: Vec<Particle> = calc.store(sys).iter().copied().collect();
-            ep.send(ig, Msg::RenderParticles { system, batch })?;
+            // Ship the frame to the image generator: the digest always,
+            // the particles only if it rasterizes them.
+            let (alive, hash) = calc.digest(sys);
+            ep.send_sized(ig, Msg::FrameDigest { system, alive, hash })?;
+            if renders {
+                let batch = calc.store(sys).to_vec();
+                ep.send_sized(ig, Msg::RenderParticles { system, batch })?;
+            }
             trace.record(frame, ProtocolEvent::ParticlesToImageGenerator);
             mark(&mut rec, &mut last, &ep, frame, c, Phase::Ship);
         }
@@ -305,22 +320,32 @@ pub(crate) fn manager_main(
     let (mut trace, mut rec) = instruments(n, instrument);
     let mut phase_mark = ep.now();
     let mut traffic_mark = ep.sent_stats();
+    // Emission runs one step ahead of the protocol: the cohort of the next
+    // (frame, system) is drawn while the calculators compute this one.
+    let mut steps = (0..cfg.frames).flat_map(|f| (0..n_sys).map(move |s| (f, s)));
+    let mut emit_next = |manager: &mut Manager| {
+        if let Some((f, s)) = steps.next() {
+            manager.emit(f, s, &scene.systems[s].spec, cfg.seed);
+        }
+    };
+    emit_next(&mut manager);
 
     for frame in 0..cfg.frames {
         let mut fr = FrameReport { frame, ..Default::default() };
         let mut orders_issued = 0u64;
         let mut skips_issued = 0u64;
         for sys in 0..n_sys {
-            let spec = &scene.systems[sys].spec;
-            let system = spec.id;
-            // Creation.
-            manager.create(frame, sys, spec, cfg.seed);
+            let system = scene.systems[sys].spec.id;
+            // Creation: route the cohort emitted a step ago by the domains
+            // in force now, send it, and draw the next one before blocking.
+            manager.route(sys);
             for c in 0..n {
                 let batch = manager.batch_for(c);
-                ep.send(c, Msg::Particles { system, batch, scale: 1.0 })?;
-                ep.send(c, Msg::EndOfTransmission { system })?;
+                ep.send_sized(c, Msg::Particles { system, batch, scale: 1.0 })?;
+                ep.send_sized(c, Msg::EndOfTransmission { system })?;
             }
             trace.record(frame, ProtocolEvent::ParticleCreation);
+            emit_next(&mut manager);
             mark(&mut rec, &mut phase_mark, &ep, frame, n, Phase::Compute);
 
             // Load reports.
@@ -351,7 +376,7 @@ pub(crate) fn manager_main(
                     let round_orders = transfers.len() as u32;
                     for c in 0..n {
                         let orders = balance::orders_for(&transfers, c);
-                        ep.send(c, Msg::Orders { system, orders, round_orders })?;
+                        ep.send_sized(c, Msg::Orders { system, orders, round_orders })?;
                     }
                     trace.record(frame, ProtocolEvent::LoadBalancingOrders);
                     for t in &transfers {
@@ -380,7 +405,7 @@ pub(crate) fn manager_main(
                     }
                     for c in 0..n {
                         let cuts = manager.domains(sys).cuts().to_vec();
-                        ep.send(c, Msg::Domains { system, cuts })?;
+                        ep.send_sized(c, Msg::Domains { system, cuts })?;
                     }
                 }
             }
@@ -418,6 +443,12 @@ pub(crate) fn image_generator_main(
     });
     let mut per_frame = Vec::with_capacity(cfg.frames as usize);
     let (_, mut rec) = instruments(n, instrument);
+    if let Some(dir) = sink.as_ref().and_then(|s| s.out_dir.as_ref()) {
+        std::fs::create_dir_all(dir).map_err(|e| ProtocolError::Render {
+            frame: 0,
+            detail: format!("create {}: {e}", dir.display()),
+        })?;
+    }
     let mut phase_mark = ep.now();
 
     for frame in 0..cfg.frames {
@@ -429,11 +460,21 @@ pub(crate) fn image_generator_main(
         }
         for _sys in 0..n_sys {
             for c in 0..n {
-                let batch = expect_msg!(ep, deadline, c, "image generator", n + 1, frame,
-                    Msg::RenderParticles { batch, .. } => batch, "RenderParticles");
-                alive += batch.len() as u64;
-                hash.extend(batch.iter());
+                let (count, partial) = expect_msg!(ep, deadline, c, "image generator", n + 1, frame,
+                    Msg::FrameDigest { alive, hash, .. } => (alive, hash), "FrameDigest");
+                alive += count as u64;
+                hash = hash.combine(&partial);
                 if let (Some(fb), Some(s)) = (fb.as_mut(), sink.as_ref()) {
+                    let batch = expect_msg!(ep, deadline, c, "image generator", n + 1, frame,
+                        Msg::RenderParticles { batch, .. } => batch, "RenderParticles");
+                    if batch.len() != count {
+                        return Err(ProtocolError::DigestMismatch {
+                            rank: c,
+                            frame,
+                            alive: count,
+                            shipped: batch.len(),
+                        });
+                    }
                     match s.streaks {
                         Some((len, steps)) => {
                             render_streaks(fb, &s.camera, &batch, &s.splat, len, steps);
@@ -447,10 +488,6 @@ pub(crate) fn image_generator_main(
         }
         if let (Some(fb), Some(s)) = (fb.as_ref(), sink.as_ref()) {
             if let Some(dir) = &s.out_dir {
-                std::fs::create_dir_all(dir).map_err(|e| ProtocolError::Render {
-                    frame,
-                    detail: format!("create {}: {e}", dir.display()),
-                })?;
                 let path = dir.join(frame_filename(&s.prefix, frame));
                 write_ppm(fb, &path).map_err(|e| ProtocolError::Render {
                     frame,
@@ -458,8 +495,9 @@ pub(crate) fn image_generator_main(
                 })?;
             }
         }
-        // The whole IG frame — gathering batches, rasterizing, writing —
-        // is the Render phase; the image generator takes part in no other.
+        // The whole IG frame — gathering digests and batches, rasterizing,
+        // writing — is the Render phase; the image generator takes part in
+        // no other.
         mark(&mut rec, &mut phase_mark, &ep, frame, n + 1, Phase::Render);
         per_frame.push((alive, hash.finish()));
     }

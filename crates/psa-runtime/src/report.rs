@@ -33,10 +33,11 @@ pub struct FrameReport {
     pub frame_time: f64,
     /// Coefficient of imbalance `max/mean − 1` across calculators.
     pub imbalance: f64,
-    /// Order-sensitive FNV-1a over every particle state the image generator
-    /// received this frame (0 when the executor does not compute it). Two
-    /// same-seed runs must agree bit-for-bit — the determinism regression
-    /// tests compare these.
+    /// Ordered [`StateHash`](psa_core::invariants::StateHash) over every
+    /// particle state alive at the end of this frame, in (system,
+    /// calculator, store) order (0 when the executor does not compute it).
+    /// Two same-seed runs must agree bit-for-bit — the determinism
+    /// regression tests compare these.
     pub checksum: u64,
     /// Deadline-expired receives this frame (fault injection / dead peers).
     pub timeouts: u64,

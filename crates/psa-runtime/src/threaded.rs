@@ -14,6 +14,12 @@
 //! what is thread-specific: spawning, joining, error aggregation, and the
 //! render sink.
 //!
+//! The sink also decides what a calculator ships: every frame it sends the
+//! image generator a digest (count + composable checksum) of each system,
+//! and the particles behind it only when a sink will draw them — so a run
+//! without one moves no particle to the image generator at all, and
+//! `FrameReport::{alive, checksum}` are the same either way.
+//!
 //! Protocol failures are values, not panics: every role returns
 //! [`ProtocolError`] and [`run_threaded`] surfaces the most specific error
 //! after joining all threads. With the `strict-invariants` feature, each
@@ -74,7 +80,9 @@ impl RenderSink {
 }
 
 /// Run the scene on `n` calculator threads (+ manager + image generator).
-/// Returns the wall-clock report; `sink` controls real rasterization.
+/// Returns the wall-clock report; `sink` controls real rasterization (and
+/// with it whether particles, or only their digests, reach the image
+/// generator).
 ///
 /// The calculators always exchange in the dense pattern and every system
 /// runs its full protocol in turn; a configuration this executor cannot
@@ -134,6 +142,7 @@ pub fn run_threaded_traced(
 
     let mut handles = Vec::new();
     let mut eps = endpoints.into_iter();
+    let renders = sink.is_some();
 
     // ---- Calculator threads --------------------------------------------
     for c in 0..n {
@@ -142,7 +151,7 @@ pub fn run_threaded_traced(
         let cfg = cfg.clone();
         let domains0 = replicas.clone();
         handles.push(thread::spawn(move || {
-            calculator_main(ep, c, n, &scene, &cfg, domains0, instrument)
+            calculator_main(ep, c, n, &scene, &cfg, domains0, renders, instrument)
         }));
     }
 
@@ -249,6 +258,8 @@ mod tests {
     use crate::protocol::spmd::recv_within;
     use crate::scene::SystemSetup;
     use psa_core::actions::{ActionList, Gravity, KillOld, MoveParticles, RandomAccel};
+    use psa_core::invariants::StateHash;
+    use psa_core::Particle;
     use psa_core::SystemSpec;
     use std::time::Duration;
 
@@ -315,6 +326,29 @@ mod tests {
             .expect_err("nobody ever sends");
         assert_eq!(err, ProtocolError::Timeout { role: "calculator", rank: 0, frame: 7, peer: 1 });
         assert!(err.to_string().contains("timed out waiting for rank 1"));
+    }
+
+    #[test]
+    fn a_render_batch_that_disagrees_with_its_digest_is_a_typed_error() {
+        // One calculator (rank 0), manager (1), image generator (2). The
+        // channels are unbounded, so the calculator's side of the frame can
+        // be queued before the image generator runs.
+        let mut eps = ThreadNet::build::<Msg>(3).into_iter();
+        let calc = eps.next().expect("three endpoints");
+        let ig = eps.nth(1).expect("three endpoints");
+        let (scene, cfg) = (scene(), RunConfig { frames: 1, ..Default::default() });
+        let system = scene.systems[0].spec.id;
+        let batch = vec![Particle::default(); 3];
+        let mut hash = StateHash::new();
+        hash.extend(&batch);
+        calc.send(2, Msg::FrameDigest { system, alive: 4, hash }).expect("peer alive");
+        calc.send(2, Msg::RenderParticles { system, batch }).expect("peer alive");
+        let camera = Camera::ortho(psa_math::Aabb::centered_cube(10.0), 8, 8);
+        let err =
+            image_generator_main(ig, 1, &scene, &cfg, Some(RenderSink::headless(camera)), false)
+                .expect_err("three particles behind a digest of four");
+        assert_eq!(err, ProtocolError::DigestMismatch { rank: 0, frame: 0, alive: 4, shipped: 3 });
+        assert!(err.to_string().contains("shipped 3 particles after a digest of 4"));
     }
 
     #[test]

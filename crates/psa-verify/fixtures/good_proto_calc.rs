@@ -1,8 +1,9 @@
 // A conforming calculator frame loop, including a helper the extractor
 // must inline at its call site: creation in, exchange (sends then
-// receives), load report, ship. The optional dynamic-balance steps
-// (Orders/NewCut/Domains) are legitimately absent — a run with balancing
-// disabled still conforms. Must produce zero violations.
+// receives), load report, ship (digest, then the particles a sink asked
+// for). The optional dynamic-balance steps (Orders/NewCut/Domains) are
+// legitimately absent — a run with balancing disabled still conforms, and
+// so would one that ships the digest alone. Must produce zero violations.
 // psa-verify: protocol-role(calculator, frame_loop)
 
 pub fn frame_loop(ep: &Endpoint) {
@@ -14,7 +15,8 @@ pub fn frame_loop(ep: &Endpoint) {
     }
     exchange(ep);
     ep.send(0, Msg::Load { info: cost_info() });
-    ep.send(9, Msg::RenderParticles { batch: take_render() });
+    ep.send_sized(9, Msg::FrameDigest { alive: held(), hash: fold() });
+    ep.send_sized(9, Msg::RenderParticles { batch: take_render() });
 }
 
 fn exchange(ep: &Endpoint) {

@@ -8,7 +8,7 @@
 //! * **calls** — `name(` / `.name(` / `path::name(` callee names, used by
 //!   the conservative call graph;
 //! * **protocol events** — `Msg::Kind` constructions inside a send call
-//!   (`send` / `send_to`) and `Msg::Kind` match patterns followed by `=>`,
+//!   (`send` / `send_sized` / `send_to`) and `Msg::Kind` match patterns followed by `=>`,
 //!   in token order, used by the Figure-2 conformance check;
 //! * **panic sites** — `.unwrap()` / `.expect(` / panic-family macros;
 //! * **indexing sites** — postfix `[expr]` with a non-literal index;
@@ -120,7 +120,7 @@ impl FnInfo {
 }
 
 /// Functions whose argument list carries protocol messages.
-const SEND_FNS: &[&str] = &["send", "send_to"];
+const SEND_FNS: &[&str] = &["send", "send_sized", "send_to"];
 
 /// Idents that look like calls but never are.
 const NON_CALL_IDENTS: &[&str] = &[

@@ -57,7 +57,8 @@ const fn r(kind: &'static str, required: bool) -> Step {
 /// A calculator's frame loop (threaded executor, Figure 2 left column):
 /// creation in, compute (with the optional ghost exchange of inter-particle
 /// collision), exchange, load report, then the dynamic-balance branch
-/// (orders / donor cut / domains / donation), then ship.
+/// (orders / donor cut / domains / donation), then ship: the frame digest
+/// every frame, the particles after it and only when something rasterizes.
 pub const CALCULATOR: &[Step] = &[
     r("Particles", true),
     r("EndOfTransmission", true),
@@ -71,7 +72,8 @@ pub const CALCULATOR: &[Step] = &[
     r("Domains", false),
     s("Particles", false),
     r("Particles", false),
-    s("RenderParticles", true),
+    s("FrameDigest", true),
+    s("RenderParticles", false),
 ];
 
 /// The manager's frame loop: emission out, load gather, then the
@@ -85,8 +87,9 @@ pub const MANAGER: &[Step] = &[
     s("Domains", false),
 ];
 
-/// The image generator: one render batch per (system, calculator).
-pub const IMAGE_GENERATOR: &[Step] = &[r("RenderParticles", true)];
+/// The image generator: one digest per (system, calculator), each followed
+/// by that calculator's render batch when there is a sink to draw into.
+pub const IMAGE_GENERATOR: &[Step] = &[r("FrameDigest", true), r("RenderParticles", false)];
 
 /// The virtual engine runs all roles in one address space, so its table is
 /// the interleaved global event order of `run_frames`: creation, addition,
@@ -300,7 +303,8 @@ fn frame_loop(ep: &E) {
     expect_msg!(ep, Msg::EndOfTransmission { .. } => (), "EOT");
     exchange(ep);
     ep.send(mgr, Msg::Load { info, migrated });
-    ep.send(ig, Msg::RenderParticles { batch });
+    ep.send_sized(ig, Msg::FrameDigest { alive, hash });
+    ep.send_sized(ig, Msg::RenderParticles { batch });
 }
 fn exchange(ep: &E) {
     for d in dests {
@@ -323,6 +327,7 @@ fn exchange(ep: &E) {
                 "send Particles",
                 "recv Particles",
                 "send Load",
+                "send FrameDigest",
                 "send RenderParticles"
             ]
         );
@@ -343,7 +348,7 @@ fn frame_loop(ep: &E) {
     expect_msg!(ep, Msg::EndOfTransmission { .. } => (), "EOT");
     ep.send(d, Msg::Particles { batch });
     expect_msg!(ep, Msg::Particles { batch, .. } => batch, "Particles");
-    ep.send(ig, Msg::RenderParticles { batch });
+    ep.send(ig, Msg::FrameDigest { alive, hash });
     ep.send(mgr, Msg::Load { info });
 }
 "#;

@@ -76,11 +76,15 @@ fn sequential_and_parallel_agree_on_population_without_stochastic_actions() {
 /// or balancing decisions changes a hash. Also passes with
 /// `--features strict-invariants`, which turns on the conservation /
 /// partition / Figure-2-order checks inside the run.
+///
+/// A run that rasterizes ships the particles behind each digest, one that
+/// does not ships the digests alone; both shapes must report the same
+/// frames.
 #[test]
 fn threaded_snow_runs_are_bit_identical() {
     use particle_cluster_anim::runtime::LoadMetric;
     let size = WorkloadSize { systems: 2, particles_per_system: 700, scale: 25.0 };
-    let mk = || {
+    let mk = |sink: Option<RenderSink>| {
         let scene = snow_scene(size);
         let cfg = RunConfig {
             frames: 6,
@@ -89,17 +93,22 @@ fn threaded_snow_runs_are_bit_identical() {
             load_metric: LoadMetric::CountProportional,
             ..Default::default()
         };
-        run_threaded(&scene, &cfg, 3, None).expect("threaded run failed")
+        run_threaded(&scene, &cfg, 3, sink).expect("threaded run failed")
     };
-    let (a, b) = (mk(), mk());
-    assert_eq!(a.frames.len(), b.frames.len());
-    for (fa, fb) in a.frames.iter().zip(b.frames.iter()) {
-        assert_eq!(fa.alive, fb.alive, "frame {} population drift", fa.frame);
-        assert_eq!(
-            fa.checksum, fb.checksum,
-            "frame {} checksum drift: particle state is not bit-identical",
-            fa.frame
-        );
+    let view = Aabb::new(Vec3::new(-42.0, -1.0, -42.0), Vec3::new(42.0, 36.0, 42.0));
+    let rendered = mk(Some(RenderSink::headless(Camera::ortho(view, 64, 48))));
+    let a = mk(None);
+    assert!(a.frames.iter().all(|f| f.alive > 0));
+    for b in [mk(None), rendered] {
+        assert_eq!(a.frames.len(), b.frames.len());
+        for (fa, fb) in a.frames.iter().zip(b.frames.iter()) {
+            assert_eq!(fa.alive, fb.alive, "frame {} population drift", fa.frame);
+            assert_eq!(
+                fa.checksum, fb.checksum,
+                "frame {} checksum drift: particle state is not bit-identical",
+                fa.frame
+            );
+        }
     }
 }
 

@@ -99,6 +99,65 @@ fn instrumented_threaded_runs_match_bare_checksums() {
     }
 }
 
+/// The threaded trace's payload-byte counter is fed by the endpoints'
+/// `send_sized`. Under static balancing every message of a frame has a
+/// known size, so what the calculators ship to the image generator can be
+/// isolated exactly: with no sink it is one digest per (system,
+/// calculator), whatever the population; with a sink the particles follow.
+#[test]
+fn threaded_trace_counts_payload_bytes_and_a_sinkless_ship_is_digests_only() {
+    use particle_cluster_anim::core::WIRE_BYTES;
+    use particle_cluster_anim::net::WireSize;
+    use particle_cluster_anim::runtime::msg::{Msg, DIGEST_WIRE_BYTES};
+    use particle_cluster_anim::runtime::LoadInfo;
+
+    let size = WorkloadSize { systems: 2, particles_per_system: 600, scale: 25.0 };
+    let (n, frames) = (2u64, 5u64);
+    let scene = snow_scene(size);
+    let cfg = RunConfig {
+        frames,
+        dt: 0.15,
+        seed: 23,
+        balance: BalanceMode::Static,
+        ..Default::default()
+    };
+    let run = |sink: Option<RenderSink>| {
+        run_threaded_traced(&scene, &cfg, n as usize, sink, true).expect("threaded run failed")
+    };
+    let view = Aabb::new(Vec3::new(-42.0, -1.0, -42.0), Vec3::new(42.0, 36.0, 42.0));
+    let (bare, drawn) = (run(None), run(Some(RenderSink::headless(Camera::ortho(view, 64, 48)))));
+
+    let system = scene.systems[0].spec.id;
+    let load = Msg::Load { system, info: LoadInfo { count: 0, time: 0.0 }, migrated: 0 };
+    let control = Msg::EndOfTransmission { system }.wire_bytes() + load.wire_bytes();
+    let n_sys = scene.systems.len() as u64;
+    let wire = WIRE_BYTES as u64;
+    let phases = |r: &RunReport| r.phases.clone().expect("traced run carries the trace").frames;
+    let mut shipped = 0;
+    for ((fr, bare_trace), drawn_trace) in bare.frames.iter().zip(phases(&bare)).zip(phases(&drawn))
+    {
+        let created: u64 = scene
+            .systems
+            .iter()
+            .map(|s| {
+                let initial = s.spec.initial.as_ref().map_or(0, |i| i.0);
+                (s.spec.emit_per_frame + if fr.frame == 0 { initial } else { 0 }) as u64
+            })
+            .sum();
+        let moved = wire * (created + fr.migrated) + n_sys * n * control;
+        let ship = bare_trace.counters.payload_bytes - moved;
+        assert_eq!(ship, n_sys * n * DIGEST_WIRE_BYTES, "frame {}: ship is digests only", fr.frame);
+        shipped += ship;
+        assert_eq!(
+            drawn_trace.counters.payload_bytes - bare_trace.counters.payload_bytes,
+            wire * fr.alive,
+            "frame {}: a sink adds exactly the particles",
+            fr.frame
+        );
+    }
+    assert_eq!(shipped, frames * n_sys * n * DIGEST_WIRE_BYTES);
+}
+
 #[test]
 fn phase_table_renders_from_a_traced_run() {
     let traced = virtual_run(snow_scene, 0.15, true);
