@@ -226,16 +226,6 @@ pub trait FaultInjector {
     fn restore_stream_states(&mut self, _states: &[u64]) {}
 }
 
-/// An injector that never injects anything (the identity adapter).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoFaults;
-
-impl FaultInjector for NoFaults {
-    fn on_send(&mut self, _from: usize, _to: usize, _bytes: u64) -> SendFate {
-        SendFate::Deliver { extra_delay: 0.0 }
-    }
-}
-
 /// Executes a [`FaultPlan`]: every probabilistic decision draws from a
 /// dedicated per-directed-link `Rng64` stream derived from the plan seed,
 /// so two injectors built from equal plans make identical decisions in

@@ -21,7 +21,7 @@ pub mod thread_net;
 pub mod virtual_net;
 
 pub use fault::{
-    FailedSend, FaultInjector, FaultPlan, FaultPolicy, FaultyThreadEndpoint, LinkFault, NoFaults,
+    FailedSend, FaultInjector, FaultPlan, FaultPolicy, FaultyThreadEndpoint, LinkFault,
     PlanInjector, RankFault, SendFate,
 };
 pub use thread_net::{ThreadEndpoint, ThreadNet, TransportError};

@@ -1,10 +1,31 @@
 //! Collision broadphase benches: grid vs brute force, and the
-//! domain-decomposition payoff (local + ghosts vs whole space).
+//! domain-decomposition payoff (local + ghosts vs whole space). Print-only
+//! host times — `perf/` has no collision probe yet; once it has one this
+//! file goes (ROADMAP item 6).
 
-use psa_bench::micro::Group;
+use std::hint::black_box;
+use std::time::Instant;
+
 use psa_core::collide::{colliding_pairs, UniformGrid};
 use psa_core::Particle;
 use psa_math::{Rng64, Vec3};
+
+/// Timed runs per label, after one warm-up run.
+const SAMPLES: usize = 15;
+
+/// Time `f` and print the median and minimum of [`SAMPLES`] runs.
+fn bench<T>(label: &str, mut f: impl FnMut() -> T) {
+    black_box(f());
+    let mut ms: Vec<f64> = (0..SAMPLES)
+        .map(|_| {
+            let t0 = Instant::now();
+            black_box(f());
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    println!("{label}: median {:.3} ms, min {:.3} ms", ms[SAMPLES / 2], ms[0]);
+}
 
 fn cloud(n: usize, r: f32) -> Vec<Particle> {
     let mut rng = Rng64::new(99);
@@ -14,12 +35,11 @@ fn cloud(n: usize, r: f32) -> Vec<Particle> {
 }
 
 fn bench_grid_vs_brute() {
-    let g = Group::new("broadphase");
     for n in [1_000usize, 5_000, 20_000] {
         let ps = cloud(n, 0.15);
-        g.bench(&format!("grid/{n}"), || colliding_pairs(&ps, &[], 0.3));
+        bench(&format!("broadphase/grid/{n}"), || colliding_pairs(&ps, &[], 0.3));
         if n <= 5_000 {
-            g.bench(&format!("brute/{n}"), || {
+            bench(&format!("broadphase/brute/{n}"), || {
                 let mut pairs = Vec::new();
                 for i in 0..ps.len() {
                     for j in i + 1..ps.len() {
@@ -37,8 +57,7 @@ fn bench_grid_vs_brute() {
 
 fn bench_grid_build() {
     let ps = cloud(50_000, 0.15);
-    let g = Group::new("grid_build");
-    g.bench("50k", || UniformGrid::build(&ps, 0.3));
+    bench("grid_build/50k", || UniformGrid::build(&ps, 0.3));
 }
 
 fn bench_domain_locality() {
@@ -56,9 +75,8 @@ fn bench_domain_locality() {
         })
         .copied()
         .collect();
-    let g = Group::new("domain_locality");
-    g.bench("whole_space_50k", || colliding_pairs(&ps, &[], 0.3));
-    g.bench("slice_plus_ghosts", || colliding_pairs(&local, &ghosts, 0.3));
+    bench("domain_locality/whole_space_50k", || colliding_pairs(&ps, &[], 0.3));
+    bench("domain_locality/slice_plus_ghosts", || colliding_pairs(&local, &ghosts, 0.3));
 }
 
 fn main() {

@@ -11,7 +11,7 @@
 
 use psa_workloads::WorkloadSize;
 
-use crate::{export, export4, export5, export6, export7, export8, tables, Export};
+use crate::{export, export5, export6, export7, export8, tables, Export};
 
 enum Kind {
     Float,
@@ -153,15 +153,6 @@ const SUBCOMMANDS: &[Subcommand] = &[
         choices: &[],
         flags: &[SCALE, FRAMES, flag("--out", Path, "BENCH_3.json", 0)],
         run: |a| write_export(&export::collect(a.float("--scale"), a.int("--frames")), a),
-    },
-    Subcommand {
-        name: "4",
-        choices: &[],
-        flags: &[SCALE, FRAMES, flag("--out", Path, "BENCH_4.json", 0)],
-        run: |a| {
-            let allocations = export4::measure_allocations();
-            write_export(&export4::collect4(a.float("--scale"), a.int("--frames"), allocations), a)
-        },
     },
     Subcommand {
         name: "5",

@@ -29,8 +29,8 @@
 //! exactly what a 1,000-rank run cannot afford; sparse changes virtual
 //! timing but never simulated state (the parity suite pins this).
 //!
-//! Like `BENCH_3`/`BENCH_4`, [`Export::checked_json`] rejects NaN/empty
-//! metrics before anything is written.
+//! Like `BENCH_3`, [`Export::checked_json`] rejects NaN/empty metrics
+//! before anything is written.
 
 use std::time::Instant;
 

@@ -9,13 +9,11 @@
 
 pub mod cli;
 pub mod export;
-pub mod export4;
 pub mod export5;
 pub mod export6;
 pub mod export7;
 pub mod export8;
 pub mod json;
-pub mod micro;
 pub mod paper;
 pub mod runner;
 pub mod tables;

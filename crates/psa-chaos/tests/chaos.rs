@@ -7,9 +7,9 @@
 use cluster_sim::NetworkModel;
 use psa_chaos::{full_set, run_case, MatrixConfig, Scenario, Workload};
 use psa_math::Rng64;
-use psa_runtime::balance::{
-    evaluate, evaluate_decentralized, evaluate_present, BalancerConfig, LoadInfo,
-};
+use psa_runtime::balance::{evaluate, evaluate_decentralized, BalancerConfig, LoadInfo};
+use psa_runtime::balancers::NeighborPair;
+use psa_runtime::Balancer;
 
 /// Property: for any seed, building a scenario's plan twice yields the
 /// same plan, byte for byte — fault randomness is a pure function of the
@@ -57,8 +57,8 @@ fn present_orders_never_overdraw_a_donor() {
             })
             .collect();
         let powers: Vec<f64> = present.iter().map(|_| 0.5 + f64::from(rng.unit())).collect();
-        let start = rng.below(2);
-        let transfers = evaluate_present(&loads, &powers, &present, start, &cfg);
+        let round = rng.below(2) as u64;
+        let transfers = NeighborPair.decide(&loads, &powers, &present, round, &cfg);
         for t in &transfers {
             let donor_pos = present
                 .iter()
@@ -111,7 +111,7 @@ fn malformed_report_lengths_yield_empty_rounds() {
         // present.len() matches neither loads nor powers.
         let present: Vec<usize> = (0..n + 1).collect();
         assert!(
-            evaluate_present(&loads, &powers, &present, start, &cfg).is_empty(),
+            NeighborPair.decide(&loads, &powers, &present, start as u64, &cfg).is_empty(),
             "case {case}: present round must be empty for mismatched membership"
         );
     }

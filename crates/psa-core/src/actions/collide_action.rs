@@ -38,15 +38,6 @@ impl Action for BounceOff {
         "bounce"
     }
 
-    fn apply(&self, _ctx: &mut ActionCtx<'_>, store: &mut SubDomainStore) -> ActionOutcome {
-        let mut n = 0;
-        store.for_each_mut(|p| {
-            self.object.bounce(&mut p.position, &mut p.velocity, self.restitution, self.friction);
-            n += 1;
-        });
-        ActionOutcome::applied(n)
-    }
-
     fn apply_chunk(
         &self,
         _ctx: &mut ActionCtx<'_>,

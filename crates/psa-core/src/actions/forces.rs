@@ -2,7 +2,7 @@
 //! but never positions, so they need no inter-process communication.
 
 use super::{Action, ActionCtx, ActionKind, ActionOutcome};
-use crate::{Particle, SubDomainStore};
+use crate::Particle;
 use psa_math::{Scalar, Vec3};
 
 /// Constant acceleration — gravity in the fountain experiment.
@@ -29,16 +29,6 @@ impl Action for Gravity {
 
     fn name(&self) -> &'static str {
         "gravity"
-    }
-
-    fn apply(&self, ctx: &mut ActionCtx<'_>, store: &mut SubDomainStore) -> ActionOutcome {
-        let dv = self.g * ctx.dt;
-        let mut n = 0;
-        store.for_each_mut(|p| {
-            p.velocity += dv;
-            n += 1;
-        });
-        ActionOutcome::applied(n)
     }
 
     fn apply_chunk(
@@ -75,17 +65,6 @@ impl Action for RandomAccel {
 
     fn name(&self) -> &'static str {
         "random-accel"
-    }
-
-    fn apply(&self, ctx: &mut ActionCtx<'_>, store: &mut SubDomainStore) -> ActionOutcome {
-        let mag = self.magnitude * ctx.dt;
-        let rng = &mut *ctx.rng;
-        let mut n = 0;
-        store.for_each_mut(|p| {
-            p.velocity += rng.in_unit_sphere() * mag;
-            n += 1;
-        });
-        ActionOutcome::applied(n)
     }
 
     fn apply_chunk(
@@ -130,16 +109,6 @@ impl Action for Damping {
         "damping"
     }
 
-    fn apply(&self, ctx: &mut ActionCtx<'_>, store: &mut SubDomainStore) -> ActionOutcome {
-        let keep = (1.0 - self.rate).powf(ctx.dt);
-        let mut n = 0;
-        store.for_each_mut(|p| {
-            p.velocity *= keep;
-            n += 1;
-        });
-        ActionOutcome::applied(n)
-    }
-
     fn apply_chunk(
         &self,
         ctx: &mut ActionCtx<'_>,
@@ -174,17 +143,6 @@ impl Action for Wind {
 
     fn name(&self) -> &'static str {
         "wind"
-    }
-
-    fn apply(&self, ctx: &mut ActionCtx<'_>, store: &mut SubDomainStore) -> ActionOutcome {
-        let k = (self.drag * ctx.dt).min(1.0);
-        let wind = self.wind;
-        let mut n = 0;
-        store.for_each_mut(|p| {
-            p.velocity = p.velocity.lerp(wind, k);
-            n += 1;
-        });
-        ActionOutcome::applied(n)
     }
 
     fn apply_chunk(
@@ -226,20 +184,6 @@ impl Action for OrbitPoint {
         "orbit-point"
     }
 
-    fn apply(&self, ctx: &mut ActionCtx<'_>, store: &mut SubDomainStore) -> ActionOutcome {
-        let c = self.center;
-        let s = self.strength * ctx.dt;
-        let eps2 = self.epsilon * self.epsilon;
-        let mut n = 0;
-        store.for_each_mut(|p| {
-            let rel = c - p.position;
-            let d2 = rel.length_squared() + eps2;
-            p.velocity += rel * (s / (d2 * d2.sqrt()));
-            n += 1;
-        });
-        ActionOutcome::applied(n)
-    }
-
     fn apply_chunk(
         &self,
         ctx: &mut ActionCtx<'_>,
@@ -264,6 +208,7 @@ impl Action for OrbitPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SubDomainStore;
     use psa_math::{Axis, Interval, Rng64};
 
     fn store_with(ps: &[Vec3]) -> SubDomainStore {

@@ -116,6 +116,15 @@ impl Fade {
         assert!(rate >= 0.0);
         Fade { rate, kill_at_zero }
     }
+
+    /// The per-particle half: lower every alpha in `chunk`; returns its length.
+    fn dim(&self, dt: Scalar, chunk: &mut [Particle]) -> usize {
+        let da = self.rate * dt;
+        for p in chunk.iter_mut() {
+            p.alpha = (p.alpha - da).max(0.0);
+        }
+        chunk.len()
+    }
 }
 
 impl Action for Fade {
@@ -128,14 +137,9 @@ impl Action for Fade {
     }
 
     fn apply(&self, ctx: &mut ActionCtx<'_>, store: &mut SubDomainStore) -> ActionOutcome {
-        let da = self.rate * ctx.dt;
-        let mut n = 0;
-        store.for_each_mut(|p| {
-            p.alpha = (p.alpha - da).max(0.0);
-            n += 1;
-        });
+        let applied = store.bucket_slices_mut().map(|bucket| self.dim(ctx.dt, bucket)).sum();
         let killed = if self.kill_at_zero { store.retain(|p| p.alpha > 0.0) } else { 0 };
-        ActionOutcome { applied: n, killed }
+        ActionOutcome { applied, killed }
     }
 
     fn apply_chunk(
@@ -143,15 +147,8 @@ impl Action for Fade {
         ctx: &mut ActionCtx<'_>,
         chunk: &mut [Particle],
     ) -> Option<ActionOutcome> {
-        if self.kill_at_zero {
-            // Killing needs the whole-store retain pass; stay serial.
-            return None;
-        }
-        let da = self.rate * ctx.dt;
-        for p in chunk.iter_mut() {
-            p.alpha = (p.alpha - da).max(0.0);
-        }
-        Some(ActionOutcome::applied(chunk.len()))
+        // Killing needs the whole-store retain pass; stay serial.
+        (!self.kill_at_zero).then(|| ActionOutcome::applied(self.dim(ctx.dt, chunk)))
     }
 }
 

@@ -84,7 +84,17 @@ pub trait Action: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Apply to all local particles of one system.
-    fn apply(&self, ctx: &mut ActionCtx<'_>, store: &mut SubDomainStore) -> ActionOutcome;
+    ///
+    /// The default is the per-particle form: [`Action::apply_chunk`] over
+    /// each bucket slice in the store's canonical order, on the one `ctx`
+    /// stream. Whole-store actions (the `retain`-based killers), whose
+    /// chunk form is `None`, override it.
+    fn apply(&self, ctx: &mut ActionCtx<'_>, store: &mut SubDomainStore) -> ActionOutcome {
+        store
+            .bucket_slices_mut()
+            .filter_map(|bucket| self.apply_chunk(ctx, bucket))
+            .fold(ActionOutcome::default(), ActionOutcome::merge)
+    }
 
     /// Apply to one contiguous chunk of a system's particles.
     ///

@@ -7,7 +7,7 @@
 //! this action is the integration half.
 
 use super::{Action, ActionCtx, ActionKind, ActionOutcome};
-use crate::{Particle, SubDomainStore};
+use crate::Particle;
 
 /// Semi-implicit Euler integration: `x += v·dt`, then `age += dt`.
 ///
@@ -24,17 +24,6 @@ impl Action for MoveParticles {
 
     fn name(&self) -> &'static str {
         "move"
-    }
-
-    fn apply(&self, ctx: &mut ActionCtx<'_>, store: &mut SubDomainStore) -> ActionOutcome {
-        let dt = ctx.dt;
-        let mut n = 0;
-        store.for_each_mut(|p| {
-            p.position += p.velocity * dt;
-            p.age += dt;
-            n += 1;
-        });
-        ActionOutcome::applied(n)
     }
 
     fn apply_chunk(
@@ -54,6 +43,7 @@ impl Action for MoveParticles {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SubDomainStore;
     use psa_math::{Axis, Interval, Rng64, Vec3};
 
     #[test]

@@ -49,18 +49,6 @@ pub struct KernelRun {
     pub chunks: u64,
 }
 
-/// Modeled intra-rank compute scaling: the elapsed fraction of serial time
-/// when `chunks` equal-cost chunks are scheduled round-robin on `workers`
-/// workers — the busiest worker (`ceil(chunks / workers)` chunks) bounds the
-/// phase. 1.0 on the serial path (no chunks or one worker).
-pub fn parallel_scale(chunks: u64, workers: usize) -> f64 {
-    if workers <= 1 || chunks == 0 {
-        return 1.0;
-    }
-    let w = workers as u64;
-    (chunks.div_ceil(w) as f64) / (chunks as f64)
-}
-
 /// Run `actions` over `store` with chunk-keyed RNG streams.
 ///
 /// `base` is the per-(seed, system, rank, frame) stream the executors
@@ -254,14 +242,5 @@ mod tests {
         let rb = run_actions(&stochastic_list(), 0.05, 1, Rng64::new(2), &mut b, DEFAULT_CHUNK, 1);
         assert_eq!(state_sig(&a), state_sig(&b));
         assert_eq!(ra.chunks, rb.chunks);
-    }
-
-    #[test]
-    fn parallel_scale_is_the_busiest_worker_bound() {
-        assert_eq!(parallel_scale(0, 8), 1.0);
-        assert_eq!(parallel_scale(200, 1), 1.0);
-        assert_eq!(parallel_scale(200, 4), 0.25);
-        assert_eq!(parallel_scale(5, 4), 2.0 / 5.0);
-        assert!(parallel_scale(7, 16) > 0.0);
     }
 }

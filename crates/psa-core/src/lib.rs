@@ -15,7 +15,6 @@
 pub mod actions;
 pub mod collide;
 pub mod domain;
-pub mod frame;
 pub mod invariants;
 pub mod kernel;
 pub mod objects;
@@ -26,7 +25,6 @@ pub mod system;
 
 pub use actions::{Action, ActionCtx, ActionKind};
 pub use domain::DomainMap;
-pub use frame::FrameStats;
 pub use invariants::InvariantViolation;
 pub use particle::{Particle, WIRE_BYTES};
 pub use store::ParticleStore;

@@ -383,6 +383,29 @@ mod tests {
         assert_eq!(xs, vec![2.0, 4.0]);
     }
 
+    /// The paper's §4 storage ablation, in the unit `CostModel::sort_time`
+    /// charges: donating 5 % of a uniformly spread population sorts the
+    /// whole store when it is one vector, and about one bucket's worth
+    /// when it is `k` sub-domain vectors.
+    #[test]
+    fn bucketed_donation_sorts_one_bucket_not_the_store() {
+        let n = 100_000;
+        let sorted = |k: usize| {
+            let mut rng = psa_math::Rng64::new(42);
+            let mut s = store(k);
+            for _ in 0..n {
+                s.insert(p(rng.range(0.0, 10.0)));
+            }
+            let (donated, sorted) = s.donate_low(n / 20);
+            assert_eq!(donated.len(), n / 20);
+            sorted
+        };
+        assert_eq!(sorted(1), n);
+        for k in [8, 32] {
+            assert!(sorted(k) * 10 <= 11 * n / k, "{k} buckets sorted {}", sorted(k));
+        }
+    }
+
     #[test]
     fn donate_more_than_population() {
         let mut s = store(3);

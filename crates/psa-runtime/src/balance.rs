@@ -51,11 +51,6 @@ pub struct BalancerConfig {
     /// particles per participating rank, which is what keeps balancing
     /// alive past 32 ranks where slices hold a handful of particles each.
     pub min_transfer: Option<usize>,
-    /// Adaptive minimum: this fraction of the mean particles per present
-    /// rank (ignored when `min_transfer` is `Some`).
-    pub min_transfer_frac: f64,
-    /// Adaptive minimum never falls below this floor.
-    pub min_transfer_floor: usize,
     /// Diffusive strategy damping α: the fraction of a pair's excess moved
     /// per round. Stable on a 1-D chain for α ≤ 1/2; the default 1/3 damps
     /// simultaneous both-neighbor decisions.
@@ -77,8 +72,6 @@ impl Default for BalancerConfig {
         BalancerConfig {
             rel_threshold: 0.15,
             min_transfer: None,
-            min_transfer_frac: 0.01,
-            min_transfer_floor: 1,
             diffusion_alpha: 1.0 / 3.0,
             group_size: 0,
             idle_after: 3,
@@ -100,6 +93,12 @@ impl BalancerConfig {
         BalancerConfig { min_transfer: Some(min_transfer), ..Self::default() }
     }
 
+    /// Adaptive minimum: this fraction of the mean particles per
+    /// participating rank.
+    const ADAPTIVE_MIN_FRAC: f64 = 0.01;
+    /// The adaptive minimum never falls below this floor.
+    const ADAPTIVE_MIN_FLOOR: usize = 1;
+
     /// The minimum transfer size in effect for a round with `total`
     /// particles spread over `ranks` participating ranks.
     pub fn effective_min_transfer(&self, total: usize, ranks: usize) -> usize {
@@ -107,8 +106,8 @@ impl BalancerConfig {
             return fixed;
         }
         let mean = total as f64 / ranks.max(1) as f64;
-        let adaptive = (mean * self.min_transfer_frac).round() as usize;
-        adaptive.max(self.min_transfer_floor)
+        let adaptive = (mean * Self::ADAPTIVE_MIN_FRAC).round() as usize;
+        adaptive.max(Self::ADAPTIVE_MIN_FLOOR)
     }
 }
 
@@ -308,29 +307,6 @@ pub fn evaluate_decentralized(
     out
 }
 
-/// Evaluate one balancing round over a *subset* of the calculators — the
-/// degraded-mode entry point used when some ranks are dead or unreported.
-///
-/// `present` lists the participating real ranks in ascending order;
-/// `loads[i]`/`powers[i]` describe `present[i]`. The present ranks are
-/// treated as domain neighbors in list order (after a crash the dead rank's
-/// slice has been collapsed to zero width, so consecutive present ranks
-/// really do share a boundary), run through [`evaluate`], and the resulting
-/// transfers are mapped back to real rank numbers.
-pub fn evaluate_present(
-    loads: &[LoadInfo],
-    powers: &[f64],
-    present: &[usize],
-    start: usize,
-    cfg: &BalancerConfig,
-) -> Vec<Transfer> {
-    if loads.len() != present.len() || powers.len() != present.len() {
-        return Vec::new();
-    }
-    debug_assert!(present.windows(2).all(|w| w[0] < w[1]), "present ranks must ascend");
-    map_to_present(evaluate(loads, powers, start, cfg), present)
-}
-
 /// Map transfers decided in present-index space back to real rank numbers.
 pub fn map_to_present(transfers: Vec<Transfer>, present: &[usize]) -> Vec<Transfer> {
     transfers
@@ -341,36 +317,6 @@ pub fn map_to_present(transfers: Vec<Transfer>, present: &[usize]) -> Vec<Transf
             amount: t.amount,
         })
         .collect()
-}
-
-/// [`validate_transfers`] for a degraded round: adjacency is checked in
-/// *present-list* space (consecutive present ranks are neighbors across any
-/// collapsed dead slices between them), plus the one-pair-per-process rule.
-///
-/// `present` must ascend (callers build it from an ordered rank walk; the
-/// ordering is also what [`evaluate_present`] asserts), which lets every
-/// endpoint resolve by binary search — a 1,024-rank round validates in
-/// O(t log n) instead of the O(t·n) a linear scan would cost.
-pub fn validate_transfers_mapped(transfers: &[Transfer], present: &[usize]) -> Result<(), String> {
-    if !present.windows(2).all(|w| w[0] < w[1]) {
-        return Err("present ranks must ascend".into());
-    }
-    let mut involved = vec![0u8; present.len()];
-    for t in transfers {
-        let (Ok(d), Ok(r)) = (present.binary_search(&t.donor), present.binary_search(&t.receiver))
-        else {
-            return Err(format!("transfer {t:?} involves a rank not present"));
-        };
-        if d.abs_diff(r) != 1 {
-            return Err(format!("transfer {t:?} is not between present-list neighbors"));
-        }
-        involved[d] += 1;
-        involved[r] += 1;
-    }
-    if let Some((i, _)) = involved.iter().enumerate().find(|(_, &c)| c > 1) {
-        return Err(format!("rank {} participates in more than one pair", present[i]));
-    }
-    Ok(())
 }
 
 /// Structural validation for one decided round of **any** strategy: every
@@ -452,29 +398,10 @@ pub fn orders_for(transfers: &[Transfer], rank: usize) -> Vec<Order> {
     out
 }
 
-/// Check the paper's structural invariants on a decision set; used by
-/// debug assertions and property tests.
-pub fn validate_transfers(transfers: &[Transfer], n: usize) -> Result<(), String> {
-    let mut involved = vec![0u8; n];
-    for t in transfers {
-        if t.donor >= n || t.receiver >= n {
-            return Err(format!("transfer {t:?} out of range"));
-        }
-        if t.donor.abs_diff(t.receiver) != 1 {
-            return Err(format!("transfer {t:?} is not between domain neighbors"));
-        }
-        involved[t.donor] += 1;
-        involved[t.receiver] += 1;
-    }
-    if let Some((rank, _)) = involved.iter().enumerate().find(|(_, &c)| c > 1) {
-        return Err(format!("rank {rank} participates in more than one pair"));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::balancers::NeighborPair;
 
     fn li(count: usize, time: f64) -> LoadInfo {
         LoadInfo { count, time }
@@ -572,7 +499,7 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!((t[0].donor, t[0].receiver), (0, 1));
         assert_eq!((t[1].donor, t[1].receiver), (2, 3));
-        validate_transfers(&t, 4).unwrap();
+        validate_round(&t, &loads, &[0, 1, 2, 3], false).unwrap();
     }
 
     #[test]
@@ -581,7 +508,7 @@ mod tests {
         let t = evaluate(&loads, &[1.0; 4], 1, &cfg());
         // starting at pair (1,2): 1 has 100 (t=1), 2 has 400 (t=4) → 2→1
         assert_eq!((t[0].donor, t[0].receiver), (2, 1));
-        validate_transfers(&t, 4).unwrap();
+        validate_round(&t, &loads, &[0, 1, 2, 3], false).unwrap();
     }
 
     #[test]
@@ -590,7 +517,7 @@ mod tests {
         let loads = [li(800, 8.0), li(400, 4.0), li(200, 2.0), li(100, 1.0), li(50, 0.5)];
         for start in [0, 1] {
             let t = evaluate(&loads, &[1.0; 5], start, &cfg());
-            validate_transfers(&t, 5).unwrap();
+            validate_round(&t, &loads, &[0, 1, 2, 3, 4], false).unwrap();
         }
     }
 
@@ -630,8 +557,8 @@ mod tests {
         let loads = [li(400, 4.0), li(100, 1.0), li(100, 1.0)];
         assert!(evaluate(&loads, &[1.0, 1.0], 0, &cfg()).is_empty());
         assert!(evaluate_decentralized(&loads, &[1.0], &cfg()).is_empty());
-        assert!(evaluate_present(&loads, &[1.0, 1.0], &[0, 2], 0, &cfg()).is_empty());
-        assert!(evaluate_present(&loads[..2], &[1.0, 1.0, 1.0], &[0, 1, 2], 0, &cfg()).is_empty());
+        assert!(NeighborPair.decide(&loads, &[1.0, 1.0], &[0, 2], 0, &cfg()).is_empty());
+        assert!(NeighborPair.decide(&loads[..2], &[1.0; 3], &[0, 1, 2], 0, &cfg()).is_empty());
     }
 
     #[test]
@@ -645,7 +572,7 @@ mod tests {
     #[test]
     fn validate_rejects_non_neighbors() {
         let bad = vec![Transfer { donor: 0, receiver: 2, amount: 5 }];
-        assert!(validate_transfers(&bad, 3).is_err());
+        assert!(validate_round(&bad, &[li(10, 1.0); 3], &[0, 1, 2], false).is_err());
     }
 
     #[test]
@@ -654,7 +581,7 @@ mod tests {
             Transfer { donor: 0, receiver: 1, amount: 5 },
             Transfer { donor: 1, receiver: 2, amount: 5 },
         ];
-        assert!(validate_transfers(&bad, 3).is_err());
+        assert!(validate_round(&bad, &[li(10, 1.0); 3], &[0, 1, 2], false).is_err());
     }
 
     #[test]
@@ -747,29 +674,30 @@ mod tests {
     fn present_subset_maps_back_to_real_ranks() {
         // Rank 1 is dead: present = [0, 2, 3]. An imbalance between 0 and 2
         // must produce a transfer between the *real* ranks 0 and 2, which
-        // plain validate_transfers would reject as non-neighbors.
+        // validation against the full rank list rejects as non-neighbors.
         let loads = [li(400, 4.0), li(100, 1.0), li(100, 1.0)];
         let present = [0usize, 2, 3];
-        let t = evaluate_present(&loads, &[1.0; 3], &present, 0, &cfg());
+        let t = NeighborPair.decide(&loads, &[1.0; 3], &present, 0, &cfg());
         assert_eq!(t, vec![Transfer { donor: 0, receiver: 2, amount: 150 }]);
-        assert!(validate_transfers(&t, 4).is_err());
-        validate_transfers_mapped(&t, &present).unwrap();
+        assert!(validate_round(&t, &[li(400, 4.0); 4], &[0, 1, 2, 3], false).is_err());
+        validate_round(&t, &loads, &present, false).unwrap();
     }
 
     #[test]
     fn mapped_validation_rejects_absent_and_nonadjacent() {
         let present = [0usize, 2, 3];
+        let loads = [li(10, 1.0); 3];
         let absent = vec![Transfer { donor: 1, receiver: 2, amount: 5 }];
-        assert!(validate_transfers_mapped(&absent, &present).is_err());
+        assert!(validate_round(&absent, &loads, &present, false).is_err());
         let skip = vec![Transfer { donor: 0, receiver: 3, amount: 5 }];
-        assert!(validate_transfers_mapped(&skip, &present).is_err());
+        assert!(validate_round(&skip, &loads, &present, false).is_err());
         let double = vec![
             Transfer { donor: 0, receiver: 2, amount: 5 },
             Transfer { donor: 2, receiver: 3, amount: 5 },
         ];
-        assert!(validate_transfers_mapped(&double, &present).is_err());
+        assert!(validate_round(&double, &loads, &present, false).is_err());
         let unsorted = [2usize, 0, 3];
-        assert!(validate_transfers_mapped(&[], &unsorted).is_err());
+        assert!(validate_round(&[], &loads, &unsorted, false).is_err());
     }
 
     #[test]
@@ -778,7 +706,7 @@ mod tests {
         let present = [0usize, 1, 2, 3];
         for start in [0, 1] {
             assert_eq!(
-                evaluate_present(&loads, &[1.0; 4], &present, start, &cfg()),
+                NeighborPair.decide(&loads, &[1.0; 4], &present, start as u64, &cfg()),
                 evaluate(&loads, &[1.0; 4], start, &cfg())
             );
         }
@@ -794,7 +722,7 @@ mod tests {
         for round in 0..64 {
             let loads: Vec<LoadInfo> = counts.iter().map(|&n| li(n, n as f64 * 1e-3)).collect();
             let ts = evaluate(&loads, &powers, round % 2, &c);
-            validate_transfers(&ts, 8).unwrap();
+            validate_round(&ts, &loads, &[0, 1, 2, 3, 4, 5, 6, 7], false).unwrap();
             for t in ts {
                 counts[t.donor] -= t.amount;
                 counts[t.receiver] += t.amount;

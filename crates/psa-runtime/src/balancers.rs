@@ -22,7 +22,7 @@
 //!
 //! All strategies decide in present-index space and map the result back to
 //! real ranks, so degraded rounds (dead ranks collapsed out of `present`)
-//! work identically for every strategy — the `evaluate_present` contract.
+//! work identically for every strategy — the [`Balancer`] contract.
 
 #![deny(missing_docs)]
 

@@ -221,10 +221,6 @@ pub struct RunConfig {
     /// Load signal the threaded executor's calculators report (the virtual
     /// executor is always deterministic regardless).
     pub load_metric: LoadMetric,
-    /// Wall-clock seconds a threaded protocol receive may wait before the
-    /// peer is reported as [`netsim::TransportError::Timeout`] (lost-peer
-    /// hardening; generous by default so slow CI machines never trip it).
-    pub recv_timeout_secs: f64,
     /// Intra-rank compute parallelism (the psa-core chunked kernel).
     pub parallel: ParallelConfig,
     /// Exchange-phase fan-out (dense reproduces the paper; sparse scales).
@@ -246,7 +242,6 @@ impl Default for RunConfig {
             schedule: SystemSchedule::PerSystem,
             warmup: 0,
             load_metric: LoadMetric::WallClock,
-            recv_timeout_secs: 30.0,
             parallel: ParallelConfig::default(),
             exchange: ExchangeMode::Auto,
             checkpoint: CheckpointConfig::default(),

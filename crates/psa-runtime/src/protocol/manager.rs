@@ -118,8 +118,8 @@ impl Manager {
     /// The balancing decision for system `sys` in `frame`: one strategy
     /// round behind the [`balance::Balancer`] trait, over the *present*
     /// set — the ranks with a report in `loads` — in present-index space,
-    /// with transfers mapped back to real ranks (the `evaluate_present`
-    /// contract, checked by [`balance::validate_round`]).
+    /// with transfers mapped back to real ranks (the trait's contract,
+    /// checked by [`balance::validate_round`]).
     ///
     /// A dead balancer stops costing: after `idle_after` consecutive
     /// zero-order rounds the round is skipped (re-probing every

@@ -58,11 +58,16 @@ pub(crate) fn recv_within(
     }
 }
 
-/// Expect a specific message kind within the deadline; anything else is a
-/// protocol violation.
+/// How long a protocol receive may wait before the peer is reported as
+/// [`ProtocolError::Timeout`] (lost-peer hardening; generous so slow CI
+/// machines never trip it).
+const RECV_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Expect a specific message kind within [`RECV_TIMEOUT`]; anything else
+/// is a protocol violation.
 macro_rules! expect_msg {
-    ($ep:expr, $deadline:expr, $from:expr, $role:expr, $rank:expr, $frame:expr, $pat:pat => $out:expr, $want:expr) => {
-        match recv_within(&$ep, $from, $deadline, $role, $rank, $frame)? {
+    ($ep:expr, $from:expr, $role:expr, $rank:expr, $frame:expr, $pat:pat => $out:expr, $want:expr) => {
+        match recv_within(&$ep, $from, RECV_TIMEOUT, $role, $rank, $frame)? {
             $pat => $out,
             other => {
                 return Err(ProtocolError::UnexpectedMessage {
@@ -160,7 +165,6 @@ pub(crate) fn calculator_main(
     let mgr = n;
     let ig = n + 1;
     let n_sys = scene.systems.len();
-    let deadline = Duration::from_secs_f64(cfg.recv_timeout_secs);
     let mut calc = Calculator::new(c, domains, cfg.buckets);
     let (mut trace, mut rec) = instruments(n, instrument);
     let mut last = ep.now();
@@ -171,9 +175,9 @@ pub(crate) fn calculator_main(
             let setup = &scene.systems[sys];
             let system = setup.spec.id;
             // Creation: receive batch + EOT.
-            let batch = expect_msg!(ep, deadline, mgr, "calculator", c, frame,
+            let batch = expect_msg!(ep, mgr, "calculator", c, frame,
                 Msg::Particles { batch, .. } => batch, "Particles");
-            expect_msg!(ep, deadline, mgr, "calculator", c, frame,
+            expect_msg!(ep, mgr, "calculator", c, frame,
                 Msg::EndOfTransmission { .. } => (), "EndOfTransmission");
             calc.add(sys, batch);
             trace.record(frame, ProtocolEvent::AdditionToLocalSet);
@@ -198,7 +202,7 @@ pub(crate) fn calculator_main(
                 let mut ghosts = Vec::new();
                 for d in [c.wrapping_sub(1), c + 1] {
                     if d < n {
-                        ghosts.extend(expect_msg!(ep, deadline, d, "calculator", c, frame,
+                        ghosts.extend(expect_msg!(ep, d, "calculator", c, frame,
                             Msg::Ghosts { batch, .. } => batch, "Ghosts"));
                     }
                 }
@@ -223,7 +227,7 @@ pub(crate) fn calculator_main(
                 if d == c {
                     continue;
                 }
-                let batch = expect_msg!(ep, deadline, d, "calculator", c, frame,
+                let batch = expect_msg!(ep, d, "calculator", c, frame,
                     Msg::Particles { batch, .. } => batch, "Particles");
                 incoming += batch.len();
                 calc.add(sys, batch);
@@ -246,7 +250,7 @@ pub(crate) fn calculator_main(
 
             // Balancing; a short-circuited round has no Orders to wait for.
             if calc.expects_orders(sys, frame, &cfg.balance) {
-                let (orders, round_orders) = expect_msg!(ep, deadline, mgr, "calculator", c, frame,
+                let (orders, round_orders) = expect_msg!(ep, mgr, "calculator", c, frame,
                     Msg::Orders { orders, round_orders, .. } => (orders, round_orders), "Orders");
                 calc.note_round(sys, round_orders);
                 // Multi-pair strategies may have one donor serving both
@@ -262,7 +266,7 @@ pub(crate) fn calculator_main(
                     trace.record(frame, ProtocolEvent::PreparationOfStructures);
                 }
                 // Everyone receives the rebroadcast domains.
-                let cuts = expect_msg!(ep, deadline, mgr, "calculator", c, frame,
+                let cuts = expect_msg!(ep, mgr, "calculator", c, frame,
                     Msg::Domains { cuts, .. } => cuts, "Domains");
                 let dm = calc.parse_domains(frame, cuts)?;
                 if invariants::ENABLED {
@@ -275,7 +279,7 @@ pub(crate) fn calculator_main(
                 }
                 for o in &orders {
                     if let Order::Receive { from } = *o {
-                        let batch = expect_msg!(ep, deadline, from, "calculator", c, frame,
+                        let batch = expect_msg!(ep, from, "calculator", c, frame,
                             Msg::Particles { batch, .. } => batch, "Particles");
                         calc.add(sys, batch);
                     }
@@ -312,7 +316,6 @@ pub(crate) fn manager_main(
     instrument: bool,
 ) -> Result<(Vec<FrameReport>, Recorder), ProtocolError> {
     let n_sys = scene.systems.len();
-    let deadline = Duration::from_secs_f64(cfg.recv_timeout_secs);
     let mut manager = Manager::new(domains, n, 1.0);
     let speeds = vec![1.0; n]; // host threads are homogeneous
     let mut frames = Vec::with_capacity(cfg.frames as usize);
@@ -351,7 +354,7 @@ pub(crate) fn manager_main(
             // Load reports.
             let mut loads = Vec::with_capacity(n);
             for c in 0..n {
-                let (info, migrated) = expect_msg!(ep, deadline, c, "manager", n, frame,
+                let (info, migrated) = expect_msg!(ep, c, "manager", n, frame,
                     Msg::Load { info, migrated, .. } => (info, migrated), "Load");
                 manager.note_load(migrated, &mut fr);
                 loads.push(Some(info));
@@ -380,7 +383,7 @@ pub(crate) fn manager_main(
                     }
                     trace.record(frame, ProtocolEvent::LoadBalancingOrders);
                     for t in &transfers {
-                        let cut = expect_msg!(ep, deadline, t.donor, "manager", n, frame,
+                        let cut = expect_msg!(ep, t.donor, "manager", n, frame,
                             Msg::NewCut { cut, .. } => cut, "NewCut");
                         manager.apply_cut(sys, t.donor, t.receiver, cut).map_err(|e| {
                             ProtocolError::Domain {
@@ -436,7 +439,6 @@ pub(crate) fn image_generator_main(
     instrument: bool,
 ) -> Result<(Vec<(u64, u64)>, Recorder), ProtocolError> {
     let n_sys = scene.systems.len();
-    let deadline = Duration::from_secs_f64(cfg.recv_timeout_secs);
     let mut fb = sink.as_ref().map(|s| {
         let (w, h) = s.camera.viewport();
         Framebuffer::new(w, h)
@@ -460,12 +462,12 @@ pub(crate) fn image_generator_main(
         }
         for _sys in 0..n_sys {
             for c in 0..n {
-                let (count, partial) = expect_msg!(ep, deadline, c, "image generator", n + 1, frame,
+                let (count, partial) = expect_msg!(ep, c, "image generator", n + 1, frame,
                     Msg::FrameDigest { alive, hash, .. } => (alive, hash), "FrameDigest");
                 alive += count as u64;
                 hash = hash.combine(&partial);
                 if let (Some(fb), Some(s)) = (fb.as_mut(), sink.as_ref()) {
-                    let batch = expect_msg!(ep, deadline, c, "image generator", n + 1, frame,
+                    let batch = expect_msg!(ep, c, "image generator", n + 1, frame,
                         Msg::RenderParticles { batch, .. } => batch, "RenderParticles");
                     if batch.len() != count {
                         return Err(ProtocolError::DigestMismatch {

@@ -8,7 +8,7 @@
 //! `tests/golden/event_parity.txt`. `EventSim` matched every row then and
 //! must keep matching: all chaos scenarios, both paper workloads, 4/8/16
 //! calculators, both topologies, every balance mode. Tables 1–3, the chaos
-//! matrix and the BENCH_4/5/8 numbers all come out of this executor, so a
+//! matrix and the BENCH_3/5/6/8 numbers all come out of this executor, so a
 //! row that moves means the paper reproduction moved. (The engine reports
 //! checksum 0 for every virtual frame today, so the fold column is one
 //! constant; it is recorded because the retired cross-executor sweep

@@ -92,17 +92,17 @@ fn myrinet_beats_fast_ethernet() {
     let cost = size().cost_model();
     let cfg = RunConfig { frames: 14, dt: 0.15, warmup: 3, ..Default::default() };
     let seq = run_sequential(&scene, &cfg, &cost, 1.0);
-    let myr = {
-        let mut sim = EventSim::new(scene.clone(), cfg.clone(), myrinet_gcc(8, 2), cost.clone());
+    let speedup_on = |net: NetworkModel| {
+        let cluster = ClusterSpec::homogeneous(net, Compiler::Gcc, e800(), 8, 2);
+        let mut sim = EventSim::new(scene.clone(), cfg.clone(), cluster, cost.clone());
         seq.steady_time() / sim.run().steady_time()
     };
-    let fe_cluster =
-        ClusterSpec::homogeneous(NetworkModel::fast_ethernet(), Compiler::Gcc, e800(), 8, 2);
-    let fe = {
-        let mut sim = EventSim::new(scene.clone(), cfg, fe_cluster, cost);
-        seq.steady_time() / sim.run().steady_time()
-    };
+    let myr = speedup_on(NetworkModel::myrinet());
+    let fe = speedup_on(NetworkModel::fast_ethernet());
+    let hub = speedup_on(NetworkModel::fast_ethernet_hub());
     assert!(myr > fe * 1.5, "Myrinet {myr} must beat Fast-Ethernet {fe}");
+    // A shared medium serialises what the switch carries in parallel.
+    assert!(hub <= fe, "hub Fast-Ethernet {hub} cannot beat switched {fe}");
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! psa-verify enforces (no ambient RNG in test generators).
 
 use particle_cluster_anim::prelude::*;
-use particle_cluster_anim::runtime::balance::{evaluate, validate_transfers, LoadInfo};
+use particle_cluster_anim::runtime::balance::{evaluate, validate_round, LoadInfo};
 
 const CASES: usize = 256;
 
@@ -74,7 +74,8 @@ fn balancer_rules_hold() {
         let powers = vec![1.0; loads.len()];
         let cfg = BalancerConfig { rel_threshold: threshold, ..BalancerConfig::fixed(8) };
         let transfers = evaluate(&loads, &powers, start, &cfg);
-        assert!(validate_transfers(&transfers, loads.len()).is_ok());
+        let present: Vec<usize> = (0..n).collect();
+        assert_eq!(validate_round(&transfers, &loads, &present, false), Ok(()));
         for t in &transfers {
             assert!(t.amount >= 8);
             assert!(loads[t.donor].count >= t.amount, "donor cannot give what it lacks");
@@ -293,13 +294,13 @@ fn every_strategy_drains_a_spike_at_scale() {
     }
 }
 
-/// The rank→position fast path in `validate_transfers_mapped` must accept
-/// a full 1,024-rank round and reject every malformed shape, at a cost
-/// that stays O(t log n) — the O(t·n) scan it replaced was a real
-/// per-round tax at BENCH_5 scale.
+/// The rank→position binary search in `validate_round` must accept a full
+/// 1,024-rank round and reject every malformed shape, at a cost that
+/// stays O(t log n) — the O(t·n) scan it replaced was a real per-round
+/// tax at BENCH_5 scale.
 #[test]
 fn mapped_validation_handles_1024_rank_rounds() {
-    use particle_cluster_anim::runtime::balance::{validate_transfers_mapped, Transfer};
+    use particle_cluster_anim::runtime::balance::Transfer;
     let mut rng = Rng64::new(0x10_24);
     for _ in 0..64 {
         // A degraded 1,024-rank present set (~1% dead), and one transfer
@@ -314,15 +315,18 @@ fn mapped_validation_handles_1024_rank_rounds() {
         // shape rules here by splitting into odd/even pair sets.
         let evens: Vec<Transfer> = transfers.iter().step_by(2).copied().collect();
         let odds: Vec<Transfer> = transfers.iter().skip(1).step_by(2).copied().collect();
-        validate_transfers_mapped(&evens, &present).expect("even pairs are a legal round");
-        validate_transfers_mapped(&odds, &present).expect("odd pairs are a legal round");
+        // Every rank holds the largest amount drawn above: no overdraw.
+        let loads = vec![LoadInfo { count: 100, time: 0.0 }; present.len()];
+        let validate = |ts: &[Transfer]| validate_round(ts, &loads, &present, false);
+        validate(&evens).expect("even pairs are a legal round");
+        validate(&odds).expect("odd pairs are a legal round");
         // Absent endpoint: a dead rank in a transfer must be rejected.
         if let Some(dead) = (0..1024).find(|r| present.binary_search(r).is_err()) {
             let bad = vec![Transfer { donor: dead, receiver: present[0], amount: 1 }];
-            assert!(validate_transfers_mapped(&bad, &present).is_err());
+            assert!(validate(&bad).is_err());
         }
         // Non-neighbor endpoints must be rejected.
         let far = vec![Transfer { donor: present[0], receiver: present[5], amount: 1 }];
-        assert!(validate_transfers_mapped(&far, &present).is_err());
+        assert!(validate(&far).is_err());
     }
 }
