@@ -10,7 +10,7 @@
 //!
 //! A plan reaches the two fabrics differently:
 //!
-//! * the event-heap fabric in `psa-desim` consults a [`PlanInjector`] on
+//! * the virtual fabric in `psa-desim` consults a [`PlanInjector`] on
 //!   every send and charges fault costs as **virtual time** (extra delivery
 //!   delay, timed-out waits), so faulty runs replay bit-identically;
 //! * [`FaultyThreadEndpoint`] injects **real** delays and errors on the
@@ -18,10 +18,11 @@
 //!   hardening tests; real time is inherently non-replayable, so the chaos
 //!   matrix gates on the virtual path).
 
-// psa-verify: allow(index-panic) — the plan's `ranks` and `links` tables
-// are sized by the constructor from the cluster's rank count, and every
-// accessor derives its index from `(from, to)` pairs the executors bound
-// to 0..ranks; a wire payload never chooses an index.
+// psa-verify: allow(index-panic) — the plan's `ranks` table is sized by
+// the constructor from the cluster's rank count, and every accessor takes
+// its index from the executors, which address ranks 0..ranks; a wire
+// payload never chooses an index.
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use psa_math::Rng64;
@@ -115,8 +116,10 @@ impl LinkFault {
 }
 
 /// The full description of what goes wrong in a run: one [`RankFault`] per
-/// rank, one [`LinkFault`] per directed rank pair, and the seed the
-/// injector's stochastic draws derive from.
+/// rank, the [`LinkFault`] of every directed rank pair, and the seed the
+/// injector's stochastic draws derive from. Link faults are stored as one
+/// value for all links plus the links that differ from it, so a plan costs
+/// O(ranks) until someone perturbs individual links.
 ///
 /// Equality is structural, which is what the reproducibility tests lean on:
 /// same seed + same construction ⇒ identical plan ⇒ identical faulty run.
@@ -125,8 +128,10 @@ pub struct FaultPlan {
     /// Seed for the injector's per-link draw streams.
     pub seed: u64,
     ranks: Vec<RankFault>,
-    /// Indexed `from * ranks + to`.
-    links: Vec<LinkFault>,
+    /// The fault of every link `links` does not name.
+    all_links: LinkFault,
+    /// Links set apart from `all_links`, keyed `(from, to)`.
+    links: BTreeMap<(usize, usize), LinkFault>,
 }
 
 impl FaultPlan {
@@ -135,7 +140,8 @@ impl FaultPlan {
         FaultPlan {
             seed,
             ranks: vec![RankFault::default(); ranks],
-            links: vec![LinkFault::default(); ranks * ranks],
+            all_links: LinkFault::default(),
+            links: BTreeMap::new(),
         }
     }
 
@@ -152,11 +158,11 @@ impl FaultPlan {
     }
 
     pub fn link(&self, from: usize, to: usize) -> &LinkFault {
-        &self.links[from * self.ranks.len() + to]
+        self.links.get(&(from, to)).unwrap_or(&self.all_links)
     }
 
     pub fn link_mut(&mut self, from: usize, to: usize) -> &mut LinkFault {
-        &mut self.links[from * self.ranks.len() + to]
+        self.links.entry((from, to)).or_insert(self.all_links)
     }
 
     /// Apply `fault` to every directed link touching `rank` (both ways).
@@ -171,12 +177,15 @@ impl FaultPlan {
 
     /// Apply `fault` to every directed link in the fabric.
     pub fn set_all_links(&mut self, fault: LinkFault) {
-        self.links.fill(fault);
+        self.all_links = fault;
+        self.links.clear();
     }
 
     /// True when the plan perturbs nothing.
     pub fn is_quiet(&self) -> bool {
-        self.ranks.iter().all(RankFault::is_healthy) && self.links.iter().all(LinkFault::is_healthy)
+        self.ranks.iter().all(RankFault::is_healthy)
+            && self.all_links.is_healthy()
+            && self.links.values().all(LinkFault::is_healthy)
     }
 }
 
@@ -212,17 +221,17 @@ pub trait FaultInjector {
         None
     }
 
-    /// Raw states of the injector's draw streams, for checkpointing. The
-    /// plan itself is construction-time configuration and is *not* captured;
-    /// only the mutable stream cursors are. Stateless injectors return an
-    /// empty vec.
+    /// The injector's draw-stream cursors, for checkpointing, in whatever
+    /// encoding [`restore_stream_states`](Self::restore_stream_states)
+    /// reads back. The plan itself is construction-time configuration and
+    /// is *not* captured. Stateless injectors return an empty vec.
     fn stream_states(&self) -> Vec<u64> {
         Vec::new()
     }
 
-    /// Rewind the injector's draw streams to previously captured states.
+    /// Rewind the injector's draw streams to previously captured cursors.
     /// Must accept exactly what [`stream_states`](Self::stream_states)
-    /// produced for an injector of the same shape.
+    /// produced for an injector over the same plan.
     fn restore_stream_states(&mut self, _states: &[u64]) {}
 }
 
@@ -233,8 +242,10 @@ pub trait FaultInjector {
 #[derive(Clone, Debug)]
 pub struct PlanInjector {
     plan: FaultPlan,
-    /// One draw stream per directed link, indexed `from * ranks + to`.
-    streams: Vec<Rng64>,
+    /// Draw streams of the links that have drawn, keyed `(from, to)`. A
+    /// link's stream is a function of `(plan seed, from, to)` alone, so it
+    /// is created at the link's first draw.
+    streams: BTreeMap<(usize, usize), Rng64>,
 }
 
 /// Uniform f64 in `[0, 1)` with 53 mantissa bits (probabilities need more
@@ -245,32 +256,34 @@ fn unit64(rng: &mut Rng64) -> f64 {
 
 impl PlanInjector {
     pub fn new(plan: FaultPlan) -> Self {
-        let n = plan.ranks();
-        let root = Rng64::new(plan.seed).split(TAG_FAULT);
-        let streams =
-            (0..n * n).map(|i| root.split((i / n) as u64).split((i % n) as u64)).collect();
-        PlanInjector { plan, streams }
+        PlanInjector { plan, streams: BTreeMap::new() }
     }
 
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
     }
+
+    /// Next uniform draw of link `(from, to)`.
+    fn draw(&mut self, from: usize, to: usize) -> f64 {
+        let seed = self.plan.seed;
+        unit64(self.streams.entry((from, to)).or_insert_with(|| {
+            Rng64::new(seed).split(TAG_FAULT).split(from as u64).split(to as u64)
+        }))
+    }
 }
 
 impl FaultInjector for PlanInjector {
     fn on_send(&mut self, from: usize, to: usize, bytes: u64) -> SendFate {
-        let n = self.plan.ranks();
         let link = *self.plan.link(from, to);
         if link.is_healthy() {
             return SendFate::Deliver { extra_delay: 0.0 };
         }
-        let stream = &mut self.streams[from * n + to];
-        if link.drop_prob > 0.0 && unit64(stream) < link.drop_prob {
+        if link.drop_prob > 0.0 && self.draw(from, to) < link.drop_prob {
             return SendFate::FailTransient;
         }
         let mut delay = link.extra_latency + link.per_byte_delay * bytes as f64;
-        if link.jitter_prob > 0.0 && unit64(stream) < link.jitter_prob {
-            delay += unit64(stream) * link.max_jitter;
+        if link.jitter_prob > 0.0 && self.draw(from, to) < link.jitter_prob {
+            delay += self.draw(from, to) * link.max_jitter;
         }
         SendFate::Deliver { extra_delay: delay }
     }
@@ -290,15 +303,25 @@ impl FaultInjector for PlanInjector {
         self.plan.rank(rank).crash_at
     }
 
+    /// One `(from, to, state)` triple per link that has drawn.
     fn stream_states(&self) -> Vec<u64> {
-        self.streams.iter().map(Rng64::state).collect()
+        self.streams
+            .iter()
+            .flat_map(|(&(from, to), s)| [from as u64, to as u64, s.state()])
+            .collect()
     }
 
+    /// Replaces the stream map: a link that first drew after the capture
+    /// goes back to having no stream, and starts over at its next draw.
     fn restore_stream_states(&mut self, states: &[u64]) {
-        assert_eq!(states.len(), self.streams.len(), "injector stream count mismatch");
-        for (s, &st) in self.streams.iter_mut().zip(states) {
-            *s = Rng64::new(st);
-        }
+        assert_eq!(states.len() % 3, 0, "injector stream states are (from, to, state) triples");
+        self.streams = states
+            .chunks_exact(3)
+            .filter_map(|triple| match *triple {
+                [from, to, state] => Some(((from as usize, to as usize), Rng64::new(state))),
+                _ => None,
+            })
+            .collect();
     }
 }
 
@@ -484,21 +507,63 @@ mod tests {
 
     #[test]
     fn stream_states_checkpoint_and_resume_fates_exactly() {
-        let mut live = PlanInjector::new(lossy_plan(0.5));
+        let plan = || {
+            let mut plan = lossy_plan(0.5);
+            *plan.link_mut(1, 0) = LinkFault::jittery(0.5, 1e-3);
+            plan
+        };
+        let fates = |inj: &mut PlanInjector| -> Vec<_> {
+            (0..64).flat_map(|i| [inj.on_send(0, 1, i), inj.on_send(1, 0, i)]).collect()
+        };
+        let mut live = PlanInjector::new(plan());
         for i in 0..37 {
             let _ = live.on_send(0, 1, i);
         }
         let states = live.stream_states();
-        let tail: Vec<_> = (0..64).map(|i| live.on_send(0, 1, i)).collect();
-        // Rewind a diverged twin back to the captured cursor: the fate
-        // sequence from that point must repeat bit-for-bit.
-        let mut twin = PlanInjector::new(lossy_plan(0.5));
-        for _ in 0..99 {
-            let _ = twin.on_send(0, 1, 5);
+        assert_eq!(states.len(), 3, "one (from, to, state) triple: only (0, 1) has drawn");
+        let tail = fates(&mut live.clone());
+        // Run ahead on the old link, draw for the first time on (1, 0),
+        // then rewind: the fates from the captured cursor must repeat
+        // bit-for-bit, so (1, 0) has to start over, not carry on.
+        assert_eq!(fates(&mut live), tail);
+        assert_eq!(live.stream_states().len(), 6);
+        live.restore_stream_states(&states);
+        assert_eq!(live.stream_states(), states);
+        assert_eq!(fates(&mut live), tail);
+    }
+
+    #[test]
+    fn quiet_plan_and_injector_hold_no_per_link_state() {
+        let mut plan = FaultPlan::none(3, 1026);
+        assert!(plan.links.is_empty());
+        // Added latency perturbs a link without ever drawing.
+        plan.link_mut(0, 1).extra_latency = 0.5;
+        assert_eq!(plan.links.len(), 1);
+        let mut inj = PlanInjector::new(plan);
+        assert_eq!(inj.on_send(0, 1, 64), SendFate::Deliver { extra_delay: 0.5 });
+        for to in 2..1026 {
+            assert_eq!(inj.on_send(0, to, 64), SendFate::Deliver { extra_delay: 0.0 });
         }
-        twin.restore_stream_states(&states);
-        let replay: Vec<_> = (0..64).map(|i| twin.on_send(0, 1, i)).collect();
-        assert_eq!(tail, replay);
+        assert!(inj.streams.is_empty());
+        assert!(inj.stream_states().is_empty());
+    }
+
+    #[test]
+    fn link_settings_layer_in_call_order() {
+        let mut p = FaultPlan::none(0, 5);
+        p.set_all_links(LinkFault::lossy(0.1));
+        p.set_links_of(2, LinkFault::lossy(0.2));
+        p.link_mut(2, 3).drop_prob = 0.3;
+        p.link_mut(0, 1).extra_latency = 0.5;
+        assert_eq!(p.link(0, 4).drop_prob, 0.1);
+        assert_eq!((p.link(2, 4).drop_prob, p.link(4, 2).drop_prob), (0.2, 0.2));
+        assert_eq!((p.link(2, 3).drop_prob, p.link(3, 2).drop_prob), (0.3, 0.2));
+        // `link_mut` on an untouched link edits a copy of the all-links fault.
+        assert_eq!(*p.link(0, 1), LinkFault { extra_latency: 0.5, ..LinkFault::lossy(0.1) });
+        // `set_all_links` means all: it overrides every earlier setting.
+        p.set_all_links(LinkFault::default());
+        assert!(p.is_quiet());
+        assert!(p.link(2, 3).is_healthy());
     }
 
     #[test]

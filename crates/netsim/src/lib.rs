@@ -4,7 +4,7 @@
 //!
 //! * [`WireState`] — the deterministic, single-threaded virtual wire:
 //!   per-rank virtual clocks and a network cost model from `cluster-sim`.
-//!   The event-driven executor in `psa-desim` interleaves rank execution
+//!   The virtual-time executor in `psa-desim` interleaves rank execution
 //!   itself and builds its fabric on this wire to account for every byte
 //!   the paper's protocol would put on Myrinet or Fast-Ethernet.
 //!   Determinism is total: same seed, same tables.

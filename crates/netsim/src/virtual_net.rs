@@ -9,8 +9,8 @@
 //!
 //! [`WireState`] is that timing arithmetic and nothing else: clocks, link
 //! occupancy, topology-aware latency, and traffic counters. It owns no
-//! messages — the event-heap fabric in `psa-desim` turns its delivery
-//! stamps into deliveries.
+//! messages — the fabric in `psa-desim` queues each message on its link
+//! with the delivery stamp and hands the stamp back at the receive.
 //!
 //! It is intentionally **not** thread-safe: the virtual executor
 //! interleaves ranks itself in a fixed order, which is what makes the
@@ -35,8 +35,9 @@ pub struct TrafficStats {
 /// The clock-and-link half of a virtual fabric: per-rank virtual clocks,
 /// per-node NIC occupancy (or a shared medium), topology-aware latency, and
 /// traffic counters. Owns no message queues — callers decide how delivery
-/// stamps turn into deliveries (the event-driven fabric uses a global
-/// (time, seq) heap).
+/// stamps turn into deliveries (`psa-desim`'s fabric keeps one FIFO per
+/// directed link and calls [`observe_delivery`](Self::observe_delivery)
+/// with the stamp of the message a receive pops).
 pub struct WireState {
     net: NetworkModel,
     /// Virtual clock per rank, seconds.

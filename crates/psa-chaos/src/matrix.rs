@@ -75,24 +75,16 @@ impl MatrixConfig {
     }
 }
 
-fn run_config(mc: &MatrixConfig) -> RunConfig {
-    mc.run_config()
-}
-
-fn size(mc: &MatrixConfig) -> WorkloadSize {
-    mc.workload_size()
-}
-
 /// Run one cell: simulate, check the hardening invariants, replay, compare.
 pub fn run_case(workload: Workload, scenario: Scenario, mc: &MatrixConfig) -> CaseOutcome {
-    let sz = size(mc);
+    let sz = mc.workload_size();
     let cluster = myrinet_gcc(mc.calculators, 1);
     let plan = scenario.plan(mc.seed, mc.calculators, &cluster.net);
     let mut failures = Vec::new();
 
     let run = |trace: bool| {
         let mut sim =
-            EventSim::new(workload.scene(sz), run_config(mc), cluster.clone(), sz.cost_model())
+            EventSim::new(workload.scene(sz), mc.run_config(), cluster.clone(), sz.cost_model())
                 .with_faults(plan.clone());
         if trace {
             // The first run carries both the protocol trace and the
@@ -156,7 +148,7 @@ pub fn run_case(workload: Workload, scenario: Scenario, mc: &MatrixConfig) -> Ca
     // run: the fault layer may not perturb healthy executions.
     if plan.is_quiet() {
         let mut bare =
-            EventSim::new(workload.scene(sz), run_config(mc), cluster.clone(), sz.cost_model());
+            EventSim::new(workload.scene(sz), mc.run_config(), cluster.clone(), sz.cost_model());
         match bare.try_run() {
             Ok(b) if b.fingerprint() != report.fingerprint() => {
                 failures.push("quiet plan perturbed the run".into());

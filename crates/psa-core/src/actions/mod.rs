@@ -168,11 +168,6 @@ impl ActionList {
         (out, weighted)
     }
 
-    /// Total cost weight of one pass (used by the cost model).
-    pub fn total_cost_weight(&self) -> f64 {
-        self.actions.iter().map(|a| a.cost_weight()).sum()
-    }
-
     /// Validate the paper's structural rules: at most one `Position` action
     /// (the move step) and no `Create`/`Frame` actions (those belong to the
     /// manager and the runtime respectively).
@@ -220,6 +215,7 @@ mod tests {
     #[test]
     fn action_list_runs_in_order() {
         let list = ActionList::new().then(Gravity::earth()).then(MoveParticles);
+        assert_eq!(list.len(), 2);
         let mut rng = ctx_rng();
         let mut ctx = ActionCtx { dt: 1.0, frame: 0, rng: &mut rng };
         let mut store = small_store();
@@ -246,15 +242,5 @@ mod tests {
         let a = ActionOutcome { applied: 3, killed: 1 };
         let b = ActionOutcome { applied: 4, killed: 0 };
         assert_eq!(a.merge(b), ActionOutcome { applied: 7, killed: 1 });
-    }
-
-    #[test]
-    fn cost_weight_sums() {
-        let list = ActionList::new()
-            .then(Gravity::earth())
-            .then(RandomAccel::new(1.0))
-            .then(MoveParticles);
-        assert!(list.total_cost_weight() >= 3.0);
-        assert_eq!(list.len(), 3);
     }
 }

@@ -188,12 +188,6 @@ impl ParticleStore {
         }
         Some((lo, hi))
     }
-
-    /// Total kinetic energy — the "global quantity reduced in parallel"
-    /// example from the related-work discussion, used by tests and examples.
-    pub fn total_kinetic_energy(&self) -> f64 {
-        self.items.iter().map(|p| p.kinetic_energy() as f64).sum()
-    }
 }
 
 impl FromIterator<Particle> for ParticleStore {
@@ -327,14 +321,6 @@ mod tests {
         s.sort_along(Axis::X);
         assert_eq!(lo, s.as_slice().first().unwrap().position.x);
         assert_eq!(hi, s.as_slice().last().unwrap().position.x);
-    }
-
-    #[test]
-    fn kinetic_energy_sums() {
-        let mut s = ParticleStore::new();
-        s.push(Particle::at(Vec3::ZERO).with_velocity(Vec3::new(2.0, 0.0, 0.0)));
-        s.push(Particle::at(Vec3::ZERO).with_velocity(Vec3::new(0.0, 2.0, 0.0)));
-        assert_eq!(s.total_kinetic_energy(), 4.0);
     }
 
     #[test]

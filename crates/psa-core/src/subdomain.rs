@@ -286,11 +286,6 @@ impl SubDomainStore {
         }
         any.then_some((lo, hi))
     }
-
-    /// Per-bucket populations (exposed for the sub-domain ablation bench).
-    pub fn bucket_sizes(&self) -> Vec<usize> {
-        self.buckets.iter().map(ParticleStore::len).collect()
-    }
 }
 
 #[cfg(test)]
@@ -306,13 +301,17 @@ mod tests {
         SubDomainStore::new(Interval::new(0.0, 10.0), Axis::X, k)
     }
 
+    fn bucket_sizes(s: &SubDomainStore) -> Vec<usize> {
+        s.bucket_slices().map(<[Particle]>::len).collect()
+    }
+
     #[test]
     fn insert_routes_to_buckets() {
         let mut s = store(5);
         for x in [0.5, 2.5, 4.5, 6.5, 8.5] {
             s.insert(p(x));
         }
-        assert_eq!(s.bucket_sizes(), vec![1, 1, 1, 1, 1]);
+        assert_eq!(bucket_sizes(&s), vec![1, 1, 1, 1, 1]);
         assert_eq!(s.len(), 5);
     }
 
@@ -336,7 +335,7 @@ mod tests {
         s.for_each_mut(|q| q.position.x = 9.5); // should end in bucket 9
         let leavers = s.collect_leavers();
         assert!(leavers.is_empty());
-        let sizes = s.bucket_sizes();
+        let sizes = bucket_sizes(&s);
         assert_eq!(sizes[9], 1);
         assert_eq!(sizes[0], 0);
     }

@@ -47,7 +47,7 @@ use psa_runtime::trace::Trace;
 
 use crate::fabric::{EventFabric, SimStats};
 
-/// The event-driven virtual-time executor.
+/// The virtual-time executor.
 pub struct EventSim {
     scene: Scene,
     cfg: RunConfig,
@@ -56,7 +56,6 @@ pub struct EventSim {
     cost: CostModel,
     trace: Trace,
     plan: Option<FaultPlan>,
-    policy: FaultPolicy,
     instrument: bool,
     last_stats: SimStats,
 }
@@ -72,7 +71,6 @@ impl EventSim {
             cost,
             trace: Trace::disabled(),
             plan: None,
-            policy: FaultPolicy::default(),
             instrument: false,
             last_stats: SimStats::default(),
         }
@@ -99,19 +97,13 @@ impl EventSim {
         self
     }
 
-    /// Override the retry/timeout/death policy (defaults are sane).
-    pub fn with_policy(mut self, policy: FaultPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
 
-    /// Event-loop counters of the most recent run (all zero before the
-    /// first run): events processed, sends, clock fast-forwards, bounded
-    /// waits, heap high-water mark.
+    /// Fabric counters of the most recent run (all zero before the first
+    /// run): messages delivered, sends, clock fast-forwards, bounded waits,
+    /// in-flight high-water mark.
     pub fn sim_stats(&self) -> SimStats {
         self.last_stats
     }
@@ -134,7 +126,7 @@ impl EventSim {
             &self.placement,
             self.cost.clone(),
             fabric,
-            self.policy,
+            FaultPolicy::default(),
             std::mem::take(&mut self.trace),
             self.instrument,
         );

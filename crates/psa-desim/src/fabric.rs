@@ -1,29 +1,31 @@
-//! The event-heap message fabric.
+//! The virtual message fabric: one FIFO per directed link.
 //!
-//! [`EventFabric`] implements the shared engine's
-//! [`Fabric`] contract over a discrete-event
-//! core: every accepted send becomes an *arrival event* on the
-//! [`EventQueue`], stamped with the exact delivery time the
-//! [`WireState`] cost model charged (sender CPU, NIC/medium occupancy,
-//! topology-aware latency, injected perturbation). Receives pump the heap —
-//! draining arrivals in global `(time, seq)` order into sparse per-link
-//! inboxes — and then consume the link's FIFO head.
+//! [`EventFabric`] implements the shared engine's [`Fabric`] contract for
+//! an engine that interleaves the ranks itself. Every accepted send is
+//! stamped with the exact delivery time the [`WireState`] cost model
+//! charged (sender CPU, NIC/medium occupancy, topology-aware latency,
+//! injected perturbation) and pushed onto its link's queue; a receive pops
+//! that link's front and moves the receiver's clock up to the stamp. There
+//! is no global event order: virtual time lives in the per-rank clocks, and
+//! the only ordering a result can depend on is send order within a link.
 //!
 //! ## Link order
 //!
-//! The per-link FIFO is keyed by send sequence — not delivery stamp — so
+//! A link delivers in send order — not in delivery-stamp order — so
 //! jittered messages cannot reorder within a link: each link behaves as a
 //! plain queue, which is the model the golden fingerprints in
 //! `tests/event_parity.rs` were frozen under.
 //!
 //! ## Why it scales
 //!
-//! The inbox map holds only links that have ever carried traffic (a dense
-//! `ranks²` queue table is ~34 MB of empty headers at 1,024 ranks), and
-//! with the engine's sparse exchange mode the active-link set stays
-//! proportional to actual migration, not to `ranks²`.
+//! Per-link state exists only for links that carry or perturb traffic: the
+//! queue map holds the links that have ever sent (a dense `ranks²` queue
+//! table is ~34 MB of empty headers at 1,024 ranks), the fault plan and its
+//! injector hold the links that differ or have drawn, and with the engine's
+//! sparse exchange mode the active-link set stays proportional to actual
+//! migration, not to `ranks²`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use cluster_sim::NetworkModel;
 use netsim::{
@@ -34,21 +36,19 @@ use psa_runtime::checkpoint::FabricCheckpoint;
 use psa_runtime::msg::Msg;
 use psa_runtime::protocol::Fabric;
 
-use crate::queue::EventQueue;
-
-/// Counters the event fabric accumulates over a run. Pure observability:
-/// none of these feed back into timing or protocol state, so an
-/// instrumented run is byte-identical to a blind one. This is what turns
-/// the fabric into a legible simulator: how many events the heap processed,
-/// how often a receiver's clock fast-forwarded past idle virtual time, and
-/// how deep the in-flight event set grew — the data the BENCH_5 scaling
-/// sweep aggregates per cell.
+/// Counters the fabric accumulates over a run. Pure observability: none of
+/// these feed back into timing or protocol state, so an instrumented run
+/// is byte-identical to a blind one. This is what turns the fabric into a
+/// legible simulator: how many messages were delivered, how often a
+/// receiver's clock fast-forwarded past idle virtual time, and how many
+/// messages were in flight at once — the data the BENCH_5 scaling sweep
+/// aggregates per cell.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SimStats {
-    /// Delivery events popped off the heap.
+    /// Messages taken off a link (received, or drained by crash cleanup).
     pub events: u64,
     /// Messages accepted onto the wire (transient injected failures are
-    /// not counted — they never became events).
+    /// not counted — they never reached a link).
     pub sends: u64,
     /// Receives that fast-forwarded the receiver's clock past idle virtual
     /// time (the receiver was "ahead of" no one — it slept until delivery).
@@ -56,25 +56,20 @@ pub struct SimStats {
     /// Bounded receives that found nothing deliverable and charged the
     /// wait (the degraded-mode path around crashed peers).
     pub blocked_recvs: u64,
-    /// High-water mark of in-flight events on the heap.
+    /// Most messages in flight (sent, not yet taken off their link) at
+    /// once, over all links.
     pub max_heap_depth: usize,
 }
 
-/// An in-flight message: scheduled on the heap at its delivery stamp.
-struct Arrival {
-    from: usize,
-    to: usize,
-    msg: Msg,
-}
-
-/// Discrete-event message fabric for the shared protocol engine.
+/// Virtual message fabric for the shared protocol engine.
 pub struct EventFabric {
     wire: WireState,
-    queue: EventQueue<Arrival>,
-    /// Delivered-but-unconsumed messages per directed link, FIFO by send
-    /// sequence: `inboxes[(to, from)][seq] = (deliver_at, msg)`. Sparse on
-    /// purpose — only links that carried traffic exist.
-    inboxes: BTreeMap<(usize, usize), BTreeMap<u64, (f64, Msg)>>,
+    /// In-flight messages per directed link, in send order:
+    /// `links[(to, from)]` queues `(deliver_at, msg)`. Sparse on purpose —
+    /// only links that carried traffic exist.
+    links: BTreeMap<(usize, usize), VecDeque<(f64, Msg)>>,
+    /// Messages queued over all links.
+    in_flight: usize,
     inj: PlanInjector,
     stats: SimStats,
 }
@@ -85,25 +80,16 @@ impl EventFabric {
     pub fn new(net: NetworkModel, node_of: Vec<usize>, node_count: usize, plan: FaultPlan) -> Self {
         EventFabric {
             wire: WireState::new(net, node_of, node_count),
-            queue: EventQueue::new(),
-            inboxes: BTreeMap::new(),
+            links: BTreeMap::new(),
+            in_flight: 0,
             inj: PlanInjector::new(plan),
             stats: SimStats::default(),
         }
     }
 
-    /// Snapshot of the event-loop counters (heap depth is folded in).
+    /// Snapshot of the fabric's counters.
     pub fn sim_stats(&self) -> SimStats {
-        SimStats { max_heap_depth: self.queue.max_depth(), ..self.stats }
-    }
-
-    /// Drain every pending arrival into its link inbox, in global
-    /// `(time, seq)` order.
-    fn pump(&mut self) {
-        while let Some((time, seq, a)) = self.queue.pop() {
-            self.stats.events += 1;
-            self.inboxes.entry((a.to, a.from)).or_default().insert(seq, (time, a.msg));
-        }
+        self.stats
     }
 }
 
@@ -112,11 +98,13 @@ impl Fabric for EventFabric {
         let payload = msg.wire_bytes();
         match self.inj.on_send(from, to, payload) {
             SendFate::Deliver { extra_delay } => {
-                // Counters + sender clock + occupancy, then the delivery
-                // stamp schedules the arrival event.
+                // Counters + sender clock + occupancy; the delivery stamp
+                // travels with the message.
                 let deliver_at = self.wire.charge_send(from, to, payload, extra_delay);
+                self.links.entry((to, from)).or_default().push_back((deliver_at, msg));
+                self.in_flight += 1;
                 self.stats.sends += 1;
-                self.queue.push(deliver_at, Arrival { from, to, msg });
+                self.stats.max_heap_depth = self.stats.max_heap_depth.max(self.in_flight);
                 Ok(())
             }
             SendFate::FailTransient => {
@@ -128,10 +116,10 @@ impl Fabric for EventFabric {
     }
 
     fn recv(&mut self, to: usize, from: usize) -> Result<Msg, TransportError> {
-        self.pump();
-        let head = self.inboxes.get_mut(&(to, from)).and_then(BTreeMap::pop_first);
-        match head {
-            Some((_seq, (deliver_at, msg))) => {
+        match self.links.get_mut(&(to, from)).and_then(VecDeque::pop_front) {
+            Some((deliver_at, msg)) => {
+                self.in_flight -= 1;
+                self.stats.events += 1;
                 if self.wire.observe_delivery(to, deliver_at) {
                     self.stats.fast_forwards += 1;
                 }
@@ -142,10 +130,10 @@ impl Fabric for EventFabric {
     }
 
     fn recv_deadline(&mut self, to: usize, from: usize, wait: f64) -> Result<Msg, TransportError> {
-        self.pump();
-        if self.inboxes.get(&(to, from)).is_none_or(BTreeMap::is_empty) {
-            // Nothing in flight can ever satisfy this receive (the heap is
-            // drained): charge the bounded wait and surface the timeout.
+        if self.links.get(&(to, from)).is_none_or(VecDeque::is_empty) {
+            // Nothing in flight can ever satisfy this receive (every sent
+            // message is already on its link): charge the bounded wait and
+            // surface the timeout.
             self.stats.blocked_recvs += 1;
             self.wire.advance(to, wait);
             return Err(TransportError::Timeout { rank: to, peer: from });
@@ -154,16 +142,14 @@ impl Fabric for EventFabric {
     }
 
     fn take_queued(&mut self, to: usize, from: usize) -> Vec<Msg> {
-        self.pump();
-        self.inboxes
-            .remove(&(to, from))
-            .map(|q| q.into_values().map(|(_, msg)| msg).collect())
-            .unwrap_or_default()
+        let drained = self.links.remove(&(to, from)).unwrap_or_default();
+        self.in_flight -= drained.len();
+        self.stats.events += drained.len() as u64;
+        drained.into_iter().map(|(_, msg)| msg).collect()
     }
 
     fn queued_senders(&mut self, to: usize) -> Vec<usize> {
-        self.pump();
-        self.inboxes
+        self.links
             .range((to, 0)..=(to, usize::MAX))
             .filter(|(_, q)| !q.is_empty())
             .map(|(&(_, from), _)| from)
@@ -210,10 +196,10 @@ impl Fabric for EventFabric {
         FabricCheckpoint {
             wire: self.wire.checkpoint(),
             injector_streams: self.inj.stream_states(),
-            // Event-loop counters ride in the opaque extras so a restored
-            // fabric keeps honest cumulative stats. The heap's max depth
-            // cannot be restored into a fresh EventQueue and is accepted as
-            // an observability loss (sim stats are never fingerprinted).
+            // The cumulative counters ride in the opaque extras so a
+            // restored fabric does not count replayed frames twice. The
+            // in-flight high-water mark is a maximum, not a sum: a restore
+            // leaves it alone.
             extra: vec![
                 self.stats.events,
                 self.stats.sends,
@@ -227,9 +213,9 @@ impl Fabric for EventFabric {
         self.wire.restore_checkpoint(&ck.wire);
         self.inj.restore_stream_states(&ck.injector_streams);
         // Frame-boundary checkpoints never capture in-flight traffic:
-        // drop the heap and the inboxes.
-        self.queue = EventQueue::new();
-        self.inboxes.clear();
+        // drop whatever the links hold.
+        self.links.clear();
+        self.in_flight = 0;
         let mut extra = ck.extra.iter().copied();
         self.stats.events = extra.next().unwrap_or(0);
         self.stats.sends = extra.next().unwrap_or(0);
@@ -249,13 +235,13 @@ mod tests {
     }
 
     fn fabric(ranks: usize) -> EventFabric {
-        let node_of: Vec<usize> = (0..ranks).collect();
-        EventFabric::new(model(), node_of, ranks, FaultPlan::none(1, ranks))
+        faulty(FaultPlan::none(1, ranks))
     }
 
-    /// The two-rank fabric executing `plan`, one rank per node.
+    /// The fabric executing `plan`, one rank per node.
     fn faulty(plan: FaultPlan) -> EventFabric {
-        EventFabric::new(model(), vec![0, 1], 2, plan)
+        let ranks = plan.ranks();
+        EventFabric::new(model(), (0..ranks).collect(), ranks, plan)
     }
 
     #[test]
@@ -301,6 +287,71 @@ mod tests {
     }
 
     #[test]
+    fn inverted_delivery_stamps_do_not_reorder_a_link() {
+        // 0→2 is slow and jittery, 1→2 is clean: interleaved sends leave
+        // 0→2's stamps out of order among themselves and all later than
+        // 1→2's. Each link still delivers in its own send order.
+        let mut plan = FaultPlan::none(11, 3);
+        *plan.link_mut(0, 2) = LinkFault { extra_latency: 0.5, ..LinkFault::jittery(1.0, 1.0) };
+        let mut ev = faulty(plan);
+        for i in 0..8u64 {
+            EventFabric::send(&mut ev, 0, 2, Msg::FrameDone { frame: i }).expect("send");
+            EventFabric::send(&mut ev, 1, 2, Msg::FrameDone { frame: 10 + i }).expect("send");
+        }
+        let stamps = |ev: &EventFabric, from| -> Vec<f64> {
+            ev.links[&(2, from)].iter().map(|&(deliver_at, _)| deliver_at).collect()
+        };
+        let (slow, clean) = (stamps(&ev, 0), stamps(&ev, 1));
+        assert!(slow.windows(2).any(|w| w[0] > w[1]), "jitter must invert stamps: {slow:?}");
+        assert!(slow[0] > clean[7], "the first slow message lands after the last clean one");
+        for (from, base) in [(0, 0), (1, 10)] {
+            for i in 0..8u64 {
+                match EventFabric::recv(&mut ev, 2, from) {
+                    Ok(Msg::FrameDone { frame }) => assert_eq!(frame, base + i),
+                    other => panic!("link (2,{from}) out of order: {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn in_flight_high_water_mark_survives_drains_and_restores() {
+        let mut ev = fabric(3);
+        let send = |ev: &mut EventFabric, to, n: u64| {
+            for frame in 0..n {
+                EventFabric::send(ev, 0, to, Msg::FrameDone { frame }).expect("send");
+            }
+        };
+        send(&mut ev, 1, 3);
+        assert_eq!(EventFabric::take_queued(&mut ev, 1, 0).len(), 3);
+        send(&mut ev, 1, 2);
+        assert_eq!(ev.sim_stats().max_heap_depth, 3, "drained messages are no longer in flight");
+        let ck = ev.save_fabric();
+        send(&mut ev, 2, 2);
+        assert_eq!(ev.sim_stats().max_heap_depth, 4);
+        ev.load_fabric(&ck);
+        assert!(EventFabric::recv(&mut ev, 2, 0).is_err(), "a restore drops queued traffic");
+        send(&mut ev, 2, 4);
+        let stats = ev.sim_stats();
+        assert_eq!(stats.max_heap_depth, 4, "dropped messages are no longer in flight");
+        assert_eq!((stats.sends, stats.events), (9, 3), "counters rewound to the checkpoint");
+    }
+
+    #[test]
+    fn checkpoints_carry_streams_only_for_links_that_drew() {
+        let mut quiet = fabric(1026);
+        let mut plan = FaultPlan::none(1, 1026);
+        plan.set_all_links(LinkFault::lossy(0.5));
+        let mut lossy = faulty(plan);
+        for (from, to) in [(0, 1025), (1025, 0), (7, 512), (0, 1025)] {
+            let _ = EventFabric::send(&mut quiet, from, to, Msg::FrameDone { frame: 0 });
+            let _ = EventFabric::send(&mut lossy, from, to, Msg::FrameDone { frame: 0 });
+        }
+        assert!(quiet.save_fabric().injector_streams.is_empty());
+        assert_eq!(lossy.save_fabric().injector_streams.len(), 3 * 3);
+    }
+
+    #[test]
     fn empty_links_error_and_deadline_charges_wait() {
         let mut ev = fabric(2);
         assert!(matches!(
@@ -330,8 +381,8 @@ mod tests {
         }
         assert_eq!(EventFabric::queued_senders(&mut ev, 3), vec![2, 5, 7]);
         assert_eq!(EventFabric::queued_senders(&mut ev, 0), Vec::<usize>::new());
-        // Only touched links occupy inbox memory.
-        assert!(ev.inboxes.len() <= 3);
+        // Only touched links occupy queue memory.
+        assert_eq!(ev.links.len(), 3);
         // A drained link drops out of the list.
         EventFabric::recv(&mut ev, 3, 5).expect("queued");
         assert_eq!(EventFabric::queued_senders(&mut ev, 3), vec![2, 7]);

@@ -74,14 +74,6 @@ impl Aabb {
         Interval::new(self.min.along(axis), self.max.along(axis))
     }
 
-    /// Replace the extent along `axis` with `iv`, keeping the other axes.
-    ///
-    /// This is how a calculator's 3-D domain box is derived from its 1-D
-    /// slice of the decomposition axis.
-    pub fn with_interval(&self, axis: Axis, iv: Interval) -> Aabb {
-        Aabb::new(self.min.with_along(axis, iv.lo), self.max.with_along(axis, iv.hi))
-    }
-
     /// Smallest box containing both.
     pub fn union(&self, o: &Aabb) -> Aabb {
         if self.is_empty() {
@@ -91,12 +83,6 @@ impl Aabb {
             return *self;
         }
         Aabb::new(self.min.min(o.min), self.max.max(o.max))
-    }
-
-    /// Grow to include `p`.
-    pub fn grow_to(&mut self, p: Vec3) {
-        self.min = self.min.min(p);
-        self.max = self.max.max(p);
     }
 
     /// Clamp a point into the closed box.
@@ -140,11 +126,6 @@ mod tests {
         let b = Aabb::centered_cube(5.0);
         let iv = b.interval(Axis::X);
         assert_eq!(iv, Interval::new(-5.0, 5.0));
-        let narrowed = b.with_interval(Axis::X, Interval::new(-1.0, 2.0));
-        assert_eq!(narrowed.min.x, -1.0);
-        assert_eq!(narrowed.max.x, 2.0);
-        assert_eq!(narrowed.min.y, -5.0);
-        assert_eq!(narrowed.max.y, 5.0);
     }
 
     #[test]
@@ -163,9 +144,7 @@ mod tests {
 
     #[test]
     fn grow_and_clamp() {
-        let mut b = Aabb::empty();
-        b.grow_to(Vec3::ZERO);
-        b.grow_to(Vec3::splat(2.0));
+        let b = Aabb::empty().union(&Aabb::new(Vec3::ZERO, Vec3::splat(2.0)));
         assert!(b.contains(Vec3::ONE));
         assert_eq!(b.clamp(Vec3::splat(10.0)), Vec3::splat(2.0));
         assert_eq!(b.clamp(Vec3::splat(-10.0)), Vec3::ZERO);

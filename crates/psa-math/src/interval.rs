@@ -81,23 +81,6 @@ impl Interval {
             })
             .collect()
     }
-
-    /// True when `self` and `o` share a boundary and are adjacent.
-    #[inline]
-    pub fn adjacent_to(&self, o: &Interval) -> bool {
-        self.hi == o.lo || o.hi == self.lo
-    }
-
-    /// Intersection (may be empty).
-    pub fn intersect(&self, o: &Interval) -> Interval {
-        let lo = self.lo.max(o.lo);
-        let hi = self.hi.min(o.hi);
-        if lo <= hi {
-            Interval::new(lo, hi)
-        } else {
-            Interval::new(lo, lo)
-        }
-    }
 }
 
 impl std::fmt::Display for Interval {
@@ -155,25 +138,6 @@ mod tests {
     #[should_panic]
     fn inverted_bounds_panic() {
         let _ = Interval::new(1.0, 0.0);
-    }
-
-    #[test]
-    fn adjacency() {
-        let a = Interval::new(0.0, 1.0);
-        let b = Interval::new(1.0, 2.0);
-        let c = Interval::new(3.0, 4.0);
-        assert!(a.adjacent_to(&b));
-        assert!(b.adjacent_to(&a));
-        assert!(!a.adjacent_to(&c));
-    }
-
-    #[test]
-    fn intersection() {
-        let a = Interval::new(0.0, 2.0);
-        let b = Interval::new(1.0, 3.0);
-        assert_eq!(a.intersect(&b), Interval::new(1.0, 2.0));
-        let c = Interval::new(5.0, 6.0);
-        assert!(a.intersect(&c).is_empty());
     }
 
     #[test]

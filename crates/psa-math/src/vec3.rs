@@ -122,12 +122,6 @@ impl Vec3 {
         Vec3::new(self.x.max(o.x), self.y.max(o.y), self.z.max(o.z))
     }
 
-    /// Component-wise multiply.
-    #[inline]
-    pub fn mul_elem(&self, o: Vec3) -> Vec3 {
-        Vec3::new(self.x * o.x, self.y * o.y, self.z * o.z)
-    }
-
     /// Linear interpolation toward `o`.
     #[inline]
     pub fn lerp(&self, o: Vec3, t: Scalar) -> Vec3 {
@@ -317,7 +311,6 @@ mod tests {
         let b = Vec3::new(2.0, 4.0, 3.0);
         assert_eq!(a.min(b), Vec3::new(1.0, 4.0, 3.0));
         assert_eq!(a.max(b), Vec3::new(2.0, 5.0, 3.0));
-        assert_eq!(a.mul_elem(b), Vec3::new(2.0, 20.0, 9.0));
     }
 
     #[test]

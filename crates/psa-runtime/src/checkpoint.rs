@@ -31,25 +31,24 @@
 use psa_core::Particle;
 use psa_math::{Interval, Scalar, Vec3};
 
-/// Snapshot cadence and recovery policy, carried on
-/// [`crate::RunConfig::checkpoint`].
+/// Snapshot cadence, carried on [`crate::RunConfig::checkpoint`].
+/// Snapshots exist to be recovered from: when a calculator fail-stops and
+/// a snapshot exists, the whole engine rolls back to it and
+/// deterministically replays up to the crash frame with the rank alive —
+/// the run finishes with a fingerprint byte-identical to an uninterrupted
+/// one. With checkpointing off (or no snapshot yet) the crash degrades the
+/// run instead.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CheckpointConfig {
     /// Take an engine snapshot every `interval` frames (at the top of
     /// frames `interval`, `2*interval`, …). `0` disables checkpointing.
     pub interval: u64,
-    /// When a calculator fail-stops and a snapshot exists, roll the whole
-    /// engine back to it and deterministically replay up to the crash frame
-    /// with the rank alive — the run finishes with a fingerprint
-    /// byte-identical to an uninterrupted one. With `recover` off (or no
-    /// snapshot yet) the crash degrades the run exactly as before.
-    pub recover: bool,
 }
 
 impl CheckpointConfig {
     /// Checkpoint every `interval` frames and recover crashed ranks.
     pub fn recovering(interval: u64) -> Self {
-        CheckpointConfig { interval, recover: true }
+        CheckpointConfig { interval }
     }
 }
 
@@ -60,10 +59,12 @@ impl CheckpointConfig {
 pub struct FabricCheckpoint {
     /// Per-rank clocks, NIC occupancy, and traffic counters.
     pub wire: netsim::WireCheckpoint,
-    /// Raw SplitMix64 states of the fault injector's draw streams.
+    /// The fault injector's draw-stream cursors, as the injector encodes
+    /// them (`netsim::PlanInjector`: one `(from, to, raw SplitMix64 state)`
+    /// triple per link that has drawn — empty under a quiet plan).
     pub injector_streams: Vec<u64>,
-    /// Opaque fabric-specific counters (the event-driven fabric stores its
-    /// `SimStats` here; the queue-stepped fabric leaves it empty).
+    /// Opaque fabric-specific counters (`psa-desim`'s fabric stores its
+    /// cumulative `SimStats` here).
     pub extra: Vec<u64>,
 }
 
@@ -665,11 +666,8 @@ mod tests {
 
     #[test]
     fn default_checkpoint_config_is_off() {
-        let cfg = CheckpointConfig::default();
-        assert_eq!(cfg.interval, 0);
-        assert!(!cfg.recover);
-        let on = CheckpointConfig::recovering(5);
-        assert_eq!(on.interval, 5);
-        assert!(on.recover);
+        assert_eq!(CheckpointConfig::default().interval, 0);
+        assert_eq!(CheckpointConfig::default(), CheckpointConfig::recovering(0));
+        assert_eq!(CheckpointConfig::recovering(5).interval, 5);
     }
 }

@@ -1,7 +1,7 @@
 //! The interleaved driver: [`Engine`] walks every rank through the frame
 //! protocol in one address space, over a simulated [`Fabric`].
 //!
-//! `psa-desim`'s `EventSim` instantiates it over its event-heap fabric,
+//! `psa-desim`'s `EventSim` instantiates it over its per-link-FIFO fabric,
 //! which charges costs through the `netsim::WireState` arithmetic;
 //! `psa-sessions` steps many engines over the same fabric type. The engine
 //! owns the choreography — the order of sends, receives, cost charges,
@@ -372,7 +372,7 @@ impl<F: Fabric> Engine<F> {
                 self.frame_stats_mark = self.net.stats();
             }
             self.begin_frame(frame);
-            if self.cfg.checkpoint.recover
+            if interval > 0
                 && self.last_snapshot.is_some()
                 && (0..self.n).any(|c| self.crashed[c] && !self.dead[c] && !self.recovered[c])
             {

@@ -197,7 +197,7 @@ impl<F: Fabric> Engine<F> {
         Ok(())
     }
 
-    /// Whole-engine rollback-replay recovery (`cfg.checkpoint.recover`):
+    /// Whole-engine rollback-replay recovery (`cfg.checkpoint.interval > 0`):
     /// restore the last snapshot — which resurrects every rank that crashed
     /// after it — and deterministically re-run the frames up to `frame`
     /// with the trace and recorder suppressed, then re-apply the current

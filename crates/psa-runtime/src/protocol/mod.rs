@@ -1,7 +1,7 @@
 //! The shared Figure-2 protocol implementation.
 //!
 //! Every executor — sequential and threaded in this crate, and the
-//! event-driven virtual-time simulator in `psa-desim` — drives the *same*
+//! virtual-time simulator in `psa-desim` — drives the *same*
 //! frame protocol (creation → addition → calculus → collision → exchange →
 //! loads → balance → ship → render). The module is split by role:
 //!
@@ -23,7 +23,7 @@
 //! dense every-pair pattern (Figure 2 verbatim), and a sparse pattern that
 //! only ships non-empty batches and drains exactly the queued senders — the
 //! difference between O(n²) and O(migrants) messages per frame, which is
-//! what lets the event-driven executor sweep 1,024 ranks.
+//! what lets the virtual-time executor sweep 1,024 ranks.
 //!
 //! [`ExchangeMode`]: crate::config::ExchangeMode
 
@@ -124,10 +124,12 @@ impl SkipStreak {
 
 /// What the [`Engine`] needs from a simulated message fabric: directed
 /// sends and receives, per-rank virtual clocks, and the fault-injection
-/// queries the degraded-mode protocol consults. Implemented by
-/// `psa-desim`'s event-heap fabric over the `netsim::WireState` timing
-/// arithmetic; the trait is the seam that keeps the protocol crate free of
-/// the simulator crate.
+/// queries the degraded-mode protocol consults. A directed link is a FIFO:
+/// messages from one sender to one receiver arrive in send order, and no
+/// order is defined across links. Implemented by `psa-desim`'s
+/// `EventFabric` (per-link queues over the `netsim::WireState` timing
+/// arithmetic); the trait is the seam that keeps the protocol crate free
+/// of the simulator crate.
 pub trait Fabric {
     /// Queue a message; the fabric charges occupancy and latency. A
     /// transient injected failure returns the message for retry.

@@ -119,7 +119,7 @@ pub fn run_threaded_traced(
     assert!(n >= 1);
     let unsupported = if cfg.schedule == SystemSchedule::Batched {
         Some("schedule = Batched")
-    } else if cfg.checkpoint.interval > 0 || cfg.checkpoint.recover {
+    } else if cfg.checkpoint.interval > 0 {
         Some("checkpoint")
     } else {
         None
@@ -358,14 +358,7 @@ mod tests {
         for (cfg, option) in [
             (RunConfig { schedule: SystemSchedule::Batched, ..base.clone() }, "schedule = Batched"),
             (
-                RunConfig {
-                    checkpoint: CheckpointConfig { interval: 1, recover: false },
-                    ..base.clone()
-                },
-                "checkpoint",
-            ),
-            (
-                RunConfig { checkpoint: CheckpointConfig::recovering(0), ..base.clone() },
+                RunConfig { checkpoint: CheckpointConfig::recovering(1), ..base.clone() },
                 "checkpoint",
             ),
         ] {

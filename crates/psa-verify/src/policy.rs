@@ -76,7 +76,6 @@ pub const PANIC_ROOTS: &[&str] = &[
     "crates/psa-runtime/src/report.rs",
     "crates/psa-runtime/src/trace.rs",
     "crates/psa-desim/src/fabric.rs",
-    "crates/psa-desim/src/queue.rs",
     "crates/psa-sessions/src/admission.rs",
     "crates/psa-sessions/src/session.rs",
     "crates/psa-sessions/src/slot.rs",
@@ -241,8 +240,9 @@ mod tests {
 
     #[test]
     fn desim_crate_is_a_sim_root() {
-        // The event loop IS the scheduler: a HashMap drain, a host clock,
-        // or a stray thread in psa-desim breaks heap-order determinism.
+        // The fabric's link map IS the delivery order the sparse exchange
+        // sees: a HashMap drain, a host clock, or a stray thread in
+        // psa-desim makes a run depend on the host.
         for file in [
             "crates/psa-desim/src/queue.rs",
             "crates/psa-desim/src/fabric.rs",
@@ -253,11 +253,11 @@ mod tests {
             assert!(got.contains(&"wall-clock"), "{file}");
             assert!(got.contains(&"thread-confinement"), "{file}");
         }
-        // And the fabric and its queue are panic roots: every entry the
-        // engine calls mid-frame must come back as a typed error.
-        for root in ["crates/psa-desim/src/fabric.rs", "crates/psa-desim/src/queue.rs"] {
-            assert!(PANIC_ROOTS.contains(&root), "{root} must be a panic root");
-        }
+        // And the fabric is a panic root: every entry the engine calls
+        // mid-frame must come back as a typed error. The heap in queue.rs
+        // is off the protocol path (only the benchmark times it).
+        assert!(PANIC_ROOTS.contains(&"crates/psa-desim/src/fabric.rs"));
+        assert!(!PANIC_ROOTS.contains(&"crates/psa-desim/src/queue.rs"));
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //!   --space    fs|is                          (default: fs)
 //!   --render DIR     write PPM frames (threaded executor only)
 //!   --streaks        render orientation streaks instead of dots
-//!                    (threaded executor only)
+//!                    (needs --render)
 //! ```
 //!
-//! `virtual` is the event-driven cluster simulator (`EventSim`): modeled
+//! `virtual` is the virtual-time cluster simulator (`EventSim`): modeled
 //! seconds on a Myrinet cluster of `--procs` calculators, no rasterizer.
 
 use std::path::PathBuf;
@@ -93,6 +93,10 @@ fn parse() -> Args {
     // Only the threaded executor runs an image generator that rasterizes.
     if a.executor != "threaded" && (a.render.is_some() || a.streaks) {
         eprintln!("--render/--streaks need --executor threaded (the only one that rasterizes)");
+        usage();
+    }
+    if a.streaks && a.render.is_none() {
+        eprintln!("--streaks needs --render DIR (nothing is rasterized without it)");
         usage();
     }
     a

@@ -7,8 +7,9 @@ fn animate(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_animate")).args(args).output().expect("animate runs")
 }
 
-/// Only the threaded executor rasterizes; asking another one for frames is
-/// a usage error, not a run that ends with "frames written to DIR".
+/// Only the threaded executor rasterizes, and only into `--render DIR`;
+/// asking for frames or streaks anywhere else is a usage error, not a run
+/// that ends with "frames written to DIR" or silently draws nothing.
 #[test]
 fn render_flags_need_the_threaded_executor() {
     let dir = std::env::temp_dir().join("animate_cli_never_written");
@@ -17,6 +18,7 @@ fn render_flags_need_the_threaded_executor() {
         &["snow", "--executor", "virtual", "--frames", "2", "--render", dir][..],
         &["snow", "--executor", "sequential", "--frames", "2", "--render", dir],
         &["snow", "--executor", "virtual", "--frames", "2", "--streaks"],
+        &["snow", "--frames", "2", "--streaks"],
     ] {
         let out = animate(args);
         assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");

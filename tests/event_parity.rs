@@ -1,4 +1,4 @@
-//! Golden parity gate for the event-driven virtual executor.
+//! Golden parity gate for the virtual-time executor.
 //!
 //! `EventSim` replaced a queue-stepped virtual executor that drove the
 //! *same* shared protocol engine over a `ranks²`-queue fabric. Before that
@@ -122,8 +122,8 @@ fn event_sim_matches_golden_across_modes_and_topologies() {
     assert_matches_golden("modes/", &rows);
 }
 
-/// Same-seed event-driven runs are byte-identical — determinism of the
-/// event loop itself (heap tie-breaking, inbox FIFO, stats quietness).
+/// Same-seed virtual runs are byte-identical — determinism of the engine
+/// and its fabric (fixed rank order, per-link FIFO, stats quietness).
 #[test]
 fn same_seed_event_runs_are_byte_identical() {
     let sz = size();
@@ -141,8 +141,8 @@ fn same_seed_event_runs_are_byte_identical() {
         a.frames.iter().map(|f| f.checksum).collect::<Vec<_>>(),
         b.frames.iter().map(|f| f.checksum).collect::<Vec<_>>(),
     );
-    assert_eq!(sa, sb, "event-loop stats must replay identically");
-    assert!(sa.events > 0 && sa.sends > 0, "the heap actually ran: {sa:?}");
+    assert_eq!(sa, sb, "fabric stats must replay identically");
+    assert!(sa.events > 0 && sa.sends > 0, "messages actually crossed the fabric: {sa:?}");
     assert!(sa.max_heap_depth > 0);
 }
 
