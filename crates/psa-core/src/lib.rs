@@ -29,4 +29,4 @@ pub use invariants::InvariantViolation;
 pub use particle::{Particle, WIRE_BYTES};
 pub use store::ParticleStore;
 pub use subdomain::SubDomainStore;
-pub use system::{SystemId, SystemSpec};
+pub use system::{Emitter, SystemId, SystemSpec};

@@ -113,7 +113,9 @@ impl ParticleStore {
         }
     }
 
-    /// Take everything, leaving the store empty but with capacity retained.
+    /// Take everything: the returned vector *is* the store's buffer, so the
+    /// allocation leaves with it and the store is left empty with no
+    /// capacity (it grows again on the next insert).
     pub fn take_all(&mut self) -> Vec<Particle> {
         std::mem::take(&mut self.items)
     }

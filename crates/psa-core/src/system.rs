@@ -6,7 +6,9 @@
 //! identical on every process because creation happens in the same order
 //! everywhere (paper §4).
 
-use psa_math::{Interval, Rng64, Scalar, Vec3};
+use psa_math::{DiscBasis, Interval, Rng64, Scalar, Vec3};
+
+use crate::Particle;
 
 /// Index of a system in the global creation-order vector.
 ///
@@ -36,15 +38,43 @@ pub enum EmissionShape {
 }
 
 impl EmissionShape {
-    /// Draw one position.
+    /// Draw one position. A cohort is drawn through an [`Emitter`], which
+    /// prepares the shape once; this prepares it per call.
     pub fn sample(&self, rng: &mut Rng64) -> Vec3 {
-        match self {
-            EmissionShape::Point(p) => *p,
-            EmissionShape::Box { min, max } => rng.in_box(*min, *max),
+        self.prepared().sample(rng)
+    }
+
+    #[inline]
+    fn prepared(&self) -> ShapeSampler {
+        match *self {
+            EmissionShape::Point(p) => ShapeSampler::Point(p),
+            EmissionShape::Box { min, max } => ShapeSampler::Box { min, max },
             EmissionShape::Disc { center, radius, normal } => {
-                *center + rng.on_disc(*radius, *normal)
+                ShapeSampler::Disc { center, radius, basis: DiscBasis::new(normal) }
             }
-            EmissionShape::Sphere { center, radius } => *center + rng.on_unit_sphere() * *radius,
+            EmissionShape::Sphere { center, radius } => ShapeSampler::Sphere { center, radius },
+        }
+    }
+}
+
+/// An [`EmissionShape`] with every term that depends on the shape alone
+/// (a disc's basis) already computed — the only place positions are drawn.
+#[derive(Clone, Debug)]
+enum ShapeSampler {
+    Point(Vec3),
+    Box { min: Vec3, max: Vec3 },
+    Disc { center: Vec3, radius: Scalar, basis: DiscBasis },
+    Sphere { center: Vec3, radius: Scalar },
+}
+
+impl ShapeSampler {
+    #[inline]
+    fn sample(&self, rng: &mut Rng64) -> Vec3 {
+        match *self {
+            ShapeSampler::Point(p) => p,
+            ShapeSampler::Box { min, max } => rng.in_box(min, max),
+            ShapeSampler::Disc { center, radius, basis } => center + basis.sample(radius, rng),
+            ShapeSampler::Sphere { center, radius } => center + rng.on_unit_sphere() * radius,
         }
     }
 }
@@ -62,16 +92,51 @@ pub enum VelocityModel {
 }
 
 impl VelocityModel {
+    /// Draw one velocity. A cohort is drawn through an [`Emitter`], which
+    /// prepares the model once; this prepares it per call.
     pub fn sample(&self, rng: &mut Rng64) -> Vec3 {
-        match self {
-            VelocityModel::Constant(v) => *v,
-            VelocityModel::Jittered { base, jitter } => *base + rng.in_unit_sphere() * *jitter,
+        self.prepared().sample(rng)
+    }
+
+    #[inline]
+    fn prepared(&self) -> VelocitySampler {
+        match *self {
+            VelocityModel::Constant(v) => VelocitySampler::Constant(v),
+            VelocityModel::Jittered { base, jitter } => VelocitySampler::Jittered { base, jitter },
             VelocityModel::Cone { axis, speed_lo, speed_hi, half_angle } => {
-                let a = axis.normalized();
+                let axis = axis.normalized();
+                VelocitySampler::Cone {
+                    axis,
+                    spread: half_angle.tan(),
+                    basis: DiscBasis::new(axis),
+                    speed_lo,
+                    speed_hi,
+                }
+            }
+        }
+    }
+}
+
+/// A [`VelocityModel`] with every term that depends on the model alone (a
+/// cone's unit axis, its disc basis and `tan(half_angle)`) already computed
+/// — the only place velocities are drawn.
+#[derive(Clone, Debug)]
+enum VelocitySampler {
+    Constant(Vec3),
+    Jittered { base: Vec3, jitter: Scalar },
+    Cone { axis: Vec3, spread: Scalar, basis: DiscBasis, speed_lo: Scalar, speed_hi: Scalar },
+}
+
+impl VelocitySampler {
+    #[inline]
+    fn sample(&self, rng: &mut Rng64) -> Vec3 {
+        match *self {
+            VelocitySampler::Constant(v) => v,
+            VelocitySampler::Jittered { base, jitter } => base + rng.in_unit_sphere() * jitter,
+            VelocitySampler::Cone { axis, spread, basis, speed_lo, speed_hi } => {
                 // sample direction within the cone by perturbing the axis
-                let perp = rng.on_disc(half_angle.tan(), a);
-                let dir = (a + perp).normalized();
-                dir * rng.range(*speed_lo, *speed_hi)
+                let dir = (axis + basis.sample(spread, rng)).normalized();
+                dir * rng.range(speed_lo, speed_hi)
             }
         }
     }
@@ -129,35 +194,117 @@ impl SystemSpec {
         }
     }
 
-    /// Emit one particle using this spec's generators.
-    pub fn emit_one(&self, rng: &mut Rng64) -> crate::Particle {
-        crate::Particle {
-            position: self.emission.sample(rng),
-            velocity: self.velocity.sample(rng),
-            orientation: self.orientation,
-            color: self.color,
-            age: 0.0,
-            size: self.size,
-            alpha: 1.0,
-            mass: self.mass,
+    /// This spec prepared for emission. Build it once per run and draw
+    /// every cohort through it; [`emit_one`](Self::emit_one) and
+    /// [`emit_initial`](Self::emit_initial) build one per call.
+    #[inline]
+    pub fn emitter(&self) -> Emitter {
+        Emitter {
+            position: self.emission.prepared(),
+            velocity: self.velocity.prepared(),
+            initial: self.initial.as_ref().map(|(count, shape)| (*count, shape.prepared())),
+            template: Particle {
+                position: Vec3::ZERO,
+                velocity: Vec3::ZERO,
+                orientation: self.orientation,
+                color: self.color,
+                age: 0.0,
+                size: self.size,
+                alpha: 1.0,
+                mass: self.mass,
+            },
+            emit_per_frame: self.emit_per_frame,
+            max_age: self.max_age,
         }
+    }
+
+    /// Emit one particle using this spec's generators.
+    #[inline]
+    pub fn emit_one(&self, rng: &mut Rng64) -> Particle {
+        self.emitter().emit_one(rng)
     }
 
     /// Emit the frame-0 pre-population (empty when `initial` is unset):
     /// positions from the initial shape, ages spread uniformly over the
     /// lifetime so the kill/emit cycle is already in steady state.
-    pub fn emit_initial(&self, rng: &mut Rng64) -> Vec<crate::Particle> {
+    pub fn emit_initial(&self, rng: &mut Rng64) -> Vec<Particle> {
+        let mut out = Vec::new();
+        self.emitter().emit_initial_into(rng, &mut out);
+        out
+    }
+}
+
+/// A [`SystemSpec`]'s generators prepared once: the shape and velocity
+/// terms that are the same for every particle are computed at construction,
+/// so a draw costs its random numbers and the arithmetic on them. Draw
+/// order and every operation on a drawn value are those of the un-prepared
+/// entry points, which delegate here — there is one sampling path.
+#[derive(Clone, Debug)]
+pub struct Emitter {
+    position: ShapeSampler,
+    velocity: VelocitySampler,
+    initial: Option<(usize, ShapeSampler)>,
+    /// A newborn's properties that are not drawn.
+    template: Particle,
+    emit_per_frame: usize,
+    max_age: Scalar,
+}
+
+impl Emitter {
+    /// Emit one particle: position, then velocity.
+    #[inline]
+    pub fn emit_one(&self, rng: &mut Rng64) -> Particle {
+        let mut p = self.template;
+        self.draw(rng, &mut p);
+        p
+    }
+
+    /// The drawn properties of a newborn, written over `p`'s.
+    #[inline]
+    fn draw(&self, rng: &mut Rng64, p: &mut Particle) {
+        p.position = self.position.sample(rng);
+        p.velocity = self.velocity.sample(rng);
+    }
+
+    /// Emit one particle at the end of `out` and hand it back for the
+    /// caller's own draws. The cohort loops assemble a newborn in its slot
+    /// on purpose: one built on the stack from 4- and 12-byte field stores
+    /// and then moved out in 16-byte pieces stalls store forwarding on
+    /// every move (measured on the fountain spec: 68 ns per particle
+    /// against 52).
+    #[inline]
+    fn push_one<'a>(&self, rng: &mut Rng64, out: &'a mut Vec<Particle>) -> &'a mut Particle {
+        out.push(self.template);
+        let p = out.last_mut().expect("just pushed");
+        self.draw(rng, p);
+        p
+    }
+
+    /// Append the frame-0 pre-population to `out` (nothing when the spec
+    /// has no `initial`).
+    pub fn emit_initial_into(&self, rng: &mut Rng64, out: &mut Vec<Particle>) {
         let Some((count, ref shape)) = self.initial else {
-            return Vec::new();
+            return;
         };
-        (0..count)
-            .map(|_| {
-                let mut p = self.emit_one(rng);
-                p.position = shape.sample(rng);
-                p.age = rng.range(0.0, self.max_age.max(1e-6));
-                p
-            })
-            .collect()
+        let max_age = self.max_age.max(1e-6);
+        out.reserve(count);
+        for _ in 0..count {
+            let p = self.push_one(rng, out);
+            p.position = shape.sample(rng);
+            p.age = rng.range(0.0, max_age);
+        }
+    }
+
+    /// Append the cohort the creation action draws for `frame`: the
+    /// pre-population on frame 0, then `emit_per_frame` newborns.
+    pub fn emit_cohort_into(&self, frame: u64, rng: &mut Rng64, out: &mut Vec<Particle>) {
+        if frame == 0 {
+            self.emit_initial_into(rng, out);
+        }
+        out.reserve(self.emit_per_frame);
+        for _ in 0..self.emit_per_frame {
+            self.push_one(rng, out);
+        }
     }
 }
 

@@ -27,7 +27,7 @@ pub use aabb::Aabb;
 pub use axis::Axis;
 pub use histogram::Histogram;
 pub use interval::Interval;
-pub use rng::Rng64;
+pub use rng::{DiscBasis, Rng64};
 pub use vec3::Vec3;
 
 /// Convenience alias used throughout the workspace for scalar simulation

@@ -124,17 +124,39 @@ impl Rng64 {
         Vec3::new(self.range(min.x, max.x), self.range(min.y, max.y), self.range(min.z, max.z))
     }
 
-    /// Uniform point on a disc of radius `r` in the plane orthogonal to a
-    /// unit `normal`, centered at origin.
+    /// Uniform point on a disc of radius `r` in the plane orthogonal to
+    /// `normal` (any nonzero length), centered at origin. Many draws over
+    /// one normal should build the [`DiscBasis`] once and sample through it.
     pub fn on_disc(&mut self, r: Scalar, normal: Vec3) -> Vec3 {
-        // Build an orthonormal basis (u, v, normal).
+        DiscBasis::new(normal).sample(r, self)
+    }
+}
+
+/// An orthonormal basis `(u, v)` of the plane orthogonal to a normal: the
+/// part of a disc draw that depends on the normal alone, built once so a
+/// cohort of draws does not re-derive it per point.
+#[derive(Clone, Copy, Debug)]
+pub struct DiscBasis {
+    u: Vec3,
+    v: Vec3,
+}
+
+impl DiscBasis {
+    /// The basis for `normal` (any nonzero length).
+    pub fn new(normal: Vec3) -> Self {
         let n = normal.normalized();
         let helper = if n.x.abs() < 0.9 { Vec3::X } else { Vec3::Y };
         let u = n.cross(helper).normalized();
-        let v = n.cross(u);
-        let theta = self.range(0.0, std::f32::consts::TAU);
-        let rad = r * self.unit().sqrt();
-        u * (rad * theta.cos()) + v * (rad * theta.sin())
+        DiscBasis { u, v: n.cross(u) }
+    }
+
+    /// Uniform point on the disc of radius `r` in this plane, centered at
+    /// origin (two draws: angle, then radius).
+    #[inline]
+    pub fn sample(&self, r: Scalar, rng: &mut Rng64) -> Vec3 {
+        let theta = rng.range(0.0, std::f32::consts::TAU);
+        let rad = r * rng.unit().sqrt();
+        self.u * (rad * theta.cos()) + self.v * (rad * theta.sin())
     }
 }
 

@@ -237,8 +237,14 @@ pub(crate) fn pair_move(
 ///
 /// `loads[i]` is calculator `i`'s report; `powers[i]` its processing power
 /// (relative speed — the paper calibrates this from sequential runs);
-/// `start` is the index of the first pair to evaluate (the manager
-/// alternates 0/1 between rounds).
+/// `start` is the index of the first pair to evaluate. The manager
+/// alternates 0/1 between rounds, and the index is taken modulo the `n − 1`
+/// pairs that exist: unchanged for `n ≥ 3`, and at `n = 2` — two
+/// calculators, a two-rank hierarchical group, two groups — every round
+/// evaluates the one pair there is. Without the modulo a `start = 1` round
+/// walks off the end and decides nothing, and since the round counter is
+/// shared by all systems, an even system count hands the same systems
+/// those dead rounds every frame (measured: EXPERIMENTS.md, PR 21).
 ///
 /// A malformed round (`loads`/`powers` length mismatch — e.g. a corrupted
 /// or fault-truncated report set) yields an empty decision set rather than
@@ -256,7 +262,8 @@ pub fn evaluate(
     }
     let total: usize = loads.iter().map(|l| l.count).sum();
     let min_transfer = cfg.effective_min_transfer(total, n);
-    let mut i = start.min(1); // paper alternates between the 1st and 2nd pair
+    // Paper: alternate between the 1st and 2nd pair — of those that exist.
+    let mut i = start.min(1) % (n - 1);
     while i + 1 < n {
         let (a, b) = (i, i + 1);
         if pair_imbalanced(loads[a], loads[b], cfg) {
@@ -509,6 +516,57 @@ mod tests {
         // starting at pair (1,2): 1 has 100 (t=1), 2 has 400 (t=4) → 2→1
         assert_eq!((t[0].donor, t[0].receiver), (2, 1));
         validate_round(&t, &loads, &[0, 1, 2, 3], false).unwrap();
+    }
+
+    #[test]
+    fn the_only_pair_is_evaluated_from_either_start() {
+        // Two ranks have one pair; a start of 1 used to walk off the end
+        // and decide nothing.
+        let loads = [li(900, 9.0), li(100, 1.0)];
+        let from0 = evaluate(&loads, &[1.0, 1.0], 0, &cfg());
+        assert_eq!(from0, vec![Transfer { donor: 0, receiver: 1, amount: 400 }]);
+        assert_eq!(evaluate(&loads, &[1.0, 1.0], 1, &cfg()), from0);
+    }
+
+    #[test]
+    fn the_modulo_changes_nothing_from_three_ranks_up() {
+        // The walk as it was before the start index was taken modulo the
+        // pair count, kept as the oracle.
+        let old = |loads: &[LoadInfo], powers: &[f64], start: usize, cfg: &BalancerConfig| {
+            let n = loads.len();
+            let total: usize = loads.iter().map(|l| l.count).sum();
+            let min_transfer = cfg.effective_min_transfer(total, n);
+            let (mut out, mut i) = (Vec::new(), start.min(1));
+            while i + 1 < n {
+                if pair_imbalanced(loads[i], loads[i + 1], cfg) {
+                    let (donor, receiver, amount) = pair_move(i, i + 1, loads, powers);
+                    if amount >= min_transfer {
+                        out.push(Transfer { donor, receiver, amount });
+                        i += 1;
+                    }
+                }
+                i += 1;
+            }
+            out
+        };
+        let mut rng = psa_math::Rng64::new(0x21);
+        let mut acted = 0;
+        for _ in 0..400 {
+            let n = 3 + rng.below(10);
+            let loads: Vec<LoadInfo> = (0..n)
+                .map(|_| {
+                    let count = rng.below(2_000);
+                    li(count, count as f64 * 1e-3)
+                })
+                .collect();
+            let powers: Vec<f64> = (0..n).map(|_| 0.5 + rng.unit() as f64).collect();
+            for start in [0, 1, 7] {
+                let t = evaluate(&loads, &powers, start, &BalancerConfig::default());
+                assert_eq!(t, old(&loads, &powers, start, &BalancerConfig::default()));
+                acted += t.len();
+            }
+        }
+        assert!(acted > 1_000, "the random loads must exercise the walk: {acted} transfers");
     }
 
     #[test]

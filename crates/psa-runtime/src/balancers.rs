@@ -316,6 +316,45 @@ mod tests {
     }
 
     #[test]
+    fn every_strategy_acts_on_two_ranks_in_every_round() {
+        // One pair exists; no round value may select a pair that does not.
+        let loads = [li(900, 900e-6), li(100, 100e-6)];
+        for s in all_strategies() {
+            for round in 0..8u64 {
+                let t = s.decide(&loads, &[1.0; 2], &[0, 1], round, &BalancerConfig::default());
+                assert_eq!(t.len(), 1, "{} round {round}: {t:?}", s.name());
+                assert_eq!((t[0].donor, t[0].receiver), (0, 1), "{} round {round}", s.name());
+            }
+        }
+    }
+
+    #[test]
+    fn hierarchical_two_rank_levels_act_on_both_parities() {
+        let decide = |loads: &[LoadInfo], group_size: usize, round: u64| {
+            let present: Vec<usize> = (0..loads.len()).collect();
+            let cfg = BalancerConfig { group_size, ..BalancerConfig::fixed(10) };
+            let t = HierarchicalSfc.decide(loads, &vec![1.0; loads.len()], &present, round, &cfg);
+            validate_round(&t, loads, &present, false).unwrap();
+            t
+        };
+        // Two groups of two: the across-group rounds 0 and 2 (level parity
+        // 0 and 1) both move load over the 1|2 boundary.
+        let heavy_group = [li(900, 9.0), li(900, 9.0), li(100, 1.0), li(100, 1.0)];
+        for round in [0, 2] {
+            let t = decide(&heavy_group, 2, round);
+            assert_eq!(t.len(), 1, "round {round}: {t:?}");
+            assert_eq!((t[0].donor, t[0].receiver), (1, 2), "round {round}");
+        }
+        // A trailing two-rank group (5 ranks in groups of 3): the
+        // within-group rounds 1 and 3 both level ranks 3 and 4.
+        let heavy_tail = [li(100, 1.0), li(100, 1.0), li(100, 1.0), li(900, 9.0), li(100, 1.0)];
+        for round in [1, 3] {
+            let t = decide(&heavy_tail, 3, round);
+            assert_eq!(t, vec![Transfer { donor: 3, receiver: 4, amount: 400 }], "round {round}");
+        }
+    }
+
+    #[test]
     fn strategies_map_present_subsets_to_real_ranks() {
         // Rank 1 dead: present = [0, 2, 3]; every strategy's transfers must
         // name real ranks adjacent in present-list space.

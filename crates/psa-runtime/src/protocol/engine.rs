@@ -134,7 +134,7 @@ impl<F: Fabric> Engine<F> {
         let shared0: Vec<Arc<DomainMap>> = domains.iter().cloned().map(Arc::new).collect();
         Engine {
             calcs: (0..n).map(|c| Calculator::new(c, shared0.clone(), cfg.buckets)).collect(),
-            manager: Manager::new(domains, n, cost.scale),
+            manager: Manager::new(domains, scene.emitters(), n, cost.scale),
             speeds: placement.ranks.iter().map(|r| r.speed).collect(),
             fe_speed: placement.frontend_speed,
             scale: cost.scale,
@@ -448,9 +448,8 @@ impl<F: Fabric> Engine<F> {
     /// Creation at the manager (paper §3.2.1): emit, route by domain, ship
     /// batches with end-of-transmission markers.
     fn phase_creation(&mut self, frame: u64, sys: usize) -> Result<(), ProtocolError> {
-        let spec = &self.scene.systems[sys].spec;
-        let system = spec.id;
-        let created = self.manager.create(frame, sys, spec, self.cfg.seed);
+        let system = self.scene.systems[sys].spec.id;
+        let created = self.manager.create(frame, sys, self.cfg.seed);
         self.net.advance(self.mgr, self.cost.create_time(created, self.fe_speed));
         if sys == 0 {
             self.trace.record(frame, ProtocolEvent::ParticleCreation);

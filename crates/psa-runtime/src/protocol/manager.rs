@@ -6,7 +6,7 @@
 //! the engine and the threaded manager body drive the same state machine.
 
 use psa_core::domain::DomainError;
-use psa_core::{DomainMap, Particle, SystemSpec, WIRE_BYTES};
+use psa_core::{DomainMap, Emitter, Particle, WIRE_BYTES};
 use psa_math::Scalar;
 
 use super::{stream, take_batch, SkipStreak, AXIS, TAG_CREATE};
@@ -32,6 +32,8 @@ pub(crate) enum Round {
 pub(crate) struct Manager {
     /// The authoritative domain map of every system.
     domains: Vec<DomainMap>,
+    /// Every system's emitter, prepared once for the run.
+    emitters: Vec<Emitter>,
     /// Evaluated (non-short-circuited) balance rounds so far; drives the
     /// paper's start-pair alternation and the hierarchical level schedule.
     round: u64,
@@ -46,12 +48,19 @@ pub(crate) struct Manager {
 }
 
 impl Manager {
-    /// A manager over `n` calculators and the initial `domains`.
-    pub(crate) fn new(domains: Vec<DomainMap>, n: usize, scale: f64) -> Self {
+    /// A manager over `n` calculators, with each system's initial domain
+    /// map and emitter.
+    pub(crate) fn new(
+        domains: Vec<DomainMap>,
+        emitters: Vec<Emitter>,
+        n: usize,
+        scale: f64,
+    ) -> Self {
         Manager {
             round: 0,
             streak: SkipStreak(vec![0; domains.len()]),
             domains,
+            emitters,
             scale,
             newborn: Vec::new(),
             batches: (0..n).map(|_| Vec::new()).collect(),
@@ -73,8 +82,8 @@ impl Manager {
     /// Creation (paper §3.2.1): [`emit`](Self::emit) system `sys`'s cohort
     /// for `frame`, then [`route`](Self::route) it. Returns how many
     /// particles were created.
-    pub(crate) fn create(&mut self, frame: u64, sys: usize, spec: &SystemSpec, seed: u64) -> usize {
-        let created = self.emit(frame, sys, spec, seed);
+    pub(crate) fn create(&mut self, frame: u64, sys: usize, seed: u64) -> usize {
+        let created = self.emit(frame, sys, seed);
         self.route(sys);
         created
     }
@@ -82,13 +91,10 @@ impl Manager {
     /// The RNG half of creation: draw system `sys`'s cohort for `frame`
     /// into the staging buffer. Depends on nothing a balance round can
     /// change, so a driver may run it a step ahead of the protocol.
-    pub(crate) fn emit(&mut self, frame: u64, sys: usize, spec: &SystemSpec, seed: u64) -> usize {
+    pub(crate) fn emit(&mut self, frame: u64, sys: usize, seed: u64) -> usize {
         let mut rng = stream(seed, TAG_CREATE, frame, sys, 0);
         self.newborn.clear();
-        if frame == 0 {
-            self.newborn = spec.emit_initial(&mut rng);
-        }
-        self.newborn.extend((0..spec.emit_per_frame).map(|_| spec.emit_one(&mut rng)));
+        self.emitters[sys].emit_cohort_into(frame, &mut rng, &mut self.newborn);
         self.newborn.len()
     }
 
@@ -220,12 +226,17 @@ mod tests {
     use super::super::calculator::Calculator;
     use super::*;
     use crate::balance::BalancerConfig;
+    use psa_core::SystemSpec;
     use psa_math::{Interval, Rng64};
     use std::sync::Arc;
 
     fn manager(n: usize, n_sys: usize) -> Manager {
+        manager_emitting(n, n_sys, &SystemSpec::test_spec(0))
+    }
+
+    fn manager_emitting(n: usize, n_sys: usize, spec: &SystemSpec) -> Manager {
         let dm = DomainMap::split_even(Interval::new(0.0, 10.0), AXIS, n);
-        Manager::new(vec![dm; n_sys], n, 1.0)
+        Manager::new(vec![dm; n_sys], vec![spec.emitter(); n_sys], n, 1.0)
     }
 
     fn li(count: usize) -> Option<LoadInfo> {
@@ -290,12 +301,12 @@ mod tests {
         // Step k = (frame 3, system 0). The manager sends it, draws step
         // k+1's cohort (frame 4 of the same system — the worst case, its
         // cut is about to move), and only then runs step k's balance.
-        let mut ahead = manager(n, 1);
-        ahead.create(3, 0, &spec, seed);
+        let mut ahead = manager_emitting(n, 1, &spec);
+        ahead.create(3, 0, seed);
         let sent = batches(&mut ahead);
-        assert_eq!(ahead.emit(4, 0, &spec, seed), spec.emit_per_frame);
-        let mut inline = manager(n, 1);
-        inline.create(3, 0, &spec, seed);
+        assert_eq!(ahead.emit(4, 0, seed), spec.emit_per_frame);
+        let mut inline = manager_emitting(n, 1, &spec);
+        inline.create(3, 0, seed);
         assert_eq!(batches(&mut inline), sent);
 
         let loads = vec![li(900), li(100), li(100), li(100)];
@@ -314,12 +325,34 @@ mod tests {
         assert_eq!(ahead.domains(0).cuts(), inline.domains(0).cuts());
 
         ahead.route(0);
-        assert_eq!(inline.create(4, 0, &spec, seed), spec.emit_per_frame);
+        assert_eq!(inline.create(4, 0, seed), spec.emit_per_frame);
         let routed = batches(&mut ahead);
         assert_eq!(routed, batches(&mut inline), "emit + cut + route == create on the moved map");
         assert_eq!(routed.iter().map(Vec::len).sum::<usize>(), spec.emit_per_frame);
         assert!(routed[0].iter().all(|p| p.position.x < 1.0), "rank 0 owns [0, 1) now");
         assert!(routed[1].iter().any(|p| p.position.x < 2.5), "rank 1 took over [1, 2.5)");
+    }
+
+    #[test]
+    fn two_calculators_balance_every_system_in_its_first_evaluated_round() {
+        // One round counter serves all systems, so with an even system
+        // count each system always meets the same start parity; at two
+        // calculators the odd one used to name a pair that does not exist,
+        // leaving systems 1 and 3 unbalanced for the whole run.
+        let (n_sys, mode, speeds) = (4, BalanceMode::dynamic(), vec![1.0; 2]);
+        let mut mgr = manager(2, n_sys);
+        for frame in 0..6u64 {
+            for sys in 0..n_sys {
+                let Round::Decided { transfers, .. } =
+                    mgr.decide_round(sys, frame, &[li(900), li(100)], &speeds, &mode)
+                else {
+                    panic!("frame {frame} sys {sys}: a 9:1 split never builds an idle streak");
+                };
+                let want = Transfer { donor: 0, receiver: 1, amount: 400 };
+                assert_eq!(transfers, vec![want], "frame {frame} sys {sys}");
+            }
+        }
+        assert_eq!(mgr.round(), 6 * n_sys as u64);
     }
 
     #[test]

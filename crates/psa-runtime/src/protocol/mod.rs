@@ -223,7 +223,7 @@ mod tests {
     /// The manager's cuts for one system after applying `(donor, receiver,
     /// cut)` to `dm`.
     fn cut_span(dm: DomainMap, donor: usize, receiver: usize, cut: f32) -> Vec<f32> {
-        let mut m = Manager::new(vec![dm], 0, 1.0);
+        let mut m = Manager::new(vec![dm], Vec::new(), 0, 1.0);
         m.apply_cut(0, donor, receiver, cut).unwrap();
         m.domains(0).cuts().to_vec()
     }

@@ -15,6 +15,12 @@
 //! And the manager draws the *next* (frame, system) cohort right after
 //! sending the current one, while the calculators compute, and routes it
 //! by domain only when its turn to be sent comes.
+//!
+//! Balancing goes through [`Manager::decide_round`] for every strategy, so
+//! the start-pair rule is the engine's: the alternating start index is
+//! taken modulo the pairs that exist ([`balance::evaluate`]), which at the
+//! two calculators this executor usually runs with means every evaluated
+//! round looks at the one pair there is.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -316,7 +322,7 @@ pub(crate) fn manager_main(
     instrument: bool,
 ) -> Result<(Vec<FrameReport>, Recorder), ProtocolError> {
     let n_sys = scene.systems.len();
-    let mut manager = Manager::new(domains, n, 1.0);
+    let mut manager = Manager::new(domains, scene.emitters(), n, 1.0);
     let speeds = vec![1.0; n]; // host threads are homogeneous
     let mut frames = Vec::with_capacity(cfg.frames as usize);
     let mut last = ep.now();
@@ -328,7 +334,7 @@ pub(crate) fn manager_main(
     let mut steps = (0..cfg.frames).flat_map(|f| (0..n_sys).map(move |s| (f, s)));
     let mut emit_next = |manager: &mut Manager| {
         if let Some((f, s)) = steps.next() {
-            manager.emit(f, s, &scene.systems[s].spec, cfg.seed);
+            manager.emit(f, s, cfg.seed);
         }
     };
     emit_next(&mut manager);

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use psa_core::actions::ActionList;
 use psa_core::objects::ExternalObject;
-use psa_core::{SystemId, SystemSpec};
+use psa_core::{Emitter, SystemId, SystemSpec};
 use psa_math::{Scalar, Vec3};
 
 /// Inter-particle collision settings (the user-pluggable procedure the
@@ -62,6 +62,12 @@ impl Scene {
         assert_eq!(setup.spec.id, id, "system id must equal its creation-order index");
         self.systems.push(setup);
         id
+    }
+
+    /// Every system's emitter, in creation order: what an executor builds
+    /// once per run and draws each frame's cohorts through.
+    pub fn emitters(&self) -> Vec<Emitter> {
+        self.systems.iter().map(|s| s.spec.emitter()).collect()
     }
 
     pub fn add_object(&mut self, obj: ExternalObject, color: Vec3) {

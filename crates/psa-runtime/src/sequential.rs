@@ -33,6 +33,7 @@ pub fn run_sequential(scene: &Scene, cfg: &RunConfig, cost: &CostModel, speed: f
     let mut total = 0.0f64;
     let mut frames = Vec::with_capacity(cfg.frames as usize);
     let mut strays = Vec::new(); // reused across frames: no per-frame allocation
+    let emitters = scene.emitters();
     let mut newborn = Vec::new();
     for frame in 0..cfg.frames {
         let mut fr = FrameReport { frame, ..Default::default() };
@@ -40,14 +41,9 @@ pub fn run_sequential(scene: &Scene, cfg: &RunConfig, cost: &CostModel, speed: f
         #[allow(clippy::needless_range_loop)] // sys indexes scene + stores in parallel
         for sys in 0..n_sys {
             let setup = &scene.systems[sys];
-            let spec = &setup.spec;
             // Creation.
             let mut rng_c = stream(cfg.seed, TAG_CREATE, frame, sys, 0);
-            newborn.clear();
-            if frame == 0 {
-                newborn = spec.emit_initial(&mut rng_c);
-            }
-            newborn.extend((0..spec.emit_per_frame).map(|_| spec.emit_one(&mut rng_c)));
+            emitters[sys].emit_cohort_into(frame, &mut rng_c, &mut newborn);
             frame_time += cost.create_time(newborn.len(), speed);
             stores[sys].extend(newborn.drain(..));
             // Calculus. The sequential run uses the rank-1 action stream

@@ -132,6 +132,8 @@ pub fn run_threaded_traced(
     // the same per-round decisions, but their transfers still travel the
     // Orders/NewCut/Domains round-trip (gossip topology is a
     // virtual-executor timing study; here time is real wall clock anyway).
+    // The start pair of a round is its index modulo the pairs that exist,
+    // so at n = 2 every system's one pair is evaluated every round.
     let n_sys = scene.systems.len();
     let endpoints = ThreadNet::build::<crate::msg::Msg>(n + 2);
     let started = std::time::Instant::now();

@@ -7,9 +7,15 @@
 //! Instrumentation is quiet: the recorder only reads the virtual clocks,
 //! so these runs are byte-identical to untraced ones.
 //!
+//! A third section asks the same of the real threads: the fountain on two
+//! calculator threads, wall clock, with the per-rank rows that show whether
+//! one rank waits in the exchange for the other, and the per-frame
+//! imbalance that shows why (a system held by one rank reads 1.0).
+//!
 //! Run with: `cargo run --release --example phase_breakdown`
 
 use particle_cluster_anim::prelude::*;
+use particle_cluster_anim::runtime::LoadMetric;
 
 fn main() {
     let size = WorkloadSize { systems: 4, particles_per_system: 4_000, scale: 1.0 };
@@ -32,5 +38,25 @@ fn main() {
         let grand: f64 = totals.iter().sum();
         let comm = totals[Phase::Exchange.index()] + totals[Phase::Ship.index()];
         println!("communication share: {:.1}%\n", comm / grand * 100.0);
+    }
+
+    // Wall clock, so the seconds differ from run to run; the counters, the
+    // imbalance column and the balanced/migrated counts do not
+    // (`CountProportional` makes the balancer's input deterministic).
+    let size = WorkloadSize { systems: 4, particles_per_system: 50_000, scale: 1.0 };
+    let cfg = RunConfig {
+        frames: 20,
+        dt: Workload::Fountain.dt(),
+        seed: 1,
+        load_metric: LoadMetric::CountProportional,
+        ..Default::default()
+    };
+    let report = run_threaded_traced(&fountain_scene(size), &cfg, 2, None, true)
+        .expect("the threaded run completes");
+    println!("== fountain on 2 calculator threads: {:.3} wall s total ==", report.total_time);
+    println!("{}", report.phase_table().expect("traced run has a phase table"));
+    println!("frame  imbalance  balanced  migrated   (imbalance: worst system, max/mean - 1)");
+    for f in &report.frames {
+        println!("{:>5}  {:>9.3}  {:>8}  {:>8}", f.frame, f.imbalance, f.balanced, f.migrated);
     }
 }

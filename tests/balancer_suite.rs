@@ -9,9 +9,13 @@
 //! short-circuit) and the at-scale behavior of the new strategies on the
 //! inhomogeneous vortex workload the sweep uses.
 
+use cluster_sim::CostModel;
 use psa_desim::EventSim;
-use psa_runtime::{BalanceMode, BalancerConfig, ExchangeMode, RunReport};
-use psa_workloads::{myrinet_gcc, paper_run_config, vortex_scene, WorkloadSize};
+use psa_runtime::{
+    run_sequential, run_threaded, BalanceMode, BalancerConfig, ExchangeMode, LoadMetric, RunConfig,
+    RunReport,
+};
+use psa_workloads::{fountain_scene, myrinet_gcc, paper_run_config, vortex_scene, WorkloadSize};
 
 fn size() -> WorkloadSize {
     WorkloadSize { systems: 8, particles_per_system: 200, scale: 25.0 }
@@ -147,6 +151,34 @@ fn new_balancers_stay_live_and_beat_slb_at_128_ranks() {
         "at {ranks} ranks on vortex at least one live balancer must beat SLB ({})",
         slb.total_time
     );
+}
+
+/// Two calculators have one neighbor pair, and every system must get it
+/// evaluated. The manager's round counter is shared by all systems, so with
+/// four systems each one meets the same start parity every frame; when a
+/// start of 1 named a pair that does not exist, systems 1 and 3 were never
+/// balanced — one of them sat entirely on one rank and this report read
+/// `imbalance = 1.0` for the whole run while the other rank waited in the
+/// exchange (EXPERIMENTS.md, PR 21).
+#[test]
+fn two_threaded_calculators_level_every_fountain_system() {
+    let size = WorkloadSize { systems: 4, particles_per_system: 4_000, scale: 1.0 };
+    let scene = fountain_scene(size);
+    let cfg = RunConfig {
+        frames: 12,
+        dt: psa_workloads::fountain::FOUNTAIN_DT,
+        load_metric: LoadMetric::CountProportional,
+        ..Default::default()
+    };
+    let thr = run_threaded(&scene, &cfg, 2, None).expect("clean run");
+    for f in &thr.frames[1..] {
+        assert!(f.imbalance < 0.2, "frame {}: worst system imbalance {}", f.frame, f.imbalance);
+    }
+    assert!(thr.frames.iter().map(|f| f.balanced).sum::<u64>() > 0);
+    // Balancing moves particles between ranks, not in or out of the scene.
+    let seq = run_sequential(&scene, &cfg, &CostModel::default(), 1.0);
+    let (t, s) = (thr.frames[11].alive as f64, seq.frames[11].alive as f64);
+    assert!((t - s).abs() <= 1e-3 * s, "threaded {t} vs sequential {s} alive");
 }
 
 /// Auto-selected sparse exchange is byte-identical to explicitly-configured
