@@ -9,8 +9,8 @@
 //! runtime's action lists.
 
 use psa_core::actions::{
-    ActionList, BounceOff, Damping, Fade, Gravity, KillBelow, KillOld, KillOutside, MoveParticles,
-    OrbitPoint, RandomAccel, Wind,
+    Action, ActionCtx, ActionList, BounceOff, Damping, Fade, Gravity, KillBelow, KillOld,
+    KillOutside, MoveParticles, OrbitPoint, RandomAccel, Wind,
 };
 use psa_core::objects::ExternalObject;
 use psa_core::system::{EmissionShape, VelocityModel};
@@ -189,10 +189,11 @@ impl Context {
     /// `pRandomAccel` — isotropic random acceleration.
     pub fn p_random_accel(&mut self, magnitude: Scalar) {
         self.recorded.push(Recorded::RandomAccel(magnitude));
-        let m = magnitude * self.dt;
-        for p in self.groups[self.current].particles_mut() {
-            p.velocity += self.rng.in_unit_sphere() * m;
-        }
+        // The action reads neither the frame counter nor anything else the
+        // immediate-mode context does not keep.
+        let mut ctx = ActionCtx { dt: self.dt, frame: 0, rng: &mut self.rng };
+        RandomAccel::new(magnitude)
+            .apply_chunk(&mut ctx, self.groups[self.current].particles_mut());
     }
 
     /// `pDamping`.
@@ -373,6 +374,25 @@ mod tests {
         assert!(g.centroid().y > 0.5);
         // state was stamped
         assert!(g.particles().iter().all(|p| p.color == Vec3::new(0.4, 0.6, 1.0)));
+    }
+
+    #[test]
+    fn random_accel_draws_what_it_always_drew() {
+        // `p_random_accel` now runs `RandomAccel::apply_chunk`; what it must
+        // still do is one `in_unit_sphere` per particle of the group, in
+        // order, on the context's own stream.
+        let (mut got, mut want) = (ctx(), ctx());
+        for c in [&mut got, &mut want] {
+            c.p_source(150);
+        }
+        got.p_random_accel(2.5);
+        let m = 2.5 * want.dt;
+        for p in want.groups[want.current].particles_mut() {
+            p.velocity += want.rng.in_unit_sphere() * m;
+        }
+        assert_eq!(got.current().particles(), want.current().particles());
+        assert_eq!(got.rng.state(), want.rng.state());
+        assert!(got.current().particles().iter().any(|p| p.velocity.x != 0.0));
     }
 
     #[test]

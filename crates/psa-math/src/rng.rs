@@ -7,10 +7,25 @@
 //! role) tuples. SplitMix64 passes BigCrush for this kind of workload and
 //! costs a handful of ALU ops per draw — appropriate for generating
 //! 3.2 million particle states per frame.
+//!
+//! The generator is counter-based: the state only ever steps by
+//! the constant γ, so draw `i` of a stream is `mix(state + i·γ)` — a pure
+//! function of `(state, i)` with no dependency on the draws before it.
+//! [`Rng64::fill_in_unit_sphere`] relies on exactly that to test sphere
+//! candidates without a branch per try and still hand back the values, and
+//! the final state, of the one-at-a-time rejection loop.
 
 use crate::{Scalar, Vec3};
 
 const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 output function (Stafford's Mix13 finalizer).
+#[inline]
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// A SplitMix64 random number generator.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -44,20 +59,14 @@ impl Rng64 {
     pub fn split(&self, salt: u64) -> Rng64 {
         // Mix the salt through one SplitMix64 round so nearby salts give
         // distant states.
-        let mut z = self.state ^ salt.wrapping_mul(GOLDEN_GAMMA);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        Rng64 { state: z ^ (z >> 31) }
+        Rng64 { state: mix(self.state ^ salt.wrapping_mul(GOLDEN_GAMMA)) }
     }
 
     /// Next raw 64-bit draw.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(GOLDEN_GAMMA);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        mix(self.state)
     }
 
     /// Uniform in `[0, 1)` with 24 bits of mantissa (plenty for f32 state).
@@ -94,18 +103,45 @@ impl Rng64 {
         mean + sigma * self.gaussian()
     }
 
+    /// One rejection-sampling candidate: uniform in the cube `[-1, 1)³`.
+    #[inline]
+    fn sphere_candidate(&mut self) -> Vec3 {
+        Vec3::new(self.range(-1.0, 1.0), self.range(-1.0, 1.0), self.range(-1.0, 1.0))
+    }
+
     /// Uniform point inside the unit sphere (rejection sampling; ~1.9 tries
-    /// expected).
+    /// expected). The single-draw entry point; many draws at once go
+    /// through [`Rng64::fill_in_unit_sphere`].
+    #[inline]
     pub fn in_unit_sphere(&mut self) -> Vec3 {
         loop {
-            let v = Vec3::new(self.range(-1.0, 1.0), self.range(-1.0, 1.0), self.range(-1.0, 1.0));
+            let v = self.sphere_candidate();
             if v.length_squared() < 1.0 {
                 return v;
             }
         }
     }
 
+    /// Fill `out` with uniform points inside the unit sphere: exactly the
+    /// values, and exactly the final [`state`](Rng64::state), of
+    /// `out.len()` calls of [`Rng64::in_unit_sphere`].
+    ///
+    /// Candidate `k` of the stream is three draws at `state + (3k+1..=3k+3)·γ`
+    /// whatever became of the candidates before it, so instead of branching
+    /// on each acceptance test — a coin flip the predictor loses half the
+    /// time — every candidate is written to the next free slot and the slot
+    /// is kept by advancing past it only when the candidate lies inside.
+    pub fn fill_in_unit_sphere(&mut self, out: &mut [Vec3]) {
+        let mut taken = 0;
+        while taken < out.len() {
+            let v = self.sphere_candidate();
+            out[taken] = v;
+            taken += usize::from(v.length_squared() < 1.0);
+        }
+    }
+
     /// Uniform point on the unit sphere surface.
+    #[inline]
     pub fn on_unit_sphere(&mut self) -> Vec3 {
         // Marsaglia (1972).
         loop {
@@ -252,6 +288,52 @@ mod tests {
             assert!(r.in_unit_sphere().length() < 1.0);
             let s = r.on_unit_sphere().length();
             assert!((s - 1.0).abs() < 1e-3);
+        }
+    }
+
+    /// The seeds of the identity tests: the edge states of the counter and
+    /// a spread of ordinary ones.
+    fn sampler_seeds() -> Vec<u64> {
+        let mut seeds = vec![0, u64::MAX, 1, GOLDEN_GAMMA, GOLDEN_GAMMA.wrapping_neg()];
+        seeds.extend((0..15).map(|i| Rng64::new(0x5EED).split(i).state()));
+        seeds
+    }
+
+    #[test]
+    fn block_sampler_is_the_scalar_sampler() {
+        const LENS: [usize; 16] = [0, 1, 2, 3, 5, 7, 8, 31, 32, 33, 63, 64, 65, 100, 257, 1000];
+        let seeds = sampler_seeds();
+        assert_eq!(seeds.len(), 20);
+        for &seed in &seeds {
+            for len in LENS {
+                let mut scalar = Rng64::new(seed);
+                let want: Vec<Vec3> = (0..len).map(|_| scalar.in_unit_sphere()).collect();
+                let mut block = Rng64::new(seed);
+                let mut got = vec![Vec3::splat(Scalar::NAN); len];
+                block.fill_in_unit_sphere(&mut got);
+                let bits = |v: &Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(bits(g), bits(w), "seed {seed:#x} len {len} draw {i}");
+                }
+                assert_eq!(block.state(), scalar.state(), "seed {seed:#x} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_block_sampler_leaves_the_stream_where_the_scalar_one_does() {
+        for seed in sampler_seeds() {
+            let (mut scalar, mut block) = (Rng64::new(seed), Rng64::new(seed));
+            // Fills of several lengths back to back, other draws between.
+            for len in [3usize, 0, 70, 1, 33] {
+                for _ in 0..len {
+                    scalar.in_unit_sphere();
+                }
+                block.fill_in_unit_sphere(&mut vec![Vec3::ZERO; len]);
+                assert_eq!(block.next_u64(), scalar.next_u64(), "seed {seed:#x} after {len}");
+                assert_eq!(block.in_unit_sphere(), scalar.in_unit_sphere());
+                assert_eq!(block.range(2.0, 5.0).to_bits(), scalar.range(2.0, 5.0).to_bits());
+            }
         }
     }
 

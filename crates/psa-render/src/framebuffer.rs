@@ -3,7 +3,7 @@
 use psa_math::{clamp, Scalar, Vec3};
 
 /// A linear-color RGB framebuffer with a depth buffer.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Framebuffer {
     width: usize,
     height: usize,
@@ -11,6 +11,27 @@ pub struct Framebuffer {
     color: Vec<Vec3>,
     /// Depth per pixel; larger = farther. Cleared to +inf.
     depth: Vec<Scalar>,
+}
+
+impl Clone for Framebuffer {
+    fn clone(&self) -> Self {
+        Framebuffer {
+            width: self.width,
+            height: self.height,
+            color: self.color.clone(),
+            depth: self.depth.clone(),
+        }
+    }
+
+    /// Copies into the planes `self` already owns (the derived `clone_from`
+    /// would allocate two new ones): how a frame starts from a backdrop
+    /// drawn once.
+    fn clone_from(&mut self, source: &Self) {
+        self.width = source.width;
+        self.height = source.height;
+        self.color.clone_from(&source.color);
+        self.depth.clone_from(&source.depth);
+    }
 }
 
 impl Framebuffer {
@@ -115,6 +136,59 @@ mod tests {
         assert_eq!(fb.pixel(0, 0), Vec3::new(0.1, 0.2, 0.3));
         assert_eq!(fb.pixel(3, 2), Vec3::new(0.1, 0.2, 0.3));
         assert_eq!(fb.lit_pixels(Vec3::new(0.1, 0.2, 0.3)), 0);
+    }
+
+    #[test]
+    fn a_frame_started_from_the_cloned_backdrop_is_the_frame_drawn_from_scratch() {
+        use crate::{render_objects, render_particles, Camera, SplatConfig};
+        use psa_core::objects::ExternalObject;
+        use psa_core::Particle;
+        use psa_math::Aabb;
+
+        let cam = Camera::ortho(Aabb::centered_cube(10.0), 48, 32);
+        let background = Vec3::new(0.02, 0.02, 0.05);
+        let objects = [
+            (ExternalObject::ground(-4.0), Vec3::new(0.2, 0.5, 0.2)),
+            (ExternalObject::Sphere { center: Vec3::new(3.0, 1.0, 0.0), radius: 2.5 }, Vec3::X),
+        ];
+        let frame_particles = |frame: usize| -> Vec<Particle> {
+            (0..40)
+                .map(|i| {
+                    let t = (i * 7 + frame * 13) as Scalar;
+                    let at = Vec3::new((t * 0.37).sin() * 9.0, (t * 0.11).cos() * 9.0, t % 5.0);
+                    Particle::at(at).with_size(0.3 + (i % 4) as Scalar * 0.4)
+                })
+                .collect()
+        };
+        let bits = |fb: &Framebuffer| -> (Vec<[u32; 3]>, Vec<u32>) {
+            (
+                fb.color.iter().map(|c| [c.x, c.y, c.z].map(Scalar::to_bits)).collect(),
+                fb.depth.iter().map(|d| d.to_bits()).collect(),
+            )
+        };
+
+        // The image generator's way: the backdrop once, a copy per frame.
+        let mut backdrop = Framebuffer::new(48, 32);
+        backdrop.clear(background);
+        render_objects(&mut backdrop, &cam, &objects);
+        let mut cached = backdrop.clone();
+        let planes = (cached.color.as_ptr(), cached.depth.as_ptr());
+        let mut scratch = Framebuffer::new(48, 32);
+        for frame in 0..3 {
+            let particles = frame_particles(frame);
+            cached.clone_from(&backdrop);
+            render_particles(&mut cached, &cam, &particles, &SplatConfig::default());
+            scratch.clear(background);
+            render_objects(&mut scratch, &cam, &objects);
+            render_particles(&mut scratch, &cam, &particles, &SplatConfig::default());
+            assert!(bits(&cached) == bits(&scratch), "frame {frame}");
+            assert!(bits(&cached) != bits(&backdrop), "frame {frame} drew nothing");
+        }
+        assert_eq!(
+            (cached.color.as_ptr(), cached.depth.as_ptr()),
+            planes,
+            "clone_from reallocated"
+        );
     }
 
     #[test]

@@ -67,7 +67,11 @@ pub enum Msg {
     /// Full particles for the image generator (threaded executor renders
     /// for real). Follows the digest, and only when something rasterizes.
     RenderParticles { system: SystemId, batch: Vec<Particle> },
-    /// Frame-complete token.
+    /// Frame-complete token: the threaded image generator sends it to every
+    /// calculator once it has drawn `frame`, and a calculator waits for the
+    /// token of frame `f - 2` before it ships frame `f` — so render batches
+    /// never pile up ahead of the rasterizer. Only sent when a sink
+    /// rasterizes, and only for frames some calculator will wait on.
     FrameDone { frame: u64 },
 }
 

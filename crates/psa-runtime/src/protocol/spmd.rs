@@ -7,14 +7,22 @@
 //! interleaved engine for every state transition. The image generator has
 //! no shared core: this one rasterizes particles, the engine's counts them.
 //!
-//! Two things keep the image generator and the manager off the frame's
-//! critical path. A calculator ships a [`Msg::FrameDigest`] — count and
-//! checksum, folded where the particles live — for every system of every
-//! frame, and the particles themselves only when a [`RenderSink`] will
-//! rasterize them; the image generator combines digests and never hashes.
-//! And the manager draws the *next* (frame, system) cohort right after
-//! sending the current one, while the calculators compute, and routes it
-//! by domain only when its turn to be sent comes.
+//! Three things keep the image generator and the manager off the frame's
+//! critical path — and the calculators from outrunning them. A calculator
+//! ships a [`Msg::FrameDigest`] — count and checksum, folded where the
+//! particles live — for every system of every frame, and the particles
+//! themselves only when a [`RenderSink`] will rasterize them; the image
+//! generator combines digests and never hashes. The manager draws the
+//! *next* (frame, system) cohort right after sending the current one, while
+//! the calculators compute, and routes it by domain only when its turn to
+//! be sent comes. And when particles are shipped, a calculator ships frame
+//! `f` only after the image generator's [`Msg::FrameDone`] for frame
+//! `f - 2`: the channels are unbounded, a frame of render batches is 64
+//! bytes per particle, and without the token whatever the calculators gain
+//! on a slower rasterizer piles up in the queue between them. The image
+//! generator waits only for frames already on their way and a calculator
+//! only for a frame it shipped two frames ago, so nothing waits in a
+//! circle; a run without a sink sends no token and waits for none.
 //!
 //! Balancing goes through [`Manager::decide_round`] for every strategy, so
 //! the start-pair rule is the engine's: the alternating start index is
@@ -68,6 +76,15 @@ pub(crate) fn recv_within(
 /// [`ProtocolError::Timeout`] (lost-peer hardening; generous so slow CI
 /// machines never trip it).
 const RECV_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// How many frames of [`Msg::RenderParticles`] a calculator may have shipped
+/// and the image generator not yet finished drawing: a calculator ships
+/// frame `f` only once frame `f - RENDER_WINDOW` is [`Msg::FrameDone`].
+/// Two is double buffering — one frame being drawn, one queued behind it —
+/// and every frame more was measured to hold 7 MB more of `snow_render`'s
+/// particles for no throughput, on a quiet host and a loaded one
+/// (DESIGN.md §8).
+pub(crate) const RENDER_WINDOW: u64 = 2;
 
 /// Expect a specific message kind within [`RECV_TIMEOUT`]; anything else
 /// is a protocol violation.
@@ -297,7 +314,14 @@ pub(crate) fn calculator_main(
             mark(&mut rec, &mut last, &ep, frame, c, Phase::Balance);
 
             // Ship the frame to the image generator: the digest always,
-            // the particles only if it rasterizes them.
+            // the particles only if it rasterizes them — and then no more
+            // than RENDER_WINDOW frames ahead of its drawing. Tokens arrive
+            // in frame order, one per frame, so this one is the token of
+            // frame - RENDER_WINDOW.
+            if renders && sys == 0 && frame >= RENDER_WINDOW {
+                expect_msg!(ep, ig, "calculator", c, frame,
+                    Msg::FrameDone { .. } => (), "FrameDone");
+            }
             let (alive, hash) = calc.digest(sys);
             ep.send_sized(ig, Msg::FrameDigest { system, alive, hash })?;
             if renders {
@@ -445,10 +469,17 @@ pub(crate) fn image_generator_main(
     instrument: bool,
 ) -> Result<(Vec<(u64, u64)>, Recorder), ProtocolError> {
     let n_sys = scene.systems.len();
-    let mut fb = sink.as_ref().map(|s| {
+    // The background and the external objects are the same every frame (the
+    // scene's objects and the camera do not change during a run): drawn
+    // once, copied into the framebuffer at the start of each frame.
+    let backdrop = sink.as_ref().map(|s| {
         let (w, h) = s.camera.viewport();
-        Framebuffer::new(w, h)
+        let mut fb = Framebuffer::new(w, h);
+        fb.clear(s.background);
+        render_objects(&mut fb, &s.camera, &scene.objects);
+        fb
     });
+    let mut fb = backdrop.clone();
     let mut per_frame = Vec::with_capacity(cfg.frames as usize);
     let (_, mut rec) = instruments(n, instrument);
     if let Some(dir) = sink.as_ref().and_then(|s| s.out_dir.as_ref()) {
@@ -462,9 +493,8 @@ pub(crate) fn image_generator_main(
     for frame in 0..cfg.frames {
         let mut alive = 0u64;
         let mut hash = StateHash::new();
-        if let (Some(fb), Some(s)) = (fb.as_mut(), sink.as_ref()) {
-            fb.clear(s.background);
-            render_objects(fb, &s.camera, &scene.objects);
+        if let (Some(fb), Some(backdrop)) = (fb.as_mut(), backdrop.as_ref()) {
+            fb.clone_from(backdrop);
         }
         for _sys in 0..n_sys {
             for c in 0..n {
@@ -501,6 +531,12 @@ pub(crate) fn image_generator_main(
                     frame,
                     detail: format!("write {}: {e}", path.display()),
                 })?;
+            }
+        }
+        // Release the calculators waiting to ship frame + RENDER_WINDOW.
+        if sink.is_some() && frame + RENDER_WINDOW < cfg.frames {
+            for c in 0..n {
+                ep.send_sized(c, Msg::FrameDone { frame })?;
             }
         }
         // The whole IG frame — gathering digests and batches, rasterizing,

@@ -257,8 +257,9 @@ mod tests {
     use super::*;
     use crate::config::{BalanceMode, LoadMetric};
     use crate::msg::Msg;
-    use crate::protocol::spmd::recv_within;
+    use crate::protocol::spmd::{recv_within, RENDER_WINDOW};
     use crate::scene::SystemSetup;
+    use netsim::ThreadEndpoint;
     use psa_core::actions::{ActionList, Gravity, KillOld, MoveParticles, RandomAccel};
     use psa_core::invariants::StateHash;
     use psa_core::Particle;
@@ -333,8 +334,10 @@ mod tests {
     #[test]
     fn a_render_batch_that_disagrees_with_its_digest_is_a_typed_error() {
         // One calculator (rank 0), manager (1), image generator (2). The
-        // channels are unbounded, so the calculator's side of the frame can
-        // be queued before the image generator runs.
+        // channels are unbounded, so the calculator's side of a frame can be
+        // queued before the image generator runs — of one frame, as here;
+        // a real calculator stops a window of frames ahead (see
+        // `a_calculator_ships_a_window_of_frames_and_then_waits`).
         let mut eps = ThreadNet::build::<Msg>(3).into_iter();
         let calc = eps.next().expect("three endpoints");
         let ig = eps.nth(1).expect("three endpoints");
@@ -351,6 +354,166 @@ mod tests {
                 .expect_err("three particles behind a digest of four");
         assert_eq!(err, ProtocolError::DigestMismatch { rank: 0, frame: 0, alive: 4, shipped: 3 });
         assert!(err.to_string().contains("shipped 3 particles after a digest of 4"));
+    }
+
+    fn tiny_camera() -> Camera {
+        Camera::ortho(psa_math::Aabb::centered_cube(10.0), 32, 24)
+    }
+
+    #[test]
+    fn a_rendered_run_completes_with_the_sinkless_checksums_around_the_window() {
+        // Frames below, at, one past and well past the render window: no
+        // token is ever awaited, none again, one per calculator, many.
+        for frames in [1, W, W + 1, 9] {
+            let cfg = RunConfig {
+                frames,
+                dt: 0.1,
+                load_metric: LoadMetric::CountProportional,
+                ..Default::default()
+            };
+            for n in [1usize, 2, 3] {
+                let per_frame = |sink: Option<RenderSink>| -> Vec<(u64, u64)> {
+                    let r = run_threaded(&scene(), &cfg, n, sink).expect("clean run");
+                    assert_eq!(r.frames.len() as u64, frames);
+                    r.frames.iter().map(|f| (f.alive, f.checksum)).collect()
+                };
+                let bare = per_frame(None);
+                for streaks in [None, Some((0.4, 3))] {
+                    let sink = RenderSink { streaks, ..RenderSink::headless(tiny_camera()) };
+                    assert_eq!(per_frame(Some(sink)), bare, "frames {frames} n {n} {streaks:?}");
+                }
+            }
+        }
+    }
+
+    /// A rendering calculator (rank 0) on its own thread, the test holding
+    /// the manager's (1) and the image generator's (2) endpoints. The
+    /// manager's side of all `frames` is queued up front; `BalanceMode::
+    /// Static` and one calculator leave Particles + EndOfTransmission in and
+    /// Load out as the whole exchange with it.
+    fn lone_rendering_calculator(
+        frames: u64,
+    ) -> (
+        thread::JoinHandle<Result<Recorder, ProtocolError>>,
+        ThreadEndpoint<Msg>,
+        ThreadEndpoint<Msg>,
+    ) {
+        let mut eps = ThreadNet::build::<Msg>(3).into_iter();
+        let calc = eps.next().expect("three endpoints");
+        let (mgr, ig) =
+            (eps.next().expect("three endpoints"), eps.next().expect("three endpoints"));
+        let scene = scene();
+        let cfg = RunConfig { frames, dt: 0.1, balance: BalanceMode::Static, ..Default::default() };
+        let system = scene.systems[0].spec.id;
+        for _ in 0..frames {
+            let batch = vec![Particle::at(psa_math::Vec3::ZERO); 5];
+            mgr.send(0, Msg::Particles { system, batch, scale: 1.0 }).expect("peer alive");
+            mgr.send(0, Msg::EndOfTransmission { system }).expect("peer alive");
+        }
+        let domains = vec![Arc::new(DomainMap::split_even(space_for(&scene, &cfg, 0), Axis::X, 1))];
+        let handle =
+            thread::spawn(move || calculator_main(calc, 0, 1, &scene, &cfg, domains, true, false));
+        (handle, mgr, ig)
+    }
+
+    const SOON: Duration = Duration::from_secs(10);
+    /// The window `W` the tests below are written around, and `W + 1`
+    /// frames: the shortest run in which a calculator waits for a token.
+    const W: u64 = RENDER_WINDOW;
+    const FRAMES: u64 = W + 1;
+
+    /// Take frames `0..W` off the image generator's endpoint, see the Load
+    /// of frame `W` reach the manager — the calculator is past everything
+    /// of that frame but the shipping — and see that nothing of it was
+    /// shipped: `W` frames of render batches are the most ever in flight.
+    fn drain_the_window(mgr: &ThreadEndpoint<Msg>, ig: &ThreadEndpoint<Msg>) {
+        for frame in 0..W {
+            let got = recv_within(ig, 0, SOON, "test", 2, frame).expect("digest");
+            assert_eq!(got.kind(), "FrameDigest", "frame {frame}");
+            let got = recv_within(ig, 0, SOON, "test", 2, frame).expect("batch");
+            assert_eq!(got.kind(), "RenderParticles", "frame {frame}");
+        }
+        for frame in 0..FRAMES {
+            let got = recv_within(mgr, 0, SOON, "test", 1, frame).expect("load report");
+            assert_eq!(got.kind(), "Load", "frame {frame}");
+        }
+        let quiet = recv_within(ig, 0, Duration::from_millis(50), "test", 2, W);
+        assert_eq!(
+            quiet,
+            Err(ProtocolError::Timeout { role: "test", rank: 2, frame: W, peer: 0 }),
+            "frame {W} must wait for FrameDone of frame 0"
+        );
+    }
+
+    #[test]
+    fn a_calculator_ships_a_window_of_frames_and_then_waits() {
+        let (calc, mgr, ig) = lone_rendering_calculator(FRAMES);
+        drain_the_window(&mgr, &ig);
+        ig.send(0, Msg::FrameDone { frame: 0 }).expect("peer alive");
+        let got = recv_within(&ig, 0, SOON, "test", 2, W).expect("digest of the held frame");
+        assert_eq!(got.kind(), "FrameDigest");
+        let got = recv_within(&ig, 0, SOON, "test", 2, W).expect("batch of the held frame");
+        assert_eq!(got.kind(), "RenderParticles");
+        calc.join().expect("no panic").expect("clean run");
+    }
+
+    #[test]
+    fn a_calculator_told_something_else_than_frame_done_fails_typed() {
+        let (calc, mgr, ig) = lone_rendering_calculator(FRAMES);
+        drain_the_window(&mgr, &ig);
+        let system = scene().systems[0].spec.id;
+        ig.send(0, Msg::EndOfTransmission { system }).expect("peer alive");
+        assert_eq!(
+            calc.join().expect("no panic").expect_err("not the token"),
+            ProtocolError::UnexpectedMessage {
+                role: "calculator",
+                rank: 0,
+                frame: W,
+                expected: "FrameDone",
+                got: "EndOfTransmission",
+            }
+        );
+    }
+
+    #[test]
+    fn a_calculator_waiting_on_a_dead_image_generator_is_released() {
+        // The wait is a `recv_within` on the image generator's link like
+        // every other receive: silence ends in `Timeout { peer: 2, .. }`
+        // after RECV_TIMEOUT (pinned on `recv_within` itself above, not by
+        // sitting out 30 s here), a dropped endpoint at once.
+        let (calc, mgr, ig) = lone_rendering_calculator(FRAMES);
+        drain_the_window(&mgr, &ig);
+        drop(ig);
+        let err = calc.join().expect("no panic").expect_err("nobody will ever send the token");
+        assert!(matches!(err, ProtocolError::Transport(_)), "{err:?}");
+    }
+
+    #[test]
+    fn the_image_generator_sends_exactly_the_tokens_somebody_waits_for() {
+        // One calculator's frames queued up front; tokens must come back
+        // for the frames a calculator of that run waits on — none of a run
+        // as long as the window, frame 0 alone of one a frame longer.
+        for (frames, want) in [(W, vec![]), (W + 1, vec![0]), (W + 3, vec![0, 1, 2])] {
+            let mut eps = ThreadNet::build::<Msg>(3).into_iter();
+            let calc = eps.next().expect("three endpoints");
+            let ig = eps.nth(1).expect("three endpoints");
+            let (scene, cfg) = (scene(), RunConfig { frames, ..Default::default() });
+            let system = scene.systems[0].spec.id;
+            for _ in 0..frames {
+                let batch = vec![Particle::default(); 3];
+                let mut hash = StateHash::new();
+                hash.extend(&batch);
+                calc.send(2, Msg::FrameDigest { system, alive: 3, hash }).expect("peer alive");
+                calc.send(2, Msg::RenderParticles { system, batch }).expect("peer alive");
+            }
+            let sink = Some(RenderSink::headless(tiny_camera()));
+            image_generator_main(ig, 1, &scene, &cfg, sink, false).expect("clean run");
+            let mut got = Vec::new();
+            while let Ok(Msg::FrameDone { frame }) = recv_within(&calc, 2, SOON, "test", 0, 0) {
+                got.push(frame);
+            }
+            assert_eq!(got, want, "frames {frames}");
+        }
     }
 
     #[test]

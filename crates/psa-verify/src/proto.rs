@@ -58,7 +58,9 @@ const fn r(kind: &'static str, required: bool) -> Step {
 /// creation in, compute (with the optional ghost exchange of inter-particle
 /// collision), exchange, load report, then the dynamic-balance branch
 /// (orders / donor cut / domains / donation), then ship: the frame digest
-/// every frame, the particles after it and only when something rasterizes.
+/// every frame, the particles after it and only when something rasterizes —
+/// and then only after the image generator's `FrameDone` for the frame a
+/// window back, which is why that receive sits before the digest.
 pub const CALCULATOR: &[Step] = &[
     r("Particles", true),
     r("EndOfTransmission", true),
@@ -72,6 +74,7 @@ pub const CALCULATOR: &[Step] = &[
     r("Domains", false),
     s("Particles", false),
     r("Particles", false),
+    r("FrameDone", false),
     s("FrameDigest", true),
     s("RenderParticles", false),
 ];
@@ -88,8 +91,10 @@ pub const MANAGER: &[Step] = &[
 ];
 
 /// The image generator: one digest per (system, calculator), each followed
-/// by that calculator's render batch when there is a sink to draw into.
-pub const IMAGE_GENERATOR: &[Step] = &[r("FrameDigest", true), r("RenderParticles", false)];
+/// by that calculator's render batch when there is a sink to draw into; a
+/// frame it has drawn is then reported done to the calculators.
+pub const IMAGE_GENERATOR: &[Step] =
+    &[r("FrameDigest", true), r("RenderParticles", false), s("FrameDone", false)];
 
 /// The virtual engine runs all roles in one address space, so its table is
 /// the interleaved global event order of `run_frames`: creation, addition,
@@ -398,7 +403,7 @@ fn loop_(ep: &E) {
 
     #[test]
     fn alien_event_is_flagged() {
-        let src = "fn f(ep: &E) { ep.send(c, Msg::FrameDone {}); }\n";
+        let src = "fn f(ep: &E) { ep.send(c, Msg::Load {}); }\n";
         let ev = events_of(src, "f");
         let v = check_role("f.rs", "image-generator", "f", 0, IMAGE_GENERATOR, &ev, &[]);
         assert!(v.iter().any(|x| x.needle.contains("not in the protocol")), "{v:#?}");
