@@ -13,14 +13,15 @@
 //! * **panic sites** — `.unwrap()` / `.expect(` / panic-family macros;
 //! * **indexing sites** — postfix `[expr]` with a non-literal index;
 //! * **nondeterminism sources** — wall clocks, unordered collections,
-//!   ambient RNG, thread identity.
+//!   ambient RNG (the needles of the matching token lints, so each class
+//!   has one list), and thread identity.
 //!
 //! Nested `fn` items are split out into their own records (their tokens do
 //! not leak into the enclosing body), and `macro_rules!` definitions are
 //! skipped entirely — a `$pat => $out` template arm is not a receive.
 
-use crate::lex::{Tok, TokKind};
-use crate::scan::FileModel;
+use crate::lex::{match_delim, Tok, TokKind};
+use crate::lints::{AMBIENT_RNG, UNORDERED, WALL_CLOCK};
 
 /// Direction of a protocol event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,37 +57,13 @@ pub struct Site {
     pub line: usize,
 }
 
-/// Which determinism contract a nondeterminism source falls under.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SourceClass {
-    /// `Instant::now` / `SystemTime`: audited via `allow(wall-clock)`.
-    WallClock,
-    /// `HashMap` / `HashSet` / `RandomState`: audited via `allow(unordered)`.
-    Unordered,
-    /// `thread_rng` / `OsRng` / ...: audited via `allow(ambient-rng)`.
-    AmbientRng,
-    /// `thread::current`: no per-source escape hatch; only
-    /// `allow(nondet-taint)` can suppress it.
-    ThreadId,
-}
-
-impl SourceClass {
-    /// The allow-key of the lexical lint that audits this source class,
-    /// if one exists.
-    pub fn allow_key(self) -> Option<&'static str> {
-        match self {
-            SourceClass::WallClock => Some("wall-clock"),
-            SourceClass::Unordered => Some("unordered"),
-            SourceClass::AmbientRng => Some("ambient-rng"),
-            SourceClass::ThreadId => None,
-        }
-    }
-}
-
 /// One nondeterminism source occurrence.
 #[derive(Clone, Debug)]
 pub struct SourceHit {
-    pub class: SourceClass,
+    /// Allow key of the token lint whose needle matched — it also excuses
+    /// the taint finding. `None` for thread identity, which has no token
+    /// lint: only `allow(nondet-taint)` can suppress it.
+    pub key: Option<&'static str>,
     pub what: String,
     pub line: usize,
 }
@@ -132,23 +109,17 @@ const NON_CALL_IDENTS: &[&str] = &[
 /// Panic-family macros.
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
-/// Token-sequence patterns for nondeterminism sources.
-const SOURCE_PATTERNS: &[(&[&str], SourceClass)] = &[
-    (&["Instant", "::", "now"], SourceClass::WallClock),
-    (&["SystemTime"], SourceClass::WallClock),
-    (&["HashMap"], SourceClass::Unordered),
-    (&["HashSet"], SourceClass::Unordered),
-    (&["RandomState"], SourceClass::Unordered),
-    (&["thread_rng"], SourceClass::AmbientRng),
-    (&["rand", "::", "random"], SourceClass::AmbientRng),
-    (&["from_entropy"], SourceClass::AmbientRng),
-    (&["OsRng"], SourceClass::AmbientRng),
-    (&["getrandom"], SourceClass::AmbientRng),
-    (&["thread", "::", "current"], SourceClass::ThreadId),
+/// Nondeterminism classes: the determinism lints' own needle lists, plus
+/// thread identity, which no token lint bans.
+const SOURCES: &[(Option<&str>, &[&[&str]])] = &[
+    (Some(WALL_CLOCK.allow_key), WALL_CLOCK.patterns),
+    (Some(UNORDERED.allow_key), UNORDERED.patterns),
+    (Some(AMBIENT_RNG.allow_key), AMBIENT_RNG.patterns),
+    (None, &[&["thread", "::", "current"]]),
 ];
 
 /// Extract every function item from a tokenized file.
-pub fn collect_fns(toks: &[Tok], model: &FileModel) -> Vec<FnInfo> {
+pub fn collect_fns(toks: &[Tok], in_test: &[bool]) -> Vec<FnInfo> {
     // Pass 1: locate `macro_rules!` definition ranges (skipped wholesale)
     // and every `fn` item with its body token range.
     let mut masked = vec![false; toks.len()];
@@ -189,7 +160,7 @@ pub fn collect_fns(toks: &[Tok], model: &FileModel) -> Vec<FnInfo> {
                 "(" | "[" | "<" => depth += 1,
                 ")" | "]" | ">" => depth -= 1,
                 "{" if depth <= 0 => {
-                    body = Some((j, match_brace(toks, j)));
+                    body = Some((j, match_delim(toks, j)));
                     break;
                 }
                 ";" if depth <= 0 => break,
@@ -220,7 +191,7 @@ pub fn collect_fns(toks: &[Tok], model: &FileModel) -> Vec<FnInfo> {
         let mut info = FnInfo {
             name: name.clone(),
             line,
-            is_test: model.in_test.get(line).copied().unwrap_or(false),
+            is_test: in_test.get(line) == Some(&true),
             items: Vec::new(),
             panics: Vec::new(),
             indexing: Vec::new(),
@@ -248,34 +219,6 @@ fn skip_macro_def(toks: &[Tok], i: usize) -> Option<usize> {
         return None;
     }
     Some(match_delim(toks, j))
-}
-
-/// Index one past the token closing the brace opened at `open`.
-fn match_brace(toks: &[Tok], open: usize) -> usize {
-    match_delim(toks, open)
-}
-
-fn match_delim(toks: &[Tok], open: usize) -> usize {
-    let (o, c) = match toks[open].text.as_str() {
-        "{" => ("{", "}"),
-        "(" => ("(", ")"),
-        "[" => ("[", "]"),
-        _ => return open + 1,
-    };
-    let mut depth = 0i32;
-    let mut j = open;
-    while j < toks.len() {
-        if toks[j].is_punct(o) {
-            depth += 1;
-        } else if toks[j].is_punct(c) {
-            depth -= 1;
-            if depth == 0 {
-                return j + 1;
-            }
-        }
-        j += 1;
-    }
-    toks.len()
 }
 
 /// Walk one body (as a list of visible token indices) collecting calls,
@@ -384,14 +327,18 @@ fn extract_body(toks: &[Tok], own: &[usize], info: &mut FnInfo) {
             }
         }
 
-        // Nondeterminism sources.
-        for &(pat, class) in SOURCE_PATTERNS {
-            if pat
-                .iter()
-                .enumerate()
-                .all(|(off, want)| at(k + off).is_some_and(|x| x.text == *want))
-            {
-                info.sources.push(SourceHit { class, what: pat.concat(), line: t.line });
+        // Nondeterminism sources: one hit per class and line, as the token
+        // lints report (`thread::sleep(` is both `thread::sleep` and `sleep(`).
+        for &(key, pats) in SOURCES {
+            for pat in pats {
+                if pat
+                    .iter()
+                    .enumerate()
+                    .all(|(off, want)| at(k + off).is_some_and(|x| x.text == *want))
+                    && !info.sources.iter().any(|s| s.key == key && s.line == t.line)
+                {
+                    info.sources.push(SourceHit { key, what: pat.concat(), line: t.line });
+                }
             }
         }
     }
@@ -427,12 +374,9 @@ fn match_delim_in(toks: &[Tok], own: &[usize], open_k: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lex::tokenize;
 
     fn fns(src: &str) -> Vec<FnInfo> {
-        let model = FileModel::parse(src);
-        let toks = tokenize(&model.code);
-        collect_fns(&toks, &model)
+        crate::corpus::Unit::parse("t.rs", src).fns
     }
 
     #[test]
@@ -523,8 +467,8 @@ fn role(ep: &E) {
         let f = fns(src);
         assert_eq!(f[0].panics.len(), 3, "{:?}", f[0].panics);
         assert_eq!(f[0].sources.len(), 2, "{:?}", f[0].sources);
-        assert!(f[0].sources.iter().any(|s| s.class == SourceClass::WallClock));
-        assert!(f[0].sources.iter().any(|s| s.class == SourceClass::Unordered));
+        assert!(f[0].sources.iter().any(|s| s.key == Some("wall-clock")));
+        assert!(f[0].sources.iter().any(|s| s.key == Some("unordered")));
     }
 
     #[test]

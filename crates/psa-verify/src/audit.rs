@@ -26,29 +26,19 @@ pub struct Raw {
 }
 
 /// Apply allow-annotations to `raws`; surviving violations come back, plus
-/// (when `audit` is set) a `stale-allow` error per annotation that never
-/// suppressed anything or names an unknown key.
-pub fn apply(units: &[Unit], raws: Vec<Raw>, audit: bool) -> Vec<Violation> {
-    // Per unit: one `used` flag per annotation, file-level then line-level.
-    let mut file_used: Vec<Vec<bool>> =
-        units.iter().map(|u| vec![false; u.model.file_allows.len()]).collect();
-    let mut line_used: Vec<Vec<bool>> =
-        units.iter().map(|u| vec![false; u.model.line_allows.len()]).collect();
+/// a `stale-allow` error per annotation that never suppressed anything or
+/// names an unknown key.
+pub fn apply(units: &[Unit], raws: Vec<Raw>) -> Vec<Violation> {
+    // Per unit: one `used` flag per annotation.
+    let mut used: Vec<Vec<bool>> = units.iter().map(|u| vec![false; u.lex.allows.len()]).collect();
 
     let mut out = Vec::new();
     for raw in raws {
-        let u = &units[raw.unit];
-        let vline = raw.v.line - 1; // violations are 1-based
         let mut suppressed = false;
-        for (ai, (_, name)) in u.model.file_allows.iter().enumerate() {
-            if raw.keys.iter().any(|k| k == name) {
-                file_used[raw.unit][ai] = true;
-                suppressed = true;
-            }
-        }
-        for (ai, (aline, name)) in u.model.line_allows.iter().enumerate() {
-            if raw.keys.iter().any(|k| k == name) && (*aline == vline || aline + 1 == vline) {
-                line_used[raw.unit][ai] = true;
+        for (ai, a) in units[raw.unit].lex.allows.iter().enumerate() {
+            // violations are 1-based
+            if raw.keys.contains(&a.key.as_str()) && a.covers(raw.v.line - 1) {
+                used[raw.unit][ai] = true;
                 suppressed = true;
             }
         }
@@ -57,45 +47,23 @@ pub fn apply(units: &[Unit], raws: Vec<Raw>, audit: bool) -> Vec<Violation> {
         }
     }
 
-    if audit {
-        for (ui, u) in units.iter().enumerate() {
-            let annotations = u
-                .model
-                .file_allows
-                .iter()
-                .zip(&file_used[ui])
-                .chain(u.model.line_allows.iter().zip(&line_used[ui]));
-            for ((aline, name), used) in annotations {
-                if name == STALE_ALLOW.allow_key {
-                    // `allow(stale-allow)` would make the audit self-defeating.
-                    continue;
-                }
-                let reason = if !known_allow_key(name) {
-                    Some(format!("allow({name}) names an unknown lint key"))
-                } else if !used {
-                    Some(format!("allow({name}) suppresses nothing"))
-                } else {
-                    None
-                };
-                if let Some(needle) = reason {
-                    out.push(Violation {
-                        lint: STALE_ALLOW.id.to_string(),
-                        file: u.rel.clone(),
-                        line: aline + 1,
-                        needle,
-                        message: STALE_ALLOW.message.to_string(),
-                        severity: "error".to_string(),
-                        snippet: u
-                            .raw_lines()
-                            .get(*aline)
-                            .map_or(String::new(), |l| l.trim().to_string()),
-                    });
-                }
-            }
+    for (u, used) in units.iter().zip(&used) {
+        for (a, &used) in u.lex.allows.iter().zip(used) {
+            let needle = if a.key == STALE_ALLOW.allow_key {
+                // `allow(stale-allow)` would make the audit self-defeating.
+                continue;
+            } else if !known_allow_key(&a.key) {
+                format!("allow({}) names an unknown lint key", a.key)
+            } else if !used {
+                format!("allow({}) suppresses nothing", a.key)
+            } else {
+                continue;
+            };
+            out.push(u.finding(&STALE_ALLOW, a.line, needle));
         }
     }
 
-    out.sort_by(|a, b| (&a.file, a.line, &a.lint).cmp(&(&b.file, b.line, &b.lint)));
+    out.sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));
     out
 }
 
@@ -103,16 +71,15 @@ pub fn apply(units: &[Unit], raws: Vec<Raw>, audit: bool) -> Vec<Violation> {
 mod tests {
     use super::*;
 
-    fn raw(unit: usize, line: usize, lint: &str, keys: Vec<&'static str>) -> Raw {
+    fn raw(unit: usize, line: usize, lint: &'static str, keys: Vec<&'static str>) -> Raw {
         Raw {
             unit,
             v: Violation {
-                lint: lint.to_string(),
+                lint,
                 file: "f.rs".to_string(),
                 line,
                 needle: "x".to_string(),
-                message: "m".to_string(),
-                severity: "error".to_string(),
+                message: "m",
                 snippet: String::new(),
             },
             keys,
@@ -123,10 +90,9 @@ mod tests {
     fn line_allow_suppresses_and_counts_as_used() {
         let u = Unit::parse(
             "f.rs",
-            "use x;\n// psa-verify: allow(wall-clock) reason\nlet t = Instant::now();\n"
-                .to_string(),
+            "use x;\n// psa-verify: allow(wall-clock) reason\nlet t = Instant::now();\n",
         );
-        let out = apply(&[u], vec![raw(0, 3, "wall-clock", vec!["wall-clock"])], true);
+        let out = apply(&[u], vec![raw(0, 3, "wall-clock", vec!["wall-clock"])]);
         assert!(out.is_empty(), "{out:#?}");
     }
 
@@ -134,9 +100,9 @@ mod tests {
     fn unused_allow_is_a_stale_allow_error() {
         let u = Unit::parse(
             "f.rs",
-            "use x;\n// psa-verify: allow(wall-clock) nothing here\nlet y = 1;\n".to_string(),
+            "use x;\n// psa-verify: allow(wall-clock) nothing here\nlet y = 1;\n",
         );
-        let out = apply(&[u], vec![], true);
+        let out = apply(&[u], vec![]);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].lint, "stale-allow");
         assert_eq!(out[0].line, 2);
@@ -147,9 +113,9 @@ mod tests {
     fn unknown_key_is_a_stale_allow_error_even_if_positioned_right() {
         let u = Unit::parse(
             "f.rs",
-            "use x;\n// psa-verify: allow(wallclock) typo\nlet t = Instant::now();\n".to_string(),
+            "use x;\n// psa-verify: allow(wallclock) typo\nlet t = Instant::now();\n",
         );
-        let out = apply(&[u], vec![raw(0, 3, "wall-clock", vec!["wall-clock"])], true);
+        let out = apply(&[u], vec![raw(0, 3, "wall-clock", vec!["wall-clock"])]);
         assert_eq!(out.len(), 2, "{out:#?}"); // the violation AND the typo'd allow
         assert!(out.iter().any(|v| v.lint == "stale-allow" && v.needle.contains("unknown")));
         assert!(out.iter().any(|v| v.lint == "wall-clock"));
@@ -159,23 +125,19 @@ mod tests {
     fn any_key_of_a_multi_key_finding_suppresses_it() {
         let u = Unit::parse(
             "f.rs",
-            "use x;\n// psa-verify: allow(wall-clock) timing fence\nlet t = Instant::now();\n"
-                .to_string(),
+            "use x;\n// psa-verify: allow(wall-clock) timing fence\nlet t = Instant::now();\n",
         );
-        let out =
-            apply(&[u], vec![raw(0, 3, "nondet-taint", vec!["nondet-taint", "wall-clock"])], true);
+        let out = apply(&[u], vec![raw(0, 3, "nondet-taint", vec!["nondet-taint", "wall-clock"])]);
         assert!(out.is_empty(), "{out:#?}");
     }
 
     #[test]
-    fn file_allow_suppresses_any_line_and_audit_can_be_disabled() {
+    fn file_allow_suppresses_any_line_and_a_dead_one_beside_it_is_reported() {
         let u = Unit::parse(
             "f.rs",
-            "// psa-verify: allow(index-panic) bounds by construction\nfn f() {}\n// psa-verify: allow(unordered) dead\n".to_string(),
+            "// psa-verify: allow(index-panic) bounds by construction\nfn f() {}\n// psa-verify: allow(unordered) dead\n",
         );
-        let raws = vec![raw(0, 2, "index-panic", vec!["index-panic"])];
-        assert!(apply(&[Unit::parse("f.rs", u.src.clone())], raws, false).is_empty());
-        let audited = apply(&[u], vec![raw(0, 2, "index-panic", vec!["index-panic"])], true);
+        let audited = apply(&[u], vec![raw(0, 2, "index-panic", vec!["index-panic"])]);
         assert_eq!(audited.len(), 1, "{audited:#?}");
         assert_eq!(audited[0].lint, "stale-allow");
         assert_eq!(audited[0].line, 3);

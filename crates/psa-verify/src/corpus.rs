@@ -1,9 +1,11 @@
-//! The analysis corpus: one [`Unit`] per source file, parsed once and
+//! The analysis corpus: one [`Unit`] per source file, lexed once and
 //! shared by every pass (token lints, call graph, taint, panic
-//! reachability, protocol conformance, suppression audit).
+//! reachability, protocol conformance, suppression audit) — and the one
+//! place a finding is built ([`Unit::finding`]).
 //!
 //! Units also carry the two analysis pragmas fixtures use to opt into the
-//! graph passes without living at a policy-known workspace path:
+//! graph passes without living at a policy-known workspace path (read by
+//! [`crate::lex`]):
 //!
 //! * `// psa-verify: protocol-role(<role>, <entry_fn>)` — check
 //!   `<entry_fn>`'s extracted send/recv sequence against `<role>`'s
@@ -12,59 +14,46 @@
 //!   for the panic-reachability pass.
 
 use crate::ast::{collect_fns, FnInfo};
-use crate::lex::{tokenize, Tok};
-use crate::scan::FileModel;
+use crate::lex::{lex, Lexed};
+use crate::lints::LintDef;
+use crate::report::Violation;
 
 /// One parsed source file.
 pub struct Unit {
     /// Workspace-relative path (`/` separators) — drives policy decisions
     /// and appears in diagnostics. For fixtures this is the bare filename.
     pub rel: String,
-    /// Raw source, for snippets.
-    pub src: String,
-    pub model: FileModel,
-    pub toks: Vec<Tok>,
+    /// Source lines (0-based), for snippets.
+    pub lines: Vec<String>,
+    /// Tokens, test scope, allows and pragmas.
+    pub lex: Lexed,
     pub fns: Vec<FnInfo>,
-    /// `protocol-role(role, fn)` pragmas.
-    pub roles: Vec<(String, String)>,
-    /// `panic-entry(fn)` pragmas.
-    pub panic_entries: Vec<String>,
 }
-
-const ROLE_TAG: &str = "psa-verify: protocol-role(";
-const PANIC_TAG: &str = "psa-verify: panic-entry(";
 
 impl Unit {
-    pub fn parse(rel: &str, src: String) -> Unit {
-        let model = FileModel::parse(&src);
-        let toks = tokenize(&model.code);
-        let fns = collect_fns(&toks, &model);
-        let mut roles = Vec::new();
-        let mut panic_entries = Vec::new();
-        for line in &model.comments {
-            if let Some(args) = pragma_args(line, ROLE_TAG) {
-                if let Some((role, entry)) = args.split_once(',') {
-                    roles.push((role.trim().to_string(), entry.trim().to_string()));
-                }
-            }
-            if let Some(args) = pragma_args(line, PANIC_TAG) {
-                panic_entries.push(args.trim().to_string());
-            }
+    pub fn parse(rel: &str, src: &str) -> Unit {
+        let lex = lex(src);
+        let fns = collect_fns(&lex.toks, &lex.in_test);
+        Unit { rel: rel.to_string(), lines: src.lines().map(str::to_string).collect(), lex, fns }
+    }
+
+    /// Is 0-based `line` inside a `#[cfg(test)]` / `#[test]` item?
+    pub fn in_test(&self, line: usize) -> bool {
+        self.lex.in_test.get(line) == Some(&true)
+    }
+
+    /// A `lint` finding at 0-based `line`: the lint's message, the 1-based
+    /// line, and the trimmed source line as its snippet.
+    pub fn finding(&self, lint: &LintDef, line: usize, needle: String) -> Violation {
+        Violation {
+            lint: lint.id,
+            file: self.rel.clone(),
+            line: line + 1,
+            needle,
+            message: lint.message,
+            snippet: self.lines.get(line).map_or("", |l| l.trim()).to_string(),
         }
-        Unit { rel: rel.to_string(), src, model, toks, fns, roles, panic_entries }
     }
-
-    /// Raw source lines (0-based), for snippet extraction.
-    pub fn raw_lines(&self) -> Vec<&str> {
-        self.src.lines().collect()
-    }
-}
-
-/// The `...` of `TAG...)` if `line` carries the pragma.
-fn pragma_args<'a>(line: &'a str, tag: &str) -> Option<&'a str> {
-    let start = line.find(tag)? + tag.len();
-    let end = line[start..].find(')')? + start;
-    Some(&line[start..end])
 }
 
 #[cfg(test)]
@@ -80,15 +69,17 @@ fn frame_loop() {}
 fn handle_msg() {}
 let s = \"psa-verify: panic-entry(not_me)\";
 ";
-        let u = Unit::parse("fixture.rs", src.to_string());
-        assert_eq!(u.roles, vec![("manager".to_string(), "frame_loop".to_string())]);
-        assert_eq!(u.panic_entries, vec!["handle_msg".to_string()]);
+        let u = Unit::parse("fixture.rs", src);
+        assert_eq!(u.lex.roles, vec![("manager".to_string(), "frame_loop".to_string())]);
+        assert_eq!(u.lex.panic_entries, vec!["handle_msg".to_string()]);
     }
 
     #[test]
     fn unit_exposes_fns_and_lines() {
-        let u = Unit::parse("x.rs", "fn a() {}\nfn b() { a(); }\n".to_string());
+        let u = Unit::parse("x.rs", "fn a() {}\nfn b() { a(); }\n");
         assert_eq!(u.fns.len(), 2);
-        assert_eq!(u.raw_lines().len(), 2);
+        assert_eq!(u.lines.len(), 2);
+        let v = u.finding(&crate::lints::PROTOCOL_ORDER, 1, "n".into());
+        assert_eq!((v.line, v.snippet.as_str()), (2, "fn b() { a(); }"));
     }
 }

@@ -311,13 +311,9 @@ impl CallGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::collect_fns;
-    use crate::lex::tokenize;
-    use crate::scan::FileModel;
 
     fn parse(src: &str) -> Vec<FnInfo> {
-        let model = FileModel::parse(src);
-        collect_fns(&tokenize(&model.code), &model)
+        crate::corpus::Unit::parse("x.rs", src).fns
     }
 
     #[test]

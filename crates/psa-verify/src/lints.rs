@@ -1,18 +1,19 @@
 //! The lint registry: token-pattern lints, the analysis lints layered on
 //! the call graph, and the per-file pattern runner.
 //!
-//! Token lints match *token sequences* on the lexed code channel, so
+//! Token lints match *token sequences* from [`crate::lex`], so
 //! `BuildHashMapConfig` no longer matches `HashMap` and `unwrap_or_else`
 //! never matches `unwrap` — the substring false-positive class of the v1
-//! lexical scanner is structurally gone. Analysis lints (`nondet-taint`,
+//! lexical scanner is structurally gone. The determinism lints' pattern
+//! lists are also the taint pass's needles (`ast`), one list per
+//! nondeterminism class. Analysis lints (`nondet-taint`,
 //! `panic-reach`, `index-panic`, `protocol-order`, `stale-allow`) have no
 //! patterns here; they are produced by the `taint` / `panics` / `proto` /
 //! `audit` passes and registered in [`ALL_LINTS`] so the selftest coverage
 //! rule ("every lint id has a fixture") applies to them too.
 
-use crate::lex::Tok;
-use crate::report::Violation;
-use crate::scan::FileModel;
+use crate::audit::Raw;
+use crate::corpus::Unit;
 
 /// One registered lint.
 pub struct LintDef {
@@ -34,7 +35,7 @@ pub struct LintDef {
 pub const UNORDERED: LintDef = LintDef {
     id: "unordered-collections",
     allow_key: "unordered",
-    patterns: &[&["HashMap"], &["HashSet"]],
+    patterns: &[&["HashMap"], &["HashSet"], &["RandomState"]],
     message: "unordered collection in a simulation crate; use BTreeMap/BTreeSet \
               or annotate `// psa-verify: allow(unordered)` with a reason",
     skip_tests: false,
@@ -214,18 +215,13 @@ pub fn known_allow_key(key: &str) -> bool {
     ALL_LINTS.iter().any(|l| l.allow_key == key)
 }
 
-/// Run the token-pattern lints over one lexed file. Returns *raw*
-/// violations — allow-annotations are applied later by the suppression
-/// pass, which also audits them.
-pub fn run_lints(
-    display_path: &str,
-    model: &FileModel,
-    toks: &[Tok],
-    lints: &[&'static LintDef],
-    raw_lines: &[&str],
-) -> Vec<(Violation, &'static str)> {
-    let mut out: Vec<(Violation, &'static str)> = Vec::new();
-    for lint in lints {
+/// Run the token-pattern lints over unit `ui`. Returns *raw* findings —
+/// allow-annotations are applied later by the suppression pass, which
+/// also audits them.
+pub fn run_lints(ui: usize, u: &Unit, lints: &[&'static LintDef]) -> Vec<Raw> {
+    let toks = &u.lex.toks;
+    let mut out = Vec::new();
+    for &lint in lints {
         let mut seen_lines: Vec<usize> = Vec::new();
         for pattern in lint.patterns {
             for k in 0..toks.len() {
@@ -236,30 +232,15 @@ pub fn run_lints(
                 {
                     continue;
                 }
-                let line = toks[k].line;
-                if lint.skip_tests && model.in_test.get(line).copied().unwrap_or(false) {
-                    continue;
-                }
                 // One finding per (lint, line): overlapping patterns (e.g.
                 // `thread::sleep` and `sleep(`) describe the same construct.
-                if seen_lines.contains(&line) {
+                let line = toks[k].line;
+                if (lint.skip_tests && u.in_test(line)) || seen_lines.contains(&line) {
                     continue;
                 }
                 seen_lines.push(line);
-                out.push((
-                    Violation {
-                        lint: lint.id.to_string(),
-                        file: display_path.to_string(),
-                        line: line + 1,
-                        needle: pattern.concat(),
-                        message: lint.message.to_string(),
-                        severity: "error".to_string(),
-                        snippet: raw_lines
-                            .get(line)
-                            .map_or(String::new(), |l| l.trim().to_string()),
-                    },
-                    lint.allow_key,
-                ));
+                let v = u.finding(lint, line, pattern.concat());
+                out.push(Raw { unit: ui, v, keys: vec![lint.allow_key] });
             }
         }
     }
@@ -269,17 +250,12 @@ pub fn run_lints(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lex::tokenize;
+    use crate::report::Violation;
 
+    /// The lints' findings on `src` after the suppression audit.
     fn scan(src: &str, lints: &[&'static LintDef]) -> Vec<Violation> {
-        let model = FileModel::parse(src);
-        let toks = tokenize(&model.code);
-        let raw: Vec<&str> = src.lines().collect();
-        run_lints("test.rs", &model, &toks, lints, &raw)
-            .into_iter()
-            .filter(|(v, key)| !model.allowed(v.line - 1, key))
-            .map(|(v, _)| v)
-            .collect()
+        let units = [Unit::parse("test.rs", src)];
+        crate::audit::apply(&units, run_lints(0, &units[0], lints))
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! The compiler cannot see that `HashMap` iteration order breaks
 //! bit-reproducible runs, that an `unwrap()` three calls below a message
 //! handler deadlocks the executor, or that a new executor sends `Balance`
-//! traffic before its `Load` report. This tool parses every source file
-//! into a token stream and a function-level AST (`lex` / `ast`), links the
-//! functions into a conservative call graph (`graph`), and runs four
-//! analyses on top of the token-pattern lints:
+//! traffic before its `Load` report. This tool lexes every source file once
+//! into tokens, test scope and annotations (`lex`), extracts a
+//! function-level AST from the tokens (`ast`), links the functions into a
+//! conservative call graph (`graph`), and runs four analyses on top of the
+//! token-pattern lints:
 //!
 //! * nondeterminism taint from ambient sources into the phase entry points
 //!   (`taint`);
@@ -27,9 +28,6 @@
 //! cargo run -p psa-verify -- selftest         # every lint must catch its
 //!                                             # fixture; good fixtures must
 //!                                             # pass clean
-//! cargo run -p psa-verify -- lints            # print every registered lint
-//!                                             # id (CI cross-checks fixture
-//!                                             # coverage against this)
 //! ```
 //!
 //! Exit codes: 0 clean, 1 violations found (or selftest failure), 2 usage
@@ -45,7 +43,6 @@ mod panics;
 mod policy;
 mod proto;
 mod report;
-mod scan;
 mod taint;
 
 use std::path::{Path, PathBuf};
@@ -76,14 +73,8 @@ fn main() -> ExitCode {
             run_check(&paths, json)
         }
         Some("selftest") => run_selftest(),
-        Some("lints") => {
-            for l in ALL_LINTS {
-                println!("{}", l.id);
-            }
-            ExitCode::SUCCESS
-        }
         _ => {
-            eprintln!("usage: psa-verify <check [--json] [PATH...] | selftest | lints>");
+            eprintln!("usage: psa-verify <check [--json] [PATH...] | selftest>");
             ExitCode::from(2)
         }
     }
@@ -97,38 +88,11 @@ fn workspace_root() -> PathBuf {
 }
 
 fn run_check(paths: &[PathBuf], json: bool) -> ExitCode {
-    let workspace_mode = paths.is_empty();
-    let root = workspace_root();
-    let files = if workspace_mode {
-        collect_rs(&root, true)
-    } else {
-        let mut out = Vec::new();
-        for p in paths {
-            if p.is_dir() {
-                out.extend(collect_rs(p, false));
-            } else if p.extension().is_some_and(|e| e == "rs") {
-                out.push(p.clone());
-            } else {
-                eprintln!("psa-verify: `{}` is not a .rs file or directory", p.display());
-                return ExitCode::from(2);
-            }
-        }
-        out
+    let units = match load(paths) {
+        Ok(units) => units,
+        Err(code) => return code,
     };
-
-    let mut units = Vec::new();
-    for path in &files {
-        let rel = display_path(path, &root);
-        if workspace_mode && policy::SKIP_PREFIXES.iter().any(|p| rel.starts_with(p)) {
-            continue;
-        }
-        let Ok(src) = std::fs::read_to_string(path) else {
-            eprintln!("psa-verify: cannot read `{}`", path.display());
-            return ExitCode::from(2);
-        };
-        units.push(Unit::parse(&rel, src));
-    }
-    let violations = analyze(&units, workspace_mode);
+    let violations = analyze(&units, paths.is_empty());
 
     if json {
         println!("{}", report::json(units.len(), &violations));
@@ -143,6 +107,43 @@ fn run_check(paths: &[PathBuf], json: bool) -> ExitCode {
     }
 }
 
+/// Parse the `.rs` files under `paths` (the workspace when empty) into
+/// units named by their workspace-relative path.
+fn load(paths: &[PathBuf]) -> Result<Vec<Unit>, ExitCode> {
+    let workspace_mode = paths.is_empty();
+    let root = workspace_root();
+    let files = if workspace_mode {
+        collect_rs(&root, true)
+    } else {
+        let mut out = Vec::new();
+        for p in paths {
+            if p.is_dir() {
+                out.extend(collect_rs(p, false));
+            } else if p.extension().is_some_and(|e| e == "rs") {
+                out.push(p.clone());
+            } else {
+                eprintln!("psa-verify: `{}` is not a .rs file or directory", p.display());
+                return Err(ExitCode::from(2));
+            }
+        }
+        out
+    };
+
+    let mut units = Vec::new();
+    for path in &files {
+        let rel = display_path(path, &root);
+        if workspace_mode && policy::SKIP_PREFIXES.iter().any(|p| rel.starts_with(p)) {
+            continue;
+        }
+        let Ok(src) = std::fs::read_to_string(path) else {
+            eprintln!("psa-verify: cannot read `{}`", path.display());
+            return Err(ExitCode::from(2));
+        };
+        units.push(Unit::parse(&rel, &src));
+    }
+    Ok(units)
+}
+
 /// The whole pipeline over one corpus: token lints, call-graph analyses,
 /// protocol conformance, then the central suppression pass + audit.
 /// In workspace mode the token-lint set and graph eligibility follow
@@ -154,10 +155,7 @@ fn analyze(units: &[Unit], workspace_mode: bool) -> Vec<Violation> {
     for (ui, u) in units.iter().enumerate() {
         let set: Vec<_> =
             if workspace_mode { policy::lints_for(&u.rel) } else { ALL_LINTS.to_vec() };
-        let raw_lines = u.raw_lines();
-        for (v, key) in run_lints(&u.rel, &u.model, &u.toks, &set, &raw_lines) {
-            raws.push(Raw { unit: ui, v, keys: vec![key] });
-        }
+        raws.extend(run_lints(ui, u, &set));
     }
 
     let eligible: Vec<bool> =
@@ -173,7 +171,7 @@ fn analyze(units: &[Unit], workspace_mode: bool) -> Vec<Violation> {
     raws.extend(panics::run(units, &graph, &eligible));
 
     for (ui, u) in units.iter().enumerate() {
-        let mut roles: Vec<(String, String)> = u.roles.clone();
+        let mut roles: Vec<(String, String)> = u.lex.roles.clone();
         if workspace_mode {
             for (file, role, entry) in policy::ROLE_BINDINGS {
                 if u.rel == *file {
@@ -181,34 +179,24 @@ fn analyze(units: &[Unit], workspace_mode: bool) -> Vec<Violation> {
                 }
             }
         }
-        let raw_lines = u.raw_lines();
         for (role, entry) in &roles {
-            let Some(spec) = proto::spec_for_role(role) else {
-                raws.push(Raw {
-                    unit: ui,
-                    v: Violation {
-                        lint: PROTOCOL_ORDER.id.to_string(),
-                        file: u.rel.clone(),
-                        line: 1,
-                        needle: format!("unknown protocol role `{role}`"),
-                        message: PROTOCOL_ORDER.message.to_string(),
-                        severity: "error".to_string(),
-                        snippet: String::new(),
-                    },
-                    keys: vec![PROTOCOL_ORDER.allow_key],
-                });
-                continue;
+            let found = match proto::spec_for_role(role) {
+                None => vec![(0, format!("unknown protocol role `{role}`"))],
+                Some(spec) => {
+                    let entry_line =
+                        u.fns.iter().find(|f| f.name == *entry && !f.is_test).map_or(0, |f| f.line);
+                    let events = proto::extract_events(&u.fns, entry);
+                    proto::check_role(role, entry, entry_line, spec, &events)
+                }
             };
-            let entry_line =
-                u.fns.iter().find(|f| f.name == *entry && !f.is_test).map_or(0, |f| f.line);
-            let events = proto::extract_events(&u.fns, entry);
-            for v in proto::check_role(&u.rel, role, entry, entry_line, spec, &events, &raw_lines) {
+            for (line, needle) in found {
+                let v = u.finding(&PROTOCOL_ORDER, line, needle);
                 raws.push(Raw { unit: ui, v, keys: vec![PROTOCOL_ORDER.allow_key] });
             }
         }
     }
 
-    audit::apply(units, raws, true)
+    audit::apply(units, raws)
 }
 
 /// Recursively collect `.rs` files. In workspace mode, directories named in
@@ -256,7 +244,6 @@ fn display_path(path: &Path, root: &Path) -> String {
 /// Each fixture is analyzed as its own single-file corpus, so the call
 /// graph never links one fixture's functions to another's.
 fn selftest_failures() -> Vec<String> {
-    const EXPECT_TAG: &str = "psa-verify-fixture: expect(";
     let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
     let files = collect_rs(&fixtures, false);
     let mut failures = Vec::new();
@@ -265,7 +252,7 @@ fn selftest_failures() -> Vec<String> {
         return failures;
     }
 
-    let mut covered: Vec<&str> = Vec::new();
+    let mut covered: Vec<String> = Vec::new();
     for path in &files {
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("").to_string();
         let Ok(src) = std::fs::read_to_string(path) else {
@@ -273,22 +260,12 @@ fn selftest_failures() -> Vec<String> {
             continue;
         };
         // Declared expectations: `// psa-verify-fixture: expect(<lint-id>)`.
-        let mut expected: Vec<String> = Vec::new();
-        for line in src.lines() {
-            if let Some(start) = line.find(EXPECT_TAG) {
-                let rest = &line[start + EXPECT_TAG.len()..];
-                if let Some(end) = rest.find(')') {
-                    expected.push(rest[..end].trim().to_string());
-                }
-            }
-        }
-        let fired: Vec<String> = {
-            let units = vec![Unit::parse(&name, src)];
-            let mut ids: Vec<String> = analyze(&units, false).into_iter().map(|v| v.lint).collect();
-            ids.sort();
-            ids.dedup();
-            ids
-        };
+        let expected: Vec<&str> =
+            src.lines().filter_map(|l| lex::tag(l, "psa-verify-fixture: expect(")).collect();
+        let mut fired: Vec<&str> =
+            analyze(&[Unit::parse(&name, &src)], false).into_iter().map(|v| v.lint).collect();
+        fired.sort();
+        fired.dedup();
         if name.starts_with("good_") {
             if !expected.is_empty() {
                 failures.push(format!("{name}: good fixture declares expectations"));
@@ -305,25 +282,19 @@ fn selftest_failures() -> Vec<String> {
         for want in &expected {
             if lints::by_id(want).is_none() {
                 failures.push(format!("{name}: expects unknown lint `{want}`"));
-            } else if !fired.iter().any(|f| f == want) {
+            } else if !fired.contains(want) {
                 failures.push(format!("{name}: expected `{want}` did not fire"));
             }
         }
         for got in &fired {
-            if !expected.iter().any(|e| e == got) {
+            if !expected.contains(got) {
                 failures.push(format!("{name}: unexpected lint `{got}` fired"));
             }
         }
-        for want in &expected {
-            if let Some(l) = lints::by_id(want) {
-                if !covered.contains(&l.id) {
-                    covered.push(l.id);
-                }
-            }
-        }
+        covered.extend(expected.iter().map(|e| e.to_string()));
     }
     for lint in ALL_LINTS {
-        if !covered.contains(&lint.id) {
+        if !covered.iter().any(|c| c == lint.id) {
             failures.push(format!("lint `{}` has no covering fixture", lint.id));
         }
     }
@@ -353,20 +324,32 @@ mod tests {
         assert!(failures.is_empty(), "{failures:#?}");
     }
 
+    /// `check crates/psa-verify/fixtures` (all-lints mode, one corpus)
+    /// must print exactly `tests/golden/verify_fixtures.txt`: every finding
+    /// on every fixture line, so a lint that stops firing on one line fails
+    /// here instead of passing as "still > 0 violations".
     #[test]
     fn fixture_corpus_trips_the_checker() {
-        // `check` over the fixtures dir (all-lints mode) must find
-        // violations — this is the non-zero-exit acceptance path.
-        let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-        let files = collect_rs(&fixtures, false);
-        let mut total = 0usize;
-        for f in &files {
-            let src = std::fs::read_to_string(f).expect("fixture readable");
-            let name = f.file_name().and_then(|n| n.to_str()).unwrap_or("fixture.rs").to_string();
-            let units = vec![Unit::parse(&name, src)];
-            total += analyze(&units, false).len();
+        let root = workspace_root();
+        let units = load(&[root.join("crates/psa-verify/fixtures")]).expect("fixtures load");
+        let v = analyze(&units, false);
+        let got = format!("{}{}\n", report::human(&v), report::summary(units.len(), &v));
+        let golden = root.join("tests/golden/verify_fixtures.txt");
+        let want = std::fs::read_to_string(&golden).unwrap_or_default();
+        if got != want {
+            let first = got
+                .lines()
+                .zip(want.lines())
+                .position(|(g, w)| g != w)
+                .map_or("(one is a prefix of the other)".to_string(), |i| {
+                    format!("line {}", i + 1)
+                });
+            panic!(
+                "fixture transcript diverged from {} at {first}\n\
+                 full actual transcript (paste over the file to re-baseline):\n{got}",
+                golden.display()
+            );
         }
-        assert!(total > 0, "fixture corpus produced no violations");
     }
 
     #[test]
@@ -387,7 +370,7 @@ mod tests {
     #[test]
     fn json_report_schema_is_golden() {
         let src = "fn phase_calculus() { let t = Instant::now(); }\n";
-        let units = vec![Unit::parse("crates/demo/src/lib.rs", src.to_string())];
+        let units = vec![Unit::parse("crates/demo/src/lib.rs", src)];
         let violations = analyze(&units, false);
         let got = report::json(1, &violations);
         let want = concat!(
@@ -429,7 +412,7 @@ fn frame_loop(ep: &E) {
     ep.send(0, Msg::Load { info });
 }
 ";
-        let units = vec![Unit::parse("scratch.rs", src.to_string())];
+        let units = vec![Unit::parse("scratch.rs", src)];
         let violations = analyze(&units, false);
         assert!(
             violations.iter().any(|v| v.lint == "protocol-order"),
@@ -440,7 +423,7 @@ fn frame_loop(ep: &E) {
     #[test]
     fn unknown_pragma_role_is_an_error() {
         let src = "// psa-verify: protocol-role(render-farm, f)\nfn f() {}\n";
-        let units = vec![Unit::parse("x.rs", src.to_string())];
+        let units = vec![Unit::parse("x.rs", src)];
         let violations = analyze(&units, false);
         assert!(violations.iter().any(|v| v.needle.contains("unknown protocol role")));
     }

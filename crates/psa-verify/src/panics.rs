@@ -22,7 +22,6 @@ use crate::corpus::Unit;
 use crate::graph::{CallGraph, FnRef};
 use crate::lints::{INDEX_PANIC, PANIC_REACH};
 use crate::policy;
-use crate::report::Violation;
 
 /// Run the panic-reachability pass. Roots are every non-test function in a
 /// file under [`policy::PANIC_ROOTS`], plus pragma-named functions.
@@ -37,7 +36,7 @@ pub fn run(units: &[Unit], graph: &CallGraph, eligible: &[bool]) -> Vec<Raw> {
             if f.is_test {
                 continue;
             }
-            if is_root_file || unit.panic_entries.iter().any(|e| e == &f.name) {
+            if is_root_file || unit.lex.panic_entries.iter().any(|e| e == &f.name) {
                 entries.push(FnRef { file: fi, idx: xi });
             }
         }
@@ -52,39 +51,19 @@ pub fn run(units: &[Unit], graph: &CallGraph, eligible: &[bool]) -> Vec<Raw> {
             continue;
         }
         let root_name = units[from.file].fns[from.idx].name.as_str();
-        let raw_lines = unit.raw_lines();
         let in_protocol_module = policy::PROTOCOL_ROOTS.iter().any(|p| policy::under(&unit.rel, p));
-        let mut push = |lint: &'static crate::lints::LintDef, what: &str, line: usize| {
-            out.push(Raw {
-                unit: r.file,
-                v: Violation {
-                    lint: lint.id.to_string(),
-                    file: unit.rel.clone(),
-                    line: line + 1,
-                    needle: format!(
-                        "{} in `{}` (reachable from protocol root `{}`)",
-                        what, f.name, root_name
-                    ),
-                    message: lint.message.to_string(),
-                    severity: "error".to_string(),
-                    snippet: raw_lines.get(line).map_or(String::new(), |l| l.trim().to_string()),
-                },
-                keys: vec![lint.allow_key],
-            });
-        };
-        if !in_protocol_module {
-            for site in &f.panics {
-                if unit.model.in_test.get(site.line).copied().unwrap_or(false) {
-                    continue;
-                }
-                push(&PANIC_REACH, &site.what, site.line);
-            }
-        }
-        for site in &f.indexing {
-            if unit.model.in_test.get(site.line).copied().unwrap_or(false) {
-                continue;
-            }
-            push(&INDEX_PANIC, &site.what, site.line);
+        let panics = if in_protocol_module { &[][..] } else { &f.panics };
+        let sites = panics
+            .iter()
+            .map(|s| (&PANIC_REACH, s))
+            .chain(f.indexing.iter().map(|s| (&INDEX_PANIC, s)));
+        for (lint, site) in sites.filter(|(_, s)| !unit.in_test(s.line)) {
+            let needle = format!(
+                "{} in `{}` (reachable from protocol root `{}`)",
+                site.what, f.name, root_name
+            );
+            let v = unit.finding(lint, site.line, needle);
+            out.push(Raw { unit: r.file, v, keys: vec![lint.allow_key] });
         }
     }
     out
@@ -95,8 +74,7 @@ mod tests {
     use super::*;
 
     fn corpus(files: &[(&str, &str)]) -> (Vec<Unit>, CallGraph, Vec<bool>) {
-        let units: Vec<Unit> =
-            files.iter().map(|(rel, src)| Unit::parse(rel, src.to_string())).collect();
+        let units: Vec<Unit> = files.iter().map(|(rel, src)| Unit::parse(rel, src)).collect();
         let views: Vec<(&str, &[crate::ast::FnInfo])> =
             units.iter().map(|u| (u.rel.as_str(), u.fns.as_slice())).collect();
         let graph = CallGraph::build(&views);

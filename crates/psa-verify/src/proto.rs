@@ -35,8 +35,6 @@
 use std::collections::BTreeSet;
 
 use crate::ast::{BodyItem, Dir, FnInfo};
-use crate::lints::PROTOCOL_ORDER;
-use crate::report::Violation;
 
 /// One step of a role's protocol table.
 #[derive(Clone, Copy, Debug)]
@@ -178,29 +176,18 @@ fn walk(fns: &[FnInfo], name: &str, visited: &mut BTreeSet<String>, out: &mut Ve
     }
 }
 
-/// Check one role's extracted events against its spec table. Returns raw
-/// violations (the suppression pass applies allows later).
+/// Check one role's extracted events against its spec table. Returns the
+/// deviations as `(0-based line, needle)`; the caller makes them
+/// `protocol-order` findings.
 pub fn check_role(
-    file: &str,
     role: &str,
     entry: &str,
     entry_line: usize,
     spec: &[Step],
     events: &[Event],
-    raw_lines: &[&str],
-) -> Vec<Violation> {
+) -> Vec<(usize, String)> {
     let mut out = Vec::new();
-    let mut vio = |line: usize, needle: String| {
-        out.push(Violation {
-            lint: PROTOCOL_ORDER.id.to_string(),
-            file: file.to_string(),
-            line: line + 1,
-            needle,
-            message: PROTOCOL_ORDER.message.to_string(),
-            severity: "error".to_string(),
-            snippet: raw_lines.get(line).map_or(String::new(), |l| l.trim().to_string()),
-        });
-    };
+    let mut vio = |line: usize, needle: String| out.push((line, needle));
 
     if events.is_empty() {
         vio(
@@ -288,14 +275,9 @@ pub fn check_role(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::collect_fns;
-    use crate::lex::tokenize;
-    use crate::scan::FileModel;
 
     fn events_of(src: &str, entry: &str) -> Vec<Event> {
-        let model = FileModel::parse(src);
-        let fns = collect_fns(&tokenize(&model.code), &model);
-        extract_events(&fns, entry)
+        extract_events(&crate::corpus::Unit::parse("f.rs", src).fns, entry)
     }
 
     fn kinds(ev: &[Event]) -> Vec<String> {
@@ -341,7 +323,7 @@ fn exchange(ep: &E) {
     #[test]
     fn good_calculator_sequence_conforms() {
         let ev = events_of(GOOD_CALC, "frame_loop");
-        let v = check_role("f.rs", "calculator", "frame_loop", 0, CALCULATOR, &ev, &[]);
+        let v = check_role("calculator", "frame_loop", 0, CALCULATOR, &ev);
         assert!(v.is_empty(), "{v:#?}");
     }
 
@@ -358,9 +340,9 @@ fn frame_loop(ep: &E) {
 }
 "#;
         let ev = events_of(src, "frame_loop");
-        let v = check_role("f.rs", "calculator", "frame_loop", 0, CALCULATOR, &ev, &[]);
+        let v = check_role("calculator", "frame_loop", 0, CALCULATOR, &ev);
         assert!(!v.is_empty());
-        assert!(v.iter().any(|x| x.needle.contains("send Load")), "{v:#?}");
+        assert!(v.iter().any(|x| x.1.contains("send Load")), "{v:#?}");
     }
 
     #[test]
@@ -377,7 +359,7 @@ fn body(ep: &E) {
 "#;
         let ev = events_of(src, "run");
         assert_eq!(ev.len(), 3, "{:?}", kinds(&ev));
-        let v = check_role("f.rs", "manager", "run", 0, MANAGER, &ev, &[]);
+        let v = check_role("manager", "run", 0, MANAGER, &ev);
         assert!(v.is_empty(), "{v:#?}");
     }
 
@@ -390,23 +372,23 @@ fn loop_(ep: &E) {
 }
 "#;
         let ev = events_of(src, "loop_");
-        let v = check_role("f.rs", "manager", "loop_", 0, MANAGER, &ev, &[]);
-        assert!(v.iter().any(|x| x.needle.contains("EndOfTransmission")), "{v:#?}");
+        let v = check_role("manager", "loop_", 0, MANAGER, &ev);
+        assert!(v.iter().any(|x| x.1.contains("EndOfTransmission")), "{v:#?}");
     }
 
     #[test]
     fn empty_extraction_is_an_error() {
-        let v = check_role("f.rs", "manager", "ghost", 0, MANAGER, &[], &[]);
+        let v = check_role("manager", "ghost", 0, MANAGER, &[]);
         assert_eq!(v.len(), 1);
-        assert!(v[0].needle.contains("no protocol events"));
+        assert!(v[0].1.contains("no protocol events"));
     }
 
     #[test]
     fn alien_event_is_flagged() {
         let src = "fn f(ep: &E) { ep.send(c, Msg::Load {}); }\n";
         let ev = events_of(src, "f");
-        let v = check_role("f.rs", "image-generator", "f", 0, IMAGE_GENERATOR, &ev, &[]);
-        assert!(v.iter().any(|x| x.needle.contains("not in the protocol")), "{v:#?}");
+        let v = check_role("image-generator", "f", 0, IMAGE_GENERATOR, &ev);
+        assert!(v.iter().any(|x| x.1.contains("not in the protocol")), "{v:#?}");
     }
 
     #[test]

@@ -12,11 +12,13 @@
 /// Adding fields is backward compatible and does not bump it.
 pub const SCHEMA_VERSION: u32 = 2;
 
-/// One lint finding, located to a file and 1-based line.
+/// One lint finding, located to a file and 1-based line. Built only by
+/// [`crate::corpus::Unit::finding`]. Every psa-verify finding gates CI, so
+/// the report writes a constant `error` severity for each.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
     /// Stable lint id (`unordered-collections`, `wall-clock`, ...).
-    pub lint: String,
+    pub lint: &'static str,
     /// Path as displayed — relative to the workspace root when possible.
     pub file: String,
     /// 1-based line number.
@@ -24,11 +26,7 @@ pub struct Violation {
     /// The token pattern (or analysis fact) that fired the lint.
     pub needle: String,
     /// The lint's explanation of why the construct is banned.
-    pub message: String,
-    /// Machine-readable severity; every psa-verify finding gates CI, so
-    /// this is currently always `error`, but the field is part of the
-    /// schema so downstream tooling never has to infer it.
-    pub severity: String,
+    pub message: &'static str,
     /// The offending source line, trimmed.
     pub snippet: String,
 }
@@ -38,8 +36,8 @@ pub fn human(violations: &[Violation]) -> String {
     let mut out = String::new();
     for v in violations {
         out.push_str(&format!(
-            "{}[{}]: {}\n  --> {}:{} (found `{}`)\n   | {}\n",
-            v.severity, v.lint, v.message, v.file, v.line, v.needle, v.snippet
+            "error[{}]: {}\n  --> {}:{} (found `{}`)\n   | {}\n",
+            v.lint, v.message, v.file, v.line, v.needle, v.snippet
         ));
     }
     out
@@ -79,13 +77,12 @@ pub fn json(files_scanned: usize, violations: &[Violation]) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"lint\":{},\"file\":{},\"line\":{},\"severity\":{},\"needle\":{},\"message\":{},\"snippet\":{}}}",
-            escape(&v.lint),
+            "{{\"lint\":{},\"file\":{},\"line\":{},\"severity\":\"error\",\"needle\":{},\"message\":{},\"snippet\":{}}}",
+            escape(v.lint),
             escape(&v.file),
             v.line,
-            escape(&v.severity),
             escape(&v.needle),
-            escape(&v.message),
+            escape(v.message),
             escape(&v.snippet)
         ));
     }
@@ -118,12 +115,11 @@ mod tests {
 
     fn v() -> Violation {
         Violation {
-            lint: "wall-clock".into(),
+            lint: "wall-clock",
             file: "crates/x/src/a.rs".into(),
             line: 7,
             needle: "Instant::now".into(),
-            message: "no \"wall\" clock".into(),
-            severity: "error".into(),
+            message: "no \"wall\" clock",
             snippet: "let t = Instant::now();".into(),
         }
     }

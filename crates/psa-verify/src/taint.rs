@@ -22,7 +22,6 @@ use crate::audit::Raw;
 use crate::corpus::Unit;
 use crate::graph::{CallGraph, FnRef};
 use crate::lints::NONDET_TAINT;
-use crate::report::Violation;
 
 /// Run the taint pass. `eligible[i]` gates which units participate (the
 /// graph is built over all units with ineligible ones contributing no
@@ -50,33 +49,14 @@ pub fn run(units: &[Unit], graph: &CallGraph, eligible: &[bool], entry_names: &[
             continue;
         }
         let entry_name = units[from.file].fns[from.idx].name.as_str();
-        let raw_lines = unit.raw_lines();
-        for hit in &f.sources {
-            if unit.model.in_test.get(hit.line).copied().unwrap_or(false) {
-                continue;
-            }
-            let mut keys = vec![NONDET_TAINT.allow_key];
-            if let Some(k) = hit.class.allow_key() {
-                keys.push(k);
-            }
-            out.push(Raw {
-                unit: r.file,
-                v: Violation {
-                    lint: NONDET_TAINT.id.to_string(),
-                    file: unit.rel.clone(),
-                    line: hit.line + 1,
-                    needle: format!(
-                        "{} in `{}` (reachable from phase entry `{}`)",
-                        hit.what, f.name, entry_name
-                    ),
-                    message: NONDET_TAINT.message.to_string(),
-                    severity: "error".to_string(),
-                    snippet: raw_lines
-                        .get(hit.line)
-                        .map_or(String::new(), |l| l.trim().to_string()),
-                },
-                keys,
-            });
+        for hit in f.sources.iter().filter(|h| !unit.in_test(h.line)) {
+            let needle = format!(
+                "{} in `{}` (reachable from phase entry `{}`)",
+                hit.what, f.name, entry_name
+            );
+            let v = unit.finding(&NONDET_TAINT, hit.line, needle);
+            let keys = [NONDET_TAINT.allow_key].into_iter().chain(hit.key).collect();
+            out.push(Raw { unit: r.file, v, keys });
         }
     }
     out
@@ -87,8 +67,7 @@ mod tests {
     use super::*;
 
     fn corpus(files: &[(&str, &str)]) -> (Vec<Unit>, CallGraph, Vec<bool>) {
-        let units: Vec<Unit> =
-            files.iter().map(|(rel, src)| Unit::parse(rel, src.to_string())).collect();
+        let units: Vec<Unit> = files.iter().map(|(rel, src)| Unit::parse(rel, src)).collect();
         let views: Vec<(&str, &[crate::ast::FnInfo])> =
             units.iter().map(|u| (u.rel.as_str(), u.fns.as_slice())).collect();
         let graph = CallGraph::build(&views);
@@ -142,7 +121,7 @@ mod tests {
     fn ineligible_units_contribute_no_entries() {
         let units: Vec<Unit> = vec![Unit::parse(
             "crates/a/src/lib.rs",
-            "fn phase_loads() { let t = Instant::now(); }\n".to_string(),
+            "fn phase_loads() { let t = Instant::now(); }\n",
         )];
         let views: Vec<(&str, &[crate::ast::FnInfo])> = vec![("crates/a/src/lib.rs", &[])];
         let graph = CallGraph::build(&views);
