@@ -230,9 +230,16 @@ pub trait FaultInjector {
     }
 
     /// Rewind the injector's draw streams to previously captured cursors.
-    /// Must accept exactly what [`stream_states`](Self::stream_states)
-    /// produced for an injector over the same plan.
-    fn restore_stream_states(&mut self, _states: &[u64]) {}
+    /// Must accept what [`stream_states`](Self::stream_states) produced for
+    /// an injector over the same plan; anything shaped otherwise is refused
+    /// with a description, and the streams are left as they were.
+    fn restore_stream_states(&mut self, states: &[u64]) -> Result<(), String> {
+        if states.is_empty() {
+            Ok(())
+        } else {
+            Err(format!("{} stream words for an injector without streams", states.len()))
+        }
+    }
 }
 
 /// Executes a [`FaultPlan`]: every probabilistic decision draws from a
@@ -313,15 +320,22 @@ impl FaultInjector for PlanInjector {
 
     /// Replaces the stream map: a link that first drew after the capture
     /// goes back to having no stream, and starts over at its next draw.
-    fn restore_stream_states(&mut self, states: &[u64]) {
-        assert_eq!(states.len() % 3, 0, "injector stream states are (from, to, state) triples");
-        self.streams = states
-            .chunks_exact(3)
+    /// Refuses a list that is not whole `(from, to, state)` triples.
+    fn restore_stream_states(&mut self, states: &[u64]) -> Result<(), String> {
+        let triples = states.chunks_exact(3);
+        if !triples.remainder().is_empty() {
+            return Err(format!(
+                "{} stream words are not whole (from, to, state) triples",
+                states.len()
+            ));
+        }
+        self.streams = triples
             .filter_map(|triple| match *triple {
                 [from, to, state] => Some(((from as usize, to as usize), Rng64::new(state))),
                 _ => None,
             })
             .collect();
+        Ok(())
     }
 }
 
@@ -527,7 +541,11 @@ mod tests {
         // bit-for-bit, so (1, 0) has to start over, not carry on.
         assert_eq!(fates(&mut live), tail);
         assert_eq!(live.stream_states().len(), 6);
-        live.restore_stream_states(&states);
+        // A list that is not whole triples is refused and changes nothing.
+        let ahead = live.stream_states();
+        assert!(live.restore_stream_states(&states[..2]).is_err());
+        assert_eq!(live.stream_states(), ahead);
+        live.restore_stream_states(&states).expect("whole triples");
         assert_eq!(live.stream_states(), states);
         assert_eq!(fates(&mut live), tail);
     }

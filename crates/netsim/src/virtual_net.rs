@@ -180,7 +180,7 @@ impl WireState {
     /// occupancy, traffic counters — into a [`WireCheckpoint`]. The network
     /// model and rank→node placement are construction constants and are
     /// *not* captured: a checkpoint only makes sense against a fabric built
-    /// from the same topology, which [`restore_checkpoint`] asserts.
+    /// from the same topology, which [`restore_checkpoint`] checks.
     ///
     /// [`restore_checkpoint`]: Self::restore_checkpoint
     pub fn checkpoint(&self) -> WireCheckpoint {
@@ -195,16 +195,26 @@ impl WireState {
 
     /// Rewind the wire to a previously captured [`WireCheckpoint`].
     ///
-    /// Panics if the checkpoint's rank/node shape does not match this
-    /// wire's — restoring across topologies is always a caller bug.
-    pub fn restore_checkpoint(&mut self, ck: &WireCheckpoint) {
-        assert_eq!(ck.clocks.len(), self.clocks.len(), "checkpoint rank count mismatch");
-        assert_eq!(ck.link_free.len(), self.link_free.len(), "checkpoint node count mismatch");
-        self.clocks.copy_from_slice(&ck.clocks);
-        self.link_free.copy_from_slice(&ck.link_free);
+    /// A checkpoint whose shape does not fit this wire — a clock or
+    /// per-rank counter for each rank, a NIC cursor for each node — is
+    /// refused with a description, and the wire is left as it was.
+    pub fn restore_checkpoint(&mut self, ck: &WireCheckpoint) -> Result<(), String> {
+        let (ranks, nodes) = (self.clocks.len(), self.link_free.len());
+        if ck.clocks.len() != ranks || ck.rank_stats.len() != ranks || ck.link_free.len() != nodes {
+            return Err(format!(
+                "wire checkpoint has {} clocks, {} rank counters and {} NICs; \
+                 the wire has {ranks} ranks on {nodes} nodes",
+                ck.clocks.len(),
+                ck.rank_stats.len(),
+                ck.link_free.len(),
+            ));
+        }
+        self.clocks.clone_from(&ck.clocks);
+        self.link_free.clone_from(&ck.link_free);
         self.shared_free = ck.shared_free;
         self.stats = ck.stats;
-        self.rank_stats.copy_from_slice(&ck.rank_stats);
+        self.rank_stats.clone_from(&ck.rank_stats);
+        Ok(())
     }
 }
 
@@ -324,7 +334,7 @@ mod tests {
         assert_eq!(w.stats().messages, 2);
         assert_eq!(w.stats().payload_bytes, 150);
         // Rewinding to a checkpoint is the only way counters go back.
-        w.restore_checkpoint(&fresh);
+        w.restore_checkpoint(&fresh).expect("same wire");
         assert_eq!(w.stats(), TrafficStats::default());
     }
 
@@ -372,7 +382,7 @@ mod tests {
         // Diverge, then rewind: every observable must come back bit-equal.
         deliver(&mut w, 1, 0, 65536);
         w.advance(0, 9.0);
-        w.restore_checkpoint(&ck);
+        w.restore_checkpoint(&ck).expect("same wire");
         assert_eq!(w.now(0).to_bits(), t0.to_bits());
         assert_eq!(w.now(1).to_bits(), t1.to_bits());
         assert_eq!(w.stats(), stats);
@@ -385,6 +395,24 @@ mod tests {
         assert_eq!(a.to_bits(), b.to_bits());
         assert_eq!(w.now(0).to_bits(), fresh.now(0).to_bits());
         assert_eq!(w.makespan().to_bits(), fresh.makespan().to_bits());
+    }
+
+    #[test]
+    fn a_checkpoint_of_another_shape_is_refused_untouched() {
+        let mut w = wire2();
+        drive(&mut w);
+        let before = w.checkpoint();
+        let mut short_clock = before.clone();
+        short_clock.clocks.pop();
+        let mut extra_nic = before.clone();
+        extra_nic.link_free.push(0.0);
+        let mut short_stats = before.clone();
+        short_stats.rank_stats.pop();
+        for mut bad in [short_clock, extra_nic, short_stats] {
+            bad.shared_free = 99.0;
+            assert!(w.restore_checkpoint(&bad).is_err());
+            assert_eq!(w.checkpoint(), before, "a refused restore wrote something");
+        }
     }
 
     #[test]

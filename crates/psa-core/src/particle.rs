@@ -80,15 +80,6 @@ impl Particle {
     pub fn kinetic_energy(&self) -> Scalar {
         0.5 * self.mass * self.velocity.length_squared()
     }
-
-    /// Sanity predicate used by debug assertions across the workspace.
-    pub fn is_sane(&self) -> bool {
-        self.position.is_finite()
-            && self.velocity.is_finite()
-            && self.age >= 0.0
-            && self.age.is_finite()
-            && self.size >= 0.0
-    }
 }
 
 #[cfg(test)]
@@ -119,16 +110,5 @@ mod tests {
     fn kinetic_energy() {
         let p = Particle::at(Vec3::ZERO).with_velocity(Vec3::new(3.0, 4.0, 0.0));
         assert_eq!(p.kinetic_energy(), 12.5); // ½·1·25
-    }
-
-    #[test]
-    fn sanity() {
-        assert!(Particle::at(Vec3::ZERO).is_sane());
-        let mut p = Particle::at(Vec3::ZERO);
-        p.age = -1.0;
-        assert!(!p.is_sane());
-        p.age = 0.0;
-        p.position.x = f32::NAN;
-        assert!(!p.is_sane());
     }
 }

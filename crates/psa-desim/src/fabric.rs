@@ -209,18 +209,23 @@ impl Fabric for EventFabric {
         }
     }
 
-    fn load_fabric(&mut self, ck: &FabricCheckpoint) {
-        self.wire.restore_checkpoint(&ck.wire);
-        self.inj.restore_stream_states(&ck.injector_streams);
+    /// Checks the counters, the injector streams and the wire's shape
+    /// before it writes any of them; a refused checkpoint leaves the
+    /// fabric, queued traffic included, as it was.
+    fn load_fabric(&mut self, ck: &FabricCheckpoint) -> Result<(), String> {
+        let &[events, sends, fast_forwards, blocked_recvs] = ck.extra.as_slice() else {
+            return Err(format!("{} fabric counters, expected 4", ck.extra.len()));
+        };
+        let mut inj = self.inj.clone();
+        inj.restore_stream_states(&ck.injector_streams)?;
+        self.wire.restore_checkpoint(&ck.wire)?;
+        self.inj = inj;
         // Frame-boundary checkpoints never capture in-flight traffic:
         // drop whatever the links hold.
         self.links.clear();
         self.in_flight = 0;
-        let mut extra = ck.extra.iter().copied();
-        self.stats.events = extra.next().unwrap_or(0);
-        self.stats.sends = extra.next().unwrap_or(0);
-        self.stats.fast_forwards = extra.next().unwrap_or(0);
-        self.stats.blocked_recvs = extra.next().unwrap_or(0);
+        self.stats = SimStats { events, sends, fast_forwards, blocked_recvs, ..self.stats };
+        Ok(())
     }
 }
 
@@ -329,12 +334,43 @@ mod tests {
         let ck = ev.save_fabric();
         send(&mut ev, 2, 2);
         assert_eq!(ev.sim_stats().max_heap_depth, 4);
-        ev.load_fabric(&ck);
+        ev.load_fabric(&ck).expect("the fabric's own checkpoint");
         assert!(EventFabric::recv(&mut ev, 2, 0).is_err(), "a restore drops queued traffic");
         send(&mut ev, 2, 4);
         let stats = ev.sim_stats();
         assert_eq!(stats.max_heap_depth, 4, "dropped messages are no longer in flight");
         assert_eq!((stats.sends, stats.events), (9, 3), "counters rewound to the checkpoint");
+    }
+
+    #[test]
+    fn a_refused_checkpoint_leaves_the_fabric_as_it_was() {
+        let mut plan = FaultPlan::none(5, 3);
+        plan.set_all_links(LinkFault::jittery(0.5, 1e-3));
+        let mut ev = faulty(plan);
+        for frame in 0..4 {
+            EventFabric::send(&mut ev, 0, 1, Msg::FrameDone { frame }).expect("send");
+        }
+        let before = ev.save_fabric();
+        assert!(!before.injector_streams.is_empty());
+        // A checkpoint that fits and differs in every part, then three
+        // copies of it each broken in one part: none may write the others.
+        let mut other = before.clone();
+        other.wire.shared_free = 9.0;
+        other.injector_streams.clear();
+        other.extra = vec![1, 2, 3, 4];
+        let mut bad_extra = other.clone();
+        bad_extra.extra.pop();
+        let mut bad_streams = other.clone();
+        bad_streams.injector_streams = vec![1, 2];
+        let mut bad_wire = other.clone();
+        bad_wire.wire.link_free.push(0.0);
+        for bad in [bad_extra, bad_streams, bad_wire] {
+            assert!(ev.load_fabric(&bad).is_err());
+            assert_eq!(ev.save_fabric(), before);
+        }
+        assert_eq!(EventFabric::queued_senders(&mut ev, 1), vec![0], "traffic survives a refusal");
+        ev.load_fabric(&other).expect("fits");
+        assert_eq!(ev.save_fabric(), other);
     }
 
     #[test]

@@ -46,23 +46,6 @@ impl Vec3 {
         }
     }
 
-    /// Mutable component along `axis`.
-    #[inline]
-    pub fn along_mut(&mut self, axis: Axis) -> &mut Scalar {
-        match axis {
-            Axis::X => &mut self.x,
-            Axis::Y => &mut self.y,
-            Axis::Z => &mut self.z,
-        }
-    }
-
-    /// Replace the component along `axis`, returning the new vector.
-    #[inline]
-    pub fn with_along(mut self, axis: Axis, v: Scalar) -> Self {
-        *self.along_mut(axis) = v;
-        self
-    }
-
     #[inline]
     pub fn dot(&self, o: Vec3) -> Scalar {
         self.x * o.x + self.y * o.y + self.z * o.z
@@ -302,7 +285,6 @@ mod tests {
         assert_eq!(v.along(Axis::X), 7.0);
         assert_eq!(v.along(Axis::Y), 8.0);
         assert_eq!(v.along(Axis::Z), 9.0);
-        assert_eq!(v.with_along(Axis::Y, 0.0), Vec3::new(7.0, 0.0, 9.0));
     }
 
     #[test]

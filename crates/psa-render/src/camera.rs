@@ -1,4 +1,4 @@
-//! Minimal cameras: orthographic and look-at perspective.
+//! The image generator's camera: an orthographic view down -z.
 
 use psa_math::{Aabb, Scalar, Vec3};
 
@@ -15,80 +15,37 @@ pub struct Projected {
     pub pixels_per_unit: Scalar,
 }
 
-/// A camera mapping world space to pixel coordinates.
+/// An orthographic camera looking down -z: the world rectangle `view`
+/// maps to the full `width × height` viewport.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Camera {
-    /// Orthographic view down -z: the world rectangle maps to the full
-    /// viewport.
-    Ortho { view: Aabb, width: usize, height: usize },
-    /// Perspective look-at camera.
-    LookAt {
-        eye: Vec3,
-        target: Vec3,
-        up: Vec3,
-        /// Vertical field of view in radians.
-        fov_y: Scalar,
-        width: usize,
-        height: usize,
-    },
+pub struct Camera {
+    pub(crate) view: Aabb,
+    pub(crate) width: usize,
+    pub(crate) height: usize,
 }
 
 impl Camera {
     /// An orthographic camera framing `view` (xy extents used; z kept for
     /// depth ordering).
     pub fn ortho(view: Aabb, width: usize, height: usize) -> Self {
-        Camera::Ortho { view, width, height }
-    }
-
-    pub fn look_at(eye: Vec3, target: Vec3, width: usize, height: usize) -> Self {
-        Camera::LookAt { eye, target, up: Vec3::Y, fov_y: 1.0, width, height }
+        Camera { view, width, height }
     }
 
     pub fn viewport(&self) -> (usize, usize) {
-        match self {
-            Camera::Ortho { width, height, .. } | Camera::LookAt { width, height, .. } => {
-                (*width, *height)
-            }
-        }
+        (self.width, self.height)
     }
 
-    /// Project a world point; `None` when behind a perspective camera.
-    pub fn project(&self, p: Vec3) -> Option<Projected> {
-        match self {
-            Camera::Ortho { view, width, height } => {
-                let size = view.size();
-                let sx = (p.x - view.min.x) / size.x;
-                // screen y grows downward
-                let sy = 1.0 - (p.y - view.min.y) / size.y;
-                Some(Projected {
-                    x: sx * *width as Scalar,
-                    y: sy * *height as Scalar,
-                    z: -p.z,
-                    pixels_per_unit: *width as Scalar / size.x,
-                })
-            }
-            Camera::LookAt { eye, target, up, fov_y, width, height } => {
-                let fwd = (*target - *eye).normalized();
-                let right = fwd.cross(*up).normalized();
-                let cup = right.cross(fwd);
-                let rel = p - *eye;
-                let zc = rel.dot(fwd);
-                if zc <= 1e-4 {
-                    return None;
-                }
-                let xc = rel.dot(right);
-                let yc = rel.dot(cup);
-                let half_h = (fov_y * 0.5).tan();
-                let aspect = *width as Scalar / *height as Scalar;
-                let ndc_x = xc / (zc * half_h * aspect);
-                let ndc_y = yc / (zc * half_h);
-                Some(Projected {
-                    x: (ndc_x * 0.5 + 0.5) * *width as Scalar,
-                    y: (1.0 - (ndc_y * 0.5 + 0.5)) * *height as Scalar,
-                    z: zc,
-                    pixels_per_unit: *height as Scalar / (2.0 * zc * half_h),
-                })
-            }
+    /// Project a world point.
+    pub fn project(&self, p: Vec3) -> Projected {
+        let size = self.view.size();
+        let sx = (p.x - self.view.min.x) / size.x;
+        // screen y grows downward
+        let sy = 1.0 - (p.y - self.view.min.y) / size.y;
+        Projected {
+            x: sx * self.width as Scalar,
+            y: sy * self.height as Scalar,
+            z: -p.z,
+            pixels_per_unit: self.width as Scalar / size.x,
         }
     }
 }
@@ -108,7 +65,7 @@ mod tests {
     #[test]
     fn ortho_center_maps_to_middle() {
         let c = ortho();
-        let p = c.project(Vec3::ZERO).unwrap();
+        let p = c.project(Vec3::ZERO);
         assert!((p.x - 100.0).abs() < 1e-3);
         assert!((p.y - 50.0).abs() < 1e-3);
     }
@@ -116,39 +73,16 @@ mod tests {
     #[test]
     fn ortho_y_is_flipped() {
         let c = ortho();
-        let top = c.project(Vec3::new(0.0, 9.0, 0.0)).unwrap();
-        let bottom = c.project(Vec3::new(0.0, -9.0, 0.0)).unwrap();
+        let top = c.project(Vec3::new(0.0, 9.0, 0.0));
+        let bottom = c.project(Vec3::new(0.0, -9.0, 0.0));
         assert!(top.y < bottom.y, "screen y grows downward");
     }
 
     #[test]
     fn ortho_depth_orders_by_negative_z() {
         let c = ortho();
-        let near = c.project(Vec3::new(0.0, 0.0, 5.0)).unwrap();
-        let far = c.project(Vec3::new(0.0, 0.0, -5.0)).unwrap();
+        let near = c.project(Vec3::new(0.0, 0.0, 5.0));
+        let far = c.project(Vec3::new(0.0, 0.0, -5.0));
         assert!(near.z < far.z);
-    }
-
-    #[test]
-    fn perspective_center_ray() {
-        let c = Camera::look_at(Vec3::new(0.0, 0.0, 10.0), Vec3::ZERO, 100, 100);
-        let p = c.project(Vec3::ZERO).unwrap();
-        assert!((p.x - 50.0).abs() < 1e-3);
-        assert!((p.y - 50.0).abs() < 1e-3);
-        assert!((p.z - 10.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn perspective_culls_behind() {
-        let c = Camera::look_at(Vec3::new(0.0, 0.0, 10.0), Vec3::ZERO, 100, 100);
-        assert!(c.project(Vec3::new(0.0, 0.0, 20.0)).is_none());
-    }
-
-    #[test]
-    fn perspective_shrinks_with_distance() {
-        let c = Camera::look_at(Vec3::new(0.0, 0.0, 10.0), Vec3::ZERO, 100, 100);
-        let near = c.project(Vec3::new(0.0, 0.0, 5.0)).unwrap();
-        let far = c.project(Vec3::new(0.0, 0.0, -5.0)).unwrap();
-        assert!(near.pixels_per_unit > far.pixels_per_unit);
     }
 }

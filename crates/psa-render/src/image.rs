@@ -1,4 +1,4 @@
-//! PPM/PGM image output.
+//! PPM image output.
 //!
 //! Binary PPM (P6) is trivially written without dependencies and plays well
 //! with `ffmpeg`/ImageMagick for turning frame sequences into videos.
@@ -15,20 +15,6 @@ pub fn write_ppm(fb: &Framebuffer, path: &Path) -> io::Result<()> {
     let mut w = BufWriter::new(file);
     write!(w, "P6\n{} {}\n255\n", fb.width(), fb.height())?;
     w.write_all(&fb.to_rgb8())?;
-    w.flush()
-}
-
-/// Write a grayscale PGM (P5) of the luminance channel.
-pub fn write_pgm(fb: &Framebuffer, path: &Path) -> io::Result<()> {
-    let file = File::create(path)?;
-    let mut w = BufWriter::new(file);
-    write!(w, "P5\n{} {}\n255\n", fb.width(), fb.height())?;
-    let rgb = fb.to_rgb8();
-    let gray: Vec<u8> = rgb
-        .chunks_exact(3)
-        .map(|c| (0.2126 * c[0] as f32 + 0.7152 * c[1] as f32 + 0.0722 * c[2] as f32) as u8)
-        .collect();
-    w.write_all(&gray)?;
     w.flush()
 }
 
@@ -55,20 +41,6 @@ mod tests {
         assert_eq!(data.len(), 11 + 3 * 2 * 3);
         // first pixel red
         assert_eq!(&data[11..14], &[255, 0, 0]);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn pgm_is_single_channel() {
-        let mut fb = Framebuffer::new(2, 2);
-        fb.clear(Vec3::ONE);
-        let dir = std::env::temp_dir().join("psa_render_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.pgm");
-        write_pgm(&fb, &path).unwrap();
-        let data = std::fs::read(&path).unwrap();
-        assert!(data.starts_with(b"P5\n2 2\n255\n"));
-        assert_eq!(data.len(), 11 + 4);
         std::fs::remove_file(path).ok();
     }
 

@@ -36,9 +36,7 @@ pub fn render_particles(
     let (w, h) = (fb.width() as isize, fb.height() as isize);
     let mut drawn = 0;
     for p in particles {
-        let Some(proj) = camera.project(p.position) else {
-            continue;
-        };
+        let proj = camera.project(p.position);
         let radius =
             (p.size * proj.pixels_per_unit * cfg.radius_scale).min(cfg.max_radius_px).max(0.5);
         let (cx, cy) = (proj.x, proj.y);
@@ -121,12 +119,7 @@ pub fn render_objects(fb: &mut Framebuffer, camera: &Camera, objects: &[(Externa
             ExternalObject::Plane { normal, d } => {
                 // Draw the plane's trace as a band one pixel thick in world
                 // units, so it is visible at any resolution.
-                let tol = match camera {
-                    Camera::Ortho { view, height, .. } => {
-                        (view.size().y / *height as Scalar).max(0.05)
-                    }
-                    _ => 0.05,
-                };
+                let tol = (camera.view.size().y / camera.height as Scalar).max(0.05);
                 sample_world_grid(fb, camera, *color, |p| (p.dot(*normal) - d).abs() < tol);
             }
             ExternalObject::Sphere { center, radius } => {
@@ -143,18 +136,14 @@ pub fn render_objects(fb: &mut Framebuffer, camera: &Camera, objects: &[(Externa
 }
 
 /// Sample a camera-facing world grid and paint pixels whose world sample
-/// satisfies `hit`. Orthographic only; perspective scenes draw objects as
-/// particles instead.
+/// satisfies `hit`.
 fn sample_world_grid<F: Fn(Vec3) -> bool>(
     fb: &mut Framebuffer,
     camera: &Camera,
     color: Vec3,
     hit: F,
 ) {
-    let Camera::Ortho { view, width, height } = camera else {
-        return;
-    };
-    let (w, h) = (*width, *height);
+    let (view, w, h) = (&camera.view, camera.width, camera.height);
     let size = view.size();
     for y in 0..h {
         for x in 0..w {

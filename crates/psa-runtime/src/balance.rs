@@ -51,13 +51,6 @@ pub struct BalancerConfig {
     /// particles per participating rank, which is what keeps balancing
     /// alive past 32 ranks where slices hold a handful of particles each.
     pub min_transfer: Option<usize>,
-    /// Diffusive strategy damping α: the fraction of a pair's excess moved
-    /// per round. Stable on a 1-D chain for α ≤ 1/2; the default 1/3 damps
-    /// simultaneous both-neighbor decisions.
-    pub diffusion_alpha: f64,
-    /// Hierarchical/SFC strategy: ranks per contiguous group along the 1-D
-    /// domain curve. `0` — the default — picks ≈√n automatically.
-    pub group_size: usize,
     /// Short-circuit the balance phase after this many consecutive
     /// zero-order rounds for a system (`0` disables the short-circuit —
     /// the paper-faithful behavior of evaluating every frame).
@@ -69,14 +62,7 @@ pub struct BalancerConfig {
 
 impl Default for BalancerConfig {
     fn default() -> Self {
-        BalancerConfig {
-            rel_threshold: 0.15,
-            min_transfer: None,
-            diffusion_alpha: 1.0 / 3.0,
-            group_size: 0,
-            idle_after: 3,
-            reprobe_period: 8,
-        }
+        BalancerConfig { rel_threshold: 0.15, min_transfer: None, idle_after: 3, reprobe_period: 8 }
     }
 }
 

@@ -92,6 +92,10 @@ impl Balancer for HalfExcess {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Diffusive;
 
+/// The fraction of a pair's excess [`Diffusive`] moves per round. Stable on
+/// a 1-D chain for α ≤ 1/2; 1/3 damps simultaneous both-neighbor decisions.
+const DIFFUSION_ALPHA: f64 = 1.0 / 3.0;
+
 impl Balancer for Diffusive {
     fn name(&self) -> &'static str {
         "diffusive"
@@ -119,13 +123,12 @@ impl Balancer for Diffusive {
         }
         // α ≤ 1/2 bounds a both-sides donor's outflow by its holdings:
         // each side moves at most α × count, so the sum is ≤ count.
-        let alpha = cfg.diffusion_alpha.clamp(0.05, 0.5);
         let total: usize = loads.iter().map(|l| l.count).sum();
         let min_transfer = cfg.effective_min_transfer(total, n).max(1);
         let mut out = Vec::new();
         for a in 0..n - 1 {
             let (donor, receiver, excess) = pair_move(a, a + 1, loads, powers);
-            let amount = (excess as f64 * alpha).floor() as usize;
+            let amount = (excess as f64 * DIFFUSION_ALPHA).floor() as usize;
             if amount >= min_transfer {
                 out.push(Transfer { donor, receiver, amount });
             }
@@ -138,13 +141,9 @@ impl Balancer for Diffusive {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HierarchicalSfc;
 
-impl HierarchicalSfc {
-    /// Ranks per group: configured, or ≈√n, always in `[2, n]`.
-    fn group_size(n: usize, cfg: &BalancerConfig) -> usize {
-        let g =
-            if cfg.group_size >= 2 { cfg.group_size } else { (n as f64).sqrt().ceil() as usize };
-        g.clamp(2, n.max(2))
-    }
+/// Ranks per [`HierarchicalSfc`] group: ⌈√n⌉, always in `[2, n]`.
+fn group_size(n: usize) -> usize {
+    ((n as f64).sqrt().ceil() as usize).clamp(2, n.max(2))
 }
 
 impl Balancer for HierarchicalSfc {
@@ -164,7 +163,7 @@ impl Balancer for HierarchicalSfc {
         if n != present.len() || powers.len() != n || n < 2 {
             return Vec::new();
         }
-        let g = Self::group_size(n, cfg);
+        let g = group_size(n);
         let ngroups = n.div_ceil(g);
         let level_parity = ((round / 2) % 2) as usize;
         let mut out = Vec::new();
@@ -274,22 +273,22 @@ mod tests {
     fn diffusive_never_overdraws_a_both_sides_donor() {
         let loads = [li(0, 0.0), li(99, 1.0), li(0, 0.0)];
         let present = [0usize, 1, 2];
-        let cfg = BalancerConfig { diffusion_alpha: 0.5, ..BalancerConfig::fixed(1) };
-        let t = Diffusive.decide(&loads, &[1.0; 3], &present, 0, &cfg);
+        let t = Diffusive.decide(&loads, &[1.0; 3], &present, 0, &BalancerConfig::fixed(1));
         assert_eq!(t.len(), 2);
         validate_round(&t, &loads, &present, true).unwrap();
     }
 
     #[test]
     fn hierarchical_moves_load_across_group_boundaries() {
-        // 16 ranks, groups of 4. All the load sits in group 0; the even
-        // (inter-group) round must move particles across the 3|4 boundary.
+        // 16 ranks, groups of ⌈√16⌉ = 4. All the load sits in group 0; the
+        // even (inter-group) round must move particles across the 3|4
+        // boundary.
         let mut loads = vec![li(0, 0.0); 16];
         for l in loads.iter_mut().take(4) {
             *l = li(1000, 1e-3);
         }
         let present: Vec<usize> = (0..16).collect();
-        let cfg = BalancerConfig { group_size: 4, ..BalancerConfig::fixed(10) };
+        let cfg = BalancerConfig::fixed(10);
         let t = HierarchicalSfc.decide(&loads, &[1.0; 16], &present, 0, &cfg);
         assert!(!t.is_empty());
         assert!(t.iter().all(|t| t.donor == 3 && t.receiver == 4), "{t:?}");
@@ -330,26 +329,26 @@ mod tests {
 
     #[test]
     fn hierarchical_two_rank_levels_act_on_both_parities() {
-        let decide = |loads: &[LoadInfo], group_size: usize, round: u64| {
+        let decide = |loads: &[LoadInfo], round: u64| {
             let present: Vec<usize> = (0..loads.len()).collect();
-            let cfg = BalancerConfig { group_size, ..BalancerConfig::fixed(10) };
+            let cfg = BalancerConfig::fixed(10);
             let t = HierarchicalSfc.decide(loads, &vec![1.0; loads.len()], &present, round, &cfg);
             validate_round(&t, loads, &present, false).unwrap();
             t
         };
-        // Two groups of two: the across-group rounds 0 and 2 (level parity
-        // 0 and 1) both move load over the 1|2 boundary.
+        // Two groups of ⌈√4⌉ = 2: the across-group rounds 0 and 2 (level
+        // parity 0 and 1) both move load over the 1|2 boundary.
         let heavy_group = [li(900, 9.0), li(900, 9.0), li(100, 1.0), li(100, 1.0)];
         for round in [0, 2] {
-            let t = decide(&heavy_group, 2, round);
+            let t = decide(&heavy_group, round);
             assert_eq!(t.len(), 1, "round {round}: {t:?}");
             assert_eq!((t[0].donor, t[0].receiver), (1, 2), "round {round}");
         }
-        // A trailing two-rank group (5 ranks in groups of 3): the
+        // A trailing two-rank group (5 ranks in groups of ⌈√5⌉ = 3): the
         // within-group rounds 1 and 3 both level ranks 3 and 4.
         let heavy_tail = [li(100, 1.0), li(100, 1.0), li(100, 1.0), li(900, 9.0), li(100, 1.0)];
         for round in [1, 3] {
-            let t = decide(&heavy_tail, 3, round);
+            let t = decide(&heavy_tail, round);
             assert_eq!(t, vec![Transfer { donor: 3, receiver: 4, amount: 400 }], "round {round}");
         }
     }
@@ -417,5 +416,11 @@ mod tests {
         assert_eq!(strategy_for(&BalanceMode::decentralized()).unwrap().name(), "half-excess");
         assert_eq!(strategy_for(&BalanceMode::diffusive()).unwrap().name(), "diffusive");
         assert_eq!(strategy_for(&BalanceMode::hierarchical()).unwrap().name(), "hierarchical-sfc");
+        // The strategy is the one place "decentralized" is decided.
+        let decentralized = |m: BalanceMode| strategy_for(&m).is_some_and(|s| s.decentralized());
+        assert!(decentralized(BalanceMode::decentralized()));
+        assert!(decentralized(BalanceMode::diffusive()));
+        assert!(!decentralized(BalanceMode::dynamic()));
+        assert!(!decentralized(BalanceMode::hierarchical()));
     }
 }

@@ -71,11 +71,6 @@ impl BalanceMode {
         }
     }
 
-    /// Does this mode decide pair-locally, without a manager round-trip?
-    pub fn is_decentralized(&self) -> bool {
-        matches!(self, BalanceMode::Decentralized(_) | BalanceMode::Diffusive(_))
-    }
-
     /// Short label used in table headers: SLB / DLB / DEC / DIF / SFC.
     pub fn label(&self) -> &'static str {
         match self {
@@ -280,10 +275,6 @@ mod tests {
         assert!(BalanceMode::diffusive().is_dynamic());
         assert!(BalanceMode::hierarchical().is_dynamic());
         assert!(!BalanceMode::Static.is_dynamic());
-        assert!(BalanceMode::decentralized().is_decentralized());
-        assert!(BalanceMode::diffusive().is_decentralized());
-        assert!(!BalanceMode::dynamic().is_decentralized());
-        assert!(!BalanceMode::hierarchical().is_decentralized());
         assert!(BalanceMode::Static.balancer_config().is_none());
         assert!(BalanceMode::diffusive().balancer_config().is_some());
     }

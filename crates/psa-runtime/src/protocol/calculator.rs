@@ -294,11 +294,12 @@ impl Calculator {
         }
     }
 
-    /// Rewind to `snap` (shape-checked by the caller, its cuts parsed into
-    /// `domains`). Re-inserting the particles in captured order rebuilds the
-    /// stores byte-identically: bucket assignment is a pure function of
-    /// position and within-bucket order is append order. At a frame boundary
-    /// the streak replica equals the manager's (`streak`).
+    /// Rewind to `snap` (shape-checked by the caller, bucket counts
+    /// included, its cuts parsed into `domains`). Re-inserting the
+    /// particles in captured order rebuilds the stores byte-identically:
+    /// bucket assignment is a pure function of position and within-bucket
+    /// order is append order. At a frame boundary the streak replica equals
+    /// the manager's (`streak`).
     pub(crate) fn restore(
         &mut self,
         snap: &CalcSnapshot,
@@ -306,13 +307,13 @@ impl Calculator {
         streak: &[u32],
     ) {
         for (store, ss) in self.stores.iter_mut().zip(&snap.stores) {
-            *store = SubDomainStore::new(ss.slice, AXIS, ss.buckets.max(1));
+            *store = SubDomainStore::new(ss.slice, AXIS, store.bucket_count());
             store.extend(ss.particles.iter().copied());
         }
         self.domains = domains;
         self.compute_time.clone_from(&snap.compute_time);
         self.pre_count.clone_from(&snap.pre_count);
-        self.streak.0.clone_from_slice(streak);
+        self.streak = SkipStreak(streak.to_vec());
         self.leavers.clear();
         self.staged.iter_mut().for_each(|s| s.1.clear());
         self.donations.clear();

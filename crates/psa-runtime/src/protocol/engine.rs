@@ -22,6 +22,7 @@ use super::calculator::Calculator;
 use super::manager::{Manager, Round};
 use super::{check_exchange, space_for, Fabric, AXIS};
 use crate::balance::{self, LoadInfo, Order};
+use crate::balancers::strategy_for;
 use crate::checkpoint::{EngineSnapshot, RecoveryEvent};
 use crate::config::{ExchangeMode, RunConfig, SystemSchedule};
 use crate::msg::{Msg, ProtocolError};
@@ -685,7 +686,7 @@ impl<F: Fabric> Engine<F> {
     ) -> Result<Vec<Option<LoadInfo>>, ProtocolError> {
         let n = self.n;
         let system = self.scene.systems[sys].spec.id;
-        let decentralized = self.cfg.balance.is_decentralized();
+        let decentralized = strategy_for(&self.cfg.balance).is_some_and(|s| s.decentralized());
         // Gossip partners for the decentralized modes: the nearest
         // non-dead rank on each side (a dead rank's slice is collapsed, so
         // the next surviving rank really is the domain neighbor).

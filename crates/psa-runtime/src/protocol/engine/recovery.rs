@@ -118,8 +118,14 @@ impl<F: Fabric> Engine<F> {
     /// placement the snapshot was taken under (the session layer revives an
     /// evicted engine exactly this way: rebuild, then restore). Queued
     /// fabric messages are dropped; replay regenerates them.
+    ///
+    /// Total: a snapshot that does not fit this engine — wrong rank or
+    /// system counts, a domain map of another width, a store with another
+    /// bucket count or an inverted slice, a fabric part of another shape —
+    /// returns `ProtocolError::Domain { role: "checkpoint", .. }` and
+    /// leaves the engine and its fabric exactly as they were.
     pub fn restore(&mut self, snap: &EngineSnapshot) -> Result<(), ProtocolError> {
-        let n_sys = self.scene.systems.len();
+        let (n, n_sys, buckets) = (self.n, self.scene.systems.len(), self.cfg.buckets);
         let mgr = self.mgr;
         let shape_err = |detail: String| ProtocolError::Domain {
             role: "checkpoint",
@@ -127,19 +133,17 @@ impl<F: Fabric> Engine<F> {
             frame: snap.next_frame,
             detail,
         };
-        if snap.calcs.len() != self.n
-            || snap.crashed.len() != self.n
-            || snap.dead.len() != self.n
-            || snap.missed.len() != self.n
+        if snap.calcs.len() != n
+            || snap.crashed.len() != n
+            || snap.dead.len() != n
+            || snap.missed.len() != n
             || snap.idle_rounds.len() != n_sys
             || snap.mgr_cuts.len() != n_sys
         {
             return Err(shape_err(format!(
-                "snapshot shape mismatch: {} calculators / {} systems captured, engine has {} / {}",
+                "snapshot shape mismatch: {} calculators / {} systems captured, engine has {n} / {n_sys}",
                 snap.calcs.len(),
                 snap.mgr_cuts.len(),
-                self.n,
-                n_sys,
             )));
         }
         for (c, cs) in snap.calcs.iter().enumerate() {
@@ -153,10 +157,24 @@ impl<F: Fabric> Engine<F> {
                     cs.stores.len(),
                 )));
             }
+            for s in &cs.stores {
+                let (lo, hi) = (s.slice.lo, s.slice.hi);
+                if s.buckets != buckets || lo.is_nan() || hi.is_nan() || lo > hi {
+                    return Err(shape_err(format!(
+                        "snapshot calculator {c} has a {}-bucket store over [{lo}, {hi}); \
+                         engine stores have {buckets} buckets over an ordered slice",
+                        s.buckets,
+                    )));
+                }
+            }
         }
         let parse = |what: String, cuts: &[Scalar]| {
-            DomainMap::from_cuts(AXIS, cuts.to_vec())
-                .map_err(|e| shape_err(format!("restoring {what}: {e}")))
+            let detail = match DomainMap::from_cuts(AXIS, cuts.to_vec()) {
+                Ok(dm) if dm.len() == n => return Ok(dm),
+                Ok(dm) => format!("{} slices for {n} calculators", dm.len()),
+                Err(e) => e.to_string(),
+            };
+            Err(shape_err(format!("restoring {what}: {detail}")))
         };
         let mgr_domains = (snap.mgr_cuts.iter().enumerate())
             .map(|(sys, cuts)| parse(format!("manager domains for system {sys}"), cuts))
@@ -172,7 +190,11 @@ impl<F: Fabric> Engine<F> {
                     .collect::<Result<Vec<_>, _>>()?,
             );
         }
-        // All inputs validated — mutate.
+        // The fabric checks its own part before it writes anything; once it
+        // has loaded, every input is validated and nothing below can fail.
+        self.net
+            .load_fabric(&snap.fabric)
+            .map_err(|e| shape_err(format!("restoring the fabric: {e}")))?;
         self.manager.restore(mgr_domains, snap.round, &snap.idle_rounds);
         for ((calc, cs), domains) in self.calcs.iter_mut().zip(&snap.calcs).zip(calc_domains) {
             calc.restore(cs, domains, &snap.idle_rounds);
@@ -184,7 +206,6 @@ impl<F: Fabric> Engine<F> {
         self.dead.clone_from(&snap.dead);
         self.missed.clone_from(&snap.missed);
         self.dead_events.clone_from(&snap.dead_events);
-        self.net.load_fabric(&snap.fabric);
         // Frame-local tallies are zero at every frame boundary.
         self.frame_timeouts = 0;
         self.frame_retries = 0;

@@ -215,7 +215,7 @@ impl Manager {
     pub(crate) fn restore(&mut self, domains: Vec<DomainMap>, round: u64, idle_rounds: &[u32]) {
         self.domains = domains;
         self.round = round;
-        self.streak.0.clone_from_slice(idle_rounds);
+        self.streak = SkipStreak(idle_rounds.to_vec());
         self.newborn.clear();
         self.batches.iter_mut().for_each(Vec::clear);
     }

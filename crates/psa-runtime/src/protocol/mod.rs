@@ -163,8 +163,9 @@ pub trait Fabric {
     fn save_fabric(&self) -> FabricCheckpoint;
     /// Rewind the fabric to a previously captured checkpoint, dropping any
     /// queued messages (replay from a frame boundary regenerates traffic
-    /// deterministically).
-    fn load_fabric(&mut self, ck: &FabricCheckpoint);
+    /// deterministically). A checkpoint shaped for another fabric is
+    /// refused with a description before anything is written.
+    fn load_fabric(&mut self, ck: &FabricCheckpoint) -> Result<(), String>;
 }
 
 #[cfg(test)]

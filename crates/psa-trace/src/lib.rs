@@ -7,13 +7,14 @@
 //! per-rank, per-frame timings plus traffic/fault counters, without ever
 //! feeding back into the simulation.
 //!
-//! Two clocks, one discipline:
+//! Two clocks, one discipline, named by [`ClockKind`]:
 //!
-//! * [`clock::VirtualClock`] — manually advanced virtual ticks, used by the
-//!   deterministic executor. Bit-exact and fingerprint-safe.
-//! * [`clock::WallClock`] — real elapsed time for the threaded executor,
-//!   carrying the same audited wall-clock allow annotation as the
-//!   executor it instruments.
+//! * `Virtual` — the deterministic executor's per-rank virtual clocks,
+//!   which the executor reads and hands to the recorder. Bit-exact and
+//!   fingerprint-safe.
+//! * `Wall` — real elapsed time the threaded executor measures itself,
+//!   behind its own audited wall-clock allow annotation; this crate never
+//!   reads a wall clock.
 //!
 //! The quietness guarantee mirrors the fault layer's quiet-plan rule: a
 //! disabled [`Recorder`] is a true no-op, and an *enabled* recorder only
@@ -28,7 +29,7 @@ pub mod recorder;
 pub mod report;
 pub mod session;
 
-pub use clock::{ClockKind, VirtualClock, WallClock};
+pub use clock::ClockKind;
 pub use phase::{Phase, PHASES, PHASE_COUNT};
 pub use recorder::{Counter, FaultEvent, FaultKind, Recorder, TraceError};
 pub use report::{FrameCounters, FrameTrace, TraceReport};

@@ -59,8 +59,7 @@ pub mod prelude {
     pub use psa_desim::EventSim;
     pub use psa_math::{Aabb, Axis, Interval, Rng64, Vec3};
     pub use psa_render::{
-        render_objects, render_particles, render_streaks, Camera, ColorMap, Framebuffer,
-        SplatConfig,
+        render_objects, render_particles, render_streaks, Camera, Framebuffer, SplatConfig,
     };
     pub use psa_runtime::threaded::RenderSink;
     pub use psa_runtime::{

@@ -11,12 +11,16 @@
 //!   land both on and off the snapshot cadence;
 //! * engine-level — `snapshot()` at a frame boundary, `restore()` into a
 //!   *fresh* engine, and run-to-end reproduces the uninterrupted report
-//!   exactly, with the snapshot surviving its byte codec bit-for-bit.
+//!   exactly, with the snapshot surviving its byte codec bit-for-bit;
+//! * restore is total — a snapshot that decodes but does not fit the
+//!   engine is refused with a typed error and changes nothing.
 
-use netsim::{FaultPlan, FaultPolicy};
+use netsim::{FaultPlan, FaultPolicy, LinkFault};
 use psa_desim::{EventFabric, EventSim};
 use psa_runtime::trace::Trace;
-use psa_runtime::{node_layout, BalanceMode, CheckpointConfig, Engine, EngineSnapshot, RunConfig};
+use psa_runtime::{
+    node_layout, BalanceMode, CheckpointConfig, Engine, EngineSnapshot, ProtocolError, RunConfig,
+};
 use psa_workloads::{fountain_scene, myrinet_gcc, snow_scene, WorkloadSize};
 
 fn size() -> WorkloadSize {
@@ -25,6 +29,26 @@ fn size() -> WorkloadSize {
 
 fn config(seed: u64) -> RunConfig {
     RunConfig { frames: 8, dt: 0.1, seed, warmup: 0, ..Default::default() }
+}
+
+/// A fountain engine on 4 calculators over `plan`, built from scratch the
+/// way the session layer rebuilds one before `restore`.
+fn fountain_engine(cfg: &RunConfig, plan: FaultPlan) -> Engine<EventFabric> {
+    let sz = size();
+    let cluster = myrinet_gcc(4, 1);
+    let placement = cluster.placement();
+    let (node_of, node_count) = node_layout(&placement);
+    let net = EventFabric::new(cluster.net.clone(), node_of, node_count, plan);
+    Engine::new(
+        fountain_scene(sz),
+        cfg.clone(),
+        &placement,
+        sz.cost_model(),
+        net,
+        FaultPolicy::default(),
+        Trace::disabled(),
+        false,
+    )
 }
 
 /// The tentpole's acceptance gate: with `CheckpointConfig::recovering`, a
@@ -94,31 +118,8 @@ fn unrecovered_crash_still_degrades() {
 /// snapshot also survives encode → decode bit-exactly.
 #[test]
 fn mid_run_restore_resumes_byte_identically() {
-    let sz = size();
-    let cluster = myrinet_gcc(4, 1);
-    let placement = cluster.placement();
-    let n = placement.calculators();
     let cfg = config(0x0C4E);
-    let scene = fountain_scene(sz);
-    let make_engine = || {
-        let (node_of, node_count) = node_layout(&placement);
-        let net = EventFabric::new(
-            cluster.net.clone(),
-            node_of,
-            node_count,
-            FaultPlan::none(cfg.seed, n + 2),
-        );
-        Engine::new(
-            scene.clone(),
-            cfg.clone(),
-            &placement,
-            sz.cost_model(),
-            net,
-            FaultPolicy::default(),
-            Trace::disabled(),
-            false,
-        )
-    };
+    let make_engine = || fountain_engine(&cfg, FaultPlan::none(cfg.seed, 4 + 2));
 
     // Reference: straight through, capturing the frame-3 boundary.
     let mut a = make_engine();
@@ -156,4 +157,63 @@ fn mid_run_restore_resumes_byte_identically() {
     let decoded = EngineSnapshot::decode(&snap.encode()).expect("live snapshot decodes");
     assert_eq!(decoded.fingerprint(), snap.fingerprint());
     assert_eq!(decoded.encode(), snap.encode());
+}
+
+/// Restoring `edit`ed into a fresh engine: the edit is one field of a valid
+/// frame-3 snapshot of a fountain whose links jitter (so the injector has
+/// streams). The edited snapshot still decodes; restoring it must fail with
+/// the checkpoint's typed error and leave the engine exactly as it was.
+fn assert_refused_untouched(edit: impl FnOnce(&mut EngineSnapshot)) {
+    let cfg = config(0x0BAD);
+    let mut plan = FaultPlan::none(cfg.seed, 4 + 2);
+    plan.set_all_links(LinkFault::jittery(0.5, 1e-3));
+    let mut live = fountain_engine(&cfg, plan.clone());
+    for _ in 0..3 {
+        live.step_frame().expect("healthy run").expect("frames remain");
+    }
+    let mut snap = live.snapshot();
+    assert!(!snap.fabric.injector_streams.is_empty(), "jittery links draw");
+    edit(&mut snap);
+    let snap = EngineSnapshot::decode(&snap.encode()).expect("the edited snapshot decodes");
+    let mut fresh = fountain_engine(&cfg, plan);
+    let before = fresh.snapshot().fingerprint();
+    let err = fresh.restore(&snap).expect_err("a snapshot that does not fit must be refused");
+    assert!(matches!(err, ProtocolError::Domain { role: "checkpoint", .. }), "{err}");
+    assert_eq!(fresh.snapshot().fingerprint(), before, "a refused restore changed the engine");
+}
+
+#[test]
+fn restore_refuses_a_missing_wire_clock() {
+    assert_refused_untouched(|s| {
+        s.fabric.wire.clocks.pop();
+    });
+}
+
+#[test]
+fn restore_refuses_an_extra_nic_cursor() {
+    assert_refused_untouched(|s| s.fabric.wire.link_free.push(0.0));
+}
+
+#[test]
+fn restore_refuses_a_missing_rank_counter() {
+    assert_refused_untouched(|s| {
+        s.fabric.wire.rank_stats.pop();
+    });
+}
+
+#[test]
+fn restore_refuses_injector_streams_that_are_not_whole_triples() {
+    assert_refused_untouched(|s| {
+        s.fabric.injector_streams.pop();
+    });
+}
+
+#[test]
+fn restore_refuses_a_store_of_zero_buckets() {
+    assert_refused_untouched(|s| s.calcs[0].stores[0].buckets = 0);
+}
+
+#[test]
+fn restore_refuses_a_store_of_2_pow_40_buckets() {
+    assert_refused_untouched(|s| s.calcs[0].stores[0].buckets = 1 << 40);
 }
