@@ -18,12 +18,15 @@
 //!
 //! ## Why it scales
 //!
-//! Per-link state exists only for links that carry or perturb traffic: the
-//! queue map holds the links that have ever sent (a dense `ranks²` queue
-//! table is ~34 MB of empty headers at 1,024 ranks), the fault plan and its
-//! injector hold the links that differ or have drawn, and with the engine's
-//! sparse exchange mode the active-link set stays proportional to actual
-//! migration, not to `ranks²`.
+//! Per-link state exists only for links that carry or perturb traffic: each
+//! receiving rank has one sparse map of the senders that have ever sent to
+//! it (a dense `ranks²` queue table is ~34 MB of empty headers at 1,024
+//! ranks; the per-receiver maps are `ranks` empty headers until something
+//! arrives), the fault plan and its injector hold the links that differ or
+//! have drawn, and with the engine's sparse exchange mode the active-link
+//! set stays proportional to actual migration, not to `ranks²`. A send or a
+//! receive indexes its receiver's map directly and searches only that
+//! rank's senders, never every link of the fabric.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -61,13 +64,17 @@ pub struct SimStats {
     pub max_heap_depth: usize,
 }
 
+/// The links into one receiving rank: each sender's in-flight
+/// `(deliver_at, msg)` in send order, keyed by sender.
+type Inbox = BTreeMap<usize, VecDeque<(f64, Msg)>>;
+
 /// Virtual message fabric for the shared protocol engine.
 pub struct EventFabric {
     wire: WireState,
-    /// In-flight messages per directed link, in send order:
-    /// `links[(to, from)]` queues `(deliver_at, msg)`. Sparse on purpose —
-    /// only links that carried traffic exist.
-    links: BTreeMap<(usize, usize), VecDeque<(f64, Msg)>>,
+    /// In-flight messages per directed link, found by the receiver first:
+    /// `links[to][&from]`. One inbox per rank, and a queue only for a link
+    /// that has sent — a sparse map per receiver, not a dense table.
+    links: Vec<Inbox>,
     /// Messages queued over all links.
     in_flight: usize,
     inj: PlanInjector,
@@ -78,9 +85,10 @@ impl EventFabric {
     /// Build the fabric for ranks living on the given nodes, executing the
     /// given fault plan (pass `FaultPlan::none(..)` for a healthy cluster).
     pub fn new(net: NetworkModel, node_of: Vec<usize>, node_count: usize, plan: FaultPlan) -> Self {
+        let ranks = node_of.len();
         EventFabric {
             wire: WireState::new(net, node_of, node_count),
-            links: BTreeMap::new(),
+            links: vec![Inbox::new(); ranks],
             in_flight: 0,
             inj: PlanInjector::new(plan),
             stats: SimStats::default(),
@@ -95,13 +103,21 @@ impl EventFabric {
 
 impl Fabric for EventFabric {
     fn send(&mut self, from: usize, to: usize, msg: Msg) -> Result<(), FailedSend<Msg>> {
+        // A receiver the fabric does not have is refused before the
+        // injector draws or the wire charges anything.
+        let Some(inbox) = self.links.get_mut(to) else {
+            return Err(FailedSend {
+                msg,
+                error: TransportError::Disconnected { rank: from, peer: to },
+            });
+        };
         let payload = msg.wire_bytes();
         match self.inj.on_send(from, to, payload) {
             SendFate::Deliver { extra_delay } => {
                 // Counters + sender clock + occupancy; the delivery stamp
                 // travels with the message.
                 let deliver_at = self.wire.charge_send(from, to, payload, extra_delay);
-                self.links.entry((to, from)).or_default().push_back((deliver_at, msg));
+                inbox.entry(from).or_default().push_back((deliver_at, msg));
                 self.in_flight += 1;
                 self.stats.sends += 1;
                 self.stats.max_heap_depth = self.stats.max_heap_depth.max(self.in_flight);
@@ -116,7 +132,7 @@ impl Fabric for EventFabric {
     }
 
     fn recv(&mut self, to: usize, from: usize) -> Result<Msg, TransportError> {
-        match self.links.get_mut(&(to, from)).and_then(VecDeque::pop_front) {
+        match self.links.get_mut(to).and_then(|inbox| inbox.get_mut(&from)?.pop_front()) {
             Some((deliver_at, msg)) => {
                 self.in_flight -= 1;
                 self.stats.events += 1;
@@ -130,7 +146,10 @@ impl Fabric for EventFabric {
     }
 
     fn recv_deadline(&mut self, to: usize, from: usize, wait: f64) -> Result<Msg, TransportError> {
-        if self.links.get(&(to, from)).is_none_or(VecDeque::is_empty) {
+        let Some(inbox) = self.links.get(to) else {
+            return Err(TransportError::NoMessage { rank: to, peer: from });
+        };
+        if inbox.get(&from).is_none_or(VecDeque::is_empty) {
             // Nothing in flight can ever satisfy this receive (every sent
             // message is already on its link): charge the bounded wait and
             // surface the timeout.
@@ -142,18 +161,18 @@ impl Fabric for EventFabric {
     }
 
     fn take_queued(&mut self, to: usize, from: usize) -> Vec<Msg> {
-        let drained = self.links.remove(&(to, from)).unwrap_or_default();
+        let drained =
+            self.links.get_mut(to).and_then(|inbox| inbox.remove(&from)).unwrap_or_default();
         self.in_flight -= drained.len();
         self.stats.events += drained.len() as u64;
         drained.into_iter().map(|(_, msg)| msg).collect()
     }
 
     fn queued_senders(&mut self, to: usize) -> Vec<usize> {
-        self.links
-            .range((to, 0)..=(to, usize::MAX))
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(&(_, from), _)| from)
-            .collect()
+        let Some(inbox) = self.links.get(to) else {
+            return Vec::new();
+        };
+        inbox.iter().filter(|(_, q)| !q.is_empty()).map(|(&from, _)| from).collect()
     }
 
     fn now(&self, rank: usize) -> f64 {
@@ -222,7 +241,7 @@ impl Fabric for EventFabric {
         self.inj = inj;
         // Frame-boundary checkpoints never capture in-flight traffic:
         // drop whatever the links hold.
-        self.links.clear();
+        self.links.iter_mut().for_each(Inbox::clear);
         self.in_flight = 0;
         self.stats = SimStats { events, sends, fast_forwards, blocked_recvs, ..self.stats };
         Ok(())
@@ -304,7 +323,7 @@ mod tests {
             EventFabric::send(&mut ev, 1, 2, Msg::FrameDone { frame: 10 + i }).expect("send");
         }
         let stamps = |ev: &EventFabric, from| -> Vec<f64> {
-            ev.links[&(2, from)].iter().map(|&(deliver_at, _)| deliver_at).collect()
+            ev.links[2][&from].iter().map(|&(deliver_at, _)| deliver_at).collect()
         };
         let (slow, clean) = (stamps(&ev, 0), stamps(&ev, 1));
         assert!(slow.windows(2).any(|w| w[0] > w[1]), "jitter must invert stamps: {slow:?}");
@@ -417,11 +436,121 @@ mod tests {
         }
         assert_eq!(EventFabric::queued_senders(&mut ev, 3), vec![2, 5, 7]);
         assert_eq!(EventFabric::queued_senders(&mut ev, 0), Vec::<usize>::new());
-        // Only touched links occupy queue memory.
-        assert_eq!(ev.links.len(), 3);
+        // Only touched links occupy queue memory, all in the receiver's map.
+        assert_eq!(queues(&ev), 3);
+        assert_eq!(ev.links[3].len(), 3);
         // A drained link drops out of the list.
         EventFabric::recv(&mut ev, 3, 5).expect("queued");
         assert_eq!(EventFabric::queued_senders(&mut ev, 3), vec![2, 7]);
+    }
+
+    /// Link queues the fabric holds, over every receiver.
+    fn queues(ev: &EventFabric) -> usize {
+        ev.links.iter().map(Inbox::len).sum()
+    }
+
+    /// `desim_1024`'s rank count: 1,024 calculators, manager, image generator.
+    const RANKS_1024: usize = 1026;
+
+    #[test]
+    fn a_thousand_senders_to_one_receiver_come_back_ascending() {
+        let mut ev = fabric(RANKS_1024);
+        let (mgr, calcs) = (1024, 1024);
+        // Every calculator reports, in an order that is not rank order
+        // (389 is odd, so i ↦ 389·i mod 1024 visits each rank once).
+        for i in 0..calcs {
+            let from = (389 * i) % calcs;
+            EventFabric::send(&mut ev, from, mgr, Msg::FrameDone { frame: from as u64 })
+                .expect("send");
+        }
+        assert_eq!(EventFabric::queued_senders(&mut ev, mgr), (0..calcs).collect::<Vec<_>>());
+        for from in 0..calcs {
+            match EventFabric::recv(&mut ev, mgr, from) {
+                Ok(Msg::FrameDone { frame }) => assert_eq!(frame, from as u64),
+                other => panic!("link ({mgr},{from}): {other:?}"),
+            }
+        }
+        assert!(EventFabric::queued_senders(&mut ev, mgr).is_empty());
+    }
+
+    #[test]
+    fn per_link_fifo_holds_across_receivers() {
+        let mut ev = fabric(RANKS_1024);
+        let receivers = [1, 512, 1024, 1025];
+        // One sender interleaves a stream to four receivers, a second one
+        // shares a receiver with it; every link drains in its own send order.
+        for i in 0..6u64 {
+            for (k, &to) in receivers.iter().enumerate() {
+                let frame = 100 * k as u64 + i;
+                EventFabric::send(&mut ev, 0, to, Msg::FrameDone { frame }).expect("send");
+            }
+            EventFabric::send(&mut ev, 7, 512, Msg::FrameDone { frame: 900 + i }).expect("send");
+        }
+        for (k, &to) in receivers.iter().enumerate().rev() {
+            for i in 0..6u64 {
+                match EventFabric::recv(&mut ev, to, 0) {
+                    Ok(Msg::FrameDone { frame }) => assert_eq!(frame, 100 * k as u64 + i),
+                    other => panic!("link ({to},0) out of order: {other:?}"),
+                }
+            }
+        }
+        let rest: Vec<Msg> = EventFabric::take_queued(&mut ev, 512, 7);
+        assert_eq!(rest, (0..6).map(|i| Msg::FrameDone { frame: 900 + i }).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_restore_empties_every_receivers_queues() {
+        let mut ev = fabric(RANKS_1024);
+        let ck = ev.save_fabric();
+        for (from, to) in [(0, 1024), (1023, 1024), (1024, 5), (1024, 1023), (5, 1025), (1025, 0)] {
+            EventFabric::send(&mut ev, from, to, Msg::FrameDone { frame: 1 }).expect("send");
+        }
+        assert_eq!(queues(&ev), 6);
+        ev.load_fabric(&ck).expect("the fabric's own checkpoint");
+        assert_eq!(queues(&ev), 0, "no receiver keeps a queue across a restore");
+        assert!((0..RANKS_1024).all(|to| EventFabric::queued_senders(&mut ev, to).is_empty()));
+        assert!(EventFabric::recv(&mut ev, 1024, 0).is_err());
+        assert_eq!(ev.links.len(), RANKS_1024, "the per-receiver index survives the restore");
+    }
+
+    #[test]
+    fn queues_exist_only_for_links_that_sent() {
+        let mut ev = fabric(RANKS_1024);
+        assert_eq!((ev.links.len(), queues(&ev)), (RANKS_1024, 0), "one empty map per rank");
+        for (from, to) in [(3, 1024), (3, 1024), (4, 1024), (1024, 3), (3, 4)] {
+            EventFabric::send(&mut ev, from, to, Msg::FrameDone { frame: 0 }).expect("send");
+        }
+        assert_eq!(queues(&ev), 4, "four distinct links sent");
+        assert_eq!(ev.links[1024].keys().copied().collect::<Vec<_>>(), vec![3, 4]);
+        // Receives and crash cleanup never create a queue.
+        let _ = EventFabric::recv(&mut ev, 1025, 9);
+        let _ = EventFabric::recv_deadline(&mut ev, 1025, 8, 1e-3);
+        let _ = EventFabric::take_queued(&mut ev, 1025, 7);
+        assert_eq!(queues(&ev), 4);
+    }
+
+    #[test]
+    fn ranks_outside_the_fabric_are_typed_errors_that_charge_nothing() {
+        let mut ev = fabric(3);
+        let before = ev.save_fabric();
+        match EventFabric::send(&mut ev, 0, 3, Msg::FrameDone { frame: 0 }) {
+            Err(FailedSend { msg: Msg::FrameDone { frame: 0 }, error }) => {
+                assert_eq!(error, TransportError::Disconnected { rank: 0, peer: 3 });
+            }
+            other => panic!("rank 3 does not exist: {other:?}"),
+        }
+        assert_eq!(
+            EventFabric::recv(&mut ev, 3, 0),
+            Err(TransportError::NoMessage { rank: 3, peer: 0 })
+        );
+        assert_eq!(
+            EventFabric::recv_deadline(&mut ev, 3, 0, 0.5),
+            Err(TransportError::NoMessage { rank: 3, peer: 0 })
+        );
+        assert!(EventFabric::take_queued(&mut ev, 3, 0).is_empty());
+        assert!(EventFabric::queued_senders(&mut ev, 3).is_empty());
+        assert_eq!(ev.save_fabric(), before, "no clock, counter or stream moved");
+        assert_eq!(ev.sim_stats(), SimStats::default());
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! generator), end-of-transmission notifications, load information, balance
 //! orders, new dimensions, and the domain broadcast.
 
+use std::sync::Arc;
+
 use netsim::{TransportError, WireSize};
 use psa_core::invariants::StateHash;
-use psa_core::{InvariantViolation, Particle, SystemId, WIRE_BYTES};
+use psa_core::{DomainMap, InvariantViolation, Particle, SystemId, WIRE_BYTES};
 use psa_math::Scalar;
 
 use crate::balance::{LoadInfo, Order};
@@ -50,8 +52,11 @@ pub enum Msg {
     Orders { system: SystemId, orders: Vec<Order>, round_orders: u32 },
     /// A donor's newly computed domain boundary (paper §3.2.5).
     NewCut { system: SystemId, boundary: usize, cut: Scalar },
-    /// The manager's broadcast of updated domain boundaries.
-    Domains { system: SystemId, cuts: Vec<Scalar> },
+    /// The manager's broadcast of updated domain boundaries: one shared,
+    /// already-validated map per round, cloned by reference to every
+    /// calculator, which installs exactly what arrives. The wire size still
+    /// counts every cut, as a real broadcast would carry them.
+    Domains { system: SystemId, map: Arc<DomainMap> },
     /// Read-only boundary-slab particles shipped to a domain neighbor for
     /// inter-particle collision detection (§3.1.4 / §3.1.5's "particles
     /// exchanged during the computation").
@@ -192,7 +197,7 @@ impl WireSize for Msg {
             Msg::Load { .. } => 24,
             Msg::Orders { orders, .. } => 8 + 16 * orders.len() as u64,
             Msg::NewCut { .. } => 16,
-            Msg::Domains { cuts, .. } => 8 + 4 * cuts.len() as u64,
+            Msg::Domains { map, .. } => 8 + 4 * map.cuts().len() as u64,
             Msg::RenderBatch { count, scale, .. } => {
                 (*count as f64 * scale * RENDER_WIRE_BYTES as f64).round() as u64
             }
@@ -206,7 +211,7 @@ impl WireSize for Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_math::Vec3;
+    use psa_math::{Axis, Interval, Vec3};
 
     #[test]
     fn particle_batch_bytes_match_paper_unit() {
@@ -236,10 +241,20 @@ mod tests {
     #[test]
     fn control_messages_are_small() {
         assert!(Msg::EndOfTransmission { system: SystemId(1) }.wire_bytes() < 16);
-        assert!(Msg::Domains { system: SystemId(1), cuts: vec![0.0; 9] }.wire_bytes() < 64);
         let digest =
             Msg::FrameDigest { system: SystemId(1), alive: 50_000, hash: StateHash::new() };
         assert_eq!(digest.wire_bytes(), DIGEST_WIRE_BYTES);
+    }
+
+    #[test]
+    fn a_domain_broadcast_is_charged_for_every_cut_it_shares() {
+        // The message carries one shared map, but the wire still counts the
+        // header plus 4 bytes for each of the n + 1 cuts of n slices.
+        for (n, bytes) in [(8, 8 + 4 * 9), (1024, 4108)] {
+            let map = DomainMap::split_even(Interval::new(0.0, 10.0), Axis::X, n);
+            let m = Msg::Domains { system: SystemId(1), map: Arc::new(map) };
+            assert_eq!(m.wire_bytes(), bytes, "{n} slices");
+        }
     }
 
     #[test]

@@ -18,7 +18,6 @@ use super::{stream, take_batch, SkipStreak, AXIS, TAG_ACTIONS};
 use crate::balance::LoadInfo;
 use crate::checkpoint::{CalcSnapshot, StoreSnapshot};
 use crate::config::{BalanceMode, RunConfig};
-use crate::msg::ProtocolError;
 use crate::scene::{CollisionSpec, SystemSetup};
 
 /// What one balance order cost the donor: its new `cut` toward the
@@ -37,8 +36,8 @@ pub(crate) struct Calculator {
     /// One sub-domain store per system.
     stores: Vec<SubDomainStore>,
     /// Local replica of every system's domain map (all processes know all
-    /// domains, paper §3.1.4). `Arc`-shared: after a broadcast the engine
-    /// hands every calculator the same map, and at 1,024 ranks × 100
+    /// domains, paper §3.1.4). `Arc`-shared: a `Domains` broadcast carries
+    /// one map that every calculator installs, and at 1,024 ranks × 100
     /// systems per-rank copies would dominate memory.
     domains: Vec<Arc<DomainMap>>,
     /// This frame's per-system compute time (pre-exchange population).
@@ -82,6 +81,12 @@ impl Calculator {
     /// System `sys`'s store, read-only (counts, shipping, ghost slabs).
     pub(crate) fn store(&self, sys: usize) -> &SubDomainStore {
         &self.stores[sys]
+    }
+
+    /// This calculator's replica of system `sys`'s domain map.
+    #[cfg(test)]
+    pub(crate) fn replica(&self, sys: usize) -> &Arc<DomainMap> {
+        &self.domains[sys]
     }
 
     /// Particles held across every system.
@@ -226,23 +231,9 @@ impl Calculator {
         std::mem::take(&mut self.donations)
     }
 
-    /// Validate a domain broadcast's cuts (the typed error a malformed
-    /// broadcast must produce).
-    pub(crate) fn parse_domains(
-        &self,
-        frame: u64,
-        cuts: Vec<Scalar>,
-    ) -> Result<DomainMap, ProtocolError> {
-        DomainMap::from_cuts(AXIS, cuts).map_err(|e| ProtocolError::Domain {
-            role: "calculator",
-            rank: self.c,
-            frame,
-            detail: format!("broadcast domains invalid: {e}"),
-        })
-    }
-
-    /// Definition of local domains: adopt `dm` for system `sys` and, if
-    /// this calculator's own slice changed, reshape the store to it.
+    /// Definition of local domains: adopt `dm` — the very map the manager
+    /// broadcast, shared with every other calculator — for system `sys`
+    /// and, if this calculator's own slice changed, reshape the store to it.
     /// Returns the population the reshape scanned, `None` if the slice stood.
     pub(crate) fn install_domains(&mut self, sys: usize, dm: Arc<DomainMap>) -> Option<usize> {
         let (new_slice, space) = (dm.slice(self.c), dm.space());
@@ -440,11 +431,10 @@ mod tests {
         k.add(0, vec![at(1.0), at(-2.0)]);
         let same = Arc::new(DomainMap::split_even(Interval::new(0.0, 10.0), AXIS, 2));
         assert_eq!(k.install_domains(0, same), None, "unchanged slice: no reshape");
-        let dm = k.parse_domains(3, vec![0.0, 3.0, 10.0]).expect("valid cuts");
-        assert_eq!(k.install_domains(0, Arc::new(dm)), Some(2));
+        let dm = Arc::new(DomainMap::from_cuts(AXIS, vec![0.0, 3.0, 10.0]).expect("valid cuts"));
+        assert_eq!(k.install_domains(0, dm.clone()), Some(2));
+        assert!(Arc::ptr_eq(&k.domains[0], &dm), "the replica is the map it was handed");
         assert_eq!(k.store(0).slice(), Interval::new(0.0, 3.0));
         assert_eq!(k.store(0).len(), 2, "the out-of-space stray at -2 is back in the store");
-        let err = k.parse_domains(3, vec![0.0, 7.0, 5.0]).expect_err("cuts must ascend");
-        assert!(matches!(err, ProtocolError::Domain { role: "calculator", rank: 0, frame: 3, .. }));
     }
 }

@@ -881,34 +881,27 @@ impl<F: Fabric> Engine<F> {
                     Msg::NewCut { cut, .. } => cut, "NewCut");
                 self.apply_cut(frame, sys, donor, receiver, cut)?;
             }
+            // One shared map per round, built from the manager's map (which
+            // `apply_cut` keeps valid): every calculator installs the very
+            // allocation it receives, so the broadcast costs one copy of the
+            // cuts however many ranks it reaches.
+            let map = Arc::new(self.manager.domains(sys).clone());
             for c in 0..n {
                 if self.crashed[c] {
                     continue;
                 }
-                let cuts = self.manager.domains(sys).cuts().to_vec();
-                self.send_to(self.mgr, c, Msg::Domains { system, cuts })?;
+                self.send_to(self.mgr, c, Msg::Domains { system, map: map.clone() })?;
             }
             if traced {
                 self.trace.record(frame, ProtocolEvent::NewDimensionsAndDomains);
             }
-            // One shared map for every calculator: the per-rank parse keeps
-            // the broadcast's validation (and its typed error), the Arc
-            // keeps 1,024 ranks from holding 1,024 copies.
-            let shared = Arc::new(self.manager.domains(sys).clone());
             for c in 0..n {
                 if self.crashed[c] {
                     continue;
                 }
-                let new_cuts = expect_virt!(self, c, self.mgr, frame,
-                    Msg::Domains { cuts, .. } => cuts, "Domains");
-                let parsed = self.calcs[c].parse_domains(frame, new_cuts)?;
-                debug_assert_eq!(
-                    parsed.cuts(),
-                    shared.cuts(),
-                    "broadcast domains diverged from manager state"
-                );
-                drop(parsed);
-                self.install_domains(c, sys, shared.clone());
+                let map = expect_virt!(self, c, self.mgr, frame,
+                    Msg::Domains { map, .. } => map, "Domains");
+                self.install_domains(c, sys, map);
             }
         } else {
             // Decentralized: each donor broadcasts its cut to every
@@ -1041,5 +1034,136 @@ impl<F: Fabric> Engine<F> {
             self.trace.record(frame, ProtocolEvent::ParticlesToImageGenerator);
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::{BTreeMap, VecDeque};
+
+    use cluster_sim::{e800, ClusterSpec, Compiler, NetworkModel};
+    use netsim::{FailedSend, WireSize, WireState};
+    use psa_core::actions::{ActionList, Gravity, MoveParticles};
+    use psa_core::{SystemId, SystemSpec};
+
+    use super::*;
+    use crate::balance::BalancerConfig;
+    use crate::checkpoint::FabricCheckpoint;
+    use crate::config::BalanceMode;
+    use crate::protocol::node_layout;
+    use crate::scene::SystemSetup;
+
+    /// Per-link FIFOs over the wire arithmetic, keeping a reference to
+    /// every `Domains` map it carries: `(receiver, system, map)`.
+    struct Recording {
+        wire: WireState,
+        links: BTreeMap<(usize, usize), VecDeque<Msg>>,
+        broadcasts: Vec<(usize, SystemId, Arc<DomainMap>)>,
+    }
+
+    impl Fabric for Recording {
+        fn send(&mut self, from: usize, to: usize, msg: Msg) -> Result<(), FailedSend<Msg>> {
+            if let Msg::Domains { system, map } = &msg {
+                self.broadcasts.push((to, *system, map.clone()));
+            }
+            self.wire.charge_send(from, to, msg.wire_bytes(), 0.0);
+            self.links.entry((to, from)).or_default().push_back(msg);
+            Ok(())
+        }
+        fn recv(&mut self, to: usize, from: usize) -> Result<Msg, TransportError> {
+            let queued = self.links.get_mut(&(to, from)).and_then(VecDeque::pop_front);
+            queued.ok_or(TransportError::NoMessage { rank: to, peer: from })
+        }
+        fn recv_deadline(&mut self, to: usize, from: usize, _: f64) -> Result<Msg, TransportError> {
+            self.recv(to, from)
+        }
+        fn take_queued(&mut self, to: usize, from: usize) -> Vec<Msg> {
+            self.links.remove(&(to, from)).map(Vec::from).unwrap_or_default()
+        }
+        fn queued_senders(&mut self, to: usize) -> Vec<usize> {
+            let links = self.links.range((to, 0)..=(to, usize::MAX));
+            links.filter(|(_, q)| !q.is_empty()).map(|(&(_, from), _)| from).collect()
+        }
+        fn now(&self, rank: usize) -> f64 {
+            self.wire.now(rank)
+        }
+        fn advance(&mut self, rank: usize, seconds: f64) {
+            self.wire.advance(rank, seconds);
+        }
+        fn barrier(&mut self, ranks: &[usize]) {
+            self.wire.barrier(ranks);
+        }
+        fn makespan(&self) -> f64 {
+            self.wire.makespan()
+        }
+        fn ranks(&self) -> usize {
+            self.wire.ranks()
+        }
+        fn stats(&self) -> TrafficStats {
+            self.wire.stats()
+        }
+        fn compute_factor(&self, _: usize) -> f64 {
+            1.0
+        }
+        fn stall_seconds(&self, _: usize, _: u64) -> f64 {
+            0.0
+        }
+        fn crash_frame(&self, _: usize) -> Option<u64> {
+            None
+        }
+        fn save_fabric(&self) -> FabricCheckpoint {
+            FabricCheckpoint {
+                wire: self.wire.checkpoint(),
+                injector_streams: vec![],
+                extra: vec![],
+            }
+        }
+        fn load_fabric(&mut self, ck: &FabricCheckpoint) -> Result<(), String> {
+            self.links.clear();
+            self.wire.restore_checkpoint(&ck.wire)
+        }
+    }
+
+    #[test]
+    fn every_calculator_installs_the_very_map_the_manager_broadcast() {
+        let n = 8;
+        let mut scene = Scene::new();
+        for id in 0..2 {
+            let actions = ActionList::new().then(Gravity::earth()).then(MoveParticles);
+            scene.add_system(SystemSetup::new(SystemSpec::test_spec(id), actions));
+        }
+        // The paper's balancer evaluates, and so broadcasts, every round.
+        let balance = BalanceMode::Dynamic(BalancerConfig::paper());
+        let cfg = RunConfig { frames: 4, dt: 0.1, balance, ..Default::default() };
+        let cluster =
+            ClusterSpec::homogeneous(NetworkModel::myrinet(), Compiler::Gcc, e800(), n, 1);
+        let placement = cluster.placement();
+        let (node_of, node_count) = node_layout(&placement);
+        let wire = WireState::new(cluster.net.clone(), node_of, node_count);
+        let net = Recording { wire, links: BTreeMap::new(), broadcasts: Vec::new() };
+        let (cost, policy) = (CostModel::default(), FaultPolicy::default());
+        let mut engine =
+            Engine::new(scene, cfg, &placement, cost, net, policy, Trace::disabled(), false);
+        let mut balanced = 0;
+        while let Some(fr) = engine.step_frame().expect("a clean frame") {
+            balanced += fr.balanced;
+            let sent = std::mem::take(&mut engine.net.broadcasts);
+            assert_eq!(
+                sent.len(),
+                2 * n,
+                "frame {}: one Domains per system and calculator",
+                fr.frame
+            );
+            for (sys, round) in sent.chunks(n).enumerate() {
+                let map = &round[0].2;
+                assert_eq!(**map, *engine.manager.domains(sys), "the manager's own map");
+                for (c, (to, system, sent_map)) in round.iter().enumerate() {
+                    assert_eq!((*to, *system), (c, SystemId(sys as u16)));
+                    assert!(Arc::ptr_eq(sent_map, map), "one allocation per round");
+                    assert!(Arc::ptr_eq(engine.calcs[c].replica(sys), map), "calculator {c}");
+                }
+            }
+        }
+        assert!(balanced > 0, "the rounds moved cuts, so installs reshaped stores");
     }
 }

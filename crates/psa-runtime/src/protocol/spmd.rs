@@ -288,14 +288,11 @@ pub(crate) fn calculator_main(
                 if !orders.is_empty() {
                     trace.record(frame, ProtocolEvent::PreparationOfStructures);
                 }
-                // Everyone receives the rebroadcast domains.
-                let cuts = expect_msg!(ep, mgr, "calculator", c, frame,
-                    Msg::Domains { cuts, .. } => cuts, "Domains");
-                let dm = calc.parse_domains(frame, cuts)?;
-                if invariants::ENABLED {
-                    invariants::check_partition(frame, sys, space_for(scene, cfg, sys), &dm)?;
-                }
-                calc.install_domains(sys, Arc::new(dm));
+                // Everyone installs the one rebroadcast map (the manager
+                // checked its partition under strict-invariants).
+                let map = expect_msg!(ep, mgr, "calculator", c, frame,
+                    Msg::Domains { map, .. } => map, "Domains");
+                calc.install_domains(sys, map);
                 trace.record(frame, ProtocolEvent::DefinitionOfLocalDomains);
                 for (to, batch) in calc.take_donations() {
                     ep.send_sized(to, Msg::Particles { system, batch, scale: 1.0 })?;
@@ -436,9 +433,9 @@ pub(crate) fn manager_main(
                     if !transfers.is_empty() {
                         trace.record(frame, ProtocolEvent::NewDimensionsAndDomains);
                     }
+                    let map = Arc::new(manager.domains(sys).clone());
                     for c in 0..n {
-                        let cuts = manager.domains(sys).cuts().to_vec();
-                        ep.send_sized(c, Msg::Domains { system, cuts })?;
+                        ep.send_sized(c, Msg::Domains { system, map: map.clone() })?;
                     }
                 }
             }

@@ -5,6 +5,7 @@
 //! every executor, every frame.
 
 use particle_cluster_anim::prelude::*;
+use psa_runtime::LoadMetric;
 
 /// Scene with NO killing actions at all: population must equal the exact
 /// emission total forever, whatever the balancer does.
@@ -49,6 +50,60 @@ fn virtual_executor_conserves_particles() {
     for f in &rep.frames {
         let expected = 3 * 321 * (f.frame + 1);
         assert_eq!(f.alive, expected, "frame {}: alive {} != emitted {expected}", f.frame, f.alive);
+    }
+}
+
+/// The domain broadcast at its edge rank counts: the paper's balancer
+/// evaluates — and so broadcasts one shared map — every round, at one
+/// calculator (a two-cut map) and at more calculators than particles. Each
+/// run conserves, loses nothing and repeats itself exactly.
+#[test]
+fn every_round_broadcasts_at_edge_rank_counts() {
+    let paper = BalanceMode::Dynamic(BalancerConfig::paper());
+    let scene = |per_frame| {
+        let mut scene = lossless_scene(2);
+        scene.systems.iter_mut().for_each(|s| s.spec.emit_per_frame = per_frame);
+        scene
+    };
+    // Virtual time: 1 calculator, and 64 over 2 × 10 new particles a frame
+    // (at most 50 a system by the last frame).
+    for (calcs, per_frame) in [(1, 321), (64, 10)] {
+        let cfg = RunConfig { frames: 5, dt: 0.1, balance: paper, ..Default::default() };
+        let run = || {
+            EventSim::new(
+                scene(per_frame),
+                cfg.clone(),
+                myrinet_gcc(calcs, 1),
+                CostModel::default(),
+            )
+            .run()
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(a.lost_particles, 0, "{calcs} calculators");
+        for f in &a.frames {
+            assert_eq!(f.alive, 2 * per_frame as u64 * (f.frame + 1), "{calcs}: frame {}", f.frame);
+        }
+        assert_eq!(a.fingerprint(), b.fingerprint(), "{calcs} calculators: not repeatable");
+    }
+    // Threads: 1 and 3 calculators; count-proportional loads keep the
+    // balancer off the wall clock, so the checksums repeat.
+    for calcs in [1, 3] {
+        let cfg = RunConfig {
+            frames: 6,
+            dt: 0.1,
+            balance: paper,
+            load_metric: LoadMetric::CountProportional,
+            ..Default::default()
+        };
+        let run = || run_threaded(&scene(321), &cfg, calcs, None).expect("threaded run failed");
+        let (a, b) = (run(), run());
+        assert_eq!(a.lost_particles, 0, "{calcs} threads");
+        let sums =
+            |r: &RunReport| r.frames.iter().map(|f| (f.alive, f.checksum)).collect::<Vec<_>>();
+        assert_eq!(sums(&a), sums(&b), "{calcs} threads: not repeatable");
+        for f in &a.frames {
+            assert_eq!(f.alive, 2 * 321 * (f.frame + 1), "{calcs} threads: frame {}", f.frame);
+        }
     }
 }
 
