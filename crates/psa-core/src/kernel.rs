@@ -64,6 +64,26 @@ pub fn run_actions(
     chunk: usize,
     workers: usize,
 ) -> KernelRun {
+    // `walk_actions` yields exactly this over zero particles on every path; an
+    // empty (rank, system) pair skips its stream derivations, capability
+    // probes and empty buckets.
+    if store.is_empty() {
+        return KernelRun::default();
+    }
+    walk_actions(actions, dt, frame, base, store, chunk, workers)
+}
+
+/// [`run_actions`] without the empty-store shortcut: every action over
+/// every chunk.
+fn walk_actions(
+    actions: &ActionList,
+    dt: Scalar,
+    frame: u64,
+    base: Rng64,
+    store: &mut SubDomainStore,
+    chunk: usize,
+    workers: usize,
+) -> KernelRun {
     let chunk = if workers > 1 && chunk == 0 { DEFAULT_CHUNK } else { chunk };
     if chunk == 0 {
         let mut rng = base;
@@ -164,7 +184,11 @@ fn apply_chunk_checked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actions::{ActionList, Damping, Fade, Gravity, KillOld, MoveParticles, RandomAccel};
+    use crate::actions::{
+        ActionList, BounceOff, Damping, DieOnContact, Fade, Gravity, KillBelow, KillOld,
+        MoveParticles, OrbitPoint, RandomAccel,
+    };
+    use crate::objects::ExternalObject;
     use psa_math::{Axis, Interval, Vec3};
 
     fn seeded_store(n: usize, buckets: usize) -> SubDomainStore {
@@ -242,5 +266,63 @@ mod tests {
         let rb = run_actions(&stochastic_list(), 0.05, 1, Rng64::new(2), &mut b, DEFAULT_CHUNK, 1);
         assert_eq!(state_sig(&a), state_sig(&b));
         assert_eq!(ra.chunks, rb.chunks);
+    }
+
+    /// The snow, fountain and vortex systems' action types, in the order
+    /// the workloads list them.
+    fn workload_lists() -> [(&'static str, ActionList); 3] {
+        let sphere = ExternalObject::Sphere { center: Vec3::new(6.0, 8.0, 0.0), radius: 3.0 };
+        [
+            (
+                "snow",
+                ActionList::new()
+                    .then(RandomAccel::new(0.9))
+                    .then(BounceOff::new(sphere, 0.15, 0.6))
+                    .then(KillOld::new(12.0))
+                    .then(KillBelow::ground(0.0))
+                    .then(MoveParticles),
+            ),
+            (
+                "fountain",
+                ActionList::new()
+                    .then(Gravity::earth())
+                    .then(RandomAccel::new(0.6))
+                    .then(DieOnContact::new(ExternalObject::ground(-0.2)))
+                    .then(KillOld::new(4.0))
+                    .then(MoveParticles),
+            ),
+            (
+                "vortex",
+                ActionList::new()
+                    .then(OrbitPoint::new(Vec3::new(0.0, 10.0, 0.0), 40.0))
+                    .then(RandomAccel::new(0.8))
+                    .then(KillOld::new(6.0))
+                    .then(MoveParticles),
+            ),
+        ]
+    }
+
+    #[test]
+    fn an_empty_store_runs_to_what_the_full_walk_returns() {
+        for (name, list) in workload_lists() {
+            for chunk in [0, 64] {
+                for workers in [1, 2] {
+                    let at = format!("{name}, chunk {chunk}, workers {workers}");
+                    let mut walked = seeded_store(0, 8);
+                    let want =
+                        walk_actions(&list, 0.05, 3, Rng64::new(9), &mut walked, chunk, workers);
+                    let mut s = seeded_store(0, 8);
+                    let got = run_actions(&list, 0.05, 3, Rng64::new(9), &mut s, chunk, workers);
+                    assert_eq!(got, want, "{at}");
+                    assert_eq!(got, KernelRun::default(), "{at}");
+                    assert_eq!(
+                        got.weighted.to_bits(),
+                        want.weighted.to_bits(),
+                        "{at}: the sign of 0.0"
+                    );
+                    assert!(s.is_empty() && walked.is_empty(), "{at}");
+                }
+            }
+        }
     }
 }

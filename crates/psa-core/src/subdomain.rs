@@ -20,6 +20,11 @@ pub struct SubDomainStore {
     axis: Axis,
     slice: Interval,
     buckets: Vec<ParticleStore>,
+    /// Particles over all buckets. Every method that changes a bucket's
+    /// length keeps it, so asking the size costs no bucket walk — the
+    /// frame asks once per (rank, system) and phase, and most pairs of a
+    /// large cluster hold nothing.
+    len: usize,
     /// Reused by `collect_leavers_into` for in-slice bucket movers, so the
     /// every-frame leaver scan allocates nothing after warm-up.
     mover_scratch: Vec<Particle>,
@@ -33,6 +38,7 @@ impl SubDomainStore {
             axis,
             slice,
             buckets: (0..k).map(|_| ParticleStore::new()).collect(),
+            len: 0,
             mover_scratch: Vec::new(),
         }
     }
@@ -52,11 +58,11 @@ impl SubDomainStore {
 
     /// Total particles across all buckets.
     pub fn len(&self) -> usize {
-        self.buckets.iter().map(ParticleStore::len).sum()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.buckets.iter().all(ParticleStore::is_empty)
+        self.len == 0
     }
 
     /// Index of the bucket that holds coordinate `v` (clamped to the edge
@@ -82,6 +88,7 @@ impl SubDomainStore {
     pub fn insert(&mut self, p: Particle) {
         let b = self.bucket_index(p.position.along(self.axis));
         self.buckets[b].push(p);
+        self.len += 1;
     }
 
     pub fn extend<I: IntoIterator<Item = Particle>>(&mut self, it: I) {
@@ -128,7 +135,9 @@ impl SubDomainStore {
 
     /// Remove particles failing `keep`; returns how many were removed.
     pub fn retain<F: FnMut(&Particle) -> bool>(&mut self, mut keep: F) -> usize {
-        self.buckets.iter_mut().map(|b| b.retain_unordered(&mut keep)).sum()
+        let removed: usize = self.buckets.iter_mut().map(|b| b.retain_unordered(&mut keep)).sum();
+        self.len -= removed;
+        removed
     }
 
     /// Remove and return every particle whose coordinate left this slice
@@ -146,6 +155,10 @@ impl SubDomainStore {
     /// appended; the in-slice mover staging reuses an internal scratch
     /// buffer, so a warmed-up store allocates nothing here.
     pub fn collect_leavers_into(&mut self, leavers: &mut Vec<Particle>) {
+        if self.len == 0 {
+            return;
+        }
+        let before = leavers.len();
         let axis = self.axis;
         let slice = self.slice;
         let k = self.buckets.len();
@@ -172,6 +185,8 @@ impl SubDomainStore {
                 }
             }
         }
+        // Movers count again as `insert` re-files them.
+        self.len -= (leavers.len() - before) + self.mover_scratch.len();
         // Re-insert in staging order (matches the historical behavior, which
         // the bit-reproducibility of seeded runs depends on).
         for i in 0..self.mover_scratch.len() {
@@ -202,6 +217,7 @@ impl SubDomainStore {
                 out.extend(b.donate_low(need, self.axis));
             }
         }
+        self.len -= out.len();
         (out, sorted)
     }
 
@@ -223,6 +239,7 @@ impl SubDomainStore {
                 out.extend(b.donate_high(need, self.axis));
             }
         }
+        self.len -= out.len();
         (out, sorted)
     }
 
@@ -230,7 +247,7 @@ impl SubDomainStore {
     /// re-bucket everything into the new geometry. Particles now outside the
     /// new slice are returned for exchange.
     pub fn reshape(&mut self, new_slice: Interval) -> Vec<Particle> {
-        let all: Vec<Particle> = self.buckets.iter_mut().flat_map(|b| b.take_all()).collect();
+        let all = self.take_all();
         self.slice = new_slice;
         let axis = self.axis;
         let mut leavers = Vec::new();
@@ -247,6 +264,7 @@ impl SubDomainStore {
     /// Drain every particle (used when shipping the frame to the image
     /// generator in copy mode, and by tests).
     pub fn take_all(&mut self) -> Vec<Particle> {
+        self.len = 0;
         self.buckets.iter_mut().flat_map(|b| b.take_all()).collect()
     }
 
@@ -465,6 +483,50 @@ mod tests {
         assert_eq!(highs, vec![9.3, 9.9]);
         // slabs are copies: nothing removed
         assert_eq!(s.len(), 5);
+    }
+
+    /// The kept count is the bucket sum after every method that changes a
+    /// length, in any order and at any bucket count, on stores that empty
+    /// and refill.
+    #[test]
+    fn the_count_is_the_bucket_sum_after_every_step() {
+        let mut rng = psa_math::Rng64::new(0x5EED_C0DE);
+        let at = |rng: &mut psa_math::Rng64| p(rng.range(-2.0, 12.0));
+        for k in [1, 3, 8] {
+            for run in 0..40 {
+                let mut s = store(k);
+                for step in 0..60 {
+                    let mut leavers = vec![p(99.0)];
+                    match rng.below(8) {
+                        0 => s.insert(at(&mut rng)),
+                        1 => {
+                            let n = rng.below(24);
+                            s.extend((0..n).map(|_| at(&mut rng)).collect::<Vec<_>>());
+                        }
+                        2 => {
+                            let cut = rng.range(-1.0, 11.0);
+                            s.retain(|q| q.position.x < cut);
+                        }
+                        3 => {
+                            s.for_each_mut(|q| q.position.x += rng.range(-3.0, 3.0));
+                            s.collect_leavers_into(&mut leavers);
+                        }
+                        4 => drop(s.donate_low(rng.below(s.len() + 3))),
+                        5 => drop(s.donate_high(rng.below(s.len() + 3))),
+                        6 => {
+                            let lo = rng.range(-1.0, 8.0);
+                            let width = if rng.below(4) == 0 { 0.0 } else { rng.range(0.0, 8.0) };
+                            drop(s.reshape(Interval::new(lo, lo + width)));
+                        }
+                        _ => drop(s.take_all()),
+                    }
+                    let sum: usize = bucket_sizes(&s).iter().sum();
+                    assert_eq!(s.len(), sum, "k {k}, run {run}, step {step}");
+                    assert_eq!(s.is_empty(), sum == 0, "k {k}, run {run}, step {step}");
+                    assert_eq!(leavers.first().map(|q| q.position.x), Some(99.0), "leavers append");
+                }
+            }
+        }
     }
 
     #[test]

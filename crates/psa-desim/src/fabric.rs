@@ -19,16 +19,20 @@
 //! ## Why it scales
 //!
 //! Per-link state exists only for links that carry or perturb traffic: each
-//! receiving rank has one sparse map of the senders that have ever sent to
+//! receiving rank has one sparse inbox of the senders that have ever sent to
 //! it (a dense `ranks²` queue table is ~34 MB of empty headers at 1,024
-//! ranks; the per-receiver maps are `ranks` empty headers until something
+//! ranks; the per-receiver inboxes are `ranks` empty vectors until something
 //! arrives), the fault plan and its injector hold the links that differ or
 //! have drawn, and with the engine's sparse exchange mode the active-link
 //! set stays proportional to actual migration, not to `ranks²`. A send or a
-//! receive indexes its receiver's map directly and searches only that
-//! rank's senders, never every link of the fabric.
+//! receive indexes its receiver's inbox directly and binary-searches only
+//! that rank's senders, never every link of the fabric. An inbox is one
+//! vector sorted by sender: a manager or image generator that hears from
+//! 1,024 calculators searches contiguous memory, not a tree, and a sweep of
+//! first sends in ascending rank order (every `Load` and `RenderBatch`
+//! round) files each new sender at the end.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use cluster_sim::NetworkModel;
 use netsim::{
@@ -65,15 +69,23 @@ pub struct SimStats {
 }
 
 /// The links into one receiving rank: each sender's in-flight
-/// `(deliver_at, msg)` in send order, keyed by sender.
-type Inbox = BTreeMap<usize, VecDeque<(f64, Msg)>>;
+/// `(deliver_at, msg)` in send order, sorted by sender, one entry per
+/// sender that has sent.
+type Inbox = Vec<(usize, VecDeque<(f64, Msg)>)>;
+
+/// `from`'s queue in `inbox`, if it has ever sent there.
+fn queue_mut(inbox: &mut Inbox, from: usize) -> Option<&mut VecDeque<(f64, Msg)>> {
+    let i = inbox.binary_search_by_key(&from, |&(sender, _)| sender).ok()?;
+    inbox.get_mut(i).map(|(_, queue)| queue)
+}
 
 /// Virtual message fabric for the shared protocol engine.
 pub struct EventFabric {
     wire: WireState,
     /// In-flight messages per directed link, found by the receiver first:
-    /// `links[to][&from]`. One inbox per rank, and a queue only for a link
-    /// that has sent — a sparse map per receiver, not a dense table.
+    /// `links[to]`, then `from` by binary search. One inbox per rank, and a
+    /// queue only for a link that has sent — a sparse inbox per receiver,
+    /// not a dense table.
     links: Vec<Inbox>,
     /// Messages queued over all links.
     in_flight: usize,
@@ -117,7 +129,14 @@ impl Fabric for EventFabric {
                 // Counters + sender clock + occupancy; the delivery stamp
                 // travels with the message.
                 let deliver_at = self.wire.charge_send(from, to, payload, extra_delay);
-                inbox.entry(from).or_default().push_back((deliver_at, msg));
+                let entry = (deliver_at, msg);
+                match queue_mut(inbox, from) {
+                    Some(queue) => queue.push_back(entry),
+                    None => {
+                        let at = inbox.partition_point(|&(sender, _)| sender < from);
+                        inbox.insert(at, (from, VecDeque::from([entry])));
+                    }
+                }
                 self.in_flight += 1;
                 self.stats.sends += 1;
                 self.stats.max_heap_depth = self.stats.max_heap_depth.max(self.in_flight);
@@ -132,7 +151,7 @@ impl Fabric for EventFabric {
     }
 
     fn recv(&mut self, to: usize, from: usize) -> Result<Msg, TransportError> {
-        match self.links.get_mut(to).and_then(|inbox| inbox.get_mut(&from)?.pop_front()) {
+        match self.links.get_mut(to).and_then(|inbox| queue_mut(inbox, from)?.pop_front()) {
             Some((deliver_at, msg)) => {
                 self.in_flight -= 1;
                 self.stats.events += 1;
@@ -146,10 +165,10 @@ impl Fabric for EventFabric {
     }
 
     fn recv_deadline(&mut self, to: usize, from: usize, wait: f64) -> Result<Msg, TransportError> {
-        let Some(inbox) = self.links.get(to) else {
+        let Some(inbox) = self.links.get_mut(to) else {
             return Err(TransportError::NoMessage { rank: to, peer: from });
         };
-        if inbox.get(&from).is_none_or(VecDeque::is_empty) {
+        if queue_mut(inbox, from).is_none_or(|queue| queue.is_empty()) {
             // Nothing in flight can ever satisfy this receive (every sent
             // message is already on its link): charge the bounded wait and
             // surface the timeout.
@@ -161,8 +180,12 @@ impl Fabric for EventFabric {
     }
 
     fn take_queued(&mut self, to: usize, from: usize) -> Vec<Msg> {
-        let drained =
-            self.links.get_mut(to).and_then(|inbox| inbox.remove(&from)).unwrap_or_default();
+        let drained = self
+            .links
+            .get_mut(to)
+            .and_then(|inbox| queue_mut(inbox, from))
+            .map(std::mem::take)
+            .unwrap_or_default();
         self.in_flight -= drained.len();
         self.stats.events += drained.len() as u64;
         drained.into_iter().map(|(_, msg)| msg).collect()
@@ -172,7 +195,7 @@ impl Fabric for EventFabric {
         let Some(inbox) = self.links.get(to) else {
             return Vec::new();
         };
-        inbox.iter().filter(|(_, q)| !q.is_empty()).map(|(&from, _)| from).collect()
+        inbox.iter().filter(|(_, q)| !q.is_empty()).map(|&(from, _)| from).collect()
     }
 
     fn now(&self, rank: usize) -> f64 {
@@ -323,7 +346,8 @@ mod tests {
             EventFabric::send(&mut ev, 1, 2, Msg::FrameDone { frame: 10 + i }).expect("send");
         }
         let stamps = |ev: &EventFabric, from| -> Vec<f64> {
-            ev.links[2][&from].iter().map(|&(deliver_at, _)| deliver_at).collect()
+            let queue = ev.links[2].iter().find(|&&(sender, _)| sender == from).expect("sent");
+            queue.1.iter().map(|&(deliver_at, _)| deliver_at).collect()
         };
         let (slow, clean) = (stamps(&ev, 0), stamps(&ev, 1));
         assert!(slow.windows(2).any(|w| w[0] > w[1]), "jitter must invert stamps: {slow:?}");
@@ -436,7 +460,7 @@ mod tests {
         }
         assert_eq!(EventFabric::queued_senders(&mut ev, 3), vec![2, 5, 7]);
         assert_eq!(EventFabric::queued_senders(&mut ev, 0), Vec::<usize>::new());
-        // Only touched links occupy queue memory, all in the receiver's map.
+        // Only touched links occupy queue memory, all in the receiver's inbox.
         assert_eq!(queues(&ev), 3);
         assert_eq!(ev.links[3].len(), 3);
         // A drained link drops out of the list.
@@ -447,6 +471,44 @@ mod tests {
     /// Link queues the fabric holds, over every receiver.
     fn queues(ev: &EventFabric) -> usize {
         ev.links.iter().map(Inbox::len).sum()
+    }
+
+    /// The senders `to`'s inbox holds a queue for, in the inbox's order.
+    fn senders(ev: &EventFabric, to: usize) -> Vec<usize> {
+        ev.links[to].iter().map(|&(from, _)| from).collect()
+    }
+
+    #[test]
+    fn senders_that_first_arrive_out_of_order_are_filed_in_order() {
+        let mut ev = fabric(16);
+        // First sends descending, then ascending with gaps, then a second
+        // message on every link: each new sender lands in the middle, at
+        // the front or at the end of the inbox.
+        let first = [9, 4, 2, 12, 3, 15, 0, 7, 10];
+        for (i, &from) in first.iter().enumerate() {
+            EventFabric::send(&mut ev, from, 5, Msg::FrameDone { frame: i as u64 }).expect("send");
+        }
+        for (i, &from) in first.iter().enumerate().rev() {
+            let frame = 100 + i as u64;
+            EventFabric::send(&mut ev, from, 5, Msg::FrameDone { frame }).expect("send");
+        }
+        let mut ascending = first.to_vec();
+        ascending.sort_unstable();
+        assert_eq!(senders(&ev, 5), ascending, "one queue per sender, sorted");
+        assert_eq!(EventFabric::queued_senders(&mut ev, 5), ascending);
+        for (i, &from) in first.iter().enumerate() {
+            for want in [i as u64, 100 + i as u64] {
+                match EventFabric::recv(&mut ev, 5, from) {
+                    Ok(Msg::FrameDone { frame }) => assert_eq!(frame, want),
+                    other => panic!("link (5,{from}) out of order: {other:?}"),
+                }
+            }
+        }
+        // Drained links keep their (empty) place and drop out of the list.
+        assert_eq!(senders(&ev, 5), ascending);
+        assert!(EventFabric::queued_senders(&mut ev, 5).is_empty());
+        EventFabric::send(&mut ev, 4, 5, Msg::FrameDone { frame: 7 }).expect("send");
+        assert_eq!(EventFabric::queued_senders(&mut ev, 5), vec![4]);
     }
 
     /// `desim_1024`'s rank count: 1,024 calculators, manager, image generator.
@@ -521,7 +583,7 @@ mod tests {
             EventFabric::send(&mut ev, from, to, Msg::FrameDone { frame: 0 }).expect("send");
         }
         assert_eq!(queues(&ev), 4, "four distinct links sent");
-        assert_eq!(ev.links[1024].keys().copied().collect::<Vec<_>>(), vec![3, 4]);
+        assert_eq!(senders(&ev, 1024), vec![3, 4]);
         // Receives and crash cleanup never create a queue.
         let _ = EventFabric::recv(&mut ev, 1025, 9);
         let _ = EventFabric::recv_deadline(&mut ev, 1025, 8, 1e-3);

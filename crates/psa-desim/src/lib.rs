@@ -25,10 +25,12 @@
 //! 2. **Determinism** — runs are a pure function of `(seed, plan, config)`:
 //!    ranks step in a fixed order and a link delivers in send order.
 //! 3. **Scale** — per-link state exists only for links that carry or
-//!    perturb traffic and is found through its receiver, and a domain
-//!    broadcast hands every calculator one shared map, so 1,024
-//!    calculators × 100+ systems sweep in seconds (the BENCH_5 tables; use
-//!    sparse exchange).
+//!    perturb traffic and is found through its receiver (a binary search
+//!    of that receiver's senders), a domain broadcast hands every
+//!    calculator one shared map, and a (rank, system) pair that holds no
+//!    particle costs a counter read where it used to cost a walk over its
+//!    buckets and actions, so 1,024 calculators × 100+ systems sweep in
+//!    seconds (the BENCH_5 tables; use sparse exchange).
 
 pub mod exec;
 pub mod fabric;

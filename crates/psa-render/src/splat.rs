@@ -27,6 +27,8 @@ impl Default for SplatConfig {
 
 /// Render `particles` through `camera` into `fb`. Returns the number of
 /// particles that landed on-screen (the image generator's work counter).
+/// A particle with a non-finite position, alpha or colour is not drawn:
+/// its splat would write NaN into every pixel it covers.
 pub fn render_particles(
     fb: &mut Framebuffer,
     camera: &Camera,
@@ -37,6 +39,13 @@ pub fn render_particles(
     let mut drawn = 0;
     for p in particles {
         let proj = camera.project(p.position);
+        // One test for all seven: the sum is finite exactly when every
+        // term is, unless finite terms near `Scalar::MAX` overflow it, and
+        // a particle that large is not drawable either.
+        let sum = proj.x + proj.y + proj.z + p.alpha + p.color.x + p.color.y + p.color.z;
+        if !sum.is_finite() {
+            continue;
+        }
         let radius =
             (p.size * proj.pixels_per_unit * cfg.radius_scale).min(cfg.max_radius_px).max(0.5);
         let (cx, cy) = (proj.x, proj.y);
@@ -222,6 +231,72 @@ mod tests {
         render_particles(&mut fb, &cam, &[huge], &cfg);
         // radius clamp of 2px → at most ~5x5 box of lit pixels
         assert!(fb.lit_pixels(Vec3::ZERO) <= 25);
+    }
+
+    /// `bad` must count as not drawn, as a dot or a streak, blended or
+    /// additive, and leave every pixel a later finite splat touches as a
+    /// frame without `bad` has it.
+    fn assert_skipped(bad: Particle, field: &str) {
+        let good = Particle::at(Vec3::ZERO).with_size(1.0);
+        let bits = |fb: &Framebuffer| -> Vec<[u32; 3]> {
+            (0..64)
+                .flat_map(|y| (0..64).map(move |x| (x, y)))
+                .map(|(x, y)| {
+                    let c = fb.pixel(x, y);
+                    [c.x, c.y, c.z].map(Scalar::to_bits)
+                })
+                .collect()
+        };
+        for additive in [false, true] {
+            let cfg = SplatConfig { additive, ..Default::default() };
+            for streaks in [false, true] {
+                let at = format!("{field}: additive {additive}, streaks {streaks}");
+                let draw = |fb: &mut Framebuffer, cam: &Camera, p: Particle| {
+                    if streaks {
+                        render_streaks(fb, cam, &[p], &cfg, 2.0, 4)
+                    } else {
+                        render_particles(fb, cam, &[p], &cfg)
+                    }
+                };
+                let (mut fb, cam) = scene();
+                assert_eq!(draw(&mut fb, &cam, bad), 0, "{at}");
+                assert_eq!(fb.lit_pixels(Vec3::ZERO), 0, "{at}");
+                assert_eq!(draw(&mut fb, &cam, good), 1, "{at}");
+                let (mut want, _) = scene();
+                draw(&mut want, &cam, good);
+                assert!(bits(&fb) == bits(&want), "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_particle_with_a_non_finite_position_is_not_drawn() {
+        for v in [Scalar::NAN, Scalar::INFINITY, Scalar::NEG_INFINITY] {
+            assert_skipped(Particle::at(Vec3::new(v, 0.0, 0.0)), &format!("x = {v}"));
+            assert_skipped(Particle::at(Vec3::new(0.0, v, 0.0)), &format!("y = {v}"));
+            assert_skipped(Particle::at(Vec3::new(0.0, 0.0, v)), &format!("z = {v}"));
+        }
+    }
+
+    #[test]
+    fn a_particle_with_a_non_finite_alpha_is_not_drawn() {
+        for v in [Scalar::NAN, Scalar::INFINITY, Scalar::NEG_INFINITY] {
+            let mut p = Particle::at(Vec3::ZERO).with_size(1.0);
+            p.alpha = v;
+            assert_skipped(p, &format!("alpha = {v}"));
+        }
+    }
+
+    #[test]
+    fn a_particle_with_a_non_finite_colour_is_not_drawn() {
+        for v in [Scalar::NAN, Scalar::INFINITY, Scalar::NEG_INFINITY] {
+            for channel in 0..3 {
+                let mut rgb = [0.5; 3];
+                rgb[channel] = v;
+                let p = Particle::at(Vec3::ZERO).with_size(1.0).with_color(Vec3::from(rgb));
+                assert_skipped(p, &format!("colour[{channel}] = {v}"));
+            }
+        }
     }
 
     #[test]
