@@ -3,9 +3,9 @@
 //! The paper's compute phase is embarrassingly parallel *within* a
 //! calculator (§3.2.2: property and position actions touch only local
 //! particles), so this module runs an [`ActionList`] over fixed-size chunks
-//! of the store's deterministic particle order, on `std::thread::scope`
-//! workers. Determinism for any worker count — including 1 — comes from
-//! three rules:
+//! of the store's deterministic particle order, on the ordered work pool
+//! ([`crate::pool`]). Determinism for any worker count — including 1 —
+//! comes from three rules:
 //!
 //! 1. **chunk layout is worker-independent**: chunks are consecutive
 //!    `chunk`-sized windows of each bucket slice, in bucket order, so the
@@ -15,8 +15,8 @@
 //!    `(seed, system, rank, frame)` stream — which worker runs the chunk
 //!    never matters;
 //! 3. **results merge in chunk order**: particle state is mutated in place
-//!    (each chunk is a disjoint `&mut` slice), and per-chunk
-//!    [`ActionOutcome`]s are folded in ascending chunk index.
+//!    (each chunk is a disjoint `&mut` slice, one pool job), and the pool
+//!    hands per-chunk [`ActionOutcome`]s back in ascending chunk index.
 //!
 //! Actions that must see the whole store at once (the `retain`-based
 //! killers) opt out via `Action::apply_chunk` returning `None`; the
@@ -26,11 +26,9 @@
 //! `chunk == 0` selects the **legacy serial path**: the whole action list
 //! runs on the single caller stream exactly as the executors did before
 //! this module existed, keeping every seed-calibrated table bit-identical.
-//! This file is the one module where `thread::scope`/`thread::spawn` are
-//! allowed in simulation crates (the `thread-confinement` psa-verify lint
-//! enforces the confinement).
 
 use crate::actions::{ActionCtx, ActionList, ActionOutcome};
+use crate::pool::Pool;
 use crate::{Particle, SubDomainStore};
 use psa_math::{Rng64, Scalar};
 
@@ -53,8 +51,8 @@ pub struct KernelRun {
 ///
 /// `base` is the per-(seed, system, rank, frame) stream the executors
 /// already derive; `chunk == 0` is the legacy serial path (see module
-/// docs); `workers` is the `thread::scope` worker count (clamped to at
-/// least 1, and to the chunk count — spare workers are never spawned).
+/// docs); `workers` is the pool's thread count (clamped to at least 1, and
+/// to the chunk count — spare workers are never spawned).
 pub fn run_actions(
     actions: &ActionList,
     dt: Scalar,
@@ -123,46 +121,20 @@ fn walk_actions(
             out.chunks += ci;
             acc
         } else {
-            let mut pieces: Vec<(u64, &mut [Particle])> = Vec::new();
-            for bucket in store.bucket_slices_mut() {
-                for piece in bucket.chunks_mut(chunk) {
-                    let ci = pieces.len() as u64;
-                    pieces.push((ci, piece));
-                }
-            }
+            let pieces: Vec<&mut [Particle]> =
+                store.bucket_slices_mut().flat_map(|bucket| bucket.chunks_mut(chunk)).collect();
             out.chunks += pieces.len() as u64;
-            let w = workers.min(pieces.len()).max(1);
-            // Round-robin assignment; any assignment yields the same state
-            // because streams are chunk-keyed, but this one also balances.
-            let mut parts: Vec<Vec<(u64, &mut [Particle])>> = (0..w).map(|_| Vec::new()).collect();
-            for (i, piece) in pieces.into_iter().enumerate() {
-                parts[i % w].push(piece);
-            }
-            let mut tagged: Vec<(u64, ActionOutcome)> = Vec::new();
-            std::thread::scope(|s| {
-                let handles: Vec<_> = parts
-                    .into_iter()
-                    .map(|part| {
-                        let act_rng = act_rng.clone();
-                        s.spawn(move || {
-                            let mut local = Vec::with_capacity(part.len());
-                            for (ci, piece) in part {
-                                let mut rng = act_rng.split(ci);
-                                let mut ctx = ActionCtx { dt, frame, rng: &mut rng };
-                                local.push((ci, apply_chunk_checked(a, &mut ctx, piece)));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    tagged.extend(h.join().expect("kernel worker panicked"));
-                }
-            });
-            // Merge in chunk order (outcome counts are sums, but the fixed
-            // fold order keeps the contract literal and future-proof).
-            tagged.sort_unstable_by_key(|(ci, _)| *ci);
-            tagged.into_iter().fold(ActionOutcome::default(), |acc, (_, o)| acc.merge(o))
+            // Which worker runs a chunk never matters (streams are
+            // chunk-keyed), and the pool hands outcomes back in chunk order.
+            let outcomes = Pool::new(workers.min(pieces.len())).map(
+                pieces.into_iter().enumerate(),
+                |(ci, piece)| {
+                    let mut rng = act_rng.split(ci as u64);
+                    let mut ctx = ActionCtx { dt, frame, rng: &mut rng };
+                    apply_chunk_checked(a, &mut ctx, piece)
+                },
+            );
+            outcomes.into_iter().fold(ActionOutcome::default(), ActionOutcome::merge)
         };
         out.weighted += o.applied as f64 * a.cost_weight();
         out.outcome = out.outcome.merge(o);

@@ -19,6 +19,7 @@ pub mod invariants;
 pub mod kernel;
 pub mod objects;
 pub mod particle;
+pub mod pool;
 pub mod store;
 pub mod subdomain;
 pub mod system;

@@ -378,14 +378,19 @@ pub fn should_skip_round(idle_rounds: u32, frame: u64, cfg: &BalancerConfig) -> 
         && (cfg.reprobe_period == 0 || !frame.is_multiple_of(cfg.reprobe_period))
 }
 
-/// Expand transfers into per-calculator orders.
-pub fn orders_for(transfers: &[Transfer], rank: usize) -> Vec<Order> {
-    let mut out = Vec::new();
+/// Expand transfers into every rank's orders in one pass: rank `r`'s list
+/// holds, in transfer order, a `Send` for each transfer it donates in and a
+/// `Receive` for each it receives in. Ranks at or past `ranks` get none.
+pub fn orders_by_rank(transfers: &[Transfer], ranks: usize) -> Vec<Vec<Order>> {
+    let mut out = vec![Vec::new(); ranks];
     for t in transfers {
-        if t.donor == rank {
-            out.push(Order::Send { to: t.receiver, amount: t.amount });
-        } else if t.receiver == rank {
-            out.push(Order::Receive { from: t.donor });
+        if let Some(orders) = out.get_mut(t.donor) {
+            orders.push(Order::Send { to: t.receiver, amount: t.amount });
+        }
+        if t.receiver != t.donor {
+            if let Some(orders) = out.get_mut(t.receiver) {
+                orders.push(Order::Receive { from: t.donor });
+            }
         }
     }
     out
@@ -608,9 +613,61 @@ mod tests {
     #[test]
     fn orders_expand_per_rank() {
         let t = vec![Transfer { donor: 0, receiver: 1, amount: 50 }];
-        assert_eq!(orders_for(&t, 0), vec![Order::Send { to: 1, amount: 50 }]);
-        assert_eq!(orders_for(&t, 1), vec![Order::Receive { from: 0 }]);
-        assert!(orders_for(&t, 2).is_empty());
+        let by_rank = orders_by_rank(&t, 3);
+        assert_eq!(by_rank[0], vec![Order::Send { to: 1, amount: 50 }]);
+        assert_eq!(by_rank[1], vec![Order::Receive { from: 0 }]);
+        assert!(by_rank[2].is_empty());
+    }
+
+    /// The per-rank walk `orders_by_rank` replaced: every transfer, once
+    /// per rank.
+    fn walk_orders(transfers: &[Transfer], rank: usize) -> Vec<Order> {
+        let mut out = Vec::new();
+        for t in transfers {
+            if t.donor == rank {
+                out.push(Order::Send { to: t.receiver, amount: t.amount });
+            } else if t.receiver == rank {
+                out.push(Order::Receive { from: t.donor });
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn one_pass_orders_equal_the_per_rank_walk() {
+        let mut rng = psa_math::Rng64::new(0x0DE5);
+        // A rank that donates on both sides, and one that donates and
+        // receives in the same multi-pair round.
+        let both_sides = vec![
+            Transfer { donor: 2, receiver: 1, amount: 7 },
+            Transfer { donor: 2, receiver: 3, amount: 9 },
+            Transfer { donor: 4, receiver: 3, amount: 1 },
+            Transfer { donor: 5, receiver: 4, amount: 2 },
+        ];
+        let mut cases = vec![(both_sides, 6), (Vec::new(), 4)];
+        for _ in 0..200 {
+            let ranks = 1 + (rng.next_u64() % 12) as usize;
+            let transfers = (0..rng.next_u64() % 16)
+                .map(|_| {
+                    let donor = (rng.next_u64() % ranks as u64) as usize;
+                    // Neighbours mostly, but any rank the walk would accept.
+                    let receiver = match rng.next_u64() % 4 {
+                        0 => donor.saturating_sub(1),
+                        1 | 2 => (donor + 1).min(ranks - 1),
+                        _ => (rng.next_u64() % ranks as u64) as usize,
+                    };
+                    Transfer { donor, receiver, amount: (rng.next_u64() % 100) as usize }
+                })
+                .collect();
+            cases.push((transfers, ranks));
+        }
+        for (transfers, ranks) in cases {
+            let by_rank = orders_by_rank(&transfers, ranks);
+            assert_eq!(by_rank.len(), ranks);
+            for (rank, orders) in by_rank.iter().enumerate() {
+                assert_eq!(orders, &walk_orders(&transfers, rank), "{transfers:?} rank {rank}");
+            }
+        }
     }
 
     #[test]

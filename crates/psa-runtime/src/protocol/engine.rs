@@ -790,8 +790,9 @@ impl<F: Fabric> Engine<F> {
                 self.trace.record(frame, ProtocolEvent::LoadBalancingEvaluation);
             }
             let system = self.scene.systems[sys].spec.id;
+            let mut by_rank = balance::orders_by_rank(&transfers, self.n);
             for &c in &present {
-                let orders = balance::orders_for(&transfers, c);
+                let orders = std::mem::take(&mut by_rank[c]);
                 self.send_to(self.mgr, c, Msg::Orders { system, orders, round_orders })?;
             }
             for &c in &present {
@@ -820,11 +821,8 @@ impl<F: Fabric> Engine<F> {
             if sys == 0 {
                 self.trace.record(frame, ProtocolEvent::LoadBalancingEvaluation);
             }
-            let mut involved: Vec<usize> =
-                transfers.iter().flat_map(|t| [t.donor, t.receiver]).collect();
-            involved.sort_unstable();
-            involved.dedup();
-            acting.extend(involved.into_iter().map(|c| (c, balance::orders_for(&transfers, c))));
+            let by_rank = balance::orders_by_rank(&transfers, self.n);
+            acting.extend(by_rank.into_iter().enumerate().filter(|(_, orders)| !orders.is_empty()));
         }
         self.execute_orders(frame, sys, &acting, fr, !decentralized)
     }

@@ -404,8 +404,9 @@ pub(crate) fn manager_main(
                     orders_issued += transfers.len() as u64;
                     trace.record(frame, ProtocolEvent::LoadBalancingEvaluation);
                     let round_orders = transfers.len() as u32;
-                    for c in 0..n {
-                        let orders = balance::orders_for(&transfers, c);
+                    for (c, orders) in
+                        balance::orders_by_rank(&transfers, n).into_iter().enumerate()
+                    {
                         ep.send_sized(c, Msg::Orders { system, orders, round_orders })?;
                     }
                     trace.record(frame, ProtocolEvent::LoadBalancingOrders);

@@ -11,19 +11,32 @@
 //! own [`EventFabric`] (the engine state never leaks
 //! between sessions), which is why a session's report is byte-identical
 //! to a solo run of its derived seed no matter what ran next to it.
+//!
+//! Lanes are modelled; cores are real. A dispatch is split in two: the
+//! slice's frames (and its checkpoint) *execute* on a thread of the
+//! ordered work pool ([`psa_core::pool`]), touching only that session's
+//! state, and the coordinator *commits* them in dispatch order — picks
+//! the earliest-free lane, advances its clock by the frames' virtual
+//! times, re-queues, finishes or fails the session, promotes the queue.
+//! A few slices run ahead of their commits, so every core stays busy,
+//! and the report is the same for any number of threads.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use netsim::{FaultPlan, FaultPolicy};
+use psa_core::pool::Pool;
 use psa_desim::EventFabric;
+use psa_runtime::checkpoint::EngineSnapshot;
 use psa_runtime::msg::ProtocolError;
 use psa_runtime::protocol::{node_layout, Engine};
-use psa_runtime::report::FrameReport;
+use psa_runtime::report::{FrameReport, RunReport};
 use psa_runtime::trace::Trace;
 use psa_trace::SessionCounters;
 
 use crate::admission::{AdmissionConfig, AdmissionError};
-use crate::session::{derive_session_seed, SessionId, SessionOutcome, SessionSpec, SessionState};
+use crate::session::{
+    derive_session_seed, SessionId, SessionOutcome, SessionSpec, SessionState, TenantId,
+};
 use crate::slot::{SlotPool, SlotStats, SlotTicket};
 
 /// Pool-level configuration.
@@ -31,6 +44,9 @@ use crate::slot::{SlotPool, SlotStats, SlotTicket};
 pub struct PoolConfig {
     /// Worker lanes. A lane runs one session's frames at a time; the
     /// session's own cluster spec models the parallelism *inside* a run.
+    /// Lanes are modelled, in pool-virtual time: the slices really run on
+    /// the host's cores, at most one core per lane, and no reported number
+    /// depends on how many cores that was.
     pub workers: usize,
     /// Frames a session may run per dispatch before yielding the lane.
     pub slice_frames: u64,
@@ -87,7 +103,9 @@ struct Lane {
 
 /// Book-keeping for one admitted session.
 struct SessionEntry {
-    spec: SessionSpec,
+    tenant: TenantId,
+    /// Pool-virtual arrival time (the spec's).
+    arrival: f64,
     seed: u64,
     state: SessionState,
     ticket: Option<SlotTicket>,
@@ -166,6 +184,9 @@ pub struct SessionManager {
     cfg: PoolConfig,
     lanes: Vec<Lane>,
     entries: Vec<SessionEntry>,
+    /// Every admitted spec, by session index. Read only while the pool
+    /// runs, so every pool thread can share it.
+    specs: Vec<SessionSpec>,
     /// Dispatch rotation: sessions holding a slot, in yield order.
     ready: VecDeque<usize>,
     /// The bounded admission queue: sessions waiting for a slot.
@@ -177,6 +198,9 @@ pub struct SessionManager {
     dispatches: u64,
     lanes_lost: usize,
     report: PoolReport,
+    /// The threads slices execute on; `None` = the host's cores, at most
+    /// one per lane. Execution only: no reported number depends on it.
+    pool: Option<Pool>,
 }
 
 impl SessionManager {
@@ -192,6 +216,7 @@ impl SessionManager {
         SessionManager {
             lanes: vec![Lane { busy_until: 0.0, alive: true }; cfg.workers],
             entries: Vec::new(),
+            specs: Vec::new(),
             ready: VecDeque::new(),
             pending: VecDeque::new(),
             slots: SlotPool::new(cfg.admission.max_in_flight),
@@ -201,8 +226,16 @@ impl SessionManager {
             dispatches: 0,
             lanes_lost: 0,
             report: PoolReport::default(),
+            pool: None,
             cfg,
         }
+    }
+
+    /// Run slices on exactly `threads` threads, whatever the host has.
+    #[cfg(test)]
+    fn with_threads(mut self, threads: usize) -> Self {
+        self.pool = Some(Pool::new(threads));
+        self
     }
 
     /// Inject a deterministic pool fault (chaos scenarios).
@@ -252,8 +285,10 @@ impl SessionManager {
         let decision =
             self.cfg.admission.decide(running, queued, self.pending.len(), self.slots.has_free());
         let arrival = spec.arrival;
+        self.specs.push(spec);
         let mut entry = SessionEntry {
-            spec,
+            tenant,
+            arrival,
             seed,
             state: SessionState::Admitted,
             ticket: None,
@@ -297,23 +332,54 @@ impl SessionManager {
     /// failed), then hand back the report. Deterministic: the outcome is a
     /// pure function of the admission sequence, the pool config, and the
     /// injected faults.
+    ///
+    /// Slices run on the host's cores (at most one per lane, see
+    /// [`PoolConfig::workers`]); pool time is committed in dispatch order,
+    /// so the report does not depend on how many threads ran them.
     pub fn run_to_completion(mut self) -> PoolReport {
-        loop {
-            if self.ready.is_empty() {
-                if self.pending.is_empty() || !self.promote_queued() {
-                    break;
+        let (frames, interval, instrument) =
+            (self.cfg.slice_frames, self.cfg.checkpoint_interval, self.cfg.instrument);
+        let pool = self.pool.unwrap_or_else(|| Pool::host(self.cfg.workers));
+        let lookahead = LOOKAHEAD_PER_THREAD * pool.threads();
+        let specs = std::mem::take(&mut self.specs);
+        pool.scope(
+            |slice: Slice| {
+                let spec = &specs[slice.index];
+                slice.execute(spec, frames, interval, instrument)
+            },
+            |q| loop {
+                // Commits only append to `ready`, so popping its front ahead
+                // of them pops exactly what a one-slice-at-a-time pool would;
+                // once it runs dry the oldest slice in flight commits first.
+                if q.in_flight() == lookahead || (self.ready.is_empty() && q.in_flight() > 0) {
+                    if let Some(ran) = q.next_result() {
+                        self.commit(ran);
+                    }
+                    continue;
                 }
-                continue;
-            }
-            let lane = self.earliest_lane();
-            self.dispatches += 1;
-            if self.worker_loss_strikes() {
-                self.kill_lane(lane);
-                continue;
-            }
-            self.dispatch(lane);
-            self.promote_queued();
-        }
+                if self.ready.is_empty() {
+                    if self.pending.is_empty() || !self.promote_queued() {
+                        break;
+                    }
+                    continue;
+                }
+                self.dispatches += 1;
+                if self.worker_loss_due() {
+                    // The loss must strike the lane and slice it would with
+                    // nothing run ahead: everything in flight commits first.
+                    while let Some(ran) = q.next_result() {
+                        self.commit(ran);
+                    }
+                    if self.take_worker_loss() {
+                        self.kill_lane(self.earliest_lane());
+                        continue;
+                    }
+                }
+                if let Some(slice) = self.take_slice() {
+                    q.submit(slice);
+                }
+            },
+        );
         self.report.dispatches = self.dispatches;
         self.report.lanes_lost = self.lanes_lost;
         self.report.slot_stats = self.slots.stats();
@@ -335,16 +401,17 @@ impl SessionManager {
         best
     }
 
-    /// Does a `WorkerLoss` fault strike the current dispatch? (Consumes
-    /// the fault; losses that would kill the last lane are dropped.)
-    fn worker_loss_strikes(&mut self) -> bool {
-        let strikes = matches!(
+    /// Is a `WorkerLoss` fault planned for the current dispatch?
+    fn worker_loss_due(&self) -> bool {
+        matches!(
             self.faults.front(),
             Some(PoolFault::WorkerLoss { at_dispatch }) if *at_dispatch == self.dispatches
-        );
-        if !strikes {
-            return false;
-        }
+        )
+    }
+
+    /// Consume the due `WorkerLoss` fault; does it strike? (A loss that
+    /// would kill the last lane is dropped.)
+    fn take_worker_loss(&mut self) -> bool {
         self.faults.pop_front();
         self.lanes.iter().filter(|l| l.alive).count() > 1
     }
@@ -390,77 +457,57 @@ impl SessionManager {
         self.ready.push_back(index);
     }
 
-    /// Run one frame slice of the rotation head on `lane`.
-    fn dispatch(&mut self, lane: usize) {
-        let Some(index) = self.ready.pop_front() else {
-            return;
-        };
+    /// Pop the rotation head and move its session-private state out of its
+    /// slot, to run on a pool worker.
+    fn take_slice(&mut self) -> Option<Slice> {
+        let index = self.ready.pop_front()?;
+        let entry = self.entries.get(index)?;
+        let slot = self.slots.get_mut(entry.ticket?)?;
+        Some(Slice {
+            index,
+            seed: entry.seed,
+            engine: slot.engine.take(),
+            snapshot: slot.snapshot.take(),
+            frames: std::mem::take(&mut slot.frames),
+            done: entry.counters.frames,
+        })
+    }
+
+    /// Commit one executed slice, in dispatch order: it ran on the
+    /// earliest-free lane, whose clock now advances by its frame times.
+    fn commit(&mut self, ran: Executed) {
+        let Executed { slice, frame_times, outcome } = ran;
+        let index = slice.index;
+        let lane = self.earliest_lane();
         let Some(entry) = self.entries.get_mut(index) else {
             return;
         };
-        let Some(ticket) = entry.ticket else {
+        let Some(slot) = entry.ticket.and_then(|t| self.slots.get_mut(t)) else {
             return;
         };
+        slot.engine = slice.engine;
+        slot.snapshot = slice.snapshot;
+        slot.frames = slice.frames;
         let t0 = self.lanes.get(lane).map(|l| l.busy_until).unwrap_or(0.0);
         if entry.first_dispatch.is_none() {
             entry.first_dispatch = Some(t0);
-            entry.counters.queue_wait = t0 - entry.spec.arrival;
+            entry.counters.queue_wait = t0 - entry.arrival;
         }
         entry.counters.slices += 1;
-        let instrument = self.cfg.instrument;
-        let interval = self.cfg.checkpoint_interval;
-        let Some(slot) = self.slots.get_mut(ticket) else {
+        if let SliceOutcome::Refused(e) = outcome {
+            self.report.failed.push((SessionId(index as u64), e));
+            self.release(index, SessionState::Recycled);
+            self.promote_queued();
             return;
-        };
-        if slot.engine.is_none() {
-            let mut engine = build_engine(&entry.spec, entry.seed, instrument);
-            // After a worker loss the rebuilt engine resumes from the last
-            // pool checkpoint. A snapshot taken from this very spec always
-            // fits; a mismatch is surfaced as a typed session failure, not
-            // a panic.
-            if let Some(snap) = slot.snapshot.as_ref() {
-                if let Err(e) = engine.restore(snap) {
-                    self.report.failed.push((SessionId(index as u64), e));
-                    self.release(index, SessionState::Recycled);
-                    return;
-                }
-            }
-            slot.engine = Some(engine);
         }
-        let Some(engine) = slot.engine.as_mut() else {
-            return;
-        };
         let mut t = t0;
-        let mut outcome = SliceOutcome::Yielded;
-        for _ in 0..self.cfg.slice_frames {
-            match engine.step_frame() {
-                Ok(Some(fr)) => {
-                    t += fr.frame_time;
-                    let latency = if slot.latencies.is_empty() {
-                        t - entry.spec.arrival
-                    } else {
-                        t - entry.last_done
-                    };
-                    slot.latencies.push(latency);
-                    slot.frames.push(fr);
-                    entry.last_done = t;
-                    entry.counters.frames += 1;
-                    if interval > 0 && entry.counters.frames % interval == 0 {
-                        slot.snapshot = Some(engine.snapshot());
-                    }
-                }
-                Ok(None) => {
-                    outcome = SliceOutcome::Finished;
-                    break;
-                }
-                Err(e) => {
-                    outcome = SliceOutcome::Failed(e);
-                    break;
-                }
-            }
-        }
-        if matches!(outcome, SliceOutcome::Yielded) && engine.frames_remaining() == 0 {
-            outcome = SliceOutcome::Finished;
+        for frame_time in frame_times {
+            t += frame_time;
+            let latency =
+                if slot.latencies.is_empty() { t - entry.arrival } else { t - entry.last_done };
+            slot.latencies.push(latency);
+            entry.last_done = t;
+            entry.counters.frames += 1;
         }
         if let Some(l) = self.lanes.get_mut(lane) {
             l.busy_until = t;
@@ -468,42 +515,34 @@ impl SessionManager {
         self.report.makespan = self.report.makespan.max(t);
         match outcome {
             SliceOutcome::Yielded => self.ready.push_back(index),
-            SliceOutcome::Finished => self.finish_session(index, t),
-            SliceOutcome::Failed(e) => {
-                let id = SessionId(index as u64);
-                self.report.failed.push((id, e));
+            SliceOutcome::Finished(report) => self.finish_session(index, t, *report),
+            SliceOutcome::Failed(e) | SliceOutcome::Refused(e) => {
+                self.report.failed.push((SessionId(index as u64), e));
                 self.release(index, SessionState::Recycled);
             }
         }
+        self.promote_queued();
     }
 
-    /// Drain a completed session into its outcome and recycle its slot.
-    fn finish_session(&mut self, index: usize, finished_at: f64) {
+    /// Turn a completed session's report into its outcome and recycle its
+    /// slot.
+    fn finish_session(&mut self, index: usize, finished_at: f64, report: RunReport) {
         let Some(entry) = self.entries.get_mut(index) else {
             return;
         };
         entry.state = SessionState::Draining;
-        let Some(ticket) = entry.ticket else {
+        let Some(slot) = entry.ticket.and_then(|t| self.slots.get_mut(t)) else {
             return;
         };
-        let label = entry.spec.cluster.describe();
-        let Some(slot) = self.slots.get_mut(ticket) else {
-            return;
-        };
-        // Copy the staging spines out (drain keeps the slot's capacity for
+        // Copy the latency spine out (drain keeps the slot's capacity for
         // the next occupant — the arena's whole point).
-        let frames: Vec<FrameReport> = slot.frames.drain(..).collect();
         let frame_latencies: Vec<f64> = slot.latencies.drain(..).collect();
-        let report = match slot.engine.as_mut() {
-            Some(engine) => engine.finish_report(label, frames),
-            None => return,
-        };
         if let Some(phases) = &report.phases {
             entry.counters.add_phase_totals(&phases.phase_totals());
         }
         let outcome = SessionOutcome {
             id: SessionId(index as u64),
-            tenant: entry.spec.tenant,
+            tenant: entry.tenant,
             seed: entry.seed,
             fingerprint: report.fingerprint(),
             report,
@@ -524,7 +563,7 @@ impl SessionManager {
         if let Some(ticket) = entry.ticket.take() {
             self.slots.recycle(ticket);
         }
-        if let Some(n) = self.tenant_running.get_mut(&entry.spec.tenant.0) {
+        if let Some(n) = self.tenant_running.get_mut(&entry.tenant.0) {
             *n = n.saturating_sub(1);
         }
     }
@@ -544,7 +583,7 @@ impl SessionManager {
                 break;
             };
             let tenant = match self.entries.get(index) {
-                Some(e) => e.spec.tenant,
+                Some(e) => e.tenant,
                 None => break,
             };
             let running = self.tenant_running.get(&tenant.0).copied().unwrap_or(0);
@@ -568,11 +607,110 @@ impl SessionManager {
     }
 }
 
+/// Slices in flight per pool thread: enough that a worker finishing a
+/// slice finds the next one queued while the coordinator commits.
+const LOOKAHEAD_PER_THREAD: usize = 4;
+
+/// One dispatched slice's session-private state, moved to a pool worker
+/// and back. Nothing in it is shared with another session or with the
+/// coordinator's books.
+struct Slice {
+    index: usize,
+    seed: u64,
+    /// `None` on first dispatch and after a worker loss dropped it.
+    engine: Option<Engine<EventFabric>>,
+    snapshot: Option<EngineSnapshot>,
+    frames: Vec<FrameReport>,
+    /// Frames the session has completed (the checkpoint cadence counts
+    /// them).
+    done: u64,
+}
+
+/// An executed slice, waiting to be committed.
+struct Executed {
+    slice: Slice,
+    /// The virtual time of each frame the slice completed, in order.
+    frame_times: Vec<f64>,
+    outcome: SliceOutcome,
+}
+
 /// What one dispatched slice ended as.
 enum SliceOutcome {
     Yielded,
-    Finished,
+    Finished(Box<RunReport>),
     Failed(ProtocolError),
+    /// The rebuilt engine refused the session's checkpoint; no frame ran.
+    Refused(ProtocolError),
+}
+
+impl Slice {
+    /// Run up to `frames` frames of the session, snapshotting every
+    /// `interval` completed frames; a session that finishes also builds
+    /// its report here.
+    fn execute(
+        mut self,
+        spec: &SessionSpec,
+        frames: u64,
+        interval: u64,
+        instrument: bool,
+    ) -> Executed {
+        let mut frame_times = Vec::new();
+        let mut engine = match self.engine.take() {
+            Some(engine) => engine,
+            None => {
+                let mut engine = build_engine(spec, self.seed, instrument);
+                // After a worker loss the rebuilt engine resumes from the
+                // last pool checkpoint. A snapshot taken from this very spec
+                // always fits; a mismatch is surfaced as a typed session
+                // failure, not a panic.
+                if let Some(Err(e)) = self.snapshot.as_ref().map(|snap| engine.restore(snap)) {
+                    return Executed {
+                        slice: self,
+                        frame_times,
+                        outcome: SliceOutcome::Refused(e),
+                    };
+                }
+                engine
+            }
+        };
+        let mut failed = None;
+        let mut finished = false;
+        for _ in 0..frames {
+            match engine.step_frame() {
+                Ok(Some(fr)) => {
+                    frame_times.push(fr.frame_time);
+                    self.frames.push(fr);
+                    self.done += 1;
+                    if interval > 0 && self.done.is_multiple_of(interval) {
+                        self.snapshot = Some(engine.snapshot());
+                    }
+                }
+                Ok(None) => {
+                    finished = true;
+                    break;
+                }
+                Err(e) => {
+                    failed = Some(e);
+                    break;
+                }
+            }
+        }
+        let outcome = match failed {
+            Some(e) => SliceOutcome::Failed(e),
+            None if finished || engine.frames_remaining() == 0 => {
+                // Drain keeps the spine's capacity for the slot's next
+                // occupant.
+                let frames = self.frames.drain(..).collect();
+                let report = engine.finish_report(spec.cluster.describe(), frames);
+                SliceOutcome::Finished(Box::new(report))
+            }
+            None => SliceOutcome::Yielded,
+        };
+        // A session that ended frees its engine here, on the thread whose
+        // allocator will build the next one, not on the coordinator.
+        self.engine = matches!(outcome, SliceOutcome::Yielded).then_some(engine);
+        Executed { slice: self, frame_times, outcome }
+    }
 }
 
 /// Build a session's engine exactly the way a solo `EventSim` run would,
@@ -602,7 +740,7 @@ fn build_engine(spec: &SessionSpec, seed: u64, instrument: bool) -> Engine<Event
 mod tests {
     use super::*;
     use crate::admission::RejectReason;
-    use psa_workloads::{myrinet_gcc, paper_run_config, snow_scene, WorkloadSize};
+    use psa_workloads::{fountain_scene, myrinet_gcc, paper_run_config, snow_scene, WorkloadSize};
 
     fn spec(tenant: u32) -> SessionSpec {
         let size = WorkloadSize { systems: 1, particles_per_system: 120, scale: 1.0 };
@@ -615,8 +753,6 @@ mod tests {
             arrival: 0.0,
         }
     }
-
-    use crate::session::TenantId;
 
     fn pool(workers: usize, admission: AdmissionConfig) -> SessionManager {
         SessionManager::new(PoolConfig {
@@ -739,6 +875,98 @@ mod tests {
         let r = p.run_to_completion();
         assert_eq!(r.completed(), 1);
         assert_eq!(r.lanes_lost, 0, "a loss that would kill the last lane is dropped");
+    }
+
+    /// Every float of a report by its bits, then the whole report as text.
+    fn report_bits(r: &PoolReport) -> (Vec<u64>, String) {
+        let mut bits = vec![r.makespan.to_bits()];
+        for o in &r.outcomes {
+            bits.extend(
+                [o.finished_at, o.counters.queue_wait, o.counters.restart_lost_secs]
+                    .map(f64::to_bits),
+            );
+            bits.extend(o.frame_latencies.iter().map(|l| l.to_bits()));
+            bits.push(o.report.total_time.to_bits());
+            bits.extend(o.report.frames.iter().map(|f| f.frame_time.to_bits()));
+        }
+        (bits, format!("{r:?}"))
+    }
+
+    /// A mixed pool: fountain and snow sessions of different lengths over
+    /// five tenants.
+    fn mixed(
+        sessions: usize,
+        workers: usize,
+        slice_frames: u64,
+        admission: AdmissionConfig,
+        checkpoint_interval: u64,
+    ) -> SessionManager {
+        let size = WorkloadSize { systems: 2, particles_per_system: 40, scale: 1.0 };
+        let mut p = SessionManager::new(PoolConfig {
+            workers,
+            slice_frames,
+            admission,
+            base_seed: 0x5E55_1005,
+            checkpoint_interval,
+            instrument: false,
+        });
+        for i in 0..sessions {
+            let (scene, frames) =
+                if i.is_multiple_of(3) { (fountain_scene(size), 6) } else { (snow_scene(size), 9) };
+            let _ = p.admit(SessionSpec {
+                tenant: TenantId(i as u32 % 5),
+                scene,
+                cfg: paper_run_config(frames, 0.04),
+                cluster: myrinet_gcc(2, 1),
+                cost: size.cost_model(),
+                arrival: 0.0,
+            });
+        }
+        p
+    }
+
+    #[test]
+    fn the_report_does_not_depend_on_the_thread_count() {
+        let squeeze = AdmissionConfig {
+            max_in_flight: 2,
+            per_tenant_in_flight: 1,
+            queue_capacity: 64,
+            per_tenant_backlog: 64,
+        };
+        let loss = |at_dispatch| PoolFault::WorkerLoss { at_dispatch };
+        let pools: Vec<(&str, Box<dyn Fn() -> SessionManager>)> = vec![
+            ("100 mixed", Box::new(|| mixed(100, 4, 2, AdmissionConfig::unbounded(16), 0))),
+            ("2-slot squeeze", Box::new(move || mixed(14, 3, 2, squeeze, 0))),
+            ("slice 1", Box::new(|| mixed(20, 4, 1, AdmissionConfig::unbounded(8), 0))),
+            ("slice 64", Box::new(|| mixed(20, 4, 64, AdmissionConfig::unbounded(8), 0))),
+            (
+                "worker loss",
+                Box::new(move || {
+                    mixed(16, 4, 2, AdmissionConfig::unbounded(6), 0)
+                        .with_fault(loss(5))
+                        .with_fault(loss(23))
+                }),
+            ),
+            (
+                "worker loss, checkpoint 2",
+                Box::new(move || {
+                    mixed(16, 4, 2, AdmissionConfig::unbounded(6), 2)
+                        .with_fault(loss(9))
+                        .with_fault(loss(30))
+                }),
+            ),
+        ];
+        for (name, pool) in &pools {
+            let serial = pool().with_threads(1).run_to_completion();
+            assert!(serial.completed() > 0 && serial.failed.is_empty(), "{name}");
+            assert_eq!(serial.lanes_lost, if name.starts_with("worker loss") { 2 } else { 0 });
+            let want = report_bits(&serial);
+            for threads in [2, 3, 8] {
+                let got = pool().with_threads(threads).run_to_completion();
+                assert!(got.outcomes.len() == serial.outcomes.len(), "{name}, {threads} threads");
+                assert!(report_bits(&got) == want, "{name}: {threads} threads moved the report");
+            }
+        }
     }
 
     #[test]

@@ -31,7 +31,9 @@ pub struct SessionSlot {
     /// Times this slot has been recycled (stale-ticket detection).
     generation: u64,
     /// The session's protocol engine over the event fabric; `None` until
-    /// first dispatch and after a worker-loss restart dropped it.
+    /// first dispatch, while a slice of the session runs on a pool thread
+    /// (the engine, snapshot and frame spine travel with it), and after a
+    /// worker-loss restart dropped it.
     pub engine: Option<Engine<EventFabric>>,
     /// Last pool-level checkpoint of the session's engine, taken every
     /// [`PoolConfig::checkpoint_interval`](crate::PoolConfig) completed

@@ -2,7 +2,7 @@
 // Ad-hoc thread spawns in simulation code: the scheduler decides which
 // worker touches which particles first, so RNG draws (and therefore the
 // animation) differ between runs and worker counts. Parallel compute must
-// go through psa_core::kernel's chunk-keyed streams instead.
+// go through psa_core::pool's submission-ordered results instead.
 
 pub fn parallel_sum(parts: &mut [Vec<f64>]) -> f64 {
     let mut handles = Vec::new();

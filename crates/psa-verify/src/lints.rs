@@ -108,18 +108,18 @@ pub const PROTOCOL_PANIC: LintDef = LintDef {
     skip_tests: true,
 };
 
-/// Thread spawns outside the approved kernel module make execution order —
+/// Thread spawns outside the approved pool module make execution order —
 /// and therefore RNG stream consumption — depend on the scheduler. All
-/// intra-rank parallelism must flow through `psa_core::kernel`, whose
-/// chunk-keyed streams and chunk-order merge keep results worker-count
-/// invariant.
+/// parallel compute must flow through `psa_core::pool`, whose results come
+/// back in submission order, so clients that fold them in that order (the
+/// chunked kernel, the session pool) stay thread-count invariant.
 pub const THREAD_CONFINEMENT: LintDef = LintDef {
     id: "thread-confinement",
     allow_key: "thread-spawn",
     patterns: &[&["thread", "::", "spawn"], &["thread", "::", "scope"]],
-    message: "thread spawn in a simulation crate outside psa_core::kernel; route \
-              parallel compute through the chunked kernel (deterministic for any \
-              worker count), or annotate `// psa-verify: allow(thread-spawn)` \
+    message: "thread spawn in a simulation crate outside psa_core::pool; route \
+              parallel compute through the ordered work pool (deterministic for \
+              any thread count), or annotate `// psa-verify: allow(thread-spawn)` \
               with a reason",
     skip_tests: true,
 };

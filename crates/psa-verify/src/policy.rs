@@ -47,10 +47,11 @@ pub const BLOCKING_ROOTS: &[&str] = &[
     "crates/netsim/src/fault.rs",
 ];
 
-/// The one module allowed to spawn compute threads: the chunked kernel,
-/// whose chunk-keyed RNG streams and chunk-order merge keep results
-/// byte-identical for any worker count.
-pub const KERNEL_MODULE: &str = "crates/psa-core/src/kernel.rs";
+/// The one module allowed to spawn compute threads: the ordered work pool,
+/// which hands results back in submission order, so a client that folds
+/// them in that order (the chunked kernel, the session pool) is
+/// byte-identical for any thread count.
+pub const POOL_MODULE: &str = "crates/psa-core/src/pool.rs";
 
 /// Directory names skipped entirely during the workspace walk.
 pub const SKIP_DIRS: &[&str] = &["target", ".git", ".github", "fixtures"];
@@ -142,7 +143,7 @@ pub fn lints_for(rel: &str) -> Vec<&'static LintDef> {
     if SIM_ROOTS.iter().any(|r| under(rel, r)) {
         set.push(&UNORDERED);
         set.push(&WALL_CLOCK);
-        if rel != KERNEL_MODULE {
+        if rel != POOL_MODULE {
             set.push(&THREAD_CONFINEMENT);
         }
     }
@@ -206,8 +207,11 @@ mod tests {
     }
 
     #[test]
-    fn thread_confinement_spares_only_the_kernel() {
-        assert!(!ids(KERNEL_MODULE).contains(&"thread-confinement"));
+    fn thread_confinement_spares_only_the_pool() {
+        assert!(!ids(POOL_MODULE).contains(&"thread-confinement"));
+        // The pool's two clients run their parallel work through it.
+        assert!(ids("crates/psa-core/src/kernel.rs").contains(&"thread-confinement"));
+        assert!(ids("crates/psa-sessions/src/manager.rs").contains(&"thread-confinement"));
         assert!(ids("crates/psa-core/src/subdomain.rs").contains(&"thread-confinement"));
         assert!(ids("crates/psa-runtime/src/threaded.rs").contains(&"thread-confinement"));
         assert!(ids("crates/netsim/src/thread_net.rs").contains(&"thread-confinement"));
