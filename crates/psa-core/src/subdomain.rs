@@ -11,7 +11,21 @@
 //!   sorting the entire domain population.
 
 use crate::{Particle, ParticleStore};
-use psa_math::{Axis, Interval, Scalar};
+use psa_math::{floor_isize, Axis, Interval, Scalar};
+
+/// The bucket of `k` equal-width buckets over `slice` that holds `v`,
+/// clamped to the edge buckets (callers must have already routed
+/// out-of-slice particles to the exchange path). `floor_isize`, not
+/// `floor`: the insert and the leaver scan take one per particle, and
+/// `floor` is a libm call on the x86-64 baseline.
+#[inline]
+fn bucket_of(slice: Interval, k: usize, v: Scalar) -> usize {
+    if slice.is_empty() {
+        return 0;
+    }
+    let t = (v - slice.lo) / slice.width();
+    floor_isize(t * k as Scalar).clamp(0, k as isize - 1) as usize
+}
 
 /// A calculator's local particle storage for one system: its domain slice
 /// split into `k` equal-width buckets, each an independent [`ParticleStore`].
@@ -65,20 +79,6 @@ impl SubDomainStore {
         self.len == 0
     }
 
-    /// Index of the bucket that holds coordinate `v` (clamped to the edge
-    /// buckets; callers must have already routed out-of-slice particles to
-    /// the exchange path).
-    #[inline]
-    fn bucket_index(&self, v: Scalar) -> usize {
-        let k = self.buckets.len();
-        if self.slice.is_empty() {
-            return 0;
-        }
-        let t = (v - self.slice.lo) / self.slice.width();
-        let i = (t * k as Scalar).floor() as isize;
-        i.clamp(0, k as isize - 1) as usize
-    }
-
     /// Insert a particle that belongs to this slice.
     ///
     /// Out-of-slice positions are accepted (they land in an edge bucket) so
@@ -86,7 +86,7 @@ impl SubDomainStore {
     /// route them — matching the paper's "store in a different structure for
     /// future exchange" being an end-of-frame step, not an insert-time one.
     pub fn insert(&mut self, p: Particle) {
-        let b = self.bucket_index(p.position.along(self.axis));
+        let b = bucket_of(self.slice, self.buckets.len(), p.position.along(self.axis));
         self.buckets[b].push(p);
         self.len += 1;
     }
@@ -171,13 +171,7 @@ impl SubDomainStore {
                     leavers.push(b.swap_remove(i));
                 } else {
                     // still ours; re-bucket if it crossed a bucket boundary
-                    let target = if slice.is_empty() {
-                        0
-                    } else {
-                        let t = (v - slice.lo) / slice.width();
-                        ((t * k as Scalar).floor() as isize).clamp(0, k as isize - 1) as usize
-                    };
-                    if target != bi {
+                    if bucket_of(slice, k, v) != bi {
                         self.mover_scratch.push(b.swap_remove(i));
                     } else {
                         i += 1;

@@ -48,6 +48,27 @@ pub fn clamp(x: Scalar, lo: Scalar, hi: Scalar) -> Scalar {
     }
 }
 
+/// `v.floor() as isize`, with no call into libm (the x86-64 baseline has
+/// no rounding instruction, so `floor` is a library call) — the rasterizer
+/// and the bucket store take one per particle. Exact for every `f32`:
+/// truncation is exact, and below 2^23 in magnitude `i as Scalar` is too,
+/// so the correction is needed exactly when `v` was a negative
+/// non-integer; from 2^23 up `v` is an integer and truncation is floor.
+/// Saturates like the cast (NaN is 0); the correction saturates too, or
+/// `-∞` would step below `isize::MIN`.
+#[inline]
+pub fn floor_isize(v: Scalar) -> isize {
+    let i = v as isize;
+    i.saturating_sub(isize::from(i as Scalar > v))
+}
+
+/// `v.ceil() as isize` without libm; see [`floor_isize`].
+#[inline]
+pub fn ceil_isize(v: Scalar) -> isize {
+    let i = v as isize;
+    i.saturating_add(isize::from((i as Scalar) < v))
+}
+
 /// Linear interpolation between `a` and `b` with `t` in `[0, 1]`.
 #[inline]
 pub fn lerp(a: Scalar, b: Scalar, t: Scalar) -> Scalar {
@@ -76,6 +97,44 @@ mod tests {
         assert_eq!(lerp(2.0, 6.0, 0.0), 2.0);
         assert_eq!(lerp(2.0, 6.0, 1.0), 6.0);
         assert_eq!(lerp(2.0, 6.0, 0.5), 4.0);
+    }
+
+    /// Every class of `f32` the casts treat apart: signed zeros, halves
+    /// and ones, the edges of exact integers (2^23, 2^24), the edge of
+    /// `isize` (2^63), the extremes, infinities, NaN and subnormals, then a
+    /// million random bit patterns.
+    #[test]
+    fn floor_and_ceil_isize_equal_the_libm_casts_for_every_class_of_f32() {
+        let check = |v: Scalar| {
+            assert_eq!(floor_isize(v), v.floor() as isize, "floor({v:e}) bits {:#x}", v.to_bits());
+            assert_eq!(ceil_isize(v), v.ceil() as isize, "ceil({v:e}) bits {:#x}", v.to_bits());
+        };
+        let mut edges = vec![0.0, 0.5, 1.0, 1.5, Scalar::MAX, Scalar::INFINITY];
+        edges.extend([Scalar::MIN_POSITIVE, Scalar::from_bits(1), Scalar::from_bits(0x7f_ffff)]);
+        for e in [23, 24, 63] {
+            let p = (2.0 as Scalar).powi(e);
+            let mut near = p;
+            for _ in 0..4 {
+                near = Scalar::from_bits(near.to_bits() - 1);
+            }
+            for _ in 0..9 {
+                edges.push(near);
+                near = Scalar::from_bits(near.to_bits() + 1);
+            }
+            edges.extend([p - 0.5, p + 0.5, p - 1.5]);
+        }
+        for v in edges {
+            check(v);
+            check(-v);
+        }
+        check(Scalar::NAN);
+        check(-Scalar::NAN);
+        assert_eq!(floor_isize(Scalar::NEG_INFINITY), isize::MIN);
+        assert_eq!(ceil_isize(Scalar::INFINITY), isize::MAX);
+        let mut rng = Rng64::new(0xF100_2CE1);
+        for _ in 0..1_000_000 {
+            check(Scalar::from_bits(rng.next_u64() as u32));
+        }
     }
 
     #[test]

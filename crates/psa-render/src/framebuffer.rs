@@ -119,6 +119,14 @@ impl Framebuffer {
         sum / self.color.len() as f64
     }
 
+    /// Every colour and depth bit, pixel by pixel: what the pixel tests
+    /// compare and pin.
+    #[cfg(test)]
+    pub(crate) fn bits(&self) -> Vec<u32> {
+        let pixel = |(c, d): (&Vec3, &Scalar)| [c.x, c.y, c.z, *d].map(Scalar::to_bits);
+        self.color.iter().zip(&self.depth).flat_map(pixel).collect()
+    }
+
     /// Count pixels whose color differs from `background`.
     pub fn lit_pixels(&self, background: Vec3) -> usize {
         self.color.iter().filter(|&&c| c != background).count()
@@ -160,12 +168,6 @@ mod tests {
                 })
                 .collect()
         };
-        let bits = |fb: &Framebuffer| -> (Vec<[u32; 3]>, Vec<u32>) {
-            (
-                fb.color.iter().map(|c| [c.x, c.y, c.z].map(Scalar::to_bits)).collect(),
-                fb.depth.iter().map(|d| d.to_bits()).collect(),
-            )
-        };
 
         // The image generator's way: the backdrop once, a copy per frame.
         let mut backdrop = Framebuffer::new(48, 32);
@@ -181,8 +183,8 @@ mod tests {
             scratch.clear(background);
             render_objects(&mut scratch, &cam, &objects);
             render_particles(&mut scratch, &cam, &particles, &SplatConfig::default());
-            assert!(bits(&cached) == bits(&scratch), "frame {frame}");
-            assert!(bits(&cached) != bits(&backdrop), "frame {frame} drew nothing");
+            assert!(cached.bits() == scratch.bits(), "frame {frame}");
+            assert!(cached.bits() != backdrop.bits(), "frame {frame} drew nothing");
         }
         assert_eq!(
             (cached.color.as_ptr(), cached.depth.as_ptr()),

@@ -2,7 +2,7 @@
 
 use psa_core::objects::ExternalObject;
 use psa_core::Particle;
-use psa_math::{Scalar, Vec3};
+use psa_math::{ceil_isize, floor_isize, Scalar, Vec3};
 
 use crate::camera::Camera;
 use crate::framebuffer::Framebuffer;
@@ -28,7 +28,9 @@ impl Default for SplatConfig {
 /// Render `particles` through `camera` into `fb`. Returns the number of
 /// particles that landed on-screen (the image generator's work counter).
 /// A particle with a non-finite position, alpha or colour is not drawn:
-/// its splat would write NaN into every pixel it covers.
+/// its splat would write NaN into every pixel it covers. Nor is one whose
+/// squared radius overflows: a pixel it reaches from afar would have an
+/// infinite distance over an infinite radius, a NaN falloff too.
 pub fn render_particles(
     fb: &mut Framebuffer,
     camera: &Camera,
@@ -48,30 +50,43 @@ pub fn render_particles(
         }
         let radius =
             (p.size * proj.pixels_per_unit * cfg.radius_scale).min(cfg.max_radius_px).max(0.5);
+        let r2 = radius * radius;
         let (cx, cy) = (proj.x, proj.y);
-        let r = radius.ceil() as isize;
-        let (px, py) = (cx.floor() as isize, cy.floor() as isize);
-        if px + r < 0 || py + r < 0 || px - r >= w || py - r >= h {
+        // Saturating bounds: a centre or radius beyond `isize` clips to
+        // the screen or misses it, never overflows.
+        let r = ceil_isize(radius);
+        let (px, py) = (floor_isize(cx), floor_isize(cy));
+        let (x0, x1) = (px.saturating_sub(r), px.saturating_add(r));
+        let (y0, y1) = (py.saturating_sub(r), py.saturating_add(r));
+        if x1 < 0 || y1 < 0 || x0 >= w || y0 >= h || r2 == Scalar::INFINITY {
             continue;
         }
         drawn += 1;
-        let r2 = radius * radius;
-        for y in (py - r).max(0)..=(py + r).min(h - 1) {
-            for x in (px - r).max(0)..=(px + r).min(w - 1) {
-                let dx = x as Scalar + 0.5 - cx;
-                let dy = y as Scalar + 0.5 - cy;
-                let d2 = dx * dx + dy * dy;
-                if d2 > r2 {
-                    continue;
-                }
-                // soft falloff toward the rim
-                let falloff = 1.0 - d2 / r2;
-                if cfg.additive {
-                    fb.add(x as usize, y as usize, p.color * (p.alpha * falloff), proj.z);
-                } else {
-                    fb.blend(x as usize, y as usize, p.color, p.alpha * falloff, proj.z);
+        let (x0, x1) = (x0.max(0), x1.min(w - 1));
+        let (mut y, y1) = (y0.max(0), y1.min(h - 1));
+        while y <= y1 {
+            let dy = y as Scalar + 0.5 - cy;
+            let dy2 = dy * dy;
+            // Rounding is monotone, so `dx * dx + dy2 >= dy2` for every
+            // dx: a row whose dy2 alone exceeds r2 has no pixel inside.
+            if dy2 <= r2 {
+                let mut x = x0;
+                while x <= x1 {
+                    let dx = x as Scalar + 0.5 - cx;
+                    let d2 = dx * dx + dy2;
+                    if d2 <= r2 {
+                        // soft falloff toward the rim
+                        let falloff = 1.0 - d2 / r2;
+                        if cfg.additive {
+                            fb.add(x as usize, y as usize, p.color * (p.alpha * falloff), proj.z);
+                        } else {
+                            fb.blend(x as usize, y as usize, p.color, p.alpha * falloff, proj.z);
+                        }
+                    }
+                    x += 1;
                 }
             }
+            y += 1;
         }
     }
     drawn
@@ -169,7 +184,228 @@ fn sample_world_grid<F: Fn(Vec3) -> bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_math::Aabb;
+    use psa_math::{Aabb, Rng64};
+
+    /// The kernel as it was before its bounds came from `floor_isize` /
+    /// `ceil_isize` and before it skipped rows, its code kept verbatim as the
+    /// reference the rewrite must match bit for bit.
+    fn reference_particles(
+        fb: &mut Framebuffer,
+        camera: &Camera,
+        particles: &[Particle],
+        cfg: &SplatConfig,
+    ) -> usize {
+        let (w, h) = (fb.width() as isize, fb.height() as isize);
+        let mut drawn = 0;
+        for p in particles {
+            let proj = camera.project(p.position);
+            let sum = proj.x + proj.y + proj.z + p.alpha + p.color.x + p.color.y + p.color.z;
+            if !sum.is_finite() {
+                continue;
+            }
+            let radius =
+                (p.size * proj.pixels_per_unit * cfg.radius_scale).min(cfg.max_radius_px).max(0.5);
+            let (cx, cy) = (proj.x, proj.y);
+            let r = radius.ceil() as isize;
+            let (px, py) = (cx.floor() as isize, cy.floor() as isize);
+            if px + r < 0 || py + r < 0 || px - r >= w || py - r >= h {
+                continue;
+            }
+            drawn += 1;
+            let r2 = radius * radius;
+            for y in (py - r).max(0)..=(py + r).min(h - 1) {
+                for x in (px - r).max(0)..=(px + r).min(w - 1) {
+                    let dx = x as Scalar + 0.5 - cx;
+                    let dy = y as Scalar + 0.5 - cy;
+                    let d2 = dx * dx + dy * dy;
+                    if d2 > r2 {
+                        continue;
+                    }
+                    let falloff = 1.0 - d2 / r2;
+                    if cfg.additive {
+                        fb.add(x as usize, y as usize, p.color * (p.alpha * falloff), proj.z);
+                    } else {
+                        fb.blend(x as usize, y as usize, p.color, p.alpha * falloff, proj.z);
+                    }
+                }
+            }
+        }
+        drawn
+    }
+
+    /// `render_streaks` over [`reference_particles`].
+    fn reference_streaks(
+        fb: &mut Framebuffer,
+        camera: &Camera,
+        particles: &[Particle],
+        cfg: &SplatConfig,
+        streak_length: Scalar,
+        steps: usize,
+    ) -> usize {
+        let mut drawn = 0;
+        for p in particles {
+            let dir = p.orientation.normalized();
+            let mut any = false;
+            for s in 0..steps {
+                let t = s as Scalar / steps as Scalar;
+                let mut sub = *p;
+                sub.position = p.position - dir * (streak_length * t);
+                sub.alpha = p.alpha * (1.0 - 0.7 * t);
+                any |= reference_particles(fb, camera, &[sub], cfg) > 0;
+            }
+            if any {
+                drawn += 1;
+            }
+        }
+        drawn
+    }
+
+    /// FNV-1a over a frame's colour and depth bits.
+    fn fnv(fb: &Framebuffer) -> u64 {
+        fb.bits().iter().flat_map(|b| b.to_le_bytes()).fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+            (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// A seeded population over `view` (and a third beyond it on every
+    /// side, so splats lie partly and wholly off-screen). With `snap`,
+    /// centres sit on whole and half world units and sizes are whole or
+    /// half units, so on a one-pixel-per-unit camera the rim ties
+    /// `d2 == r2` and `dy * dy == r2` occur. Alphas straddle the 0.95
+    /// depth-write threshold; every 97th particle carries a non-finite
+    /// field.
+    fn population(seed: u64, n: usize, view: Aabb, snap: bool) -> Vec<Particle> {
+        let mut rng = Rng64::new(seed);
+        let (lo, hi) = (view.min - view.size() / 3.0, view.max + view.size() / 3.0);
+        (0..n)
+            .map(|i| {
+                let mut at = rng.in_box(lo, hi);
+                let mut size = rng.range(0.02, 3.0);
+                if snap {
+                    at = Vec3::new((at.x * 2.0).round() / 2.0, (at.y * 2.0).round() / 2.0, at.z);
+                    size = (size * 2.0).round().max(1.0) / 2.0;
+                }
+                let alpha = [rng.unit(), 0.95, 0.951, 1.0, rng.range(0.9, 1.0)][i % 5];
+                let mut p = Particle::at(at).with_size(size).with_color(Vec3::new(
+                    rng.unit(),
+                    rng.unit(),
+                    rng.unit(),
+                ));
+                p.alpha = alpha;
+                p.orientation = rng.on_unit_sphere();
+                if i % 97 == 0 {
+                    let bad = [Scalar::NAN, Scalar::INFINITY, Scalar::NEG_INFINITY][i % 3];
+                    match i % 5 {
+                        0 => p.position.x = bad,
+                        1 => p.position.y = bad,
+                        2 => p.position.z = bad,
+                        3 => p.alpha = bad,
+                        _ => p.color.y = bad,
+                    }
+                }
+                p
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_kernel_draws_the_reference_kernels_pixels_bit_for_bit() {
+        // One pixel per world unit and a power-of-two extent: snapped
+        // centres project exactly onto whole and half pixels.
+        let square = Aabb::new(Vec3::splat(-32.0), Vec3::splat(32.0));
+        let wide = Aabb::new(Vec3::new(-30.0, -7.0, -20.0), Vec3::new(30.0, 21.0, 20.0));
+        let cases = [(square, 64, 64, true), (square, 64, 64, false), (wide, 90, 41, false)];
+        // A splat on its rim (falloff exactly 0) changes no colour but
+        // turns a -0 channel into +0: over this background a pixel the
+        // kernel skips that the reference visited shows.
+        let backgrounds = [Vec3::new(0.02, 0.02, 0.05), Vec3::splat(-0.0)];
+        let mut draws = 0;
+        for (ci, &(view, w, h, snap)) in cases.iter().enumerate() {
+            let cam = Camera::ortho(view, w, h);
+            let particles = population(0x5EED + ci as u64, 400, view, snap);
+            // Radius scales 0.3–40 under the default 16-pixel clamp, then
+            // clamps that bind at 2, 5.5 and 64 pixels.
+            let scales = [(0.3, 16.0), (1.0, 16.0), (2.5, 16.0), (7.0, 16.0), (40.0, 16.0)];
+            for (scale, max) in scales.into_iter().chain([(1.0, 2.0), (40.0, 5.5), (40.0, 64.0)]) {
+                for additive in [false, true] {
+                    for &background in &backgrounds {
+                        let cfg = SplatConfig { additive, radius_scale: scale, max_radius_px: max };
+                        let at = format!("case {ci} scale {scale} max {max} add {additive}");
+                        let (mut got, mut want) = (Framebuffer::new(w, h), Framebuffer::new(w, h));
+                        got.clear(background);
+                        want.clear(background);
+                        let n = render_particles(&mut got, &cam, &particles, &cfg);
+                        assert_eq!(
+                            n,
+                            reference_particles(&mut want, &cam, &particles, &cfg),
+                            "{at}"
+                        );
+                        assert!(got.bits() == want.bits(), "{at}: pixels differ");
+                        got.clear(background);
+                        want.clear(background);
+                        let streaks = &particles[..100];
+                        let n = render_streaks(&mut got, &cam, streaks, &cfg, 2.5, 3);
+                        let m = reference_streaks(&mut want, &cam, streaks, &cfg, 2.5, 3);
+                        assert_eq!(n, m, "{at}: streaks");
+                        assert!(got.bits() == want.bits(), "{at}: streak pixels differ");
+                        draws += n;
+                    }
+                }
+            }
+        }
+        assert!(draws > 0);
+    }
+
+    /// FNV-1a of the colour and depth planes of a 640 × 480 frame of
+    /// 20,000 seeded particles, blended and additive — recorded with the
+    /// kernel [`reference_particles`] keeps.
+    #[test]
+    fn a_seeded_640_by_480_frame_keeps_its_pixels() {
+        let view = Aabb::new(Vec3::new(-42.0, -1.0, -42.0), Vec3::new(42.0, 36.0, 42.0));
+        let cam = Camera::ortho(view, 640, 480);
+        let particles = population(0x640_480, 20_000, view, false);
+        let mut hashes = [0; 2];
+        for (additive, hash) in [false, true].into_iter().zip(&mut hashes) {
+            let mut fb = Framebuffer::new(640, 480);
+            fb.clear(Vec3::new(0.02, 0.02, 0.05));
+            let cfg = SplatConfig { additive, radius_scale: 0.6, ..Default::default() };
+            render_particles(&mut fb, &cam, &particles, &cfg);
+            *hash = fnv(&fb);
+        }
+        assert_eq!(hashes, [0x2681_41b8_aa91_7e5f, 0x478c_1d87_8360_0a82], "{hashes:#018x?}");
+    }
+
+    #[test]
+    fn a_splat_beyond_isize_neither_panics_nor_wraps() {
+        let (_, cam) = scene();
+        // 3e18 world units project past 9.2e18 pixels: the centre
+        // saturates and the splat misses the screen.
+        for at in [
+            Vec3::new(3e18, 0.0, 0.0),
+            Vec3::new(-3e18, 0.0, 0.0),
+            Vec3::new(0.0, 3e18, 0.0),
+            Vec3::new(0.0, -3e18, 0.0),
+        ] {
+            let (mut fb, _) = scene();
+            let p = Particle::at(at).with_size(1.0);
+            assert_eq!(render_particles(&mut fb, &cam, &[p], &SplatConfig::default()), 0, "{at:?}");
+            assert_eq!(fb.lit_pixels(Vec3::ZERO), 0, "{at:?}");
+        }
+        // A radius past isize saturates too, and its disc covers the
+        // screen — from the centre or from 3e18 world units away.
+        let huge = SplatConfig { max_radius_px: Scalar::MAX, ..Default::default() };
+        for at in [Vec3::ZERO, Vec3::new(3e18, 0.0, 0.0)] {
+            let (mut fb, _) = scene();
+            let p = Particle::at(at).with_size(4e18);
+            assert_eq!(render_particles(&mut fb, &cam, &[p], &huge), 1, "{at:?}");
+            assert_eq!(fb.lit_pixels(Vec3::ZERO), 64 * 64, "{at:?}");
+        }
+        // One whose squared radius overflows is not drawn.
+        let (mut fb, _) = scene();
+        let p = Particle::at(Vec3::new(3e18, 0.0, 0.0)).with_size(1e30);
+        assert_eq!(render_particles(&mut fb, &cam, &[p], &huge), 0);
+        assert_eq!(fb.lit_pixels(Vec3::ZERO), 0);
+    }
 
     fn scene() -> (Framebuffer, Camera) {
         let mut fb = Framebuffer::new(64, 64);
@@ -238,15 +474,6 @@ mod tests {
     /// frame without `bad` has it.
     fn assert_skipped(bad: Particle, field: &str) {
         let good = Particle::at(Vec3::ZERO).with_size(1.0);
-        let bits = |fb: &Framebuffer| -> Vec<[u32; 3]> {
-            (0..64)
-                .flat_map(|y| (0..64).map(move |x| (x, y)))
-                .map(|(x, y)| {
-                    let c = fb.pixel(x, y);
-                    [c.x, c.y, c.z].map(Scalar::to_bits)
-                })
-                .collect()
-        };
         for additive in [false, true] {
             let cfg = SplatConfig { additive, ..Default::default() };
             for streaks in [false, true] {
@@ -264,7 +491,7 @@ mod tests {
                 assert_eq!(draw(&mut fb, &cam, good), 1, "{at}");
                 let (mut want, _) = scene();
                 draw(&mut want, &cam, good);
-                assert!(bits(&fb) == bits(&want), "{at}");
+                assert!(fb.bits() == want.bits(), "{at}");
             }
         }
     }

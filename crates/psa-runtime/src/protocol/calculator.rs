@@ -261,11 +261,24 @@ impl Calculator {
     /// calculator holds and their checksum in the store's canonical
     /// (bucket-major) order — folded here, where the particles live, so a
     /// consumer that only counts and compares never needs the particles.
-    pub(crate) fn digest(&self, sys: usize) -> (usize, StateHash) {
+    /// With `copy`, the particles are also appended to it in that order,
+    /// each bucket copied right after it is hashed, while it is in cache:
+    /// a frame is shipped in one walk of the store.
+    pub(crate) fn digest(
+        &self,
+        sys: usize,
+        mut copy: Option<&mut Vec<Particle>>,
+    ) -> (usize, StateHash) {
         let store = &self.stores[sys];
         let mut hash = StateHash::new();
+        if let Some(out) = copy.as_deref_mut() {
+            out.reserve(store.len());
+        }
         for bucket in store.bucket_slices() {
             hash.extend(bucket);
+            if let Some(out) = copy.as_deref_mut() {
+                out.extend_from_slice(bucket);
+            }
         }
         (store.len(), hash)
     }
@@ -423,6 +436,37 @@ mod tests {
         k.add(0, vec![at(1.0), at(9.0), at(9.5)]);
         assert_eq!(k.stage_exchange(0), 3);
         assert_eq!((k.outgoing(0).len(), k.outgoing(3).len(), k.outgoing(3).len()), (1, 2, 0));
+    }
+
+    /// The one-walk ship hashes what the digest alone hashes and copies
+    /// exactly `to_vec`: on an empty store, one bucket, eight buckets, and
+    /// eight buckets after a leaver scan re-filed and shipped particles.
+    #[test]
+    fn digest_with_a_copy_is_the_digest_and_the_stores_canonical_copy() {
+        let mut rng = Rng64::new(0x5419);
+        let dm = Arc::new(DomainMap::split_even(Interval::new(0.0, 10.0), AXIS, 2));
+        let (mut one, mut eight) =
+            (Calculator::new(0, vec![dm.clone()], 1), Calculator::new(0, vec![dm], 8));
+        let check = |k: &Calculator, case: &str| {
+            let mut copy = vec![at(-1.0)];
+            let (alive, hash) = k.digest(0, Some(&mut copy));
+            assert_eq!((alive, hash), k.digest(0, None), "{case}");
+            let mut want = StateHash::new();
+            want.extend(k.store(0).iter());
+            assert_eq!(hash, want, "{case}");
+            assert_eq!(alive, k.store(0).len(), "{case}");
+            assert_eq!(copy[0], at(-1.0), "{case}: appended, not overwritten");
+            assert!(copy[1..] == k.store(0).to_vec()[..], "{case}");
+        };
+        check(&one, "empty");
+        for k in [&mut one, &mut eight] {
+            k.add(0, (0..300).map(|_| at(rng.range(0.0, 5.0))).collect());
+        }
+        check(&one, "one bucket");
+        check(&eight, "eight buckets");
+        eight.stores[0].for_each_mut(|p| p.position.x += 1.5);
+        assert!(eight.stage_exchange(0) > 0);
+        check(&eight, "eight buckets after a leaver scan");
     }
 
     #[test]

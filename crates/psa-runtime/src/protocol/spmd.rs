@@ -319,10 +319,10 @@ pub(crate) fn calculator_main(
                 expect_msg!(ep, ig, "calculator", c, frame,
                     Msg::FrameDone { .. } => (), "FrameDone");
             }
-            let (alive, hash) = calc.digest(sys);
+            let mut batch = renders.then(Vec::new);
+            let (alive, hash) = calc.digest(sys, batch.as_mut());
             ep.send_sized(ig, Msg::FrameDigest { system, alive, hash })?;
-            if renders {
-                let batch = calc.store(sys).to_vec();
+            if let Some(batch) = batch {
                 ep.send_sized(ig, Msg::RenderParticles { system, batch })?;
             }
             trace.record(frame, ProtocolEvent::ParticlesToImageGenerator);
