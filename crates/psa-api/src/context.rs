@@ -4,9 +4,9 @@
 //! attributes stamped onto newly created particles (`p_color`,
 //! `p_velocity_domain`, `p_size`, …); *action* calls execute immediately on
 //! the current particle group (`p_source`, `p_gravity`, `p_bounce`,
-//! `p_move`, …). The context also records the action sequence of the
-//! current frame so [`Context::compile`] can lower it onto the cluster
-//! runtime's action lists.
+//! `p_move`, …). Each action call applies the psa-core action of the same
+//! name and appends it to the frame's [`ActionList`], which
+//! [`Context::compile`] hands over to the cluster runtime.
 
 use psa_core::actions::{
     Action, ActionCtx, ActionList, BounceOff, Damping, Fade, Gravity, KillBelow, KillOld,
@@ -20,57 +20,21 @@ use psa_math::{Aabb, Rng64, Scalar, Vec3};
 use crate::domain_shapes::PDomain;
 use crate::group::ParticleGroup;
 
-/// State registers stamped onto emitted particles.
-#[derive(Clone, Debug)]
-struct StateRegs {
-    color: Vec3,
-    alpha: Scalar,
-    size: Scalar,
-    mass: Scalar,
-    orientation: Vec3,
-    velocity: PDomain,
-    start_position: PDomain,
-}
-
-impl Default for StateRegs {
-    fn default() -> Self {
-        StateRegs {
-            color: Vec3::ONE,
-            alpha: 1.0,
-            size: 1.0,
-            mass: 1.0,
-            orientation: Vec3::Y,
-            velocity: PDomain::Point(Vec3::ZERO),
-            start_position: PDomain::Point(Vec3::ZERO),
-        }
-    }
-}
-
-/// A recorded per-frame action (for [`Context::compile`]).
-#[derive(Clone, Debug)]
-enum Recorded {
-    Source { rate: usize },
-    Gravity(Vec3),
-    RandomAccel(Scalar),
-    Damping(Scalar),
-    Wind { wind: Vec3, drag: Scalar },
-    OrbitPoint { center: Vec3, strength: Scalar },
-    Bounce { object: ExternalObject, friction: Scalar, resilience: Scalar },
-    KillOld(Scalar),
-    KillBelowY(Scalar),
-    KillOutside(Aabb),
-    Fade { rate: Scalar, kill: bool },
-    Move,
-}
-
 /// The immediate-mode API context.
 pub struct Context {
     rng: Rng64,
     dt: Scalar,
     groups: Vec<ParticleGroup>,
     current: usize,
-    state: StateRegs,
-    recorded: Vec<Recorded>,
+    /// The state registers a newborn is stamped with; its position and
+    /// velocity are drawn from the two domains.
+    template: Particle,
+    position: PDomain,
+    velocity: PDomain,
+    /// Particles the frame's `p_source` calls asked for.
+    sourced: usize,
+    /// The frame's action calls, as the psa-core actions they ran.
+    recorded: ActionList,
 }
 
 impl Context {
@@ -80,8 +44,11 @@ impl Context {
             dt: 1.0 / 30.0,
             groups: Vec::new(),
             current: 0,
-            state: StateRegs::default(),
-            recorded: Vec::new(),
+            template: Particle::at(Vec3::ZERO),
+            position: PDomain::Point(Vec3::ZERO),
+            velocity: PDomain::Point(Vec3::ZERO),
+            sourced: 0,
+            recorded: ActionList::new(),
         }
     }
 
@@ -119,222 +86,158 @@ impl Context {
 
     /// `pColor`.
     pub fn p_color(&mut self, r: Scalar, g: Scalar, b: Scalar, alpha: Scalar) {
-        self.state.color = Vec3::new(r, g, b);
-        self.state.alpha = alpha;
+        self.template.color = Vec3::new(r, g, b);
+        self.template.alpha = alpha;
     }
 
     /// `pSize`.
     pub fn p_size(&mut self, size: Scalar) {
-        self.state.size = size;
+        self.template.size = size;
     }
 
     /// `pMass`.
     pub fn p_mass(&mut self, mass: Scalar) {
-        self.state.mass = mass;
+        self.template.mass = mass;
     }
 
     /// `pUpVec`-style orientation register.
     pub fn p_orientation(&mut self, up: Vec3) {
-        self.state.orientation = up.normalized();
+        self.template.orientation = up.normalized();
     }
 
     /// `pVelocityD` — initial velocities drawn from a domain.
     pub fn p_velocity_domain(&mut self, d: PDomain) {
-        assert!(d.can_generate(), "velocity domain must generate");
-        self.state.velocity = d;
+        self.velocity = d;
     }
 
     /// `pStartingPositionD` — where sources emit.
     pub fn p_position_domain(&mut self, d: PDomain) {
-        assert!(d.can_generate(), "position domain must generate");
-        self.state.start_position = d;
+        self.position = d;
     }
 
     // ---- actions (immediate) ----------------------------------------------
 
     /// Begin a frame: clears the recorded action list.
     pub fn p_new_frame(&mut self) {
-        self.recorded.clear();
+        self.sourced = 0;
+        self.recorded = ActionList::new();
     }
 
     /// `pSource` — emit `rate` particles from the current position domain.
     pub fn p_source(&mut self, rate: usize) {
-        self.recorded.push(Recorded::Source { rate });
+        self.sourced += rate;
         for _ in 0..rate {
-            let p = Particle {
-                position: self.state.start_position.generate(&mut self.rng),
-                velocity: self.state.velocity.generate(&mut self.rng),
-                orientation: self.state.orientation,
-                color: self.state.color,
-                age: 0.0,
-                size: self.state.size,
-                alpha: self.state.alpha,
-                mass: self.state.mass,
-            };
-            if !self.groups[self.current].add(p) {
+            let position = self.position.generate(&mut self.rng);
+            let velocity = self.velocity.generate(&mut self.rng);
+            if !self.groups[self.current].add(Particle { position, velocity, ..self.template }) {
                 break; // at capacity
             }
         }
     }
 
+    /// Run `a` on the current group, then record it.
+    fn act(&mut self, a: impl Action + 'static) {
+        // The actions read neither the frame counter nor anything else the
+        // immediate-mode context does not keep.
+        let mut ctx = ActionCtx { dt: self.dt, frame: 0, rng: &mut self.rng };
+        a.apply(&mut ctx, &mut self.groups[self.current].store);
+        self.recorded.push(a);
+    }
+
     /// `pGravity`.
     pub fn p_gravity(&mut self, g: Vec3) {
-        self.recorded.push(Recorded::Gravity(g));
-        let dv = g * self.dt;
-        for p in self.groups[self.current].particles_mut() {
-            p.velocity += dv;
-        }
+        self.act(Gravity::new(g));
     }
 
     /// `pRandomAccel` — isotropic random acceleration.
     pub fn p_random_accel(&mut self, magnitude: Scalar) {
-        self.recorded.push(Recorded::RandomAccel(magnitude));
-        // The action reads neither the frame counter nor anything else the
-        // immediate-mode context does not keep.
-        let mut ctx = ActionCtx { dt: self.dt, frame: 0, rng: &mut self.rng };
-        RandomAccel::new(magnitude)
-            .apply_chunk(&mut ctx, self.groups[self.current].particles_mut());
+        self.act(RandomAccel::new(magnitude));
     }
 
-    /// `pDamping`.
+    /// `pDamping` — lose the fraction `rate` of velocity per second.
+    ///
+    /// # Panics
+    /// When `rate` is outside `[0, 1]`.
     pub fn p_damping(&mut self, rate: Scalar) {
-        self.recorded.push(Recorded::Damping(rate));
-        let keep = (1.0 - rate).powf(self.dt);
-        for p in self.groups[self.current].particles_mut() {
-            p.velocity *= keep;
-        }
+        self.act(Damping::new(rate));
     }
 
     /// Wind coupling.
     pub fn p_wind(&mut self, wind: Vec3, drag: Scalar) {
-        self.recorded.push(Recorded::Wind { wind, drag });
-        let k = (drag * self.dt).min(1.0);
-        for p in self.groups[self.current].particles_mut() {
-            p.velocity = p.velocity.lerp(wind, k);
-        }
+        self.act(Wind::new(wind, drag));
     }
 
     /// `pOrbitPoint`.
     pub fn p_orbit_point(&mut self, center: Vec3, strength: Scalar) {
-        self.recorded.push(Recorded::OrbitPoint { center, strength });
-        let act = OrbitPoint::new(center, strength);
-        let s = strength * self.dt;
-        let eps2 = act.epsilon * act.epsilon;
-        for p in self.groups[self.current].particles_mut() {
-            let rel = center - p.position;
-            let d2 = rel.length_squared() + eps2;
-            p.velocity += rel * (s / (d2 * d2.sqrt()));
-        }
+        self.act(OrbitPoint::new(center, strength));
     }
 
     /// `pBounce` against a plane/sphere/box obstacle.
+    ///
+    /// # Panics
+    /// When `friction` or `resilience` is outside `[0, 1]`.
     pub fn p_bounce(&mut self, object: ExternalObject, friction: Scalar, resilience: Scalar) {
-        self.recorded.push(Recorded::Bounce { object: object.clone(), friction, resilience });
-        for p in self.groups[self.current].particles_mut() {
-            object.bounce(&mut p.position, &mut p.velocity, resilience, friction);
-        }
+        self.act(BounceOff::new(object, resilience, friction));
     }
 
     /// `pKillOld`.
+    ///
+    /// # Panics
+    /// When `max_age` is negative.
     pub fn p_kill_old(&mut self, max_age: Scalar) {
-        self.recorded.push(Recorded::KillOld(max_age));
-        self.groups[self.current].retain(|p| p.age <= max_age);
+        self.act(KillOld::new(max_age));
     }
 
     /// Remove particles below ground height `h` (Algorithm 1's "remove
     /// particles under the position").
     pub fn p_kill_below(&mut self, h: Scalar) {
-        self.recorded.push(Recorded::KillBelowY(h));
-        self.groups[self.current].retain(|p| p.position.y >= h);
+        self.act(KillBelow::ground(h));
     }
 
     /// `pSink` with an out-of-bounds box.
     pub fn p_kill_outside(&mut self, bounds: Aabb) {
-        self.recorded.push(Recorded::KillOutside(bounds));
-        self.groups[self.current].retain(|p| bounds.contains(p.position));
+        self.act(KillOutside::new(bounds));
     }
 
     /// Alpha fade.
+    ///
+    /// # Panics
+    /// When `rate` is negative.
     pub fn p_fade(&mut self, rate: Scalar, kill_at_zero: bool) {
-        self.recorded.push(Recorded::Fade { rate, kill: kill_at_zero });
-        let da = rate * self.dt;
-        for p in self.groups[self.current].particles_mut() {
-            p.alpha = (p.alpha - da).max(0.0);
-        }
-        if kill_at_zero {
-            self.groups[self.current].retain(|p| p.alpha > 0.0);
-        }
+        self.act(Fade::new(rate, kill_at_zero));
     }
 
     /// `pMove` — integrate and age.
     pub fn p_move(&mut self) {
-        self.recorded.push(Recorded::Move);
-        let dt = self.dt;
-        for p in self.groups[self.current].particles_mut() {
-            p.position += p.velocity * dt;
-            p.age += dt;
-        }
+        self.act(MoveParticles);
     }
 
     // ---- compilation to the cluster runtime -------------------------------
 
-    /// Lower the most recent frame's recorded sequence to a `psa-core`
-    /// action list plus the emission parameters a `SystemSpec` needs.
+    /// Hand the frame over to the cluster runtime: `(emit_per_frame,
+    /// emission shape, velocity model, action list)` for a `SystemSpec`.
+    /// `emit_per_frame` is the frame's `p_source` total; the action list is
+    /// the psa-core actions the frame's calls ran, moved out of the context.
     ///
-    /// Returns `(emit_per_frame, emission shape, velocity model, action
-    /// list)`. Fails when a state domain has no cluster-side equivalent.
-    pub fn compile(&self) -> Result<(usize, EmissionShape, VelocityModel, ActionList), String> {
-        let emission = match &self.state.start_position {
-            PDomain::Point(p) => EmissionShape::Point(*p),
-            PDomain::Box(b) => EmissionShape::Box { min: b.min, max: b.max },
-            PDomain::Disc { center, radius, normal } => {
-                EmissionShape::Disc { center: *center, radius: *radius, normal: *normal }
-            }
-            PDomain::Sphere { center, r_outer, .. } => {
-                EmissionShape::Sphere { center: *center, radius: *r_outer }
-            }
-            other => return Err(format!("no cluster emission equivalent for {other:?}")),
+    /// Positions compile from `Point`, `Box` and `Disc` (see [`PDomain`]).
+    /// Velocities compile from `Point` (`VelocityModel::Constant`) and a
+    /// solid `Sphere` (`VelocityModel::Jittered`: the same uniform ball,
+    /// drawn differently). Any other domain — a position `Sphere` (a
+    /// volume, psa-core's is a surface), a shell, a `Cone` — is an `Err`
+    /// naming it, as is a list with two moves.
+    pub fn compile(&mut self) -> Result<(usize, EmissionShape, VelocityModel, ActionList), String> {
+        let Some(emission) = self.position.emission_shape() else {
+            return Err(format!("position domain {:?} has no psa-core twin", self.position));
         };
-        let velocity = match &self.state.velocity {
-            PDomain::Point(v) => VelocityModel::Constant(*v),
-            PDomain::Sphere { center, r_outer, .. } => {
-                VelocityModel::Jittered { base: *center, jitter: *r_outer }
+        let velocity = match self.velocity {
+            PDomain::Point(v) => VelocityModel::Constant(v),
+            PDomain::Sphere { center, r_outer, r_inner: 0.0 } => {
+                VelocityModel::Jittered { base: center, jitter: r_outer }
             }
-            PDomain::Cone { apex, axis, radius } => {
-                let height = axis.length();
-                VelocityModel::Cone {
-                    axis: axis.normalized(),
-                    speed_lo: height * 0.8 + apex.length() * 0.0,
-                    speed_hi: height,
-                    half_angle: (radius / height).atan(),
-                }
-            }
-            other => return Err(format!("no cluster velocity equivalent for {other:?}")),
+            ref other => return Err(format!("velocity domain {other:?} has no psa-core twin")),
         };
-        let mut list = ActionList::new();
-        let mut rate = 0;
-        for r in &self.recorded {
-            match r {
-                Recorded::Source { rate: n } => rate += n,
-                Recorded::Gravity(g) => list.push(Gravity::new(*g)),
-                Recorded::RandomAccel(m) => list.push(RandomAccel::new(*m)),
-                Recorded::Damping(r) => list.push(Damping::new(*r)),
-                Recorded::Wind { wind, drag } => list.push(Wind::new(*wind, *drag)),
-                Recorded::OrbitPoint { center, strength } => {
-                    list.push(OrbitPoint::new(*center, *strength))
-                }
-                Recorded::Bounce { object, friction, resilience } => {
-                    list.push(BounceOff::new(object.clone(), *resilience, *friction))
-                }
-                Recorded::KillOld(age) => list.push(KillOld::new(*age)),
-                Recorded::KillBelowY(h) => list.push(KillBelow::ground(*h)),
-                Recorded::KillOutside(b) => list.push(KillOutside::new(*b)),
-                Recorded::Fade { rate, kill } => list.push(Fade::new(*rate, *kill)),
-                Recorded::Move => list.push(MoveParticles),
-            }
-        }
-        list.validate()?;
-        Ok((rate, emission, velocity, list))
+        self.recorded.validate()?;
+        Ok((self.sourced, emission, velocity, std::mem::take(&mut self.recorded)))
     }
 }
 
@@ -378,7 +281,7 @@ mod tests {
 
     #[test]
     fn random_accel_draws_what_it_always_drew() {
-        // `p_random_accel` now runs `RandomAccel::apply_chunk`; what it must
+        // `p_random_accel` runs psa-core's `RandomAccel`; what it must
         // still do is one `in_unit_sphere` per particle of the group, in
         // order, on the context's own stream.
         let (mut got, mut want) = (ctx(), ctx());
@@ -387,9 +290,9 @@ mod tests {
         }
         got.p_random_accel(2.5);
         let m = 2.5 * want.dt;
-        for p in want.groups[want.current].particles_mut() {
+        want.groups[want.current].store.for_each_mut(|p| {
             p.velocity += want.rng.in_unit_sphere() * m;
-        }
+        });
         assert_eq!(got.current().particles(), want.current().particles());
         assert_eq!(got.rng.state(), want.rng.state());
         assert!(got.current().particles().iter().any(|p| p.velocity.x != 0.0));
@@ -424,24 +327,80 @@ mod tests {
         assert!((90..=115).contains(&n), "steady population {n}");
     }
 
+    /// A context whose every domain has an exact psa-core twin.
+    fn exact_ctx() -> Context {
+        let mut c = ctx();
+        c.p_velocity_domain(PDomain::Point(Vec3::new(1.0, 8.0, 0.0)));
+        c
+    }
+
     #[test]
     fn compile_produces_runtime_actions() {
-        let mut c = ctx();
+        let mut c = exact_ctx();
         fountain_frame(&mut c);
         let (rate, emission, velocity, list) = c.compile().expect("compilable");
         assert_eq!(rate, 100);
-        assert!(matches!(emission, EmissionShape::Point(_)));
-        assert!(matches!(velocity, VelocityModel::Cone { .. }));
-        assert_eq!(list.len(), 4); // gravity, bounce, kill-old, move
-        assert!(list.validate().is_ok());
+        assert_eq!(emission, EmissionShape::Point(Vec3::new(0.0, 0.5, 0.0)));
+        assert_eq!(velocity, VelocityModel::Constant(Vec3::new(1.0, 8.0, 0.0)));
+        let names: Vec<_> = list.iter().map(|a| a.name()).collect();
+        assert_eq!(names, ["gravity", "bounce", "kill-old", "move"]);
+        // The list was handed over, not copied.
+        assert!(c.compile().expect("still compilable").3.is_empty());
+    }
+
+    #[test]
+    fn compile_maps_a_solid_velocity_sphere_to_jitter() {
+        let mut c = exact_ctx();
+        c.p_velocity_domain(PDomain::Sphere { center: Vec3::Y, r_outer: 2.0, r_inner: 0.0 });
+        fountain_frame(&mut c);
+        let velocity = c.compile().expect("compilable").2;
+        assert_eq!(velocity, VelocityModel::Jittered { base: Vec3::Y, jitter: 2.0 });
+    }
+
+    fn refusal(position: PDomain, velocity: PDomain) -> String {
+        let mut c = exact_ctx();
+        c.p_position_domain(position);
+        c.p_velocity_domain(velocity);
+        fountain_frame(&mut c);
+        match c.compile() {
+            Err(e) => e,
+            Ok(_) => panic!("compiled"),
+        }
+    }
+
+    #[test]
+    fn compile_refuses_a_position_sphere() {
+        let ball = PDomain::Sphere { center: Vec3::ZERO, r_outer: 1.0, r_inner: 0.0 };
+        let err = refusal(ball, PDomain::Point(Vec3::Y));
+        assert!(err.contains("position domain Sphere"), "{err}");
+    }
+
+    #[test]
+    fn compile_refuses_a_velocity_shell() {
+        let shell = PDomain::Sphere { center: Vec3::ZERO, r_outer: 2.0, r_inner: 1.0 };
+        let err = refusal(PDomain::Point(Vec3::ZERO), shell);
+        assert!(err.contains("velocity domain Sphere"), "{err}");
+    }
+
+    #[test]
+    fn compile_refuses_a_velocity_cone() {
+        let cone = PDomain::Cone { apex: Vec3::ZERO, axis: Vec3::Y * 10.0, radius: 3.0 };
+        let err = refusal(PDomain::Point(Vec3::ZERO), cone);
+        assert!(err.contains("velocity domain Cone"), "{err}");
     }
 
     #[test]
     fn compile_rejects_unsupported_domains() {
-        let mut c = ctx();
+        let mut c = exact_ctx();
         c.p_position_domain(PDomain::Line { a: Vec3::ZERO, b: Vec3::X });
         fountain_frame(&mut c);
         assert!(c.compile().is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "damping rate must be in [0,1]")]
+    fn damping_out_of_range_panics() {
+        ctx().p_damping(1.5);
     }
 
     #[test]

@@ -1,12 +1,22 @@
 //! Generation/test domains — the `pDomain` vocabulary of McAllister's API.
 //!
 //! A domain is a region of space that can (a) generate uniformly-ish
-//! distributed points and (b) answer membership queries (used by sinks and
-//! bounce tests). The original API ships the same dual-use shapes.
+//! distributed points and (b) answer membership queries. The original API
+//! ships the same dual-use shapes. A half-space test is
+//! `psa_core::objects::ExternalObject::Plane`'s, the obstacle `p_bounce`
+//! takes.
 
+use psa_core::system::EmissionShape;
 use psa_math::{Aabb, Rng64, Scalar, Vec3};
 
 /// A generation/test domain.
+///
+/// `Point`, `Box` and `Disc` draw through their psa-core twin, the
+/// [`EmissionShape`] of the same name: the same draws and the same bits,
+/// so a compiled system emits exactly what immediate mode does. The other
+/// shapes stay API-only: psa-core's `Sphere` is a surface where this one is
+/// a solid ball or shell, and `Line`, `Triangle`, `Cylinder`, `Cone` and
+/// `Blob` have no twin.
 #[derive(Clone, Debug, PartialEq)]
 pub enum PDomain {
     /// A single point.
@@ -30,57 +40,62 @@ pub enum PDomain {
     /// A Gaussian blob (generates normally-distributed points; membership
     /// is within 3σ).
     Blob { center: Vec3, stdev: Scalar },
-    /// The half-space `n·x >= d` (generation not supported — used for
-    /// sinks and bounce).
-    Plane { normal: Vec3, d: Scalar },
 }
 
 impl PDomain {
     /// Draw a point from the domain.
-    ///
-    /// # Panics
-    /// Panics for [`PDomain::Plane`] (an unbounded region cannot generate).
     pub fn generate(&self, rng: &mut Rng64) -> Vec3 {
-        match self {
-            PDomain::Point(p) => *p,
-            PDomain::Line { a, b } => a.lerp(*b, rng.unit()),
+        self.twin_or_draw(rng).map_or_else(|drawn| drawn, |twin| twin.sample(rng))
+    }
+
+    /// This domain's psa-core twin, if it has one (see [`PDomain`]).
+    pub(crate) fn emission_shape(&self) -> Option<EmissionShape> {
+        // A shape without a twin draws its point from a scratch stream.
+        self.twin_or_draw(&mut Rng64::new(0)).ok()
+    }
+
+    /// The one place the twins are named: `Ok` hands one over, and an
+    /// API-only shape draws its point here instead.
+    fn twin_or_draw(&self, rng: &mut Rng64) -> Result<EmissionShape, Vec3> {
+        Err(match *self {
+            PDomain::Point(p) => return Ok(EmissionShape::Point(p)),
+            PDomain::Box(b) => return Ok(EmissionShape::Box { min: b.min, max: b.max }),
+            PDomain::Disc { center, radius, normal } => {
+                return Ok(EmissionShape::Disc { center, radius, normal })
+            }
+            PDomain::Line { a, b } => a.lerp(b, rng.unit()),
             PDomain::Triangle { a, b, c } => {
                 let (mut u, mut v) = (rng.unit(), rng.unit());
                 if u + v > 1.0 {
                     u = 1.0 - u;
                     v = 1.0 - v;
                 }
-                *a + (*b - *a) * u + (*c - *a) * v
+                a + (b - a) * u + (c - a) * v
             }
-            PDomain::Box(bx) => rng.in_box(bx.min, bx.max),
             PDomain::Sphere { center, r_outer, r_inner } => {
                 // radius via inverse CDF of r² density between shells
                 let u = rng.unit();
                 let r3 = r_inner.powi(3) + u * (r_outer.powi(3) - r_inner.powi(3));
-                *center + rng.on_unit_sphere() * r3.cbrt()
+                center + rng.on_unit_sphere() * r3.cbrt()
             }
-            PDomain::Disc { center, radius, normal } => *center + rng.on_disc(*radius, *normal),
             PDomain::Cylinder { base, axis, radius } => {
                 let t = rng.unit();
-                *base + *axis * t + rng.on_disc(*radius, *axis)
+                base + axis * t + rng.on_disc(radius, axis)
             }
             PDomain::Cone { apex, axis, radius } => {
                 // uniform in height³ so density is uniform in volume
                 let t = rng.unit().cbrt();
-                *apex + *axis * t + rng.on_disc(radius * t, *axis)
+                apex + axis * t + rng.on_disc(radius * t, axis)
             }
             PDomain::Blob { center, stdev } => {
-                *center
+                center
                     + Vec3::new(
-                        rng.normal(0.0, *stdev),
-                        rng.normal(0.0, *stdev),
-                        rng.normal(0.0, *stdev),
+                        rng.normal(0.0, stdev),
+                        rng.normal(0.0, stdev),
+                        rng.normal(0.0, stdev),
                     )
             }
-            PDomain::Plane { .. } => {
-                panic!("PDPlane is a test-only domain; it cannot generate points")
-            }
-        }
+        })
     }
 
     /// Membership test (within a small tolerance for lower-dimensional
@@ -137,13 +152,7 @@ impl PDomain {
                 p.distance(closest) <= radius * t
             }
             PDomain::Blob { center, stdev } => p.distance(*center) <= 3.0 * *stdev,
-            PDomain::Plane { normal, d } => p.dot(*normal) >= *d,
         }
-    }
-
-    /// Whether the domain can generate points.
-    pub fn can_generate(&self) -> bool {
-        !matches!(self, PDomain::Plane { .. })
     }
 }
 
@@ -186,6 +195,32 @@ mod tests {
         }
     }
 
+    /// Point, Box and Disc have a psa-core twin that draws their points
+    /// bit for bit; no other shape has one.
+    #[test]
+    fn twins_draw_the_same_bits() {
+        let twins = [
+            PDomain::Point(Vec3::new(1.0, 2.0, 3.0)),
+            PDomain::Box(Aabb::centered_cube(2.0)),
+            PDomain::Disc { center: Vec3::ONE, radius: 1.5, normal: Vec3::new(0.3, 1.0, 0.2) },
+        ];
+        for d in &twins {
+            let shape = d.emission_shape().expect("a twin");
+            let (mut a, mut b) = (rng(), rng());
+            for _ in 0..50 {
+                assert_eq!(d.generate(&mut a), shape.sample(&mut b), "{d:?}");
+            }
+            assert_eq!(a.state(), b.state());
+        }
+        let api_only = [
+            PDomain::Line { a: Vec3::ZERO, b: Vec3::X },
+            PDomain::Sphere { center: Vec3::ZERO, r_outer: 1.0, r_inner: 0.0 },
+            PDomain::Cone { apex: Vec3::ZERO, axis: Vec3::Y, radius: 1.0 },
+            PDomain::Blob { center: Vec3::ZERO, stdev: 1.0 },
+        ];
+        assert!(api_only.iter().all(|d| d.emission_shape().is_none()));
+    }
+
     #[test]
     fn shell_respects_inner_radius() {
         let d = PDomain::Sphere { center: Vec3::ZERO, r_outer: 2.0, r_inner: 1.5 };
@@ -204,21 +239,6 @@ mod tests {
         assert!(d.within(Vec3::new(0.8, 1.9, 0.0)));
         assert!(!d.within(Vec3::new(0.8, 0.2, 0.0)), "wide point near apex is outside");
         assert!(!d.within(Vec3::new(0.0, 2.5, 0.0)));
-    }
-
-    #[test]
-    fn plane_is_test_only() {
-        let d = PDomain::Plane { normal: Vec3::Y, d: 0.0 };
-        assert!(!d.can_generate());
-        assert!(d.within(Vec3::new(0.0, 1.0, 0.0)));
-        assert!(!d.within(Vec3::new(0.0, -1.0, 0.0)));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot generate")]
-    fn plane_generation_panics() {
-        let mut r = rng();
-        let _ = PDomain::Plane { normal: Vec3::Y, d: 0.0 }.generate(&mut r);
     }
 
     #[test]

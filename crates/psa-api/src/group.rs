@@ -1,20 +1,26 @@
 //! Particle groups — the unit the immediate-mode API operates on.
 
-use psa_core::{Particle, ParticleStore};
-use psa_math::Vec3;
+use psa_core::{Particle, SubDomainStore};
+use psa_math::{Axis, Interval, Vec3};
 
 /// A named set of particles with a capacity cap, mirroring the original
 /// API's `pGenParticleGroups`/`pSetMaxParticles`.
+///
+/// The particles sit in a one-bucket [`SubDomainStore`] — the layout
+/// `run_sequential` gives the original library's one vector — so psa-core's
+/// actions run on a group as they run on a calculator's store. With one
+/// bucket a kill is a swap-remove sweep of that vector.
 #[derive(Clone, Debug)]
 pub struct ParticleGroup {
     pub name: String,
-    store: ParticleStore,
+    pub(crate) store: SubDomainStore,
     max_particles: usize,
 }
 
 impl ParticleGroup {
     pub fn new(name: impl Into<String>, max_particles: usize) -> Self {
-        ParticleGroup { name: name.into(), store: ParticleStore::new(), max_particles }
+        let store = SubDomainStore::new(Interval::INFINITE, Axis::X, 1);
+        ParticleGroup { name: name.into(), store, max_particles }
     }
 
     pub fn len(&self) -> usize {
@@ -35,24 +41,13 @@ impl ParticleGroup {
         if self.store.len() >= self.max_particles {
             return false;
         }
-        self.store.push(p);
+        self.store.insert(p);
         true
     }
 
+    /// The group's particles, in the order the actions leave them.
     pub fn particles(&self) -> &[Particle] {
-        self.store.as_slice()
-    }
-
-    pub fn particles_mut(&mut self) -> &mut [Particle] {
-        self.store.as_mut_slice()
-    }
-
-    pub fn retain<F: FnMut(&Particle) -> bool>(&mut self, f: F) -> usize {
-        self.store.retain_unordered(f)
-    }
-
-    pub fn clear(&mut self) {
-        self.store.clear();
+        self.store.bucket_slices().next().unwrap_or_default()
     }
 
     /// Mean position — handy for tests and camera targeting.
@@ -67,6 +62,7 @@ impl ParticleGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psa_core::ParticleStore;
 
     #[test]
     fn capacity_is_enforced() {
@@ -80,21 +76,25 @@ mod tests {
     #[test]
     fn centroid() {
         let mut g = ParticleGroup::new("g", 10);
+        assert_eq!(g.centroid(), Vec3::ZERO);
         g.add(Particle::at(Vec3::new(2.0, 0.0, 0.0)));
         g.add(Particle::at(Vec3::new(4.0, 2.0, 0.0)));
         assert_eq!(g.centroid(), Vec3::new(3.0, 1.0, 0.0));
-        g.clear();
-        assert_eq!(g.centroid(), Vec3::ZERO);
     }
 
+    /// A kill on the group's one-bucket store is the swap-remove sweep of
+    /// `ParticleStore::retain_unordered`: the same survivors in the same
+    /// order, wherever the group's particles lie.
     #[test]
     fn retain_removes() {
         let mut g = ParticleGroup::new("g", 10);
-        for x in 0..6 {
-            g.add(Particle::at(Vec3::new(x as f32, 0.0, 0.0)));
+        let mut flat = ParticleStore::new();
+        for x in [4.0, -3.0e9, 0.0, 5.0, 2.0e9, 1.0] {
+            g.add(Particle::at(Vec3::new(x, 0.0, 0.0)));
+            flat.push(Particle::at(Vec3::new(x, 0.0, 0.0)));
         }
-        let removed = g.retain(|p| p.position.x < 3.0);
-        assert_eq!(removed, 3);
-        assert_eq!(g.len(), 3);
+        assert_eq!(g.store.retain(|p| p.position.x < 3.0), 3);
+        assert_eq!(flat.retain_unordered(|p| p.position.x < 3.0), 3);
+        assert_eq!(g.particles(), flat.as_slice());
     }
 }

@@ -31,7 +31,7 @@
 // by design (the virtual executor owns virtual time).
 // psa-verify: allow(thread-spawn) — the role threads (calculators, manager,
 // image generator) ARE this executor's architecture; compute-phase worker
-// spawns are confined to psa_core::kernel.
+// spawns are confined to psa_core::pool.
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread;
