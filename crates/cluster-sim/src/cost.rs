@@ -37,9 +37,6 @@ pub struct CostModel {
     pub per_frame_render_fixed: f64,
     /// Evaluating one neighbor pair at the manager during DLB.
     pub per_balance_pair: f64,
-    /// Per-particle cost of one collision broadphase pass (grid build +
-    /// 27-cell neighborhood tests + occasional impulse).
-    pub per_collision: f64,
     /// Multiplier from real particle counts to virtual particle counts.
     pub scale: f64,
 }
@@ -55,7 +52,6 @@ impl Default for CostModel {
             per_render: 0.05e-6,
             per_frame_render_fixed: 2.0e-3,
             per_balance_pair: 5.0e-6,
-            per_collision: 0.9e-6,
             scale: 1.0,
         }
     }
@@ -112,12 +108,6 @@ impl CostModel {
     /// Seconds for the manager to evaluate `pairs` neighbor pairs.
     pub fn balance_eval_time(&self, pairs: usize, speed: f64) -> f64 {
         pairs as f64 * self.per_balance_pair / speed
-    }
-
-    /// Seconds for one collision broadphase over `n` real particles
-    /// (locals plus ghosts).
-    pub fn collision_time(&self, n: usize, speed: f64) -> f64 {
-        self.virt(n) * self.per_collision / speed
     }
 
     /// Virtual bytes on the wire for `n` real particles of `wire_bytes`

@@ -5,15 +5,12 @@
 //! orientation, age, velocity), particle systems, per-system spatial
 //! domains sliced along one axis, the sub-domain bucket storage the authors
 //! introduced in their validation library (§4), the action taxonomy
-//! (§3.1.5), external collision objects, and an optional uniform-grid
-//! inter-particle collision broadphase (the hook the model preserves by
-//! keeping data locality).
+//! (§3.1.5) and external collision objects.
 //!
 //! Everything here is single-process; the distribution logic (roles, frame
 //! protocol, load balancing) lives in `psa-runtime`.
 
 pub mod actions;
-pub mod collide;
 pub mod domain;
 pub mod invariants;
 pub mod kernel;

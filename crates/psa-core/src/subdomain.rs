@@ -255,33 +255,11 @@ impl SubDomainStore {
         leavers
     }
 
-    /// Drain every particle (used when shipping the frame to the image
-    /// generator in copy mode, and by tests).
+    /// Drain every particle: what [`reshape`](Self::reshape) re-buckets,
+    /// and how a declared-dead rank's particles are confiscated.
     pub fn take_all(&mut self) -> Vec<Particle> {
         self.len = 0;
         self.buckets.iter_mut().flat_map(|b| b.take_all()).collect()
-    }
-
-    /// Copy the particles within `width` of each slice edge — the ghost
-    /// slabs shipped to the left and right neighbor for inter-particle
-    /// collision detection (paper §3.1.4's locality argument: only these
-    /// boundary particles ever need to cross process lines mid-frame).
-    /// Returns `(low-edge slab, high-edge slab)`.
-    pub fn boundary_slabs(&self, width: Scalar) -> (Vec<Particle>, Vec<Particle>) {
-        let axis = self.axis;
-        let slice = self.slice;
-        let mut low = Vec::new();
-        let mut high = Vec::new();
-        for p in self.iter() {
-            let v = p.position.along(axis);
-            if v < slice.lo + width {
-                low.push(*p);
-            }
-            if v >= slice.hi - width {
-                high.push(*p);
-            }
-        }
-        (low, high)
     }
 
     /// Extreme coordinate along the axis among held particles.
@@ -460,23 +438,6 @@ mod tests {
         let removed = s.retain(|q| q.position.x < 5.0);
         assert_eq!(removed, 2);
         assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn boundary_slabs_pick_edges() {
-        let mut s = store(4); // slice [0, 10)
-        for x in [0.2, 0.8, 5.0, 9.3, 9.9] {
-            s.insert(p(x));
-        }
-        let (low, high) = s.boundary_slabs(1.0);
-        let mut lows: Vec<f32> = low.iter().map(|q| q.position.x).collect();
-        lows.sort_by(f32::total_cmp);
-        assert_eq!(lows, vec![0.2, 0.8]);
-        let mut highs: Vec<f32> = high.iter().map(|q| q.position.x).collect();
-        highs.sort_by(f32::total_cmp);
-        assert_eq!(highs, vec![9.3, 9.9]);
-        // slabs are copies: nothing removed
-        assert_eq!(s.len(), 5);
     }
 
     /// The kept count is the bucket sum after every method that changes a

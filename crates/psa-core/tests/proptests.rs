@@ -97,29 +97,6 @@ fn rebucketing_preserves_population() {
     }
 }
 
-/// Boundary slabs are a superset-free copy: slab members are exactly the
-/// particles within `w` of an edge.
-#[test]
-fn slabs_are_exact() {
-    let mut rng = Rng64::new(0x51AB);
-    for _ in 0..CASES {
-        let xs = coords(&mut rng, 149, 0.0, 10.0);
-        let w = rng.range(0.1, 5.0);
-        let buckets = 1 + rng.below(7);
-        let slice = Interval::new(0.0, 10.0);
-        let mut s = SubDomainStore::new(slice, Axis::X, buckets);
-        for &x in &xs {
-            s.insert(p(x));
-        }
-        let (low, high) = s.boundary_slabs(w);
-        let want_low = xs.iter().filter(|&&x| x < w).count();
-        let want_high = xs.iter().filter(|&&x| x >= 10.0 - w).count();
-        assert_eq!(low.len(), want_low);
-        assert_eq!(high.len(), want_high);
-        assert_eq!(s.len(), xs.len(), "slabs are copies");
-    }
-}
-
 /// reshape is population-preserving: kept + leavers == before.
 #[test]
 fn reshape_preserves_population() {

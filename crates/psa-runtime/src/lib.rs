@@ -52,6 +52,6 @@ pub use config::{
 pub use msg::ProtocolError;
 pub use protocol::{donation_cut, node_layout, Engine, Fabric};
 pub use report::RunReport;
-pub use scene::{CollisionSpec, Scene, SystemSetup};
+pub use scene::{Scene, SystemSetup};
 pub use sequential::run_sequential;
 pub use threaded::{run_threaded, run_threaded_traced};

@@ -57,10 +57,6 @@ pub enum Msg {
     /// calculator, which installs exactly what arrives. The wire size still
     /// counts every cut, as a real broadcast would carry them.
     Domains { system: SystemId, map: Arc<DomainMap> },
-    /// Read-only boundary-slab particles shipped to a domain neighbor for
-    /// inter-particle collision detection (§3.1.4 / §3.1.5's "particles
-    /// exchanged during the computation").
-    Ghosts { system: SystemId, batch: Vec<Particle>, scale: f64 },
     /// Quantized render payload for the image generator (count of real
     /// particles; the content travels out-of-band in the virtual executor).
     RenderBatch { system: SystemId, count: usize, scale: f64 },
@@ -90,7 +86,6 @@ impl Msg {
             Msg::Orders { .. } => "Orders",
             Msg::NewCut { .. } => "NewCut",
             Msg::Domains { .. } => "Domains",
-            Msg::Ghosts { .. } => "Ghosts",
             Msg::RenderBatch { .. } => "RenderBatch",
             Msg::FrameDigest { .. } => "FrameDigest",
             Msg::RenderParticles { .. } => "RenderParticles",
@@ -188,9 +183,6 @@ impl WireSize for Msg {
     fn wire_bytes(&self) -> u64 {
         match self {
             Msg::Particles { batch, scale, .. } => {
-                (batch.len() as f64 * scale * WIRE_BYTES as f64).round() as u64
-            }
-            Msg::Ghosts { batch, scale, .. } => {
                 (batch.len() as f64 * scale * WIRE_BYTES as f64).round() as u64
             }
             Msg::EndOfTransmission { .. } => 4,

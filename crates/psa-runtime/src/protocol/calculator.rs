@@ -8,7 +8,6 @@
 
 use std::sync::Arc;
 
-use psa_core::collide::{colliding_pairs, resolve_elastic_with_ghosts};
 use psa_core::invariants::StateHash;
 use psa_core::kernel::{self, KernelRun};
 use psa_core::{DomainMap, Particle, SubDomainStore};
@@ -18,7 +17,7 @@ use super::{stream, take_batch, SkipStreak, AXIS, TAG_ACTIONS};
 use crate::balance::LoadInfo;
 use crate::checkpoint::{CalcSnapshot, StoreSnapshot};
 use crate::config::{BalanceMode, RunConfig};
-use crate::scene::{CollisionSpec, SystemSetup};
+use crate::scene::SystemSetup;
 
 /// What one balance order cost the donor: its new `cut` toward the
 /// receiver and, for the engine's cost model, how many particles the store
@@ -78,7 +77,7 @@ impl Calculator {
         }
     }
 
-    /// System `sys`'s store, read-only (counts, shipping, ghost slabs).
+    /// System `sys`'s store, read-only (counts and shipping).
     pub(crate) fn store(&self, sys: usize) -> &SubDomainStore {
         &self.stores[sys]
     }
@@ -124,26 +123,10 @@ impl Calculator {
         kernel::run_actions(&setup.actions, cfg.dt, frame, rng, store, chunk, workers)
     }
 
-    /// Count `seconds` of compute (calculus, then collision) into the load
-    /// this calculator will report.
+    /// Count `seconds` of calculus compute into the load this calculator
+    /// will report.
     pub(crate) fn add_compute_time(&mut self, sys: usize, seconds: f64) {
         self.compute_time[sys] += seconds;
-    }
-
-    /// Inter-particle collision among the locals and against the
-    /// neighbors' read-only `ghosts`; returns the particles examined.
-    pub(crate) fn collide(
-        &mut self,
-        sys: usize,
-        ghosts: &[Particle],
-        col: &CollisionSpec,
-    ) -> usize {
-        let mut locals = self.stores[sys].take_all();
-        let pairs = colliding_pairs(&locals, ghosts, col.cell);
-        resolve_elastic_with_ghosts(&mut locals, ghosts, &pairs, col.restitution);
-        let examined = locals.len() + ghosts.len();
-        self.stores[sys].extend(locals);
-        examined
     }
 
     /// End-of-frame exchange staging: scan for leavers and route each to

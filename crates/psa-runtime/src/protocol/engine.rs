@@ -398,7 +398,6 @@ impl<F: Fabric> Engine<F> {
                     }
                     for sys in group.clone() {
                         e.phase_calculus(frame, sys);
-                        e.phase_collision(frame, sys)?;
                     }
                     Ok::<(), ProtocolError>(())
                 })?;
@@ -501,54 +500,6 @@ impl<F: Fabric> Engine<F> {
         if sys == 0 {
             self.trace.record(frame, ProtocolEvent::Calculus);
         }
-    }
-
-    /// Optional inter-particle collision with ghost-slab exchange
-    /// (§3.1.4 / the "exchanged during the computation" mode of §3.1.5).
-    /// Ghosts are read-only copies, so a slab lost to a crashed neighbor
-    /// degrades collision quality at the boundary without losing particles.
-    fn phase_collision(&mut self, frame: u64, sys: usize) -> Result<(), ProtocolError> {
-        let Some(col) = self.scene.collision else {
-            return Ok(());
-        };
-        let system = self.scene.systems[sys].spec.id;
-        let n = self.n;
-        for c in 0..n {
-            if self.crashed[c] {
-                continue;
-            }
-            let (low, high) = self.calcs[c].store(sys).boundary_slabs(col.cell);
-            if c > 0 {
-                self.send_to(c, c - 1, Msg::Ghosts { system, batch: low, scale: self.scale })?;
-            }
-            if c + 1 < n {
-                self.send_to(c, c + 1, Msg::Ghosts { system, batch: high, scale: self.scale })?;
-            }
-        }
-        for c in 0..n {
-            if self.crashed[c] {
-                continue;
-            }
-            let mut ghosts = Vec::new();
-            for d in [c.wrapping_sub(1), c + 1] {
-                if d >= n {
-                    continue;
-                }
-                match self.recv_from(c, d)? {
-                    Some(Msg::Ghosts { batch, .. }) => ghosts.extend(batch),
-                    Some(other) => {
-                        return Err(self.unexpected("calculator", c, frame, "Ghosts", &other))
-                    }
-                    None => {} // crashed/dead neighbor: no slab this frame
-                }
-            }
-            let examined = self.calcs[c].collide(sys, &ghosts, &col);
-            let factor = self.net.compute_factor(c);
-            let t = self.cost.collision_time(examined, self.speeds[c]) * factor;
-            self.net.advance(c, t);
-            self.calcs[c].add_compute_time(sys, t);
-        }
-        Ok(())
     }
 
     /// A message of the wrong kind where the schedule allows exactly one.

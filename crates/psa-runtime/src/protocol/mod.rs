@@ -2,8 +2,8 @@
 //!
 //! Every executor — sequential and threaded in this crate, and the
 //! virtual-time simulator in `psa-desim` — drives the *same*
-//! frame protocol (creation → addition → calculus → collision → exchange →
-//! loads → balance → ship → render). The module is split by role:
+//! frame protocol (creation → addition → calculus → exchange → loads →
+//! balance → ship → render). The module is split by role:
 //!
 //! * `calculator.rs` and `manager.rs` hold the **role cores**: a role's
 //!   state and every transition on it, written once, with no transport,

@@ -211,28 +211,6 @@ pub(crate) fn calculator_main(
             calc.add_compute_time(sys, ep.now() - t0);
             trace.record(frame, ProtocolEvent::Calculus);
 
-            // Inter-particle collision: ghost slabs to and from the domain
-            // neighbors, then local resolution (counted into the load; the
-            // wait for the neighbors' slabs is not).
-            if let Some(col) = scene.collision {
-                let (low, high) = calc.store(sys).boundary_slabs(col.cell);
-                if c > 0 {
-                    ep.send_sized(c - 1, Msg::Ghosts { system, batch: low, scale: 1.0 })?;
-                }
-                if c + 1 < n {
-                    ep.send_sized(c + 1, Msg::Ghosts { system, batch: high, scale: 1.0 })?;
-                }
-                let mut ghosts = Vec::new();
-                for d in [c.wrapping_sub(1), c + 1] {
-                    if d < n {
-                        ghosts.extend(expect_msg!(ep, d, "calculator", c, frame,
-                            Msg::Ghosts { batch, .. } => batch, "Ghosts"));
-                    }
-                }
-                let t0 = ep.now();
-                calc.collide(sys, &ghosts, &col);
-                calc.add_compute_time(sys, ep.now() - t0);
-            }
             mark(&mut rec, &mut last, &ep, frame, c, Phase::Compute);
             rec.add(frame, Counter::ComputeChunks, kr.chunks);
 

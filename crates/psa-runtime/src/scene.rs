@@ -6,19 +6,7 @@ use std::sync::Arc;
 use psa_core::actions::ActionList;
 use psa_core::objects::ExternalObject;
 use psa_core::{Emitter, SystemId, SystemSpec};
-use psa_math::{Scalar, Vec3};
-
-/// Inter-particle collision settings (the user-pluggable procedure the
-/// model's data locality preserves, paper §3.1.4). When set, calculators
-/// exchange ghost slabs with their domain neighbors each frame and resolve
-/// particle–particle contacts locally.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CollisionSpec {
-    /// Broadphase cell edge; use twice the largest particle radius.
-    pub cell: Scalar,
-    /// Elastic restitution in `[0, 1]`.
-    pub restitution: Scalar,
-}
+use psa_math::Vec3;
 
 /// One particle system plus the per-frame action list run on it
 /// (the body of the paper's Algorithm 1).
@@ -45,8 +33,6 @@ pub struct Scene {
     /// External objects with display colors (rendered by the image
     /// generator, collided against by calculators via actions).
     pub objects: Vec<(ExternalObject, Vec3)>,
-    /// Optional inter-particle collision (within each system).
-    pub collision: Option<CollisionSpec>,
 }
 
 impl Scene {
@@ -72,14 +58,6 @@ impl Scene {
 
     pub fn add_object(&mut self, obj: ExternalObject, color: Vec3) {
         self.objects.push((obj, color));
-    }
-
-    /// Enable inter-particle collision with the given broadphase cell and
-    /// restitution.
-    pub fn with_collision(mut self, cell: Scalar, restitution: Scalar) -> Self {
-        assert!(cell > 0.0 && (0.0..=1.0).contains(&restitution));
-        self.collision = Some(CollisionSpec { cell, restitution });
-        self
     }
 
     pub fn system_count(&self) -> usize {

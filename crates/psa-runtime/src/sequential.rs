@@ -61,15 +61,6 @@ pub fn run_sequential(scene: &Scene, cfg: &RunConfig, cost: &CostModel, speed: f
                 cfg.parallel.workers,
             );
             frame_time += cost.weighted_work_time(kr.weighted, speed);
-            // Inter-particle collision, if the scene enables it.
-            if let Some(col) = scene.collision {
-                use psa_core::collide::{colliding_pairs, resolve_elastic};
-                let mut all = stores[sys].take_all();
-                let pairs = colliding_pairs(&all, &[], col.cell);
-                resolve_elastic(&mut all, &pairs, col.restitution);
-                frame_time += cost.collision_time(all.len(), speed);
-                stores[sys].extend(all);
-            }
             // Out-of-space particles have nowhere to migrate: they stay
             // (and are usually culled by kill actions); no exchange exists.
             stores[sys].collect_leavers_into(&mut strays);

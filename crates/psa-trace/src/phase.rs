@@ -13,7 +13,7 @@
 ///
 /// | Figure-2 steps                                             | phase        |
 /// |------------------------------------------------------------|--------------|
-/// | ParticleCreation, AdditionToLocalSet, Calculus (+collision)| `Compute`    |
+/// | ParticleCreation, AdditionToLocalSet, Calculus             | `Compute`    |
 /// | ParticleExchange                                           | `Exchange`   |
 /// | LoadInformation                                            | `LoadReport` |
 /// | LoadBalancingEvaluation … LoadBalanceBetweenCalculators    | `Balance`    |
@@ -21,7 +21,7 @@
 /// | ImageGeneration (+frame barrier)                           | `Render`     |
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Phase {
-    /// Creation, addition to the local set, the action list, collision.
+    /// Creation, addition to the local set, the action list.
     Compute,
     /// End-of-frame domain-crossing particle exchange.
     Exchange,

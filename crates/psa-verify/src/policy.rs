@@ -93,14 +93,12 @@ pub const PHASE_ENTRIES: &[&str] = &[
     "phase_creation",
     "phase_addition",
     "phase_calculus",
-    "phase_collision",
     "phase_exchange",
     "phase_loads",
     "phase_balance",
     "phase_ship",
     "execute_orders",
     "calculus",
-    "collide",
     "stage_exchange",
     "donate",
     "install_domains",

@@ -6,10 +6,10 @@
 //!
 //! Each executor role has an ordered list of [`Step`]s. `required` steps
 //! must appear every frame; optional steps cover the dynamic-balance and
-//! fault branches (Orders/NewCut/Domains, ghost exchange, donations) that
-//! a static extraction cannot prove taken. The three threaded roles each
-//! carry their own table; the virtual executor runs every role inside one
-//! engine, so its table is the *interleaved* global order of `run_frames`.
+//! fault branches (Orders/NewCut/Domains, donations) that a static
+//! extraction cannot prove taken. The three threaded roles each carry their
+//! own table; the virtual executor runs every role inside one engine, so
+//! its table is the *interleaved* global order of `run_frames`.
 //!
 //! ## Extraction
 //!
@@ -53,17 +53,15 @@ const fn r(kind: &'static str, required: bool) -> Step {
 }
 
 /// A calculator's frame loop (threaded executor, Figure 2 left column):
-/// creation in, compute (with the optional ghost exchange of inter-particle
-/// collision), exchange, load report, then the dynamic-balance branch
-/// (orders / donor cut / domains / donation), then ship: the frame digest
-/// every frame, the particles after it and only when something rasterizes —
-/// and then only after the image generator's `FrameDone` for the frame a
-/// window back, which is why that receive sits before the digest.
+/// creation in, compute, exchange, load report, then the dynamic-balance
+/// branch (orders / donor cut / domains / donation), then ship: the frame
+/// digest every frame, the particles after it and only when something
+/// rasterizes — and then only after the image generator's `FrameDone` for
+/// the frame a window back, which is why that receive sits before the
+/// digest.
 pub const CALCULATOR: &[Step] = &[
     r("Particles", true),
     r("EndOfTransmission", true),
-    s("Ghosts", false),
-    r("Ghosts", false),
     s("Particles", true),
     r("Particles", true),
     s("Load", true),
@@ -96,17 +94,14 @@ pub const IMAGE_GENERATOR: &[Step] =
 
 /// The virtual engine runs all roles in one address space, so its table is
 /// the interleaved global event order of `run_frames`: creation, addition,
-/// optional ghost exchange (collision), exchange, load reports (manager +
-/// optional decentralized neighbors), optional orders, optional transfers
-/// (via-manager NewCut/Domains, then the decentralized NewCut branch, then
-/// donations), and ship.
+/// exchange, load reports (manager + optional decentralized neighbors),
+/// optional orders, optional transfers (via-manager NewCut/Domains, then
+/// the decentralized NewCut branch, then donations), and ship.
 pub const VIRTUAL_ENGINE: &[Step] = &[
     s("Particles", true),
     s("EndOfTransmission", true),
     r("Particles", true),
     r("EndOfTransmission", true),
-    s("Ghosts", false),
-    r("Ghosts", false),
     s("Particles", true),
     r("Particles", true),
     s("Load", true),

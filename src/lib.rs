@@ -13,7 +13,7 @@
 //! users need a single dependency:
 //!
 //! * [`math`] — vectors, intervals, deterministic RNG streams;
-//! * [`core`] — particles, systems, domains, actions, collision;
+//! * [`core`] — particles, systems, domains, actions, external objects;
 //! * [`cluster`] — node catalog, network models, the cost model;
 //! * [`net`] — virtual and threaded message fabrics;
 //! * [`runtime`] — the paper's model: roles, frame protocol, SLB/DLB,

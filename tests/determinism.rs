@@ -165,3 +165,40 @@ fn threaded_runs_are_bit_identical_for_every_balancer() {
         }
     }
 }
+
+/// The threaded checksum does not depend on how many calculators hold the
+/// particles. Two particles of one system start on either side of x = 0,
+/// the boundary between calculators 0 and 1 of a two-way split, and are
+/// pulled toward the origin, so they cross process lines as the frames go.
+/// The per-frame `(alive, checksum)` — a bit-exact hash of every particle,
+/// folded where the particles live — must read the same at 1, 2 and 3
+/// calculators.
+#[test]
+fn threaded_checksums_agree_across_calculator_counts() {
+    use particle_cluster_anim::runtime::BalanceMode;
+    use psa_core::system::{EmissionShape, VelocityModel};
+    let mut s = SystemSpec::test_spec(0);
+    s.space = Interval::new(-10.0, 10.0);
+    s.max_age = f32::MAX;
+    s.velocity = VelocityModel::Constant(Vec3::ZERO);
+    s.initial = Some((1, EmissionShape::Point(Vec3::new(-0.25, 0.0, 0.0))));
+    s.emission = EmissionShape::Point(Vec3::new(0.25, 0.0, 0.0));
+    s.emit_per_frame = 1;
+    let mut scene = Scene::new();
+    let pull = OrbitPoint::new(Vec3::ZERO, 4.0);
+    scene.add_system(SystemSetup::new(s, ActionList::new().then(pull).then(MoveParticles)));
+
+    let cfg =
+        RunConfig { frames: 20, dt: 0.05, balance: BalanceMode::Static, ..Default::default() };
+    let run = |n: usize| run_threaded(&scene, &cfg, n, None).expect("threaded run failed");
+    let frames = |rep: &RunReport| -> Vec<(u64, u64)> {
+        rep.frames.iter().map(|f| (f.alive, f.checksum)).collect()
+    };
+    let one = frames(&run(1));
+    assert_eq!(one.len(), 20);
+    assert_eq!(one[0].0, 2);
+    let two = run(2);
+    assert!(two.frames.iter().any(|f| f.migrated > 0), "particles must cross x = 0");
+    assert_eq!(frames(&two), one, "2 calculators");
+    assert_eq!(frames(&run(3)), one, "3 calculators");
+}

@@ -138,34 +138,6 @@ fn donation_takes_extremes() {
     }
 }
 
-/// Grid collision equals brute force for random clouds.
-#[test]
-fn grid_matches_bruteforce() {
-    use particle_cluster_anim::core::collide::colliding_pairs;
-    let mut seeds = Rng64::new(0x9B1D);
-    for _ in 0..64 {
-        let mut rng = Rng64::new(seeds.next_u64());
-        let n = 2 + rng.below(118);
-        let r = rng.range(0.05, 0.5);
-        let ps: Vec<Particle> = (0..n)
-            .map(|_| Particle::at(rng.in_box(Vec3::splat(-3.0), Vec3::splat(3.0))).with_size(r))
-            .collect();
-        let mut grid = colliding_pairs(&ps, &[], 2.0 * r);
-        grid.sort_unstable();
-        let mut brute = Vec::new();
-        for i in 0..n {
-            for j in i + 1..n {
-                let rr = ps[i].size + ps[j].size;
-                if ps[i].position.distance_squared(ps[j].position) < rr * rr {
-                    brute.push((i as u32, j as u32));
-                }
-            }
-        }
-        brute.sort_unstable();
-        assert_eq!(grid, brute);
-    }
-}
-
 /// Rng streams: split children never collide with the parent stream on
 /// short prefixes (sanity of the stream-derivation scheme).
 #[test]
