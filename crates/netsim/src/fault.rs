@@ -8,11 +8,12 @@
 //! around the same deterministic run produces byte-identical perturbations.
 //! This is the FoundationDB-style discipline: faults are part of the seed.
 //!
-//! A plan reaches the two fabrics differently:
+//! Both fabrics execute a plan through a [`PlanInjector`], consulted on
+//! every send, and differ in what they do with its decisions:
 //!
-//! * the virtual fabric in `psa-desim` consults a [`PlanInjector`] on
-//!   every send and charges fault costs as **virtual time** (extra delivery
-//!   delay, timed-out waits), so faulty runs replay bit-identically;
+//! * the virtual fabric in `psa-desim` charges fault costs as **virtual
+//!   time** (extra delivery delay, timed-out waits), so faulty runs replay
+//!   bit-identically;
 //! * [`FaultyThreadEndpoint`] injects **real** delays and errors on the
 //!   thread fabric (used by unit tests and the threaded executor's
 //!   hardening tests; real time is inherently non-replayable, so the chaos
@@ -198,54 +199,15 @@ pub enum SendFate {
     FailTransient,
 }
 
-/// The injection point both fabric adapters share.
-///
-/// `on_send` may consume entropy (it takes `&mut self`); the read-only
-/// queries never do, so call order of the queries cannot perturb a replay.
-pub trait FaultInjector {
-    /// Decide the fate of a `bytes`-byte send from `from` to `to`.
-    fn on_send(&mut self, from: usize, to: usize, bytes: u64) -> SendFate;
-
-    /// CPU throttle for `rank` (compute takes this × as long; 1.0 = none).
-    fn compute_factor(&self, _rank: usize) -> f64 {
-        1.0
-    }
-
-    /// One-shot stall charged to `rank` at `frame`, seconds.
-    fn stall_seconds(&self, _rank: usize, _frame: u64) -> f64 {
-        0.0
-    }
-
-    /// Frame at which `rank` fail-stops, if ever.
-    fn crash_frame(&self, _rank: usize) -> Option<u64> {
-        None
-    }
-
-    /// The injector's draw-stream cursors, for checkpointing, in whatever
-    /// encoding [`restore_stream_states`](Self::restore_stream_states)
-    /// reads back. The plan itself is construction-time configuration and
-    /// is *not* captured. Stateless injectors return an empty vec.
-    fn stream_states(&self) -> Vec<u64> {
-        Vec::new()
-    }
-
-    /// Rewind the injector's draw streams to previously captured cursors.
-    /// Must accept what [`stream_states`](Self::stream_states) produced for
-    /// an injector over the same plan; anything shaped otherwise is refused
-    /// with a description, and the streams are left as they were.
-    fn restore_stream_states(&mut self, states: &[u64]) -> Result<(), String> {
-        if states.is_empty() {
-            Ok(())
-        } else {
-            Err(format!("{} stream words for an injector without streams", states.len()))
-        }
-    }
-}
-
 /// Executes a [`FaultPlan`]: every probabilistic decision draws from a
 /// dedicated per-directed-link `Rng64` stream derived from the plan seed,
 /// so two injectors built from equal plans make identical decisions in
-/// identical call order.
+/// identical call order. Both fabric adapters consult one: the virtual
+/// fabric in `psa-desim` and [`FaultyThreadEndpoint`].
+///
+/// [`on_send`](Self::on_send) may consume entropy (it takes `&mut self`);
+/// the read-only queries never do, so call order of the queries cannot
+/// perturb a replay.
 #[derive(Clone, Debug)]
 pub struct PlanInjector {
     plan: FaultPlan,
@@ -277,10 +239,9 @@ impl PlanInjector {
             Rng64::new(seed).split(TAG_FAULT).split(from as u64).split(to as u64)
         }))
     }
-}
 
-impl FaultInjector for PlanInjector {
-    fn on_send(&mut self, from: usize, to: usize, bytes: u64) -> SendFate {
+    /// Decide the fate of a `bytes`-byte send from `from` to `to`.
+    pub fn on_send(&mut self, from: usize, to: usize, bytes: u64) -> SendFate {
         let link = *self.plan.link(from, to);
         if link.is_healthy() {
             return SendFate::Deliver { extra_delay: 0.0 };
@@ -295,33 +256,45 @@ impl FaultInjector for PlanInjector {
         SendFate::Deliver { extra_delay: delay }
     }
 
-    fn compute_factor(&self, rank: usize) -> f64 {
+    /// CPU throttle for `rank` (compute takes this × as long; 1.0 = none).
+    pub fn compute_factor(&self, rank: usize) -> f64 {
         self.plan.rank(rank).slowdown
     }
 
-    fn stall_seconds(&self, rank: usize, frame: u64) -> f64 {
+    /// One-shot stall charged to `rank` at `frame`, seconds.
+    pub fn stall_seconds(&self, rank: usize, frame: u64) -> f64 {
         match self.plan.rank(rank).stall {
             Some((at, secs)) if at == frame => secs,
             _ => 0.0,
         }
     }
 
-    fn crash_frame(&self, rank: usize) -> Option<u64> {
+    /// Frame at which `rank` fail-stops, if ever.
+    pub fn crash_frame(&self, rank: usize) -> Option<u64> {
         self.plan.rank(rank).crash_at
     }
 
-    /// One `(from, to, state)` triple per link that has drawn.
-    fn stream_states(&self) -> Vec<u64> {
+    /// The injector's draw-stream cursors, for checkpointing, in the
+    /// encoding [`restore_stream_states`](Self::restore_stream_states)
+    /// reads back: one `(from, to, state)` triple per link that has drawn.
+    /// The plan itself is construction-time configuration and is *not*
+    /// captured.
+    pub fn stream_states(&self) -> Vec<u64> {
         self.streams
             .iter()
             .flat_map(|(&(from, to), s)| [from as u64, to as u64, s.state()])
             .collect()
     }
 
+    /// Rewind the injector's draw streams to previously captured cursors.
+    /// Accepts what [`stream_states`](Self::stream_states) produced for an
+    /// injector over the same plan; a list that is not whole `(from, to,
+    /// state)` triples is refused with a description, and the streams are
+    /// left as they were.
+    ///
     /// Replaces the stream map: a link that first drew after the capture
     /// goes back to having no stream, and starts over at its next draw.
-    /// Refuses a list that is not whole `(from, to, state)` triples.
-    fn restore_stream_states(&mut self, states: &[u64]) -> Result<(), String> {
+    pub fn restore_stream_states(&mut self, states: &[u64]) -> Result<(), String> {
         let triples = states.chunks_exact(3);
         if !triples.remainder().is_empty() {
             return Err(format!(
@@ -368,17 +341,17 @@ pub struct FailedSend<M> {
     pub error: TransportError,
 }
 
-/// [`ThreadEndpoint`] with a [`FaultInjector`] in front of every send.
+/// [`ThreadEndpoint`] with a [`PlanInjector`] in front of every send.
 /// Delays here are *real* (the calling thread sleeps), so this adapter is
 /// for hardening tests, not for replay-gated determinism.
 #[derive(Debug)]
-pub struct FaultyThreadEndpoint<M, I> {
+pub struct FaultyThreadEndpoint<M> {
     ep: ThreadEndpoint<M>,
-    inj: I,
+    inj: PlanInjector,
 }
 
-impl<M: Send + WireSize, I: FaultInjector> FaultyThreadEndpoint<M, I> {
-    pub fn new(ep: ThreadEndpoint<M>, inj: I) -> Self {
+impl<M: Send + WireSize> FaultyThreadEndpoint<M> {
+    pub fn new(ep: ThreadEndpoint<M>, inj: PlanInjector) -> Self {
         FaultyThreadEndpoint { ep, inj }
     }
 

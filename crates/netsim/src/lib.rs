@@ -21,8 +21,8 @@ pub mod thread_net;
 pub mod virtual_net;
 
 pub use fault::{
-    FailedSend, FaultInjector, FaultPlan, FaultPolicy, FaultyThreadEndpoint, LinkFault,
-    PlanInjector, RankFault, SendFate,
+    FailedSend, FaultPlan, FaultPolicy, FaultyThreadEndpoint, LinkFault, PlanInjector, RankFault,
+    SendFate,
 };
 pub use thread_net::{ThreadEndpoint, ThreadNet, TransportError};
 pub use virtual_net::{TrafficStats, WireCheckpoint, WireState};

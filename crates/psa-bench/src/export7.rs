@@ -23,7 +23,6 @@
 
 use std::time::Instant;
 
-use psa_desim::EventSim;
 use psa_sessions::{
     derive_session_seed, AdmissionConfig, PoolConfig, SessionId, SessionManager, SessionSpec,
     TenantId,
@@ -140,10 +139,8 @@ fn run_cell(
     // seed, must fingerprint identically to its multiplexed outcome.
     let probe = SessionId(sessions as u64 / 2);
     let parity_ok = report.outcome_for(probe).is_some_and(|outcome| {
-        let mut cfg = paper_run_config(frames, 0.04);
-        cfg.seed = derive_session_seed(base_seed, probe);
-        let mut sim = EventSim::new(wl.scene(size), cfg, myrinet_gcc(2, 1), size.cost_model());
-        sim.run().fingerprint() == outcome.fingerprint
+        let spec = session_spec(wl, size, frames, probe.0 as u32 % BENCH7_TENANTS);
+        spec.solo(derive_session_seed(base_seed, probe)).run().fingerprint() == outcome.fingerprint
     });
 
     Bench7Cell {

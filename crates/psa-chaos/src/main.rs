@@ -10,54 +10,53 @@
 //! cell fails, 2 on usage errors.
 
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use psa_chaos::{
     full_set, run_matrix, run_recovery_matrix, run_session_chaos, smoke_set, MatrixConfig,
     RecoveryConfig, SessionChaosConfig,
 };
 
-fn main() -> ExitCode {
+const USAGE: &str = "usage: chaos [--matrix smoke|full] [--seed N] [--frames N] [--calculators N]";
+
+/// The matrix set and its configuration, or a usage error that names the
+/// flag.
+fn parse_args() -> Result<(String, MatrixConfig), String> {
     let mut mc = MatrixConfig::default();
     let mut set = "smoke".to_string();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let mut take = |name: &str| -> Option<String> {
-            let v = args.next();
-            if v.is_none() {
-                eprintln!("chaos: {name} needs a value");
-            }
-            v
-        };
+        let mut take = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
         match a.as_str() {
-            "--matrix" => match take("--matrix") {
-                Some(v) if v == "smoke" || v == "full" => set = v,
-                Some(v) => {
-                    eprintln!("chaos: unknown matrix `{v}` (want smoke|full)");
-                    return ExitCode::from(2);
-                }
-                None => return ExitCode::from(2),
+            "--matrix" => match take("--matrix")? {
+                v if v == "smoke" || v == "full" => set = v,
+                v => return Err(format!("unknown matrix `{v}` (want smoke|full)")),
             },
-            "--seed" => match take("--seed").and_then(|v| v.parse().ok()) {
-                Some(v) => mc.seed = v,
-                None => return ExitCode::from(2),
+            "--seed" => mc.seed = number("--seed", take("--seed")?)?,
+            "--frames" => mc.frames = number("--frames", take("--frames")?)?,
+            "--calculators" => match number("--calculators", take("--calculators")?)? {
+                v if v >= 2 => mc.calculators = v,
+                v => return Err(format!("--calculators must be at least 2, got {v}")),
             },
-            "--frames" => match take("--frames").and_then(|v| v.parse().ok()) {
-                Some(v) => mc.frames = v,
-                None => return ExitCode::from(2),
-            },
-            "--calculators" => match take("--calculators").and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 2 => mc.calculators = v,
-                _ => return ExitCode::from(2),
-            },
-            other => {
-                eprintln!("chaos: unknown argument `{other}`");
-                eprintln!(
-                    "usage: chaos [--matrix smoke|full] [--seed N] [--frames N] [--calculators N]"
-                );
-                return ExitCode::from(2);
-            }
+            other => return Err(format!("unknown argument `{other}`")),
         }
     }
+    Ok((set, mc))
+}
+
+fn number<T: FromStr>(flag: &str, v: String) -> Result<T, String> {
+    v.parse().map_err(|_| format!("{flag} needs a number, got `{v}`"))
+}
+
+fn main() -> ExitCode {
+    let (set, mc) = match parse_args() {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("chaos: {e}");
+            eprintln!("{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
 
     let scenarios = if set == "full" { full_set() } else { smoke_set() };
     println!(

@@ -19,8 +19,8 @@
 //! 4. **replay** — the whole chaotic pool run replays byte-identically.
 
 use psa_sessions::{
-    derive_session_seed, AdmissionConfig, PoolConfig, PoolFault, PoolReport, SessionId,
-    SessionManager, SessionSpec, TenantId,
+    derive_session_seed, AdmissionConfig, PoolConfig, PoolFault, PoolReport, SessionManager,
+    SessionSpec, TenantId,
 };
 use psa_workloads::{myrinet_gcc, paper_run_config, snow_scene, WorkloadSize};
 
@@ -76,8 +76,20 @@ impl SessionChaosOutcome {
     }
 }
 
-fn pool_run(cfg: &SessionChaosConfig) -> PoolReport {
+/// Session `i`'s spec: a small snow run on two calculators.
+fn spec(cfg: &SessionChaosConfig, i: usize) -> SessionSpec {
     let size = WorkloadSize { systems: 2, particles_per_system: 300, scale: 1.0 };
+    SessionSpec {
+        tenant: TenantId(i as u32 % 3),
+        scene: snow_scene(size),
+        cfg: paper_run_config(cfg.frames, 0.04),
+        cluster: myrinet_gcc(2, 1),
+        cost: size.cost_model(),
+        arrival: 0.0,
+    }
+}
+
+fn pool_run(cfg: &SessionChaosConfig) -> PoolReport {
     let mut pool = SessionManager::new(PoolConfig {
         workers: cfg.workers,
         slice_frames: 2,
@@ -88,29 +100,11 @@ fn pool_run(cfg: &SessionChaosConfig) -> PoolReport {
     })
     .with_fault(PoolFault::WorkerLoss { at_dispatch: cfg.lose_at_dispatch });
     for i in 0..cfg.sessions {
-        let spec = SessionSpec {
-            tenant: TenantId(i as u32 % 3),
-            scene: snow_scene(size),
-            cfg: paper_run_config(cfg.frames, 0.04),
-            cluster: myrinet_gcc(2, 1),
-            cost: size.cost_model(),
-            arrival: 0.0,
-        };
-        if let Err(e) = pool.admit(spec) {
+        if let Err(e) = pool.admit(spec(cfg, i)) {
             panic!("unbounded admission cannot refuse: {e}");
         }
     }
     pool.run_to_completion()
-}
-
-/// Fingerprint of a solo run of session `id`'s derived seed.
-fn solo_fingerprint(cfg: &SessionChaosConfig, id: SessionId) -> u64 {
-    let size = WorkloadSize { systems: 2, particles_per_system: 300, scale: 1.0 };
-    let mut run_cfg = paper_run_config(cfg.frames, 0.04);
-    run_cfg.seed = derive_session_seed(cfg.seed, id);
-    let mut sim =
-        psa_desim::EventSim::new(snow_scene(size), run_cfg, myrinet_gcc(2, 1), size.cost_model());
-    sim.run().fingerprint()
 }
 
 /// Run the session-chaos gate: one worker loss mid-run, then check
@@ -146,7 +140,8 @@ pub fn run_session_chaos(cfg: &SessionChaosConfig) -> SessionChaosOutcome {
     }
 
     for outcome in &report.outcomes {
-        let solo = solo_fingerprint(cfg, outcome.id);
+        let seed = derive_session_seed(cfg.seed, outcome.id);
+        let solo = spec(cfg, outcome.id.0 as usize).solo(seed).run().fingerprint();
         if outcome.fingerprint != solo {
             failures.push(format!(
                 "session {} fingerprint {:x} != solo {:x} (seed {:#x})",

@@ -8,7 +8,9 @@
 //! EXPERIMENTS.md regenerates identically from the seed. The protocol
 //! itself lives in [`psa_runtime::protocol`]: `EventSim` is the thin shell
 //! that builds the fabric from the cluster's network model and hands it to
-//! the shared [`Engine`].
+//! the shared [`Engine`]. [`EventSim::into_engine`] is the one recipe for a
+//! virtual engine: [`EventSim::try_run`] runs the engine it builds, and the
+//! session pool steps one per session, slice by slice.
 //!
 //! Rank layout: `0..n` are calculators (one per domain slice, in slice
 //! order), `n` is the manager, `n + 1` the image generator. The manager and
@@ -36,7 +38,7 @@
 //! fingerprint-comparable with dense runs (empty messages carry virtual
 //! cost).
 
-use cluster_sim::{ClusterSpec, CostModel, Placement};
+use cluster_sim::{ClusterSpec, CostModel};
 use netsim::{FaultPlan, FaultPolicy};
 use psa_runtime::config::RunConfig;
 use psa_runtime::msg::ProtocolError;
@@ -52,7 +54,6 @@ pub struct EventSim {
     scene: Scene,
     cfg: RunConfig,
     cluster: ClusterSpec,
-    placement: Placement,
     cost: CostModel,
     trace: Trace,
     plan: Option<FaultPlan>,
@@ -62,12 +63,10 @@ pub struct EventSim {
 
 impl EventSim {
     pub fn new(scene: Scene, cfg: RunConfig, cluster: ClusterSpec, cost: CostModel) -> Self {
-        let placement = cluster.placement();
         EventSim {
             scene,
             cfg,
             cluster,
-            placement,
             cost,
             trace: Trace::disabled(),
             plan: None,
@@ -108,28 +107,49 @@ impl EventSim {
         self.last_stats
     }
 
-    /// Run the animation; returns the report (virtual makespan included),
-    /// or the protocol error that ended the run early.
-    pub fn try_run(&mut self) -> Result<RunReport, ProtocolError> {
-        let n = self.placement.calculators();
-        let plan = self.plan.clone().unwrap_or_else(|| FaultPlan::none(self.cfg.seed, n + 2));
+    /// The engine this run steps, frame by frame: the fabric is built from
+    /// the cluster's network model and the fault plan (quiet unless
+    /// [`with_faults`](Self::with_faults) set one), under the default
+    /// [`FaultPolicy`], with the configured trace and phase recorder.
+    /// Scene, configuration and cost move into the engine uncopied.
+    pub fn into_engine(self) -> Engine<EventFabric> {
+        let placement = self.cluster.placement();
+        let n = placement.calculators();
+        let plan = self.plan.unwrap_or_else(|| FaultPlan::none(self.cfg.seed, n + 2));
         assert_eq!(
             plan.ranks(),
             n + 2,
             "fault plan must cover calculators + manager + image generator"
         );
-        let (node_of, node_count) = node_layout(&self.placement);
-        let fabric = EventFabric::new(self.cluster.net.clone(), node_of, node_count, plan);
-        let mut engine = Engine::new(
-            self.scene.clone(),
-            self.cfg.clone(),
-            &self.placement,
-            self.cost.clone(),
+        let (node_of, node_count) = node_layout(&placement);
+        let fabric = EventFabric::new(self.cluster.net, node_of, node_count, plan);
+        Engine::new(
+            self.scene,
+            self.cfg,
+            &placement,
+            self.cost,
             fabric,
             FaultPolicy::default(),
-            std::mem::take(&mut self.trace),
+            self.trace,
             self.instrument,
-        );
+        )
+    }
+
+    /// Run the animation; returns the report (virtual makespan included),
+    /// or the protocol error that ended the run early. The simulator keeps
+    /// its inputs, so it may run again.
+    pub fn try_run(&mut self) -> Result<RunReport, ProtocolError> {
+        let run = EventSim {
+            scene: self.scene.clone(),
+            cfg: self.cfg.clone(),
+            cluster: self.cluster.clone(),
+            cost: self.cost.clone(),
+            trace: std::mem::take(&mut self.trace),
+            plan: self.plan.clone(),
+            instrument: self.instrument,
+            last_stats: SimStats::default(),
+        };
+        let mut engine = run.into_engine();
         let (outcome, trace) = engine.run(self.cluster.describe());
         self.last_stats = engine.fabric().sim_stats();
         self.trace = trace;

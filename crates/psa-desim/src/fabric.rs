@@ -36,8 +36,8 @@ use std::collections::VecDeque;
 
 use cluster_sim::NetworkModel;
 use netsim::{
-    FailedSend, FaultInjector, FaultPlan, PlanInjector, SendFate, TrafficStats, TransportError,
-    WireSize, WireState,
+    FailedSend, FaultPlan, PlanInjector, SendFate, TrafficStats, TransportError, WireSize,
+    WireState,
 };
 use psa_runtime::checkpoint::FabricCheckpoint;
 use psa_runtime::msg::Msg;

@@ -32,7 +32,8 @@ struct Args {
     instrument: bool,
 }
 
-fn parse_args() -> Args {
+/// The parsed flags, or a one-line usage error that names the flag.
+fn parse_args() -> Result<Args, String> {
     let mut args = std::env::args().skip(1);
     let mut parsed = Args {
         sessions: 100,
@@ -49,39 +50,45 @@ fn parse_args() -> Args {
         instrument: false,
     };
     while let Some(a) = args.next() {
-        let mut num = |name: &str| -> u64 {
-            args.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{name} needs a number"))
+        let mut num = |name: &str| -> Result<u64, String> {
+            let v = args.next().ok_or_else(|| format!("{name} needs a number"))?;
+            v.parse().map_err(|_| format!("{name} needs a number, got `{v}`"))
         };
         match a.as_str() {
-            "--sessions" => parsed.sessions = num("--sessions") as usize,
-            "--workers" => parsed.workers = num("--workers") as usize,
-            "--tenants" => parsed.tenants = num("--tenants") as u32,
-            "--frames" => parsed.frames = num("--frames"),
-            "--slice" => parsed.slice = num("--slice"),
-            "--seed" => parsed.seed = num("--seed"),
-            "--max-in-flight" => parsed.max_in_flight = num("--max-in-flight") as usize,
-            "--per-tenant" => parsed.per_tenant = num("--per-tenant") as usize,
-            "--particles" => parsed.particles = num("--particles") as usize,
-            "--checkpoint" => parsed.checkpoint = num("--checkpoint"),
-            "--scene" => parsed.scene = args.next().expect("--scene needs a name"),
+            "--sessions" => parsed.sessions = num("--sessions")? as usize,
+            "--workers" => parsed.workers = num("--workers")? as usize,
+            "--tenants" => parsed.tenants = num("--tenants")? as u32,
+            "--frames" => parsed.frames = num("--frames")?,
+            "--slice" => parsed.slice = num("--slice")?,
+            "--seed" => parsed.seed = num("--seed")?,
+            "--max-in-flight" => parsed.max_in_flight = num("--max-in-flight")? as usize,
+            "--per-tenant" => parsed.per_tenant = num("--per-tenant")? as usize,
+            "--particles" => parsed.particles = num("--particles")? as usize,
+            "--checkpoint" => parsed.checkpoint = num("--checkpoint")?,
+            "--scene" => parsed.scene = args.next().ok_or("--scene needs a name")?,
             "--instrument" => parsed.instrument = true,
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            other => return Err(format!("unknown argument: {other}")),
         }
     }
-    if parsed.tenants == 0 {
-        eprintln!("--tenants must be at least 1");
-        std::process::exit(2);
+    for (flag, value) in [
+        ("--workers", parsed.workers),
+        ("--tenants", parsed.tenants as usize),
+        ("--slice", parsed.slice as usize),
+        ("--max-in-flight", parsed.max_in_flight),
+        ("--per-tenant", parsed.per_tenant),
+    ] {
+        if value == 0 {
+            return Err(format!("{flag} must be at least 1"));
+        }
     }
-    parsed
+    Ok(parsed)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| {
+        eprintln!("sessions: {e}");
+        std::process::exit(2);
+    });
     let size = WorkloadSize { systems: 2, particles_per_system: args.particles, scale: 1.0 };
     let Some(workload) = Workload::from_name(&args.scene) else {
         eprintln!("unknown scene {} (expected snow|fountain|vortex)", args.scene);

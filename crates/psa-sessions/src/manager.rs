@@ -7,10 +7,12 @@
 //! on the earliest-free lane, then the session goes to the back of the
 //! rotation — so a 1,000-frame epic never starves a 30-frame clip, and
 //! every session's frame-completion times are a pure function of the
-//! admission sequence. Each session drives its own [`Engine`] over its
-//! own [`EventFabric`] (the engine state never leaks
-//! between sessions), which is why a session's report is byte-identical
-//! to a solo run of its derived seed no matter what ran next to it.
+//! admission sequence. Each session steps its own [`Engine`] over its
+//! own [`EventFabric`], and that engine is the one the solo run of its
+//! derived seed would run ([`SessionSpec::solo`], then
+//! [`EventSim::into_engine`](psa_desim::EventSim::into_engine)). The engine
+//! state never leaks between sessions, so a session's report is
+//! byte-identical to that solo run no matter what ran next to it.
 //!
 //! Lanes are modelled; cores are real. A dispatch is split in two: the
 //! slice's frames (and its checkpoint) *execute* on a thread of the
@@ -23,14 +25,12 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use netsim::{FaultPlan, FaultPolicy};
 use psa_core::pool::Pool;
 use psa_desim::EventFabric;
 use psa_runtime::checkpoint::EngineSnapshot;
 use psa_runtime::msg::ProtocolError;
-use psa_runtime::protocol::{node_layout, Engine};
+use psa_runtime::protocol::Engine;
 use psa_runtime::report::{FrameReport, RunReport};
-use psa_runtime::trace::Trace;
 use psa_trace::SessionCounters;
 
 use crate::admission::{AdmissionConfig, AdmissionError};
@@ -658,7 +658,8 @@ impl Slice {
         let mut engine = match self.engine.take() {
             Some(engine) => engine,
             None => {
-                let mut engine = build_engine(spec, self.seed, instrument);
+                let solo = spec.solo(self.seed);
+                let mut engine = if instrument { solo.with_phases() } else { solo }.into_engine();
                 // After a worker loss the rebuilt engine resumes from the
                 // last pool checkpoint. A snapshot taken from this very spec
                 // always fits; a mismatch is surfaced as a typed session
@@ -711,29 +712,6 @@ impl Slice {
         self.engine = matches!(outcome, SliceOutcome::Yielded).then_some(engine);
         Executed { slice: self, frame_times, outcome }
     }
-}
-
-/// Build a session's engine exactly the way a solo `EventSim` run would,
-/// with the derived seed substituted in — byte-identical state evolution
-/// is what the parity suite pins.
-fn build_engine(spec: &SessionSpec, seed: u64, instrument: bool) -> Engine<EventFabric> {
-    let placement = spec.cluster.placement();
-    let n = placement.calculators();
-    let mut cfg = spec.cfg.clone();
-    cfg.seed = seed;
-    let plan = FaultPlan::none(seed, n + 2);
-    let (node_of, node_count) = node_layout(&placement);
-    let fabric = EventFabric::new(spec.cluster.net.clone(), node_of, node_count, plan);
-    Engine::new(
-        spec.scene.clone(),
-        cfg,
-        &placement,
-        spec.cost.clone(),
-        fabric,
-        FaultPolicy::default(),
-        Trace::disabled(),
-        instrument,
-    )
 }
 
 #[cfg(test)]

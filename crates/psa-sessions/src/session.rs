@@ -1,6 +1,7 @@
 //! Session identity, specification, lifecycle, and per-session seeds.
 
 use cluster_sim::{ClusterSpec, CostModel};
+use psa_desim::EventSim;
 use psa_math::Rng64;
 use psa_runtime::{RunConfig, RunReport, Scene};
 use psa_trace::SessionCounters;
@@ -39,6 +40,17 @@ pub struct SessionSpec {
     /// Pool-virtual arrival time (0.0 = present at pool start). Queue
     /// waits and first-frame latencies are measured from this.
     pub arrival: f64,
+}
+
+impl SessionSpec {
+    /// The solo run of this spec under `seed`. A pooled session steps the
+    /// engine of its derived seed's solo run
+    /// ([`EventSim::into_engine`]), so that solo run is also the reference
+    /// its report must equal.
+    pub fn solo(&self, seed: u64) -> EventSim {
+        let cfg = RunConfig { seed, ..self.cfg.clone() };
+        EventSim::new(self.scene.clone(), cfg, self.cluster.clone(), self.cost.clone())
+    }
 }
 
 /// Where a session is in its lifecycle.

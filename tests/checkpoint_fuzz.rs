@@ -11,11 +11,10 @@
 //! values. Std only, on `psa_math::Rng64`: a failure reproduces from the
 //! seed and the mutation number it prints.
 
-use netsim::{FaultPlan, FaultPolicy, LinkFault};
-use psa_desim::EventFabric;
+use netsim::{FaultPlan, LinkFault};
+use psa_desim::{EventFabric, EventSim};
 use psa_math::Rng64;
-use psa_runtime::trace::Trace;
-use psa_runtime::{node_layout, Engine, EngineSnapshot, ProtocolError, RunConfig, Scene};
+use psa_runtime::{Engine, EngineSnapshot, ProtocolError, RunConfig, Scene};
 use psa_workloads::{fountain_scene, myrinet_gcc, snow_scene, WorkloadSize};
 
 /// Mutations per input snapshot (two inputs).
@@ -24,21 +23,10 @@ const MUTATIONS: usize = 1_200;
 const SIZE: WorkloadSize = WorkloadSize { systems: 2, particles_per_system: 60, scale: 25.0 };
 
 fn engine(scene: &Scene, plan: &FaultPlan) -> Engine<EventFabric> {
-    let cluster = myrinet_gcc(4, 1);
-    let placement = cluster.placement();
-    let (node_of, node_count) = node_layout(&placement);
-    let net = EventFabric::new(cluster.net.clone(), node_of, node_count, plan.clone());
     let cfg = RunConfig { frames: 8, dt: 0.1, seed: plan.seed, warmup: 0, ..Default::default() };
-    Engine::new(
-        scene.clone(),
-        cfg,
-        &placement,
-        SIZE.cost_model(),
-        net,
-        FaultPolicy::default(),
-        Trace::disabled(),
-        false,
-    )
+    EventSim::new(scene.clone(), cfg, myrinet_gcc(4, 1), SIZE.cost_model())
+        .with_faults(plan.clone())
+        .into_engine()
 }
 
 /// A quiet snow engine, and a fountain engine with jittery links whose

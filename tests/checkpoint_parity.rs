@@ -15,11 +15,10 @@
 //! * restore is total — a snapshot that decodes but does not fit the
 //!   engine is refused with a typed error and changes nothing.
 
-use netsim::{FaultPlan, FaultPolicy, LinkFault};
+use netsim::{FaultPlan, LinkFault};
 use psa_desim::{EventFabric, EventSim};
-use psa_runtime::trace::Trace;
 use psa_runtime::{
-    node_layout, BalanceMode, CheckpointConfig, Engine, EngineSnapshot, ProtocolError, RunConfig,
+    BalanceMode, CheckpointConfig, Engine, EngineSnapshot, ProtocolError, RunConfig,
 };
 use psa_workloads::{fountain_scene, myrinet_gcc, snow_scene, WorkloadSize};
 
@@ -35,20 +34,9 @@ fn config(seed: u64) -> RunConfig {
 /// way the session layer rebuilds one before `restore`.
 fn fountain_engine(cfg: &RunConfig, plan: FaultPlan) -> Engine<EventFabric> {
     let sz = size();
-    let cluster = myrinet_gcc(4, 1);
-    let placement = cluster.placement();
-    let (node_of, node_count) = node_layout(&placement);
-    let net = EventFabric::new(cluster.net.clone(), node_of, node_count, plan);
-    Engine::new(
-        fountain_scene(sz),
-        cfg.clone(),
-        &placement,
-        sz.cost_model(),
-        net,
-        FaultPolicy::default(),
-        Trace::disabled(),
-        false,
-    )
+    EventSim::new(fountain_scene(sz), cfg.clone(), myrinet_gcc(4, 1), sz.cost_model())
+        .with_faults(plan)
+        .into_engine()
 }
 
 /// The tentpole's acceptance gate: with `CheckpointConfig::recovering`, a

@@ -10,7 +10,6 @@
 
 use std::collections::BTreeMap;
 
-use psa_desim::EventSim;
 use psa_sessions::{
     derive_session_seed, AdmissionConfig, PoolConfig, PoolFault, PoolReport, SessionId,
     SessionManager, SessionSpec, TenantId,
@@ -41,10 +40,7 @@ fn spec_for(i: usize) -> SessionSpec {
 
 /// Fingerprint of a solo run of session `id` (same spec recipe).
 fn solo_fingerprint(i: usize) -> u64 {
-    let spec = spec_for(i);
-    let mut cfg = spec.cfg.clone();
-    cfg.seed = derive_session_seed(BASE_SEED, SessionId(i as u64));
-    EventSim::new(spec.scene, cfg, spec.cluster, spec.cost).run().fingerprint()
+    spec_for(i).solo(derive_session_seed(BASE_SEED, SessionId(i as u64))).run().fingerprint()
 }
 
 fn run_pool(sessions: usize, workers: usize, slice_frames: u64, slots: usize) -> PoolReport {
