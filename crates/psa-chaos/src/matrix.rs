@@ -120,13 +120,13 @@ pub fn run_case(workload: Workload, scenario: Scenario, mc: &MatrixConfig) -> Ca
     if report.frames.len() != mc.frames as usize {
         failures.push(format!("only {}/{} frames rendered", report.frames.len(), mc.frames));
     }
-    // Each frame's trace must be one clean Figure-2 pass — faults may slow
-    // phases down but never reorder them.
+    // Each frame's trace must be one clean Figure-2 pass per system —
+    // faults may slow phases down but never reorder them.
     for f in 0..mc.frames {
         let events = sim.trace().frame(f);
         let passes = figure2_passes(&events);
-        if passes != 1 {
-            failures.push(format!("frame {f}: {passes} protocol passes (want 1)"));
+        if passes != sz.systems {
+            failures.push(format!("frame {f}: {passes} protocol passes (want {})", sz.systems));
         }
     }
     // Kill scenarios must actually have killed someone and the manager

@@ -74,12 +74,6 @@ impl Particle {
         self.size = s;
         self
     }
-
-    /// Kinetic energy `½ m v²` — used by tests as a conserved-ish quantity
-    /// and by the statistics reduction example.
-    pub fn kinetic_energy(&self) -> Scalar {
-        0.5 * self.mass * self.velocity.length_squared()
-    }
 }
 
 #[cfg(test)]
@@ -104,11 +98,5 @@ mod tests {
         assert_eq!(p.velocity, Vec3::X);
         assert_eq!(p.size, 2.5);
         assert_eq!(p.age, 0.0);
-    }
-
-    #[test]
-    fn kinetic_energy() {
-        let p = Particle::at(Vec3::ZERO).with_velocity(Vec3::new(3.0, 4.0, 0.0));
-        assert_eq!(p.kinetic_energy(), 12.5); // ½·1·25
     }
 }

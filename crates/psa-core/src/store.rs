@@ -87,32 +87,6 @@ impl ParticleStore {
         before - self.items.len()
     }
 
-    /// Remove and return all particles for which `f` is true (the staging
-    /// step for end-of-frame domain exchange, paper §3.2.3).
-    pub fn drain_where<F: FnMut(&Particle) -> bool>(&mut self, f: F) -> Vec<Particle> {
-        let mut out = Vec::new();
-        self.drain_where_into(f, &mut out);
-        out
-    }
-
-    /// [`ParticleStore::drain_where`] into a caller-owned buffer — the
-    /// allocation-free variant the frame hot path uses (the buffer keeps its
-    /// capacity across frames). Drained particles are appended.
-    pub fn drain_where_into<F: FnMut(&Particle) -> bool>(
-        &mut self,
-        mut f: F,
-        out: &mut Vec<Particle>,
-    ) {
-        let mut i = 0;
-        while i < self.items.len() {
-            if f(&self.items[i]) {
-                out.push(self.items.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-    }
-
     /// Take everything: the returned vector *is* the store's buffer, so the
     /// allocation leaves with it and the store is left empty with no
     /// capacity (it grows again on the next insert).
@@ -239,16 +213,6 @@ mod tests {
         assert_eq!(removed, 5);
         assert_eq!(s.len(), 5);
         assert!(s.iter().all(|q| q.position.x < 5.0));
-    }
-
-    #[test]
-    fn drain_where_partitions() {
-        let mut s: ParticleStore = (0..10).map(|i| p(i as f32)).collect();
-        let out = s.drain_where(|q| q.position.x >= 7.0);
-        assert_eq!(out.len(), 3);
-        assert_eq!(s.len(), 7);
-        assert!(out.iter().all(|q| q.position.x >= 7.0));
-        assert!(s.iter().all(|q| q.position.x < 7.0));
     }
 
     #[test]

@@ -35,25 +35,6 @@ fn retain_is_a_filter() {
     }
 }
 
-/// drain_where partitions the store: drained ∪ remaining == original (as
-/// multisets of coordinates).
-#[test]
-fn drain_partitions() {
-    let mut rng = Rng64::new(0xD4A1);
-    for _ in 0..CASES {
-        let xs = coords(&mut rng, 199, -50.0, 50.0);
-        let cut = rng.range(-50.0, 50.0);
-        let mut s: ParticleStore = xs.iter().map(|&x| p(x)).collect();
-        let drained = s.drain_where(|q| q.position.x >= cut);
-        let mut all: Vec<f32> =
-            s.iter().map(|q| q.position.x).chain(drained.iter().map(|q| q.position.x)).collect();
-        all.sort_by(f32::total_cmp);
-        let mut orig = xs.clone();
-        orig.sort_by(f32::total_cmp);
-        assert_eq!(all, orig);
-    }
-}
-
 /// sort_along + donate_low/high from a flat store return the exact
 /// extremes.
 #[test]

@@ -76,11 +76,6 @@ impl Vec3 {
         (*self - o).length()
     }
 
-    #[inline]
-    pub fn distance_squared(&self, o: Vec3) -> Scalar {
-        (*self - o).length_squared()
-    }
-
     /// Unit vector in the same direction; returns `Vec3::ZERO` for the zero
     /// vector rather than producing NaNs in hot loops.
     #[inline]

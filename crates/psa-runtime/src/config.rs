@@ -83,24 +83,6 @@ impl BalanceMode {
     }
 }
 
-/// How multiple particle systems are combined within one frame — the §3.3
-/// observation that "depending on the form used, the processing may be more
-/// or less efficient".
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SystemSchedule {
-    /// Figure 2 verbatim: each system runs its full protocol before the
-    /// next system starts. The manager's post-exchange work on system `s`
-    /// therefore gates system `s + 1` on every calculator — per-system load
-    /// spikes serialize.
-    #[default]
-    PerSystem,
-    /// Phase-batched: creation for all systems first, then calculus for
-    /// all, then exchange, balancing, shipping. Calculators absorb
-    /// per-system spikes across the frame (only the frame barrier
-    /// synchronizes), at the cost of buffering every system's state.
-    Batched,
-}
-
 /// How exchange-phase traffic fans out between calculators.
 ///
 /// The paper's 8-calculator runs send an exchange message to *every* peer
@@ -208,8 +190,6 @@ pub struct RunConfig {
     pub balance: BalanceMode,
     /// Sub-domain buckets per calculator per system (paper §4 storage).
     pub buckets: usize,
-    /// Multi-system combination strategy (§3.3).
-    pub schedule: SystemSchedule,
     /// Warm-up frames excluded from per-frame statistics (population
     /// ramp-up).
     pub warmup: u64,
@@ -234,7 +214,6 @@ impl Default for RunConfig {
             space: SpaceMode::Finite,
             balance: BalanceMode::dynamic(),
             buckets: 8,
-            schedule: SystemSchedule::PerSystem,
             warmup: 0,
             load_metric: LoadMetric::WallClock,
             parallel: ParallelConfig::default(),
@@ -286,7 +265,6 @@ mod tests {
         assert_eq!(BalanceMode::decentralized().label(), "DEC");
         assert_eq!(BalanceMode::diffusive().label(), "DIF");
         assert_eq!(BalanceMode::hierarchical().label(), "SFC");
-        assert_eq!(SystemSchedule::default(), SystemSchedule::PerSystem);
     }
 
     #[test]

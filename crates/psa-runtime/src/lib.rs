@@ -46,9 +46,7 @@ pub mod trace;
 pub use balance::{Balancer, BalancerConfig, LoadInfo, Order, Transfer};
 pub use balancers::strategy_for;
 pub use checkpoint::{CheckpointConfig, EngineSnapshot, FabricCheckpoint, RecoveryEvent};
-pub use config::{
-    BalanceMode, ExchangeMode, LoadMetric, ParallelConfig, RunConfig, SpaceMode, SystemSchedule,
-};
+pub use config::{BalanceMode, ExchangeMode, LoadMetric, ParallelConfig, RunConfig, SpaceMode};
 pub use msg::ProtocolError;
 pub use protocol::{donation_cut, node_layout, Engine, Fabric};
 pub use report::RunReport;

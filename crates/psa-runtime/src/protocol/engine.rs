@@ -20,11 +20,11 @@ use psa_trace::{ClockKind, Counter, Phase, Recorder};
 
 use super::calculator::Calculator;
 use super::manager::{Manager, Round};
-use super::{check_exchange, space_for, Fabric, AXIS};
+use super::{check_exchange, check_figure2, space_for, Fabric, AXIS};
 use crate::balance::{self, LoadInfo, Order};
 use crate::balancers::strategy_for;
 use crate::checkpoint::{EngineSnapshot, RecoveryEvent};
-use crate::config::{ExchangeMode, RunConfig, SystemSchedule};
+use crate::config::{ExchangeMode, RunConfig};
 use crate::msg::{Msg, ProtocolError};
 use crate::report::{scale_count, FrameReport, RunReport};
 use crate::scene::Scene;
@@ -133,6 +133,10 @@ impl<F: Fabric> Engine<F> {
             .map(|s| DomainMap::split_even(space_for(&scene, &cfg, s), AXIS, n))
             .collect();
         let shared0: Vec<Arc<DomainMap>> = domains.iter().cloned().map(Arc::new).collect();
+        // `strict-invariants` checks every frame's Figure-2 order, whether
+        // or not the executor asked for the trace.
+        let trace =
+            if invariants::ENABLED && !trace.is_enabled() { Trace::enabled() } else { trace };
         Engine {
             calcs: (0..n).map(|c| Calculator::new(c, shared0.clone(), cfg.buckets)).collect(),
             manager: Manager::new(domains, scene.emitters(), n, cost.scale),
@@ -368,81 +372,66 @@ impl<F: Fabric> Engine<F> {
         }
         let frame = self.next_frame;
         let n_sys = self.scene.systems.len();
-        {
-            if self.rec.is_enabled() {
-                self.frame_stats_mark = self.net.stats();
-            }
-            self.begin_frame(frame);
-            if interval > 0
-                && self.last_snapshot.is_some()
-                && (0..self.n).any(|c| self.crashed[c] && !self.dead[c] && !self.recovered[c])
-            {
-                self.recover_crashed(frame)?;
-            }
-            let mut fr = FrameReport { frame, ..Default::default() };
-
-            // Figure 2 verbatim runs each system's full protocol before the
-            // next system starts; the batched schedule runs every phase over
-            // all systems at once. Either way a group of systems walks the
-            // phases in the same order.
-            let per_group = match self.cfg.schedule {
-                SystemSchedule::PerSystem => 1,
-                SystemSchedule::Batched => n_sys.max(1),
-            };
-            for first in (0..n_sys).step_by(per_group) {
-                let group = first..(first + per_group).min(n_sys);
-                self.record_phase(frame, Phase::Compute, |e| {
-                    for sys in group.clone() {
-                        e.phase_creation(frame, sys)?;
-                        e.phase_addition(frame, sys)?;
-                    }
-                    for sys in group.clone() {
-                        e.phase_calculus(frame, sys);
-                    }
-                    Ok::<(), ProtocolError>(())
-                })?;
-                self.record_phase(frame, Phase::Exchange, |e| {
-                    group.clone().try_for_each(|sys| e.phase_exchange(frame, sys))
-                })?;
-                for sys in group.clone() {
-                    let loads = self.record_phase(frame, Phase::LoadReport, |e| {
-                        e.phase_loads(frame, sys, &mut fr)
-                    })?;
-                    self.record_phase(frame, Phase::Balance, |e| {
-                        e.phase_balance(frame, sys, &loads, &mut fr)
-                    })?;
-                }
-                self.record_phase(frame, Phase::Ship, |e| {
-                    group.clone().try_for_each(|sys| e.phase_ship(frame, sys, &mut fr))
-                })?;
-            }
-
-            self.record_phase(frame, Phase::Render, |e| {
-                // Fixed per-frame image cost (clear, encode, write).
-                e.net.advance(e.ig, e.cost.per_frame_render_fixed / e.fe_speed);
-                e.trace.record(frame, ProtocolEvent::ImageGeneration);
-
-                // Parallel-phases frame boundary for the surviving compute
-                // processes.
-                let active = e.active_set();
-                e.net.barrier(&active);
-            });
-
-            // Per-frame accounting (survivors only).
-            let counts: Vec<f64> = (0..self.n)
-                .filter(|&c| !self.crashed[c])
-                .map(|c| self.calcs[c].total() as f64)
-                .collect();
-            fr.imbalance = imbalance(&counts);
-            let mk = self.net.makespan();
-            fr.frame_time = mk - self.prev_makespan;
-            self.prev_makespan = mk;
-            fr.timeouts = self.frame_timeouts;
-            self.frame_timeouts = 0;
-            self.flush_frame_counters(frame, &fr);
-            self.next_frame += 1;
-            Ok(Some(fr))
+        if self.rec.is_enabled() {
+            self.frame_stats_mark = self.net.stats();
         }
+        self.begin_frame(frame);
+        if interval > 0
+            && self.last_snapshot.is_some()
+            && (0..self.n).any(|c| self.crashed[c] && !self.dead[c] && !self.recovered[c])
+        {
+            self.recover_crashed(frame)?;
+        }
+        let mut fr = FrameReport { frame, ..Default::default() };
+
+        // Figure 2 verbatim: each system runs its full protocol before the
+        // next system starts.
+        for sys in 0..n_sys {
+            self.record_phase(frame, Phase::Compute, |e| {
+                e.phase_creation(frame, sys)?;
+                e.phase_addition(frame, sys)?;
+                e.phase_calculus(frame, sys);
+                Ok::<(), ProtocolError>(())
+            })?;
+            self.record_phase(frame, Phase::Exchange, |e| e.phase_exchange(frame, sys))?;
+            let loads = self
+                .record_phase(frame, Phase::LoadReport, |e| e.phase_loads(frame, sys, &mut fr))?;
+            self.record_phase(frame, Phase::Balance, |e| {
+                e.phase_balance(frame, sys, &loads, &mut fr)
+            })?;
+            self.record_phase(frame, Phase::Ship, |e| e.phase_ship(frame, sys, &mut fr))?;
+        }
+
+        self.record_phase(frame, Phase::Render, |e| {
+            // Fixed per-frame image cost (clear, encode, write).
+            e.net.advance(e.ig, e.cost.per_frame_render_fixed / e.fe_speed);
+            e.trace.record(frame, ProtocolEvent::ImageGeneration);
+
+            // Parallel-phases frame boundary for the surviving compute
+            // processes.
+            let active = e.active_set();
+            e.net.barrier(&active);
+        });
+        // One pass per system; an empty scene still generates its image.
+        // A quiet recovery replay has swapped the trace out.
+        if self.trace.is_enabled() {
+            check_figure2(&self.trace, frame, n_sys.max(1), "virtual", self.mgr)?;
+        }
+
+        // Per-frame accounting (survivors only).
+        let counts: Vec<f64> = (0..self.n)
+            .filter(|&c| !self.crashed[c])
+            .map(|c| self.calcs[c].total() as f64)
+            .collect();
+        fr.imbalance = imbalance(&counts);
+        let mk = self.net.makespan();
+        fr.frame_time = mk - self.prev_makespan;
+        self.prev_makespan = mk;
+        fr.timeouts = self.frame_timeouts;
+        self.frame_timeouts = 0;
+        self.flush_frame_counters(frame, &fr);
+        self.next_frame += 1;
+        Ok(Some(fr))
     }
 
     /// Creation at the manager (paper §3.2.1): emit, route by domain, ship
@@ -451,9 +440,7 @@ impl<F: Fabric> Engine<F> {
         let system = self.scene.systems[sys].spec.id;
         let created = self.manager.create(frame, sys, self.cfg.seed);
         self.net.advance(self.mgr, self.cost.create_time(created, self.fe_speed));
-        if sys == 0 {
-            self.trace.record(frame, ProtocolEvent::ParticleCreation);
-        }
+        self.trace.record(frame, ProtocolEvent::ParticleCreation);
         for c in 0..self.n {
             let batch = self.manager.batch_for(c);
             self.send_to(self.mgr, c, Msg::Particles { system, batch, scale: self.scale })?;
@@ -475,9 +462,7 @@ impl<F: Fabric> Engine<F> {
             self.net.advance(c, self.cost.pack_time(batch.len(), self.speeds[c]));
             self.calcs[c].add(sys, batch);
         }
-        if sys == 0 {
-            self.trace.record(frame, ProtocolEvent::AdditionToLocalSet);
-        }
+        self.trace.record(frame, ProtocolEvent::AdditionToLocalSet);
         Ok(())
     }
 
@@ -497,9 +482,7 @@ impl<F: Fabric> Engine<F> {
             self.net.advance(c, t);
             self.calcs[c].add_compute_time(sys, t);
         }
-        if sys == 0 {
-            self.trace.record(frame, ProtocolEvent::Calculus);
-        }
+        self.trace.record(frame, ProtocolEvent::Calculus);
     }
 
     /// A message of the wrong kind where the schedule allows exactly one.
@@ -617,9 +600,7 @@ impl<F: Fabric> Engine<F> {
                 (self.lost - lost_at_start) as usize,
             )?;
         }
-        if sys == 0 {
-            self.trace.record(frame, ProtocolEvent::ParticleExchange);
-        }
+        self.trace.record(frame, ProtocolEvent::ParticleExchange);
         Ok(())
     }
 
@@ -696,9 +677,7 @@ impl<F: Fabric> Engine<F> {
                 }
             }
         }
-        if sys == 0 {
-            self.trace.record(frame, ProtocolEvent::LoadInformation);
-        }
+        self.trace.record(frame, ProtocolEvent::LoadInformation);
         Ok(loads)
     }
 
@@ -737,9 +716,7 @@ impl<F: Fabric> Engine<F> {
                 self.mgr,
                 self.cost.balance_eval_time(present.len().saturating_sub(1), self.fe_speed),
             );
-            if sys == 0 {
-                self.trace.record(frame, ProtocolEvent::LoadBalancingEvaluation);
-            }
+            self.trace.record(frame, ProtocolEvent::LoadBalancingEvaluation);
             let system = self.scene.systems[sys].spec.id;
             let mut by_rank = balance::orders_by_rank(&transfers, self.n);
             for &c in &present {
@@ -754,9 +731,7 @@ impl<F: Fabric> Engine<F> {
                     acting.push((c, orders));
                 }
             }
-            if sys == 0 {
-                self.trace.record(frame, ProtocolEvent::LoadBalancingOrders);
-            }
+            self.trace.record(frame, ProtocolEvent::LoadBalancingOrders);
         } else {
             // Every pair decides from the reports exchanged in phase_loads;
             // the computation is replicated and identical on both
@@ -769,9 +744,7 @@ impl<F: Fabric> Engine<F> {
                 self.net.advance(c, self.cost.balance_eval_time(2, self.speeds[c]));
                 self.calcs[c].note_round(sys, round_orders);
             }
-            if sys == 0 {
-                self.trace.record(frame, ProtocolEvent::LoadBalancingEvaluation);
-            }
+            self.trace.record(frame, ProtocolEvent::LoadBalancingEvaluation);
             let by_rank = balance::orders_by_rank(&transfers, self.n);
             acting.extend(by_rank.into_iter().enumerate().filter(|(_, orders)| !orders.is_empty()));
         }
@@ -794,7 +767,7 @@ impl<F: Fabric> Engine<F> {
     ) -> Result<(), ProtocolError> {
         let n = self.n;
         let system = self.scene.systems[sys].spec.id;
-        let traced = sys == 0 && !acting.is_empty();
+        let traced = !acting.is_empty();
 
         // Donors prepare structures and compute new cuts. Decentralized
         // rounds may have one calculator donating on both sides; its orders
@@ -979,9 +952,7 @@ impl<F: Fabric> Engine<F> {
             self.cost.virt(frame_particles) * self.cost.per_render / self.fe_speed,
         );
         fr.alive += (frame_particles as f64 * self.scale) as u64;
-        if sys == 0 {
-            self.trace.record(frame, ProtocolEvent::ParticlesToImageGenerator);
-        }
+        self.trace.record(frame, ProtocolEvent::ParticlesToImageGenerator);
         Ok(())
     }
 }

@@ -17,7 +17,9 @@
 //!   shared; the state machine under it can.
 //! * This file keeps what both sides need: the [`Fabric`] seam, the seed →
 //!   RNG derivation (`stream`; a copy that drifted would silently fork the
-//!   particle trajectories) and the balance short-circuit's streak counter.
+//!   particle trajectories), the balance short-circuit's streak counter and
+//!   the `strict-invariants` checks both drivers run (`check_exchange`,
+//!   `check_figure2`).
 //!
 //! The exchange phase supports two fan-outs ([`ExchangeMode`]): the paper's
 //! dense every-pair pattern (Figure 2 verbatim), and a sparse pattern that
@@ -36,8 +38,9 @@ use psa_math::{Axis, Interval, Rng64};
 use crate::balance;
 use crate::checkpoint::FabricCheckpoint;
 use crate::config::{BalanceMode, RunConfig, SpaceMode};
-use crate::msg::Msg;
+use crate::msg::{Msg, ProtocolError};
 use crate::scene::Scene;
+use crate::trace::{figure2_passes, Trace};
 
 mod calculator;
 mod engine;
@@ -93,6 +96,30 @@ pub(crate) fn check_exchange(
     let after = store.len();
     invariants::check_exchange_conservation(frame, sys, c, before, outgoing, incoming, after)?;
     invariants::check_finite_positions(frame, sys, c, store.iter())
+}
+
+/// Under `strict-invariants`, the frame's recorded events must make
+/// `passes` Figure-2 passes — one per system, in both drivers.
+pub(crate) fn check_figure2(
+    trace: &Trace,
+    frame: u64,
+    passes: usize,
+    role: &'static str,
+    rank: usize,
+) -> Result<(), ProtocolError> {
+    if !invariants::ENABLED {
+        return Ok(());
+    }
+    let events = trace.frame(frame);
+    if figure2_passes(&events) != passes {
+        return Err(ProtocolError::OrderBroken {
+            role,
+            rank,
+            frame,
+            detail: format!("{events:?}"),
+        });
+    }
+    Ok(())
 }
 
 pub(crate) fn space_for(scene: &Scene, cfg: &RunConfig, sys: usize) -> Interval {

@@ -43,14 +43,14 @@ use psa_trace::{ClockKind, Counter, Phase, Recorder};
 
 use super::calculator::Calculator;
 use super::manager::{Manager, Round};
-use super::{check_exchange, space_for};
+use super::{check_exchange, check_figure2, space_for};
 use crate::balance::{self, Order};
 use crate::config::{LoadMetric, RunConfig};
 use crate::msg::{Msg, ProtocolError};
 use crate::report::FrameReport;
 use crate::scene::Scene;
 use crate::threaded::RenderSink;
-use crate::trace::{figure2_passes, ProtocolEvent, Trace};
+use crate::trace::{ProtocolEvent, Trace};
 
 /// Bounded protocol receive: a silent peer surfaces as a typed
 /// [`ProtocolError::Timeout`] carrying role/rank/frame context instead of
@@ -149,30 +149,6 @@ fn instruments(n: usize, instrument: bool) -> (Trace, Recorder) {
         if invariants::ENABLED { Trace::enabled() } else { Trace::disabled() },
         if instrument { Recorder::enabled(n + 2, ClockKind::Wall) } else { Recorder::disabled() },
     )
-}
-
-/// Under `strict-invariants`, the frame's recorded events must make one
-/// Figure-2 pass per system.
-fn check_figure2(
-    trace: &Trace,
-    frame: u64,
-    n_sys: usize,
-    role: &'static str,
-    rank: usize,
-) -> Result<(), ProtocolError> {
-    if !invariants::ENABLED {
-        return Ok(());
-    }
-    let events = trace.frame(frame);
-    if figure2_passes(&events) != n_sys {
-        return Err(ProtocolError::OrderBroken {
-            role,
-            rank,
-            frame,
-            detail: format!("{events:?}"),
-        });
-    }
-    Ok(())
 }
 
 pub(crate) fn calculator_main(

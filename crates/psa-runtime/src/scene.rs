@@ -59,10 +59,6 @@ impl Scene {
     pub fn add_object(&mut self, obj: ExternalObject, color: Vec3) {
         self.objects.push((obj, color));
     }
-
-    pub fn system_count(&self) -> usize {
-        self.systems.len()
-    }
 }
 
 #[cfg(test)]
@@ -82,7 +78,7 @@ mod tests {
         let mut s = Scene::new();
         assert_eq!(s.add_system(setup(0)), SystemId(0));
         assert_eq!(s.add_system(setup(1)), SystemId(1));
-        assert_eq!(s.system_count(), 2);
+        assert_eq!(s.systems.len(), 2);
     }
 
     #[test]

@@ -42,7 +42,7 @@ use psa_math::Axis;
 use psa_render::{Camera, SplatConfig};
 use psa_trace::{Recorder, TraceReport};
 
-use crate::config::{RunConfig, SystemSchedule};
+use crate::config::RunConfig;
 use crate::msg::ProtocolError;
 use crate::protocol::space_for;
 use crate::protocol::spmd::{calculator_main, image_generator_main, manager_main};
@@ -85,9 +85,9 @@ impl RenderSink {
 /// generator).
 ///
 /// The calculators always exchange in the dense pattern and every system
-/// runs its full protocol in turn; a configuration this executor cannot
-/// honour (`SystemSchedule::Batched`, checkpointing or recovery) is
-/// rejected with [`ProtocolError::Unsupported`] before any thread starts.
+/// runs its full protocol in turn; checkpointing and recovery, which this
+/// executor cannot honour, are rejected with
+/// [`ProtocolError::Unsupported`] before any thread starts.
 ///
 /// # Panics
 /// Panics if `n == 0` — a run with no calculators is a caller bug. All
@@ -117,15 +117,8 @@ pub fn run_threaded_traced(
     instrument: bool,
 ) -> Result<RunReport, ProtocolError> {
     assert!(n >= 1);
-    let unsupported = if cfg.schedule == SystemSchedule::Batched {
-        Some("schedule = Batched")
-    } else if cfg.checkpoint.interval > 0 {
-        Some("checkpoint")
-    } else {
-        None
-    };
-    if let Some(option) = unsupported {
-        return Err(ProtocolError::Unsupported { executor: "threaded", option });
+    if cfg.checkpoint.interval > 0 {
+        return Err(ProtocolError::Unsupported { executor: "threaded", option: "checkpoint" });
     }
     // The threaded executor runs every balancing strategy manager-mediated
     // over the Figure-2 per-system schedule: decentralized strategies make
@@ -519,18 +512,12 @@ mod tests {
     #[test]
     fn options_the_threads_cannot_honour_are_rejected_up_front() {
         use crate::checkpoint::CheckpointConfig;
-        let base = RunConfig { frames: 2, dt: 0.1, ..Default::default() };
-        for (cfg, option) in [
-            (RunConfig { schedule: SystemSchedule::Batched, ..base.clone() }, "schedule = Batched"),
-            (
-                RunConfig { checkpoint: CheckpointConfig::recovering(1), ..base.clone() },
-                "checkpoint",
-            ),
-        ] {
-            let err = run_threaded_traced(&scene(), &cfg, 2, None, true).expect_err(option);
-            assert_eq!(err, ProtocolError::Unsupported { executor: "threaded", option });
-            assert!(err.to_string().contains("threaded") && err.to_string().contains(option));
-        }
+        let checkpoint = CheckpointConfig::recovering(1);
+        let cfg = RunConfig { frames: 2, dt: 0.1, checkpoint, ..Default::default() };
+        let option = "checkpoint";
+        let err = run_threaded_traced(&scene(), &cfg, 2, None, true).expect_err(option);
+        assert_eq!(err, ProtocolError::Unsupported { executor: "threaded", option });
+        assert!(err.to_string().contains("threaded") && err.to_string().contains(option));
     }
 
     #[test]

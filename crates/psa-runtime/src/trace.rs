@@ -76,6 +76,10 @@ impl Trace {
         }
     }
 
+    pub fn is_enabled(&self) -> bool {
+        self.enabled
+    }
+
     /// Events of one frame, in recorded order.
     pub fn frame(&self, frame: u64) -> Vec<ProtocolEvent> {
         self.events.iter().filter(|(f, _)| *f == frame).map(|(_, e)| *e).collect()
@@ -104,9 +108,8 @@ fn figure2_pos(e: ProtocolEvent) -> usize {
 
 /// Decompose a frame's recorded events into greedy protocol passes.
 ///
-/// With the per-system schedule, one frame is `n_sys` consecutive passes of
-/// the Figure-2 sequence (each pass a strictly-increasing subsequence of
-/// diagram positions). Any step recorded out of order — an exchange before
+/// One frame is `n_sys` consecutive passes of the Figure-2 sequence (each
+/// pass a strictly-increasing subsequence of diagram positions). Any step recorded out of order — an exchange before
 /// its calculus, a domain broadcast before the load reports — breaks a pass
 /// in two and inflates the count, so `figure2_passes(events) == n_sys` is
 /// the per-frame order invariant the strict executors check.

@@ -55,7 +55,7 @@ mod tests {
     #[test]
     fn bursts_are_separate_systems() {
         let s = fireworks_scene(3, 500);
-        assert_eq!(s.system_count(), 3);
+        assert_eq!(s.systems.len(), 3);
         assert_ne!(s.systems[0].spec.color, s.systems[1].spec.color);
     }
 

@@ -58,7 +58,7 @@ mod tests {
     #[test]
     fn smoke_scene_builds() {
         let s = smoke_scene(2, 1000);
-        assert_eq!(s.system_count(), 2);
+        assert_eq!(s.systems.len(), 2);
         assert_eq!(s.systems[0].spec.emit_per_frame, 20);
     }
 

@@ -96,7 +96,7 @@ mod tests {
     #[test]
     fn snow_scene_shape() {
         let s = snow_scene(WorkloadSize::test());
-        assert_eq!(s.system_count(), 2);
+        assert_eq!(s.systems.len(), 2);
         assert_eq!(s.objects.len(), 2);
         let spec = &s.systems[0].spec;
         assert_eq!(spec.space, SNOW_SPACE);

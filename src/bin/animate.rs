@@ -99,6 +99,10 @@ fn parse() -> Args {
         eprintln!("--streaks needs --render DIR (nothing is rasterized without it)");
         usage();
     }
+    if a.procs == 0 {
+        eprintln!("--procs must be at least 1");
+        usage();
+    }
     a
 }
 
@@ -125,7 +129,7 @@ fn main() {
     let report = match args.executor.as_str() {
         "sequential" => run_sequential(&scene, &cfg, &CostModel::default(), 1.0),
         "virtual" => {
-            let cluster = myrinet_gcc(args.procs.max(1), 1);
+            let cluster = myrinet_gcc(args.procs, 1);
             EventSim::new(scene.clone(), cfg.clone(), cluster, CostModel::default()).run()
         }
         "threaded" => {
@@ -143,7 +147,10 @@ fn main() {
                 }
                 s
             });
-            run_threaded(&scene, &cfg, args.procs.max(1), sink).expect("threaded run failed")
+            run_threaded(&scene, &cfg, args.procs, sink).unwrap_or_else(|e| {
+                eprintln!("animate: {e}");
+                std::process::exit(1)
+            })
         }
         _ => usage(),
     };

@@ -51,3 +51,43 @@ fn executor_flag_accepts_exactly_three_names() {
     }
     assert_eq!(animate(&["snow", "--executor", "queue"]).status.code(), Some(2));
 }
+
+/// A calculator count of zero is a usage error, not a quiet run on one.
+#[test]
+fn zero_procs_is_a_usage_error() {
+    for executor in ["virtual", "threaded"] {
+        let out = animate(&["snow", "--executor", executor, "--frames", "2", "--procs", "0"]);
+        assert_eq!(out.status.code(), Some(2), "{executor}: --procs 0 must be a usage error");
+        assert!(out.stdout.is_empty(), "{executor} must not run: {:?}", out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--procs") && stderr.contains("usage: animate"), "{stderr}");
+    }
+}
+
+/// A `--render` directory that cannot be created fails the run with a
+/// message and exit 1 — no panic, and no claim that frames were written.
+#[test]
+fn unwritable_render_dir_is_an_error_not_a_panic() {
+    let blocker = std::env::temp_dir().join(format!("animate_cli_blocker_{}", std::process::id()));
+    std::fs::write(&blocker, b"a file, so no directory can be made under it").expect("temp file");
+    let dir = blocker.join("frames");
+    let dir = dir.to_str().expect("utf-8 temp dir");
+    let out = animate(&[
+        "snow",
+        "--systems",
+        "1",
+        "--particles",
+        "50",
+        "--frames",
+        "2",
+        "--procs",
+        "2",
+        "--render",
+        dir,
+    ]);
+    std::fs::remove_file(&blocker).expect("remove temp file");
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("animate: ") && !stderr.contains("panicked"), "{stderr}");
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("frames written"));
+}

@@ -1,70 +1,25 @@
-//! The paper's discussion-level features, implemented and tested:
-//! §3.3 multi-system scheduling strategies and the §6 future-work
-//! decentralized balancer.
+//! The paper's discussion-level features, implemented and tested: the §6
+//! future-work decentralized balancer.
 
 use particle_cluster_anim::prelude::*;
-use particle_cluster_anim::runtime::SystemSchedule;
 use particle_cluster_anim::workloads::{fountain, fountain_scene};
 
 fn size() -> WorkloadSize {
     WorkloadSize { systems: 8, particles_per_system: 3_000, scale: 130.0 }
 }
 
-fn run_with(
-    scene: &Scene,
-    schedule: SystemSchedule,
-    balance: BalanceMode,
-    frames: u64,
-) -> RunReport {
-    let cfg = RunConfig {
-        frames,
-        dt: fountain::FOUNTAIN_DT,
-        warmup: 3,
-        schedule,
-        balance,
-        ..Default::default()
-    };
+fn run_with(scene: &Scene, balance: BalanceMode, frames: u64) -> RunReport {
+    let cfg =
+        RunConfig { frames, dt: fountain::FOUNTAIN_DT, warmup: 3, balance, ..Default::default() };
     let mut sim = EventSim::new(scene.clone(), cfg, myrinet_gcc(8, 1), size().cost_model());
     sim.run()
 }
 
 #[test]
-fn batched_schedule_absorbs_per_system_spikes() {
-    // The fountain's load is concentrated per system (each nozzle lives in
-    // one calculator's slice), so the Figure-2 per-system schedule
-    // serializes each system's hot calculator. Batching the phases lets
-    // hot spots of different systems overlap — §3.3's "more or less
-    // efficient" observation, quantified.
-    let scene = fountain_scene(size());
-    let per_system = run_with(&scene, SystemSchedule::PerSystem, BalanceMode::Static, 15);
-    let batched = run_with(&scene, SystemSchedule::Batched, BalanceMode::Static, 15);
-    assert!(
-        batched.steady_time() < per_system.steady_time() * 0.7,
-        "batched {:.2}s must clearly beat per-system {:.2}s for irregular load",
-        batched.steady_time(),
-        per_system.steady_time()
-    );
-}
-
-#[test]
-fn batched_schedule_conserves_and_is_deterministic() {
-    let scene = fountain_scene(size());
-    let a = run_with(&scene, SystemSchedule::Batched, BalanceMode::dynamic(), 8);
-    let b = run_with(&scene, SystemSchedule::Batched, BalanceMode::dynamic(), 8);
-    assert_eq!(a.total_time.to_bits(), b.total_time.to_bits());
-    // population matches the per-system schedule frame by frame (the
-    // schedule only changes timing, never physics)
-    let c = run_with(&scene, SystemSchedule::PerSystem, BalanceMode::dynamic(), 8);
-    for (fa, fc) in a.frames.iter().zip(c.frames.iter()) {
-        assert_eq!(fa.alive, fc.alive, "frame {}", fa.frame);
-    }
-}
-
-#[test]
 fn decentralized_balancer_flattens_irregular_load() {
     let scene = fountain_scene(size());
-    let slb = run_with(&scene, SystemSchedule::PerSystem, BalanceMode::Static, 20);
-    let dec = run_with(&scene, SystemSchedule::PerSystem, BalanceMode::decentralized(), 20);
+    let slb = run_with(&scene, BalanceMode::Static, 20);
+    let dec = run_with(&scene, BalanceMode::decentralized(), 20);
     assert!(
         dec.frames.last().unwrap().imbalance < slb.frames.last().unwrap().imbalance * 0.6,
         "decentralized balancing must flatten load: {} vs {}",
@@ -117,8 +72,8 @@ fn decentralized_conserves_particles() {
 #[test]
 fn decentralized_and_centralized_reach_similar_balance() {
     let scene = fountain_scene(size());
-    let dlb = run_with(&scene, SystemSchedule::PerSystem, BalanceMode::dynamic(), 20);
-    let dec = run_with(&scene, SystemSchedule::PerSystem, BalanceMode::decentralized(), 20);
+    let dlb = run_with(&scene, BalanceMode::dynamic(), 20);
+    let dec = run_with(&scene, BalanceMode::decentralized(), 20);
     let (a, b) = (dlb.frames.last().unwrap().imbalance, dec.frames.last().unwrap().imbalance);
     assert!((a - b).abs() < 0.35, "both balancers converge to comparable imbalance: {a} vs {b}");
 }

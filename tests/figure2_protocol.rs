@@ -3,27 +3,32 @@
 //! The paper's Figure 2 is a sequence diagram of one frame under dynamic
 //! load balancing. We run the virtual executor with tracing on a scene
 //! engineered to trigger a balancing transfer and assert that the recorded
-//! protocol events appear in exactly the diagram's order.
+//! protocol events appear in exactly the diagram's order — one pass per
+//! particle system.
 
 use particle_cluster_anim::prelude::*;
-use particle_cluster_anim::runtime::trace::{matches_figure2, ProtocolEvent, FIGURE2_ORDER};
+use particle_cluster_anim::runtime::trace::{
+    figure2_passes, matches_figure2, ProtocolEvent, FIGURE2_ORDER,
+};
 
-/// A deliberately imbalanced scene: the emitter sits in one corner so the
-/// balancer must act every frame early on.
-fn imbalanced_scene() -> Scene {
-    let mut spec = SystemSpec::test_spec(0);
-    spec.space = Interval::new(-10.0, 10.0);
-    spec.emission = psa_core::system::EmissionShape::Box {
-        min: Vec3::new(-9.5, 0.0, -1.0),
-        max: Vec3::new(-7.5, 5.0, 1.0),
-    };
-    spec.emit_per_frame = 800;
-    spec.max_age = 100.0; // no deaths; population concentrates
+/// A deliberately imbalanced scene of `systems` systems: every emitter sits
+/// in one corner so the balancer must act every frame early on.
+fn imbalanced_scene(systems: u16) -> Scene {
     let mut s = Scene::new();
-    s.add_system(SystemSetup::new(
-        spec,
-        ActionList::new().then(Gravity::new(Vec3::ZERO)).then(MoveParticles),
-    ));
+    for id in 0..systems {
+        let mut spec = SystemSpec::test_spec(id);
+        spec.space = Interval::new(-10.0, 10.0);
+        spec.emission = psa_core::system::EmissionShape::Box {
+            min: Vec3::new(-9.5, 0.0, -1.0),
+            max: Vec3::new(-7.5, 5.0, 1.0),
+        };
+        spec.emit_per_frame = 800;
+        spec.max_age = 100.0; // no deaths; population concentrates
+        s.add_system(SystemSetup::new(
+            spec,
+            ActionList::new().then(Gravity::new(Vec3::ZERO)).then(MoveParticles),
+        ));
+    }
     s
 }
 
@@ -40,7 +45,7 @@ fn frame_events_match_figure2_order() {
     };
     let cluster = myrinet_gcc(4, 1);
     let mut sim =
-        EventSim::new(imbalanced_scene(), cfg, cluster, CostModel::default()).with_trace();
+        EventSim::new(imbalanced_scene(1), cfg, cluster, CostModel::default()).with_trace();
     let report = sim.run();
     assert!(report.frames.iter().any(|f| f.balanced > 0), "balancer must have acted");
 
@@ -59,7 +64,7 @@ fn static_balancing_skips_balance_events() {
     let cfg = RunConfig { frames: 2, dt: 0.05, balance: BalanceMode::Static, ..Default::default() };
     let cluster = myrinet_gcc(4, 1);
     let mut sim =
-        EventSim::new(imbalanced_scene(), cfg, cluster, CostModel::default()).with_trace();
+        EventSim::new(imbalanced_scene(1), cfg, cluster, CostModel::default()).with_trace();
     sim.run();
     let events = sim.trace().frame(1);
     assert!(!events.contains(&ProtocolEvent::LoadBalancingEvaluation));
@@ -69,4 +74,22 @@ fn static_balancing_skips_balance_events() {
     assert!(idx(ProtocolEvent::ParticleCreation) < idx(ProtocolEvent::Calculus));
     assert!(idx(ProtocolEvent::Calculus) < idx(ProtocolEvent::ParticleExchange));
     assert!(idx(ProtocolEvent::ParticleExchange) < idx(ProtocolEvent::ImageGeneration));
+}
+
+#[test]
+fn every_system_makes_its_own_figure2_pass() {
+    let n_sys = 3;
+    let frames = 4;
+    let cfg = RunConfig { frames, dt: 0.05, balance: BalanceMode::dynamic(), ..Default::default() };
+    let cluster = myrinet_gcc(4, 1);
+    let mut sim = EventSim::new(imbalanced_scene(n_sys as u16), cfg, cluster, CostModel::default())
+        .with_trace();
+    let report = sim.try_run().expect("a clean run");
+    assert!(report.frames.iter().any(|f| f.balanced > 0), "balancer must have acted");
+    for f in 0..frames {
+        let events = sim.trace().frame(f);
+        assert_eq!(figure2_passes(&events), n_sys, "frame {f}: {events:?}");
+        let created = events.iter().filter(|&&e| e == ProtocolEvent::ParticleCreation).count();
+        assert_eq!(created, n_sys, "frame {f}: one creation per system");
+    }
 }
