@@ -29,7 +29,8 @@ enum Value {
     Path(String),
 }
 
-/// One declared flag; `min` bounds a number or every entry of a list.
+/// One declared flag; `min` bounds a number or every entry of a list. A
+/// `Float` is a scale, which must also be above 0.
 struct Flag {
     name: &'static str,
     kind: Kind,
@@ -48,7 +49,8 @@ impl Flag {
         let (value, wants) = match self.kind {
             Float => {
                 let v: Option<f64> = raw.parse().ok();
-                (v.filter(|v| v.is_finite() && *v >= min as f64).map(Value::Float), "a number")
+                let ok = |v: &f64| v.is_finite() && *v > 0.0 && *v >= min as f64;
+                (v.filter(ok).map(Value::Float), "a number")
             }
             Int => (int(raw).map(|v| Value::Ints(vec![v])), "an integer"),
             List => {
@@ -57,7 +59,11 @@ impl Flag {
             }
             Path => (Some(Value::Path(raw.to_string())), "a path"),
         };
-        value.ok_or_else(|| format!("{} needs {wants} >= {min}, got `{raw}`", self.name))
+        let bound = match self.kind {
+            Float if min == 0 => "> 0".to_string(),
+            _ => format!(">= {min}"),
+        };
+        value.ok_or_else(|| format!("{} needs {wants} {bound}, got `{raw}`", self.name))
     }
 }
 

@@ -12,7 +12,8 @@
 //!   `restart_cost` is the sum of frame times `0..crash_frame`: the
 //!   virtual seconds a restart-from-zero throws away and pays again;
 //! * **recovered** — the same seed with calculator 1 fail-stopping at
-//!   `crash_frame` under [`CheckpointConfig::recovering`]. The engine
+//!   `crash_frame`, checkpointing every `interval` frames
+//!   ([`RunConfig::checkpoint_interval`]). The engine
 //!   rolls back to the last snapshot and replays; `recovery_cost` is the
 //!   [`RecoveryEvent`]'s `replay_virtual_secs` — the only work redone.
 //!
@@ -24,14 +25,13 @@
 //! headline gate: the recovered run fingerprints byte-identical to the
 //! bare one, loses nothing, and `recovery_cost < restart_cost` strictly.
 //!
-//! [`CheckpointConfig::recovering`]: psa_runtime::CheckpointConfig::recovering
 //! [`RecoveryEvent`]: psa_runtime::RecoveryEvent
 
 use std::time::Instant;
 
 use netsim::FaultPlan;
 use psa_desim::EventSim;
-use psa_runtime::{CheckpointConfig, RunConfig, RunReport};
+use psa_runtime::{RunConfig, RunReport};
 use psa_workloads::{myrinet_gcc, snow_scene, WorkloadSize};
 
 use crate::json::Json;
@@ -115,10 +115,7 @@ fn run_cell(
     let cluster = myrinet_gcc(calculators, 1);
     let mut plan = FaultPlan::none(seed, calculators + 2);
     plan.rank_mut(BENCH8_VICTIM).crash_at = Some(crash_frame);
-    let cfg = RunConfig {
-        checkpoint: CheckpointConfig::recovering(interval),
-        ..run_config(frames, seed)
-    };
+    let cfg = RunConfig { checkpoint_interval: interval, ..run_config(frames, seed) };
 
     let t0 = Instant::now();
     let report =

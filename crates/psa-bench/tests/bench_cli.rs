@@ -60,6 +60,8 @@ fn malformed_arguments_exit_2_without_panicking() {
         (&["5", "--frames", "-3"], "negative count"),
         (&["3", "--scale", "NaN"], "non-finite number"),
         (&["3", "--scale", "0.5"], "paper sizes cannot scale below 1"),
+        (&["5", "--scale", "0"], "a zero scale divides the cost model by zero"),
+        (&["6", "--scale", "0"], "a zero scale divides the cost model by zero"),
         (&["8", "--intervals", ""], "empty list"),
         (&["8", "--crash-frames", "2,,5"], "empty list entry"),
         (&["5", "--ranks", "0"], "no calculators"),

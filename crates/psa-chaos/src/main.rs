@@ -7,21 +7,22 @@
 //!
 //! Exit code 0 when every cell passes (all frames rendered, protocol order
 //! held, crashes declared and absorbed, replay byte-identical), 1 when any
-//! cell fails, 2 on usage errors.
+//! cell fails, 2 on usage errors — a `--frames` too short for the set's
+//! kill scenarios to be declared is one.
 
 use std::process::ExitCode;
 use std::str::FromStr;
 
 use psa_chaos::{
     full_set, run_matrix, run_recovery_matrix, run_session_chaos, smoke_set, MatrixConfig,
-    RecoveryConfig, SessionChaosConfig,
+    RecoveryConfig, Scenario, SessionChaosConfig,
 };
 
 const USAGE: &str = "usage: chaos [--matrix smoke|full] [--seed N] [--frames N] [--calculators N]";
 
-/// The matrix set and its configuration, or a usage error that names the
-/// flag.
-fn parse_args() -> Result<(String, MatrixConfig), String> {
+/// The matrix set, its scenarios and its configuration, or a usage error
+/// that names the flag.
+fn parse_args() -> Result<(String, Vec<Scenario>, MatrixConfig), String> {
     let mut mc = MatrixConfig::default();
     let mut set = "smoke".to_string();
     let mut args = std::env::args().skip(1);
@@ -41,7 +42,15 @@ fn parse_args() -> Result<(String, MatrixConfig), String> {
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    Ok((set, mc))
+    let scenarios = if set == "full" { full_set() } else { smoke_set() };
+    let min = mc.min_frames(&scenarios);
+    if mc.frames < min {
+        return Err(format!(
+            "--frames {} is too short: the `{set}` kill scenarios need at least {min}",
+            mc.frames
+        ));
+    }
+    Ok((set, scenarios, mc))
 }
 
 fn number<T: FromStr>(flag: &str, v: String) -> Result<T, String> {
@@ -49,7 +58,7 @@ fn number<T: FromStr>(flag: &str, v: String) -> Result<T, String> {
 }
 
 fn main() -> ExitCode {
-    let (set, mc) = match parse_args() {
+    let (set, scenarios, mc) = match parse_args() {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("chaos: {e}");
@@ -58,7 +67,6 @@ fn main() -> ExitCode {
         }
     };
 
-    let scenarios = if set == "full" { full_set() } else { smoke_set() };
     println!(
         "chaos matrix `{set}`: {} scenario(s) × 2 workloads, seed {:#x}, {} frames, {} calculators",
         scenarios.len(),

@@ -8,6 +8,7 @@
 //! (the FoundationDB lesson: a failure you cannot replay is a failure you
 //! cannot debug).
 
+use netsim::FaultPolicy;
 use psa_desim::EventSim;
 use psa_runtime::trace::figure2_passes;
 use psa_runtime::RunConfig;
@@ -72,6 +73,24 @@ impl MatrixConfig {
     /// The workload size every cell animates (×25 cost scale, paper-style).
     pub fn workload_size(&self) -> WorkloadSize {
         WorkloadSize { systems: 2, particles_per_system: self.particles, scale: 25.0 }
+    }
+
+    /// The fewest frames in which every kill the `scenarios`' plans carry
+    /// is declared before the run ends. A rank that crashes at frame `f`
+    /// misses one load gather per system from then on, and the manager
+    /// declares it after [`FaultPolicy::dead_after`] misses, so the
+    /// declaration lands in frame `f + ceil(dead_after / systems) - 1`. A
+    /// shorter run fails the kill cells for its length, not for the
+    /// protocol. 1 when no plan crashes a rank.
+    pub fn min_frames(&self, scenarios: &[Scenario]) -> u64 {
+        let net = myrinet_gcc(self.calculators, 1).net;
+        let systems = self.workload_size().systems as u64;
+        let to_declare = u64::from(FaultPolicy::default().dead_after).div_ceil(systems);
+        let crashes = scenarios.iter().flat_map(|s| {
+            let plan = s.plan(self.seed, self.calculators, &net);
+            (0..plan.ranks()).filter_map(move |r| plan.rank(r).crash_at)
+        });
+        crashes.map(|frame| frame + to_declare).max().unwrap_or(1)
     }
 }
 
@@ -203,6 +222,16 @@ mod tests {
         assert_eq!(c.frames_rendered, 6);
         assert!(c.dead.is_empty());
         assert_eq!(c.lost_particles, 0);
+    }
+
+    #[test]
+    fn min_frames_follows_the_latest_crash() {
+        let mc = MatrixConfig::default();
+        assert_eq!(mc.min_frames(&[Scenario::Baseline]), 1);
+        // crash-c1@f6: misses in frame 6 (two systems) and 7 (the third).
+        assert_eq!(mc.min_frames(&crate::smoke_set()), 8);
+        let crash = |frame| Scenario::CrashCalculator { rank: 1, frame };
+        assert_eq!(mc.min_frames(&[crash(3), crash(9), crash(5)]), 11);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The [`crate::matrix`] cells run crashes in *degraded* mode — the rank
 //! dies, the manager confiscates its particles, and the gate accepts the
 //! loss as long as the show goes on. This module runs the same kill
-//! scenarios with [`CheckpointConfig::recovering`] and holds them to the
+//! scenarios with [`RunConfig::checkpoint_interval`] set and holds them to the
 //! far stricter recovered-mode contract:
 //!
 //! 1. **nobody dies** — the crashed calculator is rolled back to the last
@@ -21,7 +21,7 @@
 
 use netsim::FaultPlan;
 use psa_desim::EventSim;
-use psa_runtime::{CheckpointConfig, RunConfig};
+use psa_runtime::RunConfig;
 use psa_workloads::{myrinet_gcc, Workload};
 
 use crate::matrix::{MatrixConfig, CHAOS_WORKLOADS};
@@ -93,8 +93,7 @@ pub fn run_recovery_case(
     let plan = scenario.plan(mc.seed, mc.calculators, &cluster.net);
     let mut failures = Vec::new();
 
-    let cfg =
-        RunConfig { checkpoint: CheckpointConfig::recovering(rc.interval), ..mc.run_config() };
+    let cfg = RunConfig { checkpoint_interval: rc.interval, ..mc.run_config() };
     let run = |cfg: RunConfig, plan: FaultPlan| {
         EventSim::new(workload.scene(sz), cfg, cluster.clone(), sz.cost_model())
             .with_faults(plan)

@@ -16,6 +16,11 @@ fn bad_flags_exit_2_with_usage() {
         (&["--calculators"], "--calculators"),
         (&["--matrix", "big"], "big"),
         (&["--bogus"], "--bogus"),
+        // Too short for the kill scenarios to be declared: the FAIL cells
+        // would come from the run length, not from the protocol.
+        (&["--frames", "7"], "at least 8"),
+        (&["--frames", "3"], "at least 8"),
+        (&["--matrix", "full", "--seed", "1905", "--frames", "8"], "at least 9"),
     ] {
         let out = chaos(args);
         let stderr = String::from_utf8_lossy(&out.stderr);

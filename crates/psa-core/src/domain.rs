@@ -117,7 +117,7 @@ impl DomainMap {
     /// protocol (paper §3.2.5): after a donor picks its particles, the
     /// shared boundary shifts so each process again only holds particles of
     /// its own domain. The new cut must stay within the two neighbors'
-    /// combined extent.
+    /// combined extent; a NaN cut is in no extent and is refused.
     pub fn move_cut(&mut self, i: usize, new_cut: Scalar) -> Result<(), DomainError> {
         // Boundary `i` sits between slice `i` and slice `i + 1`, i.e. it is
         // `cuts[i + 1]`; the outer boundaries (space edges) are immutable.
@@ -125,7 +125,9 @@ impl DomainMap {
         if idx == 0 || idx >= self.cuts.len() - 1 {
             return Err(DomainError::NotAnInteriorBoundary { index: i });
         }
-        if new_cut < self.cuts[idx - 1] || new_cut > self.cuts[idx + 1] {
+        // A range test, not two out-of-range comparisons: NaN compares false
+        // with everything, so it is in no range.
+        if !(self.cuts[idx - 1]..=self.cuts[idx + 1]).contains(&new_cut) {
             return Err(DomainError::CutOutOfRange {
                 index: i,
                 cut: new_cut,
@@ -249,6 +251,14 @@ mod tests {
         assert!(map.move_cut(0, 7.0).is_err());
         assert!(map.move_cut(0, 0.0).is_ok()); // squeeze slice 0 empty: legal
         assert!(map.slice(0).is_empty());
+    }
+
+    #[test]
+    fn move_cut_rejects_a_nan_cut() {
+        let mut map = DomainMap::split_even(Interval::new(0.0, 9.0), Axis::X, 3);
+        let err = map.move_cut(0, Scalar::NAN).expect_err("a NaN cut is in no extent");
+        assert!(matches!(err, DomainError::CutOutOfRange { index: 0, lo: 0.0, hi: 6.0, .. }));
+        assert_eq!(map, DomainMap::split_even(Interval::new(0.0, 9.0), Axis::X, 3));
     }
 
     #[test]

@@ -222,6 +222,23 @@ mod tests {
         assert_eq!(kr.chunks, 0);
     }
 
+    /// The chunked path re-keys RNG streams per chunk, so it follows a
+    /// different (equally deterministic) trajectory than the serial path —
+    /// switching chunk size is a re-seed.
+    #[test]
+    fn chunked_streams_are_keyed_apart_from_the_serial_stream() {
+        let run = |chunk: usize| {
+            let mut s = seeded_store(700, 5);
+            run_actions(&stochastic_list(), 0.05, 3, Rng64::new(99), &mut s, chunk, 1);
+            state_sig(&s)
+        };
+        let serial = run(0);
+        assert_eq!(run(0), serial, "the serial path must be reproducible");
+        for chunk in [64, DEFAULT_CHUNK] {
+            assert_ne!(run(chunk), serial, "chunk {chunk} drew the serial stream");
+        }
+    }
+
     #[test]
     fn chunk_count_is_reported_per_chunkable_action() {
         let mut s = seeded_store(100, 1);

@@ -31,31 +31,18 @@
 //! Decoding is total (a typed [`CodecError`] or the snapshot), and so is
 //! [`crate::Engine::restore`]: a snapshot whose shape does not fit the
 //! engine is refused with a typed error before anything is overwritten.
+//!
+//! Snapshots exist to be recovered from. With
+//! [`crate::RunConfig::checkpoint_interval`] non-zero, the engine takes one
+//! every that many frames; when a calculator fail-stops and a snapshot
+//! exists, the whole engine rolls back to it and deterministically replays
+//! up to the crash frame with the rank alive — the run finishes with a
+//! fingerprint byte-identical to an uninterrupted one. With checkpointing
+//! off (or no snapshot yet) the crash degrades the run instead.
 
 use netsim::{TrafficStats, WireCheckpoint};
 use psa_core::Particle;
 use psa_math::{Interval, Scalar, Vec3};
-
-/// Snapshot cadence, carried on [`crate::RunConfig::checkpoint`].
-/// Snapshots exist to be recovered from: when a calculator fail-stops and
-/// a snapshot exists, the whole engine rolls back to it and
-/// deterministically replays up to the crash frame with the rank alive —
-/// the run finishes with a fingerprint byte-identical to an uninterrupted
-/// one. With checkpointing off (or no snapshot yet) the crash degrades the
-/// run instead.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CheckpointConfig {
-    /// Take an engine snapshot every `interval` frames (at the top of
-    /// frames `interval`, `2*interval`, …). `0` disables checkpointing.
-    pub interval: u64,
-}
-
-impl CheckpointConfig {
-    /// Checkpoint every `interval` frames and recover crashed ranks.
-    pub fn recovering(interval: u64) -> Self {
-        CheckpointConfig { interval }
-    }
-}
 
 /// Frame-boundary state of a message fabric: the shared wire model plus
 /// fabric-specific extras. In-flight messages are *not* captured (see the
@@ -505,8 +492,6 @@ mod tests {
 
     #[test]
     fn default_checkpoint_config_is_off() {
-        assert_eq!(CheckpointConfig::default().interval, 0);
-        assert_eq!(CheckpointConfig::default(), CheckpointConfig::recovering(0));
-        assert_eq!(CheckpointConfig::recovering(5).interval, 5);
+        assert_eq!(crate::RunConfig::default().checkpoint_interval, 0);
     }
 }

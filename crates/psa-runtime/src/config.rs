@@ -1,7 +1,6 @@
 //! Run configuration.
 
 use crate::balance::BalancerConfig;
-use crate::checkpoint::CheckpointConfig;
 
 /// Whether the simulated space is restricted to the particle systems'
 /// extent (paper: "FS", finite space) or left unbounded ("IS", infinite
@@ -87,30 +86,28 @@ impl BalanceMode {
 ///
 /// The paper's 8-calculator runs send an exchange message to *every* peer
 /// each system each frame (even when empty) — simple, and at paper scale
-/// the empty-message overhead is noise. At 1,024 ranks the dense pattern is
-/// n² messages per system per frame and dominates everything, so the
-/// event-driven executor defaults to sparse: only calculators that actually
-/// received migrating particles get a message, and the receive side drains
-/// exactly the senders with queued traffic. Dense and sparse runs are *not*
-/// fingerprint-comparable (empty messages carry virtual-time cost), which
-/// is why dense stays the default at paper scale: it reproduces the paper's
-/// message pattern (and the golden fingerprints) exactly.
+/// the empty-message overhead is noise. At 1,024 ranks that dense pattern
+/// is n² messages per system per frame and dominates everything, so large
+/// runs go sparse: only calculators that actually received migrating
+/// particles get a message, and the receive side drains exactly the senders
+/// with queued traffic. Dense and sparse runs are *not* fingerprint-
+/// comparable (empty messages carry virtual-time cost), which is why the
+/// default stays dense at paper scale: it reproduces the paper's message
+/// pattern (and the golden fingerprints) exactly.
 ///
 /// The mode governs the virtual engine only. The threaded executor's
 /// calculators always use the dense pattern (a handful of host threads,
 /// and a blocking receive needs to know its senders), whatever is set here.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExchangeMode {
-    /// Figure 2 verbatim: every calculator messages every other calculator
-    /// each system, empty batches included.
-    Dense,
     /// Only non-empty migration batches go on the wire; receivers drain
     /// queued senders instead of polling all peers. Required for 1,000+
     /// rank sweeps.
     Sparse,
-    /// Resolve by rank count when the run starts: [`ExchangeMode::Dense`]
-    /// below [`ExchangeMode::AUTO_SPARSE_THRESHOLD`] calculators (paper
-    /// scale — Figure 2's message pattern verbatim),
+    /// Resolve by rank count when the run starts: Figure 2's dense pattern
+    /// verbatim (every calculator messages every other calculator each
+    /// system, empty batches included) below
+    /// [`ExchangeMode::AUTO_SPARSE_THRESHOLD`] calculators,
     /// [`ExchangeMode::Sparse`] at or above it (the n² empty-message
     /// pattern would dominate). A run that auto-selects sparse fingerprints
     /// identically to one configured sparse explicitly.
@@ -122,18 +119,11 @@ impl ExchangeMode {
     /// Calculator count at which `Auto` switches to `Sparse`.
     pub const AUTO_SPARSE_THRESHOLD: usize = 64;
 
-    /// The concrete mode (`Dense` or `Sparse`) for a run with
-    /// `calculators` ranks.
-    pub fn resolved(self, calculators: usize) -> ExchangeMode {
+    /// Whether a run with `calculators` ranks exchanges sparsely.
+    pub fn is_sparse(self, calculators: usize) -> bool {
         match self {
-            ExchangeMode::Auto => {
-                if calculators >= Self::AUTO_SPARSE_THRESHOLD {
-                    ExchangeMode::Sparse
-                } else {
-                    ExchangeMode::Dense
-                }
-            }
-            m => m,
+            ExchangeMode::Sparse => true,
+            ExchangeMode::Auto => calculators >= Self::AUTO_SPARSE_THRESHOLD,
         }
     }
 }
@@ -155,28 +145,6 @@ pub enum LoadMetric {
     CountProportional,
 }
 
-/// Intra-rank parallel compute configuration: how each calculator runs its
-/// action list through the chunked kernel (`psa_core::kernel`).
-///
-/// The default (`workers: 1, chunk: 0`) is the legacy serial path — one RNG
-/// stream across the whole action list — which keeps every seed-calibrated
-/// table bit-identical. Setting `chunk > 0` switches to chunk-keyed RNG
-/// streams, whose results are byte-identical for **any** `workers` value;
-/// `workers > 1` with `chunk == 0` uses `psa_core::kernel::DEFAULT_CHUNK`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ParallelConfig {
-    /// Compute-phase worker threads per calculator (1 = in-place, no spawn).
-    pub workers: usize,
-    /// Particles per kernel chunk; 0 = legacy serial stream.
-    pub chunk: usize,
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig { workers: 1, chunk: 0 }
-    }
-}
-
 /// Full configuration of one run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunConfig {
@@ -188,21 +156,20 @@ pub struct RunConfig {
     pub seed: u64,
     pub space: SpaceMode,
     pub balance: BalanceMode,
-    /// Sub-domain buckets per calculator per system (paper §4 storage).
-    pub buckets: usize,
     /// Warm-up frames excluded from per-frame statistics (population
     /// ramp-up).
     pub warmup: u64,
     /// Load signal the threaded executor's calculators report (the virtual
     /// executor is always deterministic regardless).
     pub load_metric: LoadMetric,
-    /// Intra-rank compute parallelism (the psa-core chunked kernel).
-    pub parallel: ParallelConfig,
     /// Exchange-phase fan-out (dense reproduces the paper; sparse scales).
     pub exchange: ExchangeMode,
-    /// Snapshot cadence and crash-recovery policy (off by default — the
-    /// paper's runs restart from frame 0 on failure).
-    pub checkpoint: CheckpointConfig,
+    /// Take an engine snapshot every `checkpoint_interval` frames (at the
+    /// top of frames `interval`, `2*interval`, …) and recover a crashed
+    /// calculator from the last one; see [`crate::checkpoint`]. `0` (the
+    /// default) turns checkpointing off — the paper's runs restart from
+    /// frame 0 on failure.
+    pub checkpoint_interval: u64,
 }
 
 impl Default for RunConfig {
@@ -213,12 +180,10 @@ impl Default for RunConfig {
             seed: 0x5EED,
             space: SpaceMode::Finite,
             balance: BalanceMode::dynamic(),
-            buckets: 8,
             warmup: 0,
             load_metric: LoadMetric::WallClock,
-            parallel: ParallelConfig::default(),
             exchange: ExchangeMode::Auto,
-            checkpoint: CheckpointConfig::default(),
+            checkpoint_interval: 0,
         }
     }
 }
@@ -270,12 +235,11 @@ mod tests {
     #[test]
     fn auto_exchange_resolves_by_rank_count() {
         assert_eq!(RunConfig::default().exchange, ExchangeMode::Auto);
-        assert_eq!(ExchangeMode::Auto.resolved(8), ExchangeMode::Dense);
-        assert_eq!(ExchangeMode::Auto.resolved(63), ExchangeMode::Dense);
-        assert_eq!(ExchangeMode::Auto.resolved(64), ExchangeMode::Sparse);
-        assert_eq!(ExchangeMode::Auto.resolved(1024), ExchangeMode::Sparse);
-        // Explicit choices are never overridden.
-        assert_eq!(ExchangeMode::Dense.resolved(1024), ExchangeMode::Dense);
-        assert_eq!(ExchangeMode::Sparse.resolved(4), ExchangeMode::Sparse);
+        assert!(!ExchangeMode::Auto.is_sparse(8));
+        assert!(!ExchangeMode::Auto.is_sparse(63));
+        assert!(ExchangeMode::Auto.is_sparse(64));
+        assert!(ExchangeMode::Auto.is_sparse(1024));
+        // An explicit choice is never overridden.
+        assert!(ExchangeMode::Sparse.is_sparse(4));
     }
 }

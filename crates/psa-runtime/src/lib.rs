@@ -13,7 +13,7 @@
 //! * [`scene`] — a simulation scene: systems, action lists, external
 //!   objects;
 //! * [`config`] — run configuration (finite/infinite space, SLB/DLB,
-//!   bucket counts, frame counts);
+//!   exchange fan-out, frame counts);
 //! * [`protocol`] — the single shared implementation of the Figure-2 frame
 //!   protocol: transport-free calculator and manager cores (state and
 //!   transitions, written once) under two drivers — the
@@ -45,8 +45,8 @@ pub mod trace;
 
 pub use balance::{Balancer, BalancerConfig, LoadInfo, Order, Transfer};
 pub use balancers::strategy_for;
-pub use checkpoint::{CheckpointConfig, EngineSnapshot, FabricCheckpoint, RecoveryEvent};
-pub use config::{BalanceMode, ExchangeMode, LoadMetric, ParallelConfig, RunConfig, SpaceMode};
+pub use checkpoint::{EngineSnapshot, FabricCheckpoint, RecoveryEvent};
+pub use config::{BalanceMode, ExchangeMode, LoadMetric, RunConfig, SpaceMode};
 pub use msg::ProtocolError;
 pub use protocol::{donation_cut, node_layout, Engine, Fabric};
 pub use report::RunReport;

@@ -104,8 +104,8 @@ impl Calculator {
         self.stores[sys].take_all()
     }
 
-    /// The action list ("Calculus" in Figure 2) through the chunked kernel
-    /// (legacy serial stream when `cfg.parallel.chunk == 0`). Restarts the
+    /// The action list ("Calculus" in Figure 2) on the kernel's serial
+    /// path: one action stream across the whole store. Restarts the
     /// compute-time tally; the driver adds what the pass cost on its own
     /// clock with [`Self::add_compute_time`].
     pub(crate) fn calculus(
@@ -119,8 +119,7 @@ impl Calculator {
         let store = &mut self.stores[sys];
         self.pre_count[sys] = store.len().max(1);
         self.compute_time[sys] = 0.0;
-        let (chunk, workers) = (cfg.parallel.chunk, cfg.parallel.workers);
-        kernel::run_actions(&setup.actions, cfg.dt, frame, rng, store, chunk, workers)
+        kernel::run_actions(&setup.actions, cfg.dt, frame, rng, store, 0, 1)
     }
 
     /// Count `seconds` of calculus compute into the load this calculator

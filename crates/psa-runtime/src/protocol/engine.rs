@@ -20,11 +20,11 @@ use psa_trace::{ClockKind, Counter, Phase, Recorder};
 
 use super::calculator::Calculator;
 use super::manager::{Manager, Round};
-use super::{check_exchange, check_figure2, space_for, Fabric, AXIS};
+use super::{check_exchange, check_figure2, space_for, Fabric, AXIS, BUCKETS};
 use crate::balance::{self, LoadInfo, Order};
 use crate::balancers::strategy_for;
 use crate::checkpoint::{EngineSnapshot, RecoveryEvent};
-use crate::config::{ExchangeMode, RunConfig};
+use crate::config::RunConfig;
 use crate::msg::{Msg, ProtocolError};
 use crate::report::{scale_count, FrameReport, RunReport};
 use crate::scene::Scene;
@@ -65,8 +65,8 @@ pub struct Engine<F: Fabric> {
     /// Balance rounds short-circuited in the current frame.
     frame_skips: u64,
     /// Exchange fan-out resolved against the rank count
-    /// ([`ExchangeMode::Auto`] picks dense below the threshold, sparse at
-    /// or above it).
+    /// ([`crate::ExchangeMode::Auto`] picks dense below the threshold,
+    /// sparse at or above it).
     sparse: bool,
     /// Rank `c` has fail-stopped (it no longer computes, sends or
     /// receives); peers may not have noticed yet.
@@ -82,7 +82,7 @@ pub struct Engine<F: Fabric> {
     /// metadata, deliberately *not* part of snapshots.
     recovered: Vec<bool>,
     /// The most recent frame-boundary snapshot, refreshed every
-    /// `cfg.checkpoint.interval` frames when checkpointing is on.
+    /// `cfg.checkpoint_interval` frames when checkpointing is on.
     last_snapshot: Option<EngineSnapshot>,
     /// Recoveries performed so far (reported, fingerprint-exempt).
     recoveries: Vec<RecoveryEvent>,
@@ -109,9 +109,6 @@ pub struct Engine<F: Fabric> {
     frame_retries: u64,
     /// Balancer transfer orders issued in the current frame.
     frame_orders: u64,
-    /// Kernel chunks processed in the current frame (0 on the legacy
-    /// serial path).
-    frame_chunks: u64,
 }
 
 impl<F: Fabric> Engine<F> {
@@ -138,7 +135,7 @@ impl<F: Fabric> Engine<F> {
         let trace =
             if invariants::ENABLED && !trace.is_enabled() { Trace::enabled() } else { trace };
         Engine {
-            calcs: (0..n).map(|c| Calculator::new(c, shared0.clone(), cfg.buckets)).collect(),
+            calcs: (0..n).map(|c| Calculator::new(c, shared0.clone(), BUCKETS)).collect(),
             manager: Manager::new(domains, scene.emitters(), n, cost.scale),
             speeds: placement.ranks.iter().map(|r| r.speed).collect(),
             fe_speed: placement.frontend_speed,
@@ -147,7 +144,7 @@ impl<F: Fabric> Engine<F> {
             mgr: n,
             ig: n + 1,
             frame_skips: 0,
-            sparse: cfg.exchange.resolved(n) == ExchangeMode::Sparse,
+            sparse: cfg.exchange.is_sparse(n),
             crashed: vec![false; n],
             dead: vec![false; n],
             missed: vec![0; n],
@@ -173,7 +170,6 @@ impl<F: Fabric> Engine<F> {
             frame_stats_mark: TrafficStats::default(),
             frame_retries: 0,
             frame_orders: 0,
-            frame_chunks: 0,
         }
     }
 
@@ -208,7 +204,6 @@ impl<F: Fabric> Engine<F> {
     fn flush_frame_counters(&mut self, frame: u64, fr: &FrameReport) {
         let retries = std::mem::take(&mut self.frame_retries);
         let orders = std::mem::take(&mut self.frame_orders);
-        let chunks = std::mem::take(&mut self.frame_chunks);
         let skips = std::mem::take(&mut self.frame_skips);
         if !self.rec.is_enabled() {
             return;
@@ -225,7 +220,6 @@ impl<F: Fabric> Engine<F> {
         self.rec.add(frame, Counter::Timeouts, fr.timeouts);
         self.rec.add(frame, Counter::SendRetries, retries);
         self.rec.add(frame, Counter::BalanceOrders, orders);
-        self.rec.add(frame, Counter::ComputeChunks, chunks);
         self.rec.add(frame, Counter::BalanceSkips, skips);
     }
 
@@ -365,7 +359,7 @@ impl<F: Fabric> Engine<F> {
         if self.next_frame >= self.cfg.frames {
             return Ok(None);
         }
-        let interval = self.cfg.checkpoint.interval;
+        let interval = self.cfg.checkpoint_interval;
         if interval > 0 && self.next_frame > 0 && self.next_frame.is_multiple_of(interval) {
             self.rec.add(self.next_frame, Counter::Snapshots, 1);
             self.last_snapshot = Some(self.snapshot());
@@ -476,7 +470,6 @@ impl<F: Fabric> Engine<F> {
                 continue;
             }
             let kr = self.calcs[c].calculus(frame, sys, &self.scene.systems[sys], &self.cfg);
-            self.frame_chunks += kr.chunks;
             let factor = self.net.compute_factor(c);
             let t = self.cost.weighted_work_time(kr.weighted, self.speeds[c]) * factor;
             self.net.advance(c, t);

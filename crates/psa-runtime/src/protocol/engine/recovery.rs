@@ -10,7 +10,7 @@ use psa_math::Scalar;
 use psa_trace::{Counter, FaultKind, Recorder};
 
 use super::super::calculator::Calculator;
-use super::super::{space_for, Fabric, AXIS};
+use super::super::{space_for, Fabric, AXIS, BUCKETS};
 use super::Engine;
 use crate::checkpoint::{EngineSnapshot, RecoveryEvent};
 use crate::msg::ProtocolError;
@@ -92,7 +92,7 @@ impl<F: Fabric> Engine<F> {
     /// [`crate::checkpoint`] for the full exclusion argument.
     ///
     /// Callers snapshot between [`Engine::step_frame`] calls (or let
-    /// `cfg.checkpoint.interval` do it); a mid-phase snapshot is
+    /// `cfg.checkpoint_interval` do it); a mid-phase snapshot is
     /// meaningless and unreachable from outside.
     pub fn snapshot(&self) -> EngineSnapshot {
         let n_sys = self.scene.systems.len();
@@ -125,7 +125,7 @@ impl<F: Fabric> Engine<F> {
     /// returns `ProtocolError::Domain { role: "checkpoint", .. }` and
     /// leaves the engine and its fabric exactly as they were.
     pub fn restore(&mut self, snap: &EngineSnapshot) -> Result<(), ProtocolError> {
-        let (n, n_sys, buckets) = (self.n, self.scene.systems.len(), self.cfg.buckets);
+        let (n, n_sys, buckets) = (self.n, self.scene.systems.len(), BUCKETS);
         let mgr = self.mgr;
         let shape_err = |detail: String| ProtocolError::Domain {
             role: "checkpoint",
@@ -210,7 +210,6 @@ impl<F: Fabric> Engine<F> {
         self.frame_timeouts = 0;
         self.frame_retries = 0;
         self.frame_orders = 0;
-        self.frame_chunks = 0;
         self.frame_skips = 0;
         if self.rec.is_enabled() {
             self.frame_stats_mark = self.net.stats();
@@ -218,7 +217,7 @@ impl<F: Fabric> Engine<F> {
         Ok(())
     }
 
-    /// Whole-engine rollback-replay recovery (`cfg.checkpoint.interval > 0`):
+    /// Whole-engine rollback-replay recovery (`cfg.checkpoint_interval > 0`):
     /// restore the last snapshot — which resurrects every rank that crashed
     /// after it — and deterministically re-run the frames up to `frame`
     /// with the trace and recorder suppressed, then re-apply the current

@@ -57,6 +57,9 @@ pub(crate) const TAG_ACTIONS: u64 = 0xAC;
 /// The decomposition axis (paper: one axis of the plane or space).
 pub(crate) const AXIS: Axis = Axis::X;
 
+/// Sub-domain buckets per calculator per system (paper §4 storage).
+pub(crate) const BUCKETS: usize = 8;
+
 /// Derive the deterministic stream for (tag, frame, system, rank).
 pub(crate) fn stream(seed: u64, tag: u64, frame: u64, sys: usize, rank: usize) -> Rng64 {
     Rng64::new(seed).split(tag).split(frame).split(sys as u64).split(rank as u64)

@@ -43,7 +43,7 @@ use psa_trace::{ClockKind, Counter, Phase, Recorder};
 
 use super::calculator::Calculator;
 use super::manager::{Manager, Round};
-use super::{check_exchange, check_figure2, space_for};
+use super::{check_exchange, check_figure2, space_for, BUCKETS};
 use crate::balance::{self, Order};
 use crate::config::{LoadMetric, RunConfig};
 use crate::msg::{Msg, ProtocolError};
@@ -164,7 +164,7 @@ pub(crate) fn calculator_main(
     let mgr = n;
     let ig = n + 1;
     let n_sys = scene.systems.len();
-    let mut calc = Calculator::new(c, domains, cfg.buckets);
+    let mut calc = Calculator::new(c, domains, BUCKETS);
     let (mut trace, mut rec) = instruments(n, instrument);
     let mut last = ep.now();
     let mut traffic_mark = ep.sent_stats();
@@ -183,12 +183,11 @@ pub(crate) fn calculator_main(
 
             // Calculus; its wall time is the load this calculator reports.
             let t0 = ep.now();
-            let kr = calc.calculus(frame, sys, setup, cfg);
+            calc.calculus(frame, sys, setup, cfg);
             calc.add_compute_time(sys, ep.now() - t0);
             trace.record(frame, ProtocolEvent::Calculus);
 
             mark(&mut rec, &mut last, &ep, frame, c, Phase::Compute);
-            rec.add(frame, Counter::ComputeChunks, kr.chunks);
 
             // Exchange, always the dense pattern: one message per peer.
             let before_exchange = calc.store(sys).len();

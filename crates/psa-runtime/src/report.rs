@@ -73,7 +73,7 @@ pub struct RunReport {
     pub phases: Option<TraceReport>,
     /// Crash recoveries the engine performed (rollback to the last snapshot
     /// plus deterministic replay), in occurrence order. Empty unless
-    /// [`crate::CheckpointConfig::interval`] is non-zero and a crash tripped.
+    /// [`crate::RunConfig::checkpoint_interval`] is non-zero and a crash tripped.
     /// Deliberately **excluded** from [`fingerprint`](Self::fingerprint)
     /// for the same reason as `phases`: recovery is machinery *around* the
     /// run, and the recovery gate's whole point is that a recovered run

@@ -47,19 +47,11 @@ pub fn run_sequential(scene: &Scene, cfg: &RunConfig, cost: &CostModel, speed: f
             frame_time += cost.create_time(newborn.len(), speed);
             stores[sys].extend(newborn.drain(..));
             // Calculus. The sequential run uses the rank-1 action stream
-            // (the single calculator), routed through the chunked kernel so
-            // `cfg.parallel` produces the same particle state here as in the
-            // parallel executors.
+            // (the single calculator) on the kernel's serial path, as the
+            // calculators do.
             let rng_a = stream(cfg.seed, TAG_ACTIONS, frame, sys, 1);
-            let kr = kernel::run_actions(
-                &setup.actions,
-                cfg.dt,
-                frame,
-                rng_a,
-                &mut stores[sys],
-                cfg.parallel.chunk,
-                cfg.parallel.workers,
-            );
+            let kr =
+                kernel::run_actions(&setup.actions, cfg.dt, frame, rng_a, &mut stores[sys], 0, 1);
             frame_time += cost.weighted_work_time(kr.weighted, speed);
             // Out-of-space particles have nowhere to migrate: they stay
             // (and are usually culled by kill actions); no exchange exists.

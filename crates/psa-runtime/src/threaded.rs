@@ -117,7 +117,7 @@ pub fn run_threaded_traced(
     instrument: bool,
 ) -> Result<RunReport, ProtocolError> {
     assert!(n >= 1);
-    if cfg.checkpoint.interval > 0 {
+    if cfg.checkpoint_interval > 0 {
         return Err(ProtocolError::Unsupported { executor: "threaded", option: "checkpoint" });
     }
     // The threaded executor runs every balancing strategy manager-mediated
@@ -511,9 +511,7 @@ mod tests {
 
     #[test]
     fn options_the_threads_cannot_honour_are_rejected_up_front() {
-        use crate::checkpoint::CheckpointConfig;
-        let checkpoint = CheckpointConfig::recovering(1);
-        let cfg = RunConfig { frames: 2, dt: 0.1, checkpoint, ..Default::default() };
+        let cfg = RunConfig { frames: 2, dt: 0.1, checkpoint_interval: 1, ..Default::default() };
         let option = "checkpoint";
         let err = run_threaded_traced(&scene(), &cfg, 2, None, true).expect_err(option);
         assert_eq!(err, ProtocolError::Unsupported { executor: "threaded", option });

@@ -77,9 +77,6 @@ pub enum Counter {
     Timeouts,
     /// Transfer orders issued by the balancer.
     BalanceOrders,
-    /// Kernel chunks processed by the parallel compute phase (0 on the
-    /// legacy serial path).
-    ComputeChunks,
     /// Balance rounds short-circuited by the zero-order hysteresis.
     BalanceSkips,
     /// Engine checkpoints taken at this frame boundary.
@@ -211,7 +208,6 @@ impl Recorder {
                 Counter::SendRetries => c.send_retries += n,
                 Counter::Timeouts => c.timeouts += n,
                 Counter::BalanceOrders => c.balance_orders += n,
-                Counter::ComputeChunks => c.compute_chunks += n,
                 Counter::BalanceSkips => c.balance_skips += n,
                 Counter::Snapshots => c.snapshots += n,
                 Counter::Restores => c.restores += n,

@@ -23,8 +23,6 @@ pub struct FrameCounters {
     pub timeouts: u64,
     /// Transfer orders issued by the balancer.
     pub balance_orders: u64,
-    /// Kernel chunks processed by the parallel compute phase.
-    pub compute_chunks: u64,
     /// Balance rounds short-circuited by the zero-order hysteresis.
     pub balance_skips: u64,
     /// Engine checkpoints taken at this frame boundary.
@@ -42,7 +40,6 @@ impl FrameCounters {
         self.send_retries += other.send_retries;
         self.timeouts += other.timeouts;
         self.balance_orders += other.balance_orders;
-        self.compute_chunks += other.compute_chunks;
         self.balance_skips += other.balance_skips;
         self.snapshots += other.snapshots;
         self.restores += other.restores;
@@ -242,7 +239,7 @@ impl TraceReport {
         }
         let c = self.counter_totals();
         out.push_str(&format!(
-            "counters: {} msgs, {} payload B, {} migrated ({} B), {} retries, {} timeouts, {} orders, {} skips, {} chunks, {} snapshots, {} restores, {} faults\n",
+            "counters: {} msgs, {} payload B, {} migrated ({} B), {} retries, {} timeouts, {} orders, {} skips, {} snapshots, {} restores, {} faults\n",
             c.messages,
             c.payload_bytes,
             c.migrated,
@@ -251,7 +248,6 @@ impl TraceReport {
             c.timeouts,
             c.balance_orders,
             c.balance_skips,
-            c.compute_chunks,
             c.snapshots,
             c.restores,
             self.faults.len()
@@ -287,7 +283,7 @@ impl TraceReport {
                 s.push_str(&format!("\"{}\": {}", p.name(), json_f64(t)));
             }
             s.push_str(&format!(
-                "}}, \"messages\": {}, \"payload_bytes\": {}, \"migrated\": {}, \"migration_bytes\": {}, \"send_retries\": {}, \"timeouts\": {}, \"balance_orders\": {}, \"balance_skips\": {}, \"compute_chunks\": {}, \"snapshots\": {}, \"restores\": {}}}{}\n",
+                "}}, \"messages\": {}, \"payload_bytes\": {}, \"migrated\": {}, \"migration_bytes\": {}, \"send_retries\": {}, \"timeouts\": {}, \"balance_orders\": {}, \"balance_skips\": {}, \"snapshots\": {}, \"restores\": {}}}{}\n",
                 c.messages,
                 c.payload_bytes,
                 c.migrated,
@@ -296,7 +292,6 @@ impl TraceReport {
                 c.timeouts,
                 c.balance_orders,
                 c.balance_skips,
-                c.compute_chunks,
                 c.snapshots,
                 c.restores,
                 if i + 1 < self.frames.len() { "," } else { "" }
@@ -344,7 +339,7 @@ mod tests {
         r.phase(0, 2, Phase::Render, 0.5);
         r.phase(1, 0, Phase::Exchange, 0.25);
         r.add(1, crate::recorder::Counter::Messages, 4);
-        r.add(1, crate::recorder::Counter::ComputeChunks, 6);
+        r.add(1, crate::recorder::Counter::BalanceSkips, 6);
         r.finish().expect("enabled")
     }
 
@@ -356,7 +351,7 @@ mod tests {
         assert_eq!(t[Phase::Exchange.index()], 0.25);
         assert_eq!(t[Phase::Render.index()], 0.5);
         assert_eq!(rep.counter_totals().messages, 4);
-        assert_eq!(rep.counter_totals().compute_chunks, 6);
+        assert_eq!(rep.counter_totals().balance_skips, 6);
     }
 
     #[test]

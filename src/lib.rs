@@ -63,8 +63,8 @@ pub mod prelude {
     };
     pub use psa_runtime::threaded::RenderSink;
     pub use psa_runtime::{
-        run_sequential, run_threaded, run_threaded_traced, BalanceMode, BalancerConfig,
-        ParallelConfig, RunConfig, RunReport, Scene, SpaceMode, SystemSetup,
+        run_sequential, run_threaded, run_threaded_traced, BalanceMode, BalancerConfig, RunConfig,
+        RunReport, Scene, SpaceMode, SystemSetup,
     };
     pub use psa_trace::{Phase, TraceReport, PHASES};
     pub use psa_workloads::{

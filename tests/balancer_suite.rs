@@ -12,8 +12,8 @@
 use cluster_sim::CostModel;
 use psa_desim::EventSim;
 use psa_runtime::{
-    run_sequential, run_threaded, BalanceMode, BalancerConfig, ExchangeMode, LoadMetric, RunConfig,
-    RunReport,
+    run_sequential, run_threaded, BalanceMode, BalancerConfig, ExchangeMode, LoadMetric,
+    ProtocolError, RunConfig, RunReport,
 };
 use psa_workloads::{fountain_scene, myrinet_gcc, paper_run_config, vortex_scene, WorkloadSize};
 
@@ -182,9 +182,8 @@ fn two_threaded_calculators_level_every_fountain_system() {
 }
 
 /// Auto-selected sparse exchange is byte-identical to explicitly-configured
-/// sparse at scale, and byte-identical to explicit dense at paper scale —
-/// `ExchangeMode::Auto` only ever picks a mode, never invents a third
-/// behavior.
+/// sparse at scale, and at paper scale Auto keeps Figure 2's dense pattern,
+/// whose empty messages cost virtual time that sparse runs do not pay.
 #[test]
 fn auto_exchange_fingerprints_match_explicit_modes() {
     let sz = size();
@@ -204,11 +203,34 @@ fn auto_exchange_fingerprints_match_explicit_modes() {
     );
     // Below it Auto must resolve to dense — paper-scale runs keep exactly
     // the Figure-2 dense exchange pattern (and its virtual timing).
-    let auto_small = run(8, ExchangeMode::Auto);
-    let dense_small = run(8, ExchangeMode::Dense);
-    assert_eq!(
-        auto_small.fingerprint(),
-        dense_small.fingerprint(),
-        "below the threshold Auto must fingerprint identically to explicit dense"
+    assert_ne!(
+        run(8, ExchangeMode::Auto).fingerprint(),
+        run(8, ExchangeMode::Sparse).fingerprint(),
+        "below the threshold Auto must not exchange sparsely"
     );
+}
+
+/// A NaN time step sends every particle to NaN, and the balancer's next
+/// donation cut is NaN too. The domain map refuses that cut, so both
+/// parallel executors end the run with a typed domain error from the
+/// manager instead of storing the cut and panicking downstream. Under
+/// `strict-invariants` the per-frame position check names the NaN first.
+#[test]
+fn a_nan_time_step_ends_both_executors_with_a_typed_domain_error() {
+    let sz = WorkloadSize { systems: 2, particles_per_system: 300, scale: 25.0 };
+    let scene = psa_workloads::snow_scene(sz);
+    let cfg = RunConfig {
+        frames: 6,
+        dt: f32::NAN,
+        load_metric: LoadMetric::CountProportional,
+        ..Default::default()
+    };
+    let manager_refused = |r: Result<RunReport, ProtocolError>, executor: &str| match r {
+        Err(ProtocolError::Domain { role: "manager", .. }) => {}
+        Err(ProtocolError::Invariant(_)) if cfg!(feature = "strict-invariants") => {}
+        other => panic!("{executor}: expected the manager's domain error, got {other:?}"),
+    };
+    let mut sim = EventSim::new(scene.clone(), cfg.clone(), myrinet_gcc(3, 1), sz.cost_model());
+    manager_refused(sim.try_run(), "EventSim");
+    manager_refused(run_threaded(&scene, &cfg, 2, None), "run_threaded");
 }

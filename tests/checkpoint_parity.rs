@@ -17,9 +17,7 @@
 
 use netsim::{FaultPlan, LinkFault};
 use psa_desim::{EventFabric, EventSim};
-use psa_runtime::{
-    BalanceMode, CheckpointConfig, Engine, EngineSnapshot, ProtocolError, RunConfig,
-};
+use psa_runtime::{BalanceMode, Engine, EngineSnapshot, ProtocolError, RunConfig};
 use psa_workloads::{fountain_scene, myrinet_gcc, snow_scene, WorkloadSize};
 
 fn size() -> WorkloadSize {
@@ -39,7 +37,7 @@ fn fountain_engine(cfg: &RunConfig, plan: FaultPlan) -> Engine<EventFabric> {
         .into_engine()
 }
 
-/// The tentpole's acceptance gate: with `CheckpointConfig::recovering`, a
+/// The recovery gate: with `checkpoint_interval` set, a
 /// fail-stop crash rolls back to the last snapshot, replays, and finishes
 /// with the *uninterrupted* run's fingerprint — `lost_particles == 0`, no
 /// dead ranks, and a recovery event describing exactly what was replayed.
@@ -58,7 +56,7 @@ fn recovered_crash_matches_uninterrupted_run() {
             for crash_frame in [3u64, 4, 7] {
                 let mut plan = FaultPlan::none(cfg.seed, 4 + 2);
                 plan.rank_mut(1).crash_at = Some(crash_frame);
-                let rcfg = RunConfig { checkpoint: CheckpointConfig::recovering(2), ..cfg.clone() };
+                let rcfg = RunConfig { checkpoint_interval: 2, ..cfg.clone() };
                 let label = format!("{wl}/{}/crash@{crash_frame}", balance.label());
                 let rec = EventSim::new(scene.clone(), rcfg, cluster.clone(), sz.cost_model())
                     .with_faults(plan)
