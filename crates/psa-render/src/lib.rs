@@ -15,4 +15,6 @@ pub mod splat;
 
 pub use camera::Camera;
 pub use framebuffer::Framebuffer;
-pub use splat::{render_objects, render_particles, render_streaks, SplatConfig};
+pub use splat::{
+    draw_splats, push_splats, render_objects, render_particles, render_streaks, Splat, SplatConfig,
+};

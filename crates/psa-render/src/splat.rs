@@ -25,62 +25,139 @@ impl Default for SplatConfig {
     }
 }
 
-/// Render `particles` through `camera` into `fb`. Returns the number of
-/// particles that landed on-screen (the image generator's work counter).
-/// A particle with a non-finite position, alpha or colour is not drawn:
-/// its splat would write NaN into every pixel it covers. Nor is one whose
-/// squared radius overflows: a pixel it reaches from afar would have an
-/// infinite distance over an infinite radius, a NaN falloff too.
-pub fn render_particles(
-    fb: &mut Framebuffer,
+/// One splat as the image generator draws it: what a calculator makes of
+/// a particle (or of one sub-splat of a streak) once it has projected,
+/// culled and clipped it. 48 bytes against the particle's 64, and all the
+/// pixel loop reads.
+#[repr(C)]
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Splat {
+    /// Candidate pixel box, inclusive, already clipped to the viewport.
+    pub x0: u32,
+    pub x1: u32,
+    pub y0: u32,
+    pub y1: u32,
+    /// Projected centre in pixels.
+    pub x: Scalar,
+    pub y: Scalar,
+    /// Depth for the z-buffer.
+    pub z: Scalar,
+    /// Squared radius in pixels.
+    pub r2: Scalar,
+    pub color: Vec3,
+    pub alpha: Scalar,
+}
+
+const _: () = assert!(std::mem::size_of::<Splat>() == 48);
+
+/// Particles per batch of records `render_particles` and `render_streaks`
+/// build and draw: small enough to stay in cache between the two.
+const CHUNK: usize = 256;
+
+/// Append the records `p` draws through `camera`: one for a dot, or with
+/// `streak = Some((length, steps))` one per sub-splat of its streak, in
+/// drawing order. Returns how many of them were culled — a particle or
+/// sub-splat with a non-finite position, alpha or colour (its splat would
+/// write NaN into every pixel it covers), one whose box misses the
+/// viewport, or one whose squared radius overflows (a pixel it reaches
+/// from afar would have an infinite distance over an infinite radius, a
+/// NaN falloff too). A culled splat would have drawn nothing, so the
+/// records alone draw the frame `p` draws.
+pub fn push_splats(
+    out: &mut Vec<Splat>,
     camera: &Camera,
-    particles: &[Particle],
     cfg: &SplatConfig,
+    streak: Option<(Scalar, usize)>,
+    p: &Particle,
 ) -> usize {
-    let (w, h) = (fb.width() as isize, fb.height() as isize);
-    let mut drawn = 0;
-    for p in particles {
-        let proj = camera.project(p.position);
-        // One test for all seven: the sum is finite exactly when every
-        // term is, unless finite terms near `Scalar::MAX` overflow it, and
-        // a particle that large is not drawable either.
-        let sum = proj.x + proj.y + proj.z + p.alpha + p.color.x + p.color.y + p.color.z;
-        if !sum.is_finite() {
-            continue;
-        }
-        let radius =
-            (p.size * proj.pixels_per_unit * cfg.radius_scale).min(cfg.max_radius_px).max(0.5);
-        let r2 = radius * radius;
-        let (cx, cy) = (proj.x, proj.y);
-        // Saturating bounds: a centre or radius beyond `isize` clips to
-        // the screen or misses it, never overflows.
-        let r = ceil_isize(radius);
-        let (px, py) = (floor_isize(cx), floor_isize(cy));
-        let (x0, x1) = (px.saturating_sub(r), px.saturating_add(r));
-        let (y0, y1) = (py.saturating_sub(r), py.saturating_add(r));
-        if x1 < 0 || y1 < 0 || x0 >= w || y0 >= h || r2 == Scalar::INFINITY {
-            continue;
-        }
-        drawn += 1;
-        let (x0, x1) = (x0.max(0), x1.min(w - 1));
-        let (mut y, y1) = (y0.max(0), y1.min(h - 1));
+    let Some((length, steps)) = streak else {
+        return usize::from(!push_splat(out, camera, cfg, p.position, p.size, p.color, p.alpha));
+    };
+    // Each sub-splat trails the head along the orientation, fading toward
+    // the tail.
+    let dir = p.orientation.normalized();
+    let mut culled = 0;
+    for s in 0..steps {
+        let t = s as Scalar / steps as Scalar;
+        let at = p.position - dir * (length * t);
+        let alpha = p.alpha * (1.0 - 0.7 * t);
+        culled += usize::from(!push_splat(out, camera, cfg, at, p.size, p.color, alpha));
+    }
+    culled
+}
+
+/// Project one splat and append its record; false if it is culled.
+fn push_splat(
+    out: &mut Vec<Splat>,
+    camera: &Camera,
+    cfg: &SplatConfig,
+    at: Vec3,
+    size: Scalar,
+    color: Vec3,
+    alpha: Scalar,
+) -> bool {
+    let proj = camera.project(at);
+    // One test for all seven: the sum is finite exactly when every term
+    // is, unless finite terms near `Scalar::MAX` overflow it, and a
+    // particle that large is not drawable either.
+    let sum = proj.x + proj.y + proj.z + alpha + color.x + color.y + color.z;
+    if !sum.is_finite() {
+        return false;
+    }
+    let radius = (size * proj.pixels_per_unit * cfg.radius_scale).min(cfg.max_radius_px).max(0.5);
+    let r2 = radius * radius;
+    // Saturating bounds: a centre or radius beyond `isize` clips to the
+    // screen or misses it, never overflows. A viewport wider than a `u32`
+    // is clipped to one.
+    let (w, h) = camera.viewport();
+    let (w, h) = (w.min(u32::MAX as usize) as isize, h.min(u32::MAX as usize) as isize);
+    let r = ceil_isize(radius);
+    let (px, py) = (floor_isize(proj.x), floor_isize(proj.y));
+    let (x0, x1) = (px.saturating_sub(r), px.saturating_add(r));
+    let (y0, y1) = (py.saturating_sub(r), py.saturating_add(r));
+    if x1 < 0 || y1 < 0 || x0 >= w || y0 >= h || r2 == Scalar::INFINITY {
+        return false;
+    }
+    out.push(Splat {
+        x0: x0.max(0) as u32,
+        x1: x1.min(w - 1) as u32,
+        y0: y0.max(0) as u32,
+        y1: y1.min(h - 1) as u32,
+        x: proj.x,
+        y: proj.y,
+        z: proj.z,
+        r2,
+        color,
+        alpha,
+    });
+    true
+}
+
+/// Rasterize `splats` into `fb` in order, blended or `additive`. A box is
+/// clamped to `fb` as well, so a record made for a larger viewport draws
+/// only the pixels `fb` has.
+pub fn draw_splats(fb: &mut Framebuffer, splats: &[Splat], additive: bool) {
+    let (w, h) = (fb.width(), fb.height());
+    for s in splats {
+        let (x0, x1) = (s.x0 as usize, (s.x1 as usize).min(w - 1));
+        let (mut y, y1) = (s.y0 as usize, (s.y1 as usize).min(h - 1));
         while y <= y1 {
-            let dy = y as Scalar + 0.5 - cy;
+            let dy = y as Scalar + 0.5 - s.y;
             let dy2 = dy * dy;
             // Rounding is monotone, so `dx * dx + dy2 >= dy2` for every
             // dx: a row whose dy2 alone exceeds r2 has no pixel inside.
-            if dy2 <= r2 {
+            if dy2 <= s.r2 {
                 let mut x = x0;
                 while x <= x1 {
-                    let dx = x as Scalar + 0.5 - cx;
+                    let dx = x as Scalar + 0.5 - s.x;
                     let d2 = dx * dx + dy2;
-                    if d2 <= r2 {
+                    if d2 <= s.r2 {
                         // soft falloff toward the rim
-                        let falloff = 1.0 - d2 / r2;
-                        if cfg.additive {
-                            fb.add(x as usize, y as usize, p.color * (p.alpha * falloff), proj.z);
+                        let falloff = 1.0 - d2 / s.r2;
+                        if additive {
+                            fb.add(x, y, s.color * (s.alpha * falloff), s.z);
                         } else {
-                            fb.blend(x as usize, y as usize, p.color, p.alpha * falloff, proj.z);
+                            fb.blend(x, y, s.color, s.alpha * falloff, s.z);
                         }
                     }
                     x += 1;
@@ -89,14 +166,49 @@ pub fn render_particles(
             y += 1;
         }
     }
+}
+
+/// Record and draw `particles` a chunk at a time; returns how many drew at
+/// least one splat.
+fn render(
+    fb: &mut Framebuffer,
+    camera: &Camera,
+    particles: &[Particle],
+    cfg: &SplatConfig,
+    streak: Option<(Scalar, usize)>,
+) -> usize {
+    let steps = streak.map_or(1, |(_, steps)| steps);
+    let mut drawn = 0;
+    let mut splats = Vec::with_capacity(CHUNK.min(particles.len()).saturating_mul(steps));
+    for chunk in particles.chunks(CHUNK) {
+        splats.clear();
+        for p in chunk {
+            drawn += usize::from(push_splats(&mut splats, camera, cfg, streak, p) < steps);
+        }
+        draw_splats(fb, &splats, cfg.additive);
+    }
     drawn
+}
+
+/// Render `particles` through `camera` into `fb`. Returns the number of
+/// particles that landed on-screen (the image generator's work counter).
+/// A particle [`push_splats`] culls is not drawn. Splats are clipped to the
+/// camera's viewport and then to `fb`.
+pub fn render_particles(
+    fb: &mut Framebuffer,
+    camera: &Camera,
+    particles: &[Particle],
+    cfg: &SplatConfig,
+) -> usize {
+    render(fb, camera, particles, cfg, None)
 }
 
 /// Render particles as orientation-aligned streaks — the use the paper's
 /// mandatory *orientation* property exists for (falling rain/snow reads as
 /// short strokes along the motion axis, not dots). Each particle draws as
 /// `steps` sub-splats along its orientation vector scaled by
-/// `streak_length`, with alpha fading toward the tail.
+/// `streak_length`, with alpha fading toward the tail; it counts as drawn
+/// if any of them lands.
 pub fn render_streaks(
     fb: &mut Framebuffer,
     camera: &Camera,
@@ -106,25 +218,7 @@ pub fn render_streaks(
     steps: usize,
 ) -> usize {
     assert!(steps >= 1);
-    let mut drawn = 0;
-    let mut ghost = Vec::with_capacity(1);
-    for p in particles {
-        let dir = p.orientation.normalized();
-        let mut any = false;
-        for s in 0..steps {
-            let t = s as Scalar / steps as Scalar;
-            let mut sub = *p;
-            sub.position = p.position - dir * (streak_length * t);
-            sub.alpha = p.alpha * (1.0 - 0.7 * t);
-            ghost.clear();
-            ghost.push(sub);
-            any |= render_particles(fb, camera, &ghost, cfg) > 0;
-        }
-        if any {
-            drawn += 1;
-        }
-    }
-    drawn
+    render(fb, camera, particles, cfg, Some((streak_length, steps)))
 }
 
 /// Render external objects as flat-shaded silhouettes (the image generator
@@ -373,6 +467,80 @@ mod tests {
             *hash = fnv(&fb);
         }
         assert_eq!(hashes, [0x2681_41b8_aa91_7e5f, 0x478c_1d87_8360_0a82], "{hashes:#018x?}");
+    }
+
+    /// A dot is one record or one cull, a streak of three is three of
+    /// either, and a particle is culled whole exactly where it draws
+    /// nothing — over the reference test's population, whose splats lie
+    /// partly and wholly off-screen and whose every 97th particle carries a
+    /// non-finite field.
+    #[test]
+    fn a_particle_makes_a_record_per_splat_it_draws() {
+        let view = Aabb::new(Vec3::splat(-32.0), Vec3::splat(32.0));
+        let cam = Camera::ortho(view, 64, 64);
+        let cfg = SplatConfig { radius_scale: 2.5, ..Default::default() };
+        let (mut dots, mut streaks) = ([0; 2], [0; 2]);
+        for p in population(0x5EED, 400, view, false) {
+            let mut fb = Framebuffer::new(64, 64);
+            let mut out = Vec::new();
+            let culled = push_splats(&mut out, &cam, &cfg, None, &p);
+            assert_eq!(out.len() + culled, 1);
+            assert_eq!(out.len(), render_particles(&mut fb, &cam, &[p], &cfg));
+            dots[culled] += 1;
+            out.clear();
+            let culled = push_splats(&mut out, &cam, &cfg, Some((2.5, 3)), &p);
+            assert_eq!(out.len() + culled, 3);
+            let drawn = render_streaks(&mut fb, &cam, &[p], &cfg, 2.5, 3);
+            assert_eq!(drawn, usize::from(culled < 3));
+            streaks[usize::from(out.is_empty())] += 1;
+            assert!(out.iter().all(|s| s.x0 <= s.x1 && s.x1 < 64 && s.y0 <= s.y1 && s.y1 < 64));
+        }
+        assert!(dots.iter().chain(&streaks).all(|&n| n > 0), "{dots:?} {streaks:?}");
+    }
+
+    /// α = 0 is not culled: the splat changes no colour, but over a −0
+    /// channel `−0 · 1 + c · 0` is +0, so dropping it would change bits.
+    #[test]
+    fn a_zero_alpha_splat_is_drawn_not_culled() {
+        let (_, cam) = scene();
+        let mut p = Particle::at(Vec3::ZERO).with_size(1.0);
+        p.alpha = 0.0;
+        for additive in [false, true] {
+            let cfg = SplatConfig { additive, ..Default::default() };
+            let mut out = Vec::new();
+            assert_eq!(push_splats(&mut out, &cam, &cfg, None, &p), 0, "additive {additive}");
+            assert_eq!(out.len(), 1);
+            let mut fb = Framebuffer::new(64, 64);
+            fb.clear(Vec3::splat(-0.0));
+            assert_eq!(render_particles(&mut fb, &cam, &[p], &cfg), 1);
+            assert_eq!(fb.pixel(32, 32).x.to_bits(), 0, "additive {additive}: −0 became +0");
+        }
+    }
+
+    /// Records made for a 64 × 64 viewport, drawn into a 40 × 24 frame,
+    /// are clamped to it: its pixels are the 64 × 64 frame's top-left
+    /// corner, bit for bit.
+    #[test]
+    fn a_record_for_a_larger_viewport_draws_only_the_pixels_the_frame_has() {
+        let view = Aabb::new(Vec3::splat(-32.0), Vec3::splat(32.0));
+        let cam = Camera::ortho(view, 64, 64);
+        let cfg = SplatConfig { radius_scale: 2.5, ..Default::default() };
+        let mut splats = Vec::new();
+        for p in population(0xC0E, 400, view, false) {
+            push_splats(&mut splats, &cam, &cfg, None, &p);
+        }
+        let (mut full, mut small) = (Framebuffer::new(64, 64), Framebuffer::new(40, 24));
+        full.clear(Vec3::splat(-0.0));
+        small.clear(Vec3::splat(-0.0));
+        draw_splats(&mut full, &splats, false);
+        draw_splats(&mut small, &splats, false);
+        for y in 0..24 {
+            for x in 0..40 {
+                let bits = |c: Vec3| [c.x, c.y, c.z].map(Scalar::to_bits);
+                assert_eq!(bits(small.pixel(x, y)), bits(full.pixel(x, y)), "({x}, {y})");
+            }
+        }
+        assert!(small.lit_pixels(Vec3::splat(-0.0)) > 0);
     }
 
     #[test]

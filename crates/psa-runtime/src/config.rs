@@ -1,6 +1,7 @@
 //! Run configuration.
 
 use crate::balance::BalancerConfig;
+use crate::msg::ProtocolError;
 
 /// Whether the simulated space is restricted to the particle systems'
 /// extent (paper: "FS", finite space) or left unbounded ("IS", infinite
@@ -196,6 +197,18 @@ impl RunConfig {
             SpaceMode::Infinite => "IS",
         };
         format!("{space}-{}", self.balance.label())
+    }
+
+    /// Refuse what no executor can run: a NaN or infinite `dt` moves every
+    /// particle to a non-finite position, and what becomes of it then
+    /// depends on the rank count (a NaN donation cut is refused, a
+    /// one-calculator run has no cut). Zero and negative steps are legal.
+    pub fn check(&self) -> Result<(), ProtocolError> {
+        if self.dt.is_finite() {
+            Ok(())
+        } else {
+            Err(ProtocolError::NonFiniteDt { dt: self.dt })
+        }
     }
 }
 

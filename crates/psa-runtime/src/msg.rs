@@ -11,15 +11,20 @@ use netsim::{TransportError, WireSize};
 use psa_core::invariants::StateHash;
 use psa_core::{DomainMap, InvariantViolation, Particle, SystemId, WIRE_BYTES};
 use psa_math::Scalar;
+use psa_render::Splat;
 
 use crate::balance::{LoadInfo, Order};
 
-/// Render payload bytes per particle shipped to the image generator.
+/// Render payload bytes per particle the cost model charges for shipping to
+/// the image generator ([`Msg::RenderBatch`]).
 ///
-/// Calculators quantize to screen-space (two 16-bit coordinates; color and
-/// intensity are implied by the system and age bucket) rather than shipping
-/// the full 70-byte particle — the paper's Fast-Ethernet results are only
-/// achievable if frame shipping is far lighter than migration traffic.
+/// The model has calculators quantize to screen-space (two 16-bit
+/// coordinates; color and intensity are implied by the system and age
+/// bucket) rather than ship the full 70-byte particle — the paper's
+/// Fast-Ethernet results are only achievable if frame shipping is far
+/// lighter than migration traffic. The threaded executor's calculators
+/// project too, but ship a 48-byte [`Splat`] record per drawn splat
+/// ([`Msg::RenderSplats`]): exact pixels, not a quantized position.
 pub const RENDER_WIRE_BYTES: usize = 4;
 
 /// Wire size of a [`Msg::FrameDigest`]: the count plus the two words of a
@@ -65,9 +70,13 @@ pub enum Msg {
     /// particles live. Sent every frame; the image generator combines the
     /// partials in `(system, calculator)` order.
     FrameDigest { system: SystemId, alive: usize, hash: StateHash },
-    /// Full particles for the image generator (threaded executor renders
-    /// for real). Follows the digest, and only when something rasterizes.
-    RenderParticles { system: SystemId, batch: Vec<Particle> },
+    /// The splat records a threaded calculator's particles draw, projected,
+    /// culled and clipped where the particles live (the image generator
+    /// only rasterizes), in the store's order; `culled` counts the splats
+    /// that would have drawn nothing, so records + culled is the digest's
+    /// count times the splats per particle. Follows the digest, and only
+    /// when something rasterizes.
+    RenderSplats { system: SystemId, splats: Vec<Splat>, culled: usize },
     /// Frame-complete token: the threaded image generator sends it to every
     /// calculator once it has drawn `frame`, and a calculator waits for the
     /// token of frame `f - 2` before it ships frame `f` — so render batches
@@ -88,7 +97,7 @@ impl Msg {
             Msg::Domains { .. } => "Domains",
             Msg::RenderBatch { .. } => "RenderBatch",
             Msg::FrameDigest { .. } => "FrameDigest",
-            Msg::RenderParticles { .. } => "RenderParticles",
+            Msg::RenderSplats { .. } => "RenderSplats",
             Msg::FrameDone { .. } => "FrameDone",
         }
     }
@@ -119,9 +128,17 @@ pub enum ProtocolError {
     OrderBroken { role: &'static str, rank: usize, frame: u64, detail: String },
     /// Rasterizer output could not be written.
     Render { frame: u64, detail: String },
-    /// Calculator `rank` shipped a render batch whose length disagrees with
-    /// the frame digest it sent just before.
-    DigestMismatch { rank: usize, frame: u64, alive: usize, shipped: usize },
+    /// Calculator `rank` shipped splat records and a culled count that do
+    /// not add up to the `alive` particles of the frame digest it sent just
+    /// before, at `steps` splats per particle.
+    DigestMismatch {
+        rank: usize,
+        frame: u64,
+        alive: usize,
+        steps: usize,
+        records: usize,
+        culled: usize,
+    },
     /// A bounded receive gave up on a silent peer, with protocol context a
     /// raw transport error cannot carry.
     Timeout { role: &'static str, rank: usize, frame: u64, peer: usize },
@@ -130,6 +147,9 @@ pub enum ProtocolError {
     /// The run configuration sets an option this executor cannot honour;
     /// rejected before the run starts instead of being silently ignored.
     Unsupported { executor: &'static str, option: &'static str },
+    /// The run configuration's time step is NaN or infinite
+    /// ([`crate::config::RunConfig::check`]); rejected before frame 0.
+    NonFiniteDt { dt: Scalar },
 }
 
 impl std::fmt::Display for ProtocolError {
@@ -149,10 +169,10 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::Render { frame, detail } => {
                 write!(f, "image generator frame {frame}: {detail}")
             }
-            ProtocolError::DigestMismatch { rank, frame, alive, shipped } => write!(
+            ProtocolError::DigestMismatch { rank, frame, alive, steps, records, culled } => write!(
                 f,
-                "image generator frame {frame}: calculator {rank} shipped {shipped} particles \
-                 after a digest of {alive}"
+                "image generator frame {frame}: calculator {rank} shipped {records} records and \
+                 {culled} culled after a digest of {alive} particles at {steps} splats each"
             ),
             ProtocolError::Timeout { role, rank, frame, peer } => {
                 write!(f, "{role} {rank} frame {frame}: timed out waiting for rank {peer}")
@@ -161,6 +181,7 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::Unsupported { executor, option } => {
                 write!(f, "the {executor} executor does not support {option}")
             }
+            ProtocolError::NonFiniteDt { dt } => write!(f, "the time step dt = {dt} is not finite"),
         }
     }
 }
@@ -194,7 +215,9 @@ impl WireSize for Msg {
                 (*count as f64 * scale * RENDER_WIRE_BYTES as f64).round() as u64
             }
             Msg::FrameDigest { .. } => DIGEST_WIRE_BYTES,
-            Msg::RenderParticles { batch, .. } => (batch.len() * WIRE_BYTES) as u64,
+            Msg::RenderSplats { splats, .. } => {
+                (splats.len() * std::mem::size_of::<Splat>()) as u64
+            }
             Msg::FrameDone { .. } => 8,
         }
     }
@@ -223,10 +246,20 @@ mod tests {
     fn render_batch_is_light() {
         let m = Msg::RenderBatch { system: SystemId(0), count: 1000, scale: 1.0 };
         assert_eq!(m.wire_bytes(), 4000);
-        let full = Msg::RenderParticles {
-            system: SystemId(0),
-            batch: vec![Particle::at(Vec3::ZERO); 1000],
+        let splat = Splat {
+            x0: 0,
+            x1: 0,
+            y0: 0,
+            y1: 0,
+            x: 0.5,
+            y: 0.5,
+            z: 0.0,
+            r2: 1.0,
+            color: Vec3::ONE,
+            alpha: 1.0,
         };
+        let full = Msg::RenderSplats { system: SystemId(0), splats: vec![splat; 1000], culled: 0 };
+        assert_eq!(full.wire_bytes(), 48_000);
         assert!(m.wire_bytes() < full.wire_bytes());
     }
 

@@ -243,24 +243,19 @@ impl Calculator {
     /// calculator holds and their checksum in the store's canonical
     /// (bucket-major) order — folded here, where the particles live, so a
     /// consumer that only counts and compares never needs the particles.
-    /// With `copy`, the particles are also appended to it in that order,
-    /// each bucket copied right after it is hashed, while it is in cache:
-    /// a frame is shipped in one walk of the store.
+    /// Each bucket is handed to `ship` right after it is hashed, while it
+    /// is in cache, so the threaded calculator builds a frame's splat
+    /// records in this one walk of the store.
     pub(crate) fn digest(
         &self,
         sys: usize,
-        mut copy: Option<&mut Vec<Particle>>,
+        mut ship: impl FnMut(&[Particle]),
     ) -> (usize, StateHash) {
         let store = &self.stores[sys];
         let mut hash = StateHash::new();
-        if let Some(out) = copy.as_deref_mut() {
-            out.reserve(store.len());
-        }
         for bucket in store.bucket_slices() {
             hash.extend(bucket);
-            if let Some(out) = copy.as_deref_mut() {
-                out.extend_from_slice(bucket);
-            }
+            ship(bucket);
         }
         (store.len(), hash)
     }
@@ -420,7 +415,7 @@ mod tests {
         assert_eq!((k.outgoing(0).len(), k.outgoing(3).len(), k.outgoing(3).len()), (1, 2, 0));
     }
 
-    /// The one-walk ship hashes what the digest alone hashes and copies
+    /// The one-walk ship hashes what the digest alone hashes and hands over
     /// exactly `to_vec`: on an empty store, one bucket, eight buckets, and
     /// eight buckets after a leaver scan re-filed and shipped particles.
     #[test]
@@ -431,8 +426,8 @@ mod tests {
             (Calculator::new(0, vec![dm.clone()], 1), Calculator::new(0, vec![dm], 8));
         let check = |k: &Calculator, case: &str| {
             let mut copy = vec![at(-1.0)];
-            let (alive, hash) = k.digest(0, Some(&mut copy));
-            assert_eq!((alive, hash), k.digest(0, None), "{case}");
+            let (alive, hash) = k.digest(0, |bucket| copy.extend_from_slice(bucket));
+            assert_eq!((alive, hash), k.digest(0, |_| ()), "{case}");
             let mut want = StateHash::new();
             want.extend(k.store(0).iter());
             assert_eq!(hash, want, "{case}");

@@ -5,20 +5,22 @@
 //! receives in Figure-2 order, wall-clock phase marks, the per-role trace
 //! `strict-invariants` checks — and drives the same role core as the
 //! interleaved engine for every state transition. The image generator has
-//! no shared core: this one rasterizes particles, the engine's counts them.
+//! no shared core: this one rasterizes splat records, the engine's counts
+//! particles.
 //!
 //! Three things keep the image generator and the manager off the frame's
 //! critical path — and the calculators from outrunning them. A calculator
 //! ships a [`Msg::FrameDigest`] — count and checksum, folded where the
-//! particles live — for every system of every frame, and the particles
-//! themselves only when a [`RenderSink`] will rasterize them; the image
-//! generator combines digests and never hashes. The manager draws the
+//! particles live — for every system of every frame, and the splat records
+//! of its particles, projected, culled and clipped in the same walk, only
+//! when a [`RenderSink`] will rasterize them; the image generator combines
+//! digests, never hashes and never projects. The manager draws the
 //! *next* (frame, system) cohort right after sending the current one, while
 //! the calculators compute, and routes it by domain only when its turn to
-//! be sent comes. And when particles are shipped, a calculator ships frame
+//! be sent comes. And when records are shipped, a calculator ships frame
 //! `f` only after the image generator's [`Msg::FrameDone`] for frame
-//! `f - 2`: the channels are unbounded, a frame of render batches is 64
-//! bytes per particle, and without the token whatever the calculators gain
+//! `f - 2`: the channels are unbounded, a frame of render batches is 48
+//! bytes per splat, and without the token whatever the calculators gain
 //! on a slower rasterizer piles up in the queue between them. The image
 //! generator waits only for frames already on their way and a calculator
 //! only for a frame it shipped two frames ago, so nothing waits in a
@@ -38,7 +40,7 @@ use psa_core::invariants::{self, StateHash};
 use psa_core::DomainMap;
 use psa_math::stats::imbalance;
 use psa_render::image::{frame_filename, write_ppm};
-use psa_render::{render_objects, render_particles, render_streaks, Framebuffer};
+use psa_render::{draw_splats, render_objects, Framebuffer};
 use psa_trace::{ClockKind, Counter, Phase, Recorder};
 
 use super::calculator::Calculator;
@@ -77,7 +79,7 @@ pub(crate) fn recv_within(
 /// machines never trip it).
 const RECV_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// How many frames of [`Msg::RenderParticles`] a calculator may have shipped
+/// How many frames of [`Msg::RenderSplats`] a calculator may have shipped
 /// and the image generator not yet finished drawing: a calculator ships
 /// frame `f` only once frame `f - RENDER_WINDOW` is [`Msg::FrameDone`].
 /// Two is double buffering — one frame being drawn, one queued behind it —
@@ -158,7 +160,7 @@ pub(crate) fn calculator_main(
     scene: &Scene,
     cfg: &RunConfig,
     domains: Vec<Arc<DomainMap>>,
-    renders: bool,
+    sink: Option<&RenderSink>,
     instrument: bool,
 ) -> Result<Recorder, ProtocolError> {
     let mgr = n;
@@ -264,19 +266,27 @@ pub(crate) fn calculator_main(
             mark(&mut rec, &mut last, &ep, frame, c, Phase::Balance);
 
             // Ship the frame to the image generator: the digest always,
-            // the particles only if it rasterizes them — and then no more
-            // than RENDER_WINDOW frames ahead of its drawing. Tokens arrive
-            // in frame order, one per frame, so this one is the token of
-            // frame - RENDER_WINDOW.
-            if renders && sys == 0 && frame >= RENDER_WINDOW {
+            // the splat records only if it rasterizes them — and then no
+            // more than RENDER_WINDOW frames ahead of its drawing. Tokens
+            // arrive in frame order, one per frame, so this one is the
+            // token of frame - RENDER_WINDOW.
+            if sink.is_some() && sys == 0 && frame >= RENDER_WINDOW {
                 expect_msg!(ep, ig, "calculator", c, frame,
                     Msg::FrameDone { .. } => (), "FrameDone");
             }
-            let mut batch = renders.then(Vec::new);
-            let (alive, hash) = calc.digest(sys, batch.as_mut());
+            let mut splats = Vec::new();
+            let mut culled = 0;
+            if let Some(s) = sink {
+                splats.reserve_exact(calc.store(sys).len().saturating_mul(s.steps()));
+            }
+            let (alive, hash) = calc.digest(sys, |bucket| {
+                if let Some(s) = sink {
+                    culled += s.push_splats(&mut splats, bucket);
+                }
+            });
             ep.send_sized(ig, Msg::FrameDigest { system, alive, hash })?;
-            if let Some(batch) = batch {
-                ep.send_sized(ig, Msg::RenderParticles { system, batch })?;
+            if sink.is_some() {
+                ep.send_sized(ig, Msg::RenderSplats { system, splats, culled })?;
             }
             trace.record(frame, ProtocolEvent::ParticlesToImageGenerator);
             mark(&mut rec, &mut last, &ep, frame, c, Phase::Ship);
@@ -454,24 +464,22 @@ pub(crate) fn image_generator_main(
                 alive += count as u64;
                 hash = hash.combine(&partial);
                 if let (Some(fb), Some(s)) = (fb.as_mut(), sink.as_ref()) {
-                    let batch = expect_msg!(ep, c, "image generator", n + 1, frame,
-                        Msg::RenderParticles { batch, .. } => batch, "RenderParticles");
-                    if batch.len() != count {
+                    let (splats, culled) = expect_msg!(ep, c, "image generator", n + 1, frame,
+                        Msg::RenderSplats { splats, culled, .. } => (splats, culled),
+                        "RenderSplats");
+                    let steps = s.steps();
+                    let shipped = splats.len().checked_add(culled);
+                    if shipped.is_none() || shipped != count.checked_mul(steps) {
                         return Err(ProtocolError::DigestMismatch {
                             rank: c,
                             frame,
                             alive: count,
-                            shipped: batch.len(),
+                            steps,
+                            records: splats.len(),
+                            culled,
                         });
                     }
-                    match s.streaks {
-                        Some((len, steps)) => {
-                            render_streaks(fb, &s.camera, &batch, &s.splat, len, steps);
-                        }
-                        None => {
-                            render_particles(fb, &s.camera, &batch, &s.splat);
-                        }
-                    }
+                    draw_splats(fb, &splats, s.splat.additive);
                 }
             }
         }

@@ -22,6 +22,10 @@ use crate::scene::Scene;
 
 /// Run the scene sequentially on a machine of relative `speed`; returns a
 /// report whose `total_time` is the baseline for speed-up computation.
+///
+/// `cfg` must pass [`RunConfig::check`]: with a non-finite `dt` the report
+/// describes particles at non-finite positions, where the parallel
+/// executors refuse the run.
 pub fn run_sequential(scene: &Scene, cfg: &RunConfig, cost: &CostModel, speed: f64) -> RunReport {
     assert!(speed > 0.0);
     let n_sys = scene.systems.len();

@@ -16,9 +16,10 @@
 //!
 //! The sink also decides what a calculator ships: every frame it sends the
 //! image generator a digest (count + composable checksum) of each system,
-//! and the particles behind it only when a sink will draw them — so a run
-//! without one moves no particle to the image generator at all, and
-//! `FrameReport::{alive, checksum}` are the same either way.
+//! and the splat records its particles draw through the sink's camera only
+//! when a sink will draw them — so a run without one moves nothing but
+//! digests to the image generator, and `FrameReport::{alive, checksum}`
+//! are the same either way.
 //!
 //! Protocol failures are values, not panics: every role returns
 //! [`ProtocolError`] and [`run_threaded`] surfaces the most specific error
@@ -38,8 +39,9 @@ use std::thread;
 
 use netsim::ThreadNet;
 use psa_core::DomainMap;
+use psa_core::Particle;
 use psa_math::Axis;
-use psa_render::{Camera, SplatConfig};
+use psa_render::{push_splats, Camera, Splat, SplatConfig};
 use psa_trace::{Recorder, TraceReport};
 
 use crate::config::RunConfig;
@@ -77,17 +79,30 @@ impl RenderSink {
             streaks: None,
         }
     }
+
+    /// Splats a particle draws: its streak's steps, or one dot.
+    pub(crate) fn steps(&self) -> usize {
+        self.streaks.map_or(1, |(_, steps)| steps)
+    }
+
+    /// Append the splat records `particles` draw to `out`, in order;
+    /// returns how many splats were culled.
+    pub(crate) fn push_splats(&self, out: &mut Vec<Splat>, particles: &[Particle]) -> usize {
+        particles.iter().map(|p| push_splats(out, &self.camera, &self.splat, self.streaks, p)).sum()
+    }
 }
 
 /// Run the scene on `n` calculator threads (+ manager + image generator).
 /// Returns the wall-clock report; `sink` controls real rasterization (and
-/// with it whether particles, or only their digests, reach the image
-/// generator).
+/// with it whether splat records, or only digests, reach the image
+/// generator; the calculators project through the sink's camera, splat
+/// settings and streaks).
 ///
 /// The calculators always exchange in the dense pattern and every system
 /// runs its full protocol in turn; checkpointing and recovery, which this
 /// executor cannot honour, are rejected with
-/// [`ProtocolError::Unsupported`] before any thread starts.
+/// [`ProtocolError::Unsupported`] before any thread starts, and a
+/// configuration [`RunConfig::check`] refuses with its error.
 ///
 /// # Panics
 /// Panics if `n == 0` — a run with no calculators is a caller bug. All
@@ -120,6 +135,7 @@ pub fn run_threaded_traced(
     if cfg.checkpoint_interval > 0 {
         return Err(ProtocolError::Unsupported { executor: "threaded", option: "checkpoint" });
     }
+    cfg.check()?;
     // The threaded executor runs every balancing strategy manager-mediated
     // over the Figure-2 per-system schedule: decentralized strategies make
     // the same per-round decisions, but their transfers still travel the
@@ -137,7 +153,6 @@ pub fn run_threaded_traced(
 
     let mut handles = Vec::new();
     let mut eps = endpoints.into_iter();
-    let renders = sink.is_some();
 
     // ---- Calculator threads --------------------------------------------
     for c in 0..n {
@@ -145,8 +160,9 @@ pub fn run_threaded_traced(
         let scene = scene.clone();
         let cfg = cfg.clone();
         let domains0 = replicas.clone();
+        let sink = sink.clone();
         handles.push(thread::spawn(move || {
-            calculator_main(ep, c, n, &scene, &cfg, domains0, renders, instrument)
+            calculator_main(ep, c, n, &scene, &cfg, domains0, sink.as_ref(), instrument)
         }));
     }
 
@@ -324,33 +340,133 @@ mod tests {
         assert!(err.to_string().contains("timed out waiting for rank 1"));
     }
 
-    #[test]
-    fn a_render_batch_that_disagrees_with_its_digest_is_a_typed_error() {
-        // One calculator (rank 0), manager (1), image generator (2). The
-        // channels are unbounded, so the calculator's side of a frame can be
-        // queued before the image generator runs — of one frame, as here;
-        // a real calculator stops a window of frames ahead (see
-        // `a_calculator_ships_a_window_of_frames_and_then_waits`).
+    /// Queue one calculator's (rank 0) side of each of `frames` frames on
+    /// the image generator's link — a digest of `batch`, announcing `alive`
+    /// particles, and the records the calculator's helper makes of `batch`
+    /// through `sink`, plus `extra_culled` — and run the image generator
+    /// (rank 2; the manager, 1, says nothing to it) over them. The channels
+    /// are unbounded, so the calculator's side can be queued before the
+    /// image generator runs; a real calculator stops a window of frames
+    /// ahead (see `a_calculator_ships_a_window_of_frames_and_then_waits`).
+    fn image_generator_fed(
+        frames: u64,
+        batch: &[Particle],
+        alive: usize,
+        extra_culled: usize,
+        sink: RenderSink,
+    ) -> (Result<(Vec<(u64, u64)>, Recorder), ProtocolError>, ThreadEndpoint<Msg>) {
         let mut eps = ThreadNet::build::<Msg>(3).into_iter();
         let calc = eps.next().expect("three endpoints");
         let ig = eps.nth(1).expect("three endpoints");
-        let (scene, cfg) = (scene(), RunConfig { frames: 1, ..Default::default() });
+        let (scene, cfg) = (scene(), RunConfig { frames, ..Default::default() });
         let system = scene.systems[0].spec.id;
-        let batch = vec![Particle::default(); 3];
-        let mut hash = StateHash::new();
-        hash.extend(&batch);
-        calc.send(2, Msg::FrameDigest { system, alive: 4, hash }).expect("peer alive");
-        calc.send(2, Msg::RenderParticles { system, batch }).expect("peer alive");
-        let camera = Camera::ortho(psa_math::Aabb::centered_cube(10.0), 8, 8);
-        let err =
-            image_generator_main(ig, 1, &scene, &cfg, Some(RenderSink::headless(camera)), false)
-                .expect_err("three particles behind a digest of four");
-        assert_eq!(err, ProtocolError::DigestMismatch { rank: 0, frame: 0, alive: 4, shipped: 3 });
-        assert!(err.to_string().contains("shipped 3 particles after a digest of 4"));
+        for _ in 0..frames {
+            let mut hash = StateHash::new();
+            hash.extend(batch);
+            let mut splats = Vec::new();
+            let culled = sink.push_splats(&mut splats, batch) + extra_culled;
+            calc.send(2, Msg::FrameDigest { system, alive, hash }).expect("peer alive");
+            calc.send(2, Msg::RenderSplats { system, splats, culled }).expect("peer alive");
+        }
+        (image_generator_main(ig, 1, &scene, &cfg, Some(sink), false), calc)
+    }
+
+    #[test]
+    fn a_render_batch_that_disagrees_with_its_digest_is_a_typed_error() {
+        // Three particles at the centre draw three records as dots, nine
+        // as streaks of three; a digest of four wants four and twelve, and
+        // two culled besides the nine do not make twelve. Behind a digest
+        // of three, the nine add up.
+        let batch = [Particle::default(); 3];
+        let streaks = RenderSink { streaks: Some((0.5, 3)), ..RenderSink::headless(tiny_camera()) };
+        for (sink, steps, records, culled) in
+            [(RenderSink::headless(tiny_camera()), 1, 3, 0), (streaks.clone(), 3, 9, 2)]
+        {
+            let (got, _calc) = image_generator_fed(1, &batch, 4, culled, sink);
+            let err = got.expect_err("three particles behind a digest of four");
+            assert_eq!(
+                err,
+                ProtocolError::DigestMismatch {
+                    rank: 0,
+                    frame: 0,
+                    alive: 4,
+                    steps,
+                    records,
+                    culled
+                }
+            );
+            let text = format!(
+                "shipped {records} records and {culled} culled after a digest of 4 particles at \
+                 {steps} splats each"
+            );
+            assert!(err.to_string().contains(&text), "{err}");
+        }
+        let (got, _calc) = image_generator_fed(1, &batch, 3, 0, streaks);
+        got.expect("nine records behind a digest of three streaks of three");
     }
 
     fn tiny_camera() -> Camera {
         Camera::ortho(psa_math::Aabb::centered_cube(10.0), 32, 24)
+    }
+
+    /// The image generator draws exactly the frame `render_particles` and
+    /// `render_streaks` draw from the particles its records were made of:
+    /// a seeded batch with splats partly and wholly off the 32 × 24
+    /// screen and non-finite fields, blended and additive, compared as the
+    /// PPM files both write.
+    #[test]
+    fn the_image_generator_draws_what_render_particles_draws() {
+        use psa_math::{Rng64, Scalar, Vec3};
+        use psa_render::image::{frame_filename, write_ppm};
+        use psa_render::{render_objects, render_particles, render_streaks, Framebuffer};
+
+        let mut rng = Rng64::new(0x1A6E);
+        let batch: Vec<Particle> = (0..300)
+            .map(|i| {
+                let mut p = Particle::at(rng.in_box(Vec3::splat(-16.0), Vec3::splat(16.0)))
+                    .with_size(rng.range(0.05, 2.0))
+                    .with_color(Vec3::new(rng.unit(), rng.unit(), rng.unit()));
+                p.alpha = rng.unit();
+                p.orientation = rng.on_unit_sphere();
+                match i % 41 {
+                    0 => p.position.x = Scalar::NAN,
+                    1 => p.alpha = Scalar::INFINITY,
+                    2 => p.color.z = Scalar::NEG_INFINITY,
+                    _ => {}
+                }
+                p
+            })
+            .collect();
+        let dir = std::env::temp_dir().join(format!("psa_ig_pixels_{}", std::process::id()));
+        for additive in [false, true] {
+            for streaks in [None, Some((2.5, 3))] {
+                let case = format!("additive {additive} streaks {streaks:?}");
+                let mut sink = RenderSink::headless(tiny_camera());
+                sink.splat.additive = additive;
+                sink.streaks = streaks;
+                sink.out_dir = Some(dir.clone());
+                let (ppm, want_ppm) = (dir.join(frame_filename("frame", 0)), dir.join("want.ppm"));
+                let (camera, splat, background) =
+                    (sink.camera.clone(), sink.splat, sink.background);
+                let (got, _calc) = image_generator_fed(1, &batch, batch.len(), 0, sink);
+                got.expect("clean run");
+                let (w, h) = camera.viewport();
+                let mut want = Framebuffer::new(w, h);
+                want.clear(background);
+                render_objects(&mut want, &camera, &scene().objects);
+                let drawn = match streaks {
+                    Some((len, steps)) => {
+                        render_streaks(&mut want, &camera, &batch, &splat, len, steps)
+                    }
+                    None => render_particles(&mut want, &camera, &batch, &splat),
+                };
+                assert!(0 < drawn && drawn < batch.len(), "{case}: some drawn, some culled");
+                write_ppm(&want, &want_ppm).expect("scratch file");
+                let read = |path: &std::path::Path| std::fs::read(path).expect("frame written");
+                assert!(read(&ppm) == read(&want_ppm), "{case}: pixels differ");
+            }
+        }
+        std::fs::remove_dir_all(&dir).expect("scratch dir");
     }
 
     #[test]
@@ -404,8 +520,10 @@ mod tests {
             mgr.send(0, Msg::EndOfTransmission { system }).expect("peer alive");
         }
         let domains = vec![Arc::new(DomainMap::split_even(space_for(&scene, &cfg, 0), Axis::X, 1))];
-        let handle =
-            thread::spawn(move || calculator_main(calc, 0, 1, &scene, &cfg, domains, true, false));
+        let sink = RenderSink::headless(tiny_camera());
+        let handle = thread::spawn(move || {
+            calculator_main(calc, 0, 1, &scene, &cfg, domains, Some(&sink), false)
+        });
         (handle, mgr, ig)
     }
 
@@ -424,7 +542,7 @@ mod tests {
             let got = recv_within(ig, 0, SOON, "test", 2, frame).expect("digest");
             assert_eq!(got.kind(), "FrameDigest", "frame {frame}");
             let got = recv_within(ig, 0, SOON, "test", 2, frame).expect("batch");
-            assert_eq!(got.kind(), "RenderParticles", "frame {frame}");
+            assert_eq!(got.kind(), "RenderSplats", "frame {frame}");
         }
         for frame in 0..FRAMES {
             let got = recv_within(mgr, 0, SOON, "test", 1, frame).expect("load report");
@@ -446,7 +564,7 @@ mod tests {
         let got = recv_within(&ig, 0, SOON, "test", 2, W).expect("digest of the held frame");
         assert_eq!(got.kind(), "FrameDigest");
         let got = recv_within(&ig, 0, SOON, "test", 2, W).expect("batch of the held frame");
-        assert_eq!(got.kind(), "RenderParticles");
+        assert_eq!(got.kind(), "RenderSplats");
         calc.join().expect("no panic").expect("clean run");
     }
 
@@ -487,20 +605,10 @@ mod tests {
         // for the frames a calculator of that run waits on — none of a run
         // as long as the window, frame 0 alone of one a frame longer.
         for (frames, want) in [(W, vec![]), (W + 1, vec![0]), (W + 3, vec![0, 1, 2])] {
-            let mut eps = ThreadNet::build::<Msg>(3).into_iter();
-            let calc = eps.next().expect("three endpoints");
-            let ig = eps.nth(1).expect("three endpoints");
-            let (scene, cfg) = (scene(), RunConfig { frames, ..Default::default() });
-            let system = scene.systems[0].spec.id;
-            for _ in 0..frames {
-                let batch = vec![Particle::default(); 3];
-                let mut hash = StateHash::new();
-                hash.extend(&batch);
-                calc.send(2, Msg::FrameDigest { system, alive: 3, hash }).expect("peer alive");
-                calc.send(2, Msg::RenderParticles { system, batch }).expect("peer alive");
-            }
-            let sink = Some(RenderSink::headless(tiny_camera()));
-            image_generator_main(ig, 1, &scene, &cfg, sink, false).expect("clean run");
+            let batch = [Particle::default(); 3];
+            let sink = RenderSink::headless(tiny_camera());
+            let (run, calc) = image_generator_fed(frames, &batch, 3, 0, sink);
+            run.expect("clean run");
             let mut got = Vec::new();
             while let Ok(Msg::FrameDone { frame }) = recv_within(&calc, 2, SOON, "test", 0, 0) {
                 got.push(frame);

@@ -19,7 +19,7 @@ pub fn frame_loop(ep: &Endpoint) {
     }
     ep.send_sized(0, Msg::Load { info: cost_info() });
     ep.send_sized(9, Msg::FrameDigest { alive: held(), hash: fold() });
-    ep.send_sized(9, Msg::RenderParticles { batch: take_render() });
+    ep.send_sized(9, Msg::RenderSplats { batch: take_render() });
     match ep.recv_deadline(9) {
         Msg::FrameDone { .. } => (),
     }

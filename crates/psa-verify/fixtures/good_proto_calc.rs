@@ -16,7 +16,7 @@ pub fn frame_loop(ep: &Endpoint) {
     exchange(ep);
     ep.send(0, Msg::Load { info: cost_info() });
     ep.send_sized(9, Msg::FrameDigest { alive: held(), hash: fold() });
-    ep.send_sized(9, Msg::RenderParticles { batch: take_render() });
+    ep.send_sized(9, Msg::RenderSplats { batch: take_render() });
 }
 
 fn exchange(ep: &Endpoint) {

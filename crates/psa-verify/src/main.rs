@@ -408,7 +408,7 @@ fn frame_loop(ep: &E) {
     match ep.recv_deadline(0) { Msg::EndOfTransmission { .. } => (), }
     ep.send(1, Msg::Particles { batch });
     match ep.recv_deadline(0) { Msg::Particles { batch, .. } => use_batch(batch), }
-    ep.send(9, Msg::RenderParticles { batch });
+    ep.send(9, Msg::RenderSplats { batch });
     ep.send(0, Msg::Load { info });
 }
 ";

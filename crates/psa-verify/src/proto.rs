@@ -55,7 +55,7 @@ const fn r(kind: &'static str, required: bool) -> Step {
 /// A calculator's frame loop (threaded executor, Figure 2 left column):
 /// creation in, compute, exchange, load report, then the dynamic-balance
 /// branch (orders / donor cut / domains / donation), then ship: the frame
-/// digest every frame, the particles after it and only when something
+/// digest every frame, the splat records after it and only when something
 /// rasterizes — and then only after the image generator's `FrameDone` for
 /// the frame a window back, which is why that receive sits before the
 /// digest.
@@ -72,7 +72,7 @@ pub const CALCULATOR: &[Step] = &[
     r("Particles", false),
     r("FrameDone", false),
     s("FrameDigest", true),
-    s("RenderParticles", false),
+    s("RenderSplats", false),
 ];
 
 /// The manager's frame loop: emission out, load gather, then the
@@ -90,7 +90,7 @@ pub const MANAGER: &[Step] = &[
 /// by that calculator's render batch when there is a sink to draw into; a
 /// frame it has drawn is then reported done to the calculators.
 pub const IMAGE_GENERATOR: &[Step] =
-    &[r("FrameDigest", true), r("RenderParticles", false), s("FrameDone", false)];
+    &[r("FrameDigest", true), r("RenderSplats", false), s("FrameDone", false)];
 
 /// The virtual engine runs all roles in one address space, so its table is
 /// the interleaved global event order of `run_frames`: creation, addition,
@@ -286,7 +286,7 @@ fn frame_loop(ep: &E) {
     exchange(ep);
     ep.send(mgr, Msg::Load { info, migrated });
     ep.send_sized(ig, Msg::FrameDigest { alive, hash });
-    ep.send_sized(ig, Msg::RenderParticles { batch });
+    ep.send_sized(ig, Msg::RenderSplats { batch });
 }
 fn exchange(ep: &E) {
     for d in dests {
@@ -310,7 +310,7 @@ fn exchange(ep: &E) {
                 "recv Particles",
                 "send Load",
                 "send FrameDigest",
-                "send RenderParticles"
+                "send RenderSplats"
             ]
         );
     }

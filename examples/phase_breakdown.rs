@@ -20,7 +20,7 @@
 //! process's peak resident set before and after. A calculator's wait for
 //! `FrameDone` is charged to `ship`, so calculators held back by a slower
 //! image generator show up there; unbounded, the same lag would show up in
-//! the peak instead (12.8 MB of particles per frame in flight).
+//! the peak instead (9.6 MB of splat records per frame in flight).
 //!
 //! Run with: `cargo run --release --example phase_breakdown`
 

@@ -210,27 +210,38 @@ fn auto_exchange_fingerprints_match_explicit_modes() {
     );
 }
 
-/// A NaN time step sends every particle to NaN, and the balancer's next
-/// donation cut is NaN too. The domain map refuses that cut, so both
-/// parallel executors end the run with a typed domain error from the
-/// manager instead of storing the cut and panicking downstream. Under
-/// `strict-invariants` the per-frame position check names the NaN first.
+/// A NaN or infinite time step sends every particle to a non-finite
+/// position, and what became of that depended on the rank count: one
+/// calculator ran it `Ok`, three ended on the manager refusing a NaN
+/// donation cut. Both parallel executors now refuse it with one typed
+/// error before frame 0, at any rank count; zero and negative steps still
+/// run.
 #[test]
-fn a_nan_time_step_ends_both_executors_with_a_typed_domain_error() {
+fn a_non_finite_time_step_is_refused_before_frame_zero_at_every_rank_count() {
     let sz = WorkloadSize { systems: 2, particles_per_system: 300, scale: 25.0 };
     let scene = psa_workloads::snow_scene(sz);
-    let cfg = RunConfig {
-        frames: 6,
-        dt: f32::NAN,
-        load_metric: LoadMetric::CountProportional,
-        ..Default::default()
-    };
-    let manager_refused = |r: Result<RunReport, ProtocolError>, executor: &str| match r {
-        Err(ProtocolError::Domain { role: "manager", .. }) => {}
-        Err(ProtocolError::Invariant(_)) if cfg!(feature = "strict-invariants") => {}
-        other => panic!("{executor}: expected the manager's domain error, got {other:?}"),
-    };
-    let mut sim = EventSim::new(scene.clone(), cfg.clone(), myrinet_gcc(3, 1), sz.cost_model());
-    manager_refused(sim.try_run(), "EventSim");
-    manager_refused(run_threaded(&scene, &cfg, 2, None), "run_threaded");
+    for dt in [f32::NAN, f32::INFINITY, 0.0, -0.1] {
+        let cfg = RunConfig {
+            frames: 6,
+            dt,
+            load_metric: LoadMetric::CountProportional,
+            ..Default::default()
+        };
+        for n in [1, 3] {
+            let mut sim =
+                EventSim::new(scene.clone(), cfg.clone(), myrinet_gcc(n, 1), sz.cost_model());
+            for (executor, got) in
+                [("EventSim", sim.try_run()), ("run_threaded", run_threaded(&scene, &cfg, n, None))]
+            {
+                let case = format!("{executor}, {n} calculators, dt {dt}");
+                match got {
+                    Err(ProtocolError::NonFiniteDt { dt: refused }) if !dt.is_finite() => {
+                        assert_eq!(refused.to_bits(), dt.to_bits(), "{case}");
+                    }
+                    Ok(report) if dt.is_finite() => assert_eq!(report.frames.len(), 6, "{case}"),
+                    other => panic!("{case}: got {other:?}"),
+                }
+            }
+        }
+    }
 }

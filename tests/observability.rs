@@ -103,11 +103,14 @@ fn instrumented_threaded_runs_match_bare_checksums() {
 /// `send_sized`. Under static balancing every message of a frame has a
 /// known size, so what the calculators ship to the image generator can be
 /// isolated exactly: with no sink it is one digest per (system,
-/// calculator), whatever the population; with a sink the particles follow.
+/// calculator), whatever the population; with a sink the splat records
+/// follow, one per particle, since the 64 × 48 camera frames every snow
+/// particle and culls none.
 #[test]
 fn threaded_trace_counts_payload_bytes_and_a_sinkless_ship_is_digests_only() {
     use particle_cluster_anim::core::WIRE_BYTES;
     use particle_cluster_anim::net::WireSize;
+    use particle_cluster_anim::render::Splat;
     use particle_cluster_anim::runtime::msg::{Msg, DIGEST_WIRE_BYTES};
     use particle_cluster_anim::runtime::LoadInfo;
 
@@ -150,8 +153,8 @@ fn threaded_trace_counts_payload_bytes_and_a_sinkless_ship_is_digests_only() {
         shipped += ship;
         assert_eq!(
             drawn_trace.counters.payload_bytes - bare_trace.counters.payload_bytes,
-            wire * fr.alive,
-            "frame {}: a sink adds exactly the particles",
+            std::mem::size_of::<Splat>() as u64 * fr.alive,
+            "frame {}: a sink adds exactly the records",
             fr.frame
         );
     }
