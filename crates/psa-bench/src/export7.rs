@@ -12,8 +12,8 @@
 //! * **Latency** — p50/p99 frame latency as the viewer sees it (the first
 //!   frame is measured from arrival, so admission-queue wait is in the
 //!   tail) plus the mean queue wait itself;
-//! * **Pool health** — dispatch counts, slot recycles, and the arena high
-//!   water, which is how `max_in_flight` gets sized;
+//! * **Pool health** — dispatch counts, in-flight place recycles, and
+//!   their high water, which is how `max_in_flight` gets sized;
 //! * **Parity** — every cell re-runs one sampled session solo and checks
 //!   the fingerprint matches the multiplexed run byte-for-byte; a cell
 //!   that cannot prove parity does not validate.
@@ -35,7 +35,7 @@ use crate::{fields, json_fields, obj, Export};
 /// Worker lanes every BENCH_7 pool runs with.
 pub const BENCH7_WORKERS: usize = 8;
 
-/// Slot-arena size (admission `max_in_flight`) every pool runs with.
+/// In-flight places (admission `max_in_flight`) every pool runs with.
 pub const BENCH7_IN_FLIGHT: usize = 32;
 
 /// Tenants sessions are spread over (round-robin).
@@ -65,7 +65,7 @@ pub struct Bench7Cell {
     pub mean_queue_wait: f64,
     /// Frame-slice dispatches the scheduler issued.
     pub dispatches: u64,
-    /// Completed slot acquire→recycle cycles.
+    /// Completed in-flight place hold→release cycles.
     pub slot_recycles: u64,
     /// Most slots ever held at once (sizes `max_in_flight`).
     pub slot_high_water: usize,

@@ -137,10 +137,10 @@ impl EventSim {
 
     /// Run the animation; returns the report (virtual makespan included),
     /// or the protocol error that ended the run early — or, before frame
-    /// 0, the one [`RunConfig::check`] refuses the configuration with. The
-    /// simulator keeps its inputs, so it may run again.
+    /// 0, the one [`RunConfig::check`] refuses the configuration with
+    /// (`Engine::step_frame` asks it). The simulator keeps its inputs, so
+    /// it may run again.
     pub fn try_run(&mut self) -> Result<RunReport, ProtocolError> {
-        self.cfg.check()?;
         let run = EventSim {
             scene: self.scene.clone(),
             cfg: self.cfg.clone(),

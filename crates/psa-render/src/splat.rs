@@ -1,5 +1,7 @@
 //! Point-splat rasterization of particle sets and external objects.
 
+use std::num::NonZeroUsize;
+
 use psa_core::objects::ExternalObject;
 use psa_core::Particle;
 use psa_math::{ceil_isize, floor_isize, Scalar, Vec3};
@@ -67,7 +69,7 @@ pub fn push_splats(
     out: &mut Vec<Splat>,
     camera: &Camera,
     cfg: &SplatConfig,
-    streak: Option<(Scalar, usize)>,
+    streak: Option<(Scalar, NonZeroUsize)>,
     p: &Particle,
 ) -> usize {
     let Some((length, steps)) = streak else {
@@ -77,8 +79,8 @@ pub fn push_splats(
     // the tail.
     let dir = p.orientation.normalized();
     let mut culled = 0;
-    for s in 0..steps {
-        let t = s as Scalar / steps as Scalar;
+    for s in 0..steps.get() {
+        let t = s as Scalar / steps.get() as Scalar;
         let at = p.position - dir * (length * t);
         let alpha = p.alpha * (1.0 - 0.7 * t);
         culled += usize::from(!push_splat(out, camera, cfg, at, p.size, p.color, alpha));
@@ -175,9 +177,9 @@ fn render(
     camera: &Camera,
     particles: &[Particle],
     cfg: &SplatConfig,
-    streak: Option<(Scalar, usize)>,
+    streak: Option<(Scalar, NonZeroUsize)>,
 ) -> usize {
-    let steps = streak.map_or(1, |(_, steps)| steps);
+    let steps = streak.map_or(1, |(_, steps)| steps.get());
     let mut drawn = 0;
     let mut splats = Vec::with_capacity(CHUNK.min(particles.len()).saturating_mul(steps));
     for chunk in particles.chunks(CHUNK) {
@@ -209,6 +211,10 @@ pub fn render_particles(
 /// `steps` sub-splats along its orientation vector scaled by
 /// `streak_length`, with alpha fading toward the tail; it counts as drawn
 /// if any of them lands.
+///
+/// # Panics
+///
+/// If `steps` is 0: a streak draws at least one sub-splat.
 pub fn render_streaks(
     fb: &mut Framebuffer,
     camera: &Camera,
@@ -217,7 +223,7 @@ pub fn render_streaks(
     streak_length: Scalar,
     steps: usize,
 ) -> usize {
-    assert!(steps >= 1);
+    let steps = NonZeroUsize::new(steps).expect("a streak needs at least one step");
     render(fb, camera, particles, cfg, Some((streak_length, steps)))
 }
 
@@ -488,7 +494,8 @@ mod tests {
             assert_eq!(out.len(), render_particles(&mut fb, &cam, &[p], &cfg));
             dots[culled] += 1;
             out.clear();
-            let culled = push_splats(&mut out, &cam, &cfg, Some((2.5, 3)), &p);
+            let streak = NonZeroUsize::new(3).map(|steps| (2.5, steps));
+            let culled = push_splats(&mut out, &cam, &cfg, streak, &p);
             assert_eq!(out.len() + culled, 3);
             let drawn = render_streaks(&mut fb, &cam, &[p], &cfg, 2.5, 3);
             assert_eq!(drawn, usize::from(culled < 3));

@@ -203,6 +203,11 @@ impl RunConfig {
     /// particle to a non-finite position, and what becomes of it then
     /// depends on the rank count (a NaN donation cut is refused, a
     /// one-calculator run has no cut). Zero and negative steps are legal.
+    /// Two call sites ask it:
+    /// [`Engine::step_frame`](crate::protocol::Engine::step_frame), before
+    /// every frame of every virtual engine (`EventSim` and the session
+    /// pool), and [`run_threaded_traced`](crate::threaded::run_threaded_traced),
+    /// before it starts a thread.
     pub fn check(&self) -> Result<(), ProtocolError> {
         if self.dt.is_finite() {
             Ok(())

@@ -33,6 +33,7 @@
 // psa-verify: allow(thread-spawn) — the role threads (calculators, manager,
 // image generator) ARE this executor's architecture; compute-phase worker
 // spawns are confined to psa_core::pool.
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread;
@@ -64,7 +65,27 @@ pub struct RenderSink {
     pub background: psa_math::Vec3,
     /// Render orientation-aligned streaks of `(length, steps)` instead of
     /// dots (uses the paper's mandatory orientation property).
-    pub streaks: Option<(f32, usize)>,
+    ///
+    /// ```
+    /// use std::num::NonZeroUsize;
+    /// use psa_math::Aabb;
+    /// use psa_render::Camera;
+    /// use psa_runtime::threaded::RenderSink;
+    ///
+    /// let mut sink = RenderSink::headless(Camera::ortho(Aabb::centered_cube(10.0), 32, 24));
+    /// sink.streaks = NonZeroUsize::new(4).map(|steps| (1.2, steps));
+    /// ```
+    ///
+    /// A streak of no steps would draw nothing, and cannot be written:
+    ///
+    /// ```compile_fail,E0308
+    /// # use psa_math::Aabb;
+    /// # use psa_render::Camera;
+    /// # use psa_runtime::threaded::RenderSink;
+    /// let mut sink = RenderSink::headless(Camera::ortho(Aabb::centered_cube(10.0), 32, 24));
+    /// sink.streaks = Some((1.2, 0));
+    /// ```
+    pub streaks: Option<(f32, NonZeroUsize)>,
 }
 
 impl RenderSink {
@@ -82,7 +103,7 @@ impl RenderSink {
 
     /// Splats a particle draws: its streak's steps, or one dot.
     pub(crate) fn steps(&self) -> usize {
-        self.streaks.map_or(1, |(_, steps)| steps)
+        self.streaks.map_or(1, |(_, steps)| steps.get())
     }
 
     /// Append the splat records `particles` draw to `out`, in order;
@@ -378,7 +399,10 @@ mod tests {
         // two culled besides the nine do not make twelve. Behind a digest
         // of three, the nine add up.
         let batch = [Particle::default(); 3];
-        let streaks = RenderSink { streaks: Some((0.5, 3)), ..RenderSink::headless(tiny_camera()) };
+        let streaks = RenderSink {
+            streaks: NonZeroUsize::new(3).map(|steps| (0.5, steps)),
+            ..RenderSink::headless(tiny_camera())
+        };
         for (sink, steps, records, culled) in
             [(RenderSink::headless(tiny_camera()), 1, 3, 0), (streaks.clone(), 3, 9, 2)]
         {
@@ -439,7 +463,7 @@ mod tests {
             .collect();
         let dir = std::env::temp_dir().join(format!("psa_ig_pixels_{}", std::process::id()));
         for additive in [false, true] {
-            for streaks in [None, Some((2.5, 3))] {
+            for streaks in [None, NonZeroUsize::new(3).map(|steps| (2.5, steps))] {
                 let case = format!("additive {additive} streaks {streaks:?}");
                 let mut sink = RenderSink::headless(tiny_camera());
                 sink.splat.additive = additive;
@@ -456,7 +480,7 @@ mod tests {
                 render_objects(&mut want, &camera, &scene().objects);
                 let drawn = match streaks {
                     Some((len, steps)) => {
-                        render_streaks(&mut want, &camera, &batch, &splat, len, steps)
+                        render_streaks(&mut want, &camera, &batch, &splat, len, steps.get())
                     }
                     None => render_particles(&mut want, &camera, &batch, &splat),
                 };
@@ -487,7 +511,7 @@ mod tests {
                     r.frames.iter().map(|f| (f.alive, f.checksum)).collect()
                 };
                 let bare = per_frame(None);
-                for streaks in [None, Some((0.4, 3))] {
+                for streaks in [None, NonZeroUsize::new(3).map(|steps| (0.4, steps))] {
                     let sink = RenderSink { streaks, ..RenderSink::headless(tiny_camera()) };
                     assert_eq!(per_frame(Some(sink)), bare, "frames {frames} n {n} {streaks:?}");
                 }

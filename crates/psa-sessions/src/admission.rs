@@ -1,13 +1,14 @@
 //! Admission control: the bounded queue and the per-tenant caps.
 //!
-//! Admission is where the pool says *no*. Everything downstream of it —
-//! slots, lanes, the dispatch rotation — is sized at construction and
-//! never grows, so the only way the pool can melt under load is if
-//! admission lets it. Two limits apply, checked in order:
+//! Admission is where the pool says *no*. At most `max_in_flight`
+//! sessions run at once ([`SlotStats`] counts them), the lanes are fixed
+//! at construction, and the queue is bounded, so the only way the pool
+//! can melt under load is if admission lets it. Two limits apply, checked
+//! in order:
 //!
 //! 1. **per-tenant in-flight cap** — a tenant may hold at most
-//!    `per_tenant_in_flight` slots; excess sessions queue even when slots
-//!    are free, so one tenant cannot drain the pool;
+//!    `per_tenant_in_flight` places; excess sessions queue even when
+//!    places are free, so one tenant cannot drain the pool;
 //! 2. **bounded queue** — the admission queue holds at most
 //!    `queue_capacity` sessions overall and `per_tenant_backlog` per
 //!    tenant; beyond that a session is [`AdmissionError::Rejected`],
@@ -87,9 +88,9 @@ impl std::error::Error for AdmissionError {}
 /// callers size them from their latency budget.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AdmissionConfig {
-    /// Sessions the pool services concurrently — the slot-arena size.
+    /// Sessions the pool services concurrently (at least 1).
     pub max_in_flight: usize,
-    /// Slots one tenant may hold at once.
+    /// In-flight places one tenant may hold at once.
     pub per_tenant_in_flight: usize,
     /// Global bound on the admission queue.
     pub queue_capacity: usize,
@@ -147,6 +148,39 @@ impl AdmissionConfig {
     }
 }
 
+/// The in-flight count admission holds sessions to, with its cumulative
+/// statistics (for capacity tuning and bench output).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SlotStats {
+    /// Places for in-flight sessions (admission's `max_in_flight`).
+    pub capacity: usize,
+    /// Places currently held by sessions.
+    pub in_use: usize,
+    /// Completed hold→release cycles.
+    pub recycled: u64,
+    /// Most places ever held at once.
+    pub high_water: usize,
+}
+
+impl SlotStats {
+    /// Is a place free for one more in-flight session?
+    pub(crate) fn has_free(&self) -> bool {
+        self.in_use < self.capacity
+    }
+
+    /// A session takes an in-flight place.
+    pub(crate) fn hold(&mut self) {
+        self.in_use += 1;
+        self.high_water = self.high_water.max(self.in_use);
+    }
+
+    /// A session gives its in-flight place back.
+    pub(crate) fn release(&mut self) {
+        self.in_use = self.in_use.saturating_sub(1);
+        self.recycled += 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,6 +209,21 @@ mod tests {
     fn unbounded_never_rejects() {
         let c = AdmissionConfig::unbounded(4);
         assert_eq!(c.decide(usize::MAX - 1, usize::MAX - 1, usize::MAX - 1, false), Ok(false));
+    }
+
+    #[test]
+    fn holds_and_releases_count_places() {
+        let mut p = SlotStats { capacity: 2, ..SlotStats::default() };
+        p.hold();
+        p.hold();
+        assert!(!p.has_free(), "two places are full");
+        assert_eq!((p.in_use, p.high_water), (2, 2));
+        p.release();
+        assert!(p.has_free());
+        p.hold();
+        p.release();
+        p.release();
+        assert_eq!((p.in_use, p.high_water, p.recycled), (0, 2, 3));
     }
 
     #[test]

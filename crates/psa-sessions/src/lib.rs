@@ -16,9 +16,10 @@
 //! * **Scheduling is cooperative** ([`manager`]): dispatches hand a
 //!   session at most a few frames before it yields the lane, so long
 //!   sessions never starve short ones.
-//! * **State is pooled** ([`slot`]): per-session engines and report
-//!   buffers live in a recycled slot arena, not in per-session heap
-//!   churn.
+//! * **State lives on the session's record**: a running session's
+//!   engine, snapshot and report spines are one box, created when it takes
+//!   an in-flight place and freed when it gives the place back, so a
+//!   queued, finished or rejected session costs one pointer.
 //! * **Determinism survives multiplexing** ([`session`]): session `k`
 //!   runs under `Rng64::new(base).split(k)`, and its report is
 //!   byte-identical to a solo run of that seed regardless of worker
@@ -34,11 +35,7 @@
 pub mod admission;
 pub mod manager;
 pub mod session;
-pub mod slot;
 
-pub use admission::{AdmissionConfig, AdmissionError, RejectReason};
+pub use admission::{AdmissionConfig, AdmissionError, RejectReason, SlotStats};
 pub use manager::{PoolConfig, PoolFault, PoolReport, SessionManager};
-pub use session::{
-    derive_session_seed, SessionId, SessionOutcome, SessionSpec, SessionState, TenantId,
-};
-pub use slot::{SessionSlot, SlotPool, SlotStats, SlotTicket};
+pub use session::{derive_session_seed, SessionId, SessionOutcome, SessionSpec, TenantId};

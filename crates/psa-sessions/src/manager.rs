@@ -33,11 +33,8 @@ use psa_runtime::protocol::Engine;
 use psa_runtime::report::{FrameReport, RunReport};
 use psa_trace::SessionCounters;
 
-use crate::admission::{AdmissionConfig, AdmissionError};
-use crate::session::{
-    derive_session_seed, SessionId, SessionOutcome, SessionSpec, SessionState, TenantId,
-};
-use crate::slot::{SlotPool, SlotStats, SlotTicket};
+use crate::admission::{AdmissionConfig, AdmissionError, SlotStats};
+use crate::session::{derive_session_seed, SessionId, SessionOutcome, SessionSpec, TenantId};
 
 /// Pool-level configuration.
 #[derive(Clone, Copy, Debug)]
@@ -50,7 +47,7 @@ pub struct PoolConfig {
     pub workers: usize,
     /// Frames a session may run per dispatch before yielding the lane.
     pub slice_frames: u64,
-    /// Admission bounds (queue, slots, per-tenant caps).
+    /// Admission bounds (queue, in-flight places, per-tenant caps).
     pub admission: AdmissionConfig,
     /// Pool base seed; session `k` runs under
     /// [`derive_session_seed`]`(base_seed, k)`.
@@ -101,14 +98,16 @@ struct Lane {
     alive: bool,
 }
 
-/// Book-keeping for one admitted session.
+/// Book-keeping for one admitted session: the only owner of its state.
 struct SessionEntry {
     tenant: TenantId,
     /// Pool-virtual arrival time (the spec's).
     arrival: f64,
     seed: u64,
-    state: SessionState,
-    ticket: Option<SlotTicket>,
+    /// The run state of a session in the dispatch rotation; `None` while
+    /// it queues, while a slice of it runs on a pool thread, and after it
+    /// gave its in-flight place back.
+    run: Option<Box<RunState>>,
     first_dispatch: Option<f64>,
     /// Pool time the session's latest frame completed at.
     last_done: f64,
@@ -130,7 +129,7 @@ pub struct PoolReport {
     pub dispatches: u64,
     /// Lanes lost to [`PoolFault::WorkerLoss`].
     pub lanes_lost: usize,
-    /// Slot-arena statistics (recycle count, high water).
+    /// In-flight place statistics (recycle count, high water).
     pub slot_stats: SlotStats,
 }
 
@@ -187,11 +186,12 @@ pub struct SessionManager {
     /// Every admitted spec, by session index. Read only while the pool
     /// runs, so every pool thread can share it.
     specs: Vec<SessionSpec>,
-    /// Dispatch rotation: sessions holding a slot, in yield order.
+    /// Dispatch rotation: sessions holding an in-flight place, in yield
+    /// order.
     ready: VecDeque<usize>,
-    /// The bounded admission queue: sessions waiting for a slot.
+    /// The bounded admission queue: sessions waiting for a place.
     pending: VecDeque<usize>,
-    slots: SlotPool,
+    slots: SlotStats,
     tenant_running: BTreeMap<u32, usize>,
     tenant_queued: BTreeMap<u32, usize>,
     faults: VecDeque<PoolFault>,
@@ -204,11 +204,15 @@ pub struct SessionManager {
 }
 
 impl SessionManager {
-    /// A pool with `cfg.workers` idle lanes and an empty slot arena of
-    /// `cfg.admission.max_in_flight` slots.
+    /// A pool with `cfg.workers` idle lanes and
+    /// `cfg.admission.max_in_flight` free in-flight places.
     pub fn new(cfg: PoolConfig) -> Self {
         assert!(cfg.workers >= 1, "a pool needs at least one worker lane");
         assert!(cfg.slice_frames >= 1, "a dispatch must run at least one frame");
+        assert!(
+            cfg.admission.max_in_flight >= 1,
+            "a pool with no in-flight place would queue every session"
+        );
         assert!(
             cfg.admission.per_tenant_in_flight >= 1,
             "a zero in-flight cap would deadlock every tenant"
@@ -219,7 +223,7 @@ impl SessionManager {
             specs: Vec::new(),
             ready: VecDeque::new(),
             pending: VecDeque::new(),
-            slots: SlotPool::new(cfg.admission.max_in_flight),
+            slots: SlotStats { capacity: cfg.admission.max_in_flight, ..SlotStats::default() },
             tenant_running: BTreeMap::new(),
             tenant_queued: BTreeMap::new(),
             faults: VecDeque::new(),
@@ -265,10 +269,10 @@ impl SessionManager {
     ///     cost: size.cost_model(),
     ///     arrival: 0.0,
     /// };
-    /// // One slot: the first session runs, the second queues behind it.
+    /// // One place: the first session runs, the second queues behind it.
     /// let admission = AdmissionConfig { max_in_flight: 1, ..AdmissionConfig::unbounded(1) };
     /// let mut pool = SessionManager::new(PoolConfig { admission, ..PoolConfig::default() });
-    /// let first = pool.admit(spec.clone()).expect("slot is free");
+    /// let first = pool.admit(spec.clone()).expect("a place is free");
     /// match pool.admit(spec) {
     ///     Err(AdmissionError::Queued { id, position: 0 }) => assert_ne!(id, first),
     ///     other => panic!("expected backpressure, got {other:?}"),
@@ -286,46 +290,31 @@ impl SessionManager {
             self.cfg.admission.decide(running, queued, self.pending.len(), self.slots.has_free());
         let arrival = spec.arrival;
         self.specs.push(spec);
-        let mut entry = SessionEntry {
+        let index = self.entries.len();
+        self.entries.push(SessionEntry {
             tenant,
             arrival,
             seed,
-            state: SessionState::Admitted,
-            ticket: None,
+            run: None,
             first_dispatch: None,
             last_done: arrival,
             counters: SessionCounters::default(),
-        };
-        let index = self.entries.len();
+        });
         match decision {
             Ok(true) => {
-                entry.ticket = self.slots.acquire();
-                debug_assert!(entry.ticket.is_some(), "decide() saw a free slot");
-                entry.state = SessionState::Running;
-                self.entries.push(entry);
-                self.ready.push_back(index);
-                *self.tenant_running.entry(tenant.0).or_insert(0) += 1;
+                self.start(index);
                 Ok(id)
             }
             Ok(false) => {
-                entry.state = SessionState::Queued;
-                self.entries.push(entry);
                 self.pending.push_back(index);
                 *self.tenant_queued.entry(tenant.0).or_insert(0) += 1;
                 Err(AdmissionError::Queued { id, position: self.pending.len() - 1 })
             }
             Err(reason) => {
-                entry.state = SessionState::Rejected;
-                self.entries.push(entry);
                 self.report.rejected.push(id);
                 Err(AdmissionError::Rejected { id, tenant, reason })
             }
         }
-    }
-
-    /// The lifecycle state of a session (admitted or rejected ids only).
-    pub fn state_of(&self, id: SessionId) -> Option<SessionState> {
-        self.entries.get(id.0 as usize).map(|e| e.state)
     }
 
     /// Drive the pool until every admitted session has completed (or
@@ -382,7 +371,7 @@ impl SessionManager {
         );
         self.report.dispatches = self.dispatches;
         self.report.lanes_lost = self.lanes_lost;
-        self.report.slot_stats = self.slots.stats();
+        self.report.slot_stats = self.slots;
         self.report
     }
 
@@ -430,64 +419,47 @@ impl SessionManager {
         };
         if let Some(entry) = self.entries.get_mut(index) {
             entry.counters.requeues += 1;
-            if let Some(slot) = entry.ticket.and_then(|t| self.slots.get_mut(t)) {
-                slot.engine = None;
+            if let Some(run) = entry.run.as_deref_mut() {
+                run.engine = None;
                 // Rewind the completed-frame spines to the checkpoint (to
                 // nothing when checkpoints are off). The dropped latency
                 // gaps sum to the virtual time the session pays again on
                 // replay, and walking `last_done` back by that sum leaves
                 // it at the last *kept* frame's completion time.
-                let keep = slot.snapshot.as_ref().map_or(0, |s| s.next_frame as usize);
-                let keep = keep.min(slot.frames.len());
+                let keep = run.snapshot.as_ref().map_or(0, |s| s.next_frame as usize);
+                let keep = keep.min(run.frames.len());
                 let dropped_secs: f64 =
-                    slot.latencies.get(keep..).map_or(0.0, |tail| tail.iter().sum());
-                let dropped = (slot.frames.len() - keep) as u64;
-                slot.frames.truncate(keep);
-                slot.latencies.truncate(keep);
+                    run.latencies.get(keep..).map_or(0.0, |tail| tail.iter().sum());
+                let dropped = (run.frames.len() - keep) as u64;
+                run.frames.truncate(keep);
+                run.latencies.truncate(keep);
                 entry.counters.lost_frames += dropped;
                 entry.counters.restart_lost_secs += dropped_secs;
                 entry.counters.frames = keep as u64;
                 if keep > 0 {
                     entry.last_done -= dropped_secs;
                 }
-            } else {
-                entry.counters.frames = 0;
             }
         }
         self.ready.push_back(index);
     }
 
-    /// Pop the rotation head and move its session-private state out of its
-    /// slot, to run on a pool worker.
+    /// Pop the rotation head and move its run state off its record, to run
+    /// on a pool worker.
     fn take_slice(&mut self) -> Option<Slice> {
         let index = self.ready.pop_front()?;
-        let entry = self.entries.get(index)?;
-        let slot = self.slots.get_mut(entry.ticket?)?;
-        Some(Slice {
-            index,
-            seed: entry.seed,
-            engine: slot.engine.take(),
-            snapshot: slot.snapshot.take(),
-            frames: std::mem::take(&mut slot.frames),
-            done: entry.counters.frames,
-        })
+        let entry = self.entries.get_mut(index)?;
+        Some(Slice { index, seed: entry.seed, run: entry.run.take()?, done: entry.counters.frames })
     }
 
     /// Commit one executed slice, in dispatch order: it ran on the
     /// earliest-free lane, whose clock now advances by its frame times.
     fn commit(&mut self, ran: Executed) {
-        let Executed { slice, frame_times, outcome } = ran;
-        let index = slice.index;
+        let Executed { slice: Slice { index, mut run, .. }, frame_times, outcome } = ran;
         let lane = self.earliest_lane();
         let Some(entry) = self.entries.get_mut(index) else {
             return;
         };
-        let Some(slot) = entry.ticket.and_then(|t| self.slots.get_mut(t)) else {
-            return;
-        };
-        slot.engine = slice.engine;
-        slot.snapshot = slice.snapshot;
-        slot.frames = slice.frames;
         let t0 = self.lanes.get(lane).map(|l| l.busy_until).unwrap_or(0.0);
         if entry.first_dispatch.is_none() {
             entry.first_dispatch = Some(t0);
@@ -496,7 +468,7 @@ impl SessionManager {
         entry.counters.slices += 1;
         if let SliceOutcome::Refused(e) = outcome {
             self.report.failed.push((SessionId(index as u64), e));
-            self.release(index, SessionState::Recycled);
+            self.release(index);
             self.promote_queued();
             return;
         }
@@ -504,8 +476,8 @@ impl SessionManager {
         for frame_time in frame_times {
             t += frame_time;
             let latency =
-                if slot.latencies.is_empty() { t - entry.arrival } else { t - entry.last_done };
-            slot.latencies.push(latency);
+                if run.latencies.is_empty() { t - entry.arrival } else { t - entry.last_done };
+            run.latencies.push(latency);
             entry.last_done = t;
             entry.counters.frames += 1;
         }
@@ -514,29 +486,31 @@ impl SessionManager {
         }
         self.report.makespan = self.report.makespan.max(t);
         match outcome {
-            SliceOutcome::Yielded => self.ready.push_back(index),
-            SliceOutcome::Finished(report) => self.finish_session(index, t, *report),
+            SliceOutcome::Yielded => {
+                entry.run = Some(run);
+                self.ready.push_back(index);
+            }
+            SliceOutcome::Finished(report) => self.finish_session(index, t, *report, run.latencies),
             SliceOutcome::Failed(e) | SliceOutcome::Refused(e) => {
                 self.report.failed.push((SessionId(index as u64), e));
-                self.release(index, SessionState::Recycled);
+                self.release(index);
             }
         }
         self.promote_queued();
     }
 
-    /// Turn a completed session's report into its outcome and recycle its
-    /// slot.
-    fn finish_session(&mut self, index: usize, finished_at: f64, report: RunReport) {
+    /// Turn a completed session's report and latency spine into its
+    /// outcome and release its in-flight place.
+    fn finish_session(
+        &mut self,
+        index: usize,
+        finished_at: f64,
+        report: RunReport,
+        frame_latencies: Vec<f64>,
+    ) {
         let Some(entry) = self.entries.get_mut(index) else {
             return;
         };
-        entry.state = SessionState::Draining;
-        let Some(slot) = entry.ticket.and_then(|t| self.slots.get_mut(t)) else {
-            return;
-        };
-        // Copy the latency spine out (drain keeps the slot's capacity for
-        // the next occupant — the arena's whole point).
-        let frame_latencies: Vec<f64> = slot.latencies.drain(..).collect();
         if let Some(phases) = &report.phases {
             entry.counters.add_phase_totals(&phases.phase_totals());
         }
@@ -551,24 +525,34 @@ impl SessionManager {
             counters: entry.counters.clone(),
         };
         self.report.outcomes.push(outcome);
-        self.release(index, SessionState::Recycled);
+        self.release(index);
     }
 
-    /// Return a session's slot and tenant token.
-    fn release(&mut self, index: usize, state: SessionState) {
+    /// A session takes an in-flight place: its run state is created and it
+    /// joins the dispatch rotation.
+    fn start(&mut self, index: usize) {
         let Some(entry) = self.entries.get_mut(index) else {
             return;
         };
-        entry.state = state;
-        if let Some(ticket) = entry.ticket.take() {
-            self.slots.recycle(ticket);
-        }
+        entry.run = Some(Box::default());
+        self.slots.hold();
+        *self.tenant_running.entry(entry.tenant.0).or_insert(0) += 1;
+        self.ready.push_back(index);
+    }
+
+    /// Give back a session's in-flight place and tenant token. Its run
+    /// state is already off its record, with the slice that ended it.
+    fn release(&mut self, index: usize) {
+        let Some(entry) = self.entries.get(index) else {
+            return;
+        };
+        self.slots.release();
         if let Some(n) = self.tenant_running.get_mut(&entry.tenant.0) {
             *n = n.saturating_sub(1);
         }
     }
 
-    /// Move queued sessions into the rotation while slots and tenant
+    /// Move queued sessions into the rotation while places and tenant
     /// headroom allow — FIFO among tenants with headroom (a capped
     /// tenant's backlog never blocks the others). Returns whether any
     /// session was promoted.
@@ -595,12 +579,7 @@ impl SessionManager {
             if let Some(n) = self.tenant_queued.get_mut(&tenant.0) {
                 *n = n.saturating_sub(1);
             }
-            if let Some(entry) = self.entries.get_mut(index) {
-                entry.ticket = self.slots.acquire();
-                entry.state = SessionState::Running;
-            }
-            *self.tenant_running.entry(tenant.0).or_insert(0) += 1;
-            self.ready.push_back(index);
+            self.start(index);
             promoted = true;
         }
         promoted
@@ -611,16 +590,31 @@ impl SessionManager {
 /// slice finds the next one queued while the coordinator commits.
 const LOOKAHEAD_PER_THREAD: usize = 4;
 
-/// One dispatched slice's session-private state, moved to a pool worker
-/// and back. Nothing in it is shared with another session or with the
+/// A running session's state, boxed on its record so that a record that
+/// is not running costs one pointer.
+#[derive(Default)]
+struct RunState {
+    /// The session's engine; `None` before its first slice and after a
+    /// worker loss dropped it.
+    engine: Option<Engine<EventFabric>>,
+    /// Last pool-level checkpoint of the engine, taken every
+    /// [`PoolConfig::checkpoint_interval`] completed frames. A worker-loss
+    /// restart rebuilds the engine and restores this instead of replaying
+    /// from frame 0.
+    snapshot: Option<EngineSnapshot>,
+    /// Per-frame reports in frame order.
+    frames: Vec<FrameReport>,
+    /// Pool-virtual frame-completion gaps.
+    latencies: Vec<f64>,
+}
+
+/// One dispatched slice: a session's run state, moved to a pool worker and
+/// back. Nothing in it is shared with another session or with the
 /// coordinator's books.
 struct Slice {
     index: usize,
     seed: u64,
-    /// `None` on first dispatch and after a worker loss dropped it.
-    engine: Option<Engine<EventFabric>>,
-    snapshot: Option<EngineSnapshot>,
-    frames: Vec<FrameReport>,
+    run: Box<RunState>,
     /// Frames the session has completed (the checkpoint cadence counts
     /// them).
     done: u64,
@@ -655,16 +649,21 @@ impl Slice {
         instrument: bool,
     ) -> Executed {
         let mut frame_times = Vec::new();
-        let mut engine = match self.engine.take() {
+        let mut engine = match self.run.engine.take() {
             Some(engine) => engine,
             None => {
+                // Spines sized to the run, so they move into the outcome
+                // without slack.
+                let n = spec.cfg.frames as usize;
+                self.run.frames.reserve_exact(n);
+                self.run.latencies.reserve_exact(n);
                 let solo = spec.solo(self.seed);
                 let mut engine = if instrument { solo.with_phases() } else { solo }.into_engine();
                 // After a worker loss the rebuilt engine resumes from the
                 // last pool checkpoint. A snapshot taken from this very spec
                 // always fits; a mismatch is surfaced as a typed session
                 // failure, not a panic.
-                if let Some(Err(e)) = self.snapshot.as_ref().map(|snap| engine.restore(snap)) {
+                if let Some(Err(e)) = self.run.snapshot.as_ref().map(|snap| engine.restore(snap)) {
                     return Executed {
                         slice: self,
                         frame_times,
@@ -680,10 +679,10 @@ impl Slice {
             match engine.step_frame() {
                 Ok(Some(fr)) => {
                     frame_times.push(fr.frame_time);
-                    self.frames.push(fr);
+                    self.run.frames.push(fr);
                     self.done += 1;
                     if interval > 0 && self.done.is_multiple_of(interval) {
-                        self.snapshot = Some(engine.snapshot());
+                        self.run.snapshot = Some(engine.snapshot());
                     }
                 }
                 Ok(None) => {
@@ -699,9 +698,7 @@ impl Slice {
         let outcome = match failed {
             Some(e) => SliceOutcome::Failed(e),
             None if finished || engine.frames_remaining() == 0 => {
-                // Drain keeps the spine's capacity for the slot's next
-                // occupant.
-                let frames = self.frames.drain(..).collect();
+                let frames = std::mem::take(&mut self.run.frames);
                 let report = engine.finish_report(spec.cluster.describe(), frames);
                 SliceOutcome::Finished(Box::new(report))
             }
@@ -709,7 +706,7 @@ impl Slice {
         };
         // A session that ended frees its engine here, on the thread whose
         // allocator will build the next one, not on the coordinator.
-        self.engine = matches!(outcome, SliceOutcome::Yielded).then_some(engine);
+        self.run.engine = matches!(outcome, SliceOutcome::Yielded).then_some(engine);
         Executed { slice: self, frame_times, outcome }
     }
 }
@@ -718,6 +715,7 @@ impl Slice {
 mod tests {
     use super::*;
     use crate::admission::RejectReason;
+    use psa_runtime::RunConfig;
     use psa_workloads::{fountain_scene, myrinet_gcc, paper_run_config, snow_scene, WorkloadSize};
 
     fn spec(tenant: u32) -> SessionSpec {
@@ -777,7 +775,6 @@ mod tests {
             Err(AdmissionError::Queued { id, position }) => {
                 assert_eq!(id, SessionId(1));
                 assert_eq!(position, 0);
-                assert_eq!(p.state_of(id), Some(SessionState::Queued));
             }
             other => panic!("expected Queued, got {other:?}"),
         }
@@ -793,6 +790,30 @@ mod tests {
         // The queued session's queue_wait covers the head session's run.
         let queued = r.outcome_for(SessionId(1)).unwrap();
         assert!(queued.counters.queue_wait > 0.0);
+    }
+
+    #[test]
+    fn a_failed_session_hands_its_place_on() {
+        let mut p = pool(1, AdmissionConfig::unbounded(1));
+        let bad =
+            SessionSpec { cfg: RunConfig { dt: f32::NAN, ..paper_run_config(4, 0.04) }, ..spec(0) };
+        assert!(p.admit(bad).is_ok());
+        assert!(matches!(p.admit(spec(1)), Err(AdmissionError::Queued { .. })));
+        let r = p.run_to_completion();
+        assert!(
+            matches!(r.failed[..], [(SessionId(0), ProtocolError::NonFiniteDt { .. })]),
+            "{:?}",
+            r.failed
+        );
+        assert_eq!(r.completed(), 1);
+        assert!(r.outcome_for(SessionId(1)).is_some(), "the queued session ran");
+        assert_eq!((r.slot_stats.recycled, r.slot_stats.high_water), (2, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "no in-flight place")]
+    fn a_pool_without_an_in_flight_place_is_refused() {
+        pool(1, AdmissionConfig::unbounded(0));
     }
 
     #[test]

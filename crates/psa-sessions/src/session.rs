@@ -1,4 +1,4 @@
-//! Session identity, specification, lifecycle, and per-session seeds.
+//! Session identity, specification, outcome, and per-session seeds.
 
 use cluster_sim::{ClusterSpec, CostModel};
 use psa_desim::EventSim;
@@ -51,29 +51,6 @@ impl SessionSpec {
         let cfg = RunConfig { seed, ..self.cfg.clone() };
         EventSim::new(self.scene.clone(), cfg, self.cluster.clone(), self.cost.clone())
     }
-}
-
-/// Where a session is in its lifecycle.
-///
-/// The successful path is `Admitted → Queued → Running → Draining →
-/// Recycled`; `Admitted` sessions with a free slot and tenant headroom
-/// skip `Queued`. `Rejected` is the terminal state of a session the
-/// admission controller refused (its id is never dispatched).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SessionState {
-    /// Accepted by admission control; not yet queued or scheduled.
-    Admitted,
-    /// Waiting in the bounded admission queue for a slot.
-    Queued,
-    /// Holding a slot; in the cooperative dispatch rotation.
-    Running,
-    /// All frames done; report being assembled, slot still held.
-    Draining,
-    /// Finished; the slot has been returned to the pool.
-    Recycled,
-    /// Refused by admission control (queue full or tenant over its
-    /// backlog cap).
-    Rejected,
 }
 
 /// Derive the seed session `id` runs under from the pool's base seed.

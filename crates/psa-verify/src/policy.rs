@@ -80,7 +80,6 @@ pub const PANIC_ROOTS: &[&str] = &[
     "crates/psa-desim/src/fabric.rs",
     "crates/psa-sessions/src/admission.rs",
     "crates/psa-sessions/src/session.rs",
-    "crates/psa-sessions/src/slot.rs",
 ];
 
 /// Phase entry points of the taint analysis (matched by function name):
@@ -272,24 +271,16 @@ mod tests {
         // byte-identical to solo runs: a HashMap in the tenant tables, a
         // wall clock in the lane arithmetic, or a stray thread would make
         // scheduling order (and with it latency numbers) host-dependent.
-        for file in [
-            "crates/psa-sessions/src/manager.rs",
-            "crates/psa-sessions/src/slot.rs",
-            "crates/psa-sessions/src/main.rs",
-        ] {
+        for file in ["crates/psa-sessions/src/manager.rs", "crates/psa-sessions/src/main.rs"] {
             let got = ids(file);
             assert!(got.contains(&"unordered-collections"), "{file}");
             assert!(got.contains(&"wall-clock"), "{file}");
             assert!(got.contains(&"thread-confinement"), "{file}");
         }
-        // Admission decisions, seed derivation, and the slot arena are
-        // called from inside the dispatch loop: a panic there takes the
-        // whole pool down, so they are panic roots like the fabric.
-        for root in [
-            "crates/psa-sessions/src/admission.rs",
-            "crates/psa-sessions/src/session.rs",
-            "crates/psa-sessions/src/slot.rs",
-        ] {
+        // Admission decisions, the in-flight count, and seed derivation
+        // are called from inside the dispatch loop: a panic there takes
+        // the whole pool down, so they are panic roots like the fabric.
+        for root in ["crates/psa-sessions/src/admission.rs", "crates/psa-sessions/src/session.rs"] {
             assert!(PANIC_ROOTS.contains(&root), "{root} must be a panic root");
         }
     }

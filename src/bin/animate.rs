@@ -20,6 +20,7 @@
 //! `virtual` is the virtual-time cluster simulator (`EventSim`): modeled
 //! seconds on a Myrinet cluster of `--procs` calculators, no rasterizer.
 
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
 use particle_cluster_anim::math::Histogram;
@@ -143,7 +144,7 @@ fn main() {
                 s.out_dir = Some(dir.clone());
                 s.prefix = args.workload.clone();
                 if args.streaks {
-                    s.streaks = Some((1.2, 4));
+                    s.streaks = NonZeroUsize::new(4).map(|steps| (1.2, steps));
                 }
                 s
             });

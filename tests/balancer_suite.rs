@@ -13,8 +13,9 @@ use cluster_sim::CostModel;
 use psa_desim::EventSim;
 use psa_runtime::{
     run_sequential, run_threaded, BalanceMode, BalancerConfig, ExchangeMode, LoadMetric,
-    ProtocolError, RunConfig, RunReport,
+    ProtocolError, RunConfig, RunReport, Scene,
 };
+use psa_sessions::{PoolConfig, SessionManager, SessionSpec, TenantId};
 use psa_workloads::{fountain_scene, myrinet_gcc, paper_run_config, vortex_scene, WorkloadSize};
 
 fn size() -> WorkloadSize {
@@ -213,9 +214,9 @@ fn auto_exchange_fingerprints_match_explicit_modes() {
 /// A NaN or infinite time step sends every particle to a non-finite
 /// position, and what became of that depended on the rank count: one
 /// calculator ran it `Ok`, three ended on the manager refusing a NaN
-/// donation cut. Both parallel executors now refuse it with one typed
-/// error before frame 0, at any rank count; zero and negative steps still
-/// run.
+/// donation cut. Every parallel executor, the session pool included, now
+/// refuses it with one typed error before frame 0, at any rank count; zero
+/// and negative steps still run.
 #[test]
 fn a_non_finite_time_step_is_refused_before_frame_zero_at_every_rank_count() {
     let sz = WorkloadSize { systems: 2, particles_per_system: 300, scale: 25.0 };
@@ -230,9 +231,11 @@ fn a_non_finite_time_step_is_refused_before_frame_zero_at_every_rank_count() {
         for n in [1, 3] {
             let mut sim =
                 EventSim::new(scene.clone(), cfg.clone(), myrinet_gcc(n, 1), sz.cost_model());
-            for (executor, got) in
-                [("EventSim", sim.try_run()), ("run_threaded", run_threaded(&scene, &cfg, n, None))]
-            {
+            for (executor, got) in [
+                ("EventSim", sim.try_run()),
+                ("run_threaded", run_threaded(&scene, &cfg, n, None)),
+                ("session pool", pooled(&scene, &cfg, n, sz.cost_model())),
+            ] {
                 let case = format!("{executor}, {n} calculators, dt {dt}");
                 match got {
                     Err(ProtocolError::NonFiniteDt { dt: refused }) if !dt.is_finite() => {
@@ -244,4 +247,32 @@ fn a_non_finite_time_step_is_refused_before_frame_zero_at_every_rank_count() {
             }
         }
     }
+}
+
+/// One session's run on a session pool: its report, or the error it failed
+/// with.
+fn pooled(
+    scene: &Scene,
+    cfg: &RunConfig,
+    n: usize,
+    cost: CostModel,
+) -> Result<RunReport, ProtocolError> {
+    let mut pool = SessionManager::new(PoolConfig::default());
+    let spec = SessionSpec {
+        tenant: TenantId(0),
+        scene: scene.clone(),
+        cfg: cfg.clone(),
+        cluster: myrinet_gcc(n, 1),
+        cost,
+        arrival: 0.0,
+    };
+    assert!(pool.admit(spec).is_ok(), "an empty pool starts its first session");
+    let mut r = pool.run_to_completion();
+    let end = match (r.failed.pop(), r.outcomes.pop()) {
+        (Some((_, e)), None) => Err(e),
+        (None, Some(outcome)) => Ok(outcome.report),
+        other => panic!("one session ended twice or never: {other:?}"),
+    };
+    assert!(r.failed.is_empty() && r.outcomes.is_empty());
+    end
 }
