@@ -111,8 +111,14 @@ impl EventSim {
     /// the cluster's network model and the fault plan (quiet unless
     /// [`with_faults`](Self::with_faults) set one), under the default
     /// [`FaultPolicy`], with the configured trace and phase recorder.
-    /// Scene, configuration and cost move into the engine uncopied.
-    pub fn into_engine(self) -> Engine<EventFabric> {
+    /// Scene, configuration and cost move into the engine uncopied. A
+    /// cluster with no calculators is refused with
+    /// [`ProtocolError::Unsupported`] before anything is built.
+    pub fn into_engine(self) -> Result<Engine<EventFabric>, ProtocolError> {
+        if self.cluster.total_procs() == 0 {
+            let option = "a cluster with no calculators";
+            return Err(ProtocolError::Unsupported { executor: "virtual", option });
+        }
         let placement = self.cluster.placement();
         let n = placement.calculators();
         let plan = self.plan.unwrap_or_else(|| FaultPlan::none(self.cfg.seed, n + 2));
@@ -123,7 +129,7 @@ impl EventSim {
         );
         let (node_of, node_count) = node_layout(&placement);
         let fabric = EventFabric::new(self.cluster.net, node_of, node_count, plan);
-        Engine::new(
+        Ok(Engine::new(
             self.scene,
             self.cfg,
             &placement,
@@ -132,12 +138,13 @@ impl EventSim {
             FaultPolicy::default(),
             self.trace,
             self.instrument,
-        )
+        ))
     }
 
     /// Run the animation; returns the report (virtual makespan included),
     /// or the protocol error that ended the run early — or, before frame
-    /// 0, the one [`RunConfig::check`] refuses the configuration with
+    /// 0, the one [`into_engine`](Self::into_engine) refuses the cluster
+    /// with or [`RunConfig::check`] the configuration with
     /// (`Engine::step_frame` asks it). The simulator keeps its inputs, so
     /// it may run again.
     pub fn try_run(&mut self) -> Result<RunReport, ProtocolError> {
@@ -151,7 +158,7 @@ impl EventSim {
             instrument: self.instrument,
             last_stats: SimStats::default(),
         };
-        let mut engine = run.into_engine();
+        let mut engine = run.into_engine()?;
         let (outcome, trace) = engine.run(self.cluster.describe());
         self.last_stats = engine.fabric().sim_stats();
         self.trace = trace;
@@ -165,5 +172,21 @@ impl EventSim {
             Ok(report) => report,
             Err(e) => panic!("event-driven protocol run failed: {e}"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cluster_sim::{Compiler, NetworkModel};
+
+    #[test]
+    fn a_cluster_without_calculators_is_refused_typed() {
+        let cluster = ClusterSpec::new(NetworkModel::myrinet(), Compiler::Gcc);
+        let cfg = RunConfig { frames: 2, ..RunConfig::default() };
+        let mut sim = EventSim::new(Scene::new(), cfg, cluster, CostModel::default());
+        let err = sim.try_run().expect_err("no calculator to run on");
+        let option = "a cluster with no calculators";
+        assert_eq!(err, ProtocolError::Unsupported { executor: "virtual", option });
     }
 }

@@ -18,9 +18,10 @@
 //!   only queues that may be non-empty point at a crashed-but-undeclared
 //!   rank, and those messages are dropped on purpose: a declaration would
 //!   purge them, a recovery rolls back past their send.
-//! * **No frame-local tallies.** `frame_retries`, `frame_orders`, and
-//!   friends are flushed to zero at every frame boundary; restore just
-//!   re-zeroes them.
+//! * **No frame-local tallies.** The one the engine keeps,
+//!   `frame_timeouts`, is moved into the frame report at every frame
+//!   boundary; restore just re-zeroes it. Other events go to the recorder
+//!   as they happen.
 //!
 //! The byte codec ([`EngineSnapshot::encode`] / [`EngineSnapshot::decode`])
 //! is fixed little-endian with floats by bit pattern, so two snapshots of

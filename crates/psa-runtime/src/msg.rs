@@ -80,8 +80,9 @@ pub enum Msg {
     /// Frame-complete token: the threaded image generator sends it to every
     /// calculator once it has drawn `frame`, and a calculator waits for the
     /// token of frame `f - 2` before it ships frame `f` — so render batches
-    /// never pile up ahead of the rasterizer. Only sent when a sink
-    /// rasterizes, and only for frames some calculator will wait on.
+    /// never pile up ahead of the rasterizer. Only sent when calculators
+    /// ship splat records (a sink rasterizes and the scene has a system),
+    /// and only for frames some calculator will wait on.
     FrameDone { frame: u64 },
 }
 
@@ -126,7 +127,8 @@ pub enum ProtocolError {
     /// The recorded protocol trace of a frame departed from the Figure-2
     /// order (`strict-invariants` only).
     OrderBroken { role: &'static str, rank: usize, frame: u64, detail: String },
-    /// Rasterizer output could not be written.
+    /// Rasterizer output could not be written, or (at frame 0, before any
+    /// thread starts) the render sink's viewport has no pixels to draw.
     Render { frame: u64, detail: String },
     /// Calculator `rank` shipped splat records and a culled count that do
     /// not add up to the `alive` particles of the frame digest it sent just
@@ -144,8 +146,9 @@ pub enum ProtocolError {
     Timeout { role: &'static str, rank: usize, frame: u64, peer: usize },
     /// A worker thread panicked (the panic payload is lost to `join`).
     WorkerPanic { role: &'static str },
-    /// The run configuration sets an option this executor cannot honour;
-    /// rejected before the run starts instead of being silently ignored.
+    /// The run asks for what this executor cannot honour — a configuration
+    /// option, or a cluster with no calculators; rejected before the run
+    /// starts instead of being silently ignored or panicking.
     Unsupported { executor: &'static str, option: &'static str },
     /// The run configuration's time step is NaN or infinite
     /// ([`crate::config::RunConfig::check`]); rejected before frame 0.

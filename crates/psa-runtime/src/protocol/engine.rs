@@ -62,8 +62,6 @@ pub struct Engine<F: Fabric> {
     n: usize,
     mgr: usize,
     ig: usize,
-    /// Balance rounds short-circuited in the current frame.
-    frame_skips: u64,
     /// Exchange fan-out resolved against the rank count
     /// ([`crate::ExchangeMode::Auto`] picks dense below the threshold,
     /// sparse at or above it).
@@ -105,10 +103,6 @@ pub struct Engine<F: Fabric> {
     /// Aggregate transport counters at the top of the current frame
     /// (recorder bookkeeping only).
     frame_stats_mark: TrafficStats,
-    /// Transient send retries in the current frame.
-    frame_retries: u64,
-    /// Balancer transfer orders issued in the current frame.
-    frame_orders: u64,
 }
 
 impl<F: Fabric> Engine<F> {
@@ -143,7 +137,6 @@ impl<F: Fabric> Engine<F> {
             n,
             mgr: n,
             ig: n + 1,
-            frame_skips: 0,
             sparse: cfg.exchange.is_sparse(n),
             crashed: vec![false; n],
             dead: vec![false; n],
@@ -168,8 +161,6 @@ impl<F: Fabric> Engine<F> {
                 Recorder::disabled()
             },
             frame_stats_mark: TrafficStats::default(),
-            frame_retries: 0,
-            frame_orders: 0,
         }
     }
 
@@ -199,12 +190,8 @@ impl<F: Fabric> Engine<F> {
         out
     }
 
-    /// Flush the frame's event counters into the recorder (no-op when
-    /// disabled beyond resetting the frame-local tallies).
+    /// Flush the frame's traffic and report counters into the recorder.
     fn flush_frame_counters(&mut self, frame: u64, fr: &FrameReport) {
-        let retries = std::mem::take(&mut self.frame_retries);
-        let orders = std::mem::take(&mut self.frame_orders);
-        let skips = std::mem::take(&mut self.frame_skips);
         if !self.rec.is_enabled() {
             return;
         }
@@ -218,9 +205,6 @@ impl<F: Fabric> Engine<F> {
         self.rec.add(frame, Counter::Migrated, fr.migrated);
         self.rec.add(frame, Counter::MigrationBytes, fr.migration_bytes);
         self.rec.add(frame, Counter::Timeouts, fr.timeouts);
-        self.rec.add(frame, Counter::SendRetries, retries);
-        self.rec.add(frame, Counter::BalanceOrders, orders);
-        self.rec.add(frame, Counter::BalanceSkips, skips);
     }
 
     /// The ranks that still take part in barriers: running calculators plus
@@ -252,7 +236,7 @@ impl<F: Fabric> Engine<F> {
                 Ok(()) => return Ok(()),
                 Err(failed) => {
                     attempt += 1;
-                    self.frame_retries += 1;
+                    self.rec.add(self.next_frame, Counter::SendRetries, 1);
                     if attempt >= self.policy.send_attempts {
                         return Err(failed.error.into());
                     }
@@ -696,12 +680,12 @@ impl<F: Fabric> Engine<F> {
     ) -> Result<(), ProtocolError> {
         let round = self.manager.decide_round(sys, frame, loads, &self.speeds, &self.cfg.balance);
         let Round::Decided { present, transfers, decentralized } = round else {
-            self.frame_skips += u64::from(matches!(round, Round::Skipped));
+            self.rec.add(frame, Counter::BalanceSkips, u64::from(matches!(round, Round::Skipped)));
             let active = self.active_set();
             self.net.barrier(&active);
             return Ok(());
         };
-        self.frame_orders += transfers.len() as u64;
+        self.rec.add(frame, Counter::BalanceOrders, transfers.len() as u64);
         let round_orders = transfers.len() as u32;
         // The calculators with something to do this round and their orders,
         // ascending. Transfers are in boundary order and present-adjacent

@@ -86,9 +86,9 @@ impl<F: Fabric> Engine<F> {
     /// contents, every domain map (the manager's authoritative copy and
     /// each calculator's replica — they diverge under static balancing with
     /// dead ranks), the degraded-mode sets, the frame cursor, and the
-    /// fabric's wire/injector state. Frame-local tallies (`frame_retries`
-    /// and friends) are provably zero at a frame boundary and per-frame RNG
-    /// re-derives from the frame cursor, so neither is captured — see
+    /// fabric's wire/injector state. The frame-local timeout tally
+    /// (`frame_timeouts`) is provably zero at a frame boundary and per-frame
+    /// RNG re-derives from the frame cursor, so neither is captured — see
     /// [`crate::checkpoint`] for the full exclusion argument.
     ///
     /// Callers snapshot between [`Engine::step_frame`] calls (or let
@@ -206,11 +206,8 @@ impl<F: Fabric> Engine<F> {
         self.dead.clone_from(&snap.dead);
         self.missed.clone_from(&snap.missed);
         self.dead_events.clone_from(&snap.dead_events);
-        // Frame-local tallies are zero at every frame boundary.
+        // The frame-local tally is zero at every frame boundary.
         self.frame_timeouts = 0;
-        self.frame_retries = 0;
-        self.frame_orders = 0;
-        self.frame_skips = 0;
         if self.rec.is_enabled() {
             self.frame_stats_mark = self.net.stats();
         }

@@ -88,6 +88,13 @@ const RECV_TIMEOUT: Duration = Duration::from_secs(30);
 /// (DESIGN.md §8).
 pub(crate) const RENDER_WINDOW: u64 = 2;
 
+/// The token rule of both roles: the image generator sends a `FrameDone` for
+/// `frame`, which each calculator awaits before shipping the frame
+/// `RENDER_WINDOW` later, only if records ship: a sink draws, a system exists.
+fn token_owed(sink: Option<&RenderSink>, n_sys: usize, frame: u64, frames: u64) -> bool {
+    sink.is_some() && n_sys > 0 && frame + RENDER_WINDOW < frames
+}
+
 /// Expect a specific message kind within [`RECV_TIMEOUT`]; anything else
 /// is a protocol violation.
 macro_rules! expect_msg {
@@ -267,10 +274,9 @@ pub(crate) fn calculator_main(
 
             // Ship the frame to the image generator: the digest always,
             // the splat records only if it rasterizes them — and then no
-            // more than RENDER_WINDOW frames ahead of its drawing. Tokens
-            // arrive in frame order, one per frame, so this one is the
-            // token of frame - RENDER_WINDOW.
-            if sink.is_some() && sys == 0 && frame >= RENDER_WINDOW {
+            // more than RENDER_WINDOW frames ahead of its drawing.
+            let released = frame.checked_sub(RENDER_WINDOW);
+            if sys == 0 && released.is_some_and(|f| token_owed(sink, n_sys, f, cfg.frames)) {
                 expect_msg!(ep, ig, "calculator", c, frame,
                     Msg::FrameDone { .. } => (), "FrameDone");
             }
@@ -325,8 +331,6 @@ pub(crate) fn manager_main(
 
     for frame in 0..cfg.frames {
         let mut fr = FrameReport { frame, ..Default::default() };
-        let mut orders_issued = 0u64;
-        let mut skips_issued = 0u64;
         for sys in 0..n_sys {
             let system = scene.systems[sys].spec.id;
             // Creation: route the cohort emitted a step ago by the domains
@@ -362,9 +366,9 @@ pub(crate) fn manager_main(
             // virtual-executor concern).
             match manager.decide_round(sys, frame, &loads, &speeds, &cfg.balance) {
                 Round::Static => {}
-                Round::Skipped => skips_issued += 1,
+                Round::Skipped => rec.add(frame, Counter::BalanceSkips, 1),
                 Round::Decided { transfers, .. } => {
-                    orders_issued += transfers.len() as u64;
+                    rec.add(frame, Counter::BalanceOrders, transfers.len() as u64);
                     trace.record(frame, ProtocolEvent::LoadBalancingEvaluation);
                     let round_orders = transfers.len() as u32;
                     for (c, orders) in
@@ -409,13 +413,9 @@ pub(crate) fn manager_main(
         let now = ep.now();
         fr.frame_time = now - last;
         last = now;
-        if rec.is_enabled() {
-            rec.add(frame, Counter::Migrated, fr.migrated);
-            rec.add(frame, Counter::MigrationBytes, fr.migration_bytes);
-            rec.add(frame, Counter::BalanceOrders, orders_issued);
-            rec.add(frame, Counter::BalanceSkips, skips_issued);
-            traffic_mark = flush_traffic(&mut rec, &ep, frame, traffic_mark);
-        }
+        rec.add(frame, Counter::Migrated, fr.migrated);
+        rec.add(frame, Counter::MigrationBytes, fr.migration_bytes);
+        traffic_mark = flush_traffic(&mut rec, &ep, frame, traffic_mark);
         frames.push(fr);
     }
     Ok((frames, rec))
@@ -493,7 +493,7 @@ pub(crate) fn image_generator_main(
             }
         }
         // Release the calculators waiting to ship frame + RENDER_WINDOW.
-        if sink.is_some() && frame + RENDER_WINDOW < cfg.frames {
+        if token_owed(sink.as_ref(), n_sys, frame, cfg.frames) {
             for c in 0..n {
                 ep.send_sized(c, Msg::FrameDone { frame })?;
             }

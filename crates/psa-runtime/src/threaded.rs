@@ -122,8 +122,9 @@ impl RenderSink {
 /// The calculators always exchange in the dense pattern and every system
 /// runs its full protocol in turn; checkpointing and recovery, which this
 /// executor cannot honour, are rejected with
-/// [`ProtocolError::Unsupported`] before any thread starts, and a
-/// configuration [`RunConfig::check`] refuses with its error.
+/// [`ProtocolError::Unsupported`] before any thread starts, a
+/// configuration [`RunConfig::check`] refuses with its error, and a sink
+/// whose viewport has no pixels with [`ProtocolError::Render`] at frame 0.
 ///
 /// # Panics
 /// Panics if `n == 0` — a run with no calculators is a caller bug. All
@@ -157,6 +158,12 @@ pub fn run_threaded_traced(
         return Err(ProtocolError::Unsupported { executor: "threaded", option: "checkpoint" });
     }
     cfg.check()?;
+    if let Some((w, h)) =
+        sink.as_ref().map(|s| s.camera.viewport()).filter(|&(w, h)| w == 0 || h == 0)
+    {
+        let detail = format!("the sink's {w} x {h} viewport has no pixels to draw");
+        return Err(ProtocolError::Render { frame: 0, detail });
+    }
     // The threaded executor runs every balancing strategy manager-mediated
     // over the Figure-2 per-system schedule: decentralized strategies make
     // the same per-round decisions, but their transfers still travel the
@@ -648,6 +655,20 @@ mod tests {
         let err = run_threaded_traced(&scene(), &cfg, 2, None, true).expect_err(option);
         assert_eq!(err, ProtocolError::Unsupported { executor: "threaded", option });
         assert!(err.to_string().contains("threaded") && err.to_string().contains(option));
+    }
+
+    #[test]
+    fn a_sink_without_pixels_is_refused_before_any_thread_starts() {
+        let cfg = RunConfig { frames: 2, dt: 0.1, ..Default::default() };
+        let view = psa_math::Aabb::centered_cube(10.0);
+        for (w, h) in [(0, 0), (1, 0), (0, 5)] {
+            let sink = RenderSink::headless(Camera::ortho(view, w, h));
+            let err = run_threaded(&scene(), &cfg, 2, Some(sink)).expect_err("no pixels");
+            assert!(matches!(err, ProtocolError::Render { frame: 0, .. }), "{w} x {h}: {err:?}");
+            assert!(err.to_string().contains(&format!("{w} x {h}")), "{err}");
+        }
+        let sink = RenderSink::headless(Camera::ortho(view, 1, 1));
+        run_threaded(&scene(), &cfg, 2, Some(sink)).expect("one pixel draws");
     }
 
     #[test]

@@ -633,7 +633,8 @@ enum SliceOutcome {
     Yielded,
     Finished(Box<RunReport>),
     Failed(ProtocolError),
-    /// The rebuilt engine refused the session's checkpoint; no frame ran.
+    /// The engine could not be built, or the rebuilt one refused the
+    /// session's checkpoint; no frame ran.
     Refused(ProtocolError),
 }
 
@@ -658,19 +659,25 @@ impl Slice {
                 self.run.frames.reserve_exact(n);
                 self.run.latencies.reserve_exact(n);
                 let solo = spec.solo(self.seed);
-                let mut engine = if instrument { solo.with_phases() } else { solo }.into_engine();
+                let built = if instrument { solo.with_phases() } else { solo }.into_engine();
                 // After a worker loss the rebuilt engine resumes from the
                 // last pool checkpoint. A snapshot taken from this very spec
-                // always fits; a mismatch is surfaced as a typed session
-                // failure, not a panic.
-                if let Some(Err(e)) = self.run.snapshot.as_ref().map(|snap| engine.restore(snap)) {
-                    return Executed {
-                        slice: self,
-                        frame_times,
-                        outcome: SliceOutcome::Refused(e),
-                    };
+                // always fits; a mismatch, like a cluster no engine can be
+                // built on, is surfaced as a typed session failure, not a
+                // panic.
+                let resumed = built.and_then(|mut engine| {
+                    if let Some(snap) = &self.run.snapshot {
+                        engine.restore(snap)?;
+                    }
+                    Ok(engine)
+                });
+                match resumed {
+                    Ok(engine) => engine,
+                    Err(e) => {
+                        let outcome = SliceOutcome::Refused(e);
+                        return Executed { slice: self, frame_times, outcome };
+                    }
                 }
-                engine
             }
         };
         let mut failed = None;
@@ -808,6 +815,23 @@ mod tests {
         assert_eq!(r.completed(), 1);
         assert!(r.outcome_for(SessionId(1)).is_some(), "the queued session ran");
         assert_eq!((r.slot_stats.recycled, r.slot_stats.high_water), (2, 1));
+    }
+
+    #[test]
+    fn a_session_without_calculators_fails_alone() {
+        let mut p = pool(2, AdmissionConfig::unbounded(4));
+        let healthy = spec(0).cluster;
+        let empty = cluster_sim::ClusterSpec::new(healthy.net, healthy.compiler);
+        assert!(p.admit(SessionSpec { cluster: empty, ..spec(0) }).is_ok());
+        for tenant in 1..4 {
+            assert!(p.admit(spec(tenant)).is_ok());
+        }
+        let r = p.run_to_completion();
+        let option = "a cluster with no calculators";
+        let refusal = ProtocolError::Unsupported { executor: "virtual", option };
+        assert_eq!(r.failed, vec![(SessionId(0), refusal)]);
+        assert_eq!(r.completed(), 3, "the healthy sessions complete");
+        assert!((1..4).all(|id| r.outcome_for(SessionId(id)).is_some()));
     }
 
     #[test]

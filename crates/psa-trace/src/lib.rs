@@ -31,6 +31,6 @@ pub mod session;
 
 pub use clock::ClockKind;
 pub use phase::{Phase, PHASES, PHASE_COUNT};
-pub use recorder::{Counter, FaultEvent, FaultKind, Recorder, TraceError};
+pub use recorder::{Counter, FaultEvent, FaultKind, Recorder, COUNTERS, COUNTER_COUNT};
 pub use report::{FrameCounters, FrameTrace, TraceReport};
 pub use session::SessionCounters;

@@ -11,54 +11,6 @@
 use crate::clock::ClockKind;
 use crate::phase::Phase;
 use crate::report::{FrameTrace, TraceReport};
-use std::fmt;
-
-/// Typed failure of the fallible recording surface.
-///
-/// The recorder never panics on malformed coordinates: callers that care
-/// use [`Recorder::try_phase`] and get one of these back, callers that
-/// don't use [`Recorder::phase`] and the write is dropped.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceError {
-    /// The frame slot could not be materialized (frame index outside the
-    /// dense storage after backfill — not reachable through the public
-    /// API, but the accessor refuses rather than panics).
-    FrameUnavailable {
-        /// Frame that was requested.
-        frame: u64,
-    },
-    /// `rank` is outside the report's configured `0..ranks` range.
-    RankOutOfRange {
-        /// Rank that was requested.
-        rank: usize,
-        /// Ranks the report covers.
-        ranks: usize,
-    },
-    /// The phase index is outside the per-rank phase table (not producible
-    /// by [`Phase::index`], but the accessor refuses rather than panics).
-    PhaseOutOfRange {
-        /// Index that was requested.
-        phase: usize,
-    },
-}
-
-impl fmt::Display for TraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceError::FrameUnavailable { frame } => {
-                write!(f, "frame {frame} slot unavailable")
-            }
-            TraceError::RankOutOfRange { rank, ranks } => {
-                write!(f, "rank {rank} out of range (ranks={ranks})")
-            }
-            TraceError::PhaseOutOfRange { phase } => {
-                write!(f, "phase index {phase} out of range")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}
 
 /// Per-frame event counters the executors feed the recorder.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,6 +35,41 @@ pub enum Counter {
     Snapshots,
     /// Crash recoveries performed (rollback to a snapshot plus replay).
     Restores,
+}
+
+/// Number of counters (array dimension of [`crate::FrameCounters`]).
+pub const COUNTER_COUNT: usize = 10;
+
+/// Every counter, in export order.
+pub const COUNTERS: [Counter; COUNTER_COUNT] = [
+    Counter::Messages,
+    Counter::PayloadBytes,
+    Counter::Migrated,
+    Counter::MigrationBytes,
+    Counter::SendRetries,
+    Counter::Timeouts,
+    Counter::BalanceOrders,
+    Counter::BalanceSkips,
+    Counter::Snapshots,
+    Counter::Restores,
+];
+
+impl Counter {
+    /// Stable snake-case name used in tables and JSON exports.
+    pub fn name(self) -> &'static str {
+        match self {
+            Counter::Messages => "messages",
+            Counter::PayloadBytes => "payload_bytes",
+            Counter::Migrated => "migrated",
+            Counter::MigrationBytes => "migration_bytes",
+            Counter::SendRetries => "send_retries",
+            Counter::Timeouts => "timeouts",
+            Counter::BalanceOrders => "balance_orders",
+            Counter::BalanceSkips => "balance_skips",
+            Counter::Snapshots => "snapshots",
+            Counter::Restores => "restores",
+        }
+    }
 }
 
 /// What kind of injected fault an event records.
@@ -158,37 +145,19 @@ impl Recorder {
         rep.frames.get_mut(idx)
     }
 
-    /// Add `seconds` to `rank`'s accumulator for `phase` in `frame`,
-    /// reporting malformed coordinates instead of panicking or dropping.
-    ///
-    /// Always `Ok` on a disabled recorder (there is nothing to validate
-    /// against, and the disabled path must stay a true no-op).
-    pub fn try_phase(
-        &mut self,
-        frame: u64,
-        rank: usize,
-        phase: Phase,
-        seconds: f64,
-    ) -> Result<(), TraceError> {
-        let Some(rep) = &mut self.inner else { return Ok(()) };
-        let ranks = rep.ranks;
-        let fr = Self::frame_mut(rep, frame).ok_or(TraceError::FrameUnavailable { frame })?;
-        let row = fr.rank_phase.get_mut(rank).ok_or(TraceError::RankOutOfRange { rank, ranks })?;
-        let cell = row
-            .get_mut(phase.index())
-            .ok_or(TraceError::PhaseOutOfRange { phase: phase.index() })?;
-        *cell += seconds;
-        Ok(())
-    }
-
     /// Add `seconds` to `rank`'s accumulator for `phase` in `frame`.
     ///
-    /// Infallible wrapper over [`try_phase`](Self::try_phase): a write with
-    /// malformed coordinates is dropped, matching the recorder's "never
-    /// disturb the run" contract for callers on the hot path.
+    /// A write to a rank outside `0..ranks` is dropped, never a panic:
+    /// the recorder must not disturb the run it measures.
     #[inline]
     pub fn phase(&mut self, frame: u64, rank: usize, phase: Phase, seconds: f64) {
-        let _ = self.try_phase(frame, rank, phase, seconds);
+        let Some(rep) = &mut self.inner else { return };
+        let cell = Self::frame_mut(rep, frame)
+            .and_then(|fr| fr.rank_phase.get_mut(rank))
+            .and_then(|row| row.get_mut(phase.index()));
+        if let Some(cell) = cell {
+            *cell += seconds;
+        }
     }
 
     /// Add `n` to `counter` for `frame`.
@@ -198,19 +167,8 @@ impl Recorder {
             if n == 0 {
                 return;
             }
-            let Some(fr) = Self::frame_mut(rep, frame) else { return };
-            let c = &mut fr.counters;
-            match counter {
-                Counter::Messages => c.messages += n,
-                Counter::PayloadBytes => c.payload_bytes += n,
-                Counter::Migrated => c.migrated += n,
-                Counter::MigrationBytes => c.migration_bytes += n,
-                Counter::SendRetries => c.send_retries += n,
-                Counter::Timeouts => c.timeouts += n,
-                Counter::BalanceOrders => c.balance_orders += n,
-                Counter::BalanceSkips => c.balance_skips += n,
-                Counter::Snapshots => c.snapshots += n,
-                Counter::Restores => c.restores += n,
+            if let Some(fr) = Self::frame_mut(rep, frame) {
+                fr.counters.add(counter, n);
             }
         }
     }
@@ -260,7 +218,7 @@ mod tests {
         assert_eq!(rep.frames.len(), 1);
         assert_eq!(rep.frames[0].rank_phase[0][Phase::Compute.index()], 2.0);
         assert_eq!(rep.frames[0].rank_phase[1][Phase::Exchange.index()], 2.0);
-        assert_eq!(rep.frames[0].counters.migrated, 10);
+        assert_eq!(rep.frames[0].counters.get(Counter::Migrated), 10);
         assert_eq!(rep.faults, vec![FaultEvent { frame: 0, rank: 1, kind: FaultKind::Stall }]);
     }
 
@@ -280,12 +238,8 @@ mod tests {
 
     #[test]
     fn out_of_range_rank_is_a_typed_error_not_a_panic() {
+        // The recorder has no error to return: the write is dropped.
         let mut r = Recorder::enabled(2, ClockKind::Virtual);
-        assert_eq!(
-            r.try_phase(0, 7, Phase::Compute, 1.0),
-            Err(TraceError::RankOutOfRange { rank: 7, ranks: 2 })
-        );
-        // The infallible wrapper drops the write instead of panicking.
         r.phase(0, 7, Phase::Compute, 1.0);
         r.phase(0, 1, Phase::Compute, 2.0);
         let rep = r.finish().expect("enabled");
@@ -295,27 +249,14 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recorder_try_phase_is_ok() {
-        let mut r = Recorder::disabled();
-        // Nothing to validate against: the disabled path stays a no-op.
-        assert_eq!(r.try_phase(0, 99, Phase::Render, 1.0), Ok(()));
-        assert!(r.finish().is_none());
-    }
-
-    #[test]
-    fn trace_error_messages_name_the_coordinates() {
-        assert_eq!(
-            TraceError::RankOutOfRange { rank: 7, ranks: 2 }.to_string(),
-            "rank 7 out of range (ranks=2)"
-        );
-        assert_eq!(
-            TraceError::FrameUnavailable { frame: 3 }.to_string(),
-            "frame 3 slot unavailable"
-        );
-        assert_eq!(
-            TraceError::PhaseOutOfRange { phase: 9 }.to_string(),
-            "phase index 9 out of range"
-        );
+    fn counters_are_dense_ordered_and_uniquely_named() {
+        for (i, c) in COUNTERS.iter().enumerate() {
+            assert_eq!(*c as usize, i);
+        }
+        let mut names: Vec<&str> = COUNTERS.iter().map(|c| c.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), COUNTER_COUNT);
     }
 
     #[test]

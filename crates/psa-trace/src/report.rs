@@ -4,45 +4,29 @@
 
 use crate::clock::ClockKind;
 use crate::phase::{PHASES, PHASE_COUNT};
-use crate::recorder::FaultEvent;
+use crate::recorder::{Counter, FaultEvent, COUNTERS, COUNTER_COUNT};
 
-/// Event counters for one frame, summed over all ranks.
+/// Event counters for one frame, summed over all ranks: one cell per
+/// [`Counter`], read with [`FrameCounters::get`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FrameCounters {
-    /// Messages delivered by the transport.
-    pub messages: u64,
-    /// Payload bytes carried by those messages.
-    pub payload_bytes: u64,
-    /// Particles that crossed a domain boundary.
-    pub migrated: u64,
-    /// Bytes of migrated particle payload.
-    pub migration_bytes: u64,
-    /// Transient send failures retried with backoff.
-    pub send_retries: u64,
-    /// Bounded receives that expired.
-    pub timeouts: u64,
-    /// Transfer orders issued by the balancer.
-    pub balance_orders: u64,
-    /// Balance rounds short-circuited by the zero-order hysteresis.
-    pub balance_skips: u64,
-    /// Engine checkpoints taken at this frame boundary.
-    pub snapshots: u64,
-    /// Crash recoveries performed (rollback to a snapshot plus replay).
-    pub restores: u64,
-}
+pub struct FrameCounters([u64; COUNTER_COUNT]);
 
 impl FrameCounters {
+    /// The count of `counter`.
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.0.get(counter as usize).copied().unwrap_or(0)
+    }
+
+    pub(crate) fn add(&mut self, counter: Counter, n: u64) {
+        if let Some(cell) = self.0.get_mut(counter as usize) {
+            *cell += n;
+        }
+    }
+
     fn merge(&mut self, other: &FrameCounters) {
-        self.messages += other.messages;
-        self.payload_bytes += other.payload_bytes;
-        self.migrated += other.migrated;
-        self.migration_bytes += other.migration_bytes;
-        self.send_retries += other.send_retries;
-        self.timeouts += other.timeouts;
-        self.balance_orders += other.balance_orders;
-        self.balance_skips += other.balance_skips;
-        self.snapshots += other.snapshots;
-        self.restores += other.restores;
+        for c in COUNTERS {
+            self.add(c, other.get(c));
+        }
     }
 }
 
@@ -238,20 +222,11 @@ impl TraceReport {
             }
         }
         let c = self.counter_totals();
-        out.push_str(&format!(
-            "counters: {} msgs, {} payload B, {} migrated ({} B), {} retries, {} timeouts, {} orders, {} skips, {} snapshots, {} restores, {} faults\n",
-            c.messages,
-            c.payload_bytes,
-            c.migrated,
-            c.migration_bytes,
-            c.send_retries,
-            c.timeouts,
-            c.balance_orders,
-            c.balance_skips,
-            c.snapshots,
-            c.restores,
-            self.faults.len()
-        ));
+        out.push_str("counters:");
+        for k in COUNTERS {
+            out.push_str(&format!(" {} {},", c.get(k), k.name()));
+        }
+        out.push_str(&format!(" {} faults\n", self.faults.len()));
         out
     }
 
@@ -273,7 +248,6 @@ impl TraceReport {
         s.push_str("},\n");
         s.push_str("  \"frames\": [\n");
         for (i, f) in self.frames.iter().enumerate() {
-            let c = &f.counters;
             s.push_str(&format!("    {{\"frame\": {}, \"phases\": {{", f.frame));
             let pt = f.phase_totals();
             for (j, (p, t)) in PHASES.iter().zip(pt.iter().copied()).enumerate() {
@@ -282,20 +256,11 @@ impl TraceReport {
                 }
                 s.push_str(&format!("\"{}\": {}", p.name(), json_f64(t)));
             }
-            s.push_str(&format!(
-                "}}, \"messages\": {}, \"payload_bytes\": {}, \"migrated\": {}, \"migration_bytes\": {}, \"send_retries\": {}, \"timeouts\": {}, \"balance_orders\": {}, \"balance_skips\": {}, \"snapshots\": {}, \"restores\": {}}}{}\n",
-                c.messages,
-                c.payload_bytes,
-                c.migrated,
-                c.migration_bytes,
-                c.send_retries,
-                c.timeouts,
-                c.balance_orders,
-                c.balance_skips,
-                c.snapshots,
-                c.restores,
-                if i + 1 < self.frames.len() { "," } else { "" }
-            ));
+            s.push('}');
+            for k in COUNTERS {
+                s.push_str(&format!(", \"{}\": {}", k.name(), f.counters.get(k)));
+            }
+            s.push_str(if i + 1 < self.frames.len() { "},\n" } else { "}\n" });
         }
         s.push_str("  ],\n");
         s.push_str("  \"faults\": [");
@@ -338,8 +303,8 @@ mod tests {
         r.phase(0, 1, Phase::Compute, 1.0);
         r.phase(0, 2, Phase::Render, 0.5);
         r.phase(1, 0, Phase::Exchange, 0.25);
-        r.add(1, crate::recorder::Counter::Messages, 4);
-        r.add(1, crate::recorder::Counter::BalanceSkips, 6);
+        r.add(1, Counter::Messages, 4);
+        r.add(1, Counter::BalanceSkips, 6);
         r.finish().expect("enabled")
     }
 
@@ -350,8 +315,8 @@ mod tests {
         assert_eq!(t[Phase::Compute.index()], 3.0);
         assert_eq!(t[Phase::Exchange.index()], 0.25);
         assert_eq!(t[Phase::Render.index()], 0.5);
-        assert_eq!(rep.counter_totals().messages, 4);
-        assert_eq!(rep.counter_totals().balance_skips, 6);
+        assert_eq!(rep.counter_totals().get(Counter::Messages), 4);
+        assert_eq!(rep.counter_totals().get(Counter::BalanceSkips), 6);
     }
 
     #[test]

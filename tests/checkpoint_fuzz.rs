@@ -27,6 +27,7 @@ fn engine(scene: &Scene, plan: &FaultPlan) -> Engine<EventFabric> {
     EventSim::new(scene.clone(), cfg, myrinet_gcc(4, 1), SIZE.cost_model())
         .with_faults(plan.clone())
         .into_engine()
+        .expect("four calculators")
 }
 
 /// A quiet snow engine, and a fountain engine with jittery links whose

@@ -35,6 +35,7 @@ fn fountain_engine(cfg: &RunConfig, plan: FaultPlan) -> Engine<EventFabric> {
     EventSim::new(fountain_scene(sz), cfg.clone(), myrinet_gcc(4, 1), sz.cost_model())
         .with_faults(plan)
         .into_engine()
+        .expect("four calculators")
 }
 
 /// The recovery gate: with `checkpoint_interval` set, a

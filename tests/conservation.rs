@@ -181,9 +181,17 @@ fn empty_scene_yields_empty_frames_on_every_executor() {
     let scene = Scene::new();
     let cfg = RunConfig { frames: 5, dt: 0.1, warmup: 0, ..Default::default() };
     let cost = CostModel::default();
+    let dots = RenderSink::headless(Camera::ortho(Aabb::centered_cube(10.0), 16, 12));
+    let streaks =
+        RenderSink { streaks: std::num::NonZeroUsize::new(3).map(|s| (1.2, s)), ..dots.clone() };
     let reports = [
         ("sequential", run_sequential(&scene, &cfg, &cost, 1.0)),
         ("threaded", run_threaded(&scene, &cfg, 3, None).expect("threaded run failed")),
+        ("threaded+dots", run_threaded(&scene, &cfg, 3, Some(dots)).expect("threaded dots failed")),
+        (
+            "threaded+streaks",
+            run_threaded(&scene, &cfg, 1, Some(streaks)).expect("threaded streaks failed"),
+        ),
         (
             "virtual",
             EventSim::new(scene.clone(), cfg.clone(), myrinet_gcc(3, 1), cost.clone()).run(),

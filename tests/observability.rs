@@ -5,6 +5,7 @@
 
 use particle_cluster_anim::prelude::*;
 use particle_cluster_anim::runtime::LoadMetric;
+use particle_cluster_anim::trace::Counter;
 
 fn virtual_run(scene_of: fn(WorkloadSize) -> Scene, dt: f32, traced: bool) -> RunReport {
     let size = WorkloadSize { systems: 3, particles_per_system: 1000, scale: 25.0 };
@@ -66,8 +67,103 @@ fn instrumented_virtual_dlb_runs_stay_quiet_too() {
     let (bare, traced) = (mk(false), mk(true));
     assert_eq!(bare.fingerprint(), traced.fingerprint());
     let counters = traced.phases.as_ref().unwrap().counter_totals();
-    assert!(counters.messages > 0, "a parallel run must have sent messages");
-    assert!(counters.balance_orders > 0, "DLB on an emitting workload must issue orders");
+    assert!(counters.get(Counter::Messages) > 0, "a parallel run must have sent messages");
+    assert!(
+        counters.get(Counter::BalanceOrders) > 0,
+        "DLB on an emitting workload must issue orders"
+    );
+}
+
+/// Every counter is recorded where its event happens. Traced virtual runs
+/// of both paper workloads, each with lossy links, with a crash, with a
+/// crash recovered from interval-3 checkpoints, and with no fault: each
+/// event such a run must produce shows in its counter, and a counter with a
+/// second source — the frame reports, the recoveries, the fabric's traffic —
+/// agrees with it.
+#[test]
+fn every_counter_is_recorded_where_its_event_happens() {
+    use netsim::{FaultPlan, LinkFault};
+    use particle_cluster_anim::runtime::report::FrameReport;
+    use particle_cluster_anim::trace::FaultKind;
+
+    let size = WorkloadSize { systems: 2, particles_per_system: 300, scale: 25.0 };
+    let run = |scene_of: fn(WorkloadSize) -> Scene, dt: f32, fault: &str| {
+        let checkpoint_interval = if fault == "crash+ckpt3" { 3 } else { 0 };
+        let cfg = RunConfig {
+            frames: 8,
+            dt,
+            seed: 11,
+            warmup: 0,
+            checkpoint_interval,
+            ..Default::default()
+        };
+        let mut plan = FaultPlan::none(cfg.seed, 4 + 2);
+        match fault {
+            "lossy" => plan.set_all_links(LinkFault::lossy(0.05)),
+            "crash" => plan.rank_mut(1).crash_at = Some(3),
+            "crash+ckpt3" => plan.rank_mut(1).crash_at = Some(4),
+            _ => {}
+        }
+        EventSim::new(scene_of(size), cfg, myrinet_gcc(4, 1), size.cost_model())
+            .with_faults(plan)
+            .with_phases()
+            .run()
+    };
+    for (wl, scene_of, dt) in [
+        ("snow", snow_scene as fn(WorkloadSize) -> Scene, 0.15f32),
+        ("fountain", fountain_scene, 0.04),
+    ] {
+        for fault in ["none", "lossy", "crash", "crash+ckpt3"] {
+            let label = format!("{wl}/{fault}");
+            let r = run(scene_of, dt, fault);
+            let trace = r.phases.as_ref().expect("traced run carries the trace");
+            let c = trace.counter_totals();
+            let sum = |f: fn(&FrameReport) -> u64| r.frames.iter().map(f).sum::<u64>();
+            assert_eq!(c.get(Counter::Timeouts), sum(|f| f.timeouts), "{label}: timeouts");
+            assert_eq!(c.get(Counter::Migrated), sum(|f| f.migrated), "{label}: migrated");
+            assert_eq!(
+                c.get(Counter::MigrationBytes),
+                sum(|f| f.migration_bytes),
+                "{label}: migration bytes"
+            );
+            assert_eq!(c.get(Counter::Restores), r.recoveries.len() as u64, "{label}: restores");
+            assert_eq!(c.get(Counter::Messages), r.traffic.messages, "{label}: messages");
+            let kinds: Vec<FaultKind> = trace.faults.iter().map(|e| e.kind).collect();
+            match fault {
+                "lossy" => {
+                    assert!(c.get(Counter::SendRetries) > 0, "{label}: lossy links retry sends")
+                }
+                "crash" => {
+                    assert!(
+                        c.get(Counter::Timeouts) > 0,
+                        "{label}: a crashed peer times receives out"
+                    );
+                    assert!(kinds.contains(&FaultKind::Crash), "{label}: {kinds:?}");
+                    assert!(kinds.contains(&FaultKind::DeclaredDead), "{label}: {kinds:?}");
+                }
+                "crash+ckpt3" => {
+                    assert!(c.get(Counter::Snapshots) > 0, "{label}: interval 3 snapshots");
+                    assert!(c.get(Counter::Restores) > 0, "{label}: the crash is recovered");
+                }
+                _ if wl == "snow" => {
+                    assert!(
+                        c.get(Counter::BalanceSkips) > 0,
+                        "{label}: a balanced snow skips rounds"
+                    )
+                }
+                _ => {
+                    assert!(
+                        c.get(Counter::BalanceOrders) > 0,
+                        "{label}: the fountain issues orders"
+                    );
+                    assert!(
+                        c.get(Counter::Migrated) > 0,
+                        "{label}: fountain particles cross domains"
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// The threaded executor runs on wall clocks, so fingerprints (which cover
@@ -148,11 +244,12 @@ fn threaded_trace_counts_payload_bytes_and_a_sinkless_ship_is_digests_only() {
             })
             .sum();
         let moved = wire * (created + fr.migrated) + n_sys * n * control;
-        let ship = bare_trace.counters.payload_bytes - moved;
+        let ship = bare_trace.counters.get(Counter::PayloadBytes) - moved;
         assert_eq!(ship, n_sys * n * DIGEST_WIRE_BYTES, "frame {}: ship is digests only", fr.frame);
         shipped += ship;
         assert_eq!(
-            drawn_trace.counters.payload_bytes - bare_trace.counters.payload_bytes,
+            drawn_trace.counters.get(Counter::PayloadBytes)
+                - bare_trace.counters.get(Counter::PayloadBytes),
             std::mem::size_of::<Splat>() as u64 * fr.alive,
             "frame {}: a sink adds exactly the records",
             fr.frame
