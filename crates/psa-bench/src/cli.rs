@@ -2,14 +2,19 @@
 //! run path.
 //!
 //! Every subcommand declares its flags in `SUBCOMMANDS` — name, value
-//! kind, default and the smallest number its sweep can run with — and
-//! [`usage`] is printed from the same table. A missing or unparsable
-//! value, an unknown flag or subcommand, an empty list or a count below
-//! the declared minimum is a usage error (exit 2). `bench <id>` then runs
-//! collect → validate → write → echo → `wrote PATH`; a failed validation
-//! or write exits 1 and leaves no file.
+//! kind, default and the bounds its run needs — and [`usage`] is printed
+//! from the same table. A missing or unparsable value, an unknown flag,
+//! name or subcommand, an empty list or a count outside the declared
+//! bounds is a usage error (exit 2), and so is a combination of flags a
+//! run cannot make (a `chaos --frames` too short for the set's kill
+//! scenarios). `bench <id>` then runs collect → validate → write → echo →
+//! `wrote PATH`; a failed validation or write exits 1 and leaves no file.
+//! `bench chaos` and `bench sessions` print their transcripts, and a
+//! failed chaos cell exits 1.
 
-use psa_workloads::WorkloadSize;
+use psa_chaos::{full_set, smoke_set, MatrixConfig};
+use psa_sessions::{AdmissionConfig, PoolConfig, SessionSpec, TenantId};
+use psa_workloads::{Workload, WorkloadSize};
 
 use crate::{export, export5, export6, export7, export8, tables, Export};
 
@@ -18,15 +23,20 @@ enum Kind {
     Int,
     List,
     Path,
+    /// One of a fixed list of names, the default first.
+    Name(&'static [&'static str]),
+    /// A flag that takes no value: given is on, absent is off.
+    Switch,
 }
-use Kind::{Float, Int, List, Path};
+use Kind::{Float, Int, List, Name, Path, Switch};
 
-/// A checked flag value (an `Int` is a one-element `Ints`).
+/// A checked flag value (an `Int` is a one-element `Ints`; a `Path`, a
+/// `Name` and a `Switch` — `on` or `off` — are their text).
 #[derive(Debug)]
 enum Value {
     Float(f64),
     Ints(Vec<u64>),
-    Path(String),
+    Text(String),
 }
 
 /// One declared flag; `min` bounds a number or every entry of a list. A
@@ -57,10 +67,12 @@ impl Flag {
                 let entries = raw.split(',').map(int).collect::<Option<_>>();
                 (entries.map(Value::Ints), "a comma-separated list of integers")
             }
-            Path => (Some(Value::Path(raw.to_string())), "a path"),
+            Path | Switch => return Ok(Value::Text(raw.to_string())),
+            Name(names) => (names.contains(&raw).then(|| Value::Text(raw.to_string())), "one of"),
         };
         let bound = match self.kind {
             Float if min == 0 => "> 0".to_string(),
+            Name(names) => names.join("|"),
             _ => format!(">= {min}"),
         };
         value.ok_or_else(|| format!("{} needs {wants} {bound}, got `{raw}`", self.name))
@@ -76,10 +88,12 @@ struct Args {
 }
 
 impl Args {
-    fn parse(sub: &Subcommand, mut raw: impl Iterator<Item = String>) -> Result<Args, String> {
+    fn parse(sub: &Subcommand, raw: impl Iterator<Item = String>) -> Result<Args, String> {
+        let mut raw = raw.peekable();
         let mut choice = None;
         if !sub.choices.is_empty() {
-            choice = raw.next().filter(|c| c != "all");
+            // A leading `--flag` is a flag: the selection is optional.
+            choice = raw.next_if(|c| !c.starts_with("--")).filter(|c| c != "all");
             if let Some(c) = choice.as_deref().filter(|c| !sub.choices.contains(c)) {
                 return Err(format!("unknown `bench {}` selection `{c}`", sub.name));
             }
@@ -91,7 +105,10 @@ impl Args {
         while let Some(name) = raw.next() {
             let at = sub.flags.iter().position(|f| f.name == name);
             let at = at.ok_or_else(|| format!("`bench {}` has no flag `{name}`", sub.name))?;
-            let text = raw.next().ok_or_else(|| format!("{name} needs a value"))?;
+            let text = match sub.flags[at].kind {
+                Switch => "on".to_string(),
+                _ => raw.next().ok_or_else(|| format!("{name} needs a value"))?,
+            };
             let value = sub.flags[at].parse(&text)?;
             flags[at] = (sub.flags[at].name, text, value);
         }
@@ -121,6 +138,13 @@ impl Args {
         }
     }
 
+    fn text(&self, name: &str) -> &str {
+        match self.get(name) {
+            Value::Text(text) => text,
+            other => panic!("{name} is declared as {other:?}"),
+        }
+    }
+
     fn int(&self, name: &str) -> u64 {
         self.ints(name)[0]
     }
@@ -140,12 +164,19 @@ struct Subcommand {
     /// Leading positional selections (absent or `all` selects every one).
     choices: &'static [&'static str],
     flags: &'static [Flag],
-    run: fn(&Args) -> Result<(), String>,
+    run: fn(&Args) -> Result<(), Stop>,
+}
+
+/// Why a subcommand stopped short: its flags, each valid, ask for a run it
+/// cannot make (exit 2, nothing run), or the run failed (exit 1).
+enum Stop {
+    Usage(String),
+    Failed(String),
 }
 
 /// `paper_scaled` divides 400k particles by the scale: it cannot go below 1.
 const SCALE: Flag = flag("--scale", Float, "10", 1);
-const FRAMES: Flag = flag("--frames", Int, "25", 0);
+const FRAMES: Flag = flag("--frames", Int, "25", 1);
 
 const SUBCOMMANDS: &[Subcommand] = &[
     Subcommand {
@@ -165,7 +196,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
         choices: &[],
         flags: &[
             flag("--ranks", List, "8,32,128,512,1024", 1),
-            flag("--frames", Int, "10", 0),
+            flag("--frames", Int, "10", 1),
             flag("--systems", Int, "100", 0),
             flag("--particles", Int, "200", 0),
             flag("--scale", Float, "50", 0),
@@ -182,7 +213,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
         flags: &[
             // The degraded-manager scenario needs two calculators.
             flag("--ranks", List, "8,32,128,512,1024", 2),
-            flag("--frames", Int, "60", 0),
+            flag("--frames", Int, "60", 1),
             flag("--systems", Int, "1", 0),
             flag("--particles", Int, "700", 0),
             flag("--scale", Float, "500", 0),
@@ -198,7 +229,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
         choices: &[],
         flags: &[
             flag("--sessions", List, "100,300,1000", 1),
-            flag("--frames", Int, "10", 0),
+            flag("--frames", Int, "10", 1),
             flag("--particles", Int, "300", 0),
             flag("--seed", Int, "3195797511", 0), // 0xBE7C_0007
             flag("--out", Path, "BENCH_7.json", 0),
@@ -219,7 +250,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
             // Against the default 12-frame run: before the first snapshot
             // (2 < interval 3 and 4), on a cadence boundary (4, 8), deep in (11).
             flag("--crash-frames", List, "2,4,5,8,11", 0),
-            flag("--frames", Int, "12", 0),
+            flag("--frames", Int, "12", 1),
             flag("--particles", Int, "300", 0),
             flag("--seed", Int, "3195797512", 0), // 0xBE7C_0008
             flag("--out", Path, "BENCH_8.json", 0),
@@ -236,6 +267,37 @@ const SUBCOMMANDS: &[Subcommand] = &[
             write_export(&data, a)
         },
     },
+    Subcommand {
+        name: "chaos",
+        choices: &[],
+        flags: &[
+            flag("--matrix", Name(&["smoke", "full"]), "smoke", 0),
+            flag("--seed", Int, "419766277", 0), // 0x1905_2005
+            flag("--frames", Int, "12", 1),
+            // A kill scenario needs a survivor to absorb its victim.
+            flag("--calculators", Int, "4", 2),
+        ],
+        run: print_chaos,
+    },
+    Subcommand {
+        name: "sessions",
+        choices: &[],
+        flags: &[
+            flag("--sessions", Int, "100", 0),
+            flag("--workers", Int, "8", 1),
+            flag("--tenants", Int, "4", 1),
+            flag("--scene", Name(&["snow", "fountain", "vortex"]), "snow", 0),
+            flag("--frames", Int, "12", 1),
+            flag("--slice", Int, "2", 1),
+            flag("--seed", Int, "1582628864", 0), // 0x5E55_0000
+            flag("--max-in-flight", Int, "32", 1),
+            flag("--per-tenant", Int, "8", 1),
+            flag("--particles", Int, "400", 0),
+            flag("--checkpoint", Int, "0", 0),
+            flag("--instrument", Switch, "off", 0),
+        ],
+        run: print_sessions,
+    },
 ];
 
 /// The `--systems`/`--particles`/`--scale` of a rank sweep (`bench 5`, `bench 6`).
@@ -249,7 +311,7 @@ fn sweep_size(a: &Args) -> WorkloadSize {
 
 /// `bench tables`: the reproduction transcript (`repro_output.txt` is
 /// `all` at `--scale 10 --frames 30`).
-fn print_tables(a: &Args) -> Result<(), String> {
+fn print_tables(a: &Args) -> Result<(), Stop> {
     let (scale, frames) = (a.float("--scale"), a.int("--frames"));
     let size = WorkloadSize::paper_scaled(scale);
     println!(
@@ -264,11 +326,62 @@ fn print_tables(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// `bench chaos`: the scenario matrix, its recovered cells and the session
+/// gate (`tests/golden/chaos_*.txt`).
+fn print_chaos(a: &Args) -> Result<(), Stop> {
+    let set = a.text("--matrix");
+    let scenarios = if set == "full" { full_set() } else { smoke_set() };
+    let mc = MatrixConfig {
+        seed: a.int("--seed"),
+        frames: a.int("--frames"),
+        calculators: a.size("--calculators"),
+        ..MatrixConfig::default()
+    };
+    // Shorter, the kill cells would fail for the run length, not the protocol.
+    let min = mc.min_frames(&scenarios);
+    if mc.frames < min {
+        let why = format!("the `{set}` kill scenarios need at least {min}");
+        return Err(Stop::Usage(format!("--frames {} is too short: {why}", mc.frames)));
+    }
+    match psa_chaos::print_chaos(set, &scenarios, mc) {
+        0 => Ok(()),
+        failed => Err(Stop::Failed(format!("{failed} failure(s)"))),
+    }
+}
+
+/// `bench sessions`: one pool run of the standard session
+/// (`tests/golden/sessions_default.txt`).
+fn print_sessions(a: &Args) -> Result<(), Stop> {
+    let admission = AdmissionConfig {
+        max_in_flight: a.size("--max-in-flight"),
+        per_tenant_in_flight: a.size("--per-tenant"),
+        ..AdmissionConfig::default()
+    };
+    let pool = PoolConfig {
+        workers: a.size("--workers"),
+        slice_frames: a.int("--slice"),
+        admission,
+        base_seed: a.int("--seed"),
+        checkpoint_interval: a.int("--checkpoint"),
+        instrument: a.text("--instrument") == "on",
+    };
+    let tenants = a.int("--tenants");
+    let Ok(tenants) = u32::try_from(tenants) else {
+        return Err(Stop::Usage(format!("--tenants {tenants} is more than a TenantId holds")));
+    };
+    let workload = Workload::from_name(a.text("--scene")).expect("--scene names a workload");
+    let spec =
+        SessionSpec::standard(TenantId(0), workload, a.size("--particles"), a.int("--frames"));
+    psa_sessions::print_pool(pool, a.size("--sessions"), tenants, &spec);
+    Ok(())
+}
+
 /// The one way an artifact reaches disk: validate, render, write, echo.
-fn write_export(data: &impl Export, a: &Args) -> Result<(), String> {
-    let Value::Path(path) = a.get("--out") else { panic!("--out is declared as a path") };
-    let text = data.checked_json().map_err(|e| format!("validation failed: {e}"))?;
-    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
+fn write_export(data: &impl Export, a: &Args) -> Result<(), Stop> {
+    let path = a.text("--out");
+    let text = data.checked_json().map_err(|e| Stop::Failed(format!("validation failed: {e}")))?;
+    let written = std::fs::write(path, text);
+    written.map_err(|e| Stop::Failed(format!("cannot write {path}: {e}")))?;
     for row in data.to_json().rows() {
         eprintln!("{row}");
     }
@@ -285,14 +398,19 @@ pub fn usage() -> String {
             s.push_str(&format!(" [{}|all]", sub.choices.join("|")));
         }
         for flag in sub.flags {
-            s.push_str(&format!(" [{} {}]", flag.name, flag.default));
+            match flag.kind {
+                Name(names) => s.push_str(&format!(" [{} {}]", flag.name, names.join("|"))),
+                Switch => s.push_str(&format!(" [{}]", flag.name)),
+                _ => s.push_str(&format!(" [{} {}]", flag.name, flag.default)),
+            }
         }
     }
     s
 }
 
 /// Run `bench` on `argv` (without the program name); returns the exit
-/// code: 0 done, 1 the run failed (validation, I/O), 2 usage error.
+/// code: 0 done, 1 the run failed (validation, I/O, a chaos cell), 2 usage
+/// error.
 pub fn run(mut argv: impl Iterator<Item = String>) -> i32 {
     let parsed = match argv.next() {
         None => Err("no subcommand".to_string()),
@@ -301,18 +419,20 @@ pub fn run(mut argv: impl Iterator<Item = String>) -> i32 {
             Some(sub) => Args::parse(sub, argv).map(|args| (sub, args)),
         },
     };
+    let usage_error = |msg: String| {
+        eprintln!("error: {msg}\n{}", usage());
+        2
+    };
     let (sub, args) = match parsed {
         Ok(parsed) => parsed,
-        Err(msg) => {
-            eprintln!("error: {msg}\n{}", usage());
-            return 2;
-        }
+        Err(msg) => return usage_error(msg),
     };
     let given: Vec<String> = args.flags.iter().map(|(n, text, _)| format!("{n} {text}")).collect();
     eprintln!("bench {}: {}", sub.name, given.join(" "));
     match (sub.run)(&args) {
         Ok(()) => 0,
-        Err(msg) => {
+        Err(Stop::Usage(msg)) => usage_error(msg),
+        Err(Stop::Failed(msg)) => {
             eprintln!("bench {}: {msg}", sub.name);
             1
         }

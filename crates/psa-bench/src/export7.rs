@@ -27,7 +27,7 @@ use psa_sessions::{
     derive_session_seed, AdmissionConfig, PoolConfig, SessionId, SessionManager, SessionSpec,
     TenantId,
 };
-use psa_workloads::{myrinet_gcc, paper_run_config, Workload, WorkloadSize};
+use psa_workloads::Workload;
 
 use crate::json::Json;
 use crate::{fields, json_fields, obj, Export};
@@ -86,21 +86,6 @@ pub struct Bench7Export {
     pub cells: Vec<Bench7Cell>,
 }
 
-fn session_size(particles_per_system: usize) -> WorkloadSize {
-    WorkloadSize { systems: 2, particles_per_system, scale: 1.0 }
-}
-
-fn session_spec(wl: Workload, size: WorkloadSize, frames: u64, tenant: u32) -> SessionSpec {
-    SessionSpec {
-        tenant: TenantId(tenant),
-        scene: wl.scene(size),
-        cfg: paper_run_config(frames, 0.04),
-        cluster: myrinet_gcc(2, 1),
-        cost: size.cost_model(),
-        arrival: 0.0,
-    }
-}
-
 fn run_cell(
     wl: Workload,
     sessions: usize,
@@ -108,7 +93,10 @@ fn run_cell(
     particles_per_system: usize,
     base_seed: u64,
 ) -> Bench7Cell {
-    let size = session_size(particles_per_system);
+    let spec = |i: u64| {
+        let tenant = TenantId(i as u32 % BENCH7_TENANTS);
+        SessionSpec::standard(tenant, wl, particles_per_system, frames)
+    };
     let admission = AdmissionConfig {
         max_in_flight: BENCH7_IN_FLIGHT,
         per_tenant_in_flight: BENCH7_IN_FLIGHT,
@@ -124,8 +112,7 @@ fn run_cell(
         instrument: false,
     });
     for i in 0..sessions {
-        let spec = session_spec(wl, size, frames, i as u32 % BENCH7_TENANTS);
-        if let Err(e) = pool.admit(spec) {
+        if let Err(e) = pool.admit(spec(i as u64)) {
             if matches!(e, psa_sessions::AdmissionError::Rejected { .. }) {
                 panic!("BENCH_7 admission is unbounded, rejection is a bug: {e}");
             }
@@ -139,8 +126,8 @@ fn run_cell(
     // seed, must fingerprint identically to its multiplexed outcome.
     let probe = SessionId(sessions as u64 / 2);
     let parity_ok = report.outcome_for(probe).is_some_and(|outcome| {
-        let spec = session_spec(wl, size, frames, probe.0 as u32 % BENCH7_TENANTS);
-        spec.solo(derive_session_seed(base_seed, probe)).run().fingerprint() == outcome.fingerprint
+        let seed = derive_session_seed(base_seed, probe);
+        spec(probe.0).solo(seed).run().fingerprint() == outcome.fingerprint
     });
 
     Bench7Cell {

@@ -3,9 +3,10 @@
 //! One function per paper artifact (Table 1, Table 2, Table 3, the in-text
 //! §5.1/§5.2/§5.3 numbers) and one `collect*` per `BENCH_<id>.json`, each
 //! returning structured rows; the one `bench` binary ([`cli`]) prints the
-//! tables next to the paper's published values and writes the exports
-//! through the one JSON writer ([`json`]). Everything is deterministic:
-//! same seed, same table.
+//! tables next to the paper's published values, writes the exports
+//! through the one JSON writer ([`json`]), and prints the chaos and
+//! session-pool transcripts their crates produce. Everything is
+//! deterministic: same seed, same table.
 
 pub mod cli;
 pub mod export;

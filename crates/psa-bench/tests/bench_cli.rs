@@ -1,11 +1,11 @@
 //! `bench` command-line contract: the subcommands it has, what it refuses,
-//! and that what it writes is the committed artifact.
+//! and that what it writes and prints is the committed artifact or
+//! transcript.
 
-use std::process::{Command, Output};
+mod common;
 
-fn bench(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_bench")).args(args).output().expect("bench runs")
-}
+use common::bench;
+use std::process::Output;
 
 fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
@@ -24,7 +24,8 @@ fn without_wall_seconds(json: &str) -> String {
     json.lines().map(strip).collect::<Vec<_>>().join("\n")
 }
 
-/// The subcommand list is pinned: `tables` plus one per committed artifact.
+/// The subcommand list is pinned: `tables`, one per committed artifact, and
+/// the two committed transcripts.
 #[test]
 fn usage_lists_exactly_the_pinned_subcommands() {
     let out = bench(&[]);
@@ -35,7 +36,7 @@ fn usage_lists_exactly_the_pinned_subcommands() {
         .filter_map(|l| l.trim().strip_prefix("bench "))
         .filter_map(|l| l.split_whitespace().next())
         .collect();
-    assert_eq!(listed, ["tables", "3", "5", "6", "7", "8"], "{usage}");
+    assert_eq!(listed, ["tables", "3", "5", "6", "7", "8", "chaos", "sessions"], "{usage}");
     assert!(
         usage.contains("[table1|table2|table3|text-snow|text-fountain|reductions|all]"),
         "{usage}"
@@ -43,10 +44,13 @@ fn usage_lists_exactly_the_pinned_subcommands() {
     for id in [3, 5, 6, 7, 8] {
         assert!(usage.contains(&format!("[--out BENCH_{id}.json]")), "{usage}");
     }
+    assert!(usage.contains("[--matrix smoke|full]"), "{usage}");
+    assert!(usage.contains("[--scene snow|fountain|vortex]"), "{usage}");
+    assert!(usage.contains("[--instrument]"), "{usage}");
 }
 
-/// Malformed input is a usage error (exit 2, usage on stderr, nothing run),
-/// never a panic from the parser or from an assert deep in another crate.
+/// Malformed input is a usage error on every artifact subcommand (the
+/// `chaos` and `sessions` rows live in `chaos_cli.rs` and `sessions_cli.rs`).
 #[test]
 fn malformed_arguments_exit_2_without_panicking() {
     for (args, why) in [
@@ -68,14 +72,26 @@ fn malformed_arguments_exit_2_without_panicking() {
         (&["6", "--ranks", "8,1"], "the degraded-manager scenario needs two calculators"),
         (&["7", "--sessions", "0"], "an empty pool"),
         (&["8", "--calculators", "1"], "the victim rank would not exist"),
+        (&["tables", "--frames", "0"], "a table of zero-frame speed-ups"),
+        (&["3", "--frames", "0"], "a zero-frame run"),
+        (&["5", "--frames", "0"], "a zero-frame run"),
+        (&["6", "--frames", "0"], "a zero-frame run"),
+        (&["7", "--frames", "0"], "a zero-frame run"),
+        (&["8", "--frames", "0"], "a zero-frame run"),
     ] {
-        let out = bench(args);
-        let err = stderr(&out);
-        assert_eq!(out.status.code(), Some(2), "{why} {args:?}: {err}");
-        assert!(out.stdout.is_empty(), "{why} {args:?} must not run");
-        assert!(err.contains("error: ") && err.contains("usage:"), "{why} {args:?}: {err}");
-        assert!(!err.contains("panicked"), "{why} {args:?}: {err}");
+        common::assert_usage_error(args, why);
     }
+}
+
+/// `bench tables`' section is optional: a leading flag is a flag, not a
+/// selection.
+#[test]
+fn tables_without_a_selection_takes_flags() {
+    let out = bench(&["tables", "--scale", "400", "--frames", "1"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("# Reproduction: 1000 real particles/system"), "{stdout}");
+    assert!(stdout.contains("1 frames"), "{stdout}");
 }
 
 /// A run that fails validation exits 1 and leaves no artifact behind.
@@ -107,4 +123,23 @@ fn bench_8_regenerates_the_committed_artifact() {
     let stripped = without_wall_seconds(&written);
     assert!(stripped.len() < written.len(), "the artifact carries wall_seconds");
     assert_eq!(stripped, without_wall_seconds(include_str!("../../../BENCH_8.json")));
+}
+
+/// `bench chaos` and `bench sessions` print the committed transcripts byte
+/// for byte (CI's `chaos-smoke` job diffs the same three, with the runtime
+/// invariants compiled in).
+#[test]
+fn chaos_and_sessions_print_the_committed_transcripts() {
+    for (args, golden) in [
+        (&["chaos"][..], include_str!("../../../tests/golden/chaos_smoke.txt")),
+        (
+            &["chaos", "--matrix", "full", "--seed", "1905"],
+            include_str!("../../../tests/golden/chaos_full_1905.txt"),
+        ),
+        (&["sessions"], include_str!("../../../tests/golden/sessions_default.txt")),
+    ] {
+        let out = bench(args);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        assert_eq!(String::from_utf8_lossy(&out.stdout), golden, "{args:?}");
+    }
 }

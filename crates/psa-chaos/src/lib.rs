@@ -18,7 +18,9 @@
 //!   lane dies mid-dispatch, the victim session is re-queued (resuming
 //!   from its last pool checkpoint), and the gate checks completion,
 //!   solo-fingerprint parity under the fault, bounded frame loss, and
-//!   byte-identical replay of the whole pool run.
+//!   byte-identical replay of the whole pool run;
+//! * [`transcript`] — runs all three and prints the table `bench chaos`
+//!   shows and `tests/golden/chaos_*.txt` pin.
 //!
 //! Determinism discipline is identical to the rest of the workspace: plans
 //! derive from `psa_math::Rng64` streams, delivery draws inside a run come
@@ -30,9 +32,11 @@ pub mod matrix;
 pub mod recovery;
 pub mod scenario;
 pub mod sessions;
+pub mod transcript;
 
 pub use matrix::{run_case, run_matrix, CaseOutcome, MatrixConfig, CHAOS_WORKLOADS};
 pub use psa_workloads::Workload;
 pub use recovery::{run_recovery_case, run_recovery_matrix, RecoveryConfig, RecoveryOutcome};
 pub use scenario::{full_set, smoke_set, Scenario};
 pub use sessions::{run_session_chaos, SessionChaosConfig, SessionChaosOutcome};
+pub use transcript::print_chaos;

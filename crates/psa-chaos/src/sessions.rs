@@ -22,7 +22,7 @@ use psa_sessions::{
     derive_session_seed, AdmissionConfig, PoolConfig, PoolFault, PoolReport, SessionManager,
     SessionSpec, TenantId,
 };
-use psa_workloads::{myrinet_gcc, paper_run_config, snow_scene, WorkloadSize};
+use psa_workloads::Workload;
 
 /// Configuration for the session-chaos gate.
 #[derive(Clone, Copy, Debug)]
@@ -78,15 +78,7 @@ impl SessionChaosOutcome {
 
 /// Session `i`'s spec: a small snow run on two calculators.
 fn spec(cfg: &SessionChaosConfig, i: usize) -> SessionSpec {
-    let size = WorkloadSize { systems: 2, particles_per_system: 300, scale: 1.0 };
-    SessionSpec {
-        tenant: TenantId(i as u32 % 3),
-        scene: snow_scene(size),
-        cfg: paper_run_config(cfg.frames, 0.04),
-        cluster: myrinet_gcc(2, 1),
-        cost: size.cost_model(),
-        arrival: 0.0,
-    }
+    SessionSpec::standard(TenantId(i as u32 % 3), Workload::Snow, 300, cfg.frames)
 }
 
 fn pool_run(cfg: &SessionChaosConfig) -> PoolReport {

@@ -44,6 +44,18 @@ impl EmissionShape {
         self.prepared().sample(rng)
     }
 
+    /// Is every coordinate and radius of the shape finite?
+    pub fn is_finite(&self) -> bool {
+        match *self {
+            EmissionShape::Point(p) => p.is_finite(),
+            EmissionShape::Box { min, max } => min.is_finite() && max.is_finite(),
+            EmissionShape::Disc { center, radius, normal } => {
+                center.is_finite() && radius.is_finite() && normal.is_finite()
+            }
+            EmissionShape::Sphere { center, radius } => center.is_finite() && radius.is_finite(),
+        }
+    }
+
     #[inline]
     fn prepared(&self) -> ShapeSampler {
         match *self {
@@ -96,6 +108,17 @@ impl VelocityModel {
     /// prepares the model once; this prepares it per call.
     pub fn sample(&self, rng: &mut Rng64) -> Vec3 {
         self.prepared().sample(rng)
+    }
+
+    /// Is every component, speed and angle of the model finite?
+    pub fn is_finite(&self) -> bool {
+        match *self {
+            VelocityModel::Constant(v) => v.is_finite(),
+            VelocityModel::Jittered { base, jitter } => base.is_finite() && jitter.is_finite(),
+            VelocityModel::Cone { axis, speed_lo, speed_hi, half_angle } => {
+                axis.is_finite() && [speed_lo, speed_hi, half_angle].iter().all(|v| v.is_finite())
+            }
+        }
     }
 
     #[inline]
@@ -192,6 +215,15 @@ impl SystemSpec {
             max_age: 5.0,
             initial: None,
         }
+    }
+
+    /// Is every float that decides where a newborn starts or how it moves
+    /// finite — the emission shape, the `initial` shape and the velocity
+    /// model? Colour, size, mass and `max_age` are not asked.
+    pub fn emission_is_finite(&self) -> bool {
+        self.emission.is_finite()
+            && self.velocity.is_finite()
+            && self.initial.as_ref().is_none_or(|(_, shape)| shape.is_finite())
     }
 
     /// This spec prepared for emission. Build it once per run and draw

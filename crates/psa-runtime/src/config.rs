@@ -207,7 +207,8 @@ impl RunConfig {
     /// [`Engine::step_frame`](crate::protocol::Engine::step_frame), before
     /// every frame of every virtual engine (`EventSim` and the session
     /// pool), and [`run_threaded_traced`](crate::threaded::run_threaded_traced),
-    /// before it starts a thread.
+    /// before it starts a thread. Both also ask
+    /// [`Scene::check`](crate::scene::Scene::check) for the emitters.
     pub fn check(&self) -> Result<(), ProtocolError> {
         if self.dt.is_finite() {
             Ok(())

@@ -153,6 +153,10 @@ pub enum ProtocolError {
     /// The run configuration's time step is NaN or infinite
     /// ([`crate::config::RunConfig::check`]); rejected before frame 0.
     NonFiniteDt { dt: Scalar },
+    /// A system's emission shape, `initial` shape or velocity model holds a
+    /// NaN or infinite number ([`crate::scene::Scene::check`]); rejected
+    /// before frame 0.
+    NonFiniteEmitter { system: SystemId },
 }
 
 impl std::fmt::Display for ProtocolError {
@@ -185,6 +189,9 @@ impl std::fmt::Display for ProtocolError {
                 write!(f, "the {executor} executor does not support {option}")
             }
             ProtocolError::NonFiniteDt { dt } => write!(f, "the time step dt = {dt} is not finite"),
+            ProtocolError::NonFiniteEmitter { system } => {
+                write!(f, "{system} has a non-finite emission shape or velocity model")
+            }
         }
     }
 }

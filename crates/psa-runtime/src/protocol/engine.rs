@@ -340,10 +340,12 @@ impl<F: Fabric> Engine<F> {
     /// state — and therefore its report fingerprint — is byte-identical to
     /// a solo run's no matter how steps interleave with other engines.
     ///
-    /// Every step first asks [`RunConfig::check`](crate::RunConfig::check),
-    /// so a configuration no executor can run is refused before frame 0.
+    /// Every step first asks [`RunConfig::check`](crate::RunConfig::check)
+    /// and [`Scene::check`], so a configuration or scene no executor can
+    /// run is refused before frame 0.
     pub fn step_frame(&mut self) -> Result<Option<FrameReport>, ProtocolError> {
         self.cfg.check()?;
+        self.scene.check()?;
         if self.next_frame >= self.cfg.frames {
             return Ok(None);
         }

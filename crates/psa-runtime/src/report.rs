@@ -31,7 +31,16 @@ pub struct FrameReport {
     pub balanced: u64,
     /// Virtual (or wall) seconds this frame added to the makespan.
     pub frame_time: f64,
-    /// Coefficient of imbalance `max/mean − 1` across calculators.
+    /// Coefficient of imbalance `max/mean − 1` across calculators, of a
+    /// count each executor takes at its own point in the frame:
+    /// - the virtual engine (`EventSim`, the session pool): each surviving
+    ///   calculator's particles over all systems at frame end;
+    /// - `run_threaded`: the largest, over systems, of that system's
+    ///   post-exchange load-report counts, taken before balancing;
+    /// - `run_sequential`: always 0 (one process).
+    ///
+    /// Fingerprints and BENCH artifacts carry these values as they are, so
+    /// compare imbalance only between runs of the same executor.
     pub imbalance: f64,
     /// Ordered [`StateHash`](psa_core::invariants::StateHash) over every
     /// particle state alive at the end of this frame, in (system,

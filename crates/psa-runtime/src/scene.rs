@@ -8,6 +8,8 @@ use psa_core::objects::ExternalObject;
 use psa_core::{Emitter, SystemId, SystemSpec};
 use psa_math::Vec3;
 
+use crate::msg::ProtocolError;
+
 /// One particle system plus the per-frame action list run on it
 /// (the body of the paper's Algorithm 1).
 #[derive(Clone)]
@@ -54,6 +56,16 @@ impl Scene {
     /// once per run and draws each frame's cohorts through.
     pub fn emitters(&self) -> Vec<Emitter> {
         self.systems.iter().map(|s| s.spec.emitter()).collect()
+    }
+
+    /// Refuse a scene whose particles would start at or move to non-finite
+    /// positions ([`SystemSpec::emission_is_finite`]), where the outcome
+    /// would depend on the rank count; asked beside `RunConfig::check`.
+    pub fn check(&self) -> Result<(), ProtocolError> {
+        match self.systems.iter().find(|s| !s.spec.emission_is_finite()) {
+            Some(s) => Err(ProtocolError::NonFiniteEmitter { system: s.spec.id }),
+            None => Ok(()),
+        }
     }
 
     pub fn add_object(&mut self, obj: ExternalObject, color: Vec3) {

@@ -123,8 +123,9 @@ impl RenderSink {
 /// runs its full protocol in turn; checkpointing and recovery, which this
 /// executor cannot honour, are rejected with
 /// [`ProtocolError::Unsupported`] before any thread starts, a
-/// configuration [`RunConfig::check`] refuses with its error, and a sink
-/// whose viewport has no pixels with [`ProtocolError::Render`] at frame 0.
+/// configuration [`RunConfig::check`] or a scene [`Scene::check`] refuses
+/// with its error, and a sink whose viewport has no pixels with
+/// [`ProtocolError::Render`] at frame 0.
 ///
 /// # Panics
 /// Panics if `n == 0` — a run with no calculators is a caller bug. All
@@ -158,6 +159,7 @@ pub fn run_threaded_traced(
         return Err(ProtocolError::Unsupported { executor: "threaded", option: "checkpoint" });
     }
     cfg.check()?;
+    scene.check()?;
     if let Some((w, h)) =
         sink.as_ref().map(|s| s.camera.viewport()).filter(|&(w, h)| w == 0 || h == 0)
     {

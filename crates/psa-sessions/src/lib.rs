@@ -29,13 +29,17 @@
 //! Time here is *pool-virtual*: lanes advance by the virtual frame times
 //! the sessions' own event-driven fabrics report, so throughput and
 //! latency numbers (BENCH_7) are as reproducible as everything else.
+//! [`transcript`] prints one pool run; `bench sessions` is its command
+//! line.
 
 #![deny(missing_docs)]
 
 pub mod admission;
 pub mod manager;
 pub mod session;
+pub mod transcript;
 
 pub use admission::{AdmissionConfig, AdmissionError, RejectReason, SlotStats};
 pub use manager::{PoolConfig, PoolFault, PoolReport, SessionManager};
 pub use session::{derive_session_seed, SessionId, SessionOutcome, SessionSpec, TenantId};
+pub use transcript::print_pool;

@@ -258,17 +258,9 @@ impl SessionManager {
     ///
     /// ```
     /// use psa_sessions::{AdmissionConfig, AdmissionError, PoolConfig, SessionManager, SessionSpec, TenantId};
-    /// use psa_workloads::{paper_run_config, snow_scene, myrinet_gcc, WorkloadSize};
+    /// use psa_workloads::Workload;
     ///
-    /// let size = WorkloadSize::test();
-    /// let spec = SessionSpec {
-    ///     tenant: TenantId(0),
-    ///     scene: snow_scene(size),
-    ///     cfg: paper_run_config(4, 0.04),
-    ///     cluster: myrinet_gcc(2, 1),
-    ///     cost: size.cost_model(),
-    ///     arrival: 0.0,
-    /// };
+    /// let spec = SessionSpec::standard(TenantId(0), Workload::Snow, 600, 4);
     /// // One place: the first session runs, the second queues behind it.
     /// let admission = AdmissionConfig { max_in_flight: 1, ..AdmissionConfig::unbounded(1) };
     /// let mut pool = SessionManager::new(PoolConfig { admission, ..PoolConfig::default() });
@@ -723,18 +715,10 @@ mod tests {
     use super::*;
     use crate::admission::RejectReason;
     use psa_runtime::RunConfig;
-    use psa_workloads::{fountain_scene, myrinet_gcc, paper_run_config, snow_scene, WorkloadSize};
+    use psa_workloads::{paper_run_config, Workload};
 
     fn spec(tenant: u32) -> SessionSpec {
-        let size = WorkloadSize { systems: 1, particles_per_system: 120, scale: 1.0 };
-        SessionSpec {
-            tenant: TenantId(tenant),
-            scene: snow_scene(size),
-            cfg: paper_run_config(4, 0.04),
-            cluster: myrinet_gcc(2, 1),
-            cost: size.cost_model(),
-            arrival: 0.0,
-        }
+        SessionSpec::standard(TenantId(tenant), Workload::Snow, 60, 4)
     }
 
     fn pool(workers: usize, admission: AdmissionConfig) -> SessionManager {
@@ -924,7 +908,6 @@ mod tests {
         admission: AdmissionConfig,
         checkpoint_interval: u64,
     ) -> SessionManager {
-        let size = WorkloadSize { systems: 2, particles_per_system: 40, scale: 1.0 };
         let mut p = SessionManager::new(PoolConfig {
             workers,
             slice_frames,
@@ -934,16 +917,9 @@ mod tests {
             instrument: false,
         });
         for i in 0..sessions {
-            let (scene, frames) =
-                if i.is_multiple_of(3) { (fountain_scene(size), 6) } else { (snow_scene(size), 9) };
-            let _ = p.admit(SessionSpec {
-                tenant: TenantId(i as u32 % 5),
-                scene,
-                cfg: paper_run_config(frames, 0.04),
-                cluster: myrinet_gcc(2, 1),
-                cost: size.cost_model(),
-                arrival: 0.0,
-            });
+            let (workload, frames) =
+                if i.is_multiple_of(3) { (Workload::Fountain, 6) } else { (Workload::Snow, 9) };
+            let _ = p.admit(SessionSpec::standard(TenantId(i as u32 % 5), workload, 40, frames));
         }
         p
     }

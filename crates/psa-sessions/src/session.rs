@@ -5,6 +5,7 @@ use psa_desim::EventSim;
 use psa_math::Rng64;
 use psa_runtime::{RunConfig, RunReport, Scene};
 use psa_trace::SessionCounters;
+use psa_workloads::{myrinet_gcc, paper_run_config, Workload, WorkloadSize};
 
 /// Identifies one session for the lifetime of a [`SessionManager`]
 /// (admission order, starting at 0).
@@ -43,6 +44,22 @@ pub struct SessionSpec {
 }
 
 impl SessionSpec {
+    /// The pool's standard session: `workload` as two systems of
+    /// `particles` each at an unscaled cost model, `frames` frames of the
+    /// paper's run configuration at `dt = 0.04` on two calculators (one
+    /// per Myrinet E800 node), present from pool start.
+    pub fn standard(tenant: TenantId, workload: Workload, particles: usize, frames: u64) -> Self {
+        let size = WorkloadSize { systems: 2, particles_per_system: particles, scale: 1.0 };
+        Self {
+            tenant,
+            scene: workload.scene(size),
+            cfg: paper_run_config(frames, 0.04),
+            cluster: myrinet_gcc(2, 1),
+            cost: size.cost_model(),
+            arrival: 0.0,
+        }
+    }
+
     /// The solo run of this spec under `seed`. A pooled session steps the
     /// engine of its derived seed's solo run
     /// ([`EventSim::into_engine`]), so that solo run is also the reference

@@ -271,7 +271,8 @@ mod tests {
         // byte-identical to solo runs: a HashMap in the tenant tables, a
         // wall clock in the lane arithmetic, or a stray thread would make
         // scheduling order (and with it latency numbers) host-dependent.
-        for file in ["crates/psa-sessions/src/manager.rs", "crates/psa-sessions/src/main.rs"] {
+        for file in ["crates/psa-sessions/src/manager.rs", "crates/psa-sessions/src/transcript.rs"]
+        {
             let got = ids(file);
             assert!(got.contains(&"unordered-collections"), "{file}");
             assert!(got.contains(&"wall-clock"), "{file}");

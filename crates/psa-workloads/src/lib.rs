@@ -34,7 +34,7 @@ use psa_runtime::{RunConfig, Scene};
 /// The named workloads every harness sweeps: the paper's two experiments
 /// plus vortex, the deliberately imbalanced one. This is the only
 /// name → scene → time-step mapping; consumers (chaos matrix, bench
-/// exports, `sessions --scene`, `animate`) pick their own subset of it.
+/// exports, `bench sessions --scene`, `animate`) pick their own subset of it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Workload {
     /// §5.1 — mostly vertical motion, little migration.

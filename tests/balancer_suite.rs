@@ -10,7 +10,10 @@
 //! inhomogeneous vortex workload the sweep uses.
 
 use cluster_sim::CostModel;
+use psa_core::system::{EmissionShape, VelocityModel};
+use psa_core::SystemId;
 use psa_desim::EventSim;
+use psa_math::Vec3;
 use psa_runtime::{
     run_sequential, run_threaded, BalanceMode, BalancerConfig, ExchangeMode, LoadMetric,
     ProtocolError, RunConfig, RunReport, Scene,
@@ -211,17 +214,31 @@ fn auto_exchange_fingerprints_match_explicit_modes() {
     );
 }
 
-/// A NaN or infinite time step sends every particle to a non-finite
-/// position, and what became of that depended on the rank count: one
-/// calculator ran it `Ok`, three ended on the manager refusing a NaN
-/// donation cut. Every parallel executor, the session pool included, now
-/// refuses it with one typed error before frame 0, at any rank count; zero
-/// and negative steps still run.
+/// A NaN or infinite time step or emitter sends particles to non-finite
+/// positions, and what became of them depended on the rank count: one
+/// calculator ran it `Ok`, two or three ended on the manager refusing a
+/// NaN donation cut. Every parallel executor, the session pool included,
+/// now refuses it with one typed error before frame 0, at any rank count;
+/// zero and negative steps still run.
 #[test]
 fn a_non_finite_time_step_is_refused_before_frame_zero_at_every_rank_count() {
     let sz = WorkloadSize { systems: 2, particles_per_system: 300, scale: 25.0 };
     let scene = psa_workloads::snow_scene(sz);
-    for dt in [f32::NAN, f32::INFINITY, 0.0, -0.1] {
+    let mut infinite_point = scene.clone();
+    infinite_point.systems[0].spec.emission =
+        EmissionShape::Point(Vec3::new(f32::INFINITY, 0.0, 0.0));
+    let mut nan_velocity = scene.clone();
+    nan_velocity.systems[1].spec.velocity =
+        VelocityModel::Jittered { base: Vec3::new(f32::NAN, 0.0, 0.0), jitter: 1.0 };
+    // (scene, dt, the system whose emitter must be refused)
+    for (scene, dt, bad_system) in [
+        (&scene, f32::NAN, None),
+        (&scene, f32::INFINITY, None),
+        (&scene, 0.0, None),
+        (&scene, -0.1, None),
+        (&infinite_point, 0.04, Some(SystemId(0))),
+        (&nan_velocity, 0.04, Some(SystemId(1))),
+    ] {
         let cfg = RunConfig {
             frames: 6,
             dt,
@@ -229,19 +246,18 @@ fn a_non_finite_time_step_is_refused_before_frame_zero_at_every_rank_count() {
             ..Default::default()
         };
         for n in [1, 3] {
-            let mut sim =
-                EventSim::new(scene.clone(), cfg.clone(), myrinet_gcc(n, 1), sz.cost_model());
-            for (executor, got) in [
-                ("EventSim", sim.try_run()),
-                ("run_threaded", run_threaded(&scene, &cfg, n, None)),
-                ("session pool", pooled(&scene, &cfg, n, sz.cost_model())),
-            ] {
-                let case = format!("{executor}, {n} calculators, dt {dt}");
+            for (executor, got) in on_every_executor(scene, &cfg, n, sz.cost_model()) {
+                let case = format!("{executor}, {n} calculators, dt {dt}, bad {bad_system:?}");
                 match got {
                     Err(ProtocolError::NonFiniteDt { dt: refused }) if !dt.is_finite() => {
                         assert_eq!(refused.to_bits(), dt.to_bits(), "{case}");
                     }
-                    Ok(report) if dt.is_finite() => assert_eq!(report.frames.len(), 6, "{case}"),
+                    Err(ProtocolError::NonFiniteEmitter { system }) if bad_system.is_some() => {
+                        assert_eq!(Some(system), bad_system, "{case}");
+                    }
+                    Ok(report) if dt.is_finite() && bad_system.is_none() => {
+                        assert_eq!(report.frames.len(), 6, "{case}");
+                    }
                     other => panic!("{case}: got {other:?}"),
                 }
             }
@@ -249,30 +265,37 @@ fn a_non_finite_time_step_is_refused_before_frame_zero_at_every_rank_count() {
     }
 }
 
-/// One session's run on a session pool: its report, or the error it failed
-/// with.
-fn pooled(
+/// `scene` under `cfg` at `n` calculators on `EventSim`, on threads and as
+/// one session of a session pool: each executor's report, or the error it
+/// failed with.
+fn on_every_executor(
     scene: &Scene,
     cfg: &RunConfig,
     n: usize,
     cost: CostModel,
-) -> Result<RunReport, ProtocolError> {
+) -> [(&'static str, Result<RunReport, ProtocolError>); 3] {
+    let cluster = myrinet_gcc(n, 1);
+    let mut sim = EventSim::new(scene.clone(), cfg.clone(), cluster.clone(), cost.clone());
     let mut pool = SessionManager::new(PoolConfig::default());
     let spec = SessionSpec {
         tenant: TenantId(0),
         scene: scene.clone(),
         cfg: cfg.clone(),
-        cluster: myrinet_gcc(n, 1),
+        cluster,
         cost,
         arrival: 0.0,
     };
     assert!(pool.admit(spec).is_ok(), "an empty pool starts its first session");
     let mut r = pool.run_to_completion();
-    let end = match (r.failed.pop(), r.outcomes.pop()) {
+    let pooled = match (r.failed.pop(), r.outcomes.pop()) {
         (Some((_, e)), None) => Err(e),
         (None, Some(outcome)) => Ok(outcome.report),
         other => panic!("one session ended twice or never: {other:?}"),
     };
     assert!(r.failed.is_empty() && r.outcomes.is_empty());
-    end
+    [
+        ("EventSim", sim.try_run()),
+        ("run_threaded", run_threaded(scene, cfg, n, None)),
+        ("session pool", pooled),
+    ]
 }

@@ -14,28 +14,16 @@ use psa_sessions::{
     derive_session_seed, AdmissionConfig, PoolConfig, PoolFault, PoolReport, SessionId,
     SessionManager, SessionSpec, TenantId,
 };
-use psa_workloads::{fountain_scene, myrinet_gcc, paper_run_config, snow_scene, WorkloadSize};
+use psa_workloads::Workload;
 
 const BASE_SEED: u64 = 0x5E55_1005;
 
-fn size() -> WorkloadSize {
-    WorkloadSize { systems: 2, particles_per_system: 250, scale: 1.0 }
-}
-
 fn spec_for(i: usize) -> SessionSpec {
-    let sz = size();
     // Mixed workloads and frame counts: parity must hold per session even
     // when neighbours run different scenes for different lengths.
-    let (scene, frames) =
-        if i.is_multiple_of(3) { (fountain_scene(sz), 6) } else { (snow_scene(sz), 9) };
-    SessionSpec {
-        tenant: TenantId(i as u32 % 5),
-        scene,
-        cfg: paper_run_config(frames, 0.04),
-        cluster: myrinet_gcc(2, 1),
-        cost: sz.cost_model(),
-        arrival: 0.0,
-    }
+    let (workload, frames) =
+        if i.is_multiple_of(3) { (Workload::Fountain, 6) } else { (Workload::Snow, 9) };
+    SessionSpec::standard(TenantId(i as u32 % 5), workload, 250, frames)
 }
 
 /// Fingerprint of a solo run of session `id` (same spec recipe).
