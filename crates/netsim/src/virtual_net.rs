@@ -18,7 +18,7 @@
 
 // psa-verify: allow(index-panic) — fabric hot path: every rank/node index
 // comes from the constructor-validated topology (`new` sizes clocks,
-// rank_stats, node_of, and link_free to `ranks`/`nodes`), and the
+// node_of, and link_free to `ranks`/`nodes`), and the
 // executors address ranks 0..ranks by construction. Out-of-range here is a
 // checker-caught bug upstream, not a runtime input.
 use cluster_sim::NetworkModel;
@@ -49,9 +49,6 @@ pub struct WireState {
     /// Time the shared medium becomes free (Fast-Ethernet mode).
     shared_free: f64,
     stats: TrafficStats,
-    /// Per-sender traffic counters (endpoint-layer accounting for the
-    /// observability stack; same reset cadence as `stats`).
-    rank_stats: Vec<TrafficStats>,
 }
 
 impl WireState {
@@ -68,7 +65,6 @@ impl WireState {
             link_free: vec![0.0; node_count],
             shared_free: 0.0,
             stats: TrafficStats::default(),
-            rank_stats: vec![TrafficStats::default(); ranks],
         }
     }
 
@@ -97,8 +93,6 @@ impl WireState {
         debug_assert!(extra_delay >= 0.0, "delays cannot be negative ({extra_delay})");
         self.stats.messages += 1;
         self.stats.payload_bytes += payload;
-        self.rank_stats[from].messages += 1;
-        self.rank_stats[from].payload_bytes += payload;
         if from == to {
             return self.clocks[from] + extra_delay;
         }
@@ -165,17 +159,6 @@ impl WireState {
         self.stats
     }
 
-    /// Snapshot of one rank's *sent* traffic (endpoint-layer attribution:
-    /// a message is charged to the sender that initiated it).
-    pub fn rank_stats(&self, rank: usize) -> TrafficStats {
-        self.rank_stats[rank]
-    }
-
-    /// The network model in use.
-    pub fn model(&self) -> &NetworkModel {
-        &self.net
-    }
-
     /// Capture every mutable field of the wire — clocks, NIC/medium
     /// occupancy, traffic counters — into a [`WireCheckpoint`]. The network
     /// model and rank→node placement are construction constants and are
@@ -189,23 +172,21 @@ impl WireState {
             link_free: self.link_free.clone(),
             shared_free: self.shared_free,
             stats: self.stats,
-            rank_stats: self.rank_stats.clone(),
         }
     }
 
     /// Rewind the wire to a previously captured [`WireCheckpoint`].
     ///
-    /// A checkpoint whose shape does not fit this wire — a clock or
-    /// per-rank counter for each rank, a NIC cursor for each node — is
-    /// refused with a description, and the wire is left as it was.
+    /// A checkpoint whose shape does not fit this wire — a clock for each
+    /// rank, a NIC cursor for each node — is refused with a description, and
+    /// the wire is left as it was.
     pub fn restore_checkpoint(&mut self, ck: &WireCheckpoint) -> Result<(), String> {
         let (ranks, nodes) = (self.clocks.len(), self.link_free.len());
-        if ck.clocks.len() != ranks || ck.rank_stats.len() != ranks || ck.link_free.len() != nodes {
+        if ck.clocks.len() != ranks || ck.link_free.len() != nodes {
             return Err(format!(
-                "wire checkpoint has {} clocks, {} rank counters and {} NICs; \
+                "wire checkpoint has {} clocks and {} NICs; \
                  the wire has {ranks} ranks on {nodes} nodes",
                 ck.clocks.len(),
-                ck.rank_stats.len(),
                 ck.link_free.len(),
             ));
         }
@@ -213,14 +194,13 @@ impl WireState {
         self.link_free.clone_from(&ck.link_free);
         self.shared_free = ck.shared_free;
         self.stats = ck.stats;
-        self.rank_stats.clone_from(&ck.rank_stats);
         Ok(())
     }
 }
 
 /// The mutable half of a [`WireState`], captured at a point in virtual
 /// time: per-rank clocks, per-node NIC occupancy, the shared-medium cursor,
-/// and both layers of traffic counters. Produced by
+/// and the traffic counters. Produced by
 /// [`WireState::checkpoint`], consumed by [`WireState::restore_checkpoint`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct WireCheckpoint {
@@ -232,8 +212,6 @@ pub struct WireCheckpoint {
     pub shared_free: f64,
     /// Aggregate traffic counters at capture time.
     pub stats: TrafficStats,
-    /// Per-sender traffic counters at capture time.
-    pub rank_stats: Vec<TrafficStats>,
 }
 
 #[cfg(test)]
@@ -339,23 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn rank_stats_attribute_traffic_to_the_sender() {
-        let mut w = wire2();
-        w.charge_send(0, 1, 100, 0.0);
-        w.charge_send(1, 0, 7, 0.0);
-        w.charge_send(0, 1, 50, 0.0);
-        assert_eq!(w.rank_stats(0), TrafficStats { messages: 2, payload_bytes: 150 });
-        assert_eq!(w.rank_stats(1), TrafficStats { messages: 1, payload_bytes: 7 });
-        // Per-rank counters sum to the aggregate.
-        let total = w.stats();
-        assert_eq!(total.messages, w.rank_stats(0).messages + w.rank_stats(1).messages);
-        assert_eq!(
-            total.payload_bytes,
-            w.rank_stats(0).payload_bytes + w.rank_stats(1).payload_bytes
-        );
-    }
-
-    #[test]
     fn extra_delay_postpones_delivery_without_occupying_sender() {
         let mut plain = wire2();
         let on_time = plain.charge_send(0, 1, 4096, 0.0);
@@ -406,9 +367,7 @@ mod tests {
         short_clock.clocks.pop();
         let mut extra_nic = before.clone();
         extra_nic.link_free.push(0.0);
-        let mut short_stats = before.clone();
-        short_stats.rank_stats.pop();
-        for mut bad in [short_clock, extra_nic, short_stats] {
+        for mut bad in [short_clock, extra_nic] {
             bad.shared_free = 99.0;
             assert!(w.restore_checkpoint(&bad).is_err());
             assert_eq!(w.checkpoint(), before, "a refused restore wrote something");

@@ -7,21 +7,23 @@
 //! name or subcommand, an empty list or a count outside the declared
 //! bounds is a usage error (exit 2), and so is a combination of flags a
 //! run cannot make (a `chaos --frames` too short for the set's kill
-//! scenarios). `bench <id>` then runs collect → validate → write → echo →
-//! `wrote PATH`; a failed validation or write exits 1 and leaves no file.
-//! `bench chaos` and `bench sessions` print their transcripts, and a
-//! failed chaos cell exits 1.
+//! scenarios, `animate --streaks` without `--render`). `bench <id>` then
+//! runs collect → validate → write → echo → `wrote PATH`; a failed
+//! validation or write exits 1 and leaves no file. `bench chaos` and
+//! `bench sessions` print their transcripts, and a failed chaos cell exits
+//! 1; `bench animate` prints a run summary, and a failed run exits 1.
 
 use psa_chaos::{full_set, smoke_set, MatrixConfig};
 use psa_sessions::{AdmissionConfig, PoolConfig, SessionSpec, TenantId};
 use psa_workloads::{Workload, WorkloadSize};
 
-use crate::{export, export5, export6, export7, export8, tables, Export};
+use crate::{animate, export, export5, export6, export7, export8, tables, Export};
 
 enum Kind {
     Float,
     Int,
     List,
+    /// A path; an empty default makes the flag optional (absent is empty).
     Path,
     /// One of a fixed list of names, the default first.
     Name(&'static [&'static str]),
@@ -81,9 +83,9 @@ impl Flag {
 
 /// The parsed command line of one subcommand: every declared flag with its
 /// text (given or default) and checked value.
-struct Args {
-    /// The leading positional selection (`tables` only); `None` is "all".
-    choice: Option<String>,
+pub(crate) struct Args {
+    /// The leading positional selection; `None` is "all".
+    pub(crate) choice: Option<String>,
     flags: Vec<(&'static str, String, Value)>,
 }
 
@@ -92,10 +94,17 @@ impl Args {
         let mut raw = raw.peekable();
         let mut choice = None;
         if !sub.choices.is_empty() {
-            // A leading `--flag` is a flag: the selection is optional.
-            choice = raw.next_if(|c| !c.starts_with("--")).filter(|c| c != "all");
-            if let Some(c) = choice.as_deref().filter(|c| !sub.choices.contains(c)) {
-                return Err(format!("unknown `bench {}` selection `{c}`", sub.name));
+            // A leading `--flag` is a flag, not a selection.
+            choice = raw.next_if(|c| !c.starts_with("--")).filter(|c| sub.required || c != "all");
+            match choice.as_deref() {
+                Some(c) if !sub.choices.contains(&c) => {
+                    return Err(format!("unknown `bench {}` selection `{c}`", sub.name));
+                }
+                None if sub.required => {
+                    let names = sub.choices.join("|");
+                    return Err(format!("`bench {}` needs one of {names}", sub.name));
+                }
+                _ => {}
             }
         }
         let mut flags = Vec::new();
@@ -138,18 +147,18 @@ impl Args {
         }
     }
 
-    fn text(&self, name: &str) -> &str {
+    pub(crate) fn text(&self, name: &str) -> &str {
         match self.get(name) {
             Value::Text(text) => text,
             other => panic!("{name} is declared as {other:?}"),
         }
     }
 
-    fn int(&self, name: &str) -> u64 {
+    pub(crate) fn int(&self, name: &str) -> u64 {
         self.ints(name)[0]
     }
 
-    fn size(&self, name: &str) -> usize {
+    pub(crate) fn size(&self, name: &str) -> usize {
         self.int(name) as usize
     }
 
@@ -163,13 +172,15 @@ struct Subcommand {
     name: &'static str,
     /// Leading positional selections (absent or `all` selects every one).
     choices: &'static [&'static str],
+    /// Exactly one of `choices` must be given, and `all` is none of them.
+    required: bool,
     flags: &'static [Flag],
     run: fn(&Args) -> Result<(), Stop>,
 }
 
 /// Why a subcommand stopped short: its flags, each valid, ask for a run it
 /// cannot make (exit 2, nothing run), or the run failed (exit 1).
-enum Stop {
+pub(crate) enum Stop {
     Usage(String),
     Failed(String),
 }
@@ -182,23 +193,26 @@ const SUBCOMMANDS: &[Subcommand] = &[
     Subcommand {
         name: "tables",
         choices: tables::SECTIONS,
+        required: false,
         flags: &[SCALE, FRAMES],
         run: print_tables,
     },
     Subcommand {
         name: "3",
         choices: &[],
+        required: false,
         flags: &[SCALE, FRAMES, flag("--out", Path, "BENCH_3.json", 0)],
         run: |a| write_export(&export::collect(a.float("--scale"), a.int("--frames")), a),
     },
     Subcommand {
         name: "5",
         choices: &[],
+        required: false,
         flags: &[
             flag("--ranks", List, "8,32,128,512,1024", 1),
             flag("--frames", Int, "10", 1),
-            flag("--systems", Int, "100", 0),
-            flag("--particles", Int, "200", 0),
+            flag("--systems", Int, "100", 1),
+            flag("--particles", Int, "200", 1),
             flag("--scale", Float, "50", 0),
             flag("--out", Path, "BENCH_5.json", 0),
         ],
@@ -210,12 +224,13 @@ const SUBCOMMANDS: &[Subcommand] = &[
     Subcommand {
         name: "6",
         choices: &[],
+        required: false,
         flags: &[
             // The degraded-manager scenario needs two calculators.
             flag("--ranks", List, "8,32,128,512,1024", 2),
             flag("--frames", Int, "60", 1),
-            flag("--systems", Int, "1", 0),
-            flag("--particles", Int, "700", 0),
+            flag("--systems", Int, "1", 1),
+            flag("--particles", Int, "700", 1),
             flag("--scale", Float, "500", 0),
             flag("--out", Path, "BENCH_6.json", 0),
         ],
@@ -227,10 +242,11 @@ const SUBCOMMANDS: &[Subcommand] = &[
     Subcommand {
         name: "7",
         choices: &[],
+        required: false,
         flags: &[
             flag("--sessions", List, "100,300,1000", 1),
             flag("--frames", Int, "10", 1),
-            flag("--particles", Int, "300", 0),
+            flag("--particles", Int, "300", 1),
             flag("--seed", Int, "3195797511", 0), // 0xBE7C_0007
             flag("--out", Path, "BENCH_7.json", 0),
         ],
@@ -243,15 +259,16 @@ const SUBCOMMANDS: &[Subcommand] = &[
     Subcommand {
         name: "8",
         choices: &[],
+        required: false,
         flags: &[
             // Rank 1 is the victim and needs a surviving neighbour.
             flag("--calculators", List, "4,8", 2),
-            flag("--intervals", List, "2,3,4", 0),
+            flag("--intervals", List, "2,3,4", 1),
             // Against the default 12-frame run: before the first snapshot
             // (2 < interval 3 and 4), on a cadence boundary (4, 8), deep in (11).
             flag("--crash-frames", List, "2,4,5,8,11", 0),
             flag("--frames", Int, "12", 1),
-            flag("--particles", Int, "300", 0),
+            flag("--particles", Int, "300", 1),
             flag("--seed", Int, "3195797512", 0), // 0xBE7C_0008
             flag("--out", Path, "BENCH_8.json", 0),
         ],
@@ -270,6 +287,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
     Subcommand {
         name: "chaos",
         choices: &[],
+        required: false,
         flags: &[
             flag("--matrix", Name(&["smoke", "full"]), "smoke", 0),
             flag("--seed", Int, "419766277", 0), // 0x1905_2005
@@ -282,8 +300,9 @@ const SUBCOMMANDS: &[Subcommand] = &[
     Subcommand {
         name: "sessions",
         choices: &[],
+        required: false,
         flags: &[
-            flag("--sessions", Int, "100", 0),
+            flag("--sessions", Int, "100", 1),
             flag("--workers", Int, "8", 1),
             flag("--tenants", Int, "4", 1),
             flag("--scene", Name(&["snow", "fountain", "vortex"]), "snow", 0),
@@ -292,11 +311,28 @@ const SUBCOMMANDS: &[Subcommand] = &[
             flag("--seed", Int, "1582628864", 0), // 0x5E55_0000
             flag("--max-in-flight", Int, "32", 1),
             flag("--per-tenant", Int, "8", 1),
-            flag("--particles", Int, "400", 0),
+            flag("--particles", Int, "400", 1),
             flag("--checkpoint", Int, "0", 0),
             flag("--instrument", Switch, "off", 0),
         ],
         run: print_sessions,
+    },
+    Subcommand {
+        name: "animate",
+        choices: &["snow", "fountain", "fireworks", "smoke"],
+        required: true,
+        flags: &[
+            flag("--executor", Name(&["threaded", "virtual", "sequential"]), "threaded", 0),
+            flag("--procs", Int, "4", 1),
+            flag("--frames", Int, "30", 1),
+            flag("--particles", Int, "10000", 1),
+            flag("--systems", Int, "4", 1),
+            flag("--balance", Name(&["dlb", "slb", "dec"]), "dlb", 0),
+            flag("--space", Name(&["fs", "is"]), "fs", 0),
+            flag("--render", Path, "", 0),
+            flag("--streaks", Switch, "off", 0),
+        ],
+        run: animate::animate,
     },
 ];
 
@@ -394,13 +430,16 @@ pub fn usage() -> String {
     let mut s = String::from("usage:");
     for sub in SUBCOMMANDS {
         s.push_str(&format!("\n  bench {}", sub.name));
-        if !sub.choices.is_empty() {
-            s.push_str(&format!(" [{}|all]", sub.choices.join("|")));
+        match (sub.choices, sub.required) {
+            ([], _) => {}
+            (choices, true) => s.push_str(&format!(" <{}>", choices.join("|"))),
+            (choices, false) => s.push_str(&format!(" [{}|all]", choices.join("|"))),
         }
         for flag in sub.flags {
             match flag.kind {
                 Name(names) => s.push_str(&format!(" [{} {}]", flag.name, names.join("|"))),
                 Switch => s.push_str(&format!(" [{}]", flag.name)),
+                Path if flag.default.is_empty() => s.push_str(&format!(" [{} DIR]", flag.name)),
                 _ => s.push_str(&format!(" [{} {}]", flag.name, flag.default)),
             }
         }
@@ -409,8 +448,8 @@ pub fn usage() -> String {
 }
 
 /// Run `bench` on `argv` (without the program name); returns the exit
-/// code: 0 done, 1 the run failed (validation, I/O, a chaos cell), 2 usage
-/// error.
+/// code: 0 done, 1 the run failed (validation, I/O, a chaos cell, an
+/// animation), 2 usage error.
 pub fn run(mut argv: impl Iterator<Item = String>) -> i32 {
     let parsed = match argv.next() {
         None => Err("no subcommand".to_string()),
@@ -427,7 +466,8 @@ pub fn run(mut argv: impl Iterator<Item = String>) -> i32 {
         Ok(parsed) => parsed,
         Err(msg) => return usage_error(msg),
     };
-    let given: Vec<String> = args.flags.iter().map(|(n, text, _)| format!("{n} {text}")).collect();
+    let given = args.flags.iter().filter(|(_, text, _)| !text.is_empty());
+    let given: Vec<String> = given.map(|(n, text, _)| format!("{n} {text}")).collect();
     eprintln!("bench {}: {}", sub.name, given.join(" "));
     match (sub.run)(&args) {
         Ok(()) => 0,

@@ -6,8 +6,11 @@
 //! tables next to the paper's published values, writes the exports
 //! through the one JSON writer ([`json`]), and prints the chaos and
 //! session-pool transcripts their crates produce. Everything is
-//! deterministic: same seed, same table.
+//! deterministic: same seed, same table. `bench animate` runs one workload
+//! on any executor and prints a summary (a threaded run's seconds are host
+//! wall time, not an artifact).
 
+mod animate;
 pub mod cli;
 pub mod export;
 pub mod export5;

@@ -24,8 +24,8 @@ fn without_wall_seconds(json: &str) -> String {
     json.lines().map(strip).collect::<Vec<_>>().join("\n")
 }
 
-/// The subcommand list is pinned: `tables`, one per committed artifact, and
-/// the two committed transcripts.
+/// The subcommand list is pinned: `tables`, one per committed artifact, the
+/// two committed transcripts and `animate`.
 #[test]
 fn usage_lists_exactly_the_pinned_subcommands() {
     let out = bench(&[]);
@@ -36,7 +36,8 @@ fn usage_lists_exactly_the_pinned_subcommands() {
         .filter_map(|l| l.trim().strip_prefix("bench "))
         .filter_map(|l| l.split_whitespace().next())
         .collect();
-    assert_eq!(listed, ["tables", "3", "5", "6", "7", "8", "chaos", "sessions"], "{usage}");
+    let pinned = ["tables", "3", "5", "6", "7", "8", "chaos", "sessions", "animate"];
+    assert_eq!(listed, pinned, "{usage}");
     assert!(
         usage.contains("[table1|table2|table3|text-snow|text-fountain|reductions|all]"),
         "{usage}"
@@ -47,10 +48,13 @@ fn usage_lists_exactly_the_pinned_subcommands() {
     assert!(usage.contains("[--matrix smoke|full]"), "{usage}");
     assert!(usage.contains("[--scene snow|fountain|vortex]"), "{usage}");
     assert!(usage.contains("[--instrument]"), "{usage}");
+    assert!(usage.contains("bench animate <snow|fountain|fireworks|smoke> [--executor"), "{usage}");
+    assert!(usage.contains("[--render DIR] [--streaks]"), "{usage}");
 }
 
-/// Malformed input is a usage error on every artifact subcommand (the
-/// `chaos` and `sessions` rows live in `chaos_cli.rs` and `sessions_cli.rs`).
+/// Malformed input is a usage error on every artifact subcommand and on
+/// `animate` (the `chaos`, `sessions` and `animate` flag-combination rows
+/// live in `chaos_cli.rs`, `sessions_cli.rs` and `animate_cli.rs`).
 #[test]
 fn malformed_arguments_exit_2_without_panicking() {
     for (args, why) in [
@@ -78,6 +82,22 @@ fn malformed_arguments_exit_2_without_panicking() {
         (&["6", "--frames", "0"], "a zero-frame run"),
         (&["7", "--frames", "0"], "a zero-frame run"),
         (&["8", "--frames", "0"], "a zero-frame run"),
+        (&["5", "--systems", "0", "--ranks", "8", "--frames", "1"], "a sweep of no systems"),
+        (&["5", "--particles", "0", "--ranks", "8", "--frames", "1"], "empty systems"),
+        (&["6", "--systems", "0", "--ranks", "2", "--frames", "2"], "a sweep of no systems"),
+        (&["6", "--particles", "0", "--ranks", "2", "--frames", "2"], "empty systems"),
+        (&["7", "--particles", "0", "--sessions", "1", "--frames", "1"], "empty sessions"),
+        (
+            &["8", "--particles", "0", "--calculators", "2", "--crash-frames", "2"],
+            "empty snapshots",
+        ),
+        (&["8", "--intervals", "0", "--calculators", "2", "--crash-frames", "0"], "no checkpoints"),
+        (&["animate"], "no workload: `needs one of`"),
+        (&["animate", "all"], "animate runs one workload"),
+        (&["animate", "--frames", "2"], "a flag is no workload: `needs one of`"),
+        (&["animate", "snow", "--frames", "0"], "a zero-frame animation"),
+        (&["animate", "smoke", "--systems", "0"], "no systems, not a silent one"),
+        (&["animate", "snow", "--particles", "0"], "empty systems"),
     ] {
         common::assert_usage_error(args, why);
     }

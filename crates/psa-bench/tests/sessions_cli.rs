@@ -3,12 +3,15 @@
 
 mod common;
 
-/// Zero lanes, slices, slots, tenants or per-tenant caps, an unparsable or
-/// out-of-range number and a missing or unknown scene name each exit 2.
+/// Zero sessions, lanes, slices, slots, tenants, per-tenant caps or
+/// particles, an unparsable or out-of-range number and a missing or unknown
+/// scene name each exit 2.
 #[test]
 fn bad_flags_exit_2_naming_the_flag() {
     for (args, why) in [
-        (&["sessions", "--workers", "0"][..], "no lanes"),
+        (&["sessions", "--sessions", "0"][..], "an empty report"),
+        (&["sessions", "--particles", "0"], "empty sessions"),
+        (&["sessions", "--workers", "0"], "no lanes"),
         (&["sessions", "--slice", "0"], "a slice of no frames"),
         (&["sessions", "--per-tenant", "0"], "no place per tenant"),
         (&["sessions", "--max-in-flight", "0"], "no in-flight place"),

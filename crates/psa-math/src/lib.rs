@@ -12,12 +12,10 @@
 //! * [`rng`] — deterministic, splittable random number streams (SplitMix64
 //!   core), so the whole simulation is reproducible from a single seed.
 //! * [`stats`] — light running-statistics helpers used by the benchmark
-//!   harness and the load balancer.
-//! * [`histogram`] — fixed-bin histograms for load-distribution reports.
+//!   harness and the load balancer, and the one quantile rule.
 
 pub mod aabb;
 pub mod axis;
-pub mod histogram;
 pub mod interval;
 pub mod rng;
 pub mod stats;
@@ -25,7 +23,6 @@ pub mod vec3;
 
 pub use aabb::Aabb;
 pub use axis::Axis;
-pub use histogram::Histogram;
 pub use interval::Interval;
 pub use rng::{DiscBasis, Rng64};
 pub use vec3::Vec3;

@@ -99,6 +99,19 @@ pub fn imbalance(loads: &[f64]) -> f64 {
     max / mean - 1.0
 }
 
+/// The `q`-quantile (`q` clamped to `0.0 ..= 1.0`) of `xs`: the value at
+/// rank `round(q · (n − 1))` of the sorted values, so always one of them;
+/// `0.0` when there are none.
+pub fn quantile(xs: &[f64], q: f64) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let Some(last) = sorted.len().checked_sub(1) else {
+        return 0.0;
+    };
+    let pos = (q.clamp(0.0, 1.0) * last as f64).round() as usize;
+    sorted.get(pos.min(last)).copied().unwrap_or(0.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,6 +158,19 @@ mod tests {
         assert_eq!(a.count(), whole.count());
         assert!((a.mean() - whole.mean()).abs() < 1e-9);
         assert!((a.variance() - whole.variance()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn quantile_is_the_nearest_rank_of_the_sorted_values() {
+        assert_eq!(quantile(&[], 0.5), 0.0);
+        let xs = [7.0, 1.0, 5.0, 3.0, 9.0];
+        assert_eq!(quantile(&xs, 0.0), 1.0);
+        assert_eq!(quantile(&xs, 0.5), 5.0);
+        // 0.99 · 4 = 3.96 rounds to rank 4, the maximum.
+        assert_eq!(quantile(&xs, 0.99), 9.0);
+        assert_eq!(quantile(&xs, 1.0), 9.0);
+        // 0.5 · 3 = 1.5 rounds to rank 2: one of the values, not 2.5.
+        assert_eq!(quantile(&[1.0, 2.0, 3.0, 4.0], 0.5), 3.0);
     }
 
     #[test]

@@ -148,18 +148,13 @@ impl PoolReport {
         self.outcomes.len() as f64 / self.makespan
     }
 
-    /// The `q`-quantile (`0.0 ..= 1.0`) of frame latency across every
-    /// completed session's frames; `0.0` when no frames were recorded.
+    /// The `q`-quantile (`0.0 ..= 1.0`, [`psa_math::stats::quantile`]) of
+    /// frame latency across every completed session's frames; `0.0` when no
+    /// frames were recorded.
     pub fn latency_percentile(&self, q: f64) -> f64 {
-        let mut all: Vec<f64> =
+        let all: Vec<f64> =
             self.outcomes.iter().flat_map(|o| o.frame_latencies.iter().copied()).collect();
-        if all.is_empty() {
-            return 0.0;
-        }
-        all.sort_by(f64::total_cmp);
-        let last = all.len() - 1;
-        let pos = (q.clamp(0.0, 1.0) * last as f64).round() as usize;
-        all.get(pos.min(last)).copied().unwrap_or(0.0)
+        psa_math::stats::quantile(&all, q)
     }
 
     /// Mean admission-queue wait over completed sessions; `0.0` when none

@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn other_crates_only_get_ambient_rng() {
         assert_eq!(ids("crates/psa-render/src/raster.rs"), vec!["ambient-rng"]);
-        assert_eq!(ids("src/bin/animate.rs"), vec!["ambient-rng"]);
+        assert_eq!(ids("examples/snow.rs"), vec!["ambient-rng"]);
     }
 
     #[test]
@@ -229,7 +229,7 @@ mod tests {
         assert!(graph_eligible("crates/netsim/src/virtual_net.rs"));
         assert!(!graph_eligible("crates/psa-verify/src/main.rs"));
         assert!(!graph_eligible("crates/psa-core/tests/determinism.rs"));
-        assert!(!graph_eligible("src/bin/animate.rs"));
+        assert!(!graph_eligible("examples/snow.rs"));
     }
 
     #[test]

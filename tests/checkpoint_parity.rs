@@ -181,10 +181,11 @@ fn restore_refuses_an_extra_nic_cursor() {
     assert_refused_untouched(|s| s.fabric.wire.link_free.push(0.0));
 }
 
+/// The manager's per-calculator count of missed load reports.
 #[test]
 fn restore_refuses_a_missing_rank_counter() {
     assert_refused_untouched(|s| {
-        s.fabric.wire.rank_stats.pop();
+        s.missed.pop();
     });
 }
 
