@@ -21,10 +21,16 @@ use psa_workloads::{fireworks_scene, myrinet_gcc, smoke_scene, Workload, Workloa
 use crate::cli::{Args, Stop};
 
 /// Run `a`'s workload and print its summary; `--render`/`--streaks` outside
-/// the threaded executor, and `--streaks` without `--render`, are usage
-/// errors.
+/// the threaded executor, `--streaks` without `--render`, and `--procs`,
+/// `--balance` or `--space` given to the sequential executor (one process
+/// over the whole space, nothing to place or balance) are usage errors.
 pub(crate) fn animate(a: &Args) -> Result<(), Stop> {
     let (executor, render) = (a.text("--executor"), a.text("--render"));
+    let unused = ["--procs", "--balance", "--space"].into_iter().find(|&f| a.given(f));
+    if let (Some(flag), "sequential") = (unused, executor) {
+        let why = format!("{flag} does not apply to --executor sequential: it runs one process");
+        return Err(Stop::Usage(why));
+    }
     let streaks = a.text("--streaks") == "on";
     if executor != "threaded" && (!render.is_empty() || streaks) {
         let why = "--render and --streaks need --executor threaded, the only one that rasterizes";

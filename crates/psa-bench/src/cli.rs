@@ -7,8 +7,9 @@
 //! name or subcommand, an empty list or a count outside the declared
 //! bounds is a usage error (exit 2), and so is a combination of flags a
 //! run cannot make (a `chaos --frames` too short for the set's kill
-//! scenarios, `animate --streaks` without `--render`). `bench <id>` then
-//! runs collect → validate → write → echo → `wrote PATH`; a failed
+//! scenarios, `animate --streaks` without `--render`, `animate --procs`
+//! on the sequential executor). `bench <id>` then runs collect →
+//! validate → write → echo → `wrote PATH`; a failed
 //! validation or write exits 1 and leaves no file. `bench chaos` and
 //! `bench sessions` print their transcripts, and a failed chaos cell exits
 //! 1; `bench animate` prints a run summary, and a failed run exits 1.
@@ -82,11 +83,12 @@ impl Flag {
 }
 
 /// The parsed command line of one subcommand: every declared flag with its
-/// text (given or default) and checked value.
+/// text (given or default), checked value and whether the command line gave
+/// it.
 pub(crate) struct Args {
     /// The leading positional selection; `None` is "all".
     pub(crate) choice: Option<String>,
-    flags: Vec<(&'static str, String, Value)>,
+    flags: Vec<(&'static str, String, Value, bool)>,
 }
 
 impl Args {
@@ -109,7 +111,7 @@ impl Args {
         }
         let mut flags = Vec::new();
         for f in sub.flags {
-            flags.push((f.name, f.default.to_string(), f.parse(f.default)?));
+            flags.push((f.name, f.default.to_string(), f.parse(f.default)?, false));
         }
         while let Some(name) = raw.next() {
             let at = sub.flags.iter().position(|f| f.name == name);
@@ -119,7 +121,7 @@ impl Args {
                 _ => raw.next().ok_or_else(|| format!("{name} needs a value"))?,
             };
             let value = sub.flags[at].parse(&text)?;
-            flags[at] = (sub.flags[at].name, text, value);
+            flags[at] = (sub.flags[at].name, text, value, true);
         }
         Ok(Args { choice, flags })
     }
@@ -127,8 +129,17 @@ impl Args {
     /// A declared flag's value. Asking for an undeclared name or the wrong
     /// kind is a bug in `SUBCOMMANDS`, not bad input.
     fn get(&self, name: &str) -> &Value {
-        match self.flags.iter().find(|(n, _, _)| *n == name) {
-            Some((_, _, value)) => value,
+        &self.flag(name).2
+    }
+
+    /// Did the command line give flag `name`, rather than leave its default?
+    pub(crate) fn given(&self, name: &str) -> bool {
+        self.flag(name).3
+    }
+
+    fn flag(&self, name: &str) -> &(&'static str, String, Value, bool) {
+        match self.flags.iter().find(|f| f.0 == name) {
+            Some(flag) => flag,
             None => panic!("subcommand table declares no {name}"),
         }
     }
@@ -466,8 +477,8 @@ pub fn run(mut argv: impl Iterator<Item = String>) -> i32 {
         Ok(parsed) => parsed,
         Err(msg) => return usage_error(msg),
     };
-    let given = args.flags.iter().filter(|(_, text, _)| !text.is_empty());
-    let given: Vec<String> = given.map(|(n, text, _)| format!("{n} {text}")).collect();
+    let given = args.flags.iter().filter(|(_, text, _, _)| !text.is_empty());
+    let given: Vec<String> = given.map(|(n, text, _, _)| format!("{n} {text}")).collect();
     eprintln!("bench {}: {}", sub.name, given.join(" "));
     match (sub.run)(&args) {
         Ok(()) => 0,

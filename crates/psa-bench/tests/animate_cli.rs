@@ -7,10 +7,10 @@ use common::bench;
 use std::path::Path;
 use std::process::Output;
 
-/// A two-frame snow of 50 particles on two calculators, with `extra` flags.
+/// A two-frame snow of 50 particles, with `extra` flags.
 fn tiny_snow(extra: &[&str]) -> Output {
     let tiny = ["animate", "snow", "--systems", "1", "--particles", "50", "--frames", "2"];
-    bench(&[&tiny[..], &["--procs", "2"], extra].concat())
+    bench(&[&tiny[..], extra].concat())
 }
 
 /// Only the threaded executor rasterizes, and only into `--render DIR`;
@@ -34,8 +34,9 @@ fn render_flags_need_the_threaded_executor() {
 /// `--executor` accepts exactly the three executors, and each runs.
 #[test]
 fn executor_flag_accepts_exactly_three_names() {
-    for executor in ["virtual", "threaded", "sequential"] {
-        let out = tiny_snow(&["--executor", executor]);
+    for (executor, procs) in [("virtual", "2"), ("threaded", "2"), ("sequential", "")] {
+        let procs = if procs.is_empty() { vec![] } else { vec!["--procs", procs] };
+        let out = tiny_snow(&[&["--executor", executor][..], &procs].concat());
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(out.status.success(), "{executor}: {stderr}");
         let stdout = String::from_utf8_lossy(&out.stdout);
@@ -53,12 +54,26 @@ fn zero_procs_is_a_usage_error() {
     }
 }
 
+/// The sequential executor runs one process over the whole space: a
+/// calculator count, a balance mode or a space mode given to it would not
+/// change the run, so each is refused, even at its default value, rather
+/// than reported as if it had been honoured.
+#[test]
+fn sequential_refuses_the_flags_it_cannot_honour() {
+    for (flag, value) in
+        [("--procs", "2"), ("--procs", "4"), ("--balance", "slb"), ("--space", "fs")]
+    {
+        let args = ["animate", "snow", "--executor", "sequential", "--frames", "2", flag, value];
+        common::assert_usage_error(&args, &format!("`{flag}` on the sequential executor"));
+    }
+}
+
 /// The threaded executor writes one PPM per frame into `--render DIR`.
 #[test]
 fn threaded_render_writes_one_ppm_per_frame() {
     let tmp = Path::new(env!("CARGO_TARGET_TMPDIR"));
     let frames = tmp.join(format!("animate_cli_frames_{}", std::process::id()));
-    let out = tiny_snow(&["--render", frames.to_str().expect("utf-8 temp dir")]);
+    let out = tiny_snow(&["--procs", "2", "--render", frames.to_str().expect("utf-8 temp dir")]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let mut written: Vec<_> = std::fs::read_dir(&frames).expect("frames dir").flatten().collect();
     written.sort_by_key(|e| e.file_name());
@@ -74,7 +89,8 @@ fn unwritable_render_dir_is_an_error_not_a_panic() {
     let tmp = Path::new(env!("CARGO_TARGET_TMPDIR"));
     let blocker = tmp.join(format!("animate_cli_blocker_{}", std::process::id()));
     std::fs::write(&blocker, b"a file, so no directory can be made under it").expect("temp file");
-    let out = tiny_snow(&["--render", blocker.join("frames").to_str().expect("utf-8 temp dir")]);
+    let render = blocker.join("frames");
+    let out = tiny_snow(&["--procs", "2", "--render", render.to_str().expect("utf-8 temp dir")]);
     std::fs::remove_file(&blocker).expect("remove temp file");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");

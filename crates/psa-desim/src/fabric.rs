@@ -1,36 +1,39 @@
-//! The virtual message fabric: one FIFO per directed link.
+//! The virtual message fabric: one FIFO per receiving rank.
 //!
 //! [`EventFabric`] implements the shared engine's [`Fabric`] contract for
 //! an engine that interleaves the ranks itself. Every accepted send is
 //! stamped with the exact delivery time the [`WireState`] cost model
 //! charged (sender CPU, NIC/medium occupancy, topology-aware latency,
-//! injected perturbation) and pushed onto its link's queue; a receive pops
-//! that link's front and moves the receiver's clock up to the stamp. There
-//! is no global event order: virtual time lives in the per-rank clocks, and
-//! the only ordering a result can depend on is send order within a link.
+//! injected perturbation) and pushed onto its receiver's inbox; a receive
+//! takes the oldest message from the named sender and moves the receiver's
+//! clock up to the stamp. There is no global event order: virtual time
+//! lives in the per-rank clocks, and the only ordering a result can depend
+//! on is send order within a link.
 //!
 //! ## Link order
 //!
 //! A link delivers in send order — not in delivery-stamp order — so
 //! jittered messages cannot reorder within a link: each link behaves as a
 //! plain queue, which is the model the golden fingerprints in
-//! `tests/event_parity.rs` were frozen under.
+//! `tests/event_parity.rs` were frozen under. An inbox interleaves all of
+//! its rank's incoming links in send order, so the oldest entry from a
+//! sender is exactly that link's front.
 //!
 //! ## Why it scales
 //!
-//! Per-link state exists only for links that carry or perturb traffic: each
-//! receiving rank has one sparse inbox of the senders that have ever sent to
-//! it (a dense `ranks²` queue table is ~34 MB of empty headers at 1,024
-//! ranks; the per-receiver inboxes are `ranks` empty vectors until something
-//! arrives), the fault plan and its injector hold the links that differ or
-//! have drawn, and with the engine's sparse exchange mode the active-link
-//! set stays proportional to actual migration, not to `ranks²`. A send or a
-//! receive indexes its receiver's inbox directly and binary-searches only
-//! that rank's senders, never every link of the fabric. An inbox is one
-//! vector sorted by sender: a manager or image generator that hears from
-//! 1,024 calculators searches contiguous memory, not a tree, and a sweep of
-//! first sends in ascending rank order (every `Load` and `RenderBatch`
-//! round) files each new sender at the end.
+//! The fabric holds one inbox per receiving rank — a FIFO of
+//! `(from, deliver_at, msg)` — and no per-link queue: a dense `ranks²`
+//! queue table is ~34 MB of empty headers at 1,024 ranks, while 1,026
+//! empty inboxes are 1,026 empty ring buffers. A send is a push onto the
+//! receiver's back. A receive scans from the front for its sender's oldest
+//! entry, and every sweep the engine makes (`Load` and
+//! `RenderBatch` gathers, creation, `Orders`, `Domains`, sparse exchange)
+//! sends in ascending rank order and receives in the same order, so that
+//! entry is the front: a manager that hears from 1,024 calculators pops
+//! one contiguous queue, with no search and no per-sender queue to find.
+//! The fault plan and its injector hold only the links that differ or have
+//! drawn, and with the engine's sparse exchange mode the traffic stays
+//! proportional to actual migration, not to `ranks²`.
 
 use std::collections::VecDeque;
 
@@ -68,26 +71,16 @@ pub struct SimStats {
     pub max_heap_depth: usize,
 }
 
-/// The links into one receiving rank: each sender's in-flight
-/// `(deliver_at, msg)` in send order, sorted by sender, one entry per
-/// sender that has sent.
-type Inbox = Vec<(usize, VecDeque<(f64, Msg)>)>;
-
-/// `from`'s queue in `inbox`, if it has ever sent there.
-fn queue_mut(inbox: &mut Inbox, from: usize) -> Option<&mut VecDeque<(f64, Msg)>> {
-    let i = inbox.binary_search_by_key(&from, |&(sender, _)| sender).ok()?;
-    inbox.get_mut(i).map(|(_, queue)| queue)
-}
+/// The traffic into one receiving rank: every sender's in-flight
+/// `(from, deliver_at, msg)`, in send order.
+type Inbox = VecDeque<(usize, f64, Msg)>;
 
 /// Virtual message fabric for the shared protocol engine.
 pub struct EventFabric {
     wire: WireState,
-    /// In-flight messages per directed link, found by the receiver first:
-    /// `links[to]`, then `from` by binary search. One inbox per rank, and a
-    /// queue only for a link that has sent — a sparse inbox per receiver,
-    /// not a dense table.
-    links: Vec<Inbox>,
-    /// Messages queued over all links.
+    /// In-flight messages into each rank, `inboxes[to]`.
+    inboxes: Vec<Inbox>,
+    /// Messages queued over all inboxes.
     in_flight: usize,
     inj: PlanInjector,
     stats: SimStats,
@@ -100,7 +93,7 @@ impl EventFabric {
         let ranks = node_of.len();
         EventFabric {
             wire: WireState::new(net, node_of, node_count),
-            links: vec![Inbox::new(); ranks],
+            inboxes: vec![Inbox::new(); ranks],
             in_flight: 0,
             inj: PlanInjector::new(plan),
             stats: SimStats::default(),
@@ -117,7 +110,7 @@ impl Fabric for EventFabric {
     fn send(&mut self, from: usize, to: usize, msg: Msg) -> Result<(), FailedSend<Msg>> {
         // A receiver the fabric does not have is refused before the
         // injector draws or the wire charges anything.
-        let Some(inbox) = self.links.get_mut(to) else {
+        let Some(inbox) = self.inboxes.get_mut(to) else {
             return Err(FailedSend {
                 msg,
                 error: TransportError::Disconnected { rank: from, peer: to },
@@ -129,14 +122,7 @@ impl Fabric for EventFabric {
                 // Counters + sender clock + occupancy; the delivery stamp
                 // travels with the message.
                 let deliver_at = self.wire.charge_send(from, to, payload, extra_delay);
-                let entry = (deliver_at, msg);
-                match queue_mut(inbox, from) {
-                    Some(queue) => queue.push_back(entry),
-                    None => {
-                        let at = inbox.partition_point(|&(sender, _)| sender < from);
-                        inbox.insert(at, (from, VecDeque::from([entry])));
-                    }
-                }
+                inbox.push_back((from, deliver_at, msg));
                 self.in_flight += 1;
                 self.stats.sends += 1;
                 self.stats.max_heap_depth = self.stats.max_heap_depth.max(self.in_flight);
@@ -151,8 +137,9 @@ impl Fabric for EventFabric {
     }
 
     fn recv(&mut self, to: usize, from: usize) -> Result<Msg, TransportError> {
-        match self.links.get_mut(to).and_then(|inbox| queue_mut(inbox, from)?.pop_front()) {
-            Some((deliver_at, msg)) => {
+        let inbox = self.inboxes.get_mut(to);
+        match inbox.and_then(|inbox| inbox.remove(inbox.iter().position(|e| e.0 == from)?)) {
+            Some((_, deliver_at, msg)) => {
                 self.in_flight -= 1;
                 self.stats.events += 1;
                 if self.wire.observe_delivery(to, deliver_at) {
@@ -165,12 +152,12 @@ impl Fabric for EventFabric {
     }
 
     fn recv_deadline(&mut self, to: usize, from: usize, wait: f64) -> Result<Msg, TransportError> {
-        let Some(inbox) = self.links.get_mut(to) else {
+        let Some(inbox) = self.inboxes.get(to) else {
             return Err(TransportError::NoMessage { rank: to, peer: from });
         };
-        if queue_mut(inbox, from).is_none_or(|queue| queue.is_empty()) {
+        if !inbox.iter().any(|e| e.0 == from) {
             // Nothing in flight can ever satisfy this receive (every sent
-            // message is already on its link): charge the bounded wait and
+            // message is already in its inbox): charge the bounded wait and
             // surface the timeout.
             self.stats.blocked_recvs += 1;
             self.wire.advance(to, wait);
@@ -180,22 +167,23 @@ impl Fabric for EventFabric {
     }
 
     fn take_queued(&mut self, to: usize, from: usize) -> Vec<Msg> {
-        let drained = self
-            .links
-            .get_mut(to)
-            .and_then(|inbox| queue_mut(inbox, from))
-            .map(std::mem::take)
-            .unwrap_or_default();
+        let Some(inbox) = self.inboxes.get_mut(to) else {
+            return Vec::new();
+        };
+        let (drained, kept): (Inbox, Inbox) =
+            std::mem::take(inbox).into_iter().partition(|e| e.0 == from);
+        *inbox = kept;
         self.in_flight -= drained.len();
         self.stats.events += drained.len() as u64;
-        drained.into_iter().map(|(_, msg)| msg).collect()
+        drained.into_iter().map(|(_, _, msg)| msg).collect()
     }
 
     fn queued_senders(&mut self, to: usize) -> Vec<usize> {
-        let Some(inbox) = self.links.get(to) else {
-            return Vec::new();
-        };
-        inbox.iter().filter(|(_, q)| !q.is_empty()).map(|&(from, _)| from).collect()
+        let mut senders: Vec<usize> =
+            self.inboxes.get(to).map_or_else(Vec::new, |inbox| inbox.iter().map(|e| e.0).collect());
+        senders.sort_unstable();
+        senders.dedup();
+        senders
     }
 
     fn now(&self, rank: usize) -> f64 {
@@ -263,8 +251,8 @@ impl Fabric for EventFabric {
         self.wire.restore_checkpoint(&ck.wire)?;
         self.inj = inj;
         // Frame-boundary checkpoints never capture in-flight traffic:
-        // drop whatever the links hold.
-        self.links.iter_mut().for_each(Inbox::clear);
+        // drop whatever the inboxes hold.
+        self.inboxes.iter_mut().for_each(Inbox::clear);
         self.in_flight = 0;
         self.stats = SimStats { events, sends, fast_forwards, blocked_recvs, ..self.stats };
         Ok(())
@@ -346,8 +334,7 @@ mod tests {
             EventFabric::send(&mut ev, 1, 2, Msg::FrameDone { frame: 10 + i }).expect("send");
         }
         let stamps = |ev: &EventFabric, from| -> Vec<f64> {
-            let queue = ev.links[2].iter().find(|&&(sender, _)| sender == from).expect("sent");
-            queue.1.iter().map(|&(deliver_at, _)| deliver_at).collect()
+            ev.inboxes[2].iter().filter(|e| e.0 == from).map(|e| e.1).collect()
         };
         let (slow, clean) = (stamps(&ev, 0), stamps(&ev, 1));
         assert!(slow.windows(2).any(|w| w[0] > w[1]), "jitter must invert stamps: {slow:?}");
@@ -460,22 +447,97 @@ mod tests {
         }
         assert_eq!(EventFabric::queued_senders(&mut ev, 3), vec![2, 5, 7]);
         assert_eq!(EventFabric::queued_senders(&mut ev, 0), Vec::<usize>::new());
-        // Only touched links occupy queue memory, all in the receiver's inbox.
-        assert_eq!(queues(&ev), 3);
-        assert_eq!(ev.links[3].len(), 3);
+        // Every message sits in its receiver's inbox, in send order.
+        assert_eq!(queued(&ev), 3);
+        assert_eq!(senders(&ev, 3), vec![5, 2, 7]);
         // A drained link drops out of the list.
         EventFabric::recv(&mut ev, 3, 5).expect("queued");
         assert_eq!(EventFabric::queued_senders(&mut ev, 3), vec![2, 7]);
     }
 
-    /// Link queues the fabric holds, over every receiver.
-    fn queues(ev: &EventFabric) -> usize {
-        ev.links.iter().map(Inbox::len).sum()
+    /// Messages the fabric holds, over every inbox.
+    fn queued(ev: &EventFabric) -> usize {
+        ev.inboxes.iter().map(Inbox::len).sum()
     }
 
-    /// The senders `to`'s inbox holds a queue for, in the inbox's order.
+    /// The sender of each message in `to`'s inbox, in send order.
     fn senders(ev: &EventFabric, to: usize) -> Vec<usize> {
-        ev.links[to].iter().map(|&(from, _)| from).collect()
+        ev.inboxes[to].iter().map(|e| e.0).collect()
+    }
+
+    #[test]
+    fn queued_senders_are_distinct_and_ascending() {
+        let mut ev = fabric(8);
+        for from in [6, 1, 6, 3, 1, 6, 0] {
+            EventFabric::send(&mut ev, from, 4, Msg::FrameDone { frame: 0 }).expect("send");
+        }
+        assert_eq!(EventFabric::queued_senders(&mut ev, 4), vec![0, 1, 3, 6]);
+        // A sender stays listed until its last message is taken.
+        EventFabric::recv(&mut ev, 4, 6).expect("queued");
+        EventFabric::recv(&mut ev, 4, 1).expect("queued");
+        assert_eq!(EventFabric::queued_senders(&mut ev, 4), vec![0, 1, 3, 6]);
+        assert_eq!(EventFabric::take_queued(&mut ev, 4, 6).len(), 2);
+        assert_eq!(EventFabric::queued_senders(&mut ev, 4), vec![0, 1, 3]);
+    }
+
+    #[test]
+    fn a_receive_finds_its_sender_behind_another_senders_traffic() {
+        let mut ev = fabric(4);
+        for (from, frame) in [(0, 1), (0, 2), (2, 3), (1, 4), (2, 5)] {
+            EventFabric::send(&mut ev, from, 3, Msg::FrameDone { frame }).expect("send");
+        }
+        // Sender 2's oldest message sits behind two of sender 0's: it comes
+        // out first, and everything else stays in send order.
+        assert_eq!(EventFabric::recv(&mut ev, 3, 2), Ok(Msg::FrameDone { frame: 3 }));
+        assert_eq!(senders(&ev, 3), vec![0, 0, 1, 2]);
+        assert_eq!(EventFabric::recv(&mut ev, 3, 1), Ok(Msg::FrameDone { frame: 4 }));
+        assert_eq!(EventFabric::recv(&mut ev, 3, 2), Ok(Msg::FrameDone { frame: 5 }));
+        assert_eq!(EventFabric::recv(&mut ev, 3, 0), Ok(Msg::FrameDone { frame: 1 }));
+        assert_eq!(EventFabric::recv(&mut ev, 3, 0), Ok(Msg::FrameDone { frame: 2 }));
+        assert_eq!((queued(&ev), ev.sim_stats().events), (0, 5));
+        // The receiver's clock ends at the latest stamp it took.
+        assert!(Fabric::now(&ev, 3) >= Fabric::now(&ev, 2));
+    }
+
+    #[test]
+    fn take_queued_keeps_the_other_senders_in_order() {
+        let mut ev = fabric(4);
+        for (from, frame) in [(1, 0), (2, 1), (1, 2), (0, 3), (2, 4), (1, 5), (0, 6)] {
+            EventFabric::send(&mut ev, from, 3, Msg::FrameDone { frame }).expect("send");
+        }
+        let frames = |msgs: Vec<Msg>| -> Vec<u64> {
+            msgs.into_iter()
+                .map(|m| match m {
+                    Msg::FrameDone { frame } => frame,
+                    other => panic!("{other:?}"),
+                })
+                .collect()
+        };
+        assert_eq!(frames(EventFabric::take_queued(&mut ev, 3, 1)), vec![0, 2, 5]);
+        assert_eq!(senders(&ev, 3), vec![2, 0, 2, 0]);
+        assert_eq!(EventFabric::queued_senders(&mut ev, 3), vec![0, 2]);
+        assert_eq!(frames(EventFabric::take_queued(&mut ev, 3, 0)), vec![3, 6]);
+        assert_eq!(frames(EventFabric::take_queued(&mut ev, 3, 2)), vec![1, 4]);
+        assert!(EventFabric::take_queued(&mut ev, 3, 1).is_empty());
+        assert_eq!(ev.sim_stats().events, 7);
+    }
+
+    #[test]
+    fn a_deadline_receive_times_out_behind_other_senders_traffic() {
+        let mut ev = fabric(4);
+        for from in [0, 2, 0] {
+            EventFabric::send(&mut ev, from, 3, Msg::FrameDone { frame: 0 }).expect("send");
+        }
+        let t0 = Fabric::now(&ev, 3);
+        assert_eq!(
+            EventFabric::recv_deadline(&mut ev, 3, 1, 0.25),
+            Err(TransportError::Timeout { rank: 3, peer: 1 })
+        );
+        assert_eq!(Fabric::now(&ev, 3), t0 + 0.25, "the wait is charged");
+        assert_eq!(ev.sim_stats().blocked_recvs, 1);
+        assert_eq!(senders(&ev, 3), vec![0, 2, 0], "the other senders' traffic stays queued");
+        assert!(EventFabric::recv_deadline(&mut ev, 3, 2, 0.25).is_ok());
+        assert_eq!(ev.sim_stats().blocked_recvs, 1);
     }
 
     #[test]
@@ -494,7 +556,6 @@ mod tests {
         }
         let mut ascending = first.to_vec();
         ascending.sort_unstable();
-        assert_eq!(senders(&ev, 5), ascending, "one queue per sender, sorted");
         assert_eq!(EventFabric::queued_senders(&mut ev, 5), ascending);
         for (i, &from) in first.iter().enumerate() {
             for want in [i as u64, 100 + i as u64] {
@@ -504,8 +565,8 @@ mod tests {
                 }
             }
         }
-        // Drained links keep their (empty) place and drop out of the list.
-        assert_eq!(senders(&ev, 5), ascending);
+        // Drained links drop out of the list and leave nothing behind.
+        assert_eq!(queued(&ev), 0);
         assert!(EventFabric::queued_senders(&mut ev, 5).is_empty());
         EventFabric::send(&mut ev, 4, 5, Msg::FrameDone { frame: 7 }).expect("send");
         assert_eq!(EventFabric::queued_senders(&mut ev, 5), vec![4]);
@@ -567,28 +628,29 @@ mod tests {
         for (from, to) in [(0, 1024), (1023, 1024), (1024, 5), (1024, 1023), (5, 1025), (1025, 0)] {
             EventFabric::send(&mut ev, from, to, Msg::FrameDone { frame: 1 }).expect("send");
         }
-        assert_eq!(queues(&ev), 6);
+        assert_eq!(queued(&ev), 6);
         ev.load_fabric(&ck).expect("the fabric's own checkpoint");
-        assert_eq!(queues(&ev), 0, "no receiver keeps a queue across a restore");
+        assert_eq!(queued(&ev), 0, "no receiver keeps a message across a restore");
         assert!((0..RANKS_1024).all(|to| EventFabric::queued_senders(&mut ev, to).is_empty()));
         assert!(EventFabric::recv(&mut ev, 1024, 0).is_err());
-        assert_eq!(ev.links.len(), RANKS_1024, "the per-receiver index survives the restore");
+        assert_eq!(ev.inboxes.len(), RANKS_1024, "every rank keeps its inbox across the restore");
     }
 
     #[test]
     fn queues_exist_only_for_links_that_sent() {
         let mut ev = fabric(RANKS_1024);
-        assert_eq!((ev.links.len(), queues(&ev)), (RANKS_1024, 0), "one empty map per rank");
+        assert_eq!((ev.inboxes.len(), queued(&ev)), (RANKS_1024, 0), "one empty inbox per rank");
         for (from, to) in [(3, 1024), (3, 1024), (4, 1024), (1024, 3), (3, 4)] {
             EventFabric::send(&mut ev, from, to, Msg::FrameDone { frame: 0 }).expect("send");
         }
-        assert_eq!(queues(&ev), 4, "four distinct links sent");
-        assert_eq!(senders(&ev, 1024), vec![3, 4]);
-        // Receives and crash cleanup never create a queue.
+        assert_eq!(queued(&ev), 5, "one entry per message, in its receiver's inbox");
+        assert_eq!(senders(&ev, 1024), vec![3, 3, 4]);
+        // Receives and crash cleanup never add an entry.
         let _ = EventFabric::recv(&mut ev, 1025, 9);
         let _ = EventFabric::recv_deadline(&mut ev, 1025, 8, 1e-3);
         let _ = EventFabric::take_queued(&mut ev, 1025, 7);
-        assert_eq!(queues(&ev), 4);
+        assert_eq!(queued(&ev), 5);
+        assert!(ev.inboxes[1025].is_empty());
     }
 
     #[test]

@@ -24,9 +24,10 @@
 //!    them as a golden table over the full scenario matrix at 4–16 ranks.
 //! 2. **Determinism** — runs are a pure function of `(seed, plan, config)`:
 //!    ranks step in a fixed order and a link delivers in send order.
-//! 3. **Scale** — per-link state exists only for links that carry or
-//!    perturb traffic and is found through its receiver (a binary search
-//!    of that receiver's senders), a domain broadcast hands every
+//! 3. **Scale** — in-flight traffic waits in one FIFO inbox per receiving
+//!    rank (a receive in the engine's rank-ordered sweeps is a pop from
+//!    its front), per-link state exists only for links that perturb
+//!    traffic, a domain broadcast hands every
 //!    calculator one shared map, and a (rank, system) pair that holds no
 //!    particle costs a counter read where it used to cost a walk over its
 //!    buckets and actions, so 1,024 calculators × 100+ systems sweep in

@@ -21,7 +21,7 @@
 //!   [`protocol::Fabric`]) and the per-role SPMD bodies the threaded
 //!   executor spawns. The deterministic virtual-time executor that
 //!   reproduces the paper's cluster timing is `psa-desim`'s `EventSim`,
-//!   which runs this engine over its per-link-FIFO fabric;
+//!   which runs this engine over its FIFO-link fabric;
 //! * [`sequential`] — the sequential baseline the paper computes speed-ups
 //!   against;
 //! * [`threaded`] — an SPMD executor over real host threads (wall-clock

@@ -28,25 +28,28 @@ pub(crate) struct Donation {
     pub selected: usize,
 }
 
-/// One calculator's state.
+/// One calculator's share of one system: all a (calculator, system) visit reads or writes.
+struct SystemState {
+    store: SubDomainStore,
+    /// Local replica of the system's domain map (all processes know all
+    /// domains, paper §3.1.4), `Arc`-shared: a `Domains` broadcast carries
+    /// one map for every calculator, not 1,024 ranks × 100 systems copies.
+    domains: Arc<DomainMap>,
+    /// This frame's compute time (pre-exchange population).
+    compute_time: f64,
+    /// Population the compute time was measured on.
+    pre_count: usize,
+    /// Particles the last exchange shipped away.
+    migrated: usize,
+    /// Replica of the manager's zero-order streak.
+    streak: SkipStreak,
+}
+
+/// One calculator's state, one [`SystemState`] per system: a visit reads one record.
 pub(crate) struct Calculator {
     /// This calculator's rank.
     c: usize,
-    /// One sub-domain store per system.
-    stores: Vec<SubDomainStore>,
-    /// Local replica of every system's domain map (all processes know all
-    /// domains, paper §3.1.4). `Arc`-shared: a `Domains` broadcast carries
-    /// one map that every calculator installs, and at 1,024 ranks × 100
-    /// systems per-rank copies would dominate memory.
-    domains: Vec<Arc<DomainMap>>,
-    /// This frame's per-system compute time (pre-exchange population).
-    compute_time: Vec<f64>,
-    /// Population the compute time was measured on.
-    pre_count: Vec<usize>,
-    /// Particles the last exchange shipped away, per system.
-    migrated: Vec<usize>,
-    /// Replica of the manager's zero-order streaks.
-    streak: SkipStreak,
+    systems: Vec<SystemState>,
     /// Exchange scratch, reused every frame: the leaver scan's output and
     /// one staging buffer per destination ever routed to, in rank order
     /// (sparse — a dense spine per calculator is `ranks²` empty headers).
@@ -59,18 +62,17 @@ pub(crate) struct Calculator {
 impl Calculator {
     /// Calculator `c` over the initial `domains` (one map per system).
     pub(crate) fn new(c: usize, domains: Vec<Arc<DomainMap>>, buckets: usize) -> Self {
-        let n_sys = domains.len();
+        let system = |domains: Arc<DomainMap>| SystemState {
+            store: SubDomainStore::new(domains.slice(c), AXIS, buckets),
+            domains,
+            compute_time: 0.0,
+            pre_count: 0,
+            migrated: 0,
+            streak: SkipStreak::default(),
+        };
         Calculator {
             c,
-            stores: domains
-                .iter()
-                .map(|d| SubDomainStore::new(d.slice(c), AXIS, buckets))
-                .collect(),
-            domains,
-            compute_time: vec![0.0; n_sys],
-            pre_count: vec![0; n_sys],
-            migrated: vec![0; n_sys],
-            streak: SkipStreak(vec![0; n_sys]),
+            systems: domains.into_iter().map(system).collect(),
             leavers: Vec::new(),
             staged: Vec::new(),
             donations: Vec::new(),
@@ -79,29 +81,29 @@ impl Calculator {
 
     /// System `sys`'s store, read-only (counts and shipping).
     pub(crate) fn store(&self, sys: usize) -> &SubDomainStore {
-        &self.stores[sys]
+        &self.systems[sys].store
     }
 
     /// This calculator's replica of system `sys`'s domain map.
     #[cfg(test)]
     pub(crate) fn replica(&self, sys: usize) -> &Arc<DomainMap> {
-        &self.domains[sys]
+        &self.systems[sys].domains
     }
 
     /// Particles held across every system.
     pub(crate) fn total(&self) -> usize {
-        self.stores.iter().map(SubDomainStore::len).sum()
+        self.systems.iter().map(|s| s.store.len()).sum()
     }
 
     /// Addition to the local set: newborn, migrating or donated particles.
     pub(crate) fn add(&mut self, sys: usize, batch: Vec<Particle>) {
-        self.stores[sys].extend(batch);
+        self.systems[sys].store.extend(batch);
     }
 
     /// Empty system `sys`'s store (a declared-dead rank's particles are
     /// confiscated and counted lost).
     pub(crate) fn take_all(&mut self, sys: usize) -> Vec<Particle> {
-        self.stores[sys].take_all()
+        self.systems[sys].store.take_all()
     }
 
     /// The action list ("Calculus" in Figure 2) on the kernel's serial
@@ -116,16 +118,15 @@ impl Calculator {
         cfg: &RunConfig,
     ) -> KernelRun {
         let rng = stream(cfg.seed, TAG_ACTIONS, frame, sys, self.c + 1);
-        let store = &mut self.stores[sys];
-        self.pre_count[sys] = store.len().max(1);
-        self.compute_time[sys] = 0.0;
-        kernel::run_actions(&setup.actions, cfg.dt, frame, rng, store, 0, 1)
+        let s = &mut self.systems[sys];
+        (s.pre_count, s.compute_time) = (s.store.len().max(1), 0.0);
+        kernel::run_actions(&setup.actions, cfg.dt, frame, rng, &mut s.store, 0, 1)
     }
 
     /// Count `seconds` of calculus compute into the load this calculator
     /// will report.
     pub(crate) fn add_compute_time(&mut self, sys: usize, seconds: f64) {
-        self.compute_time[sys] += seconds;
+        self.systems[sys].compute_time += seconds;
     }
 
     /// End-of-frame exchange staging: scan for leavers and route each to
@@ -134,10 +135,10 @@ impl Calculator {
     /// to the store. Returns how many are staged for other calculators —
     /// the migration count (§5.1) the load report carries.
     pub(crate) fn stage_exchange(&mut self, sys: usize) -> usize {
-        self.stores[sys].collect_leavers_into(&mut self.leavers);
-        let dm = &self.domains[sys];
+        let s = &mut self.systems[sys];
+        s.store.collect_leavers_into(&mut self.leavers);
         for p in self.leavers.drain(..) {
-            let owner = dm.owner_of(p.position.along(AXIS));
+            let owner = s.domains.owner_of(p.position.along(AXIS));
             let i = self.staged.binary_search_by_key(&owner, |s| s.0).unwrap_or_else(|i| {
                 self.staged.insert(i, (owner, Vec::new()));
                 i
@@ -145,10 +146,10 @@ impl Calculator {
             self.staged[i].1.push(p);
         }
         if let Ok(i) = self.staged.binary_search_by_key(&self.c, |s| s.0) {
-            self.stores[sys].extend(self.staged[i].1.drain(..));
+            s.store.extend(self.staged[i].1.drain(..));
         }
-        self.migrated[sys] = self.staged.iter().map(|s| s.1.len()).sum();
-        self.migrated[sys]
+        s.migrated = self.staged.iter().map(|s| s.1.len()).sum();
+        s.migrated
     }
 
     /// The batch staged for destination `d` (empty if none was).
@@ -169,21 +170,21 @@ impl Calculator {
     /// The load report (paper §3.2.4), its time rescaled to the
     /// post-exchange population, plus the last exchange's migration count.
     pub(crate) fn load(&self, sys: usize) -> (LoadInfo, usize) {
-        let count = self.stores[sys].len();
-        let time = self.compute_time[sys] * count as f64 / self.pre_count[sys] as f64;
-        (LoadInfo { count, time }, self.migrated[sys])
+        let s = &self.systems[sys];
+        let count = s.store.len();
+        (LoadInfo { count, time: s.compute_time * count as f64 / s.pre_count as f64 }, s.migrated)
     }
 
     /// Will the manager issue `Orders` for system `sys` this frame? Both
     /// sides derive the zero-order streak from the same round history, so
     /// nobody waits for a message the other side never issues.
     pub(crate) fn expects_orders(&self, sys: usize, frame: u64, mode: &BalanceMode) -> bool {
-        mode.is_dynamic() && !self.streak.skips(sys, frame, mode)
+        mode.is_dynamic() && !self.systems[sys].streak.skips(frame, mode)
     }
 
     /// Record the round total an `Orders` message carried.
     pub(crate) fn note_round(&mut self, sys: usize, round_orders: u32) {
-        self.streak.note(sys, round_orders);
+        self.systems[sys].streak.note(round_orders);
     }
 
     /// The donor side of one balance order: take `amount` particles off the
@@ -192,7 +193,7 @@ impl Calculator {
     /// particle tied exactly at the cut goes back into the store. The
     /// donation stays staged until the new domains are in force.
     pub(crate) fn donate(&mut self, sys: usize, to: usize, amount: usize) -> Donation {
-        let store = &mut self.stores[sys];
+        let store = &mut self.systems[sys].store;
         let low_side = to < self.c;
         let old_slice = store.slice();
         let amount = amount.min(store.len());
@@ -219,8 +220,8 @@ impl Calculator {
     /// Returns the population the reshape scanned, `None` if the slice stood.
     pub(crate) fn install_domains(&mut self, sys: usize, dm: Arc<DomainMap>) -> Option<usize> {
         let (new_slice, space) = (dm.slice(self.c), dm.space());
-        self.domains[sys] = dm;
-        let store = &mut self.stores[sys];
+        self.systems[sys].domains = dm;
+        let store = &mut self.systems[sys].store;
         if store.slice() == new_slice {
             return None;
         }
@@ -251,7 +252,7 @@ impl Calculator {
         sys: usize,
         mut ship: impl FnMut(&[Particle]),
     ) -> (usize, StateHash) {
-        let store = &self.stores[sys];
+        let store = &self.systems[sys].store;
         let mut hash = StateHash::new();
         for bucket in store.bucket_slices() {
             hash.extend(bucket);
@@ -262,16 +263,16 @@ impl Calculator {
 
     /// Frame-boundary state, particles in bucket-major order.
     pub(crate) fn snapshot(&self) -> CalcSnapshot {
-        let store = |st: &SubDomainStore| StoreSnapshot {
-            slice: st.slice(),
-            buckets: st.bucket_count(),
-            particles: st.to_vec(),
+        let store = |s: &SystemState| StoreSnapshot {
+            slice: s.store.slice(),
+            buckets: s.store.bucket_count(),
+            particles: s.store.to_vec(),
         };
         CalcSnapshot {
-            stores: self.stores.iter().map(store).collect(),
-            cuts: self.domains.iter().map(|d| d.cuts().to_vec()).collect(),
-            compute_time: self.compute_time.clone(),
-            pre_count: self.pre_count.clone(),
+            stores: self.systems.iter().map(store).collect(),
+            cuts: self.systems.iter().map(|s| s.domains.cuts().to_vec()).collect(),
+            compute_time: self.systems.iter().map(|s| s.compute_time).collect(),
+            pre_count: self.systems.iter().map(|s| s.pre_count).collect(),
         }
     }
 
@@ -287,14 +288,13 @@ impl Calculator {
         domains: Vec<Arc<DomainMap>>,
         streak: &[u32],
     ) {
-        for (store, ss) in self.stores.iter_mut().zip(&snap.stores) {
-            *store = SubDomainStore::new(ss.slice, AXIS, store.bucket_count());
-            store.extend(ss.particles.iter().copied());
+        for (sys, (s, dm)) in self.systems.iter_mut().zip(domains).enumerate() {
+            let ss = &snap.stores[sys];
+            s.store = SubDomainStore::new(ss.slice, AXIS, s.store.bucket_count());
+            s.store.extend(ss.particles.iter().copied());
+            (s.domains, s.compute_time) = (dm, snap.compute_time[sys]);
+            (s.pre_count, s.streak) = (snap.pre_count[sys], SkipStreak(streak[sys]));
         }
-        self.domains = domains;
-        self.compute_time.clone_from(&snap.compute_time);
-        self.pre_count.clone_from(&snap.pre_count);
-        self.streak = SkipStreak(streak.to_vec());
         self.leavers.clear();
         self.staged.iter_mut().for_each(|s| s.1.clear());
         self.donations.clear();
@@ -393,7 +393,7 @@ mod tests {
             // store clamps out-of-slice inserts into its edge buckets and the
             // scan is what finds them.
             let moved: Vec<Particle> = (0..200).map(|_| at(rng.range(-3.0, 13.0))).collect();
-            let owner = |p: &Particle| k.domains[0].owner_of(p.position.x);
+            let owner = |p: &Particle| k.replica(0).owner_of(p.position.x);
             let away = moved.iter().filter(|p| owner(p) != 1).count();
             let before = k.store(0).len() + moved.len();
             k.add(0, moved);
@@ -402,7 +402,7 @@ mod tests {
             let (mut shipped, mut last) = (0, None);
             while let Some((d, batch)) = k.next_outgoing() {
                 assert!(last < Some(d) && d != 1, "destinations ascend and skip self");
-                assert!(batch.iter().all(|p| k.domains[0].owner_of(p.position.x) == d));
+                assert!(batch.iter().all(|p| k.replica(0).owner_of(p.position.x) == d));
                 (shipped, last) = (shipped + batch.len(), Some(d));
             }
             assert_eq!(k.store(0).len() + shipped, before, "kept + shipped == before");
@@ -441,7 +441,7 @@ mod tests {
         }
         check(&one, "one bucket");
         check(&eight, "eight buckets");
-        eight.stores[0].for_each_mut(|p| p.position.x += 1.5);
+        eight.systems[0].store.for_each_mut(|p| p.position.x += 1.5);
         assert!(eight.stage_exchange(0) > 0);
         check(&eight, "eight buckets after a leaver scan");
     }
@@ -454,7 +454,7 @@ mod tests {
         assert_eq!(k.install_domains(0, same), None, "unchanged slice: no reshape");
         let dm = Arc::new(DomainMap::from_cuts(AXIS, vec![0.0, 3.0, 10.0]).expect("valid cuts"));
         assert_eq!(k.install_domains(0, dm.clone()), Some(2));
-        assert!(Arc::ptr_eq(&k.domains[0], &dm), "the replica is the map it was handed");
+        assert!(Arc::ptr_eq(k.replica(0), &dm), "the replica is the map it was handed");
         assert_eq!(k.store(0).slice(), Interval::new(0.0, 3.0));
         assert_eq!(k.store(0).len(), 2, "the out-of-space stray at -2 is back in the store");
     }

@@ -1,7 +1,7 @@
 //! The interleaved driver: [`Engine`] walks every rank through the frame
 //! protocol in one address space, over a simulated [`Fabric`].
 //!
-//! `psa-desim`'s `EventSim` instantiates it over its per-link-FIFO fabric,
+//! `psa-desim`'s `EventSim` instantiates it over its FIFO-link fabric,
 //! which charges costs through the `netsim::WireState` arithmetic;
 //! `psa-sessions` steps many engines over the same fabric type. The engine
 //! owns the choreography — the order of sends, receives, cost charges,

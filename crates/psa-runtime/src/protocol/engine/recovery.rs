@@ -101,7 +101,7 @@ impl<F: Fabric> Engine<F> {
             round: self.manager.round(),
             prev_makespan: self.prev_makespan,
             lost: self.lost,
-            idle_rounds: self.manager.idle_rounds().to_vec(),
+            idle_rounds: self.manager.idle_rounds(),
             crashed: self.crashed.clone(),
             dead: self.dead.clone(),
             missed: self.missed.clone(),

@@ -38,7 +38,7 @@ pub(crate) struct Manager {
     /// paper's start-pair alternation and the hierarchical level schedule.
     round: u64,
     /// Per-system consecutive zero-order rounds (balance short-circuit).
-    streak: SkipStreak,
+    streak: Vec<SkipStreak>,
     /// Virtual particles per real particle in the run statistics.
     scale: f64,
     /// Creation staging, reused every frame: the emitted cohort waiting to
@@ -58,7 +58,7 @@ impl Manager {
     ) -> Self {
         Manager {
             round: 0,
-            streak: SkipStreak(vec![0; domains.len()]),
+            streak: vec![SkipStreak::default(); domains.len()],
             domains,
             emitters,
             scale,
@@ -75,8 +75,8 @@ impl Manager {
         self.round
     }
 
-    pub(crate) fn idle_rounds(&self) -> &[u32] {
-        &self.streak.0
+    pub(crate) fn idle_rounds(&self) -> Vec<u32> {
+        self.streak.iter().map(|s| s.0).collect()
     }
 
     /// Creation (paper §3.2.1): [`emit`](Self::emit) system `sys`'s cohort
@@ -146,7 +146,7 @@ impl Manager {
         else {
             return Round::Static;
         };
-        if self.streak.skips(sys, frame, mode) {
+        if self.streak[sys].skips(frame, mode) {
             return Round::Skipped;
         }
         let present: Vec<usize> = (0..loads.len()).filter(|&c| loads[c].is_some()).collect();
@@ -158,7 +158,7 @@ impl Manager {
             Vec::new()
         };
         self.round += 1;
-        self.streak.note(sys, transfers.len() as u32);
+        self.streak[sys].note(transfers.len() as u32);
         debug_assert!(
             balance::validate_round(&transfers, &pl, &present, strategy.multi_pair()).is_ok(),
             "{} produced an invalid round: {:?}",
@@ -215,7 +215,7 @@ impl Manager {
     pub(crate) fn restore(&mut self, domains: Vec<DomainMap>, round: u64, idle_rounds: &[u32]) {
         self.domains = domains;
         self.round = round;
-        self.streak = SkipStreak(idle_rounds.to_vec());
+        self.streak = idle_rounds.iter().map(|&idle| SkipStreak(idle)).collect();
         self.newborn.clear();
         self.batches.iter_mut().for_each(Vec::clear);
     }
@@ -374,13 +374,13 @@ mod tests {
             .iter()
             .all(|t| present.contains(&t.donor) && present.contains(&t.receiver)));
         assert!(transfers.iter().any(|t| (t.donor, t.receiver) == (0, 2)), "pair spans rank 1");
-        assert_eq!((mgr.round(), mgr.idle_rounds()), (1, &[0][..]));
+        assert_eq!((mgr.round(), mgr.idle_rounds()), (1, vec![0]));
         // A level round is evaluated (and counted), then the streak skips
         // without counting.
         let level = vec![li(100); 6];
         assert!(matches!(mgr.decide_round(0, 1, &level, &speeds, &mode), Round::Decided { .. }));
-        assert_eq!((mgr.round(), mgr.idle_rounds()), (2, &[1][..]));
+        assert_eq!((mgr.round(), mgr.idle_rounds()), (2, vec![1]));
         assert!(matches!(mgr.decide_round(0, 2, &loads, &speeds, &mode), Round::Skipped));
-        assert_eq!((mgr.round(), mgr.idle_rounds()), (2, &[1][..]));
+        assert_eq!((mgr.round(), mgr.idle_rounds()), (2, vec![1]));
     }
 }

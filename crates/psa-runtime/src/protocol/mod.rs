@@ -132,23 +132,25 @@ pub(crate) fn space_for(scene: &Scene, cfg: &RunConfig, sys: usize) -> Interval 
     }
 }
 
-/// Per-system zero-order streaks behind the balance phase's short-circuit
+/// One system's zero-order streak behind the balance phase's short-circuit
 /// ([`balance::should_skip_round`]). The manager and every calculator hold
-/// one and feed it the same `round_orders` history (the manager from its
-/// own decisions, a calculator from the total each `Orders` carries), so
-/// both sides agree on which rounds have no `Orders` to wait for.
-pub(crate) struct SkipStreak(pub(crate) Vec<u32>);
+/// one per system and feed it the same `round_orders` history (the manager
+/// from its own decisions, a calculator from the total each `Orders`
+/// carries), so both sides agree on which rounds have no `Orders` to wait
+/// for.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct SkipStreak(pub(crate) u32);
 
 impl SkipStreak {
-    /// Is system `sys`'s round of `frame` short-circuited? Never under
+    /// Is this system's round of `frame` short-circuited? Never under
     /// static balancing (there is no round to skip).
-    pub(crate) fn skips(&self, sys: usize, frame: u64, mode: &BalanceMode) -> bool {
-        mode.balancer_config().is_some_and(|b| balance::should_skip_round(self.0[sys], frame, b))
+    pub(crate) fn skips(self, frame: u64, mode: &BalanceMode) -> bool {
+        mode.balancer_config().is_some_and(|b| balance::should_skip_round(self.0, frame, b))
     }
 
     /// Record an evaluated round that decided `round_orders` transfers.
-    pub(crate) fn note(&mut self, sys: usize, round_orders: u32) {
-        self.0[sys] = if round_orders == 0 { self.0[sys].saturating_add(1) } else { 0 };
+    pub(crate) fn note(&mut self, round_orders: u32) {
+        self.0 = if round_orders == 0 { self.0.saturating_add(1) } else { 0 };
     }
 }
 
@@ -157,9 +159,9 @@ impl SkipStreak {
 /// queries the degraded-mode protocol consults. A directed link is a FIFO:
 /// messages from one sender to one receiver arrive in send order, and no
 /// order is defined across links. Implemented by `psa-desim`'s
-/// `EventFabric` (per-link queues over the `netsim::WireState` timing
-/// arithmetic); the trait is the seam that keeps the protocol crate free
-/// of the simulator crate.
+/// `EventFabric` (one FIFO inbox per receiving rank over the
+/// `netsim::WireState` timing arithmetic); the trait is the seam that
+/// keeps the protocol crate free of the simulator crate.
 pub trait Fabric {
     /// Queue a message; the fabric charges occupancy and latency. A
     /// transient injected failure returns the message for retry.

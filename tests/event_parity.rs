@@ -13,6 +13,9 @@
 //! checksum 0 for every virtual frame today, so the fold column is one
 //! constant; it is recorded because the retired cross-executor sweep
 //! compared it, and it starts to bite the day the engine hashes state.)
+//! A third sweep, `sparse/`, was frozen from `EventSim` itself: sparse
+//! exchange at 64 and 128 calculators, each fingerprint beside the
+//! fabric's five `SimStats` counters.
 //!
 //! Re-baselining (only for a change that *means* to alter virtual timing or
 //! particle state): a failing sweep prints its full actual table; replace
@@ -23,7 +26,7 @@ use psa_chaos::{full_set, MatrixConfig};
 use psa_desim::EventSim;
 use psa_runtime::msg::ProtocolError;
 use psa_runtime::{BalanceMode, ExchangeMode, RunConfig, RunReport};
-use psa_workloads::{fountain_scene, myrinet_gcc, snow_scene, WorkloadSize};
+use psa_workloads::{fountain_scene, myrinet_gcc, snow_scene, Workload, WorkloadSize};
 
 const GOLDEN: &str = include_str!("golden/event_parity.txt");
 
@@ -118,6 +121,51 @@ fn event_sim_matches_golden_across_modes_and_topologies() {
     }
     assert_eq!(rows.len(), 2 * 5, "mode coverage shrank");
     assert_matches_golden("modes/", &rows);
+}
+
+/// The at-scale path: sparse exchange on 64 and 128 calculators, where
+/// every receive is found among many senders' traffic into one rank. Each
+/// row pins the run fingerprint and all five fabric counters, so a change
+/// to how the fabric files or finds a message shows here, not only in the
+/// regenerated BENCH_5/6 artifacts.
+#[test]
+fn event_sim_matches_golden_on_the_sparse_path_at_scale() {
+    let sz = WorkloadSize { systems: 2, particles_per_system: 600, scale: 25.0 };
+    let mut rows = Vec::new();
+    for wl in [Workload::Vortex, Workload::Fountain] {
+        for calculators in [64usize, 128] {
+            let cluster = myrinet_gcc(calculators, 1);
+            for balance in
+                [BalanceMode::dynamic(), BalanceMode::decentralized(), BalanceMode::Static]
+            {
+                let cfg = RunConfig {
+                    frames: 4,
+                    dt: wl.dt(),
+                    balance,
+                    exchange: ExchangeMode::Sparse,
+                    ..config(0x5EED)
+                };
+                let mut sim = EventSim::new(wl.scene(sz), cfg, cluster.clone(), sz.cost_model());
+                let outcome = sim.try_run();
+                let s = sim.sim_stats();
+                let cell = format!("sparse/{}/{calculators}c/{}", wl.name(), balance.label());
+                rows.push(match outcome {
+                    Ok(r) => format!(
+                        "{cell} {:016x} {} {} {} {} {}",
+                        r.fingerprint(),
+                        s.events,
+                        s.sends,
+                        s.fast_forwards,
+                        s.blocked_recvs,
+                        s.max_heap_depth
+                    ),
+                    Err(e) => format!("{cell} error {e}"),
+                });
+            }
+        }
+    }
+    assert_eq!(rows.len(), 2 * 2 * 3, "sparse coverage shrank");
+    assert_matches_golden("sparse/", &rows);
 }
 
 /// Same-seed virtual runs are byte-identical — determinism of the engine
