@@ -477,7 +477,7 @@ pub fn run(mut argv: impl Iterator<Item = String>) -> i32 {
         Ok(parsed) => parsed,
         Err(msg) => return usage_error(msg),
     };
-    let given = args.flags.iter().filter(|(_, text, _, _)| !text.is_empty());
+    let given = args.flags.iter().filter(|(_, _, _, given)| *given);
     let given: Vec<String> = given.map(|(n, text, _, _)| format!("{n} {text}")).collect();
     eprintln!("bench {}: {}", sub.name, given.join(" "));
     match (sub.run)(&args) {

@@ -68,6 +68,31 @@ fn sequential_refuses_the_flags_it_cannot_honour() {
     }
 }
 
+/// The stderr echo names the flags the command line gave, and no default:
+/// a sequential run that echoed `--procs` would claim a calculator count
+/// the executor refuses to be given.
+#[test]
+fn the_echo_names_only_the_given_flags() {
+    for (args, echo, unsaid) in [
+        (
+            &["animate", "snow", "--executor", "sequential", "--frames", "2"][..],
+            "bench animate: --executor sequential --frames 2\n",
+            "--procs",
+        ),
+        (
+            &["animate", "snow", "--frames", "2", "--systems", "1", "--particles", "50"],
+            "bench animate: --frames 2 --particles 50 --systems 1\n",
+            "--executor",
+        ),
+    ] {
+        let out = bench(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        assert!(stderr.starts_with(echo), "{args:?}: {stderr}");
+        assert!(!stderr.contains(unsaid), "{args:?}: {stderr}");
+    }
+}
+
 /// The threaded executor writes one PPM per frame into `--render DIR`.
 #[test]
 fn threaded_render_writes_one_ppm_per_frame() {

@@ -49,6 +49,10 @@ impl Action for BounceOff {
         Some(ActionOutcome::applied(chunk.len()))
     }
 
+    fn draws_rng(&self) -> bool {
+        false
+    }
+
     fn cost_weight(&self) -> f64 {
         1.5 // contact test + occasional reflection per particle
     }
@@ -76,10 +80,16 @@ impl Action for DieOnContact {
         "die-on-contact"
     }
 
-    fn apply(&self, _ctx: &mut ActionCtx<'_>, store: &mut SubDomainStore) -> ActionOutcome {
-        let before = store.len();
-        let killed = store.retain(|p| self.object.contact(p.position).is_none());
-        ActionOutcome { applied: before, killed }
+    fn apply_then(
+        &self,
+        store: &mut SubDomainStore,
+        tail: &mut dyn FnMut(&mut [Particle]),
+    ) -> Option<ActionOutcome> {
+        Some(super::lifecycle::kill(store, |p| self.object.contact(p.position).is_none(), tail))
+    }
+
+    fn draws_rng(&self) -> bool {
+        false
     }
 }
 

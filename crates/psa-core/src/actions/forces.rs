@@ -46,6 +46,10 @@ impl Action for Gravity {
         }
         Some(ActionOutcome::applied(chunk.len()))
     }
+
+    fn draws_rng(&self) -> bool {
+        false
+    }
 }
 
 /// Random per-particle acceleration — the snow experiment applies "a random
@@ -137,6 +141,10 @@ impl Action for Damping {
         }
         Some(ActionOutcome::applied(chunk.len()))
     }
+
+    fn draws_rng(&self) -> bool {
+        false
+    }
 }
 
 /// Relax particle velocity toward a wind field velocity.
@@ -173,6 +181,10 @@ impl Action for Wind {
             p.velocity = p.velocity.lerp(wind, k);
         }
         Some(ActionOutcome::applied(chunk.len()))
+    }
+
+    fn draws_rng(&self) -> bool {
+        false
     }
 }
 
@@ -215,6 +227,10 @@ impl Action for OrbitPoint {
             p.velocity += rel * (s / (d2 * d2.sqrt()));
         }
         Some(ActionOutcome::applied(chunk.len()))
+    }
+
+    fn draws_rng(&self) -> bool {
+        false
     }
 
     fn cost_weight(&self) -> f64 {

@@ -8,6 +8,19 @@ use super::{Action, ActionCtx, ActionKind, ActionOutcome};
 use crate::{Particle, SubDomainStore};
 use psa_math::{Aabb, Axis, Scalar};
 
+/// A whole-store kill by the per-particle test `keep`, handing the
+/// survivors to `tail` ([`SubDomainStore::retain_then`]); every particle
+/// counts as applied.
+pub(super) fn kill<K: FnMut(&Particle) -> bool>(
+    store: &mut SubDomainStore,
+    keep: K,
+    tail: &mut dyn FnMut(&mut [Particle]),
+) -> ActionOutcome {
+    let before = store.len();
+    let killed = store.retain_then(keep, tail);
+    ActionOutcome { applied: before, killed }
+}
+
 /// Remove particles older than `max_age` seconds.
 #[derive(Clone, Copy, Debug)]
 pub struct KillOld {
@@ -30,10 +43,16 @@ impl Action for KillOld {
         "kill-old"
     }
 
-    fn apply(&self, _ctx: &mut ActionCtx<'_>, store: &mut SubDomainStore) -> ActionOutcome {
-        let before = store.len();
-        let killed = store.retain(|p| p.age <= self.max_age);
-        ActionOutcome { applied: before, killed }
+    fn apply_then(
+        &self,
+        store: &mut SubDomainStore,
+        tail: &mut dyn FnMut(&mut [Particle]),
+    ) -> Option<ActionOutcome> {
+        Some(kill(store, |p| p.age <= self.max_age, tail))
+    }
+
+    fn draws_rng(&self) -> bool {
+        false
     }
 }
 
@@ -66,10 +85,16 @@ impl Action for KillBelow {
         "kill-below"
     }
 
-    fn apply(&self, _ctx: &mut ActionCtx<'_>, store: &mut SubDomainStore) -> ActionOutcome {
-        let before = store.len();
-        let killed = store.retain(|p| p.position.along(self.axis) >= self.threshold);
-        ActionOutcome { applied: before, killed }
+    fn apply_then(
+        &self,
+        store: &mut SubDomainStore,
+        tail: &mut dyn FnMut(&mut [Particle]),
+    ) -> Option<ActionOutcome> {
+        Some(kill(store, |p| p.position.along(self.axis) >= self.threshold, tail))
+    }
+
+    fn draws_rng(&self) -> bool {
+        false
     }
 }
 
@@ -95,10 +120,16 @@ impl Action for KillOutside {
         "kill-outside"
     }
 
-    fn apply(&self, _ctx: &mut ActionCtx<'_>, store: &mut SubDomainStore) -> ActionOutcome {
-        let before = store.len();
-        let killed = store.retain(|p| self.bounds.contains(p.position));
-        ActionOutcome { applied: before, killed }
+    fn apply_then(
+        &self,
+        store: &mut SubDomainStore,
+        tail: &mut dyn FnMut(&mut [Particle]),
+    ) -> Option<ActionOutcome> {
+        Some(kill(store, |p| self.bounds.contains(p.position), tail))
+    }
+
+    fn draws_rng(&self) -> bool {
+        false
     }
 }
 
@@ -149,6 +180,10 @@ impl Action for Fade {
     ) -> Option<ActionOutcome> {
         // Killing needs the whole-store retain pass; stay serial.
         (!self.kill_at_zero).then(|| ActionOutcome::applied(self.dim(ctx.dt, chunk)))
+    }
+
+    fn draws_rng(&self) -> bool {
+        false
     }
 }
 

@@ -38,6 +38,10 @@ impl Action for MoveParticles {
         }
         Some(ActionOutcome::applied(chunk.len()))
     }
+
+    fn draws_rng(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

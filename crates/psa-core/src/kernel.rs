@@ -26,8 +26,11 @@
 //! `chunk == 0` selects the **legacy serial path**: the whole action list
 //! runs on the single caller stream exactly as the executors did before
 //! this module existed, keeping every seed-calibrated table bit-identical.
+//! It is [`ActionList::run`], whose fused walks visit the store fewer
+//! times than the list has actions and leave it bit for bit as
+//! action-by-action passes would.
 
-use crate::actions::{ActionCtx, ActionList, ActionOutcome};
+use crate::actions::{apply_chunk_checked, ActionCtx, ActionList, ActionOutcome};
 use crate::pool::Pool;
 use crate::{Particle, SubDomainStore};
 use psa_math::{Rng64, Scalar};
@@ -140,17 +143,6 @@ fn walk_actions(
         out.outcome = out.outcome.merge(o);
     }
     out
-}
-
-/// A chunkable action must stay chunkable for every slice — a `None` here
-/// after a `Some` probe would silently skip particles.
-fn apply_chunk_checked(
-    a: &dyn crate::Action,
-    ctx: &mut ActionCtx<'_>,
-    piece: &mut [Particle],
-) -> ActionOutcome {
-    a.apply_chunk(ctx, piece)
-        .unwrap_or_else(|| panic!("action '{}' revoked apply_chunk mid-run", a.name()))
 }
 
 #[cfg(test)]

@@ -3,6 +3,13 @@
 use crate::Particle;
 use psa_math::{Axis, Scalar};
 
+/// Particles per block of the fused passes: a kill sweep hands its
+/// survivors on in blocks of this size, and a fused run of actions
+/// applies each block of a bucket before the next. 256 particles of 64
+/// bytes are 16 KiB, which stays in L1 while every action of the run
+/// touches it.
+pub(crate) const BLOCK: usize = 256;
+
 /// A growable set of particles.
 ///
 /// The store is ordering-agnostic: the model never relies on particle order
@@ -71,18 +78,42 @@ impl ParticleStore {
     }
 
     /// Keep only particles satisfying `f` (order not preserved); returns the
-    /// number removed. Implemented as a backwards swap_remove sweep so it is
+    /// number removed. Implemented as a forward swap_remove sweep so it is
     /// O(n) regardless of how many die — the kill actions run every frame on
     /// 400k-particle systems.
-    pub fn retain_unordered<F: FnMut(&Particle) -> bool>(&mut self, mut f: F) -> usize {
+    pub fn retain_unordered<F: FnMut(&Particle) -> bool>(&mut self, f: F) -> usize {
+        self.retain_then(f, |_| {})
+    }
+
+    /// [`ParticleStore::retain_unordered`] that hands the survivors to
+    /// `tail` in blocks of at most `BLOCK` (256) as the sweep finishes them.
+    ///
+    /// A `swap_remove` only writes the cursor's slot and shrinks the end,
+    /// so every slot behind the cursor is final: `tail` sees each survivor
+    /// once, after `keep` has judged it, in exactly the order a pass over
+    /// the retained store would visit — the blocks concatenate to it.
+    pub fn retain_then<K, T>(&mut self, mut keep: K, mut tail: T) -> usize
+    where
+        K: FnMut(&Particle) -> bool,
+        T: FnMut(&mut [Particle]),
+    {
         let before = self.items.len();
-        let mut i = 0;
-        while i < self.items.len() {
-            if f(&self.items[i]) {
-                i += 1;
-            } else {
-                self.items.swap_remove(i);
+        let mut done = 0;
+        while done < self.items.len() {
+            // Judge until a block of survivors sits behind the cursor or
+            // the store ends.
+            let (mut i, end) = (done, done + BLOCK);
+            while i < end && i < self.items.len() {
+                if keep(&self.items[i]) {
+                    i += 1;
+                } else {
+                    self.items.swap_remove(i);
+                }
             }
+            if i > done {
+                tail(&mut self.items[done..i]);
+            }
+            done = i;
         }
         before - self.items.len()
     }
@@ -213,6 +244,47 @@ mod tests {
         assert_eq!(removed, 5);
         assert_eq!(s.len(), 5);
         assert!(s.iter().all(|q| q.position.x < 5.0));
+    }
+
+    /// The blocks a kill sweep hands on concatenate to the store it
+    /// leaves, each at most `BLOCK` long, each survivor judged before it
+    /// is handed on and handed on once — at every size around a block.
+    #[test]
+    fn retain_then_hands_on_exactly_the_retained_store() {
+        let mut rng = psa_math::Rng64::new(0x7A11);
+        for n in [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17, 2000] {
+            for cut in [0.0, 0.3, 0.5, 1.0] {
+                let xs: Vec<f32> = (0..n).map(|_| rng.unit()).collect();
+                let mut s: ParticleStore = xs.iter().map(|&x| p(x)).collect();
+                // The forward swap_remove sweep, spelled out.
+                let mut kept = xs.clone();
+                let mut i = 0;
+                while i < kept.len() {
+                    if kept[i] >= cut {
+                        i += 1;
+                    } else {
+                        kept.swap_remove(i);
+                    }
+                }
+                let mut handed = Vec::new();
+                let removed = s.retain_then(
+                    |q| {
+                        assert!(q.position.y == 0.0, "judged after it was handed on");
+                        q.position.x >= cut
+                    },
+                    |block| {
+                        assert!(!block.is_empty() && block.len() <= BLOCK);
+                        for q in block.iter_mut() {
+                            handed.push(q.position.x);
+                            q.position.y = 1.0;
+                        }
+                    },
+                );
+                assert_eq!(removed, n - kept.len(), "{n} at {cut}");
+                assert_eq!(handed, kept, "{n} at {cut}");
+                assert!(s.iter().all(|q| q.position.y == 1.0), "{n} at {cut}");
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //!
 //! * **leaver detection** at the end of a frame only needs position checks,
 //!   but re-bucketing localizes the work and keeps the donation path fast;
+//!   the buckets' exact edges make both one test of two comparisons per
+//!   particle;
 //! * **donation** during load balancing takes whole buckets from the
 //!   boundary end and only sorts the one straddling bucket, instead of
 //!   sorting the entire domain population.
@@ -27,8 +29,85 @@ fn bucket_of(slice: Interval, k: usize, v: Scalar) -> usize {
     floor_isize(t * k as Scalar).clamp(0, k as isize - 1) as usize
 }
 
+/// Particles per bucket from which a leaver scan tests exact bucket edges
+/// instead of recomputing each particle's bucket: below it, finding the
+/// edges would cost more than the divisions they save (a large cluster
+/// scans many stores of a handful of particles, and a reshape clears the
+/// edges).
+const EDGE_MIN_PER_BUCKET: usize = 8;
+
+/// The exact edges of `bucket_of`'s `k` buckets over `slice`: `k + 1`
+/// values with `edges[0] = lo`, `edges[k] = hi` and, between them,
+/// `edges[b]` the least float `v` with `bucket_of(slice, k, v) >= b`. Then
+/// for every `v` the slice contains, `bucket_of(slice, k, v) == b` exactly
+/// when `edges[b] <= v < edges[b + 1]`.
+///
+/// That holds because `bucket_of` is monotone non-decreasing in `v` on a
+/// finite slice of positive width: the subtraction, the division by a
+/// positive width, the product with `k`, `floor_isize` and the clamp are
+/// each monotone under round-to-nearest. Each edge is found with
+/// `bucket_of` itself, over the floats in their total order: from the
+/// float nearest the real-number edge, steps of 1, 2, 4, … ulps bracket
+/// it (one or two steps, as a rule), and bisection closes the bracket.
+/// An edge near zero, among the subnormals, can sit millions of ulps from
+/// that guess; there the doubling steps keep the search to about 64
+/// calls. The edges replace what `edges` held (its buffer is reused); an
+/// empty or non-finite slice has none and keeps the formula, and `edges`
+/// is left empty.
+fn exact_edges(slice: Interval, k: usize, edges: &mut Vec<Scalar>) {
+    edges.clear();
+    let (lo, hi) = (slice.lo, slice.hi);
+    if slice.is_empty() || !lo.is_finite() || !hi.is_finite() || !slice.width().is_finite() {
+        return;
+    }
+    // A float's place in the total order (`f32::total_cmp`'s key), and back.
+    let key = |v: Scalar| {
+        let b = v.to_bits() as i32;
+        i64::from(b ^ (((b >> 31) as u32) >> 1) as i32)
+    };
+    let float = |key: i64| {
+        let b = key as i32;
+        Scalar::from_bits((b ^ (((b >> 31) as u32) >> 1) as i32) as u32)
+    };
+    edges.push(lo);
+    for b in 1..k {
+        // `bucket_of(lo) = 0 < b <= k - 1 = bucket_of(hi)` bounds every step.
+        let reaches = |at: i64| bucket_of(slice, k, float(at)) >= b;
+        let real = lo as f64 + (hi as f64 - lo as f64) * b as f64 / k as f64;
+        let guess = key((real as Scalar).clamp(lo, hi));
+        let (mut below, mut at) = (guess, guess);
+        let mut step = 1;
+        if reaches(guess) {
+            while reaches(below) {
+                (at, below) = (below, (below - step).max(key(lo)));
+                step *= 2;
+            }
+        } else {
+            while !reaches(at) {
+                (below, at) = (at, (at + step).min(key(hi)));
+                step *= 2;
+            }
+        }
+        while at - below > 1 {
+            let mid = below + (at - below) / 2;
+            if reaches(mid) {
+                at = mid;
+            } else {
+                below = mid;
+            }
+        }
+        edges.push(float(at));
+    }
+    edges.push(hi);
+}
+
 /// A calculator's local particle storage for one system: its domain slice
 /// split into `k` equal-width buckets, each an independent [`ParticleStore`].
+///
+/// Bucket `b` holds the particles `bucket_of` files there. The store keeps
+/// the float edges between buckets once a scan is large enough to want
+/// them (see [`SubDomainStore::collect_leavers_into`]); a kill sweep can
+/// hand its survivors straight on ([`SubDomainStore::retain_then`]).
 #[derive(Clone, Debug)]
 pub struct SubDomainStore {
     axis: Axis,
@@ -42,6 +121,9 @@ pub struct SubDomainStore {
     /// Reused by `collect_leavers_into` for in-slice bucket movers, so the
     /// every-frame leaver scan allocates nothing after warm-up.
     mover_scratch: Vec<Particle>,
+    /// The slice's exact bucket edges ([`exact_edges`]), or empty until a
+    /// large enough scan asks for them; `reshape` clears them.
+    edges: Vec<Scalar>,
 }
 
 impl SubDomainStore {
@@ -54,6 +136,23 @@ impl SubDomainStore {
             buckets: (0..k).map(|_| ParticleStore::new()).collect(),
             len: 0,
             mover_scratch: Vec::new(),
+            edges: Vec::new(),
+        }
+    }
+
+    /// A store over no buckets, which holds nothing and allocates
+    /// nothing: what an action list hands [`crate::Action::apply_then`] to
+    /// learn whether an action is a whole-store killer. Nothing may be
+    /// inserted into it.
+    #[inline]
+    pub(crate) fn unbucketed() -> Self {
+        SubDomainStore {
+            axis: Axis::X,
+            slice: Interval::new(0.0, 0.0),
+            buckets: Vec::new(),
+            len: 0,
+            mover_scratch: Vec::new(),
+            edges: Vec::new(),
         }
     }
 
@@ -134,8 +233,22 @@ impl SubDomainStore {
     }
 
     /// Remove particles failing `keep`; returns how many were removed.
-    pub fn retain<F: FnMut(&Particle) -> bool>(&mut self, mut keep: F) -> usize {
-        let removed: usize = self.buckets.iter_mut().map(|b| b.retain_unordered(&mut keep)).sum();
+    pub fn retain<F: FnMut(&Particle) -> bool>(&mut self, keep: F) -> usize {
+        self.retain_then(keep, |_| {})
+    }
+
+    /// [`SubDomainStore::retain`] that hands the survivors to `tail` as the
+    /// sweep finishes them, bucket by bucket
+    /// ([`ParticleStore::retain_then`]): the blocks concatenate to the
+    /// retained store in canonical order, so `tail` may run a pass that
+    /// would otherwise follow the kill as a second walk.
+    pub fn retain_then<K, T>(&mut self, mut keep: K, mut tail: T) -> usize
+    where
+        K: FnMut(&Particle) -> bool,
+        T: FnMut(&mut [Particle]),
+    {
+        let removed: usize =
+            self.buckets.iter_mut().map(|b| b.retain_then(&mut keep, &mut tail)).sum();
         self.len -= removed;
         removed
     }
@@ -154,28 +267,52 @@ impl SubDomainStore {
     /// allocation-free variant the frame hot path uses. Leavers are
     /// appended; the in-slice mover staging reuses an internal scratch
     /// buffer, so a warmed-up store allocates nothing here.
+    ///
+    /// A store of at least `EDGE_MIN_PER_BUCKET` (8) particles per bucket
+    /// tests each particle against its bucket's exact edges (two
+    /// comparisons); a smaller one, or one over a slice without edges,
+    /// recomputes its bucket. Both sort every particle the same way.
     pub fn collect_leavers_into(&mut self, leavers: &mut Vec<Particle>) {
         if self.len == 0 {
             return;
         }
+        let (slice, k) = (self.slice, self.buckets.len());
+        let exact = self.len >= EDGE_MIN_PER_BUCKET * k && {
+            if self.edges.is_empty() {
+                exact_edges(slice, k, &mut self.edges);
+            }
+            !self.edges.is_empty()
+        };
+        if exact {
+            let edges = std::mem::take(&mut self.edges);
+            self.scan(leavers, |bi, v| v >= edges[bi] && v < edges[bi + 1]);
+            self.edges = edges;
+        } else {
+            self.scan(leavers, |bi, v| slice.contains(v) && bucket_of(slice, k, v) == bi);
+        }
+    }
+
+    /// The leaver scan: a particle for which `stays(bucket, coordinate)`
+    /// holds stays where it is; any other leaves the slice if the slice
+    /// does not contain it and moves bucket if it does. `stays` must hold
+    /// exactly when the slice contains the coordinate and `bucket_of` puts
+    /// it in that bucket.
+    fn scan<F: Fn(usize, Scalar) -> bool>(&mut self, leavers: &mut Vec<Particle>, stays: F) {
         let before = leavers.len();
         let axis = self.axis;
         let slice = self.slice;
-        let k = self.buckets.len();
         debug_assert!(self.mover_scratch.is_empty());
         for (bi, b) in self.buckets.iter_mut().enumerate() {
             let mut i = 0;
             while i < b.len() {
                 let v = b.as_slice()[i].position.along(axis);
-                if !slice.contains(v) {
+                if stays(bi, v) {
+                    i += 1;
+                } else if !slice.contains(v) {
                     leavers.push(b.swap_remove(i));
                 } else {
-                    // still ours; re-bucket if it crossed a bucket boundary
-                    if bucket_of(slice, k, v) != bi {
-                        self.mover_scratch.push(b.swap_remove(i));
-                    } else {
-                        i += 1;
-                    }
+                    // still ours, but it crossed a bucket boundary
+                    self.mover_scratch.push(b.swap_remove(i));
                 }
             }
         }
@@ -243,6 +380,7 @@ impl SubDomainStore {
     pub fn reshape(&mut self, new_slice: Interval) -> Vec<Particle> {
         let all = self.take_all();
         self.slice = new_slice;
+        self.edges.clear();
         let axis = self.axis;
         let mut leavers = Vec::new();
         for p in all {
@@ -482,6 +620,130 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The bucket whose exact edges hold `v`, if any.
+    fn edge_bucket(edges: &[Scalar], v: Scalar) -> Option<usize> {
+        (0..edges.len() - 1).find(|&b| v >= edges[b] && v < edges[b + 1])
+    }
+
+    /// Negative, tiny (width 1e-3), huge (width 1e6), straddling zero and
+    /// far from it.
+    const EDGE_SLICES: [(Scalar, Scalar); 7] = [
+        (-7.5, -2.25),
+        (-1.0e6, -3.0),
+        (3.0, 3.001),
+        (-0.0005, 0.0005),
+        (0.0, 1.0e6),
+        (-5.0e5, 5.0e5),
+        (1234.5, 1234.501),
+    ];
+
+    /// Every edge is the least float `bucket_of` puts at or above its
+    /// bucket, and for every coordinate — the edges, 1 to 3 ulps either
+    /// side of them, ±0, the slice bounds and random values in and around
+    /// the slice — the edges pick `bucket_of`'s bucket, or none off the
+    /// slice.
+    #[test]
+    fn exact_edges_sort_every_coordinate_as_bucket_of_does() {
+        let mut rng = psa_math::Rng64::new(0xED6E);
+        for k in [2, 3, 8, 16] {
+            for (lo, hi) in EDGE_SLICES {
+                let slice = Interval::new(lo, hi);
+                let at = format!("k {k}, slice [{lo}, {hi})");
+                let mut edges = Vec::new();
+                exact_edges(slice, k, &mut edges);
+                assert_eq!((edges.len(), edges[0], edges[k]), (k + 1, lo, hi), "{at}");
+                assert!(edges.windows(2).all(|w| w[0] <= w[1]), "{at}: {edges:?}");
+                for (b, &e) in edges.iter().enumerate().take(k).skip(1) {
+                    assert!(bucket_of(slice, k, e) >= b, "{at}: edge {b} = {e}");
+                    assert!(bucket_of(slice, k, e.next_down()) < b, "{at}: edge {b} = {e}");
+                }
+                let mut probes = vec![0.0, -0.0, lo, hi, lo.next_down(), hi.next_down()];
+                for &e in &edges {
+                    let (mut up, mut down) = (e, e);
+                    probes.push(e);
+                    for _ in 0..3 {
+                        (up, down) = (up.next_up(), down.next_down());
+                        probes.extend([up, down]);
+                    }
+                }
+                let width = hi - lo;
+                probes.extend((0..500).map(|_| rng.range(lo - width / 4.0, hi + width / 4.0)));
+                for v in probes {
+                    let want = slice.contains(v).then(|| bucket_of(slice, k, v));
+                    assert_eq!(edge_bucket(&edges, v), want, "{at}: v = {v:e}");
+                }
+            }
+        }
+        // Slices without edges keep the formula.
+        let mut edges = vec![7.0];
+        exact_edges(Interval::new(2.0, 2.0), 4, &mut edges);
+        assert_eq!(edges, []);
+        exact_edges(Interval::new(-3.0e38, 3.0e38), 4, &mut edges);
+        assert_eq!(edges, [], "an infinite width");
+        exact_edges(Interval::new(1.0, 2.0), 1, &mut edges);
+        assert_eq!(edges, [1.0, 2.0]);
+    }
+
+    /// A scan on exact edges leaves, keeps and re-files every particle as
+    /// the formula does, in the same order: both scans of the same store
+    /// yield the same leavers and the same buckets, bit for bit, for
+    /// coordinates near every edge, off the slice, infinite and NaN.
+    #[test]
+    fn a_scan_on_exact_edges_is_the_scan_on_bucket_of() {
+        let mut rng = psa_math::Rng64::new(0x5CA4);
+        for k in [1, 3, 8, 16] {
+            for (lo, hi) in EDGE_SLICES {
+                let slice = Interval::new(lo, hi);
+                let mut edges = Vec::new();
+                exact_edges(slice, k, &mut edges);
+                let mut s = SubDomainStore::new(slice, Axis::X, k);
+                let width = hi - lo;
+                for i in 0..(EDGE_MIN_PER_BUCKET * k + 400) {
+                    s.insert(p(rng.range(lo, hi)));
+                    let e = edges[i % edges.len()];
+                    let x = match i % 7 {
+                        0 => e.next_down(),
+                        1 => e,
+                        2 => e.next_up(),
+                        3 => rng.range(lo - width, hi + width),
+                        4 if i % 5 == 0 => [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][i % 3],
+                        _ => rng.range(lo, hi),
+                    };
+                    s.buckets[rng.below(k)].push(p(x));
+                    s.len += 1;
+                }
+                let mut formula = s.clone();
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                s.collect_leavers_into(&mut got);
+                assert!(!s.edges.is_empty(), "a store this size scans on its edges");
+                formula.scan(&mut want, |bi, v| slice.contains(v) && bucket_of(slice, k, v) == bi);
+                let bits = |ps: &[Particle]| -> Vec<u32> {
+                    ps.iter().map(|q| q.position.x.to_bits()).collect()
+                };
+                assert_eq!(bits(&got), bits(&want), "k {k}, [{lo}, {hi})");
+                for (a, b) in s.bucket_slices().zip(formula.bucket_slices()) {
+                    assert_eq!(bits(a), bits(b), "k {k}, [{lo}, {hi})");
+                }
+                assert_eq!(s.len(), formula.len());
+            }
+        }
+    }
+
+    #[test]
+    fn edges_wait_for_a_large_store_and_follow_a_reshape() {
+        let mut s = store(4);
+        s.extend((0..EDGE_MIN_PER_BUCKET * 4 - 1).map(|i| p(i as f32 * 0.3)));
+        s.collect_leavers();
+        assert!(s.edges.is_empty(), "a small store keeps the formula");
+        s.insert(p(9.9));
+        s.collect_leavers();
+        let mut edges = Vec::new();
+        exact_edges(s.slice(), 4, &mut edges);
+        assert_eq!(s.edges, edges);
+        s.reshape(Interval::new(0.0, 5.0));
+        assert!(s.edges.is_empty(), "a reshape drops the old slice's edges");
     }
 
     #[test]

@@ -109,7 +109,8 @@ impl Calculator {
     /// The action list ("Calculus" in Figure 2) on the kernel's serial
     /// path: one action stream across the whole store. Restarts the
     /// compute-time tally; the driver adds what the pass cost on its own
-    /// clock with [`Self::add_compute_time`].
+    /// clock with [`Self::add_compute_time`]. An empty store derives no
+    /// stream and reports no work (what the kernel returns for it).
     pub(crate) fn calculus(
         &mut self,
         frame: u64,
@@ -117,9 +118,13 @@ impl Calculator {
         setup: &SystemSetup,
         cfg: &RunConfig,
     ) -> KernelRun {
-        let rng = stream(cfg.seed, TAG_ACTIONS, frame, sys, self.c + 1);
+        let c = self.c;
         let s = &mut self.systems[sys];
         (s.pre_count, s.compute_time) = (s.store.len().max(1), 0.0);
+        if s.store.is_empty() {
+            return KernelRun::default();
+        }
+        let rng = stream(cfg.seed, TAG_ACTIONS, frame, sys, c + 1);
         kernel::run_actions(&setup.actions, cfg.dt, frame, rng, &mut s.store, 0, 1)
     }
 

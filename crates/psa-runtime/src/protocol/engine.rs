@@ -460,6 +460,9 @@ impl<F: Fabric> Engine<F> {
                 continue;
             }
             let kr = self.calcs[c].calculus(frame, sys, &self.scene.systems[sys], &self.cfg);
+            if kr.weighted == 0.0 {
+                continue; // an empty pair: its charge would be zero
+            }
             let factor = self.net.compute_factor(c);
             let t = self.cost.weighted_work_time(kr.weighted, self.speeds[c]) * factor;
             self.net.advance(c, t);
@@ -524,10 +527,15 @@ impl<F: Fabric> Engine<F> {
             }
             let len = self.calcs[c].store(sys).len();
             before[c] = len;
-            self.net.advance(c, self.cost.exchange_check_time(len, self.speeds[c]));
+            // An empty pair scans nothing and packs nothing: no charge.
+            if len > 0 {
+                self.net.advance(c, self.cost.exchange_check_time(len, self.speeds[c]));
+            }
             let total_sent = self.calcs[c].stage_exchange(sys);
             outgoing[c] = total_sent;
-            self.net.advance(c, self.cost.pack_time(total_sent, self.speeds[c]));
+            if total_sent > 0 {
+                self.net.advance(c, self.cost.pack_time(total_sent, self.speeds[c]));
+            }
             if sparse {
                 while let Some((d, batch)) = self.calcs[c].next_outgoing() {
                     self.send_to(c, d, Msg::Particles { system, batch, scale: self.scale })?;
