@@ -7,7 +7,8 @@
 //!
 //! Speed calibration, from the paper's own observations:
 //! * E800 under GCC is the best GCC sequential machine → defined as 1.0;
-//! * E60 scales roughly with clock (550 MHz vs 1 GHz) → 0.55;
+//! * E60 relative speed 0.28 (not the 0.55 clock ratio) — required by the
+//!   Table-2 A-node rows (0.30 under ICC);
 //! * the Itanium under ICC is the best sequential combination overall
 //!   (Table 2 speed-ups are computed against it) but "the performance of
 //!   the Itanium nodes was not satisfactory" in parallel — we set 1.25
@@ -75,7 +76,7 @@ mod tests {
 
     #[test]
     fn e60_is_deeply_slower() {
-        // Measured-power calibration, not clock ratio (see module docs).
+        // 0.28, not the 0.55 clock ratio: the Table-2 A-node rows need it.
         assert!(e60().speed_gcc < 0.5 * e800().speed_gcc);
         assert_eq!(e60().cpus, 2);
         assert_eq!(zx2000().cpus, 1);

@@ -368,7 +368,11 @@ impl<M: Send + WireSize> FaultyThreadEndpoint<M> {
         match self.inj.on_send(rank, to, msg.wire_bytes()) {
             SendFate::Deliver { extra_delay } => {
                 if extra_delay > 0.0 {
-                    // psa-verify: allow(wall-clock) — injects real delay on the real-time fabric
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "a real delay on the real-time fabric"
+                    )]
+                    // psa-verify: allow(nondet-taint) — the delay moves wall time, never state
                     std::thread::sleep(Duration::from_secs_f64(extra_delay));
                 }
                 self.ep.send_reclaim(to, msg).map_err(|(msg, error)| FailedSend { msg, error })

@@ -15,6 +15,19 @@
 //!
 //! Messages implement [`WireSize`] so the virtual wire can charge
 //! occupancy without serializing anything.
+//!
+//! A panicking rank thread deadlocks its peers instead of failing the run
+//! report, so the transports return typed errors and the compiler denies
+//! every panic path outside their tests.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod fault;
 pub mod thread_net;

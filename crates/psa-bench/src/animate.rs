@@ -18,28 +18,34 @@ use psa_runtime::threaded::RenderSink;
 use psa_runtime::{run_sequential, run_threaded, BalanceMode, RunConfig, SpaceMode};
 use psa_workloads::{fireworks_scene, myrinet_gcc, smoke_scene, Workload, WorkloadSize};
 
-use crate::cli::{Args, Stop};
+use crate::cli::Args;
 
-/// Run `a`'s workload and print its summary; `--render`/`--streaks` outside
-/// the threaded executor, `--streaks` without `--render`, and `--procs`,
+/// Refuses what no run can make: `--render`/`--streaks` outside the
+/// threaded executor, `--streaks` without `--render`, and `--procs`,
 /// `--balance` or `--space` given to the sequential executor (one process
-/// over the whole space, nothing to place or balance) are usage errors.
-pub(crate) fn animate(a: &Args) -> Result<(), Stop> {
+/// over the whole space, nothing to place or balance).
+pub(crate) fn check(a: &Args) -> Result<(), String> {
     let (executor, render) = (a.text("--executor"), a.text("--render"));
     let unused = ["--procs", "--balance", "--space"].into_iter().find(|&f| a.given(f));
     if let (Some(flag), "sequential") = (unused, executor) {
-        let why = format!("{flag} does not apply to --executor sequential: it runs one process");
-        return Err(Stop::Usage(why));
+        return Err(format!("{flag} does not apply to --executor sequential: it runs one process"));
     }
     let streaks = a.text("--streaks") == "on";
     if executor != "threaded" && (!render.is_empty() || streaks) {
-        let why = "--render and --streaks need --executor threaded, the only one that rasterizes";
-        return Err(Stop::Usage(why.into()));
+        return Err(
+            "--render and --streaks need --executor threaded, the only one that rasterizes".into(),
+        );
     }
     if streaks && render.is_empty() {
-        let why = "--streaks needs --render DIR: nothing is rasterized without it";
-        return Err(Stop::Usage(why.into()));
+        return Err("--streaks needs --render DIR: nothing is rasterized without it".into());
     }
+    Ok(())
+}
+
+/// Run `a`'s workload and print its summary.
+pub(crate) fn animate(a: &Args) -> Result<(), String> {
+    let (executor, render) = (a.text("--executor"), a.text("--render"));
+    let streaks = a.text("--streaks") == "on";
     let workload = a.choice.as_deref().expect("the table requires a workload");
     let (systems, particles) = (a.size("--systems"), a.size("--particles"));
     let size = WorkloadSize { systems, particles_per_system: particles, scale: 1.0 };
@@ -59,7 +65,7 @@ pub(crate) fn animate(a: &Args) -> Result<(), Stop> {
     let cfg = RunConfig { frames: a.int("--frames"), dt, balance, space, ..Default::default() };
 
     let procs = a.size("--procs");
-    let failed = |e: psa_runtime::ProtocolError| Stop::Failed(e.to_string());
+    let failed = |e: psa_runtime::ProtocolError| e.to_string();
     let report = match executor {
         "sequential" => run_sequential(&scene, &cfg, &CostModel::default(), 1.0),
         "virtual" => {

@@ -14,7 +14,7 @@
 //! `bench sessions` print their transcripts, and a failed chaos cell exits
 //! 1; `bench animate` prints a run summary, and a failed run exits 1.
 
-use psa_chaos::{full_set, smoke_set, MatrixConfig};
+use psa_chaos::{full_set, smoke_set, MatrixConfig, Scenario};
 use psa_sessions::{AdmissionConfig, PoolConfig, SessionSpec, TenantId};
 use psa_workloads::{Workload, WorkloadSize};
 
@@ -186,14 +186,16 @@ struct Subcommand {
     /// Exactly one of `choices` must be given, and `all` is none of them.
     required: bool,
     flags: &'static [Flag],
-    run: fn(&Args) -> Result<(), Stop>,
+    /// Refuses flags, each valid, that ask for a run it cannot make (a
+    /// usage error: exit 2, nothing echoed or run).
+    check: fn(&Args) -> Result<(), String>,
+    /// The run; an error is a failed run (exit 1).
+    run: fn(&Args) -> Result<(), String>,
 }
 
-/// Why a subcommand stopped short: its flags, each valid, ask for a run it
-/// cannot make (exit 2, nothing run), or the run failed (exit 1).
-pub(crate) enum Stop {
-    Usage(String),
-    Failed(String),
+/// The `check` of a subcommand whose valid flags always make a run.
+fn accept_all(_: &Args) -> Result<(), String> {
+    Ok(())
 }
 
 /// `paper_scaled` divides 400k particles by the scale: it cannot go below 1.
@@ -206,6 +208,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
         choices: tables::SECTIONS,
         required: false,
         flags: &[SCALE, FRAMES],
+        check: accept_all,
         run: print_tables,
     },
     Subcommand {
@@ -213,6 +216,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
         choices: &[],
         required: false,
         flags: &[SCALE, FRAMES, flag("--out", Path, "BENCH_3.json", 0)],
+        check: accept_all,
         run: |a| write_export(&export::collect(a.float("--scale"), a.int("--frames")), a),
     },
     Subcommand {
@@ -227,6 +231,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
             flag("--scale", Float, "50", 0),
             flag("--out", Path, "BENCH_5.json", 0),
         ],
+        check: accept_all,
         run: |a| {
             let data = export5::collect5(&a.sizes("--ranks"), a.int("--frames"), sweep_size(a));
             write_export(&data, a)
@@ -245,6 +250,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
             flag("--scale", Float, "500", 0),
             flag("--out", Path, "BENCH_6.json", 0),
         ],
+        check: accept_all,
         run: |a| {
             let data = export6::collect6(&a.sizes("--ranks"), a.int("--frames"), sweep_size(a));
             write_export(&data, a)
@@ -261,6 +267,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
             flag("--seed", Int, "3195797511", 0), // 0xBE7C_0007
             flag("--out", Path, "BENCH_7.json", 0),
         ],
+        check: accept_all,
         run: |a| {
             let (sessions, frames) = (a.sizes("--sessions"), a.int("--frames"));
             let data = export7::collect7(&sessions, frames, a.size("--particles"), a.int("--seed"));
@@ -283,6 +290,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
             flag("--seed", Int, "3195797512", 0), // 0xBE7C_0008
             flag("--out", Path, "BENCH_8.json", 0),
         ],
+        check: accept_all,
         run: |a| {
             let data = export8::collect8(
                 &a.sizes("--calculators"),
@@ -306,6 +314,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
             // A kill scenario needs a survivor to absorb its victim.
             flag("--calculators", Int, "4", 2),
         ],
+        check: check_chaos,
         run: print_chaos,
     },
     Subcommand {
@@ -326,6 +335,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
             flag("--checkpoint", Int, "0", 0),
             flag("--instrument", Switch, "off", 0),
         ],
+        check: |a| tenants(a).map(drop),
         run: print_sessions,
     },
     Subcommand {
@@ -343,6 +353,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
             flag("--render", Path, "", 0),
             flag("--streaks", Switch, "off", 0),
         ],
+        check: animate::check,
         run: animate::animate,
     },
 ];
@@ -358,7 +369,7 @@ fn sweep_size(a: &Args) -> WorkloadSize {
 
 /// `bench tables`: the reproduction transcript (`repro_output.txt` is
 /// `all` at `--scale 10 --frames 30`).
-fn print_tables(a: &Args) -> Result<(), Stop> {
+fn print_tables(a: &Args) -> Result<(), String> {
     let (scale, frames) = (a.float("--scale"), a.int("--frames"));
     let size = WorkloadSize::paper_scaled(scale);
     println!(
@@ -373,32 +384,49 @@ fn print_tables(a: &Args) -> Result<(), Stop> {
     Ok(())
 }
 
-/// `bench chaos`: the scenario matrix, its recovered cells and the session
-/// gate (`tests/golden/chaos_*.txt`).
-fn print_chaos(a: &Args) -> Result<(), Stop> {
-    let set = a.text("--matrix");
-    let scenarios = if set == "full" { full_set() } else { smoke_set() };
+/// `bench chaos`'s scenario set and matrix.
+fn chaos_matrix(a: &Args) -> (Vec<Scenario>, MatrixConfig) {
+    let scenarios = if a.text("--matrix") == "full" { full_set() } else { smoke_set() };
     let mc = MatrixConfig {
         seed: a.int("--seed"),
         frames: a.int("--frames"),
         calculators: a.size("--calculators"),
         ..MatrixConfig::default()
     };
-    // Shorter, the kill cells would fail for the run length, not the protocol.
+    (scenarios, mc)
+}
+
+/// Shorter than the set's kill scenarios, the kill cells would fail for the
+/// run length, not the protocol.
+fn check_chaos(a: &Args) -> Result<(), String> {
+    let (scenarios, mc) = chaos_matrix(a);
     let min = mc.min_frames(&scenarios);
     if mc.frames < min {
-        let why = format!("the `{set}` kill scenarios need at least {min}");
-        return Err(Stop::Usage(format!("--frames {} is too short: {why}", mc.frames)));
+        let why = format!("the `{}` kill scenarios need at least {min}", a.text("--matrix"));
+        return Err(format!("--frames {} is too short: {why}", mc.frames));
     }
-    match psa_chaos::print_chaos(set, &scenarios, mc) {
+    Ok(())
+}
+
+/// `bench chaos`: the scenario matrix, its recovered cells and the session
+/// gate (`tests/golden/chaos_*.txt`).
+fn print_chaos(a: &Args) -> Result<(), String> {
+    let (scenarios, mc) = chaos_matrix(a);
+    match psa_chaos::print_chaos(a.text("--matrix"), &scenarios, mc) {
         0 => Ok(()),
-        failed => Err(Stop::Failed(format!("{failed} failure(s)"))),
+        failed => Err(format!("{failed} failure(s)")),
     }
+}
+
+/// `--tenants`, which a `TenantId` must hold.
+fn tenants(a: &Args) -> Result<u32, String> {
+    let tenants = a.int("--tenants");
+    u32::try_from(tenants).map_err(|_| format!("--tenants {tenants} is more than a TenantId holds"))
 }
 
 /// `bench sessions`: one pool run of the standard session
 /// (`tests/golden/sessions_default.txt`).
-fn print_sessions(a: &Args) -> Result<(), Stop> {
+fn print_sessions(a: &Args) -> Result<(), String> {
     let admission = AdmissionConfig {
         max_in_flight: a.size("--max-in-flight"),
         per_tenant_in_flight: a.size("--per-tenant"),
@@ -412,10 +440,7 @@ fn print_sessions(a: &Args) -> Result<(), Stop> {
         checkpoint_interval: a.int("--checkpoint"),
         instrument: a.text("--instrument") == "on",
     };
-    let tenants = a.int("--tenants");
-    let Ok(tenants) = u32::try_from(tenants) else {
-        return Err(Stop::Usage(format!("--tenants {tenants} is more than a TenantId holds")));
-    };
+    let tenants = tenants(a)?;
     let workload = Workload::from_name(a.text("--scene")).expect("--scene names a workload");
     let spec =
         SessionSpec::standard(TenantId(0), workload, a.size("--particles"), a.int("--frames"));
@@ -424,11 +449,10 @@ fn print_sessions(a: &Args) -> Result<(), Stop> {
 }
 
 /// The one way an artifact reaches disk: validate, render, write, echo.
-fn write_export(data: &impl Export, a: &Args) -> Result<(), Stop> {
+fn write_export(data: &impl Export, a: &Args) -> Result<(), String> {
     let path = a.text("--out");
-    let text = data.checked_json().map_err(|e| Stop::Failed(format!("validation failed: {e}")))?;
-    let written = std::fs::write(path, text);
-    written.map_err(|e| Stop::Failed(format!("cannot write {path}: {e}")))?;
+    let text = data.checked_json().map_err(|e| format!("validation failed: {e}"))?;
+    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
     for row in data.to_json().rows() {
         eprintln!("{row}");
     }
@@ -466,24 +490,24 @@ pub fn run(mut argv: impl Iterator<Item = String>) -> i32 {
         None => Err("no subcommand".to_string()),
         Some(name) => match SUBCOMMANDS.iter().find(|s| s.name == name) {
             None => Err(format!("unknown subcommand `{name}`")),
-            Some(sub) => Args::parse(sub, argv).map(|args| (sub, args)),
+            Some(sub) => {
+                Args::parse(sub, argv).and_then(|args| (sub.check)(&args).map(|()| (sub, args)))
+            }
         },
-    };
-    let usage_error = |msg: String| {
-        eprintln!("error: {msg}\n{}", usage());
-        2
     };
     let (sub, args) = match parsed {
         Ok(parsed) => parsed,
-        Err(msg) => return usage_error(msg),
+        Err(msg) => {
+            eprintln!("error: {msg}\n{}", usage());
+            return 2;
+        }
     };
     let given = args.flags.iter().filter(|(_, _, _, given)| *given);
     let given: Vec<String> = given.map(|(n, text, _, _)| format!("{n} {text}")).collect();
     eprintln!("bench {}: {}", sub.name, given.join(" "));
     match (sub.run)(&args) {
         Ok(()) => 0,
-        Err(Stop::Usage(msg)) => usage_error(msg),
-        Err(Stop::Failed(msg)) => {
+        Err(msg) => {
             eprintln!("bench {}: {msg}", sub.name);
             1
         }

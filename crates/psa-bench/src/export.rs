@@ -16,6 +16,16 @@ use crate::runner::Runner;
 use crate::tables::{self, TableRow, CONFIG_COLUMNS};
 use crate::{fields, json_fields, obj, Export};
 
+/// Runs `f` and returns its result with the host seconds it took: the
+/// `wall_seconds` the BENCH exports record beside their virtual-time
+/// numbers, and the one field their regeneration check strips.
+pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    #[expect(clippy::disallowed_methods, reason = "wall_seconds is host time by definition")]
+    let t0 = std::time::Instant::now();
+    let out = f();
+    (out, t0.elapsed().as_secs_f64())
+}
+
 /// One instrumented run: a headline speed-up plus the phase trace behind it.
 pub struct TracedRun {
     pub experiment: &'static str,

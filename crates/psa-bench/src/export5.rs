@@ -32,8 +32,6 @@
 //! Like `BENCH_3`, [`Export::checked_json`] rejects NaN/empty metrics
 //! before anything is written.
 
-use std::time::Instant;
-
 use cluster_sim::{e800, Compiler, Topology};
 use psa_desim::EventSim;
 use psa_runtime::{
@@ -41,6 +39,7 @@ use psa_runtime::{
 };
 use psa_workloads::{myrinet_gcc, paper_run_config, Workload, WorkloadSize};
 
+use crate::export::timed;
 use crate::json::Json;
 use crate::{json_fields, obj, Export};
 
@@ -141,9 +140,7 @@ fn run_cell(
     cluster.net = cluster.net.clone().with_topology(topology);
     let cfg = sweep_config(wl, frames, balance);
     let mut sim = EventSim::new(wl.scene(size), cfg, cluster, size.cost_model());
-    let t0 = Instant::now();
-    let report = sim.run();
-    let wall = t0.elapsed().as_secs_f64();
+    let (report, wall) = timed(|| sim.run());
     (report, sim.sim_stats().events, wall)
 }
 

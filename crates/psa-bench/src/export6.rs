@@ -31,13 +31,12 @@
 //! criteria on the result whenever the sweep reaches 128 ranks; a sweep
 //! that stays below (the unit tests') is checked for structure only.
 
-use std::time::Instant;
-
 use psa_chaos::Scenario;
 use psa_desim::EventSim;
 use psa_runtime::{BalanceMode, BalancerConfig};
 use psa_workloads::{myrinet_gcc, paper_run_config, WorkloadSize};
 
+use crate::export::timed;
 use crate::export5::{covers_workloads, sweep_config, workload_json, BENCH5_WORKLOADS};
 use crate::json::Json;
 use crate::{json_fields, obj, Export};
@@ -134,9 +133,7 @@ pub fn collect6(ranks: &[usize], frames: u64, size: WorkloadSize) -> Bench6Expor
                     let mut sim =
                         EventSim::new(wl.scene(size), cfg, cluster.clone(), size.cost_model())
                             .with_faults(plan.clone());
-                    let t0 = Instant::now();
-                    let report = sim.run();
-                    let wall = t0.elapsed().as_secs_f64();
+                    let (report, wall) = timed(|| sim.run());
                     cells.push(Bench6Cell {
                         ranks: r,
                         scenario,

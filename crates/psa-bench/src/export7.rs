@@ -21,14 +21,13 @@
 //! Like every other export, [`Export::checked_json`] rejects
 //! NaN/degenerate metrics before anything is written.
 
-use std::time::Instant;
-
 use psa_sessions::{
     derive_session_seed, AdmissionConfig, PoolConfig, SessionId, SessionManager, SessionSpec,
     TenantId,
 };
 use psa_workloads::Workload;
 
+use crate::export::timed;
 use crate::json::Json;
 use crate::{fields, json_fields, obj, Export};
 
@@ -118,9 +117,7 @@ fn run_cell(
             }
         }
     }
-    let t0 = Instant::now();
-    let report = pool.run_to_completion();
-    let wall = t0.elapsed().as_secs_f64();
+    let (report, wall) = timed(|| pool.run_to_completion());
 
     // Parity spot check: the middle session, re-run solo with its derived
     // seed, must fingerprint identically to its multiplexed outcome.

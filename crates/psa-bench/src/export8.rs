@@ -27,13 +27,12 @@
 //!
 //! [`RecoveryEvent`]: psa_runtime::RecoveryEvent
 
-use std::time::Instant;
-
 use netsim::FaultPlan;
 use psa_desim::EventSim;
 use psa_runtime::{RunConfig, RunReport};
 use psa_workloads::{myrinet_gcc, snow_scene, WorkloadSize};
 
+use crate::export::timed;
 use crate::json::Json;
 use crate::{json_fields, obj, Export};
 
@@ -117,10 +116,9 @@ fn run_cell(
     plan.rank_mut(BENCH8_VICTIM).crash_at = Some(crash_frame);
     let cfg = RunConfig { checkpoint_interval: interval, ..run_config(frames, seed) };
 
-    let t0 = Instant::now();
-    let report =
-        EventSim::new(snow_scene(sz), cfg, cluster, sz.cost_model()).with_faults(plan).run();
-    let wall = t0.elapsed().as_secs_f64();
+    let (report, wall) = timed(|| {
+        EventSim::new(snow_scene(sz), cfg, cluster, sz.cost_model()).with_faults(plan).run()
+    });
 
     // What restart-from-zero would redo: every bare frame before the crash.
     let restart_cost: f64 =

@@ -23,9 +23,9 @@
 //! [`Queue::submit`]. A job that panics re-raises its panic on the
 //! coordinator when its result is collected.
 //!
-//! This file is the one module where `thread::scope`/`thread::spawn` are
-//! allowed in simulation crates (the `thread-confinement` psa-verify lint
-//! enforces the confinement).
+//! This file is the one module of the simulation crates that starts
+//! threads: clippy's `disallowed_methods` (the workspace `clippy.toml`)
+//! refuses `thread::scope`/`thread::spawn` everywhere else.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
@@ -93,6 +93,7 @@ impl Pool {
         }
         let backlog = Backlog { jobs: Mutex::new((VecDeque::new(), true)), posted: Condvar::new() };
         let (done_tx, done) = mpsc::channel::<(u64, thread::Result<R>)>();
+        #[expect(clippy::disallowed_methods, reason = "the ordered pool is where threads start")]
         thread::scope(|s| {
             for _ in 1..self.threads {
                 let (backlog, done_tx, work) = (&backlog, done_tx.clone(), &work);
@@ -221,6 +222,10 @@ impl<J, R> Queue<'_, J, R> {
                 } else {
                     // The job is running on a worker, which catches its
                     // panic and reports it, so its result is on its way.
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "the worker running the job always reports, panic or not"
+                    )]
                     let (seq, out) = done.recv().expect("a pool worker exited with a job pending");
                     early.insert(seq, out);
                 }

@@ -4,6 +4,18 @@
 //! batches (creation, exchange, balancing donations, shipping to the image
 //! generator), end-of-transmission notifications, load information, balance
 //! orders, new dimensions, and the domain broadcast.
+//!
+//! Message handling returns typed errors: the compiler denies every panic
+//! path here outside the tests.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use std::sync::Arc;
 

@@ -106,7 +106,6 @@ pub struct Engine<F: Fabric> {
 }
 
 impl<F: Fabric> Engine<F> {
-    #[allow(clippy::too_many_arguments)] // internal constructor mirroring the executors' fields
     pub fn new(
         scene: Scene,
         cfg: RunConfig,

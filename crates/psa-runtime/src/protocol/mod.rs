@@ -78,7 +78,7 @@ pub fn node_layout(placement: &Placement) -> (Vec<usize>, usize) {
 /// Drain a staging buffer into the exact-sized batch a message will own.
 /// Not `mem::take`: draining keeps the buffer's warmed capacity, so the
 /// steady-state frame loop stages without allocating.
-#[allow(clippy::drain_collect)]
+#[expect(clippy::drain_collect, reason = "the drain keeps the buffer's warmed capacity")]
 pub(crate) fn take_batch(staged: &mut Vec<Particle>) -> Vec<Particle> {
     staged.drain(..).collect()
 }

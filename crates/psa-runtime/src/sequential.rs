@@ -43,7 +43,6 @@ pub fn run_sequential(scene: &Scene, cfg: &RunConfig, cost: &CostModel, speed: f
     for frame in 0..cfg.frames {
         let mut fr = FrameReport { frame, ..Default::default() };
         let mut frame_time = 0.0;
-        #[allow(clippy::needless_range_loop)] // sys indexes scene + stores in parallel
         for sys in 0..n_sys {
             let setup = &scene.systems[sys];
             // Creation.

@@ -28,11 +28,6 @@
 //! domain-partition property after every rebalance, and the Figure-2 order
 //! of its recorded protocol trace.
 
-// psa-verify: allow(wall-clock) — this executor measures real elapsed time
-// by design (the virtual executor owns virtual time).
-// psa-verify: allow(thread-spawn) — the role threads (calculators, manager,
-// image generator) ARE this executor's architecture; compute-phase worker
-// spawns are confined to psa_core::pool.
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -175,6 +170,10 @@ pub fn run_threaded_traced(
     // so at n = 2 every system's one pair is evaluated every round.
     let n_sys = scene.systems.len();
     let endpoints = ThreadNet::build::<crate::msg::Msg>(n + 2);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this executor reports real elapsed time; the virtual executor owns virtual time"
+    )]
     let started = std::time::Instant::now();
 
     let initial_domains: Vec<DomainMap> =
@@ -191,12 +190,14 @@ pub fn run_threaded_traced(
         let cfg = cfg.clone();
         let domains0 = replicas.clone();
         let sink = sink.clone();
+        #[expect(clippy::disallowed_methods, reason = "the role threads are this executor")]
         handles.push(thread::spawn(move || {
             calculator_main(ep, c, n, &scene, &cfg, domains0, sink.as_ref(), instrument)
         }));
     }
 
     // ---- Manager thread -------------------------------------------------
+    #[expect(clippy::disallowed_methods, reason = "the role threads are this executor")]
     let mgr_handle = {
         let ep = eps.next().expect("fabric built with n+2 endpoints");
         let scene = scene.clone();
@@ -205,6 +206,7 @@ pub fn run_threaded_traced(
     };
 
     // ---- Image generator thread ------------------------------------------
+    #[expect(clippy::disallowed_methods, reason = "the role threads are this executor")]
     let ig_handle = {
         let ep = eps.next().expect("fabric built with n+2 endpoints");
         let scene = scene.clone();
@@ -554,6 +556,10 @@ mod tests {
         }
         let domains = vec![Arc::new(DomainMap::split_even(space_for(&scene, &cfg, 0), Axis::X, 1))];
         let sink = RenderSink::headless(tiny_camera());
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the calculator under test runs on its own thread"
+        )]
         let handle = thread::spawn(move || {
             calculator_main(calc, 0, 1, &scene, &cfg, domains, Some(&sink), false)
         });

@@ -1,6 +1,5 @@
-// psa-verify-fixture: expect(unordered-collections)
-// psa-verify-fixture: expect(ambient-rng)
-// psa-verify-fixture: expect(wall-clock)
+// psa-verify-fixture: expect(nondet-taint)
+// Clippy refuses the same construct by path: crates/psa-verify/tests/clippy_fixtures.rs.
 // A balancer strategy written the tempting-but-wrong way: per-rank loads
 // tallied in a HashMap (iteration order depends on the hasher seed, so
 // the same load vector can emit transfers in a different order on the
@@ -8,7 +7,8 @@
 // the thread-local RNG instead of the run's seeded `Rng64` stream. Any
 // of these defects alone is enough to make same-seed runs diverge; the
 // real suite in `psa-runtime/src/balancers.rs` works over index-ordered
-// slices and is a pure function of its inputs.
+// slices and is a pure function of its inputs. `decide_round` is a phase
+// entry, so the taint pass reports every source it reads.
 
 use std::collections::HashMap;
 
@@ -18,7 +18,7 @@ pub struct Transfer {
     pub amount: usize,
 }
 
-pub fn decide(loads: &[usize]) -> Vec<Transfer> {
+pub fn decide_round(loads: &[usize]) -> Vec<Transfer> {
     let mut by_rank: HashMap<usize, usize> = HashMap::new();
     for (rank, &count) in loads.iter().enumerate() {
         by_rank.insert(rank, count);

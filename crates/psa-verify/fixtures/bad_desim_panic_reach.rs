@@ -1,5 +1,5 @@
 // psa-verify-fixture: expect(panic-reach)
-// psa-verify-fixture: expect(protocol-panic)
+// Clippy refuses the same construct by path: crates/psa-verify/tests/clippy_fixtures.rs.
 // An event-fabric recv that unwraps its inbox pop two calls down: a link
 // that never carried traffic returns None, the rank "thread" panics the
 // whole single-threaded event loop, and a 1,024-rank sweep dies on the

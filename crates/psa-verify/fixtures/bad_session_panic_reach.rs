@@ -1,5 +1,5 @@
 // psa-verify-fixture: expect(panic-reach)
-// psa-verify-fixture: expect(protocol-panic)
+// Clippy refuses the same construct by path: crates/psa-verify/tests/clippy_fixtures.rs.
 // A slot acquire that unwraps the free list one call down: a saturated
 // arena returns None, the dispatch loop panics, and the whole pool dies
 // with every queued tenant's work — the exact failure admission control

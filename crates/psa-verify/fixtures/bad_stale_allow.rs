@@ -5,7 +5,7 @@
 // moment someone reintroduces the construct nearby.
 
 pub fn tally(ranks: &[usize]) -> Vec<(usize, usize)> {
-    // psa-verify: allow(unordered) — left behind after a BTreeMap refactor
+    // psa-verify: allow(nondet-taint) — left behind after a BTreeMap refactor
     let mut counts: std::collections::BTreeMap<usize, usize> = Default::default();
     for &r in ranks {
         *counts.entry(r).or_insert(0) += 1;

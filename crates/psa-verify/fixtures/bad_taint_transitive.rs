@@ -1,5 +1,5 @@
 // psa-verify-fixture: expect(nondet-taint)
-// psa-verify-fixture: expect(ambient-rng)
+// Clippy refuses the same construct by path: crates/psa-verify/tests/clippy_fixtures.rs.
 // Transitive taint: the phase entry is clean, but two calls down a helper
 // samples the OS entropy pool. A lexical scan of the entry file would
 // never see it; the call-graph pass walks phase_exchange → jitter_all →

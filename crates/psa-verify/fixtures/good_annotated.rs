@@ -1,14 +1,14 @@
-// psa-verify: allow(wall-clock) — fixture: a real-time fabric file; the
-// clock is its epoch and never feeds virtual time.
+// psa-verify: allow(index-panic) — fixture: a fabric file whose rank
+// tables are sized by construction; no peer index comes from the wire.
+// psa-verify: panic-entry(route)
 //
-// A clean file: ordered collections, annotated clock use, fallible message
-// handling, and a seeded RNG. Must produce zero violations.
+// A clean file: ordered collections, annotated indexing, fallible message
+// handling. Must produce zero violations.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
-pub fn epoch() -> Instant {
-    Instant::now()
+pub fn route(clocks: &mut [f64], rank: usize) {
+    clocks[rank] += 1.0;
 }
 
 pub fn tally(ranks: &[usize]) -> BTreeMap<usize, usize> {
@@ -19,8 +19,8 @@ pub fn tally(ranks: &[usize]) -> BTreeMap<usize, usize> {
     counts
 }
 
-// psa-verify: allow(unordered) — scratch set, drained and sorted before use
-pub fn scratch() -> std::collections::HashSet<usize> { std::collections::HashSet::new() }
+// psa-verify: allow(nondet-taint) — a real-time helper; its wait is host time only
+pub fn phase_ship() -> f64 { std::time::Instant::now().elapsed().as_secs_f64() }
 
 pub fn handle(mailbox: Option<Vec<u8>>) -> Result<Vec<u8>, String> {
     mailbox.ok_or_else(|| "peer disconnected".to_string())

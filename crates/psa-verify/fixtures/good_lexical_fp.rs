@@ -1,8 +1,10 @@
 // Regression corpus for the v1 substring scanner's false-positive
-// classes: identifiers that *contain* a banned name, method names that
-// extend one, banned names in strings/doc comments, and test-only code.
-// The token-sequence matcher must fire on none of these.
+// classes: identifiers that *contain* a source or panic needle, method
+// names that extend one, needles in strings/doc comments, and test-only
+// code. A phase entry and a panic root reach all of it, and the
+// token-sequence matcher must fire on none of these.
 // Must produce zero violations.
+// psa-verify: panic-entry(unwrap_or_else_is_not_unwrap)
 
 /// Discusses HashMap and Instant::now in prose — docs are not uses.
 pub struct BuildHashMapConfig {
@@ -13,7 +15,7 @@ pub fn unwrap_or_else_is_not_unwrap(v: Option<u64>) -> u64 {
     v.unwrap_or_else(|| 0)
 }
 
-pub fn identifiers_are_atomic(thread_rng_label: &str) -> usize {
+pub fn phase_calculus(thread_rng_label: &str) -> usize {
     let recv_window = "ep.recv(peer) in a string is not a call";
     thread_rng_label.len() + recv_window.len()
 }

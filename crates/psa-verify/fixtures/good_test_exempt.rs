@@ -1,6 +1,7 @@
 // A clean file: panics inside #[cfg(test)] / #[test] items are exempt from
-// the protocol-panic lint (tests SHOULD assert hard), and banned names in
+// panic reachability (tests SHOULD assert hard), and source needles in
 // strings or comments never count as uses. Must produce zero violations.
+// psa-verify: panic-entry(shipped)
 
 pub fn shipped(input: Option<u32>) -> Result<u32, String> {
     // Instant::now in a comment is not a use.

@@ -1,7 +1,7 @@
 // A clean trace-recorder file, mirroring `psa-trace`: dense Vec storage
 // (no hash maps), virtual timings passed in as plain numbers, and the one
-// legitimate wall-clock epoch annotated for the threaded executor. Must
-// produce zero violations.
+// legitimate wall-clock epoch for the threaded executor, which no phase
+// entry reaches. Must produce zero violations.
 
 use std::time::Instant;
 
@@ -13,7 +13,7 @@ pub struct WallEpoch {
 
 impl WallEpoch {
     pub fn begin() -> Self {
-        WallEpoch { start: Instant::now() } // psa-verify: allow(wall-clock)
+        WallEpoch { start: Instant::now() }
     }
 
     pub fn seconds(&self) -> f64 {

@@ -1,28 +1,24 @@
 //! Central suppression + escape-hatch audit.
 //!
-//! Every pass (token lints, taint, panic reachability, protocol
-//! conformance) emits *raw* findings — nothing is filtered at the point of
-//! detection. This pass is the single place `// psa-verify: allow(<key>)`
-//! annotations are honoured, which is what makes the audit sound: an
-//! annotation that suppressed nothing in the whole run *provably* guards
-//! nothing, and becomes a `stale-allow` error. The escape-hatch inventory
-//! can only shrink — deleting dead allows is mandatory, not housekeeping.
-//!
-//! A raw finding may carry several keys (taint findings accept both
-//! `nondet-taint` and the source-class key); suppression by *any* key
-//! counts the annotation as used.
+//! Every pass (taint, panic reachability, protocol conformance) emits
+//! *raw* findings — nothing is filtered at the point of detection. This
+//! pass is the single place `// psa-verify: allow(<lint id>)` annotations
+//! are honoured, which is what makes the audit sound: an annotation that
+//! suppressed nothing in the whole run *provably* guards nothing, and
+//! becomes a `stale-allow` error. The escape-hatch inventory can only
+//! shrink — deleting dead allows is mandatory, not housekeeping. (The
+//! compiler audits the other kind of suppression the same way: an
+//! `#[expect]` that suppresses nothing is a warning.)
 
 use crate::corpus::Unit;
-use crate::lints::{known_allow_key, STALE_ALLOW};
+use crate::lints::{by_id, STALE_ALLOW};
 use crate::report::Violation;
 
-/// One unsuppressed finding: the violation plus every allow-key that may
-/// silence it, tied back to its corpus unit.
+/// One unsuppressed finding, tied back to its corpus unit.
 #[derive(Debug)]
 pub struct Raw {
     pub unit: usize,
     pub v: Violation,
-    pub keys: Vec<&'static str>,
 }
 
 /// Apply allow-annotations to `raws`; surviving violations come back, plus
@@ -37,7 +33,7 @@ pub fn apply(units: &[Unit], raws: Vec<Raw>) -> Vec<Violation> {
         let mut suppressed = false;
         for (ai, a) in units[raw.unit].lex.allows.iter().enumerate() {
             // violations are 1-based
-            if raw.keys.contains(&a.key.as_str()) && a.covers(raw.v.line - 1) {
+            if a.key == raw.v.lint && a.covers(raw.v.line - 1) {
                 used[raw.unit][ai] = true;
                 suppressed = true;
             }
@@ -49,10 +45,10 @@ pub fn apply(units: &[Unit], raws: Vec<Raw>) -> Vec<Violation> {
 
     for (u, used) in units.iter().zip(&used) {
         for (a, &used) in u.lex.allows.iter().zip(used) {
-            let needle = if a.key == STALE_ALLOW.allow_key {
+            let needle = if a.key == STALE_ALLOW.id {
                 // `allow(stale-allow)` would make the audit self-defeating.
                 continue;
-            } else if !known_allow_key(&a.key) {
+            } else if by_id(&a.key).is_none() {
                 format!("allow({}) names an unknown lint key", a.key)
             } else if !used {
                 format!("allow({}) suppresses nothing", a.key)
@@ -71,7 +67,7 @@ pub fn apply(units: &[Unit], raws: Vec<Raw>) -> Vec<Violation> {
 mod tests {
     use super::*;
 
-    fn raw(unit: usize, line: usize, lint: &'static str, keys: Vec<&'static str>) -> Raw {
+    fn raw(unit: usize, line: usize, lint: &'static str) -> Raw {
         Raw {
             unit,
             v: Violation {
@@ -82,7 +78,6 @@ mod tests {
                 message: "m",
                 snippet: String::new(),
             },
-            keys,
         }
     }
 
@@ -90,9 +85,9 @@ mod tests {
     fn line_allow_suppresses_and_counts_as_used() {
         let u = Unit::parse(
             "f.rs",
-            "use x;\n// psa-verify: allow(wall-clock) reason\nlet t = Instant::now();\n",
+            "use x;\n// psa-verify: allow(nondet-taint) reason\nlet t = Instant::now();\n",
         );
-        let out = apply(&[u], vec![raw(0, 3, "wall-clock", vec!["wall-clock"])]);
+        let out = apply(&[u], vec![raw(0, 3, "nondet-taint")]);
         assert!(out.is_empty(), "{out:#?}");
     }
 
@@ -100,7 +95,7 @@ mod tests {
     fn unused_allow_is_a_stale_allow_error() {
         let u = Unit::parse(
             "f.rs",
-            "use x;\n// psa-verify: allow(wall-clock) nothing here\nlet y = 1;\n",
+            "use x;\n// psa-verify: allow(nondet-taint) nothing here\nlet y = 1;\n",
         );
         let out = apply(&[u], vec![]);
         assert_eq!(out.len(), 1);
@@ -113,31 +108,33 @@ mod tests {
     fn unknown_key_is_a_stale_allow_error_even_if_positioned_right() {
         let u = Unit::parse(
             "f.rs",
-            "use x;\n// psa-verify: allow(wallclock) typo\nlet t = Instant::now();\n",
+            "use x;\n// psa-verify: allow(nondet_taint) typo\nlet t = Instant::now();\n",
         );
-        let out = apply(&[u], vec![raw(0, 3, "wall-clock", vec!["wall-clock"])]);
+        let out = apply(&[u], vec![raw(0, 3, "nondet-taint")]);
         assert_eq!(out.len(), 2, "{out:#?}"); // the violation AND the typo'd allow
         assert!(out.iter().any(|v| v.lint == "stale-allow" && v.needle.contains("unknown")));
-        assert!(out.iter().any(|v| v.lint == "wall-clock"));
+        assert!(out.iter().any(|v| v.lint == "nondet-taint"));
     }
 
     #[test]
-    fn any_key_of_a_multi_key_finding_suppresses_it() {
+    fn an_allow_suppresses_only_its_own_lint() {
         let u = Unit::parse(
             "f.rs",
-            "use x;\n// psa-verify: allow(wall-clock) timing fence\nlet t = Instant::now();\n",
+            "use x;\n// psa-verify: allow(index-panic) bounds by construction\nlet t = v[i];\n",
         );
-        let out = apply(&[u], vec![raw(0, 3, "nondet-taint", vec!["nondet-taint", "wall-clock"])]);
-        assert!(out.is_empty(), "{out:#?}");
+        let out = apply(&[u], vec![raw(0, 3, "nondet-taint")]);
+        assert_eq!(out.len(), 2, "{out:#?}"); // the finding AND the unused allow
+        assert!(out.iter().any(|v| v.lint == "nondet-taint"));
+        assert!(out.iter().any(|v| v.lint == "stale-allow" && v.needle.contains("nothing")));
     }
 
     #[test]
     fn file_allow_suppresses_any_line_and_a_dead_one_beside_it_is_reported() {
         let u = Unit::parse(
             "f.rs",
-            "// psa-verify: allow(index-panic) bounds by construction\nfn f() {}\n// psa-verify: allow(unordered) dead\n",
+            "// psa-verify: allow(index-panic) bounds by construction\nfn f() {}\n// psa-verify: allow(nondet-taint) dead\n",
         );
-        let audited = apply(&[u], vec![raw(0, 2, "index-panic", vec!["index-panic"])]);
+        let audited = apply(&[u], vec![raw(0, 2, "index-panic")]);
         assert_eq!(audited.len(), 1, "{audited:#?}");
         assert_eq!(audited[0].lint, "stale-allow");
         assert_eq!(audited[0].line, 3);

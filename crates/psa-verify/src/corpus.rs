@@ -1,5 +1,5 @@
 //! The analysis corpus: one [`Unit`] per source file, lexed once and
-//! shared by every pass (token lints, call graph, taint, panic
+//! shared by every pass (call graph, taint, panic
 //! reachability, protocol conformance, suppression audit) — and the one
 //! place a finding is built ([`Unit::finding`]).
 //!

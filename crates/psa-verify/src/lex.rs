@@ -1,12 +1,12 @@
 //! The one lexer: a single character pass over a Rust source file (no
-//! `syn` offline; every lint is token- or graph-based), and all the
-//! analyses read from that file, derived from its output:
+//! `syn` offline; every analysis reads tokens or the graph built on them),
+//! and all the analyses read from that file, derived from its output:
 //!
 //! * **tokens** — maximal-munch identifiers (`unwrap_or_else` never
 //!   matches `unwrap`), numbers, lifetimes, punctuation with `::` `=>` `->`
 //!   `..` fused. Every string / raw / byte / char literal is *one* blank
 //!   `""` token on its first line, however many lines it spans — so
-//!   `"HashMap"` never fires, and nothing after the closing quote is lost;
+//!   `"HashMap"` is no source, and nothing after the closing quote is lost;
 //! * **test scope** — `#[test]` / `#[cfg(..test..)]` reaches to the next
 //!   depth-0 `{` and covers through its matching `}`; a `;` first
 //!   (`#[cfg(test)] use x;`) ends its reach;
@@ -301,8 +301,6 @@ fn test_scope(toks: &[Tok], lines: usize) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::Unit;
-    use crate::lints::{run_lints, LintDef, PROTOCOL_PANIC, UNORDERED};
 
     fn lx(src: &str) -> Vec<Tok> {
         lex(src).toks
@@ -312,13 +310,9 @@ mod tests {
         toks.iter().map(|t| t.text.as_str()).collect()
     }
 
-    /// 1-based lines where `lint` fires on `src`, as `check` sees them.
-    fn fired(src: &str, lint: &'static LintDef) -> Vec<usize> {
-        let units = [Unit::parse("t.rs", src)];
-        crate::audit::apply(&units, run_lints(0, &units[0], &[lint]))
-            .iter()
-            .map(|v| v.line)
-            .collect()
+    /// 0-based lines of the `ident` tokens in `src`.
+    fn lines_of(src: &str, ident: &str) -> Vec<usize> {
+        lx(src).iter().filter(|t| t.is_ident(ident)).map(|t| t.line).collect()
     }
 
     #[test]
@@ -377,8 +371,8 @@ mod tests {
         assert!(!t.iter().any(|t| t.is_ident("HashMap")), "{:?}", texts(&t));
         assert!(t.iter().any(|t| t.is_ident("y") && t.line == 1));
         // The comment channel still sees it: an allow there is honoured.
-        let a = lex("let x = 1; // psa-verify: allow(unordered) HashMap\n");
-        assert_eq!(a.allows, vec![Allow { line: 0, key: "unordered".into(), file: false }]);
+        let a = lex("let x = 1; // psa-verify: allow(nondet-taint) HashMap\n");
+        assert_eq!(a.allows, vec![Allow { line: 0, key: "nondet-taint".into(), file: false }]);
     }
 
     #[test]
@@ -428,18 +422,18 @@ mod tests {
 
     #[test]
     fn file_level_allow_sits_above_code() {
-        let src = "//! docs\n// psa-verify: allow(wall-clock) — reason\nuse std::time::Instant;\n";
-        assert_eq!(lex(src).allows, vec![Allow { line: 1, key: "wall-clock".into(), file: true }]);
+        let src = "//! docs\n// psa-verify: allow(index-panic) — reason\nuse std::time::Instant;\n";
+        assert_eq!(lex(src).allows, vec![Allow { line: 1, key: "index-panic".into(), file: true }]);
     }
 
     #[test]
     fn line_level_allow_covers_next_line() {
-        let src = "use x;\n// psa-verify: allow(unordered)\nlet m = HashMap::new();\nlet n = HashMap::new();\n";
+        let src = "use x;\n// psa-verify: allow(nondet-taint)\nlet m = HashMap::new();\nlet n = HashMap::new();\n";
         let allows = lex(src).allows;
-        assert_eq!(allows, vec![Allow { line: 1, key: "unordered".into(), file: false }]);
-        assert!(allows[0].covers(2));
+        assert_eq!(allows, vec![Allow { line: 1, key: "nondet-taint".into(), file: false }]);
+        assert!(allows[0].covers(1) && allows[0].covers(2));
         assert!(!allows[0].covers(3));
-        assert_eq!(fired(src, &UNORDERED), vec![4]);
+        assert_eq!(lines_of(src, "HashMap"), vec![2, 3]);
     }
 
     #[test]
@@ -447,7 +441,7 @@ mod tests {
         // The two-pass model lexed `"; let m = HashMap..` on the closing
         // line as the start of a string and lost the rest of the line.
         let src = "fn f() {\n    let s = \"two\nlines\"; let m = HashMap::new();\n}\n";
-        assert_eq!(fired(src, &UNORDERED), vec![3]);
+        assert_eq!(lines_of(src, "HashMap"), vec![2]);
         let t = lx(src);
         assert_eq!(t.iter().find(|t| t.text == "\"\"").map(|t| t.line), Some(1));
     }
@@ -456,9 +450,10 @@ mod tests {
     fn a_cfg_test_item_ended_by_a_semicolon_exempts_nothing_after_it() {
         for gate in ["#[cfg(test)] use std::fmt;", "#[cfg(test)]\nmod x;"] {
             let src = format!("{gate}\nfn shipped(x: Option<u8>) -> u8 {{\n    x.unwrap()\n}}\n");
-            let line = src.lines().position(|l| l.contains("unwrap")).unwrap() + 1;
-            assert_eq!(fired(&src, &PROTOCOL_PANIC), vec![line], "{gate}");
-            assert!(lex(&src).in_test[0], "the gated item itself is test code");
+            let line = src.lines().position(|l| l.contains("unwrap")).unwrap();
+            let mask = lex(&src).in_test;
+            assert!(mask[0], "the gated item itself is test code");
+            assert!(!mask[line - 1..=line + 1].iter().any(|&t| t), "{gate}: {mask:?}");
         }
     }
 
@@ -472,7 +467,7 @@ mod tests {
                 "HashMap", ")", ";"
             ]
         );
-        assert_eq!(fired("let a = br\"\\\"; let m = HashMap::new();\n", &UNORDERED), vec![1]);
+        assert_eq!(lines_of("let a = br\"\\\"; let m = HashMap::new();\n", "HashMap"), vec![0]);
         // `r` / `b` / `br` alone, and raw identifiers, stay identifiers.
         assert_eq!(
             texts(&lx("r + b * br; r#type")),
@@ -485,13 +480,13 @@ mod tests {
         let src = "\
 // psa-verify: protocol-role( manager , frame_loop )
 // psa-verify: panic-entry(handle_msg)
-fn f() {} // psa-verify: allow(wall-clock) trailing text (with parens)
+fn f() {} // psa-verify: allow(index-panic) trailing text (with parens)
 let s = \"psa-verify: panic-entry(not_me)\";
 ";
         let l = lex(src);
         assert_eq!(l.roles, vec![("manager".to_string(), "frame_loop".to_string())]);
         assert_eq!(l.panic_entries, vec!["handle_msg".to_string()]);
-        assert_eq!(l.allows, vec![Allow { line: 2, key: "wall-clock".into(), file: false }]);
+        assert_eq!(l.allows, vec![Allow { line: 2, key: "index-panic".into(), file: false }]);
         assert_eq!(
             tag("// psa-verify-fixture: expect(stale-allow)", "expect("),
             Some("stale-allow")

@@ -1,13 +1,16 @@
 //! `psa-verify` — workspace determinism & protocol-safety analysis pass.
 //!
-//! The compiler cannot see that `HashMap` iteration order breaks
-//! bit-reproducible runs, that an `unwrap()` three calls below a message
-//! handler deadlocks the executor, or that a new executor sends `Balance`
-//! traffic before its `Load` report. This tool lexes every source file once
-//! into tokens, test scope and annotations (`lex`), extracts a
-//! function-level AST from the tokens (`ast`), links the functions into a
-//! conservative call graph (`graph`), and runs four analyses on top of the
-//! token-pattern lints:
+//! Clippy checks what a path names, for the whole workspace: the
+//! `clippy.toml` at the root refuses hash-ordered collections, the host
+//! clock, thread spawns and blocking receives, and the protocol modules
+//! deny panics. What it cannot see is the call graph: that a phase entry
+//! reaches a host-clock read through a real-time helper, that an
+//! `unwrap()` three calls below a message handler deadlocks the executor,
+//! or that a new executor sends `Balance` traffic before its `Load`
+//! report. This tool lexes every source file once into tokens, test scope
+//! and annotations (`lex`), extracts a function-level AST from the tokens
+//! (`ast`), links the functions into a conservative call graph (`graph`),
+//! and runs four analyses on it:
 //!
 //! * nondeterminism taint from ambient sources into the phase entry points
 //!   (`taint`);
@@ -23,8 +26,8 @@
 //! cargo run -p psa-verify -- check            # analyze the whole workspace
 //! cargo run -p psa-verify -- check --json     # same, JSON report on stdout
 //! cargo run -p psa-verify -- check PATH...    # analyze specific files/dirs
-//!                                             # (ALL lints apply — used on
-//!                                             # the bad-fixture corpus)
+//!                                             # (every file joins the graph
+//!                                             # — used on the fixture corpus)
 //! cargo run -p psa-verify -- selftest         # every lint must catch its
 //!                                             # fixture; good fixtures must
 //!                                             # pass clean
@@ -51,7 +54,7 @@ use std::process::ExitCode;
 use audit::Raw;
 use corpus::Unit;
 use graph::CallGraph;
-use lints::{run_lints, ALL_LINTS, PROTOCOL_ORDER};
+use lints::{ALL_LINTS, PROTOCOL_ORDER};
 use report::Violation;
 
 fn main() -> ExitCode {
@@ -144,20 +147,12 @@ fn load(paths: &[PathBuf]) -> Result<Vec<Unit>, ExitCode> {
     Ok(units)
 }
 
-/// The whole pipeline over one corpus: token lints, call-graph analyses,
-/// protocol conformance, then the central suppression pass + audit.
-/// In workspace mode the token-lint set and graph eligibility follow
-/// `policy`; in path/fixture mode every lint applies and every unit joins
-/// the graph (fixtures opt into roots via pragmas).
+/// The whole pipeline over one corpus: call-graph analyses, protocol
+/// conformance, then the central suppression pass + audit. In workspace
+/// mode graph eligibility and the role bindings follow `policy`; in
+/// path/fixture mode every unit joins the graph (fixtures opt into roots
+/// via pragmas).
 fn analyze(units: &[Unit], workspace_mode: bool) -> Vec<Violation> {
-    let mut raws: Vec<Raw> = Vec::new();
-
-    for (ui, u) in units.iter().enumerate() {
-        let set: Vec<_> =
-            if workspace_mode { policy::lints_for(&u.rel) } else { ALL_LINTS.to_vec() };
-        raws.extend(run_lints(ui, u, &set));
-    }
-
     let eligible: Vec<bool> =
         units.iter().map(|u| !workspace_mode || policy::graph_eligible(&u.rel)).collect();
     let views: Vec<(&str, &[ast::FnInfo])> = units
@@ -167,7 +162,7 @@ fn analyze(units: &[Unit], workspace_mode: bool) -> Vec<Violation> {
         .collect();
     let graph = CallGraph::build(&views);
 
-    raws.extend(taint::run(units, &graph, &eligible, policy::PHASE_ENTRIES));
+    let mut raws: Vec<Raw> = taint::run(units, &graph, &eligible, policy::PHASE_ENTRIES);
     raws.extend(panics::run(units, &graph, &eligible));
 
     for (ui, u) in units.iter().enumerate() {
@@ -191,7 +186,7 @@ fn analyze(units: &[Unit], workspace_mode: bool) -> Vec<Violation> {
             };
             for (line, needle) in found {
                 let v = u.finding(&PROTOCOL_ORDER, line, needle);
-                raws.push(Raw { unit: ui, v, keys: vec![PROTOCOL_ORDER.allow_key] });
+                raws.push(Raw { unit: ui, v });
             }
         }
     }
@@ -383,14 +378,6 @@ mod tests {
             "that feeds fingerprints must be a pure function of the seed — ",
             "route randomness through psa_math::Rng64, timing through the cost ",
             "model, and iteration through ordered collections\",",
-            "\"snippet\":\"fn phase_calculus() { let t = Instant::now(); }\"},",
-            "{\"lint\":\"wall-clock\",\"file\":\"crates/demo/src/lib.rs\",\"line\":1,",
-            "\"severity\":\"error\",",
-            "\"needle\":\"Instant::now\",",
-            "\"message\":\"wall-clock/sleep in virtual-time code; virtual time must come from ",
-            "the cost model, and injected fault delays must be charged as ",
-            "virtual ticks (netsim fault plans), or annotate ",
-            "`// psa-verify: allow(wall-clock)`\",",
             "\"snippet\":\"fn phase_calculus() { let t = Instant::now(); }\"}",
             "]}",
         );

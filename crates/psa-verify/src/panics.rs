@@ -1,16 +1,15 @@
 //! Panic reachability from the protocol send/recv paths.
 //!
 //! A rank thread that panics mid-protocol does not fail the run — it
-//! leaves every peer blocked on a receive that will never complete. The
-//! `protocol-panic` token lint bans panic constructs *inside* the protocol
-//! modules; this pass walks the call graph outward from those modules'
-//! functions (plus any `// psa-verify: panic-entry(<fn>)` pragma roots)
-//! and flags what the lexical rule cannot see:
+//! leaves every peer blocked on a receive that will never complete. Clippy
+//! denies panic constructs *inside* the protocol modules (`#![deny(...)]`
+//! in `psa-runtime`'s `msg.rs` and `netsim`'s `lib.rs`); this pass walks
+//! the call graph outward from the panic roots (plus any
+//! `// psa-verify: panic-entry(<fn>)` pragma roots) and flags what a
+//! per-module rule cannot see:
 //!
 //! * **`panic-reach`** — `.unwrap()` / `.expect(` / panic-family macros in
-//!   a *reachable* function outside the protocol modules themselves
-//!   (inside them the token lint already fires; double-reporting the same
-//!   line under two ids would just be noise);
+//!   any *reachable* function;
 //! * **`index-panic`** — slice/array indexing with a non-literal index in
 //!   any reachable function. Indexing is split into its own lint because
 //!   the fabric hot paths index rank-keyed vectors by construction-bounded
@@ -51,9 +50,8 @@ pub fn run(units: &[Unit], graph: &CallGraph, eligible: &[bool]) -> Vec<Raw> {
             continue;
         }
         let root_name = units[from.file].fns[from.idx].name.as_str();
-        let in_protocol_module = policy::PROTOCOL_ROOTS.iter().any(|p| policy::under(&unit.rel, p));
-        let panics = if in_protocol_module { &[][..] } else { &f.panics };
-        let sites = panics
+        let sites = f
+            .panics
             .iter()
             .map(|s| (&PANIC_REACH, s))
             .chain(f.indexing.iter().map(|s| (&INDEX_PANIC, s)));
@@ -62,8 +60,7 @@ pub fn run(units: &[Unit], graph: &CallGraph, eligible: &[bool]) -> Vec<Raw> {
                 "{} in `{}` (reachable from protocol root `{}`)",
                 site.what, f.name, root_name
             );
-            let v = unit.finding(lint, site.line, needle);
-            out.push(Raw { unit: r.file, v, keys: vec![lint.allow_key] });
+            out.push(Raw { unit: r.file, v: unit.finding(lint, site.line, needle) });
         }
     }
     out
@@ -85,11 +82,7 @@ mod tests {
     #[test]
     fn unwrap_reachable_from_a_protocol_root_fires_outside_it() {
         let (units, graph, elig) = corpus(&[
-            (
-                "crates/netsim/src/virtual_net.rs",
-                // unwrap here is the token lint's job, not ours
-                "fn deliver() { q.front().unwrap(); decode_batch(); }\n",
-            ),
+            ("crates/netsim/src/virtual_net.rs", "fn deliver() { decode_batch(); }\n"),
             (
                 "crates/psa-core/src/codec.rs",
                 "fn decode_batch() { hdr.first().expect(\"hdr\"); }\n",
@@ -111,7 +104,6 @@ mod tests {
         let raws = run(&units, &graph, &elig);
         assert_eq!(raws.len(), 1);
         assert_eq!(raws[0].v.lint, "index-panic");
-        assert_eq!(raws[0].keys, vec!["index-panic"]);
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub const SCHEMA_VERSION: u32 = 2;
 /// the report writes a constant `error` severity for each.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
-    /// Stable lint id (`unordered-collections`, `wall-clock`, ...).
+    /// Stable lint id (`nondet-taint`, `panic-reach`, ...).
     pub lint: &'static str,
     /// Path as displayed — relative to the workspace root when possible.
     pub file: String,
@@ -115,7 +115,7 @@ mod tests {
 
     fn v() -> Violation {
         Violation {
-            lint: "wall-clock",
+            lint: "nondet-taint",
             file: "crates/x/src/a.rs".into(),
             line: 7,
             needle: "Instant::now".into(),
@@ -128,7 +128,7 @@ mod tests {
     fn human_has_file_line_and_lint() {
         let text = human(&[v()]);
         assert!(text.contains("crates/x/src/a.rs:7"));
-        assert!(text.contains("error[wall-clock]"));
+        assert!(text.contains("error[nondet-taint]"));
     }
 
     #[test]

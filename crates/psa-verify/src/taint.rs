@@ -2,21 +2,14 @@
 //! collections, ambient RNG, thread identity) inside any function
 //! *reachable from a phase entry point* over the conservative call graph.
 //!
-//! The token lints already flag these sources where policy applies them;
-//! this pass closes the gap the lexical scanner structurally cannot see —
-//! a helper in a crate outside the policy roots (or a future refactor that
-//! moves tainted code there) still taints the frame loop that calls it.
-//! Each finding names both the tainted function and the phase entry it was
-//! reached from, so the fix site and the contract it violates are in the
-//! same diagnostic.
-//!
-//! Findings carry *two* allow keys: the analysis key (`nondet-taint`) and
-//! the source-class key of the matching token lint (`wall-clock`,
-//! `unordered`, `ambient-rng`). An existing, justified
-//! `// psa-verify: allow(wall-clock)` therefore suppresses the taint
-//! finding for that source too — one annotation, one audited escape hatch,
-//! both layers. Thread identity has no per-source key: only an explicit
-//! `allow(nondet-taint)` can excuse it.
+//! Clippy refuses the host clock and hash-ordered collections by path
+//! everywhere in the workspace, but an `#[expect]` that excuses a real-time
+//! site there says nothing about whether a phase entry reaches it; this
+//! pass does. Each finding names both the tainted function and the phase
+//! entry it was reached from, so the fix site and the contract it violates
+//! are in the same diagnostic. Only `// psa-verify: allow(nondet-taint)`
+//! excuses one. The needles are token sequences (`ast`), so a renamed
+//! import still gets past this pass; clippy catches it at the use site.
 
 use crate::audit::Raw;
 use crate::corpus::Unit;
@@ -54,9 +47,7 @@ pub fn run(units: &[Unit], graph: &CallGraph, eligible: &[bool], entry_names: &[
                 "{} in `{}` (reachable from phase entry `{}`)",
                 hit.what, f.name, entry_name
             );
-            let v = unit.finding(&NONDET_TAINT, hit.line, needle);
-            let keys = [NONDET_TAINT.allow_key].into_iter().chain(hit.key).collect();
-            out.push(Raw { unit: r.file, v, keys });
+            out.push(Raw { unit: r.file, v: unit.finding(&NONDET_TAINT, hit.line, needle) });
         }
     }
     out
@@ -94,7 +85,6 @@ mod tests {
         assert_eq!(v.file, "crates/b/src/lib.rs");
         assert!(v.needle.contains("Instant::now"));
         assert!(v.needle.contains("phase_calculus"), "{}", v.needle);
-        assert_eq!(raws[0].keys, vec!["nondet-taint", "wall-clock"]);
     }
 
     #[test]
@@ -114,7 +104,7 @@ mod tests {
         )]);
         let raws = run(&units, &graph, &elig, &["phase_ship"]);
         assert_eq!(raws.len(), 1);
-        assert_eq!(raws[0].keys, vec!["nondet-taint"]);
+        assert!(raws[0].v.needle.starts_with("thread::current"), "{}", raws[0].v.needle);
     }
 
     #[test]
