@@ -146,8 +146,8 @@ fn bench_8_regenerates_the_committed_artifact() {
 }
 
 /// `bench chaos` and `bench sessions` print the committed transcripts byte
-/// for byte (CI's `chaos-smoke` job diffs the same three, with the runtime
-/// invariants compiled in).
+/// for byte (CI's `chaos-smoke` job diffs the same three from a release
+/// build).
 #[test]
 fn chaos_and_sessions_print_the_committed_transcripts() {
     for (args, golden) in [

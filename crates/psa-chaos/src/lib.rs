@@ -7,9 +7,10 @@
 //! * [`scenario`] — named fault shapes (crash, stall, slow node, lossy or
 //!   degraded links) compiled into seeded `netsim::FaultPlan`s;
 //! * [`matrix`] — the scenario-matrix runner: each (workload, scenario)
-//!   cell simulates twice, checks every frame rendered, the Figure-2 order
-//!   held, crashes were declared and absorbed, and gates on the replay
-//!   fingerprints being byte-identical;
+//!   cell simulates twice, checks every frame rendered (the engine checks
+//!   each frame's Figure-2 order itself: faults may slow phases down but
+//!   never reorder them), crashes were declared and absorbed, and gates on
+//!   the replay fingerprints being byte-identical;
 //! * [`recovery`] — the recovered-cell gate: the same kill scenarios with
 //!   engine checkpointing on, gating on zero deaths, zero lost particles,
 //!   and the recovered run fingerprinting byte-identical to the

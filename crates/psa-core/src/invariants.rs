@@ -14,20 +14,16 @@
 //!    Figure-2 sequence (checked in `psa-runtime`, which owns the trace
 //!    vocabulary).
 //!
-//! The checks are always compiled (so they cannot bit-rot) but executors
-//! only *call* them when the `strict-invariants` feature is on, keeping the
-//! hot path clean in normal builds. Violations are values, not panics: the
-//! executor converts them into its own typed error so a broken invariant
-//! surfaces as a failed run report instead of a poisoned thread.
+//! Every executor runs the checks on every frame of every build, from
+//! counts and walks the frame makes anyway (DESIGN.md "Runtime
+//! invariants"). Violations are values, not panics: the executor converts
+//! them into its own typed error so a broken invariant surfaces as a
+//! failed run report instead of a poisoned thread.
 
 use psa_math::{Interval, Scalar};
 
 use crate::domain::DomainMap;
 use crate::particle::Particle;
-
-/// True when the `strict-invariants` feature is enabled; executors guard
-/// their invariant calls with this so release builds pay nothing.
-pub const ENABLED: bool = cfg!(feature = "strict-invariants");
 
 /// Slack for partition edge comparisons. Cuts are `f32` screen/world units;
 /// exact equality is required for interior cuts (they are copied, not
@@ -430,11 +426,6 @@ mod tests {
         assert!(err.to_string().contains("non-finite"));
         let bad_inf = Particle::at(Vec3::new(f32::INFINITY, 0.0, 0.0));
         assert!(check_finite_positions(0, 0, 0, [&bad_inf]).is_err());
-    }
-
-    #[test]
-    fn enabled_reflects_feature() {
-        assert_eq!(ENABLED, cfg!(feature = "strict-invariants"));
     }
 
     #[test]

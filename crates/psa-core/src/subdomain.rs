@@ -101,6 +101,16 @@ fn exact_edges(slice: Interval, k: usize, edges: &mut Vec<Scalar>) {
     edges.push(hi);
 }
 
+/// Bit 31 of the result is set exactly when `v` is NaN or infinite: its
+/// exponent field is then all ones, and one more exponent unit carries out
+/// of it into bit 31. OR-ed over a walk, it tells whether any coordinate
+/// was non-finite for about half of what three `is_finite` tests add to
+/// the leaver scan per particle.
+#[inline(always)]
+fn exponent_carry(v: Scalar) -> u32 {
+    (v.to_bits() & 0x7f80_0000) + 0x0080_0000
+}
+
 /// A calculator's local particle storage for one system: its domain slice
 /// split into `k` equal-width buckets, each an independent [`ParticleStore`].
 ///
@@ -272,9 +282,13 @@ impl SubDomainStore {
     /// tests each particle against its bucket's exact edges (two
     /// comparisons); a smaller one, or one over a slice without edges,
     /// recomputes its bucket. Both sort every particle the same way.
-    pub fn collect_leavers_into(&mut self, leavers: &mut Vec<Particle>) {
+    ///
+    /// Returns whether every position the scan read is finite on all three
+    /// axes: the scan is the one walk that reads every position each frame,
+    /// so the executors' finite-position invariant rides it.
+    pub fn collect_leavers_into(&mut self, leavers: &mut Vec<Particle>) -> bool {
         if self.len == 0 {
-            return;
+            return true;
         }
         let (slice, k) = (self.slice, self.buckets.len());
         let exact = self.len >= EDGE_MIN_PER_BUCKET * k && {
@@ -285,10 +299,11 @@ impl SubDomainStore {
         };
         if exact {
             let edges = std::mem::take(&mut self.edges);
-            self.scan(leavers, |bi, v| v >= edges[bi] && v < edges[bi + 1]);
+            let finite = self.scan(leavers, |bi, v| v >= edges[bi] && v < edges[bi + 1]);
             self.edges = edges;
+            finite
         } else {
-            self.scan(leavers, |bi, v| slice.contains(v) && bucket_of(slice, k, v) == bi);
+            self.scan(leavers, |bi, v| slice.contains(v) && bucket_of(slice, k, v) == bi)
         }
     }
 
@@ -296,16 +311,23 @@ impl SubDomainStore {
     /// holds stays where it is; any other leaves the slice if the slice
     /// does not contain it and moves bucket if it does. `stays` must hold
     /// exactly when the slice contains the coordinate and `bucket_of` puts
-    /// it in that bucket.
-    fn scan<F: Fn(usize, Scalar) -> bool>(&mut self, leavers: &mut Vec<Particle>, stays: F) {
+    /// it in that bucket. Returns whether every position it read is finite.
+    fn scan<F: Fn(usize, Scalar) -> bool>(
+        &mut self,
+        leavers: &mut Vec<Particle>,
+        stays: F,
+    ) -> bool {
         let before = leavers.len();
         let axis = self.axis;
         let slice = self.slice;
+        let mut non_finite = 0u32;
         debug_assert!(self.mover_scratch.is_empty());
         for (bi, b) in self.buckets.iter_mut().enumerate() {
             let mut i = 0;
             while i < b.len() {
-                let v = b.as_slice()[i].position.along(axis);
+                let q = b.as_slice()[i].position;
+                non_finite |= exponent_carry(q.x) | exponent_carry(q.y) | exponent_carry(q.z);
+                let v = q.along(axis);
                 if stays(bi, v) {
                     i += 1;
                 } else if !slice.contains(v) {
@@ -325,6 +347,7 @@ impl SubDomainStore {
             self.insert(p);
         }
         self.mover_scratch.clear();
+        non_finite & 0x8000_0000 == 0
     }
 
     /// Donate the `count` particles nearest the **low** boundary (for a left
@@ -727,6 +750,26 @@ mod tests {
                     assert_eq!(bits(a), bits(b), "k {k}, [{lo}, {hi})");
                 }
                 assert_eq!(s.len(), formula.len());
+            }
+        }
+    }
+
+    /// The scan says whether every position it read is finite, on the
+    /// formula and on exact edges, whatever the axis of the bad coordinate;
+    /// the largest finite floats and a subnormal stay finite.
+    #[test]
+    fn the_scan_reports_a_non_finite_position_on_any_axis() {
+        let odd = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, f32::MAX, f32::MIN, 1e-40];
+        for n in [3, EDGE_MIN_PER_BUCKET * 4] {
+            for (axis, v) in (0..3).flat_map(|axis| odd.map(|v| (axis, v))) {
+                let mut s = store(4);
+                s.extend((0..n).map(|i| p(i as f32 * 10.0 / n as f32)));
+                assert!(s.collect_leavers_into(&mut Vec::new()), "{n} finite particles");
+                let mut q = p(5.0);
+                *[&mut q.position.x, &mut q.position.y, &mut q.position.z][axis] = v;
+                s.insert(q);
+                let finite = s.collect_leavers_into(&mut Vec::new());
+                assert_eq!(finite, v.is_finite(), "{n} particles, {v} on axis {axis}");
             }
         }
     }

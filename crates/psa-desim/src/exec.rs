@@ -146,14 +146,15 @@ impl EventSim {
     /// 0, the one [`into_engine`](Self::into_engine) refuses the cluster
     /// with or [`RunConfig::check`] the configuration with
     /// (`Engine::step_frame` asks it). The simulator keeps its inputs, so
-    /// it may run again.
+    /// it may run again; each run records into a fresh trace of the kind
+    /// asked for, which [`trace`](Self::trace) then holds.
     pub fn try_run(&mut self) -> Result<RunReport, ProtocolError> {
         let run = EventSim {
             scene: self.scene.clone(),
             cfg: self.cfg.clone(),
             cluster: self.cluster.clone(),
             cost: self.cost.clone(),
-            trace: std::mem::take(&mut self.trace),
+            trace: if self.trace.is_enabled() { Trace::enabled() } else { Trace::disabled() },
             plan: self.plan.clone(),
             instrument: self.instrument,
             last_stats: SimStats::default(),

@@ -134,10 +134,10 @@ pub enum ProtocolError {
     /// The manager broadcast (or a donor reported) an invalid domain
     /// configuration.
     Domain { role: &'static str, rank: usize, frame: u64, detail: String },
-    /// A `strict-invariants` runtime check failed.
+    /// A runtime invariant check failed.
     Invariant(InvariantViolation),
     /// The recorded protocol trace of a frame departed from the Figure-2
-    /// order (`strict-invariants` only).
+    /// order.
     OrderBroken { role: &'static str, rank: usize, frame: u64, detail: String },
     /// Rasterizer output could not be written, or (at frame 0, before any
     /// thread starts) the render sink's viewport has no pixels to draw.

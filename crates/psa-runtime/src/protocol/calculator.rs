@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use psa_core::invariants::StateHash;
+use psa_core::invariants::{self, InvariantViolation, StateHash};
 use psa_core::kernel::{self, KernelRun};
 use psa_core::{DomainMap, Particle, SubDomainStore};
 use psa_math::{Interval, Scalar};
@@ -138,10 +138,20 @@ impl Calculator {
     /// the owner of its position (all domains are globally known);
     /// out-of-space strays that route back here (`owner_of` clamps) return
     /// to the store. Returns how many are staged for other calculators —
-    /// the migration count (§5.1) the load report carries.
-    pub(crate) fn stage_exchange(&mut self, sys: usize) -> usize {
+    /// the migration count (§5.1) the load report carries — or the
+    /// violation naming the first non-finite position the scan read: no
+    /// slice can own such a particle, so conservation alone would not see
+    /// it.
+    pub(crate) fn stage_exchange(
+        &mut self,
+        frame: u64,
+        sys: usize,
+    ) -> Result<usize, InvariantViolation> {
         let s = &mut self.systems[sys];
-        s.store.collect_leavers_into(&mut self.leavers);
+        if !s.store.collect_leavers_into(&mut self.leavers) {
+            let held = s.store.iter().chain(&self.leavers);
+            invariants::check_finite_positions(frame, sys, self.c, held)?;
+        }
         for p in self.leavers.drain(..) {
             let owner = s.domains.owner_of(p.position.along(AXIS));
             let i = self.staged.binary_search_by_key(&owner, |s| s.0).unwrap_or_else(|i| {
@@ -154,7 +164,7 @@ impl Calculator {
             s.store.extend(self.staged[i].1.drain(..));
         }
         s.migrated = self.staged.iter().map(|s| s.1.len()).sum();
-        s.migrated
+        Ok(s.migrated)
     }
 
     /// The batch staged for destination `d` (empty if none was).
@@ -222,27 +232,32 @@ impl Calculator {
     /// Definition of local domains: adopt `dm` — the very map the manager
     /// broadcast, shared with every other calculator — for system `sys`
     /// and, if this calculator's own slice changed, reshape the store to it.
-    /// Returns the population the reshape scanned, `None` if the slice stood.
-    pub(crate) fn install_domains(&mut self, sys: usize, dm: Arc<DomainMap>) -> Option<usize> {
+    /// Returns the population the reshape scanned, `None` if the slice
+    /// stood. Out-of-space particles pool at the edge calculators
+    /// (`owner_of` clamps) and stay until a kill action removes them; an
+    /// in-space particle the new slice leaves out means a broken cut.
+    pub(crate) fn install_domains(
+        &mut self,
+        frame: u64,
+        sys: usize,
+        dm: Arc<DomainMap>,
+    ) -> Result<Option<usize>, InvariantViolation> {
         let (new_slice, space) = (dm.slice(self.c), dm.space());
         self.systems[sys].domains = dm;
         let store = &mut self.systems[sys].store;
         if store.slice() == new_slice {
-            return None;
+            return Ok(None);
         }
         let scanned = store.len();
         let stray = store.reshape(new_slice);
-        // Out-of-space particles pool at the edge calculators (owner_of
-        // clamps); they stay here until a kill action removes them.
-        // In-space strays would mean a broken cut.
-        debug_assert!(
-            stray.iter().all(|p| !space.contains(p.position.along(AXIS))),
-            "in-space stray after reshape: rank {} slice {new_slice} strays {:?}",
-            self.c,
-            stray.iter().map(|p| p.position.x).collect::<Vec<_>>(),
-        );
+        if let Some(p) = stray.iter().find(|p| space.contains(p.position.along(AXIS))) {
+            let (c, x) = (self.c, p.position.along(AXIS));
+            let detail =
+                format!("rank {c}: in-space particle at {x} strays from its slice {new_slice}");
+            return Err(InvariantViolation::PartitionBroken { frame, system: sys, detail });
+        }
         store.extend(stray);
-        Some(scanned)
+        Ok(Some(scanned))
     }
 
     /// The frame digest of system `sys`: how many particles this
@@ -402,7 +417,7 @@ mod tests {
             let away = moved.iter().filter(|p| owner(p) != 1).count();
             let before = k.store(0).len() + moved.len();
             k.add(0, moved);
-            assert_eq!(k.stage_exchange(0), away, "round {round}");
+            assert_eq!(k.stage_exchange(round, 0), Ok(away), "round {round}");
             assert_eq!(k.load(0).1, away);
             let (mut shipped, mut last) = (0, None);
             while let Some((d, batch)) = k.next_outgoing() {
@@ -416,7 +431,7 @@ mod tests {
         }
         // The dense fan-out takes each destination's batch exactly once.
         k.add(0, vec![at(1.0), at(9.0), at(9.5)]);
-        assert_eq!(k.stage_exchange(0), 3);
+        assert_eq!(k.stage_exchange(20, 0), Ok(3));
         assert_eq!((k.outgoing(0).len(), k.outgoing(3).len(), k.outgoing(3).len()), (1, 2, 0));
     }
 
@@ -447,7 +462,7 @@ mod tests {
         check(&one, "one bucket");
         check(&eight, "eight buckets");
         eight.systems[0].store.for_each_mut(|p| p.position.x += 1.5);
-        assert!(eight.stage_exchange(0) > 0);
+        assert!(eight.stage_exchange(0, 0).is_ok_and(|sent| sent > 0));
         check(&eight, "eight buckets after a leaver scan");
     }
 
@@ -456,11 +471,44 @@ mod tests {
         let mut k = calc(0, 2); // [0, 5)
         k.add(0, vec![at(1.0), at(-2.0)]);
         let same = Arc::new(DomainMap::split_even(Interval::new(0.0, 10.0), AXIS, 2));
-        assert_eq!(k.install_domains(0, same), None, "unchanged slice: no reshape");
+        assert_eq!(k.install_domains(0, 0, same), Ok(None), "unchanged slice: no reshape");
         let dm = Arc::new(DomainMap::from_cuts(AXIS, vec![0.0, 3.0, 10.0]).expect("valid cuts"));
-        assert_eq!(k.install_domains(0, dm.clone()), Some(2));
+        assert_eq!(k.install_domains(0, 0, dm.clone()), Ok(Some(2)));
         assert!(Arc::ptr_eq(k.replica(0), &dm), "the replica is the map it was handed");
         assert_eq!(k.store(0).slice(), Interval::new(0.0, 3.0));
         assert_eq!(k.store(0).len(), 2, "the out-of-space stray at -2 is back in the store");
+    }
+
+    /// A cut that leaves one of the calculator's own in-space particles
+    /// outside its new slice is a typed violation in every build.
+    #[test]
+    fn an_in_space_stray_after_a_reshape_is_a_broken_partition() {
+        let mut k = calc(0, 2); // [0, 5)
+        k.add(0, vec![at(1.0), at(4.0)]);
+        let dm = Arc::new(DomainMap::from_cuts(AXIS, vec![0.0, 3.0, 10.0]).expect("valid cuts"));
+        match k.install_domains(7, 0, dm) {
+            Err(InvariantViolation::PartitionBroken { frame: 7, system: 0, detail }) => {
+                assert!(detail.contains("at 4 strays"), "{detail}");
+            }
+            other => panic!("expected a broken partition, got {other:?}"),
+        }
+    }
+
+    /// The leaver scan reads every position: a NaN or infinite coordinate
+    /// on any axis, in a kept particle or a leaver, fails the staging typed.
+    #[test]
+    fn a_non_finite_position_fails_the_exchange_staging() {
+        for bad in [Vec3::new(1.0, f32::NAN, 0.0), Vec3::new(f32::INFINITY, 0.0, 0.0)] {
+            let mut k = calc(1, 4);
+            k.add(0, vec![at(3.0), Particle::at(bad), at(9.0)]);
+            match k.stage_exchange(5, 0) {
+                Err(InvariantViolation::NonFinitePosition {
+                    frame: 5, rank: 1, position, ..
+                }) => {
+                    assert_eq!(position[1].to_bits(), bad.y.to_bits());
+                }
+                other => panic!("{bad:?}: expected a non-finite position, got {other:?}"),
+            }
+        }
     }
 }

@@ -20,7 +20,7 @@ use psa_trace::{ClockKind, Counter, Phase, Recorder};
 
 use super::calculator::Calculator;
 use super::manager::{Manager, Round};
-use super::{check_exchange, check_figure2, space_for, Fabric, AXIS, BUCKETS};
+use super::{check_figure2, space_for, Fabric, AXIS, BUCKETS};
 use crate::balance::{self, LoadInfo, Order};
 use crate::balancers::strategy_for;
 use crate::checkpoint::{EngineSnapshot, RecoveryEvent};
@@ -123,10 +123,6 @@ impl<F: Fabric> Engine<F> {
             .map(|s| DomainMap::split_even(space_for(&scene, &cfg, s), AXIS, n))
             .collect();
         let shared0: Vec<Arc<DomainMap>> = domains.iter().cloned().map(Arc::new).collect();
-        // `strict-invariants` checks every frame's Figure-2 order, whether
-        // or not the executor asked for the trace.
-        let trace =
-            if invariants::ENABLED && !trace.is_enabled() { Trace::enabled() } else { trace };
         Engine {
             calcs: (0..n).map(|c| Calculator::new(c, shared0.clone(), BUCKETS)).collect(),
             manager: Manager::new(domains, scene.emitters(), n, cost.scale),
@@ -396,10 +392,7 @@ impl<F: Fabric> Engine<F> {
             e.net.barrier(&active);
         });
         // One pass per system; an empty scene still generates its image.
-        // A quiet recovery replay has swapped the trace out.
-        if self.trace.is_enabled() {
-            check_figure2(&self.trace, frame, n_sys.max(1), "virtual", self.mgr)?;
-        }
+        check_figure2(&mut self.trace, frame, n_sys.max(1), "virtual", self.mgr)?;
 
         // Per-frame accounting (survivors only).
         let counts: Vec<f64> = (0..self.n)
@@ -482,55 +475,54 @@ impl<F: Fabric> Engine<F> {
         ProtocolError::UnexpectedMessage { role, rank, frame, expected, got: got.kind() }
     }
 
-    /// The exchange-phase receive, dense and sparse.
+    /// The exchange-phase receive, dense and sparse: how many particles
+    /// calculator `c` took from `d`.
     fn recv_exchange(
         &mut self,
         c: usize,
         d: usize,
         frame: u64,
         sys: usize,
-        incoming: &mut [usize],
-    ) -> Result<(), ProtocolError> {
+    ) -> Result<usize, ProtocolError> {
         match self.recv_from(c, d)? {
             Some(Msg::Particles { batch, .. }) => {
-                incoming[c] += batch.len();
-                self.net.advance(c, self.cost.pack_time(batch.len(), self.speeds[c]));
+                let received = batch.len();
+                self.net.advance(c, self.cost.pack_time(received, self.speeds[c]));
                 self.calcs[c].add(sys, batch);
+                Ok(received)
             }
-            Some(other) => {
-                return Err(self.unexpected("calculator", c, frame, "Particles", &other))
-            }
-            None => {} // crashed peer sent nothing; wait was charged
+            Some(other) => Err(self.unexpected("calculator", c, frame, "Particles", &other)),
+            None => Ok(0), // crashed peer sent nothing; wait was charged
         }
-        Ok(())
     }
 
     /// End-of-frame particle exchange: leavers ship directly to their new
     /// owner (all domains are globally known). Dense mode sends one message
     /// per ordered pair — Figure 2 verbatim, bit-identical to the historical
     /// executor; sparse mode ships only non-empty batches and receives from
-    /// exactly the queued senders. Under `strict-invariants` the phase
-    /// checks per-rank and global conservation, with the global check
-    /// crediting particles lost toward crashed/dead destinations.
+    /// exactly the queued senders. The phase checks conservation from the
+    /// counts it keeps: each rank's once its receives are in (an empty pair
+    /// is a counter read), then the rank-summed population, crediting
+    /// particles lost toward crashed/dead destinations. The leaver scan
+    /// checks that every position is finite.
     fn phase_exchange(&mut self, frame: u64, sys: usize) -> Result<(), ProtocolError> {
         let n = self.n;
         let system = self.scene.systems[sys].spec.id;
         let sparse = self.sparse;
         let lost_at_start = self.lost;
-        let mut before = vec![0usize; n];
-        let mut outgoing = vec![0usize; n];
-        let mut incoming = vec![0usize; n];
+        let (mut before, mut outgoing) = (vec![0usize; n], vec![0usize; n]);
+        let (mut before_sum, mut after_sum) = (0, 0);
         for c in 0..n {
             if self.crashed[c] {
                 continue;
             }
             let len = self.calcs[c].store(sys).len();
-            before[c] = len;
+            (before[c], before_sum) = (len, before_sum + len);
             // An empty pair scans nothing and packs nothing: no charge.
             if len > 0 {
                 self.net.advance(c, self.cost.exchange_check_time(len, self.speeds[c]));
             }
-            let total_sent = self.calcs[c].stage_exchange(sys);
+            let total_sent = self.calcs[c].stage_exchange(frame, sys)?;
             outgoing[c] = total_sent;
             if total_sent > 0 {
                 self.net.advance(c, self.cost.pack_time(total_sent, self.speeds[c]));
@@ -552,13 +544,14 @@ impl<F: Fabric> Engine<F> {
             if self.crashed[c] {
                 continue;
             }
+            let mut incoming = 0;
             if sparse {
                 // Only the ranks with queued traffic — O(migrants), and
                 // ascending rank order keeps the schedule deterministic.
                 let senders = self.net.queued_senders(c);
                 for d in senders {
                     if d < n && d != c {
-                        self.recv_exchange(c, d, frame, sys, &mut incoming)?;
+                        incoming += self.recv_exchange(c, d, frame, sys)?;
                     }
                 }
             } else {
@@ -566,30 +559,16 @@ impl<F: Fabric> Engine<F> {
                     if d == c || self.dead[d] {
                         continue;
                     }
-                    self.recv_exchange(c, d, frame, sys, &mut incoming)?;
+                    incoming += self.recv_exchange(c, d, frame, sys)?;
                 }
             }
+            let after = self.calcs[c].store(sys).len();
+            let (b, out) = (before[c], outgoing[c]);
+            invariants::check_exchange_conservation(frame, sys, c, b, out, incoming, after)?;
+            after_sum += after;
         }
-        if invariants::ENABLED {
-            let mut before_sum = 0usize;
-            let mut after_sum = 0usize;
-            for c in 0..n {
-                if self.crashed[c] {
-                    continue;
-                }
-                let store = self.calcs[c].store(sys);
-                check_exchange(frame, sys, c, before[c], outgoing[c], incoming[c], store)?;
-                before_sum += before[c];
-                after_sum += store.len();
-            }
-            invariants::check_global_conservation_with_losses(
-                frame,
-                sys,
-                before_sum,
-                after_sum,
-                (self.lost - lost_at_start) as usize,
-            )?;
-        }
+        let lost = (self.lost - lost_at_start) as usize;
+        invariants::check_global_conservation_with_losses(frame, sys, before_sum, after_sum, lost)?;
         self.trace.record(frame, ProtocolEvent::ParticleExchange);
         Ok(())
     }
@@ -813,7 +792,7 @@ impl<F: Fabric> Engine<F> {
                 }
                 let map = expect_virt!(self, c, self.mgr, frame,
                     Msg::Domains { map, .. } => map, "Domains");
-                self.install_domains(c, sys, map);
+                self.install_domains(frame, c, sys, map)?;
             }
         } else {
             // Decentralized: each donor broadcasts its cut to every
@@ -846,7 +825,7 @@ impl<F: Fabric> Engine<F> {
                 if self.crashed[c] {
                     continue;
                 }
-                self.install_domains(c, sys, dm.clone());
+                self.install_domains(frame, c, sys, dm.clone())?;
             }
         }
         if traced {
@@ -897,10 +876,17 @@ impl<F: Fabric> Engine<F> {
 
     /// Install an updated domain map at calculator `c`, charging the
     /// re-bucketing scan if its own slice changed.
-    fn install_domains(&mut self, c: usize, sys: usize, dm: Arc<DomainMap>) {
-        if let Some(scanned) = self.calcs[c].install_domains(sys, dm) {
+    fn install_domains(
+        &mut self,
+        frame: u64,
+        c: usize,
+        sys: usize,
+        dm: Arc<DomainMap>,
+    ) -> Result<(), ProtocolError> {
+        if let Some(scanned) = self.calcs[c].install_domains(frame, sys, dm)? {
             self.net.advance(c, self.cost.exchange_check_time(scanned, self.speeds[c]));
         }
+        Ok(())
     }
 
     /// Ship render payloads to the image generator. The image generator

@@ -18,8 +18,8 @@
 //! * This file keeps what both sides need: the [`Fabric`] seam, the seed →
 //!   RNG derivation (`stream`; a copy that drifted would silently fork the
 //!   particle trajectories), the balance short-circuit's streak counter and
-//!   the `strict-invariants` checks both drivers run (`check_exchange`,
-//!   `check_figure2`).
+//!   the Figure-2 order check both drivers run every frame
+//!   (`check_figure2`).
 //!
 //! The exchange phase supports two fan-outs ([`ExchangeMode`]): the paper's
 //! dense every-pair pattern (Figure 2 verbatim), and a sparse pattern that
@@ -31,8 +31,7 @@
 
 use cluster_sim::Placement;
 use netsim::{FailedSend, TrafficStats, TransportError};
-use psa_core::invariants::{self, InvariantViolation};
-use psa_core::{Particle, SubDomainStore};
+use psa_core::Particle;
 use psa_math::{Axis, Interval, Rng64};
 
 use crate::balance;
@@ -40,7 +39,7 @@ use crate::checkpoint::FabricCheckpoint;
 use crate::config::{BalanceMode, RunConfig, SpaceMode};
 use crate::msg::{Msg, ProtocolError};
 use crate::scene::Scene;
-use crate::trace::{figure2_passes, Trace};
+use crate::trace::Trace;
 
 mod calculator;
 mod engine;
@@ -83,44 +82,21 @@ pub(crate) fn take_batch(staged: &mut Vec<Particle>) -> Vec<Particle> {
     staged.drain(..).collect()
 }
 
-/// `strict-invariants`: calculator `c`'s exchange conserved particles and
-/// left only finite positions. (Conservation balances even when a NaN
-/// position has put a particle beyond every slice — `owner_of` cannot place
-/// it — so the corruption itself is rejected too.)
-pub(crate) fn check_exchange(
-    frame: u64,
-    sys: usize,
-    c: usize,
-    before: usize,
-    outgoing: usize,
-    incoming: usize,
-    store: &SubDomainStore,
-) -> Result<(), InvariantViolation> {
-    let after = store.len();
-    invariants::check_exchange_conservation(frame, sys, c, before, outgoing, incoming, after)?;
-    invariants::check_finite_positions(frame, sys, c, store.iter())
-}
-
-/// Under `strict-invariants`, the frame's recorded events must make
-/// `passes` Figure-2 passes — one per system, in both drivers.
+/// The frame's recorded events must make `passes` Figure-2 passes — one
+/// per system, in both drivers. Reads the trace's pass tally and starts
+/// it over for the next frame.
 pub(crate) fn check_figure2(
-    trace: &Trace,
+    trace: &mut Trace,
     frame: u64,
     passes: usize,
     role: &'static str,
     rank: usize,
 ) -> Result<(), ProtocolError> {
-    if !invariants::ENABLED {
-        return Ok(());
-    }
-    let events = trace.frame(frame);
-    if figure2_passes(&events) != passes {
-        return Err(ProtocolError::OrderBroken {
-            role,
-            rank,
-            frame,
-            detail: format!("{events:?}"),
-        });
+    let made = trace.take_passes();
+    if made != passes {
+        let events = trace.frame(frame);
+        let detail = format!("{made} passes for {passes}; logged events {events:?}");
+        return Err(ProtocolError::OrderBroken { role, rank, frame, detail });
     }
     Ok(())
 }
@@ -206,6 +182,27 @@ mod tests {
     use super::*;
     use psa_core::DomainMap;
     use psa_math::Vec3;
+
+    /// A frame recorded out of Figure-2 order fails the check typed, in
+    /// every build, and the check starts the next frame's tally afresh.
+    #[test]
+    fn an_out_of_order_frame_is_order_broken() {
+        use crate::trace::ProtocolEvent::{AdditionToLocalSet, Calculus, ParticleExchange};
+        let mut trace = Trace::disabled();
+        for e in [Calculus, AdditionToLocalSet, ParticleExchange] {
+            trace.record(3, e);
+        }
+        match check_figure2(&mut trace, 3, 1, "calculator", 1) {
+            Err(ProtocolError::OrderBroken { role: "calculator", rank: 1, frame: 3, detail }) => {
+                assert!(detail.starts_with("2 passes for 1"), "{detail}");
+            }
+            other => panic!("expected OrderBroken, got {other:?}"),
+        }
+        for e in [AdditionToLocalSet, Calculus, ParticleExchange] {
+            trace.record(4, e);
+        }
+        assert_eq!(check_figure2(&mut trace, 4, 1, "calculator", 1), Ok(()));
+    }
 
     #[test]
     fn new_cut_midpoint_low_side() {

@@ -3,10 +3,10 @@
 //!
 //! Each body owns its role's choreography — blocking sends and deadline
 //! receives in Figure-2 order, wall-clock phase marks, the per-role trace
-//! `strict-invariants` checks — and drives the same role core as the
-//! interleaved engine for every state transition. The image generator has
-//! no shared core: this one rasterizes splat records, the engine's counts
-//! particles.
+//! whose Figure-2 order it checks every frame — and drives the same role
+//! core as the interleaved engine for every state transition. The image
+//! generator has no shared core: this one rasterizes splat records, the
+//! engine's counts particles.
 //!
 //! Three things keep the image generator and the manager off the frame's
 //! critical path — and the calculators from outrunning them. A calculator
@@ -45,7 +45,7 @@ use psa_trace::{ClockKind, Counter, Phase, Recorder};
 
 use super::calculator::Calculator;
 use super::manager::{Manager, Round};
-use super::{check_exchange, check_figure2, space_for, BUCKETS};
+use super::{check_figure2, space_for, BUCKETS};
 use crate::balance::{self, Order};
 use crate::config::{LoadMetric, RunConfig};
 use crate::msg::{Msg, ProtocolError};
@@ -151,13 +151,13 @@ fn flush_traffic(
     now
 }
 
-/// A role's two instruments: the protocol trace `strict-invariants`
-/// checks against Figure 2, and the wall-clock phase recorder.
-fn instruments(n: usize, instrument: bool) -> (Trace, Recorder) {
-    (
-        if invariants::ENABLED { Trace::enabled() } else { Trace::disabled() },
-        if instrument { Recorder::enabled(n + 2, ClockKind::Wall) } else { Recorder::disabled() },
-    )
+/// A role's wall-clock phase recorder, enabled when the run is instrumented.
+fn recorder(n: usize, instrument: bool) -> Recorder {
+    if instrument {
+        Recorder::enabled(n + 2, ClockKind::Wall)
+    } else {
+        Recorder::disabled()
+    }
 }
 
 pub(crate) fn calculator_main(
@@ -174,7 +174,7 @@ pub(crate) fn calculator_main(
     let ig = n + 1;
     let n_sys = scene.systems.len();
     let mut calc = Calculator::new(c, domains, BUCKETS);
-    let (mut trace, mut rec) = instruments(n, instrument);
+    let (mut trace, mut rec) = (Trace::disabled(), recorder(n, instrument));
     let mut last = ep.now();
     let mut traffic_mark = ep.sent_stats();
 
@@ -200,7 +200,7 @@ pub(crate) fn calculator_main(
 
             // Exchange, always the dense pattern: one message per peer.
             let before_exchange = calc.store(sys).len();
-            let outgoing = calc.stage_exchange(sys);
+            let outgoing = calc.stage_exchange(frame, sys)?;
             for d in 0..n {
                 if d != c {
                     let batch = calc.outgoing(d);
@@ -218,10 +218,16 @@ pub(crate) fn calculator_main(
                 calc.add(sys, batch);
             }
             trace.record(frame, ProtocolEvent::ParticleExchange);
-            if invariants::ENABLED {
-                let store = calc.store(sys);
-                check_exchange(frame, sys, c, before_exchange, outgoing, incoming, store)?;
-            }
+            let after = calc.store(sys).len();
+            invariants::check_exchange_conservation(
+                frame,
+                sys,
+                c,
+                before_exchange,
+                outgoing,
+                incoming,
+                after,
+            )?;
             mark(&mut rec, &mut last, &ep, frame, c, Phase::Exchange);
 
             // Load report (time rescaled to post-exchange count, §3.2.4).
@@ -251,10 +257,10 @@ pub(crate) fn calculator_main(
                     trace.record(frame, ProtocolEvent::PreparationOfStructures);
                 }
                 // Everyone installs the one rebroadcast map (the manager
-                // checked its partition under strict-invariants).
+                // checked its partition).
                 let map = expect_msg!(ep, mgr, "calculator", c, frame,
                     Msg::Domains { map, .. } => map, "Domains");
-                calc.install_domains(sys, map);
+                calc.install_domains(frame, sys, map)?;
                 trace.record(frame, ProtocolEvent::DefinitionOfLocalDomains);
                 for (to, batch) in calc.take_donations() {
                     ep.send_sized(to, Msg::Particles { system, batch, scale: 1.0 })?;
@@ -297,7 +303,7 @@ pub(crate) fn calculator_main(
             trace.record(frame, ProtocolEvent::ParticlesToImageGenerator);
             mark(&mut rec, &mut last, &ep, frame, c, Phase::Ship);
         }
-        check_figure2(&trace, frame, n_sys, "calculator", c)?;
+        check_figure2(&mut trace, frame, n_sys, "calculator", c)?;
         traffic_mark = flush_traffic(&mut rec, &ep, frame, traffic_mark);
     }
     Ok(rec)
@@ -316,7 +322,7 @@ pub(crate) fn manager_main(
     let speeds = vec![1.0; n]; // host threads are homogeneous
     let mut frames = Vec::with_capacity(cfg.frames as usize);
     let mut last = ep.now();
-    let (mut trace, mut rec) = instruments(n, instrument);
+    let (mut trace, mut rec) = (Trace::disabled(), recorder(n, instrument));
     let mut phase_mark = ep.now();
     let mut traffic_mark = ep.sent_stats();
     // Emission runs one step ahead of the protocol: the cohort of the next
@@ -390,14 +396,8 @@ pub(crate) fn manager_main(
                         })?;
                         fr.balanced += t.amount as u64;
                     }
-                    if invariants::ENABLED {
-                        invariants::check_partition(
-                            frame,
-                            sys,
-                            space_for(scene, cfg, sys),
-                            manager.domains(sys),
-                        )?;
-                    }
+                    let space = space_for(scene, cfg, sys);
+                    invariants::check_partition(frame, sys, space, manager.domains(sys))?;
                     if !transfers.is_empty() {
                         trace.record(frame, ProtocolEvent::NewDimensionsAndDomains);
                     }
@@ -409,7 +409,7 @@ pub(crate) fn manager_main(
             }
             mark(&mut rec, &mut phase_mark, &ep, frame, n, Phase::Balance);
         }
-        check_figure2(&trace, frame, n_sys, "manager", n)?;
+        check_figure2(&mut trace, frame, n_sys, "manager", n)?;
         let now = ep.now();
         fr.frame_time = now - last;
         last = now;
@@ -442,7 +442,7 @@ pub(crate) fn image_generator_main(
     });
     let mut fb = backdrop.clone();
     let mut per_frame = Vec::with_capacity(cfg.frames as usize);
-    let (_, mut rec) = instruments(n, instrument);
+    let mut rec = recorder(n, instrument);
     if let Some(dir) = sink.as_ref().and_then(|s| s.out_dir.as_ref()) {
         std::fs::create_dir_all(dir).map_err(|e| ProtocolError::Render {
             frame: 0,

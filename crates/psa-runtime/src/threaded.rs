@@ -23,10 +23,10 @@
 //!
 //! Protocol failures are values, not panics: every role returns
 //! [`ProtocolError`] and [`run_threaded`] surfaces the most specific error
-//! after joining all threads. With the `strict-invariants` feature, each
-//! role additionally checks particle conservation across the exchange, the
-//! domain-partition property after every rebalance, and the Figure-2 order
-//! of its recorded protocol trace.
+//! after joining all threads. Every frame, each role also checks what it
+//! owns: a calculator particle conservation across the exchange and finite
+//! positions, the manager the domain partition after every rebalance, and
+//! both the Figure-2 order of their recorded protocol trace.
 
 use std::num::NonZeroUsize;
 use std::path::PathBuf;

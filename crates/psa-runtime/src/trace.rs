@@ -53,34 +53,47 @@ pub const FIGURE2_ORDER: &[ProtocolEvent] = &[
     ProtocolEvent::ImageGeneration,
 ];
 
-/// A bounded recorder of protocol events.
+/// A recorder of protocol events. It always keeps a tally of the Figure-2
+/// passes recorded since the last [`Trace::take_passes`] — O(1) per event,
+/// what every frame's order check reads — and keeps the event log only
+/// when a caller asks for it ([`Trace::enabled`]).
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     events: Vec<(u64, ProtocolEvent)>,
     enabled: bool,
+    tally: PassTally,
 }
 
 impl Trace {
+    /// A trace that also keeps the event log.
     pub fn enabled() -> Self {
-        Trace { events: Vec::new(), enabled: true }
+        Trace { enabled: true, ..Trace::default() }
     }
 
+    /// A trace that keeps only the pass tally.
     pub fn disabled() -> Self {
         Trace::default()
     }
 
     #[inline]
     pub fn record(&mut self, frame: u64, e: ProtocolEvent) {
+        self.tally.push(e);
         if self.enabled {
             self.events.push((frame, e));
         }
+    }
+
+    /// The Figure-2 passes recorded since the last call; the tally starts
+    /// over for the next frame.
+    pub fn take_passes(&mut self) -> usize {
+        std::mem::take(&mut self.tally).passes
     }
 
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }
 
-    /// Events of one frame, in recorded order.
+    /// Logged events of one frame, in recorded order.
     pub fn frame(&self, frame: u64) -> Vec<ProtocolEvent> {
         self.events.iter().filter(|(f, _)| *f == frame).map(|(_, e)| *e).collect()
     }
@@ -106,25 +119,37 @@ fn figure2_pos(e: ProtocolEvent) -> usize {
     e as usize
 }
 
+/// The greedy pass decomposition of [`figure2_passes`], one event at a
+/// time: an event that does not come after the previous one in diagram
+/// order starts a new pass.
+#[derive(Clone, Copy, Debug, Default)]
+struct PassTally {
+    passes: usize,
+    last: Option<ProtocolEvent>,
+}
+
+impl PassTally {
+    #[inline]
+    fn push(&mut self, e: ProtocolEvent) {
+        if self.last.is_none_or(|l| figure2_pos(e) <= figure2_pos(l)) {
+            self.passes += 1;
+        }
+        self.last = Some(e);
+    }
+}
+
 /// Decompose a frame's recorded events into greedy protocol passes.
 ///
 /// One frame is `n_sys` consecutive passes of the Figure-2 sequence (each
 /// pass a strictly-increasing subsequence of diagram positions). Any step recorded out of order — an exchange before
 /// its calculus, a domain broadcast before the load reports — breaks a pass
 /// in two and inflates the count, so `figure2_passes(events) == n_sys` is
-/// the per-frame order invariant the strict executors check.
+/// the per-frame order invariant every executor checks — on the tally
+/// [`Trace::record`] keeps, which is this fold one event at a time.
 pub fn figure2_passes(events: &[ProtocolEvent]) -> usize {
-    let mut passes = 0usize;
-    let mut last: Option<usize> = None;
-    for &e in events {
-        let p = figure2_pos(e);
-        match last {
-            Some(l) if p > l => {}
-            _ => passes += 1,
-        }
-        last = Some(p);
-    }
-    passes
+    let mut tally = PassTally::default();
+    events.iter().for_each(|&e| tally.push(e));
+    tally.passes
 }
 
 #[cfg(test)]
@@ -171,6 +196,38 @@ mod tests {
         assert_eq!(figure2_passes(&[Calculus, Calculus]), 2);
         assert_eq!(figure2_passes(&[]), 0);
         assert_eq!(figure2_passes(FIGURE2_ORDER), 1);
+    }
+
+    /// The tally [`Trace::record`] keeps is `figure2_passes` of what was
+    /// recorded since the last `take_passes`, over seeded random frames:
+    /// clean passes of random subsets of the diagram, some with two events
+    /// swapped, on a trace with and without the event log.
+    #[test]
+    fn the_pass_tally_is_figure2_passes_of_the_frame() {
+        use psa_math::Rng64;
+        for seed in 0..64u64 {
+            let mut rng = Rng64::new(0xF162 ^ seed);
+            let (mut bare, mut logged) = (Trace::disabled(), Trace::enabled());
+            for frame in 0..6 {
+                let mut events = Vec::new();
+                for _ in 0..rng.below(4) {
+                    events.extend(FIGURE2_ORDER.iter().filter(|_| rng.below(2) == 0));
+                }
+                if !events.is_empty() && rng.below(2) == 0 {
+                    let (i, j) = (rng.below(events.len()), rng.below(events.len()));
+                    events.swap(i, j);
+                }
+                for &e in &events {
+                    bare.record(frame, e);
+                    logged.record(frame, e);
+                }
+                let want = figure2_passes(&events);
+                assert_eq!(bare.take_passes(), want, "seed {seed} frame {frame}: {events:?}");
+                assert_eq!(logged.take_passes(), want, "seed {seed} frame {frame}");
+                assert_eq!(logged.frame(frame), events);
+            }
+            assert!(bare.is_empty(), "a bare trace keeps no log");
+        }
     }
 
     #[test]

@@ -202,3 +202,32 @@ fn empty_scene_yields_empty_frames_on_every_executor() {
         assert!(rep.frames.iter().all(|f| f.alive == 0), "{executor}: particles from nowhere");
     }
 }
+
+/// Action parameters are not refused up front, so a NaN gravity makes
+/// NaN positions in the first frame's calculus. No slice can own such a
+/// particle; the leaver scan sees it on every build, and both checked
+/// executors fail the run with the typed violation instead of carrying it.
+#[test]
+fn a_non_finite_position_fails_the_run_typed_on_both_checked_executors() {
+    use particle_cluster_anim::core::InvariantViolation;
+    use particle_cluster_anim::runtime::ProtocolError;
+    let mut scene = lossless_scene(1);
+    let nan_gravity = Gravity::new(Vec3::new(0.0, f32::NAN, 0.0));
+    scene.systems[0].actions = ActionList::new().then(nan_gravity).then(MoveParticles).into();
+    let cfg = RunConfig { frames: 3, dt: 0.1, ..Default::default() };
+    let mut sim =
+        EventSim::new(scene.clone(), cfg.clone(), myrinet_gcc(3, 1), CostModel::default());
+    for (executor, outcome) in
+        [("virtual", sim.try_run()), ("threaded", run_threaded(&scene, &cfg, 2, None))]
+    {
+        match outcome {
+            Err(ProtocolError::Invariant(InvariantViolation::NonFinitePosition {
+                frame: 0,
+                system: 0,
+                position,
+                ..
+            })) => assert!(position[1].is_nan(), "{executor}: {position:?}"),
+            other => panic!("{executor}: expected a non-finite position, got {other:?}"),
+        }
+    }
+}

@@ -73,9 +73,8 @@ fn sequential_and_parallel_agree_on_population_without_stochastic_actions() {
 /// bit-deterministic for a fixed seed once balancing uses the deterministic
 /// load metric. Runs the snow workload twice and compares the per-frame
 /// particle-state checksums — any drift in exchange order, RNG stream use,
-/// or balancing decisions changes a hash. Also passes with
-/// `--features strict-invariants`, which turns on the conservation /
-/// partition / Figure-2-order checks inside the run.
+/// or balancing decisions changes a hash. The conservation, partition and
+/// Figure-2-order checks run inside every run.
 ///
 /// A run that rasterizes ships the particles behind each digest, one that
 /// does not ships the digests alone; both shapes must report the same

@@ -93,3 +93,19 @@ fn every_system_makes_its_own_figure2_pass() {
         assert_eq!(created, n_sys, "frame {f}: one creation per system");
     }
 }
+
+/// A simulator that runs twice records each run into a fresh trace: the
+/// log holds one run's frame 0, not two runs' appended, and the second run
+/// repeats the first.
+#[test]
+fn a_rerun_records_into_a_fresh_trace() {
+    let cfg = RunConfig { frames: 3, dt: 0.05, ..Default::default() };
+    let mut sim = EventSim::new(imbalanced_scene(1), cfg, myrinet_gcc(4, 1), CostModel::default())
+        .with_trace();
+    let first = sim.try_run().expect("first run");
+    let events = sim.trace().frame(0);
+    assert_eq!(figure2_passes(&events), 1, "{events:?}");
+    let second = sim.try_run().expect("second run");
+    assert_eq!(sim.trace().frame(0), events, "the second run's log holds one run");
+    assert_eq!(second.fingerprint(), first.fingerprint());
+}
